@@ -16,17 +16,16 @@ import numpy as np
 
 from .errors import NotPositiveDefiniteError, SingularMatrixError
 
-# Relative tolerances for covariance sanity checks.
+# Relative tolerance of the symmetry check.
 SYM_RTOL = 1e-12
-PSD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Mat2:
     """2x2 real matrix, row-major entries.
 
-    Used for the state transition, process noise, estimation MSE and
-    their inverses over the (position, velocity) state.
+    Used for the process noise, estimation MSE and their inverses over
+    the (position, velocity) state.
     """
 
     m11: float
@@ -71,15 +70,6 @@ def min_eigenvalue_symmetric(m: Mat2) -> float:
     off = 0.5 * (m.m12 + m.m21)
     half_gap = math.hypot(0.5 * (m.m11 - m.m22), off)
     return 0.5 * (m.m11 + m.m22) - half_gap
-
-
-def require_covariance(m: Mat2, name: str = "matrix") -> None:
-    """Check the covariance contract: symmetric within 1e-12 relative,
-    eigenvalues >= -1e-12 * trace."""
-    if not is_symmetric(m):
-        raise NotPositiveDefiniteError(f"{name} is not symmetric: {m}")
-    if min_eigenvalue_symmetric(m) < -PSD_RTOL * max(m.trace, 0.0):
-        raise NotPositiveDefiniteError(f"{name} is not positive semidefinite: {m}")
 
 
 def require_positive_definite(m: Mat2, name: str = "matrix") -> None:
@@ -145,13 +135,6 @@ class Jacobian32:
             [self.kappa, 0.0],
             [self.zeta, self.nu],
         ])
-
-
-def state_transition(dt: float) -> Mat2:
-    """Constant-velocity transition [[1, dt], [0, 1]]."""
-    if not (dt > 0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    return Mat2(1.0, dt, 0.0, 1.0)
 
 
 def process_noise_cov(dt: float, q_tilde: float) -> Mat2:

@@ -3,21 +3,25 @@
 Two solvers live here.  The slot problem picks the next predicted
 relative position inside the reachable window (platform velocity limit
 intersected with the rate-QoS disc) to minimize the anticipated
-weighted estimation bound; it is a 1-D successive-convex-approximation
-loop with a quadratic surrogate and a descent safeguard.  The geometry
-problem drops the prior term and minimizes the measurement-only bound
-g(x, 0); it has closed-form branches at the weight endpoints and a
-safeguarded Newton solve on a certified-convex bracket in between.
+weighted estimation bound: a plain-float pass over a fixed grid picks
+the basin, and a safeguarded Newton solve of f' = 0 on the two grid
+cells around the grid minimum polishes the point (window-end optima are
+recognized by the sign of f' at the end).  The geometry problem drops
+the prior term and minimizes the measurement-only bound g(x, 0); it has
+closed-form branches at the weight endpoints and the same safeguarded
+Newton solve on a certified-convex bracket in between.
 
 All derivatives are propagated as second-order dual numbers through
 the exact same rational expressions used for plain evaluation, so the
-solver sees machine-accurate f', f'' rather than finite differences.
+solvers see machine-accurate f', f'' rather than finite differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from . import ekf
 from .dual import Dual2
@@ -95,8 +99,10 @@ class P1Instance:
 
 @dataclass(frozen=True)
 class ScaResult:
-    """Slot-problem solution.  trace holds the accepted (x, f) iterates
-    of the reported run, starting point included; v_breve_opt is
+    """Slot-problem solution.  trace holds two (x, f) pairs: the best
+    point of the plain-float grid, then the returned point; iterations
+    counts the Newton steps taken (0 for a window-end optimum).
+    objective is the plain-float f at x_breve_opt, and v_breve_opt is
     exactly (x_breve_opt - x_hat_prev)/dt."""
 
     x_breve_opt: float
@@ -121,91 +127,63 @@ class Sp1Result:
     branch: str
 
 
+# Points of the plain-float grid that picks the slot problem's basin.
+P1_GRID_POINTS = 65
+
+
+def _objective(x_breve, inst: P1Instance):
+    """Weighted anticipated bound at x_breve, generic over floats, numpy
+    arrays and dual numbers.  The candidate velocity is tied to the
+    candidate position, v_breve = (x_breve - x_hat_prev)/dt, so f is a
+    function of one variable."""
+    p = inst.params
+    v_breve = (x_breve - inst.x_hat_prev) * (1.0 / p.dt)
+    fi_xx, fi_xv, fi_vv = ekf._information_terms(x_breve, v_breve, p)
+    return ekf._weighted_bounds(
+        fi_xx, fi_xv, fi_vv, inst._r11, inst._r12, inst._r22, p.alpha)[2]
+
+
 def objective_f(x_breve: float, inst: P1Instance) -> tuple[float, float, float]:
     """Weighted anticipated bound f(x_breve) and its first two
-    derivatives in x_breve.
-
-    The candidate velocity is tied to the candidate position,
-    v_breve = (x_breve - x_hat_prev)/dt, so f is a function of one
-    variable; derivatives come from dual-number propagation through the
-    same rational path as the float evaluation.
-    """
-    p = inst.params
-    xd = Dual2.variable(x_breve)
-    vd = (xd - inst.x_hat_prev) * (1.0 / p.dt)
-    fi_xx, fi_xv, fi_vv = ekf._information_terms(xd, vd, p)
-    _, _, weighted = ekf._weighted_bounds(
-        fi_xx, fi_xv, fi_vv, inst._r11, inst._r12, inst._r22, p.alpha)
-    return weighted.val, weighted.d1, weighted.d2
-
-
-def _sca_single(inst: P1Instance, start: float):
-    """One SCA run from a feasible starting point.
-
-    Surrogate minimizer step x - f'/|f''| clamped to the window, with
-    up to 40 step halvings enforcing nonincreasing f; a vanishing
-    curvature (|f''| < 1e-18) falls back to a gradient step of fixed
-    trust radius 0.1*v_a_max*dt.  Stops on |dx| < 1e-6 m, a failed
-    descent, or 100 iterations.
-    """
-    lo, hi = inst.lo, inst.hi
-    trust = 0.1 * inst.params.v_a_max * inst.params.dt
-    x = min(max(start, lo), hi)
-    f, f1, f2 = objective_f(x, inst)
-    trace = [(x, f)]
-    iterations = 0
-    for _ in range(100):
-        iterations += 1
-        if f1 == 0.0:
-            break
-        if abs(f2) < 1e-18:
-            step = -math.copysign(trust, f1)
-        else:
-            step = -f1 / abs(f2)
-        cand = min(max(x + step, lo), hi)
-        accepted = False
-        fc = f1c = f2c = 0.0
-        for _ in range(40):
-            if cand == x:
-                break
-            fc, f1c, f2c = objective_f(cand, inst)
-            if fc <= f:
-                accepted = True
-                break
-            cand = x + 0.5 * (cand - x)
-        if not accepted:
-            break
-        moved = abs(cand - x)
-        x, f, f1, f2 = cand, fc, f1c, f2c
-        trace.append((x, f))
-        if moved < 1e-6:
-            break
-    return x, f, iterations, tuple(trace)
+    derivatives in x_breve, by dual-number propagation through the same
+    rational path as the float evaluation."""
+    f = _objective(Dual2.variable(x_breve), inst)
+    return f.val, f.d1, f.d2
 
 
 def solve_p1_sca(inst: P1Instance, x0: float) -> ScaResult:
     """Minimize the slot objective over the feasible window.
 
     The window may straddle x = 0, where the objective typically has a
-    local maximum separating two basins, so the x0 run is backed by
-    runs from both window ends and the midpoint.  The x0 run's result
-    is kept unless a backup run improves on it by more than
-    1e-12*max(1, |f|); this keeps an already-stationary x0 a true
-    fixed point.
+    local maximum separating two basins, so the basin is chosen by the
+    plain-float objective on P1_GRID_POINTS evenly spaced points.  A
+    grid minimum at a window end whose f' points out of the window is
+    returned exactly; otherwise f' = 0 is solved by safeguarded Newton
+    on the grid cells either side of the grid minimum, starting from x0
+    when it lies strictly inside them, to |dx| < 1e-9*H.  The returned
+    point is never worse than the best grid point.
     """
     lo, hi = inst.lo, inst.hi
-    x0c = min(max(x0, lo), hi)
-    starts = [x0c]
-    for s in (lo, 0.5 * (lo + hi), hi):
-        if all(abs(s - t) > 1e-12 for t in starts):
-            starts.append(s)
-    x, f, iterations, trace = _sca_single(inst, starts[0])
-    margin = 1e-12 * max(1.0, abs(f))
-    for s in starts[1:]:
-        run = _sca_single(inst, s)
-        if run[1] < f - margin:
-            x, f, iterations, trace = run
-    return ScaResult(x, (x - inst.x_hat_prev) / inst.params.dt, f, iterations, trace)
+    xs = np.linspace(lo, hi, P1_GRID_POINTS)
+    fs = _objective(xs, inst)
+    k = int(np.argmin(fs))
+    last = P1_GRID_POINTS - 1
+    x_grid, f_grid = float(xs[k]), float(fs[k])
+
+    def slope(x):
+        return objective_f(x, inst)[1:]
+
+    if (k == 0 and slope(lo)[0] >= 0.0) or (k == last and slope(hi)[0] <= 0.0):
+        x, f, iterations = x_grid, f_grid, 0
+    else:
+        x, iterations = _newton_bracketed(
+            slope, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, last)]),
+            tol=1e-9 * inst.params.h_alt, x0=x0)
+        f = _objective(x, inst)
+        if f > f_grid:
+            x, f = x_grid, f_grid
+    return ScaResult(x, (x - inst.x_hat_prev) / inst.params.dt, f, iterations,
+                     ((x_grid, f_grid), (x, f)))
 
 
 def xi_of_h(params: SystemParams) -> float:
@@ -257,13 +235,16 @@ def g0_derivatives(x: float, params: SystemParams) -> tuple[float, float, float]
 
 
 def _newton_bracketed(deriv_fn, lo: float, hi: float, tol: float,
-                      max_iter: int = 200) -> float:
-    """Root of F on [lo, hi] where deriv_fn(x) -> (F(x), F'(x)).
+                      x0: float | None = None, max_iter: int = 200) -> tuple[float, int]:
+    """Root of F on [lo, hi] where deriv_fn(x) -> (F(x), F'(x)), and the
+    number of Newton/bisection steps taken.
 
     Newton steps are kept inside a shrinking sign-change bracket, with
-    bisection whenever the step leaves it or the slope is unusable.
-    Requires F(lo) < 0 < F(hi); raises BracketError carrying both
-    endpoint values otherwise.
+    bisection whenever the step leaves it or the slope is unusable; the
+    first iterate is x0 when it lies strictly inside [lo, hi], else the
+    midpoint.  Stops when a step is shorter than tol.  Requires
+    F(lo) < 0 < F(hi); raises BracketError carrying both endpoint
+    values otherwise.
     """
     f_lo = deriv_fn(lo)[0]
     f_hi = deriv_fn(hi)[0]
@@ -271,22 +252,25 @@ def _newton_bracketed(deriv_fn, lo: float, hi: float, tol: float,
         raise BracketError(
             f"objective derivative does not change sign over [{lo:.6g}, {hi:.6g}] m",
             f_lo, f_hi)
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
+    for step in range(1, max_iter + 1):
         f, df = deriv_fn(x)
         if f == 0.0:
-            return x
+            return x, step
         if f < 0.0:
             lo = x
         else:
             hi = x
         cand = x - f / df if df > 0.0 else math.nan
+        # a converged step may round onto the end of the shrunken bracket
+        if abs(cand - x) < tol and lo <= cand <= hi:
+            return cand, step
         if not lo < cand < hi:
             cand = 0.5 * (lo + hi)
         if abs(cand - x) < tol:
-            return cand
+            return cand, step
         x = cand
-    return x
+    return x, max_iter
 
 
 def solve_sp1(params: SystemParams) -> Sp1Result:
@@ -320,7 +304,7 @@ def solve_sp1(params: SystemParams) -> Sp1Result:
     else:
         branch = "interior_newton"
         lo = max(x_l, 1e-9 * h)
-        x_star = _newton_bracketed(
+        x_star, _ = _newton_bracketed(
             lambda x: g0_derivatives(x, p)[1:], lo, x_u, tol=1e-9 * h)
     phi_star = math.atan2(h, x_star)
     g_star = ekf.weighted_g(x_star, 0.0, p)

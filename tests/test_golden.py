@@ -1,0 +1,45 @@
+"""The default closed-loop runs reproduce the pinned golden CSVs."""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from uav_isac import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+RTOL = 1e-9
+# absolute floor per column, for cells whose value passes near zero
+ABS_FLOOR = {
+    "n": 0.0, "t_s": 0.0,
+    "x_true_m": 1e-9, "x_hat_m": 1e-9, "x_breve_m": 1e-9, "x_uav_m": 1e-9,
+    "v_true_mps": 1e-8, "v_hat_mps": 1e-8, "v_breve_mps": 1e-8, "v_uav_mps": 1e-8,
+    "pcrb_x_pred": 1e-15, "pcrb_v_pred": 1e-15, "pcrb_x_actual": 1e-15,
+    "pcrb_v_actual": 1e-15, "weighted_actual": 1e-15,
+    "rate_bpshz": 1e-12, "tr_mp": 1e-15, "tr_mm": 1e-15,
+}
+
+
+def _read(path):
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [[float(v) for v in row.split(",")] for row in rows]
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "right-above"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_track_matches_golden(tmp_path, scheme, seed):
+    name = f"track_{scheme.replace('-', '_')}_seed{seed}.csv"
+    out = tmp_path / name
+    assert cli.main(["track", "--slots", "100", "--seed", str(seed),
+                     "--scheme", scheme, "--out", str(out)]) == 0
+    cols, got = _read(out)
+    want_cols, want = _read(GOLDEN / name)
+    assert cols == want_cols and set(cols) == set(ABS_FLOOR)
+    assert len(got) == len(want) == 100
+    for got_row, want_row in zip(got, want):
+        for col, g, w in zip(cols, got_row, want_row):
+            if not math.isfinite(w):
+                assert g == w, f"slot {want_row[0]:g} {col}: {g!r} != {w!r}"
+            else:
+                tol = max(RTOL * abs(w), ABS_FLOOR[col])
+                assert abs(g - w) <= tol, f"slot {want_row[0]:g} {col}: {g!r} vs {w!r}"

@@ -12,9 +12,7 @@ from uav_isac.linalg2 import (
     mat2_inverse,
     min_eigenvalue_symmetric,
     process_noise_cov,
-    require_covariance,
     require_positive_definite,
-    state_transition,
 )
 
 
@@ -27,11 +25,6 @@ def test_mat2_roundtrip_and_properties():
     assert m.det == pytest.approx(2.0 - 0.125)
     assert Mat2.identity() == Mat2(1.0, 0.0, 0.0, 1.0)
     assert Mat2.diag(3.0, 4.0) == Mat2(3.0, 0.0, 0.0, 4.0)
-
-
-def test_state_transition_shape():
-    g = state_transition(0.2)
-    assert g == Mat2(1.0, 0.2, 0.0, 1.0)
 
 
 def test_process_noise_matches_closed_form():
@@ -78,17 +71,13 @@ def test_mat2_inverse_matches_numpy_and_detects_singular():
         mat2_inverse(Mat2(1.0, 2.0, 0.5, 1.0))
 
 
-def test_require_covariance_rules():
-    require_covariance(Mat2.diag(1.0, 2.0), "m")
+def test_require_positive_definite_rejects_singular():
+    require_positive_definite(Mat2.diag(1.0, 2.0), "m")
     with pytest.raises(NotPositiveDefiniteError):
-        require_covariance(Mat2(1.0, 0.9, -0.9, 1.0), "m")  # asymmetric
+        require_positive_definite(Mat2(1.0, 0.9, -0.9, 1.0), "m")  # asymmetric
+    # PSD with a zero eigenvalue is not PD
     with pytest.raises(NotPositiveDefiniteError):
-        require_covariance(Mat2(1.0, 2.0, 2.0, 1.0), "m")  # indefinite
-    # PSD with a zero eigenvalue is a covariance but not PD
-    sing = Mat2(1.0, 1.0, 1.0, 1.0)
-    require_covariance(sing, "m")
-    with pytest.raises(NotPositiveDefiniteError):
-        require_positive_definite(sing, "m")
+        require_positive_definite(Mat2(1.0, 1.0, 1.0, 1.0), "m")
 
 
 def test_diag3():

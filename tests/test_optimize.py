@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uav_isac import ekf, optimize
 from uav_isac.errors import (
@@ -138,11 +139,87 @@ def test_sca_matches_grid_oracle_on_random_instances():
 
 
 def test_sca_respects_boundary_optimum():
-    # window far from the sweet spot: optimum pinned at the near edge
+    # window far from the sweet spot: optimum pinned at the near edge,
+    # returned exactly, on either side of the platform
     inst = _instance(80.0, 79.5)
-    lo, hi = inst.feasible_interval()
     res = optimize.solve_p1_sca(inst, 80.0)
-    assert res.x_breve_opt == pytest.approx(lo, abs=1e-9)
+    assert res.x_breve_opt == inst.lo
+    assert res.iterations == 0
+    mirror = _instance(-80.0, -79.5)
+    assert optimize.solve_p1_sca(mirror, -80.0).x_breve_opt == mirror.hi
+
+
+def test_sca_optimum_independent_of_start():
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        eta = float(rng.uniform(-78, 78))
+        inst = _instance(eta, eta + float(rng.uniform(-2, 2)),
+                         m11=float(rng.uniform(0.2, 2.0)),
+                         m22=float(rng.uniform(0.05, 0.5)))
+        lo, hi = inst.feasible_interval()
+        results = [optimize.solve_p1_sca(inst, x0)
+                   for x0 in (lo, 0.5 * (lo + hi), hi, min(max(eta, lo), hi))]
+        # Newton paths from different starts agree to roundoff
+        for res in results[1:]:
+            assert res.x_breve_opt == pytest.approx(results[0].x_breve_opt, abs=1e-12)
+            assert res.objective == pytest.approx(results[0].objective, rel=1e-14)
+
+
+def test_sca_never_worse_than_grid():
+    rng = np.random.default_rng(34)
+    d = oracles.params_dict(P)
+    for _ in range(40):
+        eta = float(rng.uniform(-20, 20))
+        x_hat = eta + float(rng.uniform(-2, 2))
+        m11, m22 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 0.5))
+        inst = _instance(eta, x_hat, m11=m11, m22=m22)
+        lo, hi = inst.feasible_interval()
+        res = optimize.solve_p1_sca(inst, eta)
+        grid = np.linspace(lo, hi, optimize.P1_GRID_POINTS)
+        # the solver's own float path: exact; the numpy oracle: roundoff
+        assert res.objective <= res.trace[0][1]
+        assert res.trace[0][0] in grid
+        want = oracles.p1_objective(grid, eta, x_hat, [[m11, 0.0], [0.0, m22]], P.alpha, d)
+        assert res.objective <= float(np.min(want)) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("eta,x_hat,x0s", [
+    (1.0, -1.0, (7.0, 3.0, 1.0)),      # global basin left of 0, start right
+    (-2.0, 1.0, (-8.0, -3.0, -2.0)),   # global basin right of 0, start left
+])
+def test_sca_two_basin_window_picks_global_basin(eta, x_hat, x0s):
+    inst = _instance(eta, x_hat)
+    lo, hi = inst.feasible_interval()
+    assert lo < 0.0 < hi
+    d = oracles.params_dict(P)
+    fn = lambda xs: oracles.p1_objective(xs, eta, x_hat, [[1.0, 0.0], [0.0, 0.25]], P.alpha, d)
+    want = oracles.grid_refine_min(fn, lo, hi, 20_001)
+    # the other side of 0 holds a worse local optimum or a worse window end
+    other = (lo, -1e-6) if want > 0.0 else (1e-6, hi)
+    assert fn(oracles.grid_refine_min(fn, *other, 20_001)) > fn(want)
+    for x0 in x0s:
+        res = optimize.solve_p1_sca(inst, x0)
+        assert abs(res.x_breve_opt - want) < 1e-3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(eta=st.floats(-78.0, 78.0), dx_hat=st.floats(-2.0, 2.0),
+       log_m11=st.floats(math.log(0.02), math.log(20.0)),
+       log_m22=st.floats(math.log(0.01), math.log(10.0)),
+       rho=st.floats(-0.9, 0.9))
+def test_sca_matches_grid_oracle_property(eta, dx_hat, log_m11, log_m22, rho):
+    m11, m22 = math.exp(log_m11), math.exp(log_m22)
+    m12 = rho * math.sqrt(m11 * m22)
+    x_hat = eta + dx_hat
+    inst = _instance(eta, x_hat, m11=m11, m22=m22, m12=m12)
+    lo, hi = inst.feasible_interval()
+    res = optimize.solve_p1_sca(inst, min(max(eta, lo), hi))
+    d = oracles.params_dict(P)
+    want = oracles.grid_refine_min(
+        lambda xs: oracles.p1_objective(xs, eta, x_hat, [[m11, m12], [m12, m22]], P.alpha, d),
+        lo, hi, 20_001)
+    assert lo <= res.x_breve_opt <= hi
+    assert abs(res.x_breve_opt - want) < 1e-3   # AC05's gate
 
 
 # ------------------------------------------------------------ SP1 geometry
@@ -223,6 +300,21 @@ def test_g0_derivatives_match_finite_differences():
         assert val == pytest.approx(fn(float(x)), rel=1e-11)
         assert d1 == pytest.approx(oracles.central_fd1(fn, float(x), 1e-4), rel=1e-5, abs=1e-16)
         assert d2 == pytest.approx(oracles.central_fd2(fn, float(x), 1e-3), rel=1e-3, abs=1e-16)
+
+
+def test_newton_returns_converged_step_on_bracket_end(monkeypatch):
+    # at this cell a converged Newton step rounds onto the shrunken
+    # bracket's end; it must be taken, not bisected away from
+    calls = []
+    real = optimize.g0_derivatives
+    monkeypatch.setattr(optimize, "g0_derivatives",
+                        lambda x, p: calls.append(x) or real(x, p))
+    cell = replace(P, alpha=0.1, h_alt=17.0)
+    res = optimize.solve_sp1(cell)
+    assert res.branch == "interior_newton"
+    assert len(calls) <= 10
+    _, d1, d2 = real(res.x_star, cell)
+    assert abs(d1) < 1e-6 * res.g_star and d2 > 0.0
 
 
 def test_newton_bracket_guard():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uav_isac import simulate
-from uav_isac.errors import ConfigError
+from uav_isac.errors import BracketError, ConfigError
 from uav_isac.linalg2 import process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.simulate import (
@@ -174,6 +174,16 @@ def test_failure_context_names_slot():
     with pytest.raises(Exception) as exc_info:
         run_scenario(ScenarioConfig(), bad)
     assert "slot" in str(exc_info.value)
+
+
+def test_slot_solver_bracket_error_propagates_with_slot(monkeypatch):
+    def no_bracket(deriv_fn, lo, hi, tol, x0=None):
+        raise BracketError("no sign change", -1.0, -1.0)
+    monkeypatch.setattr(simulate.optimize, "_newton_bracketed", no_bracket)
+    # early slots are window-end optima; the first interior one raises
+    with pytest.raises(BracketError, match=r"^slot \d+: no sign change") as exc_info:
+        run_scenario(ScenarioConfig(), P)
+    assert exc_info.value.dg_lo == -1.0
 
 
 # ------------------------------------------------------------- Monte Carlo
