@@ -154,6 +154,8 @@ def cmd_track(args) -> int:
 def cmd_sweep_angle(args) -> int:
     params = SystemParams()
     alphas = _parse_float_list(args.alphas)
+    for a in alphas:
+        _build_params({"alpha": a})  # refuses an alpha outside [0, 1]
     if args.h_step <= 0 or args.h_min <= 0 or args.h_max < args.h_min:
         raise ConfigError("need h_min > 0, h_step > 0 and h_max >= h_min")
     count = int(math.floor((args.h_max - args.h_min) / args.h_step + 1e-9)) + 1

@@ -1,15 +1,20 @@
 """Filter recursion and estimation-error lower bounds.
 
-The filter is a textbook extended Kalman recursion over the 2-state
-relative motion model.  The bound side computes, in closed rational
-form, the anticipated estimation bounds at a hypothetical predicted
-state (used as the per-slot design objective) and the measurement-only
-bounds obtained when prior information is discarded.
+The filter is an extended Kalman recursion over the 2-state relative
+motion model, written in information form.  The filter update, the
+anticipated bound used as the per-slot design objective and the
+measurement-only bound share one core: the measurement Fisher
+information at (x, v) for per-channel weights 1/s_i, added to the
+prior information and inverted in symmetric 2x2 closed form.  The
+update reads the weights off the measurement, the anticipated bound
+models them at the predicted position, and the measurement-only bound
+is the zero-prior case.
 
-The closed forms are written over generic scalars so that the exact
-same code path serves plain floats and second-order dual numbers; the
-whole bound is a rational function of position and velocity, which is
-what makes derivative propagation exact.
+The bound expressions are written over generic scalars so that the
+exact same code path serves plain floats, numpy arrays and
+second-order dual numbers; each bound is a rational function of
+position and velocity, which is what makes derivative propagation
+exact.
 """
 
 from __future__ import annotations
@@ -17,10 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SingularMatrixError
-from .linalg2 import Mat2, mat2_inverse, process_noise_cov, require_positive_definite
+from .linalg2 import Sym2, process_noise_cov, require_positive_definite
 from .params import SystemParams
 from .sensing import Measurement, RelativeState, jacobian, measure_mean
 
@@ -30,7 +33,7 @@ class FilterState:
     """Posterior estimate and its MSE matrix after a slot's update."""
 
     est: RelativeState
-    mse: Mat2
+    mse: Sym2
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ class Prediction:
     """One-slot-ahead predicted state and prediction MSE matrix."""
 
     pred: RelativeState
-    mse_pred: Mat2
+    mse_pred: Sym2
 
 
 @dataclass(frozen=True)
@@ -67,164 +70,136 @@ def predict(prev: FilterState, uav_increment: tuple[float, float],
     v_breve = est.v - u_vel
     m = prev.mse
     # G M G^T written out for G = [[1, dt], [0, 1]]
-    g11 = m.m11 + dt * (m.m12 + m.m21) + dt * dt * m.m22
+    g11 = m.m11 + 2.0 * dt * m.m12 + dt * dt * m.m22
     g12 = m.m12 + dt * m.m22
-    g21 = m.m21 + dt * m.m22
     q = process_noise_cov(dt, params.q_tilde)
-    mse_pred = Mat2(g11 + q.m11, g12 + q.m12, g21 + q.m21, m.m22 + q.m22)
+    mse_pred = Sym2(g11 + q.m11, g12 + q.m12, m.m22 + q.m22)
     return Prediction(RelativeState(x_breve, v_breve), mse_pred)
 
 
 def update(pred: Prediction, y: Measurement, params: SystemParams) -> FilterState:
-    """Measurement update.
+    """Measurement update in information form.
 
-    Gain K = M_p J^T (Q_m + J M_p J^T)^{-1} with the Jacobian J taken at
-    the predicted state and Q_m read off the measurement itself.  The
-    3x3 innovation solve is diagonally scaled first because the three
-    channel variances span ~20 orders of magnitude.  The posterior MSE
-    (I - K J) M_p is symmetrized to suppress roundoff drift.
+    With the Jacobian J taken at the predicted state and the diagonal
+    noise covariance R read off the measurement,
+    M+ = (M_p^{-1} + J^T R^{-1} J)^{-1} and
+    x+ = x_pred + M+ J^T R^{-1} (y - h(x_pred)), all in 2x2 closed form.
+    Raises NotPositiveDefiniteError when M_p is not positive definite
+    and SingularMatrixError when a channel variance is zero, not finite
+    or too small for its reciprocal to be finite.
     """
-    jac = jacobian(pred.pred, params).as_array()
-    m_p = pred.mse_pred.as_array()
-    s_mat = np.diag(y.noise_cov.diagonal()) + jac @ m_p @ jac.T
-    d = np.sqrt(np.diag(s_mat))
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        raise SingularMatrixError("innovation covariance has a bad diagonal")
-    dinv = 1.0 / d
-    s_scaled = s_mat * dinv[:, None] * dinv[None, :]
-    rhs = dinv[:, None] * (jac @ m_p)
-    try:
-        sol = np.linalg.solve(s_scaled, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"innovation covariance is singular: {exc}") from exc
-    gain = (dinv[:, None] * sol).T  # 2x3
-
+    s = y.noise_cov.diagonal()
+    w1, w2, w3 = (1.0 / si if si > 0.0 else math.inf for si in s)
+    if not (0.0 < w1 < math.inf and 0.0 < w2 < math.inf and 0.0 < w3 < math.inf):
+        raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
+    require_positive_definite(pred.mse_pred, "mse_pred")
+    x, v = pred.pred.x, pred.pred.v
+    mse = _add_information(pred.mse_pred.inverse(),
+                           *_fisher_terms(x, v, w1, w2, w3, params)).inverse()
+    jac = jacobian(pred.pred, params)
     phi, tau, mu = measure_mean(pred.pred, params)
-    innov = np.array([y.phi - phi, y.tau - tau, y.mu - mu])
-    dx, dv = gain @ innov
-    est = RelativeState(pred.pred.x + dx, pred.pred.v + dv)
+    r1 = w1 * (y.phi - phi)
+    r2 = w2 * (y.tau - tau)
+    r3 = w3 * (y.mu - mu)
+    # score J^T R^{-1} innov; the angle and delay rows carry no velocity
+    gx = jac.iota * r1 + jac.kappa * r2 + jac.zeta * r3
+    gv = jac.nu * r3
+    est = RelativeState(x + mse.m11 * gx + mse.m12 * gv, v + mse.m12 * gx + mse.m22 * gv)
+    return FilterState(est, mse)
 
-    mse = (np.eye(2) - gain @ jac) @ m_p
-    mse = 0.5 * (mse + mse.T)
-    return FilterState(est, Mat2.from_array(mse))
 
+# -- the information-form core, generic over float / ndarray / Dual2 --
 
-# -- rational information terms, generic over float / Dual2 scalars --
+def _fisher_terms(x, v, w1, w2, w3, params: SystemParams):
+    """Measurement Fisher information J^T diag(w1, w2, w3) J at (x, v)
+    for per-channel weights w_i = 1/s_i.
 
-def _information_terms(x, v, params: SystemParams):
-    """Measurement-information contributions at predicted offset x and
-    velocity v, as rational functions (no square roots):
-
-      fi_xx = iota^2/s1 + kappa^2/s2 + zeta^2/s3
-      fi_xv = nu*zeta/s3
-      fi_vv = nu^2/s3
-
-    with the anticipated noise variances s_i folded in.  Works for any
-    scalar type supporting +, *, / (floats or dual numbers).
+    Returns (i_pos, zz, zv, vv).  i_pos = w1*iota^2 + w2*kappa^2 is the
+    angle+delay position information; the Doppler channel adds the
+    rank-one block w3*[[zeta^2, zeta*nu], [zeta*nu, nu^2]] =
+    [[zz, zv], [zv, vv]].  Written without square roots, using
+    zeta = nu*y/x with y = v*H^2/(x^2+H^2).
     """
-    p = params
-    h2 = p.h_alt * p.h_alt
-    c2 = p.c * p.c
-    fc2 = p.f_c * p.f_c
-    g = p.sens_gain
-    d2 = x * x + h2
-    d2_3 = d2 * d2 * d2
-    d2_4 = d2_3 * d2
-    d2_5 = d2_4 * d2
-    fi_xx = ((g * h2 * h2 / (p.a1 * p.a1)) / d2_5
-             + (4.0 * g / (p.a2 * p.a2 * c2)) * (x * x) / d2_3
-             + (4.0 * g * fc2 * h2 * h2 / (p.a3 * p.a3 * c2)) * (v * v) / d2_5)
-    fi_xv = (4.0 * g * fc2 * h2 / (p.a3 * p.a3 * c2)) * (x * v) / d2_4
-    fi_vv = (4.0 * g * fc2 / (p.a3 * p.a3 * c2)) * (x * x) / d2_3
-    return fi_xx, fi_xv, fi_vv
+    h2 = params.h_alt * params.h_alt
+    k = 4.0 / (params.c * params.c)
+    x2 = x * x
+    u = 1.0 / (x2 + h2)
+    i_pos = (w1 * h2 * u + w2 * k * x2) * u
+    t = w3 * (k * params.f_c * params.f_c) * u  # w3*nu^2/x^2
+    y = v * h2 * u
+    ty = t * y
+    return i_pos, ty * y, ty * x, t * x2
 
 
-def _weighted_bounds(fi_xx, fi_xv, fi_vv, r11, r12, r22, alpha):
-    """Invert the 2x2 information matrix (prior + measurement) in closed
-    form and return (bound_x, bound_v, weighted)."""
-    a11 = r11 + fi_xx
-    a12 = r12 + fi_xv
-    a22 = r22 + fi_vv
-    det = a11 * a22 - a12 * a12
-    bound_x = a22 / det
-    bound_v = a11 / det
+def _modelled_weights(x, params: SystemParams):
+    """Channel weights 1/s_i of the noise model at offset x (the
+    reciprocals of sensing.noise_cov_actual), generic over the scalar
+    type."""
+    g1, g2, g3 = params.channel_weights
+    h2 = params.h_alt * params.h_alt
+    u = 1.0 / (x * x + h2)
+    u2 = u * u
+    return g1 * h2 * u2 * u, g2 * u2, g3 * u2
+
+
+def _add_information(prior_info: Sym2, i_pos, zz, zv, vv) -> Sym2:
+    """Prior information plus measurement information."""
+    return Sym2(prior_info.m11 + i_pos + zz, prior_info.m12 + zv, prior_info.m22 + vv)
+
+
+def _weighted(bound_x, bound_v, alpha: float):
+    """alpha*bound_x + (1-alpha)*bound_v.  The alpha = 1 and alpha = 0
+    edges select a single term, so that an infinite velocity bound
+    (overhead geometry) never multiplies a zero weight."""
     if alpha == 1.0:
-        weighted = bound_x
-    elif alpha == 0.0:
-        weighted = bound_v
-    else:
-        weighted = alpha * bound_x + (1.0 - alpha) * bound_v
-    return bound_x, bound_v, weighted
+        return bound_x
+    if alpha == 0.0:
+        return bound_v
+    return alpha * bound_x + (1.0 - alpha) * bound_v
 
 
-def predicted_pcrb(x_breve: float, v_breve: float, mse_pred: Mat2,
+def _anticipated_bounds(x, v, prior_info: Sym2, params: SystemParams):
+    """(bound_x, bound_v, weighted): the diagonal of
+    (prior_info + measurement information at (x, v) with the weights
+    modelled at x)^{-1} and its alpha-weighted combination."""
+    a = _add_information(prior_info, *_fisher_terms(x, v, *_modelled_weights(x, params), params))
+    inv_det = 1.0 / a.det
+    bound_x = a.m22 * inv_det
+    bound_v = a.m11 * inv_det
+    return bound_x, bound_v, _weighted(bound_x, bound_v, params.alpha)
+
+
+def predicted_pcrb(x_breve: float, v_breve: float, mse_pred: Sym2,
                    params: SystemParams) -> PcrbPair:
     """Anticipated estimation bounds at a candidate predicted state.
 
     The information matrix is the prediction-MSE inverse plus the
     measurement information at (x_breve, v_breve) with noise variances
     anticipated at x_breve; the bounds are the diagonal of its inverse.
-    mse_pred must be symmetric positive definite.
+    mse_pred must be positive definite.
     """
     require_positive_definite(mse_pred, "mse_pred")
-    r = mat2_inverse(mse_pred)
-    r12 = 0.5 * (r.m12 + r.m21)
-    fi_xx, fi_xv, fi_vv = _information_terms(x_breve, v_breve, params)
-    bound_x, bound_v, weighted = _weighted_bounds(
-        fi_xx, fi_xv, fi_vv, r.m11, r12, r.m22, params.alpha)
-    return PcrbPair(bound_x, bound_v, weighted)
-
-
-def _crb_x_rational(x, params: SystemParams):
-    """Measurement-only position bound (iota^2/s1 + kappa^2/s2)^{-1},
-    generic over the scalar type; finite at x = 0."""
-    p = params
-    h2 = p.h_alt * p.h_alt
-    c2 = p.c * p.c
-    d2 = x * x + h2
-    d2_3 = d2 * d2 * d2
-    d2_5 = d2_3 * d2 * d2
-    angle = (p.sens_gain * h2 * h2 / (p.a1 * p.a1)) / d2_5
-    delay = (4.0 * p.sens_gain / (p.a2 * p.a2 * c2)) * (x * x) / d2_3
-    return 1.0 / (angle + delay)
-
-
-def _crb_v_rational(x, v, params: SystemParams):
-    """Measurement-only velocity bound sigma3^2/nu^2 + (zeta/nu)^2 crb_x,
-    generic over the scalar type; requires x != 0."""
-    p = params
-    h2 = p.h_alt * p.h_alt
-    d2 = x * x + h2
-    x2 = x * x
-    base = p.a3 * p.a3 * p.c * p.c / (4.0 * p.f_c * p.f_c * p.sens_gain)
-    sigma3_over_nu2 = base * (d2 * d2 * d2) / x2
-    ratio2 = (h2 * h2 * v * v) * (1.0 / (x2 * d2 * d2))  # (zeta/nu)^2
-    return sigma3_over_nu2 + ratio2 * _crb_x_rational(x, params)
+    return PcrbPair(*_anticipated_bounds(x_breve, v_breve, mse_pred.inverse(), params))
 
 
 def crb_measurement(x: float, v: float, params: SystemParams) -> tuple[float, float]:
     """Measurement-only bounds (crb_x, crb_v) at relative state (x, v).
 
-    crb_x stays finite everywhere.  Directly overhead (x = 0) the
-    Doppler carries no velocity information, so crb_v is reported as
-    +inf; solvers treat it as a barrier.
+    The zero-prior case of the anticipated bound: with the Doppler
+    block rank one, crb_x = 1/i_pos and crb_v = (1 + zz/i_pos)/fi_vv,
+    a form without cancellation at v != 0.  crb_x stays finite
+    everywhere.  Directly overhead (x = 0, where fi_vv = 0) the Doppler
+    carries no velocity information, so crb_v is reported as +inf;
+    solvers treat it as a barrier.
     """
-    crb_x = _crb_x_rational(x, params)
-    if x == 0.0:
+    i_pos, zz, _, vv = _fisher_terms(x, v, *_modelled_weights(x, params), params)
+    crb_x = 1.0 / i_pos
+    if vv == 0.0:
         return crb_x, math.inf
-    return crb_x, _crb_v_rational(x, v, params)
+    return crb_x, (1.0 + zz * crb_x) / vv
 
 
 def weighted_g(x: float, v: float, params: SystemParams) -> float:
     """Weighted measurement-only objective
-    g(x, v) = alpha*crb_x + (1-alpha)*crb_v.
-
-    The alpha = 0 and alpha = 1 edges select a single term so that an
-    infinite crb_v (overhead geometry) never multiplies a zero weight.
-    """
-    crb_x, crb_v = crb_measurement(x, v, params)
-    if params.alpha == 1.0:
-        return crb_x
-    if params.alpha == 0.0:
-        return crb_v
-    return params.alpha * crb_x + (1.0 - params.alpha) * crb_v
+    g(x, v) = alpha*crb_x + (1-alpha)*crb_v."""
+    return _weighted(*crb_measurement(x, v, params), params.alpha)

@@ -29,9 +29,10 @@ from .errors import (
     BracketError,
     InfeasibleIntervalError,
     InfeasibleQosError,
+    UavIsacError,
     VelocityBoundError,
 )
-from .linalg2 import Mat2, mat2_inverse, require_positive_definite
+from .linalg2 import Sym2, require_positive_definite
 from .params import SystemParams
 from .sensing import achievable_rate
 
@@ -69,21 +70,16 @@ class P1Instance:
 
     eta_prev: float
     x_hat_prev: float
-    mse_pred: Mat2
+    mse_pred: Sym2
     params: SystemParams
     x_c: float = field(init=False, repr=False)
     lo: float = field(init=False)
     hi: float = field(init=False)
-    _r11: float = field(init=False, repr=False)
-    _r12: float = field(init=False, repr=False)
-    _r22: float = field(init=False, repr=False)
+    _prior_info: Sym2 = field(init=False, repr=False)
 
     def __post_init__(self):
         require_positive_definite(self.mse_pred, "mse_pred")
-        r = mat2_inverse(self.mse_pred)
-        self._r11 = r.m11
-        self._r12 = 0.5 * (r.m12 + r.m21)
-        self._r22 = r.m22
+        self._prior_info = self.mse_pred.inverse()
         self.x_c = qos_radius(self.params)
         reach = self.params.v_a_max * self.params.dt
         self.lo = max(-self.x_c, self.eta_prev - reach)
@@ -138,9 +134,7 @@ def _objective(x_breve, inst: P1Instance):
     function of one variable."""
     p = inst.params
     v_breve = (x_breve - inst.x_hat_prev) * (1.0 / p.dt)
-    fi_xx, fi_xv, fi_vv = ekf._information_terms(x_breve, v_breve, p)
-    return ekf._weighted_bounds(
-        fi_xx, fi_xv, fi_vv, inst._r11, inst._r12, inst._r22, p.alpha)[2]
+    return ekf._anticipated_bounds(x_breve, v_breve, inst._prior_info, p)[2]
 
 
 def objective_f(x_breve: float, inst: P1Instance) -> tuple[float, float, float]:
@@ -220,17 +214,12 @@ def upper_anchor(params: SystemParams) -> float:
 
 def g0_derivatives(x: float, params: SystemParams) -> tuple[float, float, float]:
     """(g, g', g'') of the zero-velocity measurement-only objective
-    g(x, 0) at x > 0, via dual-number propagation through the rational
-    bound expressions."""
+    g(x, 0) at x > 0, via dual-number propagation through the Fisher
+    terms of the bound core.  At v = 0 the Doppler block is diagonal,
+    so crb_x = 1/i_pos and crb_v = 1/fi_vv."""
     xd = Dual2.variable(x)
-    a = params.alpha
-    if a == 1.0:
-        total = ekf._crb_x_rational(xd, params)
-    elif a == 0.0:
-        total = ekf._crb_v_rational(xd, 0.0, params)
-    else:
-        total = (a * ekf._crb_x_rational(xd, params)
-                 + (1.0 - a) * ekf._crb_v_rational(xd, 0.0, params))
+    i_pos, _, _, vv = ekf._fisher_terms(xd, 0.0, *ekf._modelled_weights(xd, params), params)
+    total = ekf._weighted(1.0 / i_pos, 1.0 / vv, params.alpha)
     return total.val, total.d1, total.d2
 
 
@@ -370,8 +359,10 @@ def sweep_angle(params: SystemParams, alphas, h_values):
     """Solve the geometry problem across an (alpha, H) grid.
 
     Returns one row per cell: (alpha, h, x_star, phi_star_deg, branch).
-    A failed cell records NaNs and 'error:<ExceptionName>' in the
-    branch column and the sweep continues.
+    A cell whose solve raises a package error records NaNs and
+    'error:<ExceptionName>' in the branch column and the sweep
+    continues; any other exception, such as the ValueError of an alpha
+    outside [0, 1], propagates.
     """
     rows = []
     for a in alphas:
@@ -379,7 +370,7 @@ def sweep_angle(params: SystemParams, alphas, h_values):
             try:
                 cell = replace(params, alpha=float(a), h_alt=float(h))
                 res = solve_sp1(cell)
-            except Exception as exc:
+            except UavIsacError as exc:
                 rows.append((float(a), float(h), math.nan, math.nan,
                              f"error:{type(exc).__name__}"))
                 continue

@@ -20,7 +20,10 @@ def dbm_to_watts(p: float) -> float:
     """Convert a power level in dBm to watts: 10^((p - 30) / 10)."""
     if not math.isfinite(p):
         raise ValueError(f"power in dBm must be finite, got {p!r}")
-    return 10.0 ** ((p - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((p - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"power {p!r} dBm overflows in watts") from None
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,10 @@ class SystemParams:
             v = getattr(self, name)
             if not (isinstance(v, int) and v > 0):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        for name, w in zip(("a1", "a2", "a3"), self.channel_weights):
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"{name} = {getattr(self, name)!r} gives a channel weight "
+                                 f"sens_gain/{name}^2 of {w!r}, not finite and positive")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if not (math.isfinite(self.v_a_max) and self.v_a_max >= 0):
@@ -111,6 +118,14 @@ class SystemParams:
         """
         return (self.p_a_w * self.n_sym * self.n_t * self.n_r * self.beta_r
                 / self.sigma2_w)
+
+    @cached_property
+    def channel_weights(self) -> tuple[float, float, float]:
+        """Per-channel information scales sens_gain/a_i^2 of the angle,
+        delay and Doppler channels; each channel's noise variance is
+        the geometry factor over this weight."""
+        g = self.sens_gain
+        return (g / self.a1 / self.a1, g / self.a2 / self.a2, g / self.a3 / self.a3)
 
 
 PARAM_FIELD_NAMES = tuple(f.name for f in fields(SystemParams))

@@ -100,23 +100,6 @@ def noise_cov_actual(s: RelativeState, params: SystemParams) -> DiagMat3:
     )
 
 
-def noise_cov_predicted(x_breve: float, params: SystemParams) -> DiagMat3:
-    """Measurement noise variances anticipated at a predicted offset.
-
-    Same model as noise_cov_actual written directly in terms of x:
-    sigma1^2 = a1^2 sigma^2 (H^2+x^2)^3 / (P_A N_sym N_t N_r beta_r H^2)
-    and the delay/Doppler lines carry (H^2+x^2)^2 without the H^2.
-    """
-    h2 = params.h_alt * params.h_alt
-    d2 = x_breve * x_breve + h2
-    base = d2 * d2 / params.sens_gain
-    return DiagMat3(
-        params.a1 ** 2 * base * d2 / h2,
-        params.a2 ** 2 * base,
-        params.a3 ** 2 * base,
-    )
-
-
 def jacobian(s: RelativeState, params: SystemParams) -> Jacobian32:
     """Measurement Jacobian at s, as the analytic derivative of
     measure_mean (verified against central finite differences).

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ekf, optimize, sensing
 from .errors import ConfigError, InfeasibleIntervalError
-from .linalg2 import Mat2
+from .linalg2 import Sym2
 from .params import SystemParams
 from .sensing import RelativeState
 
@@ -161,7 +161,7 @@ def step_ground_truth(w: WorldState, params: SystemParams, rng) -> WorldState:
 
 
 def _predict_for_control(filter_state: ekf.FilterState, w: WorldState,
-                         params: SystemParams) -> tuple[float, Mat2]:
+                         params: SystemParams) -> tuple[float, Sym2]:
     # eta: relative position predicted for the next slot if the platform
     # stopped; also the center of the reachable window.  The prediction
     # MSE does not depend on the command, so a zero command serves.
@@ -247,7 +247,7 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
     z = rng.standard_normal(2)
     est0 = RelativeState(rel0.x + cfg.init_est_std[0] * z[0],
                          rel0.v + cfg.init_est_std[1] * z[1])
-    fstate = ekf.FilterState(est0, Mat2.diag(cfg.init_mse[0], cfg.init_mse[1]))
+    fstate = ekf.FilterState(est0, Sym2.diag(cfg.init_mse[0], cfg.init_mse[1]))
     try:
         cmd = controller(fstate, world, p)
     except Exception as exc:

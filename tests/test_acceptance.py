@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from uav_isac import ekf, optimize, sensing, simulate
-from uav_isac.linalg2 import Mat2, process_noise_cov
+from uav_isac.linalg2 import Sym2, process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.sensing import RelativeState
 from uav_isac.simulate import ScenarioConfig, WorldState
@@ -105,7 +105,7 @@ def test_ac04_closed_form_bound_matches_generic_inverse():
         m22 = float(rng.uniform(0.01, 1.0))
         rho = float(rng.uniform(-0.9, 0.9))
         m12 = rho * math.sqrt(m11 * m22)
-        pair = ekf.predicted_pcrb(x, v, Mat2(m11, m12, m12, m22), p)
+        pair = ekf.predicted_pcrb(x, v, Sym2(m11, m12, m22), p)
         ox, ov = oracles.pcrb_pair(x, v, [[m11, m12], [m12, m22]],
                                    oracles.params_dict(p))
         rel = max(abs(pair.pcrb_x - ox) / ox, abs(pair.pcrb_v - ov) / ov)
@@ -144,7 +144,7 @@ def test_ac05_solvers_match_brute_force():
         m22 = float(rng.uniform(0.05, 0.5))
         rho = float(rng.uniform(-0.8, 0.8))
         m12 = rho * math.sqrt(m11 * m22)
-        inst = optimize.P1Instance(eta, x_hat, Mat2(m11, m12, m12, m22), DEFS)
+        inst = optimize.P1Instance(eta, x_hat, Sym2(m11, m12, m22), DEFS)
         x0 = min(max(eta, inst.lo), inst.hi)
         res = optimize.solve_p1_sca(inst, x0)
         m_np = [[m11, m12], [m12, m22]]
@@ -165,7 +165,7 @@ def test_ac05_solvers_match_brute_force():
 
 def test_ac06_derivatives_match_finite_differences():
     """Propagated first/second derivatives track central differences."""
-    inst = optimize.P1Instance(20.0, 19.5, Mat2(1.0, 0.1, 0.1, 0.25), DEFS)
+    inst = optimize.P1Instance(20.0, 19.5, Sym2(1.0, 0.1, 0.25), DEFS)
     lo, hi = inst.feasible_interval()
     xs = np.linspace(lo + 0.01, hi - 0.01, 500)
 

@@ -160,6 +160,12 @@ def test_sweep_angle_bad_grid_exits_2(tmp_path):
     assert _run(["sweep-angle", "--alphas", ",", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+def test_sweep_angle_out_of_range_alpha_exits_2(tmp_path):
+    out = tmp_path / "s.csv"
+    assert _run(["sweep-angle", "--alphas", "0.5,1.5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- tradeoff
 
 def test_tradeoff_csv(tmp_path):

@@ -7,31 +7,27 @@ from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError
 from uav_isac.linalg2 import (
     DiagMat3,
     Jacobian32,
-    Mat2,
-    is_symmetric,
-    mat2_inverse,
+    Sym2,
     min_eigenvalue_symmetric,
     process_noise_cov,
     require_positive_definite,
 )
 
 
-def test_mat2_roundtrip_and_properties():
-    m = Mat2(2.0, 0.5, 0.25, 1.0)
+def test_sym2_roundtrip_and_properties():
+    m = Sym2(2.0, 0.5, 1.0)
     a = m.as_array()
-    assert a.shape == (2, 2)
-    assert Mat2.from_array(a) == m
+    assert a.shape == (2, 2) and a[0, 1] == a[1, 0] == 0.5
+    assert Sym2.from_array(a) == m
     assert m.trace == 3.0
-    assert m.det == pytest.approx(2.0 - 0.125)
-    assert Mat2.identity() == Mat2(1.0, 0.0, 0.0, 1.0)
-    assert Mat2.diag(3.0, 4.0) == Mat2(3.0, 0.0, 0.0, 4.0)
+    assert m.det == pytest.approx(2.0 - 0.25)
+    assert Sym2.diag(3.0, 4.0) == Sym2(3.0, 0.0, 4.0)
 
 
 def test_process_noise_matches_closed_form():
     q = process_noise_cov(0.2, 5.0)
     assert q.m11 == pytest.approx(5.0 * 0.2 ** 3 / 3.0, rel=1e-15)
     assert q.m12 == pytest.approx(5.0 * 0.2 ** 2 / 2.0, rel=1e-15)
-    assert q.m21 == q.m12
     assert q.m22 == pytest.approx(1.0, rel=1e-15)
     # documented numeric point
     assert q.m11 == pytest.approx(0.0133333333333333, rel=1e-12)
@@ -39,14 +35,13 @@ def test_process_noise_matches_closed_form():
 
 def test_process_noise_zero_intensity_is_zero_matrix():
     q = process_noise_cov(0.2, 0.0)
-    assert q == Mat2(0.0, 0.0, 0.0, 0.0)
+    assert q == Sym2(0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.1, 0.2, 1.0, 7.5])
 @pytest.mark.parametrize("qt", [0.0, 1e-6, 1.0, 5.0, 400.0])
 def test_process_noise_symmetric_psd(dt, qt):
     q = process_noise_cov(dt, qt)
-    assert is_symmetric(q)
     assert min_eigenvalue_symmetric(q) >= -1e-18 * max(1.0, q.trace)
 
 
@@ -55,35 +50,35 @@ def test_min_eigenvalue_matches_numpy():
     for _ in range(50):
         a = rng.normal(size=(2, 2))
         s = a + a.T
-        m = Mat2.from_array(s)
+        m = Sym2.from_array(s)
         lo = min_eigenvalue_symmetric(m)
         assert lo == pytest.approx(float(np.linalg.eigvalsh(s)[0]), rel=1e-12, abs=1e-12)
 
 
-def test_mat2_inverse_matches_numpy_and_detects_singular():
+def test_sym2_inverse_matches_numpy_and_detects_singular():
     rng = np.random.default_rng(6)
     for _ in range(50):
         a = rng.normal(size=(2, 2))
         a = a @ a.T + 0.1 * np.eye(2)
-        inv = mat2_inverse(Mat2.from_array(a))
+        inv = Sym2.from_array(a).inverse()
         assert np.allclose(inv.as_array(), np.linalg.inv(a), rtol=1e-12, atol=1e-14)
     with pytest.raises(SingularMatrixError):
-        mat2_inverse(Mat2(1.0, 2.0, 0.5, 1.0))
+        Sym2(1.0, 2.0, 4.0).inverse()
 
 
 def test_require_positive_definite_rejects_singular():
-    require_positive_definite(Mat2.diag(1.0, 2.0), "m")
-    with pytest.raises(NotPositiveDefiniteError):
-        require_positive_definite(Mat2(1.0, 0.9, -0.9, 1.0), "m")  # asymmetric
+    require_positive_definite(Sym2.diag(1.0, 2.0), "m")
     # PSD with a zero eigenvalue is not PD
     with pytest.raises(NotPositiveDefiniteError):
-        require_positive_definite(Mat2(1.0, 1.0, 1.0, 1.0), "m")
+        require_positive_definite(Sym2(1.0, 1.0, 1.0), "m")
+    # negative definite: det > 0 but m11 < 0
+    with pytest.raises(NotPositiveDefiniteError):
+        require_positive_definite(Sym2(-1.0, 0.0, -2.0), "m")
 
 
 def test_diag3():
     d = DiagMat3(1.0, 2.0, 3.0)
     assert d.diagonal() == (1.0, 2.0, 3.0)
-    assert np.allclose(d.as_array(), np.diag([1.0, 2.0, 3.0]))
 
 
 def test_jacobian32_layout():

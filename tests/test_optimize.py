@@ -12,7 +12,7 @@ from uav_isac.errors import (
     InfeasibleQosError,
     VelocityBoundError,
 )
-from uav_isac.linalg2 import Mat2
+from uav_isac.linalg2 import Sym2
 from uav_isac.params import SystemParams
 from uav_isac.sensing import achievable_rate
 
@@ -22,7 +22,7 @@ P = SystemParams()
 
 
 def _instance(eta, x_hat_prev, m11=1.0, m22=0.25, m12=0.0, params=P):
-    return optimize.P1Instance(eta, x_hat_prev, Mat2(m11, m12, m12, m22), params)
+    return optimize.P1Instance(eta, x_hat_prev, Sym2(m11, m12, m22), params)
 
 
 # ---------------------------------------------------------------- QoS radius
@@ -389,10 +389,28 @@ def test_sweep_angle_rows_and_branches():
     assert br == "alpha1_xi_nonpos" and phi == pytest.approx(90.0) and x == 0.0
 
 
-def test_sweep_angle_survives_per_cell_failure():
-    bad = replace(P, v_a_max=0.0)  # harmless here; geometry ignores speed
-    rows = optimize.sweep_angle(bad, [0.5], [50.0])
-    assert len(rows) == 1 and rows[0][4] == "interior_newton"
+def test_sweep_angle_survives_per_cell_failure(monkeypatch):
+    real = optimize.solve_sp1
+
+    def fails_at_30m(params):
+        if params.h_alt == 30.0:
+            raise BracketError("no sign change", 1.0, 2.0)
+        return real(params)
+
+    monkeypatch.setattr(optimize, "solve_sp1", fails_at_30m)
+    rows = optimize.sweep_angle(P, [0.5], [30.0, 50.0, 70.0])
+    assert len(rows) == 3
+    a, h, x, phi, branch = rows[0]
+    assert (a, h, branch) == (0.5, 30.0, "error:BracketError")
+    assert math.isnan(x) and math.isnan(phi)
+    assert [(r[1], r[4]) for r in rows[1:]] == [(50.0, "interior_newton"),
+                                                 (70.0, "interior_newton")]
+    assert all(math.isfinite(r[2]) for r in rows[1:])
+
+
+def test_sweep_angle_propagates_non_package_errors():
+    with pytest.raises(ValueError, match="alpha"):
+        optimize.sweep_angle(P, [0.5, 1.5], [50.0])
 
 
 def test_tradeoff_frontier_shape():

@@ -55,10 +55,18 @@ def test_linear_power_properties():
     ("q_tilde", -1.0),
     ("alpha", -0.1), ("alpha", 1.1),
     ("v_a_max", -1.0),
-    ("p_a_dbm", math.nan), ("sigma2_dbm", math.inf),
+    ("p_a_dbm", math.nan), ("sigma2_dbm", math.inf), ("p_a_dbm", 4000.0),
 ])
 def test_rejects_bad_values(field, value):
     with pytest.raises(ValueError):
+        SystemParams(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("a1", 1e-170), ("a2", 1e-170), ("a3", 1e-160),
+                                         ("a2", 1e200)])
+def test_rejects_channel_weight_out_of_range(field, value):
+    # sens_gain/a^2 overflows to inf (small a) or underflows to 0 (large a)
+    with pytest.raises(ValueError, match=f"^{field} = "):
         SystemParams(**{field: value})
 
 

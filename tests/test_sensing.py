@@ -12,7 +12,6 @@ from uav_isac.sensing import (
     jacobian,
     measure_mean,
     noise_cov_actual,
-    noise_cov_predicted,
     radar_gain,
     sample_measurement,
 )
@@ -72,18 +71,11 @@ def test_noise_cov_frozen_point():
     assert cov.s3 == pytest.approx(oracles.FROZEN["sigma3sq_50"], rel=1e-13)
 
 
-def test_noise_cov_predicted_matches_actual_at_same_offset():
-    cov_a = noise_cov_actual(RelativeState(37.0, -5.0), P)
-    cov_p = noise_cov_predicted(37.0, P)
-    for got, want in zip(cov_p.diagonal(), cov_a.diagonal()):
-        assert got == pytest.approx(want, rel=1e-14)
-
-
 def test_noise_cov_longhand_oracle():
     d = oracles.params_dict(P)
     for x in (5.0, 20.0, 50.0, 110.0):
         s1, s2, s3 = oracles.noise_variances(x, 0.0, d)
-        cov = noise_cov_predicted(x, P)
+        cov = noise_cov_actual(RelativeState(x, 0.0), P)
         assert cov.s1 == pytest.approx(float(s1), rel=1e-12)
         assert cov.s2 == pytest.approx(float(s2), rel=1e-12)
         assert cov.s3 == pytest.approx(float(s3), rel=1e-12)

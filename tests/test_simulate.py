@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uav_isac import simulate
-from uav_isac.errors import BracketError, ConfigError
+from uav_isac.errors import BracketError, ConfigError, NotPositiveDefiniteError
 from uav_isac.linalg2 import process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.simulate import (
@@ -174,6 +174,13 @@ def test_failure_context_names_slot():
     with pytest.raises(Exception) as exc_info:
         run_scenario(ScenarioConfig(), bad)
     assert "slot" in str(exc_info.value)
+
+
+def test_zero_prediction_mse_is_refused_with_slot():
+    # no process noise and a zero initial MSE leave nothing to invert
+    cfg = ScenarioConfig(scheme="right_above", init_mse=(0.0, 0.0))
+    with pytest.raises(NotPositiveDefiniteError, match=r"^slot 1: mse_pred"):
+        run_scenario(cfg, SystemParams(q_tilde=0.0))
 
 
 def test_slot_solver_bracket_error_propagates_with_slot(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uav_isac import linalg2, sensing, validate
-from uav_isac.linalg2 import Jacobian32, Mat2
+from uav_isac.linalg2 import Jacobian32, Sym2
 from uav_isac.params import SystemParams
 
 
@@ -43,12 +43,13 @@ def test_flipped_doppler_slope_is_caught(monkeypatch):
 
 
 def test_asymmetric_process_noise_is_caught(monkeypatch):
-    """Mutation: break the symmetry of the process-noise matrix."""
+    """Mutation: scale the off-diagonal of the process-noise matrix by
+    1.01, the entry an asymmetric matrix would get wrong."""
     real = linalg2.process_noise_cov
 
     def skewed(dt, q_tilde):
         q = real(dt, q_tilde)
-        return Mat2(q.m11, q.m12 * 1.01, q.m21, q.m22)
+        return Sym2(q.m11, q.m12 * 1.01, q.m22)
 
     monkeypatch.setattr(linalg2, "process_noise_cov", skewed)
     res = _by_name(validate.run_all())
