@@ -5,9 +5,9 @@ respect to one seed variable.  Pushing it through ordinary arithmetic
 yields exact derivatives of any rational expression, which is all the
 per-slot objective needs: no step-size tuning, no symbolic machinery.
 
-Only the operations the objective path uses are implemented: +, -, *,
-/, integer powers and reciprocals.  Mixed float/Dual2 arithmetic works
-in both orders.
+Only the operations the bound expressions use are implemented: +, -
+and * (mixed float/Dual2 in both orders for + and *), reciprocal, and
+float / Dual2.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ class Dual2:
             return Dual2(self.val - other.val, self.d1 - other.d1, self.d2 - other.d2)
         return Dual2(self.val - other, self.d1, self.d2)
 
-    def __rsub__(self, other):
-        return Dual2(other - self.val, -self.d1, -self.d2)
-
-    def __neg__(self):
-        return Dual2(-self.val, -self.d1, -self.d2)
-
     # -- multiplication --
 
     def __mul__(self, other):
@@ -69,21 +63,5 @@ class Dual2:
         w2 = w * w
         return Dual2(w, -self.d1 * w2, (2.0 * self.d1 * self.d1 * w - self.d2) * w2)
 
-    def __truediv__(self, other):
-        if isinstance(other, Dual2):
-            return self * other.reciprocal()
-        inv = 1.0 / other
-        return Dual2(self.val * inv, self.d1 * inv, self.d2 * inv)
-
     def __rtruediv__(self, other):
         return self.reciprocal() * other
-
-    # -- small integer powers --
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("Dual2 supports integer powers >= 1 only")
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out

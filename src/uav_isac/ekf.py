@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import SingularMatrixError
 from .linalg2 import Sym2, process_noise_cov, require_positive_definite
 from .params import SystemParams
-from .sensing import Measurement, RelativeState, jacobian, measure_mean
+from .sensing import Measurement, RelativeState, jacobian, measure_mean, noise_weights
 
 
 @dataclass(frozen=True)
@@ -54,27 +54,24 @@ class PcrbPair:
     weighted: float
 
 
-def predict(prev: FilterState, uav_increment: tuple[float, float],
-            params: SystemParams) -> Prediction:
-    """Propagate the posterior one slot ahead.
+def predict(prev: FilterState, params: SystemParams) -> Prediction:
+    """Propagate the posterior one slot ahead under constant relative
+    velocity: x_pred = x + v*dt, v_pred = v, and the MSE as
+    G M G^T + Q_s.
 
-    uav_increment = (dv*dt, dv) is the platform's own motion correction
-    for the incoming slot (dv = commanded velocity change); it is
-    subtracted from the constant-velocity propagation of the estimate.
-    The MSE propagates as G M G^T + Q_s.
+    The platform's own motion for the slot is not applied here: the
+    tracking loop centers the reachable window on x_pred, plans the
+    predicted relative state itself and keeps this MSE (see simulate).
     """
     dt = params.dt
-    u_pos, u_vel = uav_increment
     est = prev.est
-    x_breve = est.x + est.v * dt - u_pos
-    v_breve = est.v - u_vel
     m = prev.mse
     # G M G^T written out for G = [[1, dt], [0, 1]]
     g11 = m.m11 + 2.0 * dt * m.m12 + dt * dt * m.m22
     g12 = m.m12 + dt * m.m22
     q = process_noise_cov(dt, params.q_tilde)
     mse_pred = Sym2(g11 + q.m11, g12 + q.m12, m.m22 + q.m22)
-    return Prediction(RelativeState(x_breve, v_breve), mse_pred)
+    return Prediction(RelativeState(est.x + est.v * dt, est.v), mse_pred)
 
 
 def update(pred: Prediction, y: Measurement, params: SystemParams) -> FilterState:
@@ -131,17 +128,6 @@ def _fisher_terms(x, v, w1, w2, w3, params: SystemParams):
     return i_pos, ty * y, ty * x, t * x2
 
 
-def _modelled_weights(x, params: SystemParams):
-    """Channel weights 1/s_i of the noise model at offset x (the
-    reciprocals of sensing.noise_cov_actual), generic over the scalar
-    type."""
-    g1, g2, g3 = params.channel_weights
-    h2 = params.h_alt * params.h_alt
-    u = 1.0 / (x * x + h2)
-    u2 = u * u
-    return g1 * h2 * u2 * u, g2 * u2, g3 * u2
-
-
 def _add_information(prior_info: Sym2, i_pos, zz, zv, vv) -> Sym2:
     """Prior information plus measurement information."""
     return Sym2(prior_info.m11 + i_pos + zz, prior_info.m12 + zv, prior_info.m22 + vv)
@@ -162,7 +148,7 @@ def _anticipated_bounds(x, v, prior_info: Sym2, params: SystemParams):
     """(bound_x, bound_v, weighted): the diagonal of
     (prior_info + measurement information at (x, v) with the weights
     modelled at x)^{-1} and its alpha-weighted combination."""
-    a = _add_information(prior_info, *_fisher_terms(x, v, *_modelled_weights(x, params), params))
+    a = _add_information(prior_info, *_fisher_terms(x, v, *noise_weights(x, params), params))
     inv_det = 1.0 / a.det
     bound_x = a.m22 * inv_det
     bound_v = a.m11 * inv_det
@@ -192,7 +178,7 @@ def crb_measurement(x: float, v: float, params: SystemParams) -> tuple[float, fl
     carries no velocity information, so crb_v is reported as +inf;
     solvers treat it as a barrier.
     """
-    i_pos, zz, _, vv = _fisher_terms(x, v, *_modelled_weights(x, params), params)
+    i_pos, zz, _, vv = _fisher_terms(x, v, *noise_weights(x, params), params)
     crb_x = 1.0 / i_pos
     if vv == 0.0:
         return crb_x, math.inf

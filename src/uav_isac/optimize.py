@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg2 import Sym2, require_positive_definite
 from .params import SystemParams
-from .sensing import achievable_rate
+from .sensing import achievable_rate, noise_weights
 
 
 def qos_radius(params: SystemParams) -> float:
@@ -218,7 +218,7 @@ def g0_derivatives(x: float, params: SystemParams) -> tuple[float, float, float]
     terms of the bound core.  At v = 0 the Doppler block is diagonal,
     so crb_x = 1/i_pos and crb_v = 1/fi_vv."""
     xd = Dual2.variable(x)
-    i_pos, _, _, vv = ekf._fisher_terms(xd, 0.0, *ekf._modelled_weights(xd, params), params)
+    i_pos, _, _, vv = ekf._fisher_terms(xd, 0.0, *noise_weights(xd, params), params)
     total = ekf._weighted(1.0 / i_pos, 1.0 / vv, params.alpha)
     return total.val, total.d1, total.d2
 

@@ -4,8 +4,13 @@ The platform flies at fixed altitude H; the tracked object moves on the
 ground line below, so the geometry is fully described by the horizontal
 relative position x and relative velocity v.  This module maps (x, v)
 to the three measured channels (elevation angle, round-trip delay,
-Doppler shift), their noise covariances, the echo and downlink channel
-gains, and the achievable downlink rate.
+Doppler shift), their noise model, the echo and downlink channel gains,
+and the achievable downlink rate.
+
+The noise model is one formula, noise_weights: the per-channel
+reciprocal variances 1/s_i at offset x.  The sampled measurement noise
+(noise_cov_actual), the filter update and both estimation bounds all
+read it.
 """
 
 from __future__ import annotations
@@ -80,24 +85,29 @@ def measure_mean(s: RelativeState, params: SystemParams) -> tuple[float, float, 
     return phi, tau, mu
 
 
+def noise_weights(x, params: SystemParams):
+    """Channel weights (1/s1, 1/s2, 1/s3) of the measurement noise at
+    horizontal offset x: the one noise model, generic over floats,
+    numpy arrays and dual numbers.
+
+    s1 = a1^2 sigma^2 / (P_A N_sym N_t N_r G_r sin^2 phi) for the angle
+    with G_r = beta_r/d^4 and sin phi = H/d; the delay and Doppler
+    variances drop the sin^2 phi factor and use a2, a3 instead.  With
+    sens_gain folding in the constants, 1/s1 = (sens_gain/a1^2) H^2/d^6
+    and 1/s_i = (sens_gain/a_i^2)/d^4 for i = 2, 3.
+    """
+    g1, g2, g3 = params.channel_weights
+    h2 = params.h_alt * params.h_alt
+    u = 1.0 / (x * x + h2)
+    u2 = u * u
+    return g1 * h2 * u2 * u, g2 * u2, g3 * u2
+
+
 def noise_cov_actual(s: RelativeState, params: SystemParams) -> DiagMat3:
     """Measurement noise variances at the state where the echo actually
-    arrives from.
-
-    sigma1^2 = a1^2 sigma^2 / (P_A N_sym N_t N_r G_r sin^2 phi) for the
-    angle; the delay and Doppler variances drop the sin^2 phi factor and
-    use a2, a3 instead.
-    """
-    h = params.h_alt
-    d2 = s.x * s.x + h * h
-    # common = sigma^2 / (P N_sym N_t N_r G_r); sens_gain folds in beta_r
-    common = d2 * d2 / params.sens_gain
-    sin2_phi = h * h / d2  # sin phi = H/d > 0 for every finite x
-    return DiagMat3(
-        params.a1 ** 2 * common / sin2_phi,
-        params.a2 ** 2 * common,
-        params.a3 ** 2 * common,
-    )
+    arrives from: the reciprocals of noise_weights at s.x."""
+    w1, w2, w3 = noise_weights(s.x, params)
+    return DiagMat3(1.0 / w1, 1.0 / w2, 1.0 / w3)
 
 
 def jacobian(s: RelativeState, params: SystemParams) -> Jacobian32:
@@ -136,7 +146,7 @@ def sample_measurement(s_true: RelativeState, params: SystemParams, rng,
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale!r}")
     phi, tau, mu = measure_mean(s_true, params)
     cov = noise_cov_actual(s_true, params)
-    z = rng.standard_normal(3)
+    z = rng.standard_normal(3).tolist()
     k = noise_scale
     return Measurement(
         phi + k * math.sqrt(cov.s1) * z[0],

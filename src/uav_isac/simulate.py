@@ -1,29 +1,35 @@
 """Slot-by-slot tracking simulation and Monte-Carlo aggregation.
 
-The world advances on slot boundaries: the object follows a
+Each slot has one prediction.  Planning a slot predicts the posterior
+once, lets the scheme's target rule pick the predicted relative
+position x_breve inside the reachable window (the optimizing scheme
+minimizes the anticipated bound; the benchmark chases the predicted
+object), and turns it into the platform waypoint.  That planned state,
+with v_breve = (x_breve - x_hat)/dt, is the filter's prediction for the
+slot.  The slot then runs in this order: the object follows a
 constant-velocity model with process noise, the platform executes the
-controller command decided during the previous slot, then the filter
-predicts, a measurement is sampled at the true relative state, and the
-filter updates.  Two controllers are provided: the optimizing scheme
-(per-slot bound minimization) and a benchmark that simply chases the
-predicted object position.
+planned waypoint, a measurement is sampled at the true relative state,
+the filter updates the planned prediction, the slot is recorded, and
+the next slot is planned.
 
 Determinism contract: one generator drives a run, consumed in a fixed
 order (2 draws for the initial estimate perturbation, then per slot 2
 process-noise draws followed by 3 measurement-noise draws), so a seed
-pins the entire record sequence bit-for-bit.
+pins the entire record sequence bit-for-bit.  Draws are converted to
+Python floats, so every recorded quantity is a plain float.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ekf, optimize, sensing
 from .errors import ConfigError, InfeasibleIntervalError
-from .linalg2 import Sym2
+from .linalg2 import Sym2, process_noise_cov
 from .params import SystemParams
 from .sensing import RelativeState
 
@@ -32,8 +38,8 @@ from .sensing import RelativeState
 class WorldState:
     """Absolute ground truth at one slot boundary.
 
-    The platform fields are whatever the controller commanded; the
-    controllers keep |uav_vel| within the configured speed limit.
+    The platform fields are whatever the plan commanded; both target
+    rules keep |uav_vel| within the configured speed limit.
     """
 
     obj_pos: float
@@ -45,19 +51,6 @@ class WorldState:
     def relative(self) -> RelativeState:
         return RelativeState(self.obj_pos - self.uav_pos,
                              self.obj_vel - self.uav_vel)
-
-
-@dataclass(frozen=True)
-class UavCommand:
-    """Next-slot platform waypoint and slot velocity, plus the predicted
-    relative position the waypoint was designed for.  flagged marks
-    slots where the rate disc was unreachable and the fallback rule
-    applied."""
-
-    x_a: float
-    v_a: float
-    x_breve_target: float
-    flagged: bool
 
 
 @dataclass(frozen=True)
@@ -111,44 +104,48 @@ class ScenarioConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        if self.n_slots < 2:
-            raise ConfigError(f"n_slots must be >= 2, got {self.n_slots}")
+        if not (isinstance(self.n_slots, numbers.Integral) and self.n_slots >= 2):
+            raise ConfigError(f"n_slots must be an integer >= 2, got {self.n_slots!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.scheme not in ("proposed", "right_above"):
             raise ConfigError(
                 f"scheme must be 'proposed' or 'right_above', got {self.scheme!r}")
-        est_std = tuple(float(s) for s in self.init_est_std)
-        mse = tuple(float(m) for m in self.init_mse)
-        if len(est_std) != 2 or len(mse) != 2:
-            raise ConfigError("init_est_std and init_mse need exactly 2 entries")
-        if any(s < 0.0 for s in est_std) or any(m < 0.0 for m in mse):
-            raise ConfigError("init_est_std and init_mse entries must be >= 0")
-        object.__setattr__(self, "init_est_std", est_std)
-        object.__setattr__(self, "init_mse", mse)
-        if self.v_a_max is not None and not self.v_a_max >= 0.0:
-            raise ConfigError(f"v_a_max override must be >= 0, got {self.v_a_max}")
-        if not self.noise_scale >= 0.0:
-            raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        for name in ("init_obj_pos", "init_obj_vel", "init_uav_pos", "init_uav_vel"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("init_est_std", "init_mse"):
+            entries = tuple(float(e) for e in getattr(self, name))
+            if len(entries) != 2:
+                raise ConfigError(f"{name} needs exactly 2 entries, got {entries}")
+            if not all(math.isfinite(e) and e >= 0.0 for e in entries):
+                raise ConfigError(f"{name} entries must be finite and >= 0, got {entries}")
+            object.__setattr__(self, name, entries)
+        if self.v_a_max is not None and not (math.isfinite(self.v_a_max) and self.v_a_max >= 0.0):
+            raise ConfigError(f"v_a_max override must be finite and >= 0, got {self.v_a_max}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
+            raise ConfigError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
 
 def step_ground_truth(w: WorldState, params: SystemParams, rng) -> WorldState:
     """Advance the object one slot: constant-velocity motion plus a
-    process-noise draw with covariance Q_s, applied jointly to position
-    and velocity through the (analytic) lower Cholesky factor.
+    process-noise draw with covariance Q_s (linalg2.process_noise_cov),
+    applied jointly to position and velocity through its lower Cholesky
+    factor.
 
     The platform fields pass through untouched; the tracking loop
-    overwrites them from the controller command.  Two standard-normal
+    overwrites them from the planned command.  Two standard-normal
     draws are consumed even when q_tilde = 0 so that stream alignment
     does not depend on q_tilde.
     """
     dt = params.dt
-    z = rng.standard_normal(2)
-    q = params.q_tilde
-    if q > 0.0:
-        l11 = math.sqrt(q * dt ** 3 / 3.0)
-        l21 = (q * dt * dt / 2.0) / l11
-        l22 = math.sqrt(max(q * dt - l21 * l21, 0.0))
-        dp = l11 * z[0]
-        dv = l21 * z[0] + l22 * z[1]
+    z0, z1 = rng.standard_normal(2).tolist()
+    q = process_noise_cov(dt, params.q_tilde)
+    if q.m11 > 0.0:
+        l11 = math.sqrt(q.m11)
+        l21 = q.m12 / l11
+        dp = l11 * z0
+        dv = l21 * z0 + math.sqrt(max(q.m22 - l21 * l21, 0.0)) * z1
     else:
         dp = dv = 0.0
     return WorldState(
@@ -160,69 +157,66 @@ def step_ground_truth(w: WorldState, params: SystemParams, rng) -> WorldState:
     )
 
 
-def _predict_for_control(filter_state: ekf.FilterState, w: WorldState,
-                         params: SystemParams) -> tuple[float, Sym2]:
-    # eta: relative position predicted for the next slot if the platform
-    # stopped; also the center of the reachable window.  The prediction
-    # MSE does not depend on the command, so a zero command serves.
-    pred0 = ekf.predict(filter_state, (0.0, 0.0), params)
-    return pred0.pred.x + w.uav_vel * params.dt, pred0.mse_pred
-
-
-def controller_proposed(filter_state: ekf.FilterState, w: WorldState,
-                        params: SystemParams) -> UavCommand:
+def _target_proposed(eta: float, x_hat: float, mse_pred: Sym2,
+                     params: SystemParams) -> tuple[float, bool]:
     """Pick the next predicted relative position by minimizing the
-    anticipated weighted bound over the reachable window, then convert
-    it to an absolute waypoint.
+    anticipated weighted bound over the reachable window.
 
     If the velocity envelope cannot reach the rate disc at all, the
-    command falls back to the reachable point closest to the disc and
+    target falls back to the reachable point closest to the disc and
     the slot is flagged; a window that degenerates to a single touching
     point is used as-is, unflagged.
     """
-    eta, mse_pred = _predict_for_control(filter_state, w, params)
-    reach = params.v_a_max * params.dt
     try:
-        inst = optimize.P1Instance(eta, filter_state.est.x, mse_pred, params)
+        inst = optimize.P1Instance(eta, x_hat, mse_pred, params)
     except InfeasibleIntervalError:
+        reach = params.v_a_max * params.dt
         x_c = optimize.qos_radius(params)
         lo = max(-x_c, eta - reach)
-        hi = min(x_c, eta + reach)
-        if hi == lo:
-            x_breve, flagged = lo, False
-        else:
-            x_breve = eta - reach if eta > 0.0 else eta + reach
-            flagged = True
-        x_a, v_a = optimize.design_trajectory(
-            x_breve, eta, (w.uav_pos, w.uav_vel), params)
-        return UavCommand(x_a, v_a, x_breve, flagged)
-    x0 = min(max(eta, inst.lo), inst.hi)
-    res = optimize.solve_p1_sca(inst, x0)
-    x_a, v_a = optimize.design_trajectory(
-        res.x_breve_opt, eta, (w.uav_pos, w.uav_vel), params)
-    return UavCommand(x_a, v_a, res.x_breve_opt, False)
+        if min(x_c, eta + reach) == lo:
+            return lo, False
+        return (eta - reach if eta > 0.0 else eta + reach), True
+    return optimize.solve_p1_sca(inst, min(max(eta, inst.lo), inst.hi)).x_breve_opt, False
 
 
-def controller_right_above(filter_state: ekf.FilterState, w: WorldState,
-                           params: SystemParams) -> UavCommand:
-    """Benchmark controller: chase the predicted object position,
-    saturating at the speed limit; the rate constraint is ignored by
-    design, and the slot is never flagged."""
-    eta, _ = _predict_for_control(filter_state, w, params)
+def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2,
+                        params: SystemParams) -> tuple[float, bool]:
+    """Benchmark target: chase the predicted object position, saturating
+    at the speed limit; the rate constraint is ignored by design, and
+    the slot is never flagged."""
     reach = params.v_a_max * params.dt
     if abs(eta) <= reach:
-        x_breve = 0.0
-    else:
-        x_breve = eta - math.copysign(reach, eta)
-    x_a, v_a = optimize.design_trajectory(
-        x_breve, eta, (w.uav_pos, w.uav_vel), params)
-    return UavCommand(x_a, v_a, x_breve, False)
+        return 0.0, False
+    return eta - math.copysign(reach, eta), False
 
 
-_CONTROLLERS = {
-    "proposed": controller_proposed,
-    "right_above": controller_right_above,
+_TARGET_RULES = {
+    "proposed": _target_proposed,
+    "right_above": _target_right_above,
 }
+
+
+def _plan(fstate: ekf.FilterState, w: WorldState, params: SystemParams,
+          target_rule) -> tuple[float, float, bool, ekf.Prediction]:
+    """Decide the next slot: the platform waypoint x_a and slot velocity
+    v_a, whether the slot is flagged (the rate disc was unreachable and
+    the fallback applied), and the filter's prediction for the slot.
+    The command and the prediction are one decision.
+
+    The posterior is predicted once; eta = x_pred + v_A*dt is where the
+    object would sit relative to a platform that stopped, the center of
+    the reachable window.  The target rule picks x_breve in that window,
+    the waypoint realizes it, and the predicted relative velocity is
+    v_breve = (x_breve - x_hat)/dt.  The prediction MSE does not depend
+    on the command.
+    """
+    pred = ekf.predict(fstate, params)
+    eta = pred.pred.x + w.uav_vel * params.dt
+    x_hat = fstate.est.x
+    x_breve, flagged = target_rule(eta, x_hat, pred.mse_pred, params)
+    x_a, v_a = optimize.design_trajectory(x_breve, eta, (w.uav_pos, w.uav_vel), params)
+    state = RelativeState(x_breve, (x_breve - x_hat) / params.dt)
+    return x_a, v_a, flagged, ekf.Prediction(state, pred.mse_pred)
 
 
 def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
@@ -230,46 +224,36 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
 
     Slot 0 only initializes: the world is placed, the initial estimate
     is the true relative state plus a Gaussian perturbation of
-    init_est_std, and the first command is computed.  Each subsequent
-    slot advances the object, executes the pending command, predicts,
-    measures at the true relative state, updates, records, and decides
-    the next command.  The "actual" bound pair is the anticipated bound
-    re-evaluated at the true relative state with the same prediction
-    MSE.  Component errors propagate with the slot index attached.
+    init_est_std, and the first slot is planned.  Each subsequent slot
+    advances the object, executes the planned command, measures at the
+    true relative state, updates the planned prediction, records, and
+    plans the next slot.  The "actual" bound pair is the anticipated
+    bound re-evaluated at the true relative state with the same
+    prediction MSE.  Component errors propagate with the slot index
+    attached.
     """
     p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
-    controller = _CONTROLLERS[cfg.scheme]
+    target_rule = _TARGET_RULES[cfg.scheme]
     rng = np.random.default_rng(cfg.seed)
 
     world = WorldState(cfg.init_obj_pos, cfg.init_obj_vel,
                        cfg.init_uav_pos, cfg.init_uav_vel, 0)
     rel0 = world.relative()
-    z = rng.standard_normal(2)
+    z = rng.standard_normal(2).tolist()
     est0 = RelativeState(rel0.x + cfg.init_est_std[0] * z[0],
                          rel0.v + cfg.init_est_std[1] * z[1])
     fstate = ekf.FilterState(est0, Sym2.diag(cfg.init_mse[0], cfg.init_mse[1]))
-    try:
-        cmd = controller(fstate, world, p)
-    except Exception as exc:
-        if exc.args and isinstance(exc.args[0], str):
-            exc.args = (f"slot 0: {exc.args[0]}",) + exc.args[1:]
-        raise
 
     records: list[SlotRecord] = []
-    for n in range(1, cfg.n_slots + 1):
-        try:
-            stepped = step_ground_truth(world, p, rng)
-            world = replace(stepped, uav_pos=cmd.x_a, uav_vel=cmd.v_a)
-            dv = cmd.v_a - stepped.uav_vel
-            x_hat_prev = fstate.est.x
-            pred = ekf.predict(fstate, (dv * p.dt, dv), p)
+    n = 0
+    try:
+        x_a, v_a, flagged, pred = _plan(fstate, world, p, target_rule)
+        for n in range(1, cfg.n_slots + 1):
+            world = replace(step_ground_truth(world, p, rng), uav_pos=x_a, uav_vel=v_a)
             true_rel = world.relative()
             meas = sensing.sample_measurement(true_rel, p, rng, cfg.noise_scale)
             fstate = ekf.update(pred, meas, p)
-            # the recorded predicted pair is the commanded design target,
-            # exact where the controller chose an exact point (overhead)
-            x_breve = cmd.x_breve_target
-            v_breve = (x_breve - x_hat_prev) / p.dt
+            x_breve, v_breve = pred.pred.x, pred.pred.v
             pcrb_pred = ekf.predicted_pcrb(x_breve, v_breve, pred.mse_pred, p)
             pcrb_act = ekf.predicted_pcrb(true_rel.x, true_rel.v, pred.mse_pred, p)
             crb_x, crb_v = ekf.crb_measurement(x_breve, v_breve, p)
@@ -292,13 +276,13 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
                 rate_bpshz=sensing.achievable_rate(x_breve, p),
                 tr_mp=pred.mse_pred.trace,
                 tr_mm=crb_x + crb_v,
-                flagged=cmd.flagged,
+                flagged=flagged,
             ))
-            cmd = controller(fstate, world, p)
-        except Exception as exc:
-            if exc.args and isinstance(exc.args[0], str):
-                exc.args = (f"slot {n}: {exc.args[0]}",) + exc.args[1:]
-            raise
+            x_a, v_a, flagged, pred = _plan(fstate, world, p, target_rule)
+    except Exception as exc:
+        if exc.args and isinstance(exc.args[0], str):
+            exc.args = (f"slot {n}: {exc.args[0]}",) + exc.args[1:]
+        raise
     return records
 
 

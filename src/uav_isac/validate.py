@@ -323,7 +323,7 @@ def _check_geometry_conservation(p: SystemParams, rng) -> tuple[bool, str]:
 def _check_gain_limits(p: SystemParams, rng) -> tuple[bool, str]:
     """Uninformative measurements leave the prediction untouched."""
     fstate = ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25))
-    pred = ekf.predict(fstate, (0.0, 0.0), p)
+    pred = ekf.predict(fstate, p)
     phi, tau, mu = sensing.measure_mean(pred.pred, p)
     y = Measurement(phi + 0.1, tau, mu - 5.0, DiagMat3(1e30, 1e30, 1e30))
     post = ekf.update(pred, y, p)

@@ -78,6 +78,15 @@ def test_track_bad_env_seed_is_config_error(tmp_path, monkeypatch):
     assert _run(["track", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_track_negative_seed_exits_2(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.csv"
+    assert _run(["track", "--seed", "-1", "--out", str(out)]) == 2
+    monkeypatch.setenv("ISAC_SEED", "-4")
+    assert _run(["track", "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_track_every_prints_decimated_rows(tmp_path, capsys):
     out = tmp_path / "run.csv"
     _run(["track", "--slots", "10", "--every", "5", "--out", str(out)])

@@ -8,7 +8,14 @@ from uav_isac import ekf
 from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError
 from uav_isac.linalg2 import DiagMat3, Sym2, min_eigenvalue_symmetric, process_noise_cov
 from uav_isac.params import SystemParams
-from uav_isac.sensing import Measurement, RelativeState, measure_mean, noise_cov_actual, sample_measurement
+from uav_isac.sensing import (
+    Measurement,
+    RelativeState,
+    measure_mean,
+    noise_cov_actual,
+    noise_weights,
+    sample_measurement,
+)
 
 import oracles
 
@@ -27,10 +34,9 @@ def test_predict_matches_matrix_algebra():
     for _ in range(30):
         est = RelativeState(float(rng.uniform(-80, 80)), float(rng.uniform(-20, 20)))
         m = _rand_cov(rng)
-        dv = float(rng.uniform(-6, 6))
         prev = ekf.FilterState(est, Sym2.from_array(m))
-        pred = ekf.predict(prev, (dv * P.dt, dv), P)
-        want_state = g @ np.array([est.x, est.v]) - np.array([dv * P.dt, dv])
+        pred = ekf.predict(prev, P)
+        want_state = g @ np.array([est.x, est.v])
         assert pred.pred.x == pytest.approx(want_state[0], rel=1e-14, abs=1e-12)
         assert pred.pred.v == pytest.approx(want_state[1], rel=1e-14, abs=1e-12)
         want_mse = g @ m @ g.T + qs
@@ -39,7 +45,7 @@ def test_predict_matches_matrix_algebra():
 
 def test_predict_zero_prior_gives_process_noise():
     prev = ekf.FilterState(RelativeState(0.0, 0.0), Sym2(0.0, 0.0, 0.0))
-    pred = ekf.predict(prev, (0.0, 0.0), P)
+    pred = ekf.predict(prev, P)
     assert pred.mse_pred == process_noise_cov(P.dt, P.q_tilde)
 
 
@@ -74,7 +80,7 @@ def test_update_against_numpy_reference():
 
 def test_update_ignores_uninformative_channels():
     pred = ekf.predict(
-        ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), (0.0, 0.0), P)
+        ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
     phi, tau, mu = measure_mean(pred.pred, P)
     y = Measurement(phi + 0.2, tau * 1.1, mu - 40.0, DiagMat3(1e30, 1e30, 1e30))
     post = ekf.update(pred, y, P)
@@ -87,7 +93,7 @@ def test_update_ignores_uninformative_channels():
 def test_update_shrinks_uncertainty():
     rng = np.random.default_rng(23)
     pred = ekf.predict(
-        ekf.FilterState(RelativeState(60.0, -8.0), Sym2.diag(4.0, 1.0)), (0.0, 0.0), P)
+        ekf.FilterState(RelativeState(60.0, -8.0), Sym2.diag(4.0, 1.0)), P)
     y = sample_measurement(pred.pred, P, rng)
     post = ekf.update(pred, y, P)
     assert post.mse.m11 < pred.mse_pred.m11
@@ -97,7 +103,7 @@ def test_update_shrinks_uncertainty():
 @pytest.mark.parametrize("bad", [0.0, math.inf])
 def test_update_rejects_degenerate_variance(bad):
     pred = ekf.predict(
-        ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), (0.0, 0.0), P)
+        ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
     phi, tau, mu = measure_mean(pred.pred, P)
     for k in range(3):
         s = [1e-6, 1e-20, 0.2]
@@ -147,7 +153,7 @@ def test_information_terms_match_fisher_oracle():
         if abs(x) < 1e-6:
             continue
         f11, f12, f22 = oracles.fisher_2x2(x, v, d)
-        i_pos, zz, zv, vv = ekf._fisher_terms(x, v, *ekf._modelled_weights(x, P), P)
+        i_pos, zz, zv, vv = ekf._fisher_terms(x, v, *noise_weights(x, P), P)
         assert i_pos + zz == pytest.approx(float(f11), rel=1e-11)
         assert zv == pytest.approx(float(f12), rel=1e-11, abs=1e-18)
         assert vv == pytest.approx(float(f22), rel=1e-11)

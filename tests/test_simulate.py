@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -70,9 +70,20 @@ def test_relative_state_view():
     dict(init_mse=(1.0, -0.25)),
     dict(v_a_max=-3.0),
     dict(noise_scale=-0.1),
+    dict(seed=-1),
+    dict(seed=1.5),
+    dict(init_obj_pos=math.inf),
+    dict(init_obj_vel=math.nan),
+    dict(init_uav_pos=-math.inf),
+    dict(init_uav_vel=math.nan),
+    dict(init_est_std=(math.inf, 0.5)),
+    dict(init_mse=(1.0, math.nan)),
+    dict(noise_scale=math.inf),
+    dict(v_a_max=math.inf),
+    dict(n_slots=5.5),
 ])
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
         ScenarioConfig(**kwargs)
 
 
@@ -143,6 +154,57 @@ def test_speed_limit_override_slows_catchup():
     slow = run_scenario(ScenarioConfig(n_slots=10, v_a_max=5.0), P)
     assert all(abs(r.v_uav) <= 5.0 + 1e-9 for r in slow)
     assert slow[-1].x_true > fast[-1].x_true  # caught up less
+
+
+def test_flagged_fallback_moves_by_full_reach():
+    # far outside the rate disc (x_c about 86 m, reach 6 m per slot)
+    recs = run_scenario(ScenarioConfig(init_obj_pos=200.0), P)
+    flagged = [r for r in recs if r.flagged]
+    assert len(flagged) == 25
+    reach = P.v_a_max * P.dt
+    prev_pos = ScenarioConfig().init_uav_pos
+    for r in recs:
+        if r.flagged:
+            assert abs(r.x_uav - prev_pos) == pytest.approx(reach, abs=1e-9)
+            assert abs(r.v_uav) == pytest.approx(P.v_a_max, abs=1e-9)
+        else:
+            assert r.rate_bpshz >= P.gamma_c - 1e-9
+        prev_pos = r.x_uav
+
+
+def test_degenerate_window_holds_still_unflagged():
+    recs = run_scenario(ScenarioConfig(n_slots=5, v_a_max=0.0), P)
+    assert all(not r.flagged and r.x_uav == 0.0 for r in recs)
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(n_slots=12),
+    ScenarioConfig(n_slots=12, scheme="right_above"),
+    ScenarioConfig(n_slots=12, init_obj_pos=200.0),
+])
+def test_records_hold_plain_floats(cfg):
+    recs = run_scenario(cfg, P)
+    names = [f.name for f in fields(simulate.SlotRecord) if f.name not in ("slot", "flagged")]
+    for r in recs:
+        for name in names:
+            assert type(getattr(r, name)) is float, (r.slot, name)
+    assert cfg.init_obj_pos != 200.0 or any(r.flagged for r in recs)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "right_above"])
+def test_one_prediction_per_slot(scheme, monkeypatch):
+    calls = []
+    predict = simulate.ekf.predict
+
+    def counting(*args):
+        calls.append(args)
+        return predict(*args)
+    monkeypatch.setattr(simulate.ekf, "predict", counting)
+    recs = run_scenario(ScenarioConfig(n_slots=10, scheme=scheme), P)
+    assert len(calls) == 11  # slot 0 plans slot 1; slots 1..10 each plan the next
+    # the recorded predicted pair is the state the filter updated
+    assert all(r.v_breve == (r.x_breve - prev.x_hat) / P.dt
+               for prev, r in zip(recs, recs[1:]))
 
 
 def test_unflagged_slots_meet_rate_target():
