@@ -7,7 +7,9 @@ per-slot objective needs: no step-size tuning, no symbolic machinery.
 
 Only the operations the bound expressions use are implemented: +, -
 and * (mixed float/Dual2 in both orders for + and *), reciprocal, and
-float / Dual2.
+float / Dual2.  The three parts may be numpy arrays, which carries one
+derivative per array entry; numpy defers mixed ndarray/Dual2 operators
+to Dual2, so an array on the left also gives a Dual2 with array parts.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from __future__ import annotations
 
 class Dual2:
     __slots__ = ("val", "d1", "d2")
+    # ndarray + Dual2 and ndarray * Dual2 call Dual2's reflected operators
+    # instead of building an object array
+    __array_ufunc__ = None
 
     def __init__(self, val: float, d1: float = 0.0, d2: float = 0.0):
         self.val = val

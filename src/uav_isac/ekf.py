@@ -85,31 +85,34 @@ def update(pred: Prediction, y: Measurement, params: SystemParams) -> FilterStat
     and SingularMatrixError when a channel variance is zero, not finite
     or too small for its reciprocal to be finite.
     """
-    s = y.noise_cov.diagonal()
-    w1, w2, w3 = (1.0 / si if si > 0.0 else math.inf for si in s)
-    if not (0.0 < w1 < math.inf and 0.0 < w2 < math.inf and 0.0 < w3 < math.inf):
-        raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
+    w = _measured_weights(y.noise_cov.diagonal())
     require_positive_definite(pred.mse_pred, "mse_pred")
-    x, v = pred.pred.x, pred.pred.v
-    mse = _add_information(pred.mse_pred.inverse(),
-                           *_fisher_terms(x, v, w1, w2, w3, params)).inverse()
-    jac = jacobian(pred.pred, params)
     phi, tau, mu = measure_mean(pred.pred, params)
-    r1 = w1 * (y.phi - phi)
-    r2 = w2 * (y.tau - tau)
-    r3 = w3 * (y.mu - mu)
-    # score J^T R^{-1} innov; the angle and delay rows carry no velocity
-    gx = jac.iota * r1 + jac.kappa * r2 + jac.zeta * r3
-    gv = jac.nu * r3
+    info, gx, gv = _information_and_score(
+        pred.pred, pred.mse_pred.inverse(), w, jacobian(pred.pred, params),
+        (y.phi - phi, y.tau - tau, y.mu - mu), params)
+    mse = info.inverse()
+    x, v = pred.pred.x, pred.pred.v
     est = RelativeState(x + mse.m11 * gx + mse.m12 * gv, v + mse.m12 * gx + mse.m22 * gv)
     return FilterState(est, mse)
 
 
+def _measured_weights(s) -> tuple[float, float, float]:
+    """The weights 1/s_i of the channel variances s = (s1, s2, s3);
+    raises SingularMatrixError unless each is finite and positive."""
+    w1, w2, w3 = (1.0 / si if si > 0.0 else math.inf for si in s)
+    if not (0.0 < w1 < math.inf and 0.0 < w2 < math.inf and 0.0 < w3 < math.inf):
+        raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
+    return w1, w2, w3
+
+
 # -- the information-form core, generic over float / ndarray / Dual2 --
 
-def _fisher_terms(x, v, w1, w2, w3, params: SystemParams):
+def _fisher_terms(x, v, params: SystemParams, w=None):
     """Measurement Fisher information J^T diag(w1, w2, w3) J at (x, v)
-    for per-channel weights w_i = 1/s_i.
+    for per-channel weights w = (w1, w2, w3), w_i = 1/s_i; by default
+    the weights modelled at x by noise_weights, which shares
+    u = 1/(x^2 + H^2) with the terms.
 
     Returns (i_pos, zz, zv, vv).  i_pos = w1*iota^2 + w2*kappa^2 is the
     angle+delay position information; the Doppler channel adds the
@@ -121,11 +124,26 @@ def _fisher_terms(x, v, w1, w2, w3, params: SystemParams):
     k = 4.0 / (params.c * params.c)
     x2 = x * x
     u = 1.0 / (x2 + h2)
+    w1, w2, w3 = noise_weights(x, params, u) if w is None else w
     i_pos = (w1 * h2 * u + w2 * k * x2) * u
     t = w3 * (k * params.f_c * params.f_c) * u  # w3*nu^2/x^2
     y = v * h2 * u
     ty = t * y
     return i_pos, ty * y, ty * x, t * x2
+
+
+def _information_and_score(pred: RelativeState, prior_info: Sym2, w, jac, innov,
+                           params: SystemParams):
+    """The update's posterior information M_p^{-1} + J^T R^{-1} J and
+    score J^T R^{-1} innov = (gx, gv) at the predicted state, for
+    weights w = (1/s1, 1/s2, 1/s3) and innovations y - h(x_pred)."""
+    w1, w2, w3 = w
+    info = _add_information(prior_info, *_fisher_terms(pred.x, pred.v, params, w))
+    r1 = w1 * innov[0]
+    r2 = w2 * innov[1]
+    r3 = w3 * innov[2]
+    # the angle and delay rows carry no velocity
+    return info, jac.iota * r1 + jac.kappa * r2 + jac.zeta * r3, jac.nu * r3
 
 
 def _add_information(prior_info: Sym2, i_pos, zz, zv, vv) -> Sym2:
@@ -148,7 +166,7 @@ def _anticipated_bounds(x, v, prior_info: Sym2, params: SystemParams):
     """(bound_x, bound_v, weighted): the diagonal of
     (prior_info + measurement information at (x, v) with the weights
     modelled at x)^{-1} and its alpha-weighted combination."""
-    a = _add_information(prior_info, *_fisher_terms(x, v, *noise_weights(x, params), params))
+    a = _add_information(prior_info, *_fisher_terms(x, v, params))
     inv_det = 1.0 / a.det
     bound_x = a.m22 * inv_det
     bound_v = a.m11 * inv_det
@@ -178,7 +196,7 @@ def crb_measurement(x: float, v: float, params: SystemParams) -> tuple[float, fl
     carries no velocity information, so crb_v is reported as +inf;
     solvers treat it as a barrier.
     """
-    i_pos, zz, _, vv = _fisher_terms(x, v, *noise_weights(x, params), params)
+    i_pos, zz, _, vv = _fisher_terms(x, v, params)
     crb_x = 1.0 / i_pos
     if vv == 0.0:
         return crb_x, math.inf

@@ -3,6 +3,12 @@
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, a physically infeasible model (QoS unreachable at any offset)
 exits with 3, and validation failures exit with 1.
+
+A check over a batch of trials (numpy arrays, one entry per trial)
+raises through raise_at_first: the scalar form of the same check runs
+on the lowest failing entry, so the error has the scalar path's type,
+message and attributes, and carries that entry's position as
+batch_index.
 """
 
 from __future__ import annotations
@@ -45,3 +51,20 @@ class BracketError(UavIsacError):
         super().__init__(message)
         self.dg_lo = dg_lo
         self.dg_hi = dg_hi
+
+
+def raise_at_first(bad, check) -> None:
+    """If any entry of the boolean array bad is set, call check(i) for the
+    lowest such entry i.  check is the scalar form of the batched test
+    and raises the package error for entry i, which is tagged with
+    batch_index = i.  A scalar check that passes where the batched one
+    failed is a bug, reported as RuntimeError."""
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    try:
+        check(i)
+    except UavIsacError as exc:
+        exc.batch_index = i
+        raise
+    raise RuntimeError(f"batch entry {i} fails the batched check but passes the scalar one")

@@ -3,8 +3,10 @@
 Everything the filter and the bounds need fits in 2x2 symmetric
 matrices, 3-entry diagonal covariances and one 3x2 Jacobian layout, so
 these are plain frozen dataclasses with explicit entry arithmetic.
-numpy arrays appear only in the as_array conversions that the dense
-reference checks use.
+The same dataclasses hold a batch of matrices when their fields are
+numpy arrays (one entry per trial); the *_each functions are the
+checked operations for such a batch.  Otherwise numpy arrays appear
+only in the as_array conversions that the dense reference checks use.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, SingularMatrixError
+from .errors import NotPositiveDefiniteError, SingularMatrixError, raise_at_first
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,10 @@ class Sym2:
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
+
+    def at(self, i: int) -> "Sym2":
+        """Matrix i of a batch (fields are arrays), with plain float fields."""
+        return Sym2(float(self.m11[i]), float(self.m12[i]), float(self.m22[i]))
 
     @property
     def trace(self) -> float:
@@ -71,6 +77,23 @@ def min_eigenvalue_symmetric(m: Sym2) -> float:
 def require_positive_definite(m: Sym2, name: str = "matrix") -> None:
     if not (m.m11 > 0 and m.det > 0):
         raise NotPositiveDefiniteError(f"{name} is not positive definite: {m}")
+
+
+def require_positive_definite_each(m: Sym2, name: str = "matrix") -> None:
+    """require_positive_definite over a batch: raises for the lowest
+    matrix that is not positive definite."""
+    raise_at_first(~((m.m11 > 0) & (m.det > 0)),
+                   lambda i: require_positive_definite(m.at(i), name))
+
+
+def inverse_each(m: Sym2) -> Sym2:
+    """Sym2.inverse over a batch: raises SingularMatrixError for the
+    lowest singular matrix, otherwise inverts every matrix with the
+    same adjugate arithmetic."""
+    det = m.det
+    raise_at_first(np.abs(det) <= 1e-300, lambda i: m.at(i).inverse())
+    s = 1.0 / det
+    return Sym2(m.m22 * s, -m.m12 * s, m.m11 * s)
 
 
 @dataclass(frozen=True)

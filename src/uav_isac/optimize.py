@@ -6,10 +6,12 @@ intersected with the rate-QoS disc) to minimize the anticipated
 weighted estimation bound: a plain-float pass over a fixed grid picks
 the basin, and a safeguarded Newton solve of f' = 0 on the two grid
 cells around the grid minimum polishes the point (window-end optima are
-recognized by the sign of f' at the end).  The geometry problem drops
-the prior term and minimizes the measurement-only bound g(x, 0); it has
-closed-form branches at the weight endpoints and the same safeguarded
-Newton solve on a certified-convex bracket in between.
+recognized by the sign of f' at the end).  solve_p1_each takes the
+same steps for a batch of slot problems, one per Monte Carlo trial, as
+numpy arrays.  The geometry problem drops the prior term and minimizes
+the measurement-only bound g(x, 0); it has closed-form branches at the
+weight endpoints and the same safeguarded Newton solve on a
+certified-convex bracket in between.
 
 All derivatives are propagated as second-order dual numbers through
 the exact same rational expressions used for plain evaluation, so the
@@ -31,10 +33,11 @@ from .errors import (
     InfeasibleQosError,
     UavIsacError,
     VelocityBoundError,
+    raise_at_first,
 )
 from .linalg2 import Sym2, require_positive_definite
 from .params import SystemParams
-from .sensing import achievable_rate, noise_weights
+from .sensing import achievable_rate
 
 
 def qos_radius(params: SystemParams) -> float:
@@ -127,21 +130,20 @@ class Sp1Result:
 P1_GRID_POINTS = 65
 
 
-def _objective(x_breve, inst: P1Instance):
+def _objective(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
     """Weighted anticipated bound at x_breve, generic over floats, numpy
     arrays and dual numbers.  The candidate velocity is tied to the
     candidate position, v_breve = (x_breve - x_hat_prev)/dt, so f is a
     function of one variable."""
-    p = inst.params
-    v_breve = (x_breve - inst.x_hat_prev) * (1.0 / p.dt)
-    return ekf._anticipated_bounds(x_breve, v_breve, inst._prior_info, p)[2]
+    v_breve = (x_breve - x_hat_prev) * (1.0 / params.dt)
+    return ekf._anticipated_bounds(x_breve, v_breve, prior_info, params)[2]
 
 
 def objective_f(x_breve: float, inst: P1Instance) -> tuple[float, float, float]:
     """Weighted anticipated bound f(x_breve) and its first two
     derivatives in x_breve, by dual-number propagation through the same
     rational path as the float evaluation."""
-    f = _objective(Dual2.variable(x_breve), inst)
+    f = _objective(Dual2.variable(x_breve), inst.x_hat_prev, inst._prior_info, inst.params)
     return f.val, f.d1, f.d2
 
 
@@ -159,7 +161,7 @@ def solve_p1_sca(inst: P1Instance, x0: float) -> ScaResult:
     """
     lo, hi = inst.lo, inst.hi
     xs = np.linspace(lo, hi, P1_GRID_POINTS)
-    fs = _objective(xs, inst)
+    fs = _objective(xs, inst.x_hat_prev, inst._prior_info, inst.params)
     k = int(np.argmin(fs))
     last = P1_GRID_POINTS - 1
     x_grid, f_grid = float(xs[k]), float(fs[k])
@@ -173,11 +175,46 @@ def solve_p1_sca(inst: P1Instance, x0: float) -> ScaResult:
         x, iterations = _newton_bracketed(
             slope, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, last)]),
             tol=1e-9 * inst.params.h_alt, x0=x0)
-        f = _objective(x, inst)
+        f = _objective(x, inst.x_hat_prev, inst._prior_info, inst.params)
         if f > f_grid:
             x, f = x_grid, f_grid
     return ScaResult(x, (x - inst.x_hat_prev) / inst.params.dt, f, iterations,
                      ((x_grid, f_grid), (x, f)))
+
+
+def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams, solve):
+    """solve_p1_sca's optimum for a batch of slot problems, in lockstep.
+
+    Entry i is the window [lo[i], hi[i]] with start x0[i], x_hat_prev[i]
+    and prior information prior_info.at(i); the arguments are arrays of
+    one shape (n,).  Only entries where the boolean array solve is set
+    are solved, and they must have windows of positive length; the
+    others return their grid point.  Every step is solve_p1_sca's: the
+    grid pass is one (n, P1_GRID_POINTS) array evaluation, the
+    window-end test and the bracketed Newton polish run on the whole
+    batch, and each entry takes its own result by np.where masks.
+    """
+    xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=1)
+    rows_prior = Sym2(prior_info.m11[:, None], prior_info.m12[:, None], prior_info.m22[:, None])
+    fs = _objective(xs, x_hat_prev[:, None], rows_prior, params)
+    k = fs.argmin(axis=1)
+    rows = np.arange(len(k))
+    last = P1_GRID_POINTS - 1
+    x_grid, f_grid = xs[rows, k], fs[rows, k]
+
+    def slope(x):
+        f = _objective(Dual2.variable(x), x_hat_prev, prior_info, params)
+        return f.d1, f.d2
+
+    d1_end = slope(np.where(k == 0, lo, hi))[0]
+    interior = solve & ~(((k == 0) & (d1_end >= 0.0)) | ((k == last) & (d1_end <= 0.0)))
+    if not interior.any():
+        return x_grid
+    x = _newton_bracketed_each(
+        slope, xs[rows, np.maximum(k - 1, 0)], xs[rows, np.minimum(k + 1, last)],
+        1e-9 * params.h_alt, x0, interior)
+    f = _objective(x, x_hat_prev, prior_info, params)
+    return np.where(interior & ~(f > f_grid), x, x_grid)
 
 
 def xi_of_h(params: SystemParams) -> float:
@@ -218,9 +255,16 @@ def g0_derivatives(x: float, params: SystemParams) -> tuple[float, float, float]
     terms of the bound core.  At v = 0 the Doppler block is diagonal,
     so crb_x = 1/i_pos and crb_v = 1/fi_vv."""
     xd = Dual2.variable(x)
-    i_pos, _, _, vv = ekf._fisher_terms(xd, 0.0, *noise_weights(xd, params), params)
+    i_pos, _, _, vv = ekf._fisher_terms(xd, 0.0, params)
     total = ekf._weighted(1.0 / i_pos, 1.0 / vv, params.alpha)
     return total.val, total.d1, total.d2
+
+
+def _require_sign_change(lo: float, hi: float, f_lo: float, f_hi: float) -> None:
+    if not (f_lo < 0.0 < f_hi):
+        raise BracketError(
+            f"objective derivative does not change sign over [{lo:.6g}, {hi:.6g}] m",
+            f_lo, f_hi)
 
 
 def _newton_bracketed(deriv_fn, lo: float, hi: float, tol: float,
@@ -235,12 +279,7 @@ def _newton_bracketed(deriv_fn, lo: float, hi: float, tol: float,
     F(lo) < 0 < F(hi); raises BracketError carrying both endpoint
     values otherwise.
     """
-    f_lo = deriv_fn(lo)[0]
-    f_hi = deriv_fn(hi)[0]
-    if not (f_lo < 0.0 < f_hi):
-        raise BracketError(
-            f"objective derivative does not change sign over [{lo:.6g}, {hi:.6g}] m",
-            f_lo, f_hi)
+    _require_sign_change(lo, hi, deriv_fn(lo)[0], deriv_fn(hi)[0])
     x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     for step in range(1, max_iter + 1):
         f, df = deriv_fn(x)
@@ -260,6 +299,36 @@ def _newton_bracketed(deriv_fn, lo: float, hi: float, tol: float,
             return cand, step
         x = cand
     return x, max_iter
+
+
+def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: int = 200):
+    """_newton_bracketed on every entry of a batch where the boolean
+    array active is set, in lockstep: deriv_fn maps an array of iterates
+    to (F, F') arrays, each entry follows the scalar step rule and stops
+    where the scalar routine would return; inactive entries carry no
+    result.  Raises the BracketError of the lowest active entry without a sign
+    change."""
+    f_lo, f_hi = deriv_fn(lo)[0], deriv_fn(hi)[0]
+    raise_at_first(active & ~((f_lo < 0.0) & (0.0 < f_hi)),
+                   lambda i: _require_sign_change(float(lo[i]), float(hi[i]),
+                                                  float(f_lo[i]), float(f_hi[i])))
+    x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
+    active = active.copy()
+    for _ in range(max_iter):
+        f, df = deriv_fn(x)
+        below = f < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = np.where(df > 0.0, x - f / df, np.nan)
+        converged = (np.abs(cand - x) < tol) & (lo <= cand) & (cand <= hi)
+        cand = np.where(converged | ((lo < cand) & (cand < hi)), cand, 0.5 * (lo + hi))
+        done = (f == 0.0) | converged | (np.abs(cand - x) < tol)
+        x = np.where(active & (f != 0.0), cand, x)
+        active &= ~done
+        if not active.any():
+            break
+    return x
 
 
 def solve_sp1(params: SystemParams) -> Sp1Result:

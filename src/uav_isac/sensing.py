@@ -11,12 +11,19 @@ The noise model is one formula, noise_weights: the per-channel
 reciprocal variances 1/s_i at offset x.  The sampled measurement noise
 (noise_cov_actual), the filter update and both estimation bounds all
 read it.
+
+The *_each functions are the array forms of the measurement map, its
+Jacobian and the rate, for a batch of trials whose RelativeState
+fields are numpy arrays; they differ from the scalar forms only by
+using numpy's transcendental functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .linalg2 import DiagMat3, Jacobian32
 from .params import SystemParams
@@ -69,6 +76,11 @@ def achievable_rate(x: float, params: SystemParams) -> float:
     return math.log2(1.0 + snr)
 
 
+def achievable_rate_each(x, params: SystemParams):
+    """achievable_rate over an array of offsets."""
+    return np.log2(1.0 + params.p_a_w * params.n_t * comm_gain(x, params) / params.sigma_c2_w)
+
+
 def measure_mean(s: RelativeState, params: SystemParams) -> tuple[float, float, float]:
     """Noiseless measurement map (phi, tau, mu) at relative state s.
 
@@ -85,7 +97,14 @@ def measure_mean(s: RelativeState, params: SystemParams) -> tuple[float, float, 
     return phi, tau, mu
 
 
-def noise_weights(x, params: SystemParams):
+def measure_mean_each(s: RelativeState, params: SystemParams):
+    """measure_mean over a batch of relative states (array fields)."""
+    h = params.h_alt
+    d = np.hypot(s.x, h)
+    return np.arctan2(h, s.x), 2.0 * d / params.c, -2.0 * params.f_c * s.v * s.x / (params.c * d)
+
+
+def noise_weights(x, params: SystemParams, u=None):
     """Channel weights (1/s1, 1/s2, 1/s3) of the measurement noise at
     horizontal offset x: the one noise model, generic over floats,
     numpy arrays and dual numbers.
@@ -94,11 +113,13 @@ def noise_weights(x, params: SystemParams):
     with G_r = beta_r/d^4 and sin phi = H/d; the delay and Doppler
     variances drop the sin^2 phi factor and use a2, a3 instead.  With
     sens_gain folding in the constants, 1/s1 = (sens_gain/a1^2) H^2/d^6
-    and 1/s_i = (sens_gain/a_i^2)/d^4 for i = 2, 3.
+    and 1/s_i = (sens_gain/a_i^2)/d^4 for i = 2, 3.  A caller that
+    already holds u = 1/d^2 = 1/(x^2 + H^2) passes it.
     """
     g1, g2, g3 = params.channel_weights
     h2 = params.h_alt * params.h_alt
-    u = 1.0 / (x * x + h2)
+    if u is None:
+        u = 1.0 / (x * x + h2)
     u2 = u * u
     return g1 * h2 * u2 * u, g2 * u2, g3 * u2
 
@@ -125,6 +146,16 @@ def jacobian(s: RelativeState, params: SystemParams) -> Jacobian32:
     zeta = -2.0 * params.f_c * s.v * h * h / (params.c * d2 * d)
     nu = -2.0 * params.f_c * s.x / (params.c * d)
     return Jacobian32(iota, kappa, zeta, nu)
+
+
+def jacobian_each(s: RelativeState, params: SystemParams) -> Jacobian32:
+    """jacobian over a batch of relative states (array fields)."""
+    h = params.h_alt
+    d2 = s.x * s.x + h * h
+    d = np.sqrt(d2)
+    return Jacobian32(-h / d2, 2.0 * s.x / (params.c * d),
+                      -2.0 * params.f_c * s.v * h * h / (params.c * d2 * d),
+                      -2.0 * params.f_c * s.x / (params.c * d))
 
 
 def sample_measurement(s_true: RelativeState, params: SystemParams, rng,

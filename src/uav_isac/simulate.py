@@ -9,14 +9,27 @@ with v_breve = (x_breve - x_hat)/dt, is the filter's prediction for the
 slot.  The slot then runs in this order: the object follows a
 constant-velocity model with process noise, the platform executes the
 planned waypoint, a measurement is sampled at the true relative state,
-the filter updates the planned prediction, the slot is recorded, and
-the next slot is planned.
+the filter updates the planned prediction, the slot is recorded, and,
+unless it was the last slot, the next slot is planned.
 
-Determinism contract: one generator drives a run, consumed in a fixed
-order (2 draws for the initial estimate perturbation, then per slot 2
-process-noise draws followed by 3 measurement-noise draws), so a seed
-pins the entire record sequence bit-for-bit.  Draws are converted to
-Python floats, so every recorded quantity is a plain float.
+There are two loops over the same slot.  run_scenario runs one trial
+on plain Python floats and records every quantity; it is the reference.
+run_monte_carlo runs all trials of one scheme in lockstep: every state
+is a numpy array with one entry per trial, every step is the array form
+of the scalar step (the same arithmetic; numpy transcendentals may
+differ from math's by an ulp), and only the two reduced columns,
+weighted_actual and rate_bpshz, are kept.  A lockstep trial matches
+run_scenario at the same seed to about 1e-9 relative or better.
+
+Determinism contract: one generator per trial, seeded with the trial's
+seed, consumed in a fixed order (2 draws for the initial estimate
+perturbation, then per slot 2 process-noise draws followed by 3
+measurement-noise draws), so a seed pins the entire record sequence
+bit-for-bit.  run_scenario draws them as it goes; the lockstep loop
+pre-draws the same stream at once, standard_normal(2 + 5*n_slots) from
+default_rng(seed), which numpy's generator yields identically (a test
+pins this).  Draws are converted to Python floats in run_scenario, so
+every recorded quantity is a plain float.
 """
 
 from __future__ import annotations
@@ -28,8 +41,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ekf, optimize, sensing
-from .errors import ConfigError, InfeasibleIntervalError
-from .linalg2 import Sym2, process_noise_cov
+from .errors import ConfigError, InfeasibleIntervalError, raise_at_first
+from .linalg2 import Sym2, inverse_each, process_noise_cov, require_positive_definite_each
 from .params import SystemParams
 from .sensing import RelativeState
 
@@ -127,6 +140,17 @@ class ScenarioConfig:
             raise ConfigError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
 
+def _process_noise_factor(params: SystemParams) -> tuple[float, float, float]:
+    """Lower Cholesky factor (l11, l21, l22) of the process-noise
+    covariance Q_s; all zero when q_tilde = 0."""
+    q = process_noise_cov(params.dt, params.q_tilde)
+    if not q.m11 > 0.0:
+        return 0.0, 0.0, 0.0
+    l11 = math.sqrt(q.m11)
+    l21 = q.m12 / l11
+    return l11, l21, math.sqrt(max(q.m22 - l21 * l21, 0.0))
+
+
 def step_ground_truth(w: WorldState, params: SystemParams, rng) -> WorldState:
     """Advance the object one slot: constant-velocity motion plus a
     process-noise draw with covariance Q_s (linalg2.process_noise_cov),
@@ -138,19 +162,11 @@ def step_ground_truth(w: WorldState, params: SystemParams, rng) -> WorldState:
     draws are consumed even when q_tilde = 0 so that stream alignment
     does not depend on q_tilde.
     """
-    dt = params.dt
     z0, z1 = rng.standard_normal(2).tolist()
-    q = process_noise_cov(dt, params.q_tilde)
-    if q.m11 > 0.0:
-        l11 = math.sqrt(q.m11)
-        l21 = q.m12 / l11
-        dp = l11 * z0
-        dv = l21 * z0 + math.sqrt(max(q.m22 - l21 * l21, 0.0)) * z1
-    else:
-        dp = dv = 0.0
+    l11, l21, l22 = _process_noise_factor(params)
     return WorldState(
-        obj_pos=w.obj_pos + w.obj_vel * dt + dp,
-        obj_vel=w.obj_vel + dv,
+        obj_pos=w.obj_pos + w.obj_vel * params.dt + l11 * z0,
+        obj_vel=w.obj_vel + (l21 * z0 + l22 * z1),
         uav_pos=w.uav_pos,
         uav_vel=w.uav_vel,
         slot=w.slot + 1,
@@ -190,9 +206,37 @@ def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2,
     return eta - math.copysign(reach, eta), False
 
 
+def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
+    """_target_proposed for a batch of trials (arrays, one entry per
+    trial): the P1 window, its solve for the windows of positive length,
+    the touching point of a degenerate window and the flagged fallback
+    otherwise.  Returns the x_breve array; flags are not kept."""
+    require_positive_definite_each(mse_pred, "mse_pred")
+    prior_info = inverse_each(mse_pred)
+    x_c = optimize.qos_radius(params)
+    reach = params.v_a_max * params.dt
+    lo = np.maximum(-x_c, eta - reach)
+    hi = np.minimum(x_c, eta + reach)
+    has_length = hi - lo > 0.0
+    x_opt = optimize.solve_p1_each(lo, hi, np.minimum(np.maximum(eta, lo), hi), x_hat,
+                                   prior_info, params, has_length)
+    fallback = np.where(hi == lo, lo, np.where(eta > 0.0, eta - reach, eta + reach))
+    return np.where(has_length, x_opt, fallback)
+
+
+def _targets_right_above_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
+    """_target_right_above for a batch of trials."""
+    reach = params.v_a_max * params.dt
+    return np.where(np.abs(eta) <= reach, 0.0, eta - np.copysign(reach, eta))
+
+
 _TARGET_RULES = {
     "proposed": _target_proposed,
     "right_above": _target_right_above,
+}
+_TARGET_RULES_EACH = {
+    "proposed": _targets_proposed_each,
+    "right_above": _targets_right_above_each,
 }
 
 
@@ -219,6 +263,52 @@ def _plan(fstate: ekf.FilterState, w: WorldState, params: SystemParams,
     return x_a, v_a, flagged, ekf.Prediction(state, pred.mse_pred)
 
 
+def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
+               targets) -> tuple[np.ndarray, np.ndarray, ekf.Prediction]:
+    """_plan for a batch of trials (every field an array, one entry per
+    trial): the waypoints x_a, slot velocities v_a and the predictions.
+    The velocity-reach check of design_trajectory raises for the lowest
+    trial that fails it."""
+    dt = params.dt
+    pred = ekf.predict(fstate, params)
+    eta = pred.pred.x + uav_vel * dt
+    x_hat = fstate.est.x
+    x_breve = targets(eta, x_hat, pred.mse_pred, params)
+    raise_at_first(np.abs(x_breve - eta) > params.v_a_max * dt + 1e-9,
+                   lambda i: optimize.design_trajectory(
+                       float(x_breve[i]), float(eta[i]),
+                       (float(uav_pos[i]), float(uav_vel[i])), params))
+    x_a = eta + uav_pos - x_breve
+    return x_a, (x_a - uav_pos) / dt, ekf.Prediction(
+        RelativeState(x_breve, (x_breve - x_hat) / dt), pred.mse_pred)
+
+
+def _update_each(pred: ekf.Prediction, y, s, params: SystemParams) -> ekf.FilterState:
+    """ekf.update for a batch of trials: y = (phi, tau, mu) and the
+    channel variances s = (s1, s2, s3) are arrays; the checks raise for
+    the lowest failing trial."""
+    with np.errstate(divide="ignore"):
+        w = tuple(1.0 / si for si in s)
+    raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
+                   lambda i: ekf._measured_weights(tuple(float(si[i]) for si in s)))
+    require_positive_definite_each(pred.mse_pred, "mse_pred")
+    mean = sensing.measure_mean_each(pred.pred, params)
+    info, gx, gv = ekf._information_and_score(
+        pred.pred, inverse_each(pred.mse_pred), w, sensing.jacobian_each(pred.pred, params),
+        tuple(yi - mi for yi, mi in zip(y, mean)), params)
+    mse = inverse_each(info)
+    x, v = pred.pred.x, pred.pred.v
+    return ekf.FilterState(
+        RelativeState(x + mse.m11 * gx + mse.m12 * gv, v + mse.m12 * gx + mse.m22 * gv), mse)
+
+
+def _add_context(exc: Exception, where: str) -> None:
+    """Prefix a component error's message with where it was raised; its
+    type and attributes are kept."""
+    if exc.args and isinstance(exc.args[0], str):
+        exc.args = (f"{where}: {exc.args[0]}",) + exc.args[1:]
+
+
 def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
     """Run one tracking scenario and return its n_slots records.
 
@@ -227,10 +317,10 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
     init_est_std, and the first slot is planned.  Each subsequent slot
     advances the object, executes the planned command, measures at the
     true relative state, updates the planned prediction, records, and
-    plans the next slot.  The "actual" bound pair is the anticipated
-    bound re-evaluated at the true relative state with the same
-    prediction MSE.  Component errors propagate with the slot index
-    attached.
+    plans the next slot unless it was the last.  The "actual" bound pair
+    is the anticipated bound re-evaluated at the true relative state
+    with the same prediction MSE.  Component errors propagate with the
+    slot index attached.
     """
     p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
     target_rule = _TARGET_RULES[cfg.scheme]
@@ -278,12 +368,70 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
                 tr_mm=crb_x + crb_v,
                 flagged=flagged,
             ))
-            x_a, v_a, flagged, pred = _plan(fstate, world, p, target_rule)
+            if n < cfg.n_slots:
+                x_a, v_a, flagged, pred = _plan(fstate, world, p, target_rule)
     except Exception as exc:
-        if exc.args and isinstance(exc.args[0], str):
-            exc.args = (f"slot {n}: {exc.args[0]}",) + exc.args[1:]
+        _add_context(exc, f"slot {n}")
         raise
     return records
+
+
+def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, scheme: str,
+                  draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All trials of one scheme in lockstep; trial i takes its draws from
+    row i of draws, shape (n_trials, 2 + 5*n_slots), and matches
+    run_scenario at the seed those draws came from.  Returns the
+    weighted_actual and rate_bpshz columns, each (n_trials, n_slots).
+
+    A component error keeps its type and attributes and names the slot
+    and the lowest failing trial as its batch index; an error of a
+    computation shared by all trials names trial 0.
+    """
+    p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
+    targets = _TARGET_RULES_EACH[scheme]
+    n_trials = draws.shape[0]
+    dt, k = p.dt, cfg.noise_scale
+    # the lockstep forms of step_ground_truth and sample_measurement read
+    # the same draws in the same order
+    l11, l21, l22 = _process_noise_factor(p)
+    slot_draws = draws[:, 2:].reshape(n_trials, cfg.n_slots, 5)
+
+    def full(value):
+        return np.full(n_trials, float(value))
+
+    obj_pos, obj_vel = full(cfg.init_obj_pos), full(cfg.init_obj_vel)
+    uav_pos, uav_vel = full(cfg.init_uav_pos), full(cfg.init_uav_vel)
+    est0 = RelativeState(
+        (cfg.init_obj_pos - cfg.init_uav_pos) + cfg.init_est_std[0] * draws[:, 0],
+        (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * draws[:, 1])
+    fstate = ekf.FilterState(est0, Sym2(full(cfg.init_mse[0]), full(0.0), full(cfg.init_mse[1])))
+
+    weighted = np.empty((cfg.n_slots, n_trials))
+    rate = np.empty((cfg.n_slots, n_trials))
+    n = 0
+    try:
+        x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, targets)
+        for n in range(1, cfg.n_slots + 1):
+            z0, z1, e1, e2, e3 = slot_draws[:, n - 1].T
+            obj_pos = obj_pos + obj_vel * dt + l11 * z0
+            obj_vel = obj_vel + (l21 * z0 + l22 * z1)
+            uav_pos, uav_vel = x_a, v_a
+            true_rel = RelativeState(obj_pos - uav_pos, obj_vel - uav_vel)
+            with np.errstate(divide="ignore"):
+                s = tuple(1.0 / wi for wi in sensing.noise_weights(true_rel.x, p))
+            y = tuple(m + k * np.sqrt(si) * e
+                      for m, si, e in zip(sensing.measure_mean_each(true_rel, p), s, (e1, e2, e3)))
+            fstate = _update_each(pred, y, s, p)
+            prior_info = inverse_each(pred.mse_pred)
+            weighted[n - 1] = ekf._anticipated_bounds(true_rel.x, true_rel.v, prior_info, p)[2]
+            rate[n - 1] = sensing.achievable_rate_each(pred.pred.x, p)
+            if n < cfg.n_slots:
+                x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, targets)
+    except Exception as exc:
+        i = getattr(exc, "batch_index", 0)
+        _add_context(exc, f"trial {i} (seed {cfg.seed + i}), slot {n}")
+        raise
+    return weighted.T, rate.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,22 +458,20 @@ def run_monte_carlo(cfg: ScenarioConfig, params: SystemParams,
     """Common-random-number comparison of the two schemes.
 
     Trial i runs both schemes from seed cfg.seed + i, so trial 0
-    reproduces run_scenario for either scheme and the two schemes see
-    identical noise within a trial; cfg.scheme is ignored.  Trials are
-    reduced in fixed trial-index order, so the aggregate is independent
-    of execution order.
+    reproduces run_scenario for either scheme (to rounding) and the two
+    schemes see identical noise within a trial; cfg.scheme is ignored.
+    Each scheme's trials advance in lockstep as arrays, the proposed
+    scheme first.  Trials are reduced in fixed trial-index order, so the
+    aggregate is independent of execution order.  An error names the
+    slot and the lowest failing trial with its seed.
     """
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    if not (isinstance(n_trials, numbers.Integral) and n_trials >= 1):
+        raise ConfigError(f"n_trials must be an integer >= 1, got {n_trials!r}")
+    draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
+                      for i in range(n_trials)])
     stats = {}
     for scheme in ("proposed", "right_above"):
-        weighted = np.empty((n_trials, cfg.n_slots))
-        rate = np.empty((n_trials, cfg.n_slots))
-        for i in range(n_trials):
-            trial_cfg = replace(cfg, seed=cfg.seed + i, scheme=scheme)
-            recs = run_scenario(trial_cfg, params)
-            weighted[i] = [r.weighted_actual for r in recs]
-            rate[i] = [r.rate_bpshz for r in recs]
+        weighted, rate = _run_lockstep(cfg, params, scheme, draws)
         stats[scheme] = SchemeStats(
             weighted.mean(axis=0), weighted.std(axis=0),
             rate.mean(axis=0), rate.std(axis=0))

@@ -153,7 +153,7 @@ def test_information_terms_match_fisher_oracle():
         if abs(x) < 1e-6:
             continue
         f11, f12, f22 = oracles.fisher_2x2(x, v, d)
-        i_pos, zz, zv, vv = ekf._fisher_terms(x, v, *noise_weights(x, P), P)
+        i_pos, zz, zv, vv = ekf._fisher_terms(x, v, P, noise_weights(x, P))
         assert i_pos + zz == pytest.approx(float(f11), rel=1e-11)
         assert zv == pytest.approx(float(f12), rel=1e-11, abs=1e-18)
         assert vv == pytest.approx(float(f22), rel=1e-11)

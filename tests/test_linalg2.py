@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError
+from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError, raise_at_first
 from uav_isac.linalg2 import (
     DiagMat3,
     Jacobian32,
     Sym2,
+    inverse_each,
     min_eigenvalue_symmetric,
     process_noise_cov,
     require_positive_definite,
+    require_positive_definite_each,
 )
 
 
@@ -88,3 +90,26 @@ def test_jacobian32_layout():
     # elevation and delay do not depend on relative speed
     assert a[0, 1] == 0.0 and a[1, 1] == 0.0
     assert (a[0, 0], a[1, 0], a[2, 0], a[2, 1]) == (0.1, 0.2, 0.3, 0.4)
+
+
+def test_batch_checks_raise_for_lowest_failing_entry():
+    m = Sym2(np.array([1.0, -1.0, 0.0]), np.zeros(3), np.ones(3))
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^m is not positive definite: Sym2\(m11=-1.0, m12=0.0") as exc_info:
+        require_positive_definite_each(m, "m")
+    assert exc_info.value.batch_index == 1
+    singular = Sym2(np.array([2.0, 1.0, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(SingularMatrixError) as exc_info:
+        inverse_each(singular)
+    assert exc_info.value.batch_index == 1
+    # a scalar check that passes where the batched one failed is a bug
+    with pytest.raises(RuntimeError, match="batch entry 1"):
+        raise_at_first(np.array([False, True]), lambda i: None)
+
+
+def test_batch_inverse_equals_scalar_inverse():
+    m = Sym2(np.array([2.0, 4.0, 0.3]), np.array([1.0, 0.0, -0.1]), np.array([3.0, 0.5, 0.2]))
+    inv = inverse_each(m)
+    require_positive_definite_each(m)
+    for i in range(3):
+        assert inv.at(i) == m.at(i).inverse()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uav_isac import ekf, optimize
+from uav_isac.dual import Dual2
 from uav_isac.errors import (
     BracketError,
     InfeasibleIntervalError,
@@ -220,6 +221,48 @@ def test_sca_matches_grid_oracle_property(eta, dx_hat, log_m11, log_m22, rho):
         lo, hi, 20_001)
     assert lo <= res.x_breve_opt <= hi
     assert abs(res.x_breve_opt - want) < 1e-3   # AC05's gate
+
+
+def _batch_of(insts):
+    def col(name):
+        return np.array([getattr(i, name) for i in insts])
+    prior = Sym2(*(np.array([getattr(i._prior_info, f) for i in insts])
+                   for f in ("m11", "m12", "m22")))
+    return col("lo"), col("hi"), col("eta_prev"), col("x_hat_prev"), prior
+
+
+def test_batched_slot_solve_equals_scalar_solve():
+    # random windows, window-end optima and two-basin windows in one batch
+    rng = np.random.default_rng(35)
+    insts = [_instance(80.0, 79.5), _instance(-80.0, -79.5),
+             _instance(1.0, -1.0), _instance(-2.0, 1.0)]
+    for _ in range(60):
+        eta = float(rng.uniform(-78, 78))
+        m11, m22 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 0.5))
+        m12 = float(rng.uniform(-0.8, 0.8)) * math.sqrt(m11 * m22)
+        insts.append(_instance(eta, eta + float(rng.uniform(-2, 2)), m11=m11, m22=m22, m12=m12))
+    lo, hi, eta, x_hat, prior = _batch_of(insts)
+    x0 = np.minimum(np.maximum(eta, lo), hi)
+    got = optimize.solve_p1_each(lo, hi, x0, x_hat, prior, P, np.ones(len(insts), bool))
+    want = [optimize.solve_p1_sca(inst, float(s)).x_breve_opt for inst, s in zip(insts, x0)]
+    assert got.tolist() == want  # the same arithmetic entry by entry
+
+
+def test_batched_slot_solve_bracket_error_names_entry(monkeypatch):
+    def fake_objective(x, x_hat_prev, prior_info, params):
+        # grid minimum at x_hat_prev, but f' = -1 everywhere
+        if isinstance(x, Dual2):
+            return Dual2(x.val * 0.0, np.full(np.shape(x.val), -1.0), 0.0)
+        return (x - x_hat_prev) ** 2
+    monkeypatch.setattr(optimize, "_objective", fake_objective)
+    # entry 0 has its minimum at the right window end, where f' <= 0 is an
+    # optimum; entries 1 and 2 have interior minima that cannot be bracketed
+    insts = [_instance(80.0, 95.0), _instance(10.0, 9.0), _instance(20.0, 19.0)]
+    lo, hi, eta, x_hat, prior = _batch_of(insts)
+    with pytest.raises(BracketError, match="does not change sign over") as exc_info:
+        optimize.solve_p1_each(lo, hi, eta, x_hat, prior, P, np.ones(3, bool))
+    assert exc_info.value.batch_index == 1
+    assert exc_info.value.dg_lo == exc_info.value.dg_hi == -1.0
 
 
 # ------------------------------------------------------------ SP1 geometry

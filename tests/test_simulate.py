@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from uav_isac import simulate
-from uav_isac.errors import BracketError, ConfigError, NotPositiveDefiniteError
+from uav_isac.errors import (
+    BracketError,
+    ConfigError,
+    NotPositiveDefiniteError,
+    VelocityBoundError,
+)
 from uav_isac.linalg2 import process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.simulate import (
@@ -201,10 +206,23 @@ def test_one_prediction_per_slot(scheme, monkeypatch):
         return predict(*args)
     monkeypatch.setattr(simulate.ekf, "predict", counting)
     recs = run_scenario(ScenarioConfig(n_slots=10, scheme=scheme), P)
-    assert len(calls) == 11  # slot 0 plans slot 1; slots 1..10 each plan the next
+    assert len(calls) == 10  # slot 0 plans slot 1; slots 1..9 each plan the next
     # the recorded predicted pair is the state the filter updated
     assert all(r.v_breve == (r.x_breve - prev.x_hat) / P.dt
                for prev, r in zip(recs, recs[1:]))
+
+
+def test_one_solve_per_slot(monkeypatch):
+    calls = []
+    solve = simulate.optimize.solve_p1_sca
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(simulate.optimize, "solve_p1_sca", counting)
+    recs = run_scenario(ScenarioConfig(n_slots=12), P)
+    assert not any(r.flagged for r in recs)
+    assert len(calls) == 12  # no plan after the last slot
 
 
 def test_unflagged_slots_meet_rate_target():
@@ -273,10 +291,91 @@ def test_monte_carlo_shapes_and_reduction():
         [r.weighted_actual for r in run_scenario(replace(cfg, seed=cfg.seed + i), P)]
         for i in range(3)
     ])
-    assert np.array_equal(mc.proposed.weighted_actual_mean, manual.mean(axis=0))
-    assert np.array_equal(mc.proposed.weighted_actual_std, manual.std(axis=0, ddof=0))
+    # lockstep arrays and scalar runs differ by numpy/math transcendental ulps
+    np.testing.assert_allclose(mc.proposed.weighted_actual_mean, manual.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(mc.proposed.weighted_actual_std, manual.std(axis=0, ddof=0),
+                               rtol=1e-12)
 
 
 def test_monte_carlo_rejects_nonpositive_trials():
     with pytest.raises(ConfigError):
         run_monte_carlo(ScenarioConfig(), P, n_trials=0)
+
+
+@pytest.mark.parametrize("n_trials", [-3, 2.5, "3", None])
+def test_monte_carlo_rejects_bad_trial_counts(n_trials):
+    with pytest.raises(ConfigError, match="n_trials"):
+        run_monte_carlo(ScenarioConfig(), P, n_trials=n_trials)
+
+
+def _lockstep_columns(cfg, params, scheme, n_trials):
+    draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
+                      for i in range(n_trials)])
+    return simulate._run_lockstep(cfg, params, scheme, draws)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "right_above"])
+@pytest.mark.parametrize("cfg, params", [
+    (ScenarioConfig(), P),
+    (ScenarioConfig(init_obj_pos=200.0), P),             # flagged fallback
+    (ScenarioConfig(n_slots=5, v_a_max=0.0), P),         # degenerate window
+    (ScenarioConfig(noise_scale=0.0), P),
+    (ScenarioConfig(), replace(P, alpha=0.0)),
+    (ScenarioConfig(), replace(P, alpha=1.0)),
+], ids=["default", "flagged", "degenerate", "noiseless", "alpha0", "alpha1"])
+def test_lockstep_matches_run_scenario(cfg, params, scheme):
+    n_trials = 20
+    weighted, rate = _lockstep_columns(cfg, params, scheme, n_trials)
+    assert weighted.shape == rate.shape == (n_trials, cfg.n_slots)
+    for i in range(n_trials):
+        recs = run_scenario(replace(cfg, seed=cfg.seed + i, scheme=scheme), params)
+        np.testing.assert_allclose(weighted[i], [r.weighted_actual for r in recs], rtol=1e-9)
+        np.testing.assert_allclose(rate[i], [r.rate_bpshz for r in recs], rtol=1e-9)
+    if cfg.init_obj_pos == 200.0 and scheme == "proposed":
+        assert any(r.flagged for r in run_scenario(cfg, params))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_predrawn_stream_equals_sequential_draws(seed):
+    """The lockstep loop's pre-drawn row is run_scenario's draw sequence:
+    2 initial, then 2 process and 3 measurement draws per slot."""
+    n_slots = 40
+    rng = np.random.default_rng(seed)
+    sequential = [rng.standard_normal(2)]
+    for _ in range(n_slots):
+        sequential += [rng.standard_normal(2), rng.standard_normal(3)]
+    predrawn = np.random.default_rng(seed).standard_normal(2 + 5 * n_slots)
+    assert np.array_equal(predrawn, np.concatenate(sequential))
+
+
+def test_monte_carlo_error_names_trial_seed_and_slot():
+    # the proposed scheme runs first and refuses the zero prediction MSE
+    # when it plans slot 1
+    cfg = ScenarioConfig(init_mse=(0.0, 0.0), seed=4)
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^trial 0 \(seed 4\), slot 0: mse_pred is not positive definite"):
+        run_monte_carlo(cfg, SystemParams(q_tilde=0.0), n_trials=3)
+
+
+def test_monte_carlo_error_names_lowest_failing_trial(monkeypatch):
+    chase = simulate._TARGET_RULES_EACH["right_above"]
+
+    def beyond_reach(eta, x_hat, mse_pred, params):
+        x_breve = chase(eta, x_hat, mse_pred, params)
+        x_breve[2:] += 100.0  # trials 2 and 3 ask for more than one slot's reach
+        return x_breve
+    monkeypatch.setitem(simulate._TARGET_RULES_EACH, "right_above", beyond_reach)
+    with pytest.raises(VelocityBoundError,
+                       match=r"^trial 2 \(seed 7\), slot 0: \|x_breve - eta\|") as exc_info:
+        run_monte_carlo(ScenarioConfig(n_slots=4, seed=5), P, n_trials=4)
+    assert exc_info.value.batch_index == 2
+
+
+def test_monte_carlo_bracket_error_keeps_attributes(monkeypatch):
+    def no_bracket(deriv_fn, lo, hi, tol, x0, active):
+        raise BracketError("no sign change", -1.0, -2.0)
+    monkeypatch.setattr(simulate.optimize, "_newton_bracketed_each", no_bracket)
+    with pytest.raises(BracketError, match=r"^trial 0 \(seed 0\), slot \d+: no sign change") \
+            as exc_info:
+        run_monte_carlo(ScenarioConfig(n_slots=20), P, n_trials=2)
+    assert (exc_info.value.dg_lo, exc_info.value.dg_hi) == (-1.0, -2.0)
