@@ -3,15 +3,18 @@
 Two solvers live here.  The slot problem picks the next predicted
 relative position inside the reachable window (platform velocity limit
 intersected with the rate-QoS disc) to minimize the anticipated
-weighted estimation bound: a plain-float pass over a fixed grid picks
-the basin, and a safeguarded Newton solve of f' = 0 on the two grid
-cells around the grid minimum polishes the point (window-end optima are
-recognized by the sign of f' at the end).  solve_p1_each takes the
-same steps for a batch of slot problems, one per Monte Carlo trial, as
-numpy arrays.  The geometry problem drops the prior term and minimizes
-the measurement-only bound g(x, 0); it has closed-form branches at the
-weight endpoints and the same safeguarded Newton solve on a
-certified-convex bracket in between.
+weighted estimation bound.  A plain-float pass over a fixed grid picks
+the basin, and one dual-number evaluation at the grid minimum and its
+two neighbours supplies everything the polish needs: the sign of f' at
+a window end (window-end optima are returned exactly), the sign check
+over the two grid cells around the minimum, the one cell that holds
+the root of f', and a start for a safeguarded Newton solve of f' = 0
+on that cell at the root of the cubic Hermite interpolant of f'.
+solve_p1_each takes the same steps for a batch of slot problems, one
+per Monte Carlo trial, as numpy arrays.  The geometry problem drops
+the prior term and minimizes the measurement-only bound g(x, 0); it
+has closed-form branches at the weight endpoints and the same
+safeguarded Newton solve on a certified-convex bracket in between.
 
 All derivatives are propagated as second-order dual numbers through
 the exact same rational expressions used for plain evaluation, so the
@@ -147,34 +150,80 @@ def objective_f(x_breve: float, inst: P1Instance) -> tuple[float, float, float]:
     return f.val, f.d1, f.d2
 
 
-def solve_p1_sca(inst: P1Instance, x0: float) -> ScaResult:
+def _newton_start(a, b, ga, gb, ha, hb, x0):
+    """Newton's first iterate on a grid cell [a, b] over which f' rises
+    from ga < 0 to gb > 0, with f'' = ha, hb at the ends.
+
+    It is x0 when given and strictly inside the cell; else the root of
+    the cubic Hermite interpolant of f' on the cell, found by two Newton
+    steps on the cubic from the secant root; else, when that root is not
+    strictly inside the cell, the midpoint.  No objective is evaluated.
+    Works entry by entry on arrays; a and b are numpy values, so a zero
+    denominator gives a non-finite root, which fails the inside test.
+    """
+    w = b - a
+    # the interpolant in t = (x - a)/w is ga + c1*t + c2*t^2 + c3*t^3
+    c1 = w * ha
+    c2 = 3.0 * (gb - ga) - w * (2.0 * ha + hb)
+    c3 = 2.0 * (ga - gb) + w * (ha + hb)
+    with np.errstate(all="ignore"):
+        t = ga / (ga - gb)
+        for _ in range(2):
+            t = t - (((c3 * t + c2) * t + c1) * t + ga) / ((3.0 * c3 * t + 2.0 * c2) * t + c1)
+        x = a + t * w
+    x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+    if x0 is not None:
+        x = np.where((a < x0) & (x0 < b), x0, x)
+    return x
+
+
+def _require_bracket(x3, d1) -> None:
+    """The sign check of the polish: over the two grid cells
+    [x3[0], x3[2]] around the grid minimum, f' = d1 must go from
+    negative to positive."""
+    _require_sign_change(float(x3[0]), float(x3[2]), float(d1[0]), float(d1[2]))
+
+
+def solve_p1_sca(inst: P1Instance, x0: float | None = None) -> ScaResult:
     """Minimize the slot objective over the feasible window.
 
     The window may straddle x = 0, where the objective typically has a
     local maximum separating two basins, so the basin is chosen by the
-    plain-float objective on P1_GRID_POINTS evenly spaced points.  A
-    grid minimum at a window end whose f' points out of the window is
-    returned exactly; otherwise f' = 0 is solved by safeguarded Newton
-    on the grid cells either side of the grid minimum, starting from x0
-    when it lies strictly inside them, to |dx| < 1e-9*H.  The returned
-    point is never worse than the best grid point.
+    plain-float objective on P1_GRID_POINTS evenly spaced points.  f'
+    and f'' are then evaluated once at the grid minimum x_k and its two
+    neighbours (indices clamped to the grid, so at a window end x_k is
+    lo or hi itself).  A grid minimum at a window end whose f' points
+    out of the window, or an interior one where f' is exactly 0, is
+    returned exactly.  Otherwise f' must go from negative to positive
+    over the two grid cells around x_k (BracketError if not), the sign
+    of f'(x_k) picks the one cell that holds the root, and f' = 0 is
+    solved there by safeguarded Newton to |dx| < 1e-9*H, starting from
+    x0 when it lies strictly inside the cell, else from _newton_start's
+    Hermite root.  The cell's end values are reused for the Newton
+    routine's own sign check.  The returned point is never worse than
+    the best grid point.
     """
-    lo, hi = inst.lo, inst.hi
-    xs = np.linspace(lo, hi, P1_GRID_POINTS)
+    last = P1_GRID_POINTS - 1
+    xs = np.linspace(inst.lo, inst.hi, P1_GRID_POINTS)
     fs = _objective(xs, inst.x_hat_prev, inst._prior_info, inst.params)
     k = int(np.argmin(fs))
-    last = P1_GRID_POINTS - 1
     x_grid, f_grid = float(xs[k]), float(fs[k])
-
-    def slope(x):
-        return objective_f(x, inst)[1:]
-
-    if (k == 0 and slope(lo)[0] >= 0.0) or (k == last and slope(hi)[0] <= 0.0):
+    x3 = xs[[max(k - 1, 0), k, min(k + 1, last)]]
+    _, d1, d2 = zip(*(objective_f(float(x), inst) for x in x3))
+    at_end = (k == 0 and d1[1] >= 0.0) or (k == last and d1[1] <= 0.0)
+    if not at_end:
+        _require_bracket(x3, d1)
+    if at_end or d1[1] == 0.0:
         x, f, iterations = x_grid, f_grid, 0
     else:
+        i = 1 if d1[1] < 0.0 else 0
+        a, b = float(x3[i]), float(x3[i + 1])
+        start = _newton_start(x3[i], x3[i + 1], d1[i], d1[i + 1], d2[i], d2[i + 1], x0)
+        # the routine's sign check at a and b reads the values at hand
+        known = {a: (d1[i], d2[i]), b: (d1[i + 1], d2[i + 1])}
         x, iterations = _newton_bracketed(
-            slope, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, last)]),
-            tol=1e-9 * inst.params.h_alt, x0=x0)
+            lambda t: known.get(t) or objective_f(t, inst)[1:], a, b,
+            tol=1e-9 * inst.params.h_alt, x0=float(start))
         f = _objective(x, inst.x_hat_prev, inst._prior_info, inst.params)
         if f > f_grid:
             x, f = x_grid, f_grid
@@ -185,34 +234,46 @@ def solve_p1_sca(inst: P1Instance, x0: float) -> ScaResult:
 def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams, solve):
     """solve_p1_sca's optimum for a batch of slot problems, in lockstep.
 
-    Entry i is the window [lo[i], hi[i]] with start x0[i], x_hat_prev[i]
-    and prior information prior_info.at(i); the arguments are arrays of
-    one shape (n,).  Only entries where the boolean array solve is set
-    are solved, and they must have windows of positive length; the
-    others return their grid point.  Every step is solve_p1_sca's: the
-    grid pass is one (n, P1_GRID_POINTS) array evaluation, the
-    window-end test and the bracketed Newton polish run on the whole
-    batch, and each entry takes its own result by np.where masks.
+    Entry i is the window [lo[i], hi[i]] with x_hat_prev[i] and prior
+    information prior_info.at(i); the arguments are arrays of one shape
+    (n,), and x0 is such an array of starts or None.  Only entries where
+    the boolean array solve is set are solved, and they must have
+    windows of positive length; the others return their grid point.
+    Every step is solve_p1_sca's.  The grid pass is one
+    (n, P1_GRID_POINTS) array evaluation and f', f'' at the grid minima
+    and their neighbours one (n, 3) dual-number evaluation.  The
+    window-end test, the sign check (raising the BracketError of the
+    lowest failing entry) and the Newton start read its values, and the
+    Newton polish runs on the whole batch, each entry taking its own
+    result by np.where masks.
     """
-    xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=1)
+    last = P1_GRID_POINTS - 1
     rows_prior = Sym2(prior_info.m11[:, None], prior_info.m12[:, None], prior_info.m22[:, None])
+    xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=1)
     fs = _objective(xs, x_hat_prev[:, None], rows_prior, params)
     k = fs.argmin(axis=1)
     rows = np.arange(len(k))
-    last = P1_GRID_POINTS - 1
     x_grid, f_grid = xs[rows, k], fs[rows, k]
+    x3 = xs[rows[:, None], np.clip(k[:, None] + (-1, 0, 1), 0, last)]
+    f3 = _objective(Dual2.variable(x3), x_hat_prev[:, None], rows_prior, params)
+    d1 = f3.d1
+    at_end = ((k == 0) & (d1[:, 1] >= 0.0)) | ((k == last) & (d1[:, 1] <= 0.0))
+    bracketed = solve & ~at_end
+    raise_at_first(bracketed & ~((d1[:, 0] < 0.0) & (0.0 < d1[:, 2])),
+                   lambda i: _require_bracket(x3[i], d1[i]))
+    interior = bracketed & (d1[:, 1] != 0.0)
+    if not interior.any():
+        return x_grid
+    right = d1[:, 1] < 0.0
+    a, ga, ha = (np.where(right, v[:, 1], v[:, 0]) for v in (x3, d1, f3.d2))
+    b, gb, hb = (np.where(right, v[:, 2], v[:, 1]) for v in (x3, d1, f3.d2))
 
     def slope(x):
         f = _objective(Dual2.variable(x), x_hat_prev, prior_info, params)
         return f.d1, f.d2
 
-    d1_end = slope(np.where(k == 0, lo, hi))[0]
-    interior = solve & ~(((k == 0) & (d1_end >= 0.0)) | ((k == last) & (d1_end <= 0.0)))
-    if not interior.any():
-        return x_grid
-    x = _newton_bracketed_each(
-        slope, xs[rows, np.maximum(k - 1, 0)], xs[rows, np.minimum(k + 1, last)],
-        1e-9 * params.h_alt, x0, interior)
+    x = _newton_bracketed_each(slope, a, b, 1e-9 * params.h_alt,
+                               _newton_start(a, b, ga, gb, ha, hb, x0), interior)
     f = _objective(x, x_hat_prev, prior_info, params)
     return np.where(interior & ~(f > f_grid), x, x_grid)
 
@@ -302,16 +363,14 @@ def _newton_bracketed(deriv_fn, lo: float, hi: float, tol: float,
 
 
 def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: int = 200):
-    """_newton_bracketed on every entry of a batch where the boolean
-    array active is set, in lockstep: deriv_fn maps an array of iterates
-    to (F, F') arrays, each entry follows the scalar step rule and stops
-    where the scalar routine would return; inactive entries carry no
-    result.  Raises the BracketError of the lowest active entry without a sign
-    change."""
-    f_lo, f_hi = deriv_fn(lo)[0], deriv_fn(hi)[0]
-    raise_at_first(active & ~((f_lo < 0.0) & (0.0 < f_hi)),
-                   lambda i: _require_sign_change(float(lo[i]), float(hi[i]),
-                                                  float(f_lo[i]), float(f_hi[i])))
+    """_newton_bracketed's iteration on every entry of a batch where the
+    boolean array active is set, in lockstep: deriv_fn maps an array of
+    iterates to (F, F') arrays, each entry starts from x0 when it lies
+    strictly inside [lo, hi] (else the midpoint), follows the scalar
+    step rule and stops where the scalar routine would return; inactive
+    entries carry no result.  The sign change F(lo) < 0 < F(hi) is not
+    checked here: solve_p1_each checks it on values it already has.
+    """
     x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
     active = active.copy()
     for _ in range(max_iter):

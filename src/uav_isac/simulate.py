@@ -34,8 +34,10 @@ every recorded quantity is a plain float.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -192,7 +194,7 @@ def _target_proposed(eta: float, x_hat: float, mse_pred: Sym2,
         if min(x_c, eta + reach) == lo:
             return lo, False
         return (eta - reach if eta > 0.0 else eta + reach), True
-    return optimize.solve_p1_sca(inst, min(max(eta, inst.lo), inst.hi)).x_breve_opt, False
+    return optimize.solve_p1_sca(inst).x_breve_opt, False
 
 
 def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2,
@@ -206,25 +208,23 @@ def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2,
     return eta - math.copysign(reach, eta), False
 
 
-def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
+def _targets_proposed_each(eta, x_hat, prior_info, params: SystemParams):
     """_target_proposed for a batch of trials (arrays, one entry per
     trial): the P1 window, its solve for the windows of positive length,
     the touching point of a degenerate window and the flagged fallback
-    otherwise.  Returns the x_breve array; flags are not kept."""
-    require_positive_definite_each(mse_pred, "mse_pred")
-    prior_info = inverse_each(mse_pred)
+    otherwise.  prior_info() is the slot's prior information (see
+    _plan_each).  Returns the x_breve array; flags are not kept."""
     x_c = optimize.qos_radius(params)
     reach = params.v_a_max * params.dt
     lo = np.maximum(-x_c, eta - reach)
     hi = np.minimum(x_c, eta + reach)
     has_length = hi - lo > 0.0
-    x_opt = optimize.solve_p1_each(lo, hi, np.minimum(np.maximum(eta, lo), hi), x_hat,
-                                   prior_info, params, has_length)
+    x_opt = optimize.solve_p1_each(lo, hi, None, x_hat, prior_info(), params, has_length)
     fallback = np.where(hi == lo, lo, np.where(eta > 0.0, eta - reach, eta + reach))
     return np.where(has_length, x_opt, fallback)
 
 
-def _targets_right_above_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
+def _targets_right_above_each(eta, x_hat, prior_info, params: SystemParams):
     """_target_right_above for a batch of trials."""
     reach = params.v_a_max * params.dt
     return np.where(np.abs(eta) <= reach, 0.0, eta - np.copysign(reach, eta))
@@ -263,38 +263,53 @@ def _plan(fstate: ekf.FilterState, w: WorldState, params: SystemParams,
     return x_a, v_a, flagged, ekf.Prediction(state, pred.mse_pred)
 
 
+def _prior_information_each(mse_pred: Sym2) -> Sym2:
+    """M_p^{-1} for a batch of prediction MSEs; raises for the lowest
+    trial whose prediction MSE is not positive definite."""
+    require_positive_definite_each(mse_pred, "mse_pred")
+    return inverse_each(mse_pred)
+
+
 def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
-               targets) -> tuple[np.ndarray, np.ndarray, ekf.Prediction]:
+               targets) -> tuple[np.ndarray, np.ndarray, ekf.Prediction, Callable[[], Sym2]]:
     """_plan for a batch of trials (every field an array, one entry per
-    trial): the waypoints x_a, slot velocities v_a and the predictions.
-    The velocity-reach check of design_trajectory raises for the lowest
-    trial that fails it."""
+    trial): the waypoints x_a, slot velocities v_a, the predictions and
+    prior_info, a function returning the slot's prior information
+    M_p^{-1}.  The target rule, the update and the weighted_actual
+    column share it; it is checked and inverted once, at its first call,
+    which the proposed rule makes while planning and the right-above
+    rule leaves to the update, so a refusal names the slot where
+    run_scenario raises it.  The velocity-reach check of
+    design_trajectory raises for the lowest trial that fails it."""
     dt = params.dt
     pred = ekf.predict(fstate, params)
+    prior_info = functools.cache(lambda: _prior_information_each(pred.mse_pred))
     eta = pred.pred.x + uav_vel * dt
     x_hat = fstate.est.x
-    x_breve = targets(eta, x_hat, pred.mse_pred, params)
+    x_breve = targets(eta, x_hat, prior_info, params)
     raise_at_first(np.abs(x_breve - eta) > params.v_a_max * dt + 1e-9,
                    lambda i: optimize.design_trajectory(
                        float(x_breve[i]), float(eta[i]),
                        (float(uav_pos[i]), float(uav_vel[i])), params))
     x_a = eta + uav_pos - x_breve
     return x_a, (x_a - uav_pos) / dt, ekf.Prediction(
-        RelativeState(x_breve, (x_breve - x_hat) / dt), pred.mse_pred)
+        RelativeState(x_breve, (x_breve - x_hat) / dt), pred.mse_pred), prior_info
 
 
-def _update_each(pred: ekf.Prediction, y, s, params: SystemParams) -> ekf.FilterState:
+def _update_each(pred: ekf.Prediction, prior_info, y, s,
+                 params: SystemParams) -> ekf.FilterState:
     """ekf.update for a batch of trials: y = (phi, tau, mu) and the
-    channel variances s = (s1, s2, s3) are arrays; the checks raise for
-    the lowest failing trial."""
+    channel variances s = (s1, s2, s3) are arrays, and prior_info() is
+    the prediction's information (see _plan_each); the checks raise for
+    the lowest failing trial, in ekf.update's order."""
     with np.errstate(divide="ignore"):
         w = tuple(1.0 / si for si in s)
     raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
                    lambda i: ekf._measured_weights(tuple(float(si[i]) for si in s)))
-    require_positive_definite_each(pred.mse_pred, "mse_pred")
+    prior = prior_info()  # after the weights check, as in ekf.update
     mean = sensing.measure_mean_each(pred.pred, params)
     info, gx, gv = ekf._information_and_score(
-        pred.pred, inverse_each(pred.mse_pred), w, sensing.jacobian_each(pred.pred, params),
+        pred.pred, prior, w, sensing.jacobian_each(pred.pred, params),
         tuple(yi - mi for yi, mi in zip(y, mean)), params)
     mse = inverse_each(info)
     x, v = pred.pred.x, pred.pred.v
@@ -410,7 +425,7 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, scheme: str,
     rate = np.empty((cfg.n_slots, n_trials))
     n = 0
     try:
-        x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, targets)
+        x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, targets)
         for n in range(1, cfg.n_slots + 1):
             z0, z1, e1, e2, e3 = slot_draws[:, n - 1].T
             obj_pos = obj_pos + obj_vel * dt + l11 * z0
@@ -421,12 +436,11 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, scheme: str,
                 s = tuple(1.0 / wi for wi in sensing.noise_weights(true_rel.x, p))
             y = tuple(m + k * np.sqrt(si) * e
                       for m, si, e in zip(sensing.measure_mean_each(true_rel, p), s, (e1, e2, e3)))
-            fstate = _update_each(pred, y, s, p)
-            prior_info = inverse_each(pred.mse_pred)
-            weighted[n - 1] = ekf._anticipated_bounds(true_rel.x, true_rel.v, prior_info, p)[2]
+            fstate = _update_each(pred, prior_info, y, s, p)
+            weighted[n - 1] = ekf._anticipated_bounds(true_rel.x, true_rel.v, prior_info(), p)[2]
             rate[n - 1] = sensing.achievable_rate_each(pred.pred.x, p)
             if n < cfg.n_slots:
-                x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, targets)
+                x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, targets)
     except Exception as exc:
         i = getattr(exc, "batch_index", 0)
         _add_context(exc, f"trial {i} (seed {cfg.seed + i}), slot {n}")

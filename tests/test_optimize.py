@@ -265,6 +265,48 @@ def test_batched_slot_solve_bracket_error_names_entry(monkeypatch):
     assert exc_info.value.dg_lo == exc_info.value.dg_hi == -1.0
 
 
+def _mixed_windows(seed):
+    # random windows, window-end optima and two-basin windows
+    rng = np.random.default_rng(seed)
+    insts = [_instance(80.0, 79.5), _instance(-80.0, -79.5),
+             _instance(1.0, -1.0), _instance(-2.0, 1.0)]
+    for _ in range(60):
+        eta = float(rng.uniform(-78, 78))
+        m11, m22 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 0.5))
+        m12 = float(rng.uniform(-0.8, 0.8)) * math.sqrt(m11 * m22)
+        insts.append(_instance(eta, eta + float(rng.uniform(-2, 2)), m11=m11, m22=m22, m12=m12))
+    return insts
+
+
+def test_batched_slot_solve_without_start_equals_scalar_solve():
+    insts = _mixed_windows(35)
+    lo, hi, _, x_hat, prior = _batch_of(insts)
+    got = optimize.solve_p1_each(lo, hi, None, x_hat, prior, P, np.ones(len(insts), bool))
+    assert got.tolist() == [optimize.solve_p1_sca(inst).x_breve_opt for inst in insts]
+
+
+def test_hermite_start_reaches_the_midpoint_start_optimum():
+    rng = np.random.default_rng(36)
+    solved = 0
+    while solved < 20:
+        eta = float(rng.uniform(-78, 78))
+        m11, m22 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 0.5))
+        m12 = float(rng.uniform(-0.8, 0.8)) * math.sqrt(m11 * m22)
+        inst = _instance(eta, eta + float(rng.uniform(-2, 2)), m11=m11, m22=m22, m12=m12)
+        res = optimize.solve_p1_sca(inst)
+        if res.iterations == 0:
+            continue  # a window-end optimum has no Newton start
+        solved += 1
+        # the grid cell next to the grid minimum where f' changes sign,
+        # solved from its midpoint
+        xs = np.linspace(inst.lo, inst.hi, optimize.P1_GRID_POINTS)
+        k = int(np.argmin(optimize._objective(xs, inst.x_hat_prev, inst._prior_info, P)))
+        slope = lambda x: optimize.objective_f(x, inst)[1:]
+        cell = (xs[k], xs[k + 1]) if slope(float(xs[k]))[0] < 0.0 else (xs[k - 1], xs[k])
+        want, _ = optimize._newton_bracketed(slope, float(cell[0]), float(cell[1]), 1e-9 * P.h_alt)
+        assert abs(res.x_breve_opt - want) <= 1e-12
+
+
 # ------------------------------------------------------------ SP1 geometry
 
 def test_xi_and_brackets_frozen():

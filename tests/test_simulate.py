@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from uav_isac import simulate
+from uav_isac.dual import Dual2
 from uav_isac.errors import (
     BracketError,
     ConfigError,
@@ -306,6 +307,26 @@ def test_monte_carlo_rejects_nonpositive_trials():
 def test_monte_carlo_rejects_bad_trial_counts(n_trials):
     with pytest.raises(ConfigError, match="n_trials"):
         run_monte_carlo(ScenarioConfig(), P, n_trials=n_trials)
+
+
+def test_batched_slot_solve_evaluation_budget(monkeypatch):
+    # one (n, 3) bracket evaluation plus the Newton rounds of the slowest
+    # trial; the sign checks and the window-end test cost nothing extra
+    counts = {"dual": 0, "solves": 0}
+    objective, solve = simulate.optimize._objective, simulate.optimize.solve_p1_each
+
+    def counting_objective(x, *args):
+        counts["dual"] += isinstance(x, Dual2)
+        return objective(x, *args)
+
+    def counting_solve(*args):
+        counts["solves"] += 1
+        return solve(*args)
+    monkeypatch.setattr(simulate.optimize, "_objective", counting_objective)
+    monkeypatch.setattr(simulate.optimize, "solve_p1_each", counting_solve)
+    run_monte_carlo(ScenarioConfig(), P, 10)
+    assert counts["solves"] == 100
+    assert counts["dual"] <= 3.5 * counts["solves"]
 
 
 def _lockstep_columns(cfg, params, scheme, n_trials):
