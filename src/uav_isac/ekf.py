@@ -86,15 +86,26 @@ def update(pred: Prediction, y: Measurement, params: SystemParams) -> FilterStat
     or too small for its reciprocal to be finite.
     """
     w = _measured_weights(y.noise_cov.diagonal())
-    require_positive_definite(pred.mse_pred, "mse_pred")
-    phi, tau, mu = measure_mean(pred.pred, params)
+    return _posterior(pred.pred, _prior_information(pred.mse_pred), w, (y.phi, y.tau, y.mu), params)
+
+
+def _prior_information(mse_pred: Sym2) -> Sym2:
+    """M_p^{-1}; raises NotPositiveDefiniteError unless mse_pred is
+    positive definite."""
+    require_positive_definite(mse_pred, "mse_pred")
+    return mse_pred.inverse()
+
+
+def _posterior(pred: RelativeState, prior_info: Sym2, w, y, params: SystemParams) -> FilterState:
+    """The update's posterior at the predicted state for the prediction's
+    information, weights w = (1/s1, 1/s2, 1/s3) and y = (phi, tau, mu)."""
+    phi, tau, mu = measure_mean(pred, params)
     info, gx, gv = _information_and_score(
-        pred.pred, pred.mse_pred.inverse(), w, jacobian(pred.pred, params),
-        (y.phi - phi, y.tau - tau, y.mu - mu), params)
+        pred, prior_info, w, jacobian(pred, params), (y[0] - phi, y[1] - tau, y[2] - mu), params)
     mse = info.inverse()
-    x, v = pred.pred.x, pred.pred.v
-    est = RelativeState(x + mse.m11 * gx + mse.m12 * gv, v + mse.m12 * gx + mse.m22 * gv)
-    return FilterState(est, mse)
+    x, v = pred.x, pred.v
+    return FilterState(RelativeState(x + mse.m11 * gx + mse.m12 * gv,
+                                     v + mse.m12 * gx + mse.m22 * gv), mse)
 
 
 def _measured_weights(s) -> tuple[float, float, float]:
@@ -162,15 +173,21 @@ def _weighted(bound_x, bound_v, alpha: float):
     return alpha * bound_x + (1.0 - alpha) * bound_v
 
 
-def _anticipated_bounds(x, v, prior_info: Sym2, params: SystemParams):
-    """(bound_x, bound_v, weighted): the diagonal of
-    (prior_info + measurement information at (x, v) with the weights
-    modelled at x)^{-1} and its alpha-weighted combination."""
-    a = _add_information(prior_info, *_fisher_terms(x, v, params))
+def _bounds(prior_info: Sym2, terms, alpha: float):
+    """(bound_x, bound_v, weighted): the diagonal of (prior_info +
+    the measurement information terms of _fisher_terms)^{-1} and its
+    alpha-weighted combination."""
+    a = _add_information(prior_info, *terms)
     inv_det = 1.0 / a.det
     bound_x = a.m22 * inv_det
     bound_v = a.m11 * inv_det
-    return bound_x, bound_v, _weighted(bound_x, bound_v, params.alpha)
+    return bound_x, bound_v, _weighted(bound_x, bound_v, alpha)
+
+
+def _anticipated_bounds(x, v, prior_info: Sym2, params: SystemParams):
+    """_bounds with the measurement information at (x, v) for the
+    weights modelled at x."""
+    return _bounds(prior_info, _fisher_terms(x, v, params), params.alpha)
 
 
 def predicted_pcrb(x_breve: float, v_breve: float, mse_pred: Sym2,
@@ -182,8 +199,7 @@ def predicted_pcrb(x_breve: float, v_breve: float, mse_pred: Sym2,
     anticipated at x_breve; the bounds are the diagonal of its inverse.
     mse_pred must be positive definite.
     """
-    require_positive_definite(mse_pred, "mse_pred")
-    return PcrbPair(*_anticipated_bounds(x_breve, v_breve, mse_pred.inverse(), params))
+    return PcrbPair(*_anticipated_bounds(x_breve, v_breve, _prior_information(mse_pred), params))
 
 
 def crb_measurement(x: float, v: float, params: SystemParams) -> tuple[float, float]:
@@ -196,7 +212,12 @@ def crb_measurement(x: float, v: float, params: SystemParams) -> tuple[float, fl
     carries no velocity information, so crb_v is reported as +inf;
     solvers treat it as a barrier.
     """
-    i_pos, zz, _, vv = _fisher_terms(x, v, params)
+    return _crb(_fisher_terms(x, v, params))
+
+
+def _crb(terms) -> tuple[float, float]:
+    """(crb_x, crb_v) from the Fisher terms (i_pos, zz, zv, vv)."""
+    i_pos, zz, _, vv = terms
     crb_x = 1.0 / i_pos
     if vv == 0.0:
         return crb_x, math.inf

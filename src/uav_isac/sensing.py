@@ -127,8 +127,16 @@ def noise_weights(x, params: SystemParams, u=None):
 def noise_cov_actual(s: RelativeState, params: SystemParams) -> DiagMat3:
     """Measurement noise variances at the state where the echo actually
     arrives from: the reciprocals of noise_weights at s.x."""
-    w1, w2, w3 = noise_weights(s.x, params)
-    return DiagMat3(1.0 / w1, 1.0 / w2, 1.0 / w3)
+    return DiagMat3(*_variances(s.x, params))
+
+
+def _variances(x: float, params: SystemParams) -> tuple[float, float, float]:
+    """The reciprocals of noise_weights at x, formed as numpy forms them:
+    a weight that underflows to 0 gives an infinite variance and NaN
+    stays NaN."""
+    w1, w2, w3 = noise_weights(x, params)
+    return (1.0 / w1 if w1 else math.inf, 1.0 / w2 if w2 else math.inf,
+            1.0 / w3 if w3 else math.inf)
 
 
 def jacobian(s: RelativeState, params: SystemParams) -> Jacobian32:
@@ -175,13 +183,15 @@ def sample_measurement(s_true: RelativeState, params: SystemParams, rng,
     """
     if noise_scale < 0:
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale!r}")
-    phi, tau, mu = measure_mean(s_true, params)
     cov = noise_cov_actual(s_true, params)
     z = rng.standard_normal(3).tolist()
-    k = noise_scale
-    return Measurement(
-        phi + k * math.sqrt(cov.s1) * z[0],
-        tau + k * math.sqrt(cov.s2) * z[1],
-        mu + k * math.sqrt(cov.s3) * z[2],
-        cov,
-    )
+    return Measurement(*_noisy_mean(s_true, cov.diagonal(), z, noise_scale, params), cov)
+
+
+def _noisy_mean(s_true: RelativeState, s, z, k: float,
+                params: SystemParams) -> tuple[float, float, float]:
+    """measure_mean at s_true plus k*sqrt(s_i)*z_i on channel i, for
+    variances s = (s1, s2, s3) and standard-normal draws z."""
+    phi, tau, mu = measure_mean(s_true, params)
+    return (phi + k * math.sqrt(s[0]) * z[0], tau + k * math.sqrt(s[1]) * z[1],
+            mu + k * math.sqrt(s[2]) * z[2])

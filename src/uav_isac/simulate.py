@@ -14,6 +14,10 @@ unless it was the last slot, the next slot is planned.
 
 There are two loops over the same slot.  run_scenario runs one trial
 on plain Python floats and records every quantity; it is the reference.
+Its arithmetic is that of the public one-step functions (step_ground_truth,
+sample_measurement, ekf.update, predicted_pcrb, crb_measurement), written
+flat over the helpers they share: a slot inverts its prediction MSE once
+and takes one Fisher pass at the prediction.
 run_monte_carlo runs all trials of one scheme in lockstep: every state
 is a numpy array with one entry per trial, every step is the array form
 of the scalar step (the same arithmetic; numpy transcendentals may
@@ -25,10 +29,10 @@ Determinism contract: one generator per trial, seeded with the trial's
 seed, consumed in a fixed order (2 draws for the initial estimate
 perturbation, then per slot 2 process-noise draws followed by 3
 measurement-noise draws), so a seed pins the entire record sequence
-bit-for-bit.  run_scenario draws them as it goes; the lockstep loop
-pre-draws the same stream at once, standard_normal(2 + 5*n_slots) from
-default_rng(seed), which numpy's generator yields identically (a test
-pins this).  Draws are converted to Python floats in run_scenario, so
+bit-for-bit.  Both loops pre-draw that stream at once,
+standard_normal(2 + 5*n_slots) from default_rng(seed), which numpy's
+generator yields identically to the draws taken one step at a time (a
+test pins this).  run_scenario converts its draws to Python floats, so
 every recorded quantity is a plain float.
 """
 
@@ -164,15 +168,17 @@ def step_ground_truth(w: WorldState, params: SystemParams, rng) -> WorldState:
     draws are consumed even when q_tilde = 0 so that stream alignment
     does not depend on q_tilde.
     """
-    z0, z1 = rng.standard_normal(2).tolist()
-    l11, l21, l22 = _process_noise_factor(params)
-    return WorldState(
-        obj_pos=w.obj_pos + w.obj_vel * params.dt + l11 * z0,
-        obj_vel=w.obj_vel + (l21 * z0 + l22 * z1),
-        uav_pos=w.uav_pos,
-        uav_vel=w.uav_vel,
-        slot=w.slot + 1,
-    )
+    obj_pos, obj_vel = _object_step(w.obj_pos, w.obj_vel, *rng.standard_normal(2).tolist(),
+                                    params.dt, _process_noise_factor(params))
+    return WorldState(obj_pos, obj_vel, w.uav_pos, w.uav_vel, w.slot + 1)
+
+
+def _object_step(pos, vel, z0, z1, dt: float, factor):
+    """step_ground_truth's object motion for draws (z0, z1) and the
+    process-noise factor (l11, l21, l22); generic over floats and
+    arrays."""
+    l11, l21, l22 = factor
+    return pos + vel * dt + l11 * z0, vel + (l21 * z0 + l22 * z1)
 
 
 def _target_proposed(eta: float, x_hat: float, mse_pred: Sym2,
@@ -240,7 +246,7 @@ _TARGET_RULES_EACH = {
 }
 
 
-def _plan(fstate: ekf.FilterState, w: WorldState, params: SystemParams,
+def _plan(fstate: ekf.FilterState, uav_pos: float, uav_vel: float, params: SystemParams,
           target_rule) -> tuple[float, float, bool, ekf.Prediction]:
     """Decide the next slot: the platform waypoint x_a and slot velocity
     v_a, whether the slot is flagged (the rate disc was unreachable and
@@ -255,10 +261,10 @@ def _plan(fstate: ekf.FilterState, w: WorldState, params: SystemParams,
     on the command.
     """
     pred = ekf.predict(fstate, params)
-    eta = pred.pred.x + w.uav_vel * params.dt
+    eta = pred.pred.x + uav_vel * params.dt
     x_hat = fstate.est.x
     x_breve, flagged = target_rule(eta, x_hat, pred.mse_pred, params)
-    x_a, v_a = optimize.design_trajectory(x_breve, eta, (w.uav_pos, w.uav_vel), params)
+    x_a, v_a = optimize.design_trajectory(x_breve, eta, (uav_pos, uav_vel), params)
     state = RelativeState(x_breve, (x_breve - x_hat) / params.dt)
     return x_a, v_a, flagged, ekf.Prediction(state, pred.mse_pred)
 
@@ -334,57 +340,50 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
     true relative state, updates the planned prediction, records, and
     plans the next slot unless it was the last.  The "actual" bound pair
     is the anticipated bound re-evaluated at the true relative state
-    with the same prediction MSE.  Component errors propagate with the
+    with the same prediction MSE.  The trial's draws are taken in one
+    call before the first slot.  Component errors propagate with the
     slot index attached.
     """
     p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
     target_rule = _TARGET_RULES[cfg.scheme]
-    rng = np.random.default_rng(cfg.seed)
+    z = np.random.default_rng(cfg.seed).standard_normal(2 + 5 * cfg.n_slots).tolist()
+    dt, k, alpha = p.dt, cfg.noise_scale, p.alpha
+    factor = _process_noise_factor(p)
 
-    world = WorldState(cfg.init_obj_pos, cfg.init_obj_vel,
-                       cfg.init_uav_pos, cfg.init_uav_vel, 0)
-    rel0 = world.relative()
-    z = rng.standard_normal(2).tolist()
-    est0 = RelativeState(rel0.x + cfg.init_est_std[0] * z[0],
-                         rel0.v + cfg.init_est_std[1] * z[1])
+    obj_pos, obj_vel = cfg.init_obj_pos, cfg.init_obj_vel
+    uav_pos, uav_vel = cfg.init_uav_pos, cfg.init_uav_vel
+    est0 = RelativeState((obj_pos - uav_pos) + cfg.init_est_std[0] * z[0],
+                         (obj_vel - uav_vel) + cfg.init_est_std[1] * z[1])
     fstate = ekf.FilterState(est0, Sym2.diag(cfg.init_mse[0], cfg.init_mse[1]))
 
     records: list[SlotRecord] = []
     n = 0
     try:
-        x_a, v_a, flagged, pred = _plan(fstate, world, p, target_rule)
+        x_a, v_a, flagged, pred = _plan(fstate, uav_pos, uav_vel, p, target_rule)
         for n in range(1, cfg.n_slots + 1):
-            world = replace(step_ground_truth(world, p, rng), uav_pos=x_a, uav_vel=v_a)
-            true_rel = world.relative()
-            meas = sensing.sample_measurement(true_rel, p, rng, cfg.noise_scale)
-            fstate = ekf.update(pred, meas, p)
+            # step_ground_truth, the planned command and sample_measurement
+            z0, z1, e1, e2, e3 = z[5 * n - 3:5 * n + 2]
+            obj_pos, obj_vel = _object_step(obj_pos, obj_vel, z0, z1, dt, factor)
+            uav_pos, uav_vel = x_a, v_a
+            x, v = obj_pos - uav_pos, obj_vel - uav_vel
+            s = sensing._variances(x, p)
+            y = sensing._noisy_mean(RelativeState(x, v), s, (e1, e2, e3), k, p)
+            # ekf.update, then both bounds from the one prior information;
+            # one Fisher pass at the prediction serves its bound and tr_mm
+            w = ekf._measured_weights(s)
+            prior = ekf._prior_information(pred.mse_pred)
+            fstate = ekf._posterior(pred.pred, prior, w, y, p)
             x_breve, v_breve = pred.pred.x, pred.pred.v
-            pcrb_pred = ekf.predicted_pcrb(x_breve, v_breve, pred.mse_pred, p)
-            pcrb_act = ekf.predicted_pcrb(true_rel.x, true_rel.v, pred.mse_pred, p)
-            crb_x, crb_v = ekf.crb_measurement(x_breve, v_breve, p)
+            terms = ekf._fisher_terms(x_breve, v_breve, p)
+            bx_pred, bv_pred, _ = ekf._bounds(prior, terms, alpha)
+            bx_act, bv_act, weighted_act = ekf._anticipated_bounds(x, v, prior, p)
+            crb_x, crb_v = ekf._crb(terms)
             records.append(SlotRecord(
-                slot=n,
-                t_s=n * p.dt,
-                x_true=true_rel.x,
-                v_true=true_rel.v,
-                x_hat=fstate.est.x,
-                v_hat=fstate.est.v,
-                x_breve=x_breve,
-                v_breve=v_breve,
-                x_uav=world.uav_pos,
-                v_uav=world.uav_vel,
-                pcrb_x_pred=pcrb_pred.pcrb_x,
-                pcrb_v_pred=pcrb_pred.pcrb_v,
-                pcrb_x_actual=pcrb_act.pcrb_x,
-                pcrb_v_actual=pcrb_act.pcrb_v,
-                weighted_actual=pcrb_act.weighted,
-                rate_bpshz=sensing.achievable_rate(x_breve, p),
-                tr_mp=pred.mse_pred.trace,
-                tr_mm=crb_x + crb_v,
-                flagged=flagged,
-            ))
+                n, n * dt, x, v, fstate.est.x, fstate.est.v, x_breve, v_breve, uav_pos, uav_vel,
+                bx_pred, bv_pred, bx_act, bv_act, weighted_act,
+                sensing.achievable_rate(x_breve, p), pred.mse_pred.trace, crb_x + crb_v, flagged))
             if n < cfg.n_slots:
-                x_a, v_a, flagged, pred = _plan(fstate, world, p, target_rule)
+                x_a, v_a, flagged, pred = _plan(fstate, uav_pos, uav_vel, p, target_rule)
     except Exception as exc:
         _add_context(exc, f"slot {n}")
         raise
@@ -408,7 +407,7 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, scheme: str,
     dt, k = p.dt, cfg.noise_scale
     # the lockstep forms of step_ground_truth and sample_measurement read
     # the same draws in the same order
-    l11, l21, l22 = _process_noise_factor(p)
+    factor = _process_noise_factor(p)
     slot_draws = draws[:, 2:].reshape(n_trials, cfg.n_slots, 5)
 
     def full(value):
@@ -428,8 +427,7 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, scheme: str,
         x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, targets)
         for n in range(1, cfg.n_slots + 1):
             z0, z1, e1, e2, e3 = slot_draws[:, n - 1].T
-            obj_pos = obj_pos + obj_vel * dt + l11 * z0
-            obj_vel = obj_vel + (l21 * z0 + l22 * z1)
+            obj_pos, obj_vel = _object_step(obj_pos, obj_vel, z0, z1, dt, factor)
             uav_pos, uav_vel = x_a, v_a
             true_rel = RelativeState(obj_pos - uav_pos, obj_vel - uav_vel)
             with np.errstate(divide="ignore"):

@@ -1,9 +1,12 @@
 """Independent reference values and reference implementations.
 
-Everything here is derived from the model equations directly with
-numpy — no imports from the package under test — so agreement between
-the two is evidence, not tautology.  FROZEN holds point values
-computed once at 40-digit precision and pasted in verbatim.
+Everything here except scenario_by_public_steps is derived from the
+model equations directly with numpy — no imports from the package
+under test — so agreement between the two is evidence, not tautology.
+FROZEN holds point values computed once at 40-digit precision and
+pasted in verbatim.  scenario_by_public_steps is the other kind of
+reference: the tracking loop composed from the package's public
+one-step functions, which define the loop's arithmetic.
 """
 
 from __future__ import annotations
@@ -207,3 +210,50 @@ def central_fd1(fn, x, h):
 
 def central_fd2(fn, x, h):
     return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
+
+
+def scenario_by_public_steps(cfg, params):
+    """The slot loop of simulate.run_scenario written with the public
+    one-step functions, drawing from one generator as it goes: per slot
+    step_ground_truth, the planned command, sample_measurement,
+    ekf.update, ekf.predicted_pcrb at the prediction and at the true
+    state, and ekf.crb_measurement at the prediction.  Planning is
+    simulate._plan, as in the loop.  Returns the SlotRecord list."""
+    from dataclasses import replace
+
+    from uav_isac import ekf, sensing, simulate
+    from uav_isac.linalg2 import Sym2
+
+    p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
+    rule = simulate._TARGET_RULES[cfg.scheme]
+    rng = np.random.default_rng(cfg.seed)
+    world = simulate.WorldState(cfg.init_obj_pos, cfg.init_obj_vel,
+                                cfg.init_uav_pos, cfg.init_uav_vel, 0)
+    rel0 = world.relative()
+    z = rng.standard_normal(2).tolist()
+    est0 = sensing.RelativeState(rel0.x + cfg.init_est_std[0] * z[0],
+                                 rel0.v + cfg.init_est_std[1] * z[1])
+    fstate = ekf.FilterState(est0, Sym2.diag(*cfg.init_mse))
+    records = []
+    x_a, v_a, flagged, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel, p, rule)
+    for n in range(1, cfg.n_slots + 1):
+        world = replace(simulate.step_ground_truth(world, p, rng), uav_pos=x_a, uav_vel=v_a)
+        true_rel = world.relative()
+        meas = sensing.sample_measurement(true_rel, p, rng, cfg.noise_scale)
+        fstate = ekf.update(pred, meas, p)
+        x_breve, v_breve = pred.pred.x, pred.pred.v
+        pcrb_pred = ekf.predicted_pcrb(x_breve, v_breve, pred.mse_pred, p)
+        pcrb_act = ekf.predicted_pcrb(true_rel.x, true_rel.v, pred.mse_pred, p)
+        crb_x, crb_v = ekf.crb_measurement(x_breve, v_breve, p)
+        records.append(simulate.SlotRecord(
+            slot=n, t_s=n * p.dt, x_true=true_rel.x, v_true=true_rel.v,
+            x_hat=fstate.est.x, v_hat=fstate.est.v, x_breve=x_breve, v_breve=v_breve,
+            x_uav=world.uav_pos, v_uav=world.uav_vel,
+            pcrb_x_pred=pcrb_pred.pcrb_x, pcrb_v_pred=pcrb_pred.pcrb_v,
+            pcrb_x_actual=pcrb_act.pcrb_x, pcrb_v_actual=pcrb_act.pcrb_v,
+            weighted_actual=pcrb_act.weighted, rate_bpshz=sensing.achievable_rate(x_breve, p),
+            tr_mp=pred.mse_pred.trace, tr_mm=crb_x + crb_v, flagged=flagged))
+        if n < cfg.n_slots:
+            x_a, v_a, flagged, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel,
+                                                     p, rule)
+    return records

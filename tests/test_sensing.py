@@ -81,6 +81,12 @@ def test_noise_cov_longhand_oracle():
         assert cov.s3 == pytest.approx(float(s3), rel=1e-12)
 
 
+def test_noise_cov_far_out_is_infinite_as_in_numpy():
+    # x^2 overflows, so every weight underflows to 0 and 1/0 gives inf
+    assert noise_cov_actual(RelativeState(1e200, 0.0), P).diagonal() == (math.inf,) * 3
+    assert noise_cov_actual(RelativeState(-1e160, 3.0), P).diagonal() == (math.inf,) * 3
+
+
 def test_jacobian_frozen_point():
     j = jacobian(S50, P)
     assert j.iota == pytest.approx(oracles.FROZEN["iota_50"], rel=1e-13)

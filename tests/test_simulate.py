@@ -1,18 +1,21 @@
 import math
-from dataclasses import fields, replace
+from collections import Counter
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
+import oracles
 from uav_isac import simulate
 from uav_isac.dual import Dual2
 from uav_isac.errors import (
     BracketError,
     ConfigError,
     NotPositiveDefiniteError,
+    SingularMatrixError,
     VelocityBoundError,
 )
-from uav_isac.linalg2 import process_noise_cov
+from uav_isac.linalg2 import Sym2, process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.simulate import (
     MonteCarloStats,
@@ -213,6 +216,58 @@ def test_one_prediction_per_slot(scheme, monkeypatch):
                for prev, r in zip(recs, recs[1:]))
 
 
+def test_slot_loop_operation_counts(monkeypatch):
+    """One draw call per run; per slot, one inversion of the prediction
+    MSE and one of the posterior information, and three Fisher passes
+    (the update, the prediction's bound with tr_mm, the true state's)."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *args):
+            counts["standard_normal"] += 1
+            return self.rng.standard_normal(*args)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed)))
+    monkeypatch.setattr(Sym2, "inverse", counting("inverse", Sym2.inverse))
+    monkeypatch.setattr(simulate.ekf, "_fisher_terms",
+                        counting("_fisher_terms", simulate.ekf._fisher_terms))
+    run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), P)
+    assert counts == {"inverse": 20, "_fisher_terms": 30, "standard_normal": 1}
+
+
+def _same_records(a, b):
+    """Records equal field by field, NaN cells matching NaN cells."""
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        for fa, fb in zip(astuple(ra), astuple(rb)):
+            assert type(fa) is type(fb) and (fa == fb or (fa != fa and fb != fb)), (ra, rb)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "right_above"])
+@pytest.mark.parametrize("cfg, params", [
+    *((ScenarioConfig(seed=seed), P) for seed in range(10)),
+    (ScenarioConfig(init_obj_pos=200.0), P),             # flagged fallback
+    (ScenarioConfig(n_slots=5, v_a_max=0.0), P),         # degenerate window
+    (ScenarioConfig(noise_scale=0.0), P),
+    (ScenarioConfig(), replace(P, alpha=0.0)),
+    (ScenarioConfig(), replace(P, alpha=1.0)),
+], ids=[*(f"seed{seed}" for seed in range(10)),
+        "flagged", "degenerate", "noiseless", "alpha0", "alpha1"])
+def test_run_scenario_matches_public_step_oracle(cfg, params, scheme):
+    cfg = replace(cfg, scheme=scheme)
+    _same_records(run_scenario(cfg, params), oracles.scenario_by_public_steps(cfg, params))
+
+
 def test_one_solve_per_slot(monkeypatch):
     calls = []
     solve = simulate.optimize.solve_p1_sca
@@ -262,6 +317,21 @@ def test_zero_prediction_mse_is_refused_with_slot():
     cfg = ScenarioConfig(scheme="right_above", init_mse=(0.0, 0.0))
     with pytest.raises(NotPositiveDefiniteError, match=r"^slot 1: mse_pred"):
         run_scenario(cfg, SystemParams(q_tilde=0.0))
+
+
+@pytest.mark.parametrize("cfg, slot", [
+    (ScenarioConfig(init_obj_pos=1e200), 1),           # the weights underflow to 0
+    (ScenarioConfig(init_obj_pos=-1e160, scheme="right_above"), 1),
+    (ScenarioConfig(init_est_std=(1e200, 0.0), scheme="right_above"), 2),  # NaN geometry
+])
+def test_unmeasurable_geometry_is_refused_as_in_lockstep(cfg, slot):
+    with pytest.raises(SingularMatrixError, match=rf"^slot {slot}: noise variances") as scalar:
+        run_scenario(cfg, P)
+    # the arrays overflow on the way there, which numpy reports as a warning
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SingularMatrixError) as batched:
+        _lockstep_columns(cfg, P, cfg.scheme, 1)
+    assert str(batched.value).endswith(str(scalar.value)), (scalar.value, batched.value)
 
 
 def test_slot_solver_bracket_error_propagates_with_slot(monkeypatch):
