@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularMatrixError
-from .linalg2 import Sym2, process_noise_cov, require_positive_definite
+from .linalg2 import Sym2, require_positive_definite
 from .params import SystemParams
 from .sensing import Measurement, RelativeState, jacobian, measure_mean, noise_weights
 
@@ -69,7 +69,7 @@ def predict(prev: FilterState, params: SystemParams) -> Prediction:
     # G M G^T written out for G = [[1, dt], [0, 1]]
     g11 = m.m11 + 2.0 * dt * m.m12 + dt * dt * m.m22
     g12 = m.m12 + dt * m.m22
-    q = process_noise_cov(dt, params.q_tilde)
+    q = params.process_noise
     mse_pred = Sym2(g11 + q.m11, g12 + q.m12, m.m22 + q.m22)
     return Prediction(RelativeState(est.x + est.v * dt, est.v), mse_pred)
 
@@ -119,11 +119,11 @@ def _measured_weights(s) -> tuple[float, float, float]:
 
 # -- the information-form core, generic over float / ndarray / Dual2 --
 
-def _fisher_terms(x, v, params: SystemParams, w=None):
+def _fisher_terms(x, v, params: SystemParams, w=None, h_alt=None):
     """Measurement Fisher information J^T diag(w1, w2, w3) J at (x, v)
     for per-channel weights w = (w1, w2, w3), w_i = 1/s_i; by default
     the weights modelled at x by noise_weights, which shares
-    u = 1/(x^2 + H^2) with the terms.
+    u = 1/(x^2 + H^2) with the terms; H is h_alt if given, else params.h_alt.
 
     Returns (i_pos, zz, zv, vv).  i_pos = w1*iota^2 + w2*kappa^2 is the
     angle+delay position information; the Doppler channel adds the
@@ -131,11 +131,12 @@ def _fisher_terms(x, v, params: SystemParams, w=None):
     [[zz, zv], [zv, vv]].  Written without square roots, using
     zeta = nu*y/x with y = v*H^2/(x^2+H^2).
     """
-    h2 = params.h_alt * params.h_alt
+    h = params.h_alt if h_alt is None else h_alt
+    h2 = h * h
     k = 4.0 / (params.c * params.c)
     x2 = x * x
     u = 1.0 / (x2 + h2)
-    w1, w2, w3 = noise_weights(x, params, u) if w is None else w
+    w1, w2, w3 = noise_weights(x, params, u, h) if w is None else w
     i_pos = (w1 * h2 * u + w2 * k * x2) * u
     t = w3 * (k * params.f_c * params.f_c) * u  # w3*nu^2/x^2
     y = v * h2 * u

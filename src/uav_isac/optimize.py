@@ -14,7 +14,8 @@ solve_p1_each takes the same steps for a batch of slot problems, one
 per Monte Carlo trial, as numpy arrays.  The geometry problem drops
 the prior term and minimizes the measurement-only bound g(x, 0); it
 has closed-form branches at the weight endpoints and the same
-safeguarded Newton solve on a certified-convex bracket in between.
+safeguarded Newton solve on a certified-convex bracket in between,
+run for one weight over an array of altitudes at once.
 
 All derivatives are propagated as second-order dual numbers through
 the exact same rational expressions used for plain evaluation, so the
@@ -34,7 +35,6 @@ from .errors import (
     BracketError,
     InfeasibleIntervalError,
     InfeasibleQosError,
-    UavIsacError,
     VelocityBoundError,
     raise_at_first,
 )
@@ -278,54 +278,64 @@ def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams
     return np.where(interior & ~(f > f_grid), x, x_grid)
 
 
-def xi_of_h(params: SystemParams) -> float:
+def xi_of_h(params: SystemParams, h_alt=None):
     """Curvature discriminant xi = 4 a1^2 H^2 - 5 c^2 a2^2.
 
     Its sign decides whether the position-bound curvature certificate
     admits a positive lower bracket end (xi > 0) or the bracket
     collapses to zero (xi <= 0, position bound monotone for x > 0).
+    H is h_alt (a float or an array) when given, else params.h_alt.
     """
     p = params
-    return 4.0 * p.a1 * p.a1 * p.h_alt * p.h_alt - 5.0 * p.c * p.c * p.a2 * p.a2
+    h = p.h_alt if h_alt is None else h_alt
+    return 4.0 * p.a1 * p.a1 * h * h - 5.0 * p.c * p.c * p.a2 * p.a2
 
 
-def _chi_bar(params: SystemParams) -> float:
+def _chi_bar(params: SystemParams, h_alt=None):
     # Viete amplitude of xi*chi^3 - 12 a1^2 H^2 chi - 8 a1^2 H^2 = 0;
     # equals 2*sqrt(1 + 5 c^2 a2^2 / xi) = 4 a1 H / sqrt(xi).  xi > 0 required.
-    p = params
-    return 4.0 * p.a1 * p.h_alt / math.sqrt(xi_of_h(params))
+    h = params.h_alt if h_alt is None else h_alt
+    return 4.0 * params.a1 * h / np.sqrt(xi_of_h(params, h))
 
 
-def convexity_lower_bound(params: SystemParams) -> float:
+def convexity_lower_bound(params: SystemParams, h_alt=None):
     """Left end x_l of the interval on which the position bound is
     certified convex: 0 when xi <= 0, else H/sqrt(chi_bar)."""
-    if xi_of_h(params) <= 0.0:
-        return 0.0
-    return params.h_alt / math.sqrt(_chi_bar(params))
+    h = params.h_alt if h_alt is None else h_alt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(xi_of_h(params, h) > 0.0, h / np.sqrt(_chi_bar(params, h)), 0.0)[()]
 
 
-def upper_anchor(params: SystemParams) -> float:
+def upper_anchor(params: SystemParams, h_alt=None):
     """Right end x_u = H/sqrt(2), the exact minimizer of the
     zero-velocity velocity-bound term."""
-    return params.h_alt / math.sqrt(2.0)
+    return (params.h_alt if h_alt is None else h_alt) / math.sqrt(2.0)
+
+
+def _g0(x, params: SystemParams, h_alt=None):
+    """g(x, 0) at altitude h_alt (default params.h_alt), generic over
+    floats, arrays and dual numbers.  At v = 0 the Doppler block is
+    diagonal, so crb_x = 1/i_pos and crb_v = 1/fi_vv (inf overhead)."""
+    i_pos, _, _, vv = ekf._fisher_terms(x, 0.0, params, h_alt=h_alt)
+    return ekf._weighted(1.0 / i_pos, 1.0 / vv, params.alpha)
 
 
 def g0_derivatives(x: float, params: SystemParams) -> tuple[float, float, float]:
     """(g, g', g'') of the zero-velocity measurement-only objective
     g(x, 0) at x > 0, via dual-number propagation through the Fisher
-    terms of the bound core.  At v = 0 the Doppler block is diagonal,
-    so crb_x = 1/i_pos and crb_v = 1/fi_vv."""
-    xd = Dual2.variable(x)
-    i_pos, _, _, vv = ekf._fisher_terms(xd, 0.0, params)
-    total = ekf._weighted(1.0 / i_pos, 1.0 / vv, params.alpha)
-    return total.val, total.d1, total.d2
+    terms of the bound core."""
+    g = _g0(Dual2.variable(x), params)
+    return g.val, g.d1, g.d2
+
+
+def _bracket_error(lo: float, hi: float, f_lo: float, f_hi: float) -> BracketError:
+    return BracketError(
+        f"objective derivative does not change sign over [{lo:.6g}, {hi:.6g}] m", f_lo, f_hi)
 
 
 def _require_sign_change(lo: float, hi: float, f_lo: float, f_hi: float) -> None:
     if not (f_lo < 0.0 < f_hi):
-        raise BracketError(
-            f"objective derivative does not change sign over [{lo:.6g}, {hi:.6g}] m",
-            f_lo, f_hi)
+        raise _bracket_error(lo, hi, f_lo, f_hi)
 
 
 def _newton_bracketed(deriv_fn, lo: float, hi: float, tol: float,
@@ -390,6 +400,47 @@ def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: i
     return x
 
 
+# Python float semantics: overflow and NaN pass, a division by zero raises
+@np.errstate(over="ignore", invalid="ignore", divide="raise")
+def _solve_sp1_each(params: SystemParams, h):
+    """solve_sp1 for the weight params.alpha at every altitude of the
+    float array h (finite, positive; params.h_alt is not read).  Returns
+    arrays x_star, x_l, x_u, the branch names and, per altitude, the
+    package error its solve raises or None (x_star NaN, branch
+    'error:<Name>').  An interior weight checks g' at both ends of every
+    bracket in one (n, 2) evaluation and solves the signed ones together."""
+    n = len(h)
+    xi = xi_of_h(params, h)
+    x_l = convexity_lower_bound(params, h)
+    x_u = upper_anchor(params, h)
+    error = [None] * n
+    if params.alpha == 0.0:
+        x_star, branch = x_u, ["alpha0"] * n
+    elif params.alpha == 1.0:
+        x_star = np.zeros(n)
+        for i in np.flatnonzero(~(xi <= 0.0)):
+            chi1 = _chi_bar(params, h[i]) * math.cos(
+                math.atan(math.sqrt(5.0) * params.c * params.a2 / math.sqrt(xi[i])) / 3.0)
+            x_star[i] = h[i] / math.sqrt(chi1)
+        branch = ["alpha1_xi_nonpos" if v <= 0.0 else "alpha1_xi_pos" for v in xi]
+    else:
+        lo = np.maximum(x_l, 1e-9 * h)
+        ends = _g0(Dual2.variable(np.stack((lo, x_u), axis=1)), params, h[:, None]).d1
+        signed = (ends[:, 0] < 0.0) & (0.0 < ends[:, 1])
+        for i in np.flatnonzero(~signed):
+            error[i] = _bracket_error(lo[i], x_u[i], float(ends[i, 0]), float(ends[i, 1]))
+        h, lo, hi = h[signed], lo[signed], x_u[signed]
+
+        def slope(x):
+            g = _g0(Dual2.variable(x), params, h)
+            return g.d1, g.d2
+        x_star = np.full(n, math.nan)
+        x_star[signed] = _newton_bracketed_each(  # from the midpoint, as the scalar solve
+            slope, lo, hi, 1e-9 * h, 0.5 * (lo + hi), np.ones(len(h), bool))
+        branch = ["interior_newton" if e is None else f"error:{type(e).__name__}" for e in error]
+    return x_star, x_l, x_u, branch, error
+
+
 def solve_sp1(params: SystemParams) -> Sp1Result:
     """Minimize g(x, 0) = alpha*crb_x + (1-alpha)*crb_v over x >= 0.
 
@@ -397,35 +448,17 @@ def solve_sp1(params: SystemParams) -> Sp1Result:
     exactly, alpha=1 gives x = 0 when xi <= 0 and otherwise H/sqrt(chi1)
     with chi1 the largest root of the stationarity cubic (trigonometric
     form).  Interior weights run a safeguarded Newton solve of
-    g'(x, 0) = 0 on [x_l, x_u] with |dx| < 1e-9*H tolerance; the lower
-    end is floored at 1e-9*H because g' diverges at x = 0 when the
-    velocity term carries weight.
+    g'(x, 0) = 0 on [x_l, x_u] with |dx| < 1e-9*H tolerance, from the
+    midpoint; the lower end is floored at 1e-9*H because g' diverges at
+    x = 0 when the velocity term carries weight.  The one-altitude case
+    of sweep_angle's batched solve.
     """
-    p = params
-    h = p.h_alt
-    xi = xi_of_h(p)
-    x_l = convexity_lower_bound(p)
-    x_u = upper_anchor(p)
-    if p.alpha == 0.0:
-        branch = "alpha0"
-        x_star = x_u
-    elif p.alpha == 1.0:
-        if xi <= 0.0:
-            branch = "alpha1_xi_nonpos"
-            x_star = 0.0
-        else:
-            branch = "alpha1_xi_pos"
-            chi1 = _chi_bar(p) * math.cos(
-                math.atan(math.sqrt(5.0) * p.c * p.a2 / math.sqrt(xi)) / 3.0)
-            x_star = h / math.sqrt(chi1)
-    else:
-        branch = "interior_newton"
-        lo = max(x_l, 1e-9 * h)
-        x_star, _ = _newton_bracketed(
-            lambda x: g0_derivatives(x, p)[1:], lo, x_u, tol=1e-9 * h)
-    phi_star = math.atan2(h, x_star)
-    g_star = ekf.weighted_g(x_star, 0.0, p)
-    return Sp1Result(x_star, 0.0, phi_star, g_star, x_l, x_u, branch)
+    x_star, x_l, x_u, branch, error = _solve_sp1_each(params, np.array([params.h_alt], float))
+    if error[0] is not None:
+        raise error[0]
+    x = float(x_star[0])
+    return Sp1Result(x, 0.0, math.atan2(params.h_alt, x), ekf.weighted_g(x, 0.0, params),
+                     float(x_l[0]), float(x_u[0]), branch[0])
 
 
 def crbx_second_derivative_certificate(chi: float, params: SystemParams) -> float:
@@ -486,24 +519,23 @@ def design_trajectory(x_breve_opt: float, eta_prev: float,
 def sweep_angle(params: SystemParams, alphas, h_values):
     """Solve the geometry problem across an (alpha, H) grid.
 
-    Returns one row per cell: (alpha, h, x_star, phi_star_deg, branch).
-    A cell whose solve raises a package error records NaNs and
+    Returns one row per cell: (alpha, h, x_star, phi_star_deg, branch),
+    with the heights of one alpha solved as one batch of solve_sp1.  A
+    cell whose solve raises a package error records NaNs and
     'error:<ExceptionName>' in the branch column and the sweep
-    continues; any other exception, such as the ValueError of an alpha
-    outside [0, 1], propagates.
+    continues.  The ValueError SystemParams gives the first height that
+    is not finite and positive, or an alpha outside [0, 1], propagates.
     """
+    hs = [float(v) for v in h_values]
+    h = np.array(hs, float)
+    bad = ~(np.isfinite(h) & (h > 0.0))
+    if bad.any():
+        replace(params, h_alt=hs[int(bad.argmax())])
     rows = []
     for a in alphas:
-        for h in h_values:
-            try:
-                cell = replace(params, alpha=float(a), h_alt=float(h))
-                res = solve_sp1(cell)
-            except UavIsacError as exc:
-                rows.append((float(a), float(h), math.nan, math.nan,
-                             f"error:{type(exc).__name__}"))
-                continue
-            rows.append((float(a), float(h), res.x_star,
-                         math.degrees(res.phi_star), res.branch))
+        x_star, _, _, branch, _ = _solve_sp1_each(replace(params, alpha=float(a)), h)
+        rows += [(float(a), hi, x, math.degrees(math.atan2(hi, x)), b)
+                 for hi, x, b in zip(hs, x_star.tolist(), branch)]
     return rows
 
 
@@ -515,19 +547,15 @@ def tradeoff_frontier(params: SystemParams, n_grid: int = 2001):
     bound; it is 0 directly overhead whenever the velocity bound
     carries weight (the Doppler is blind there).  The rate decreases
     with |x|, so the frontier is the strictly-rising skyline of
-    sensing_perf scanned outward from x = 0.  Returns rows
-    (alpha, x, rate, sensing_perf), rate-max endpoint first.
+    sensing_perf over the grid, evaluated as one array, scanned outward
+    from x = 0.  Returns rows (alpha, x, rate, sensing_perf), rate-max
+    endpoint first.
     """
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
-    x_c = qos_radius(params)
-    rows = []
-    best = -math.inf
-    for i in range(n_grid):
-        x = x_c * i / (n_grid - 1)
-        g = ekf.weighted_g(x, 0.0, params)
-        perf = 0.0 if math.isinf(g) else 1.0 / g
-        if i == 0 or perf > best:
-            best = perf
-            rows.append((params.alpha, x, achievable_rate(x, params), perf))
-    return rows
+    xs = qos_radius(params) * np.arange(n_grid) / (n_grid - 1)
+    with np.errstate(divide="ignore"):
+        perf = 1.0 / _g0(xs, params)
+    keep = np.concatenate(([True], perf[1:] > np.maximum.accumulate(perf)[:-1]))
+    return [(params.alpha, x, achievable_rate(x, params), pf)
+            for x, pf in zip(xs[keep].tolist(), perf[keep].tolist())]

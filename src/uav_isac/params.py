@@ -13,6 +13,8 @@ import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 
+from .linalg2 import Sym2, process_noise_cov
+
 SPEED_OF_LIGHT = 2.9979e8  # m/s
 
 
@@ -126,6 +128,11 @@ class SystemParams:
         the geometry factor over this weight."""
         g = self.sens_gain
         return (g / self.a1 / self.a1, g / self.a2 / self.a2, g / self.a3 / self.a3)
+
+    @cached_property
+    def process_noise(self) -> Sym2:
+        """Process-noise covariance Q_s = process_noise_cov(dt, q_tilde)."""
+        return process_noise_cov(self.dt, self.q_tilde)
 
 
 PARAM_FIELD_NAMES = tuple(f.name for f in fields(SystemParams))

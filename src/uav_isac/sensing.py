@@ -104,10 +104,10 @@ def measure_mean_each(s: RelativeState, params: SystemParams):
     return np.arctan2(h, s.x), 2.0 * d / params.c, -2.0 * params.f_c * s.v * s.x / (params.c * d)
 
 
-def noise_weights(x, params: SystemParams, u=None):
+def noise_weights(x, params: SystemParams, u=None, h_alt=None):
     """Channel weights (1/s1, 1/s2, 1/s3) of the measurement noise at
-    horizontal offset x: the one noise model, generic over floats,
-    numpy arrays and dual numbers.
+    horizontal offset x and altitude h_alt (default params.h_alt): the
+    one noise model, generic over floats, numpy arrays and dual numbers.
 
     s1 = a1^2 sigma^2 / (P_A N_sym N_t N_r G_r sin^2 phi) for the angle
     with G_r = beta_r/d^4 and sin phi = H/d; the delay and Doppler
@@ -117,7 +117,8 @@ def noise_weights(x, params: SystemParams, u=None):
     already holds u = 1/d^2 = 1/(x^2 + H^2) passes it.
     """
     g1, g2, g3 = params.channel_weights
-    h2 = params.h_alt * params.h_alt
+    h = params.h_alt if h_alt is None else h_alt
+    h2 = h * h
     if u is None:
         u = 1.0 / (x * x + h2)
     u2 = u * u

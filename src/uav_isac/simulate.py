@@ -48,7 +48,7 @@ import numpy as np
 
 from . import ekf, optimize, sensing
 from .errors import ConfigError, InfeasibleIntervalError, raise_at_first
-from .linalg2 import Sym2, inverse_each, process_noise_cov, require_positive_definite_each
+from .linalg2 import Sym2, inverse_each, require_positive_definite_each
 from .params import SystemParams
 from .sensing import RelativeState
 
@@ -149,7 +149,7 @@ class ScenarioConfig:
 def _process_noise_factor(params: SystemParams) -> tuple[float, float, float]:
     """Lower Cholesky factor (l11, l21, l22) of the process-noise
     covariance Q_s; all zero when q_tilde = 0."""
-    q = process_noise_cov(params.dt, params.q_tilde)
+    q = params.process_noise
     if not q.m11 > 0.0:
         return 0.0, 0.0, 0.0
     l11 = math.sqrt(q.m11)
@@ -390,6 +390,7 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
     return records
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, scheme: str,
                   draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All trials of one scheme in lockstep; trial i takes its draws from
@@ -399,7 +400,8 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, scheme: str,
 
     A component error keeps its type and attributes and names the slot
     and the lowest failing trial as its batch index; an error of a
-    computation shared by all trials names trial 0.
+    computation shared by all trials names trial 0.  Overflow and NaN
+    pass silently, as they do in run_scenario's Python floats.
     """
     p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
     targets = _TARGET_RULES_EACH[scheme]

@@ -1,12 +1,16 @@
 """Independent reference values and reference implementations.
 
-Everything here except scenario_by_public_steps is derived from the
-model equations directly with numpy — no imports from the package
-under test — so agreement between the two is evidence, not tautology.
-FROZEN holds point values computed once at 40-digit precision and
-pasted in verbatim.  scenario_by_public_steps is the other kind of
-reference: the tracking loop composed from the package's public
-one-step functions, which define the loop's arithmetic.
+Everything here except the *_by_scalar_steps and *_by_public_steps
+functions is derived from the model equations directly with numpy — no
+imports from the package under test — so agreement between the two is
+evidence, not tautology.  FROZEN holds point values computed once at
+40-digit precision and pasted in verbatim.  The others are the other
+kind of reference: scenario_by_public_steps is the tracking loop
+composed from the package's public one-step functions, which define
+the loop's arithmetic, and sp1_by_scalar_steps, sweep_by_scalar_steps
+and frontier_by_scalar_steps are the geometry solve, the angle sweep
+and the trade-off frontier one cell and one grid point at a time, on
+plain floats, which the batched forms must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -257,3 +261,77 @@ def scenario_by_public_steps(cfg, params):
             x_a, v_a, flagged, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel,
                                                      p, rule)
     return records
+
+
+def sp1_by_scalar_steps(params):
+    """optimize.solve_sp1 for one altitude on plain floats: the closed
+    forms at the weight endpoints, and for an interior weight the scalar
+    safeguarded Newton solve optimize._newton_bracketed of g' = 0 from
+    the midpoint of [max(x_l, 1e-9 H), x_u], with g' and g'' from
+    optimize.g0_derivatives.  Returns (Sp1Result, Newton steps taken);
+    raises the BracketError of the bracket check."""
+    from uav_isac import ekf, optimize
+
+    p = params
+    h = p.h_alt
+    xi = 4.0 * p.a1 * p.a1 * h * h - 5.0 * p.c * p.c * p.a2 * p.a2
+    chi_bar = 4.0 * p.a1 * h / math.sqrt(xi) if xi > 0.0 else math.nan
+    x_l = h / math.sqrt(chi_bar) if xi > 0.0 else 0.0
+    x_u = h / math.sqrt(2.0)
+    steps = 0
+    if p.alpha == 0.0:
+        branch, x_star = "alpha0", x_u
+    elif p.alpha == 1.0:
+        if xi <= 0.0:
+            branch, x_star = "alpha1_xi_nonpos", 0.0
+        else:
+            branch = "alpha1_xi_pos"
+            chi1 = chi_bar * math.cos(
+                math.atan(math.sqrt(5.0) * p.c * p.a2 / math.sqrt(xi)) / 3.0)
+            x_star = h / math.sqrt(chi1)
+    else:
+        branch = "interior_newton"
+        x_star, steps = optimize._newton_bracketed(
+            lambda x: optimize.g0_derivatives(x, p)[1:], max(x_l, 1e-9 * h), x_u,
+            tol=1e-9 * h)
+    res = optimize.Sp1Result(x_star, 0.0, math.atan2(h, x_star),
+                             ekf.weighted_g(x_star, 0.0, p), x_l, x_u, branch)
+    return res, steps
+
+
+def sweep_by_scalar_steps(params, alphas, h_values):
+    """optimize.sweep_angle one cell at a time through sp1_by_scalar_steps,
+    each cell validated as its own SystemParams."""
+    from dataclasses import replace
+
+    from uav_isac.errors import UavIsacError
+
+    rows = []
+    for a in alphas:
+        for h in h_values:
+            try:
+                res, _ = sp1_by_scalar_steps(replace(params, alpha=float(a), h_alt=float(h)))
+            except UavIsacError as exc:
+                rows.append((float(a), float(h), math.nan, math.nan,
+                             f"error:{type(exc).__name__}"))
+                continue
+            rows.append((float(a), float(h), res.x_star, math.degrees(res.phi_star), res.branch))
+    return rows
+
+
+def frontier_by_scalar_steps(params, n_grid):
+    """optimize.tradeoff_frontier one grid point at a time: g from
+    ekf.weighted_g, 0 sensing where g is inf, and a running maximum."""
+    from uav_isac import ekf, optimize, sensing
+
+    x_c = optimize.qos_radius(params)
+    rows = []
+    best = -math.inf
+    for i in range(n_grid):
+        x = x_c * i / (n_grid - 1)
+        g = ekf.weighted_g(x, 0.0, params)
+        perf = 0.0 if math.isinf(g) else 1.0 / g
+        if i == 0 or perf > best:
+            best = perf
+            rows.append((params.alpha, x, sensing.achievable_rate(x, params), perf))
+    return rows

@@ -49,6 +49,20 @@ def test_predict_zero_prior_gives_process_noise():
     assert pred.mse_pred == process_noise_cov(P.dt, P.q_tilde)
 
 
+def test_process_noise_is_built_once_per_params(monkeypatch):
+    from uav_isac import params as params_module
+    from uav_isac.simulate import ScenarioConfig, run_scenario
+
+    built = []
+    monkeypatch.setattr(params_module, "process_noise_cov",
+                        lambda dt, q: built.append(dt) or process_noise_cov(dt, q))
+    p = SystemParams()
+    prev = ekf.FilterState(RelativeState(3.0, 1.0), Sym2(1.0, 0.1, 0.5))
+    assert ekf.predict(prev, p) == ekf.predict(prev, P)
+    run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), p)
+    assert len(built) == 1 and p.process_noise == process_noise_cov(p.dt, p.q_tilde)
+
+
 def test_update_against_numpy_reference():
     """Full textbook Kalman update in numpy as the oracle."""
     rng = np.random.default_rng(22)

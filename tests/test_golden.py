@@ -1,4 +1,5 @@
-"""The default closed-loop runs reproduce the pinned golden CSVs."""
+"""The default closed-loop runs and geometry outputs reproduce the pinned
+golden CSVs."""
 
 import math
 from pathlib import Path
@@ -43,3 +44,13 @@ def test_track_matches_golden(tmp_path, scheme, seed):
             else:
                 tol = max(RTOL * abs(w), ABS_FLOOR[col])
                 assert abs(g - w) <= tol, f"slot {want_row[0]:g} {col}: {g!r} vs {w!r}"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("sweep-angle", "sweep_angle_default.csv"),
+    ("tradeoff", "tradeoff_default.csv"),
+])
+def test_geometry_matches_golden_bytes(tmp_path, command, name):
+    out = tmp_path / name
+    assert cli.main([command, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

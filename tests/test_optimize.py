@@ -387,18 +387,29 @@ def test_g0_derivatives_match_finite_differences():
         assert d2 == pytest.approx(oracles.central_fd2(fn, float(x), 1e-3), rel=1e-3, abs=1e-16)
 
 
+def _count_derivative_evaluations(monkeypatch):
+    """A list that collects the dual-number arguments of the Fisher terms:
+    one entry per derivative evaluation, of one point or a batch."""
+    calls = []
+    real = ekf._fisher_terms
+
+    def counting(x, *args, **kwargs):
+        if isinstance(x, Dual2):
+            calls.append(x)
+        return real(x, *args, **kwargs)
+    monkeypatch.setattr(ekf, "_fisher_terms", counting)
+    return calls
+
+
 def test_newton_returns_converged_step_on_bracket_end(monkeypatch):
     # at this cell a converged Newton step rounds onto the shrunken
     # bracket's end; it must be taken, not bisected away from
-    calls = []
-    real = optimize.g0_derivatives
-    monkeypatch.setattr(optimize, "g0_derivatives",
-                        lambda x, p: calls.append(x) or real(x, p))
+    calls = _count_derivative_evaluations(monkeypatch)
     cell = replace(P, alpha=0.1, h_alt=17.0)
     res = optimize.solve_sp1(cell)
     assert res.branch == "interior_newton"
     assert len(calls) <= 10
-    _, d1, d2 = real(res.x_star, cell)
+    _, d1, d2 = optimize.g0_derivatives(res.x_star, cell)
     assert abs(d1) < 1e-6 * res.g_star and d2 > 0.0
 
 
@@ -474,23 +485,73 @@ def test_sweep_angle_rows_and_branches():
     assert br == "alpha1_xi_nonpos" and phi == pytest.approx(90.0) and x == 0.0
 
 
-def test_sweep_angle_survives_per_cell_failure(monkeypatch):
-    real = optimize.solve_sp1
-
-    def fails_at_30m(params):
-        if params.h_alt == 30.0:
-            raise BracketError("no sign change", 1.0, 2.0)
-        return real(params)
-
-    monkeypatch.setattr(optimize, "solve_sp1", fails_at_30m)
-    rows = optimize.sweep_angle(P, [0.5], [30.0, 50.0, 70.0])
+def test_sweep_angle_survives_per_cell_failure():
+    # with a 100x finer delay channel, g' does not change sign over the
+    # bracket at H = 100 km
+    rows = optimize.sweep_angle(replace(P, a2=1.2e-9), [0.01], [50.0, 1e5, 70.0])
     assert len(rows) == 3
-    a, h, x, phi, branch = rows[0]
-    assert (a, h, branch) == (0.5, 30.0, "error:BracketError")
+    a, h, x, phi, branch = rows[1]
+    assert (a, h, branch) == (0.01, 1e5, "error:BracketError")
     assert math.isnan(x) and math.isnan(phi)
-    assert [(r[1], r[4]) for r in rows[1:]] == [(50.0, "interior_newton"),
-                                                 (70.0, "interior_newton")]
-    assert all(math.isfinite(r[2]) for r in rows[1:])
+    assert [(r[1], r[4]) for r in rows[::2]] == [(50.0, "interior_newton"),
+                                                  (70.0, "interior_newton")]
+    assert all(math.isfinite(r[2]) for r in rows[::2])
+
+
+ODD_ALPHAS = (0.0, 0.01, 0.1, 0.3, 0.5, 0.85, 0.99, 1.0)
+ODD_HEIGHTS = (0.5, 3.0, 17.0, oracles.FROZEN["h_knee"], 500.0, 1e4)
+
+
+@pytest.mark.parametrize("params, alphas, heights", [
+    (P, [i / 20 for i in range(21)], [10.0 + i for i in range(91)]),   # the benchmark's grid
+    (P, [1.0], [10.0 + 0.25 * i for i in range(361)]),                 # AC02's grid
+    (P, ODD_ALPHAS, ODD_HEIGHTS),
+    (replace(P, a2=1.2e-9), [0.01, 0.5], [50.0, 1e5, 70.0]),          # a BracketError cell
+], ids=["benchmark", "ac02", "odd", "bracket_error"])
+def test_sweep_angle_equals_scalar_oracle(params, alphas, heights):
+    # repr tells every float bit, NaN and the sign of zero apart
+    assert repr(optimize.sweep_angle(params, alphas, heights)) == \
+        repr(oracles.sweep_by_scalar_steps(params, alphas, heights))
+
+
+@pytest.mark.parametrize("base", [P, replace(P, a2=1.2e-9)], ids=["default", "fine_delay"])
+def test_solve_sp1_equals_scalar_oracle(base):
+    for alpha in ODD_ALPHAS:
+        for h in ODD_HEIGHTS + (1e5,):
+            cell = replace(base, alpha=alpha, h_alt=h)
+            try:
+                want, _ = oracles.sp1_by_scalar_steps(cell)
+            except BracketError as exc:
+                with pytest.raises(BracketError) as got:
+                    optimize.solve_sp1(cell)
+                assert (str(got.value), got.value.dg_lo, got.value.dg_hi) == \
+                    (str(exc), exc.dg_lo, exc.dg_hi)
+                continue
+            assert repr(optimize.solve_sp1(cell)) == repr(want)
+
+
+def test_sweep_angle_validates_once_and_batches_the_newton_solve(monkeypatch):
+    heights = [10.0 + i for i in range(91)]
+    built = []
+    post_init = SystemParams.__post_init__
+    monkeypatch.setattr(SystemParams, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    evaluations = _count_derivative_evaluations(monkeypatch)
+    rows = optimize.sweep_angle(P, [0.5], heights)
+    assert len(rows) == 91 and len(built) <= 1
+    monkeypatch.undo()
+    steps = max(oracles.sp1_by_scalar_steps(replace(P, h_alt=h))[1] for h in heights)
+    # one evaluation of both bracket ends, then one per Newton round
+    assert len(evaluations) <= 1 + steps
+
+
+@pytest.mark.parametrize("n_grid", [2, 3, 2001])
+@pytest.mark.parametrize("a1", [0.15, 1.0, 3.0])
+def test_tradeoff_frontier_equals_scalar_oracle(n_grid, a1):
+    for alpha in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
+        p = replace(P, a1=a1, alpha=alpha)
+        assert repr(optimize.tradeoff_frontier(p, n_grid)) == \
+            repr(oracles.frontier_by_scalar_steps(p, n_grid))
 
 
 def test_sweep_angle_propagates_non_package_errors():

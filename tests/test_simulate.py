@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import astuple, fields, replace
 
@@ -13,6 +14,7 @@ from uav_isac.errors import (
     ConfigError,
     NotPositiveDefiniteError,
     SingularMatrixError,
+    UavIsacError,
     VelocityBoundError,
 )
 from uav_isac.linalg2 import Sym2, process_noise_cov
@@ -332,6 +334,29 @@ def test_unmeasurable_geometry_is_refused_as_in_lockstep(cfg, slot):
             pytest.raises(SingularMatrixError) as batched:
         _lockstep_columns(cfg, P, cfg.scheme, 1)
     assert str(batched.value).endswith(str(scalar.value)), (scalar.value, batched.value)
+
+
+@pytest.mark.parametrize("cfg, scheme", [
+    (ScenarioConfig(init_obj_pos=1e200), "proposed"),
+    (ScenarioConfig(init_obj_pos=-1e160), "right_above"),
+    (ScenarioConfig(init_est_std=(1e200, 0.0)), "right_above"),
+    (ScenarioConfig(init_est_std=(1e200, 0.0)), "proposed"),   # NaN prediction MSE
+])
+def test_lockstep_refuses_far_geometry_as_run_scenario(cfg, scheme):
+    # the arrays overflow on the way, which must not surface as a
+    # RuntimeWarning (an error under this suite's warning filter)
+    with pytest.raises(UavIsacError) as scalar:
+        run_scenario(replace(cfg, scheme=scheme), P)
+    with pytest.raises(type(scalar.value)) as batched:
+        _lockstep_columns(cfg, P, scheme, 1)
+    assert str(batched.value) == f"trial 0 (seed 0), {scalar.value}"
+
+
+def test_monte_carlo_refuses_far_geometry_as_run_scenario():
+    with pytest.raises(SingularMatrixError, match=re.escape(
+            "trial 0 (seed 0), slot 1: noise variances (inf, inf, inf) need finite positive "
+            "reciprocals")):
+        run_monte_carlo(ScenarioConfig(init_obj_pos=1e200), P, 1)
 
 
 def test_slot_solver_bracket_error_propagates_with_slot(monkeypatch):
