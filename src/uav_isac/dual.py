@@ -69,4 +69,6 @@ class Dual2:
         return Dual2(w, -self.d1 * w2, (2.0 * self.d1 * self.d1 * w - self.d2) * w2)
 
     def __rtruediv__(self, other):
-        return self.reciprocal() * other
+        # 1.0 / d, the only division the bound expressions make, needs no product
+        r = self.reciprocal()
+        return r if isinstance(other, float) and other == 1.0 else r * other

@@ -9,13 +9,15 @@ two neighbours supplies everything the polish needs: the sign of f' at
 a window end (window-end optima are returned exactly), the sign check
 over the two grid cells around the minimum, the one cell that holds
 the root of f', and a start for a safeguarded Newton solve of f' = 0
-on that cell at the root of the cubic Hermite interpolant of f'.
-solve_p1_each takes the same steps for a batch of slot problems, one
-per Monte Carlo trial, as numpy arrays.  The geometry problem drops
-the prior term and minimizes the measurement-only bound g(x, 0); it
-has closed-form branches at the weight endpoints and the same
-safeguarded Newton solve on a certified-convex bracket in between,
-run for one weight over an array of altitudes at once.
+on that cell at the root of the quintic Hermite interpolant of f'
+through the three points, close enough that the first Newton step
+usually meets the tolerance.  solve_p1_each takes the same steps for a
+batch of slot problems, one per Monte Carlo trial, as numpy arrays.
+The geometry problem drops the prior term and minimizes the
+measurement-only bound g(x, 0); it has closed-form branches at the
+weight endpoints and the same safeguarded Newton solve on a
+certified-convex bracket in between, run for one weight over an array
+of altitudes at once.
 
 All derivatives are propagated as second-order dual numbers through
 the exact same rational expressions used for plain evaluation, so the
@@ -150,28 +152,62 @@ def objective_f(x_breve: float, inst: P1Instance) -> tuple[float, float, float]:
     return f.val, f.d1, f.d2
 
 
-def _newton_start(a, b, ga, gb, ha, hb, x0):
-    """Newton's first iterate on a grid cell [a, b] over which f' rises
-    from ga < 0 to gb > 0, with f'' = ha, hb at the ends.
+def _cell(v, right):
+    """The ends of the grid cell that holds the root of f', taken from v,
+    a value at the grid minimum's left neighbour, itself and its right
+    neighbour: v[1] and v[2] where right is set, else v[0] and v[1]."""
+    return np.where(right, v[1], v[0])[()], np.where(right, v[2], v[1])[()]
+
+
+def _newton_start(x3, g3, h3, right, x0):
+    """Newton's first iterate on the grid cell [a, b] = _cell(x3, right),
+    over which f' rises from negative to positive; x3 holds the grid
+    minimum's left neighbour, itself and its right neighbour, and g3, h3
+    hold f' and f'' there.
 
     It is x0 when given and strictly inside the cell; else the root of
-    the cubic Hermite interpolant of f' on the cell, found by two Newton
-    steps on the cubic from the secant root; else, when that root is not
-    strictly inside the cell, the midpoint.  No objective is evaluated.
-    Works entry by entry on arrays; a and b are numpy values, so a zero
+    the quintic Hermite interpolant of f' through the three points,
+    found by one Newton step on the quintic from the cubic root below;
+    else, when that root is not strictly inside the cell (at a window-end
+    grid minimum two of the points coincide and the quintic is
+    undefined), the root of the cubic Hermite interpolant of f' on the
+    cell alone, found by two Newton steps on the cubic from the secant
+    root; else the midpoint.  No objective is evaluated.  Works entry by
+    entry on arrays; the points x3 are numpy values, so a zero
     denominator gives a non-finite root, which fails the inside test.
     """
+    (a, b), (ga, gb), (ha, hb) = (_cell(v, right) for v in (x3, g3, h3))
     w = b - a
-    # the interpolant in t = (x - a)/w is ga + c1*t + c2*t^2 + c3*t^3
+    # the cubic in t = (x - a)/w is ga + c1*t + c2*t^2 + c3*t^3
     c1 = w * ha
     c2 = 3.0 * (gb - ga) - w * (2.0 * ha + hb)
     c3 = 2.0 * (ga - gb) + w * (ha + hb)
+    p0, p1, p2 = x3
+    g0, g1, g2 = g3
+    h0, h1, h2 = h3
     with np.errstate(all="ignore"):
         t = ga / (ga - gb)
         for _ in range(2):
             t = t - (((c3 * t + c2) * t + c1) * t + ga) / ((3.0 * c3 * t + 2.0 * c2) * t + c1)
-        x = a + t * w
-    x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        cubic = a + t * w
+        # the quintic in Newton form over the nodes p0, p0, p1, p1, p2, p2,
+        # g0 + u*(h0 + u*(q2 + v*(q3 + v*(q4 + (x - p2)*q5)))) with u = x - p0,
+        # v = x - p1 and q2..q5 its confluent divided differences
+        w01, w12, w02 = p1 - p0, p2 - p1, p2 - p0
+        s01, s12 = (g1 - g0) / w01, (g2 - g1) / w12
+        q2, d011 = (s01 - h0) / w01, (h1 - s01) / w01
+        d112, d122 = (s12 - h1) / w12, (h2 - s12) / w12
+        q3, d0112, d1122 = (d011 - q2) / w01, (d112 - d011) / w02, (d122 - d112) / w12
+        q4, d01122 = (d0112 - q3) / w02, (d1122 - d0112) / w02
+        q5 = (d01122 - q4) / w02
+        u, v = cubic - p0, cubic - p1
+        r4 = q4 + (cubic - p2) * q5
+        r3, dr3 = q3 + v * r4, r4 + v * q5
+        r2, dr2 = q2 + v * r3, r3 + v * dr3
+        r1, dr1 = h0 + u * r2, r2 + u * dr2
+        x = cubic - (g0 + u * r1) / (r1 + u * dr1)
+    x = np.where((a < x) & (x < b), x,
+                 np.where((a < cubic) & (cubic < b), cubic, 0.5 * (a + b)))
     if x0 is not None:
         x = np.where((a < x0) & (x0 < b), x0, x)
     return x
@@ -199,7 +235,9 @@ def solve_p1_sca(inst: P1Instance, x0: float | None = None) -> ScaResult:
     of f'(x_k) picks the one cell that holds the root, and f' = 0 is
     solved there by safeguarded Newton to |dx| < 1e-9*H, starting from
     x0 when it lies strictly inside the cell, else from _newton_start's
-    Hermite root.  The cell's end values are reused for the Newton
+    root of the quintic Hermite interpolant of f' through the three
+    points (the cubic on the cell alone when a window-end grid minimum
+    repeats a point).  The cell's end values are reused for the Newton
     routine's own sign check.  The returned point is never worse than
     the best grid point.
     """
@@ -218,7 +256,7 @@ def solve_p1_sca(inst: P1Instance, x0: float | None = None) -> ScaResult:
     else:
         i = 1 if d1[1] < 0.0 else 0
         a, b = float(x3[i]), float(x3[i + 1])
-        start = _newton_start(x3[i], x3[i + 1], d1[i], d1[i + 1], d2[i], d2[i + 1], x0)
+        start = _newton_start(tuple(x3), d1, d2, i == 1, x0)
         # the routine's sign check at a and b reads the values at hand
         known = {a: (d1[i], d2[i]), b: (d1[i + 1], d2[i + 1])}
         x, iterations = _newton_bracketed(
@@ -245,7 +283,8 @@ def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams
     window-end test, the sign check (raising the BracketError of the
     lowest failing entry) and the Newton start read its values, and the
     Newton polish runs on the whole batch, each entry taking its own
-    result by np.where masks.
+    result by np.where masks; from the quintic start it usually takes
+    one round.
     """
     last = P1_GRID_POINTS - 1
     rows_prior = Sym2(prior_info.m11[:, None], prior_info.m12[:, None], prior_info.m22[:, None])
@@ -265,15 +304,14 @@ def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams
     if not interior.any():
         return x_grid
     right = d1[:, 1] < 0.0
-    a, ga, ha = (np.where(right, v[:, 1], v[:, 0]) for v in (x3, d1, f3.d2))
-    b, gb, hb = (np.where(right, v[:, 2], v[:, 1]) for v in (x3, d1, f3.d2))
+    a, b = _cell(x3.T, right)
 
     def slope(x):
         f = _objective(Dual2.variable(x), x_hat_prev, prior_info, params)
         return f.d1, f.d2
 
     x = _newton_bracketed_each(slope, a, b, 1e-9 * params.h_alt,
-                               _newton_start(a, b, ga, gb, ha, hb, x0), interior)
+                               _newton_start(x3.T, d1.T, f3.d2.T, right, x0), interior)
     f = _objective(x, x_hat_prev, prior_info, params)
     return np.where(interior & ~(f > f_grid), x, x_grid)
 

@@ -18,12 +18,16 @@ Its arithmetic is that of the public one-step functions (step_ground_truth,
 sample_measurement, ekf.update, predicted_pcrb, crb_measurement), written
 flat over the helpers they share: a slot inverts its prediction MSE once
 and takes one Fisher pass at the prediction.
-run_monte_carlo runs all trials of one scheme in lockstep: every state
-is a numpy array with one entry per trial, every step is the array form
-of the scalar step (the same arithmetic; numpy transcendentals may
-differ from math's by an ulp), and only the two reduced columns,
-weighted_actual and rate_bpshz, are kept.  A lockstep trial matches
-run_scenario at the same seed to about 1e-9 relative or better.
+run_monte_carlo runs every trial of both schemes in lockstep as one
+batch: every state is a numpy array with one row per scheme and trial,
+every step is the array form of the scalar step (the same arithmetic;
+numpy transcendentals may differ from math's by an ulp) and runs on all
+rows at once except the target rule, which each scheme applies to its
+own rows, and only the two reduced columns, weighted_actual and
+rate_bpshz, are kept.  A row's columns do not depend on the other rows,
+and a lockstep trial matches run_scenario at the same seed to about
+1e-9 relative or better.  An error names the earliest slot at which a
+row fails and, among the rows failing at one step of it, the lowest.
 
 Determinism contract: one generator per trial, seeded with the trial's
 seed, consumed in a fixed order (2 draws for the initial estimate
@@ -218,8 +222,9 @@ def _targets_proposed_each(eta, x_hat, prior_info, params: SystemParams):
     """_target_proposed for a batch of trials (arrays, one entry per
     trial): the P1 window, its solve for the windows of positive length,
     the touching point of a degenerate window and the flagged fallback
-    otherwise.  prior_info() is the slot's prior information (see
-    _plan_each).  Returns the x_breve array; flags are not kept."""
+    otherwise.  prior_info() is the prior information of these trials'
+    slot (see _plan_each).  Returns the x_breve array; flags are not
+    kept."""
     x_c = optimize.qos_radius(params)
     reach = params.v_a_max * params.dt
     lo = np.maximum(-x_c, eta - reach)
@@ -269,30 +274,56 @@ def _plan(fstate: ekf.FilterState, uav_pos: float, uav_vel: float, params: Syste
     return x_a, v_a, flagged, ekf.Prediction(state, pred.mse_pred)
 
 
-def _prior_information_each(mse_pred: Sym2) -> Sym2:
-    """M_p^{-1} for a batch of prediction MSEs; raises for the lowest
-    trial whose prediction MSE is not positive definite."""
-    require_positive_definite_each(mse_pred, "mse_pred")
-    return inverse_each(mse_pred)
+def _prior_information_each(mse_pred: Sym2, blocks) -> Callable[..., Sym2]:
+    """prior_info(j) returns the prior information M_p^{-1} of the rows
+    of block j (see _run_lockstep), prior_info() that of every row.  Each
+    block's prediction MSEs are checked and inverted once, at the first
+    call that reads them, which raises for the block's lowest failing
+    row."""
+    parts = {}
+
+    def block(j):
+        if j not in parts:
+            rows = blocks[j][1]
+            m = Sym2(mse_pred.m11[rows], mse_pred.m12[rows], mse_pred.m22[rows])
+            require_positive_definite_each(m, "mse_pred")
+            parts[j] = inverse_each(m)
+        return parts[j]
+
+    # prior_info calls block, never itself: a closure that refers to itself
+    # is a reference cycle, which keeps each slot's arrays alive until the
+    # cyclic collector runs
+    def prior_info(j=None):
+        if j is not None:
+            return block(j)
+        if None not in parts:
+            ps = [block(b) for b in range(len(blocks))]
+            parts[None] = Sym2(*(np.concatenate([getattr(q, f) for q in ps])
+                                 for f in ("m11", "m12", "m22")))
+        return parts[None]
+    return prior_info
 
 
 def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
-               targets) -> tuple[np.ndarray, np.ndarray, ekf.Prediction, Callable[[], Sym2]]:
-    """_plan for a batch of trials (every field an array, one entry per
-    trial): the waypoints x_a, slot velocities v_a, the predictions and
-    prior_info, a function returning the slot's prior information
-    M_p^{-1}.  The target rule, the update and the weighted_actual
-    column share it; it is checked and inverted once, at its first call,
-    which the proposed rule makes while planning and the right-above
-    rule leaves to the update, so a refusal names the slot where
-    run_scenario raises it.  The velocity-reach check of
-    design_trajectory raises for the lowest trial that fails it."""
+               blocks) -> tuple[np.ndarray, np.ndarray, ekf.Prediction, Callable[..., Sym2]]:
+    """_plan for a batch of rows (every field an array, one entry per
+    row; blocks as in _run_lockstep): the waypoints x_a, slot velocities
+    v_a, the predictions and prior_info, the slot's prior information
+    (see _prior_information_each).  Each block's target rule picks x_breve
+    for its own rows; the update and the weighted_actual column share
+    prior_info.  The proposed rule reads its block's prior information
+    while planning and the right-above rule leaves it to the update, so
+    a refusal names the slot where run_scenario raises it.  The
+    velocity-reach check of design_trajectory raises for the lowest row
+    that fails it."""
     dt = params.dt
     pred = ekf.predict(fstate, params)
-    prior_info = functools.cache(lambda: _prior_information_each(pred.mse_pred))
+    prior_info = _prior_information_each(pred.mse_pred, blocks)
     eta = pred.pred.x + uav_vel * dt
     x_hat = fstate.est.x
-    x_breve = targets(eta, x_hat, prior_info, params)
+    x_breve = np.concatenate([
+        targets(eta[rows], x_hat[rows], functools.partial(prior_info, j), params)
+        for j, (targets, rows) in enumerate(blocks)])
     raise_at_first(np.abs(x_breve - eta) > params.v_a_max * dt + 1e-9,
                    lambda i: optimize.design_trajectory(
                        float(x_breve[i]), float(eta[i]),
@@ -304,10 +335,10 @@ def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
 
 def _update_each(pred: ekf.Prediction, prior_info, y, s,
                  params: SystemParams) -> ekf.FilterState:
-    """ekf.update for a batch of trials: y = (phi, tau, mu) and the
+    """ekf.update for a batch of rows: y = (phi, tau, mu) and the
     channel variances s = (s1, s2, s3) are arrays, and prior_info() is
     the prediction's information (see _plan_each); the checks raise for
-    the lowest failing trial, in ekf.update's order."""
+    the lowest failing row, in ekf.update's order."""
     with np.errstate(divide="ignore"):
         w = tuple(1.0 / si for si in s)
     raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
@@ -391,44 +422,58 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, scheme: str,
+def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str, ...],
                   draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All trials of one scheme in lockstep; trial i takes its draws from
-    row i of draws, shape (n_trials, 2 + 5*n_slots), and matches
-    run_scenario at the seed those draws came from.  Returns the
-    weighted_actual and rate_bpshz columns, each (n_trials, n_slots).
+    """The trials of every scheme in schemes in lockstep, as one batch of
+    len(schemes) * n_trials rows: row j*n_trials + i is trial i of
+    schemes[j], which takes its draws from row i of draws, shape
+    (n_trials, 2 + 5*n_slots), and matches run_scenario at the seed those
+    draws came from.  The rows of schemes[j] are block j, a pair of the
+    scheme's target rule (read from _TARGET_RULES_EACH) and its row
+    slice; the target rule runs on its block's rows, every other step on
+    all rows at once, entry by entry, so a row's columns do not depend
+    on the other rows.  Returns the weighted_actual and rate_bpshz
+    columns, each (rows, n_slots).
 
-    A component error keeps its type and attributes and names the slot
-    and the lowest failing trial as its batch index; an error of a
-    computation shared by all trials names trial 0.  Overflow and NaN
-    pass silently, as they do in run_scenario's Python floats.
+    An error is raised at the earliest slot at which a row fails, which
+    is the slot at which run_scenario raises it; among the rows failing
+    at one step of that slot, the lowest row's.  It keeps its type and
+    attributes, its batch_index becomes the trial index within its
+    scheme, and its message is prefixed with the trial, its seed and the
+    slot; an error of a computation shared by all trials names trial 0.
+    Overflow and NaN pass silently, as they do in run_scenario's Python
+    floats.
     """
     p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
-    targets = _TARGET_RULES_EACH[scheme]
     n_trials = draws.shape[0]
+    blocks = [(_TARGET_RULES_EACH[scheme], slice(j * n_trials, (j + 1) * n_trials))
+              for j, scheme in enumerate(schemes)]
+    n_rows = len(schemes) * n_trials
     dt, k = p.dt, cfg.noise_scale
     # the lockstep forms of step_ground_truth and sample_measurement read
-    # the same draws in the same order
+    # the same draws in the same order; slot_draws[n - 1] holds slot n's
+    # five draws of every trial, repeated for each scheme as it is read
     factor = _process_noise_factor(p)
-    slot_draws = draws[:, 2:].reshape(n_trials, cfg.n_slots, 5)
+    slot_draws = draws[:, 2:].reshape(n_trials, cfg.n_slots, 5).transpose(1, 2, 0)
+    init_draws = np.tile(draws[:, :2].T, len(schemes))
 
     def full(value):
-        return np.full(n_trials, float(value))
+        return np.full(n_rows, float(value))
 
     obj_pos, obj_vel = full(cfg.init_obj_pos), full(cfg.init_obj_vel)
     uav_pos, uav_vel = full(cfg.init_uav_pos), full(cfg.init_uav_vel)
     est0 = RelativeState(
-        (cfg.init_obj_pos - cfg.init_uav_pos) + cfg.init_est_std[0] * draws[:, 0],
-        (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * draws[:, 1])
+        (cfg.init_obj_pos - cfg.init_uav_pos) + cfg.init_est_std[0] * init_draws[0],
+        (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * init_draws[1])
     fstate = ekf.FilterState(est0, Sym2(full(cfg.init_mse[0]), full(0.0), full(cfg.init_mse[1])))
 
-    weighted = np.empty((cfg.n_slots, n_trials))
-    rate = np.empty((cfg.n_slots, n_trials))
+    weighted = np.empty((cfg.n_slots, n_rows))
+    rate = np.empty((cfg.n_slots, n_rows))
     n = 0
     try:
-        x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, targets)
+        x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
         for n in range(1, cfg.n_slots + 1):
-            z0, z1, e1, e2, e3 = slot_draws[:, n - 1].T
+            z0, z1, e1, e2, e3 = np.tile(slot_draws[n - 1], len(schemes))
             obj_pos, obj_vel = _object_step(obj_pos, obj_vel, z0, z1, dt, factor)
             uav_pos, uav_vel = x_a, v_a
             true_rel = RelativeState(obj_pos - uav_pos, obj_vel - uav_vel)
@@ -440,9 +485,11 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, scheme: str,
             weighted[n - 1] = ekf._anticipated_bounds(true_rel.x, true_rel.v, prior_info(), p)[2]
             rate[n - 1] = sensing.achievable_rate_each(pred.pred.x, p)
             if n < cfg.n_slots:
-                x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, targets)
+                x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
     except Exception as exc:
-        i = getattr(exc, "batch_index", 0)
+        i = getattr(exc, "batch_index", 0) % n_trials
+        if hasattr(exc, "batch_index"):
+            exc.batch_index = i
         _add_context(exc, f"trial {i} (seed {cfg.seed + i}), slot {n}")
         raise
     return weighted.T, rate.T
@@ -474,20 +521,22 @@ def run_monte_carlo(cfg: ScenarioConfig, params: SystemParams,
     Trial i runs both schemes from seed cfg.seed + i, so trial 0
     reproduces run_scenario for either scheme (to rounding) and the two
     schemes see identical noise within a trial; cfg.scheme is ignored.
-    Each scheme's trials advance in lockstep as arrays, the proposed
-    scheme first.  Trials are reduced in fixed trial-index order, so the
-    aggregate is independent of execution order.  An error names the
-    slot and the lowest failing trial with its seed.
+    Both schemes' trials advance in lockstep as one batch of 2*n_trials
+    rows, the proposed scheme's first, and each scheme's columns are
+    those of its own lockstep run bit for bit; the slot solve runs on the
+    proposed rows only.  Trials are reduced in fixed trial-index order,
+    so the aggregate is independent of execution order.  An error names
+    the earliest slot at which a trial fails, as run_scenario names it,
+    and among the rows failing at one step of that slot the lowest (a
+    proposed trial before a right-above one), with its trial index
+    within its scheme (batch_index) and its seed.
     """
     if not (isinstance(n_trials, numbers.Integral) and n_trials >= 1):
         raise ConfigError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
                       for i in range(n_trials)])
-    stats = {}
-    for scheme in ("proposed", "right_above"):
-        weighted, rate = _run_lockstep(cfg, params, scheme, draws)
-        stats[scheme] = SchemeStats(
-            weighted.mean(axis=0), weighted.std(axis=0),
-            rate.mean(axis=0), rate.std(axis=0))
-    return MonteCarloStats(stats["proposed"], stats["right_above"],
-                           n_trials, cfg.n_slots)
+    weighted, rate = _run_lockstep(cfg, params, ("proposed", "right_above"), draws)
+    proposed, right_above = (
+        SchemeStats(w.mean(axis=0), w.std(axis=0), r.mean(axis=0), r.std(axis=0))
+        for w, r in zip(np.split(weighted, 2), np.split(rate, 2)))
+    return MonteCarloStats(proposed, right_above, n_trials, cfg.n_slots)

@@ -59,6 +59,15 @@ def test_reciprocal_second_derivative():
 
 
 
+def test_unit_numerator_division_is_the_reciprocal():
+    x = Dual2(np.array([0.5, -3.0, 7.25, 4.0]), np.array([1.0, 2.0, -1.0, 0.0]),
+              np.array([0.0, -0.5, 3.0, 1e10]))
+    got, want = 1.0 / x, x.reciprocal()
+    for part in ("val", "d1", "d2"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+        assert np.array_equal(getattr(got, part), getattr(want * 1.0, part))
+
+
 def test_array_on_the_left_defers_to_dual():
     a = np.array([1.0, 2.0, 3.0])
     x = Dual2.variable(np.array([0.5, -1.0, 4.0]))

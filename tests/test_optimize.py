@@ -307,6 +307,48 @@ def test_hermite_start_reaches_the_midpoint_start_optimum():
         assert abs(res.x_breve_opt - want) <= 1e-12
 
 
+def _cubic_hermite(a, b, ga, gb, ha, hb):
+    """The cubic through f' = ga, gb and f'' = ha, hb at a and b, as a
+    function of x, from a dense 4x4 solve."""
+    w = b - a
+    c = np.linalg.solve([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                         [1.0, w, w * w, w ** 3], [0.0, 1.0, 2.0 * w, 3.0 * w * w]],
+                        [ga, ha, gb, hb])
+    return lambda x: np.polyval(c[::-1], x - a)
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_window_end_cell_starts_at_the_cubic_root(end, seed):
+    # a window whose end lies just short of the optimum: the grid minimum
+    # is the end point itself, the root lies in the end cell, and the
+    # clamped neighbours repeat the end, so no quintic exists
+    rng = np.random.default_rng(seed)
+    x_hat = float(rng.uniform(25.0, 32.0))
+    m11, m22 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 0.5))
+    m12 = float(rng.uniform(-0.8, 0.8)) * math.sqrt(m11 * m22)
+    x_opt = optimize.solve_p1_sca(_instance(x_hat, x_hat, m11=m11, m22=m22, m12=m12)).x_breve_opt
+    reach, gap = P.v_a_max * P.dt, float(rng.uniform(0.02, 0.05))
+    eta = x_opt - gap + reach if end == "lo" else x_opt + gap - reach
+    inst = _instance(eta, x_hat, m11=m11, m22=m22, m12=m12)
+    last = optimize.P1_GRID_POINTS - 1
+    xs = np.linspace(inst.lo, inst.hi, optimize.P1_GRID_POINTS)
+    k = int(np.argmin(optimize._objective(xs, x_hat, inst._prior_info, P)))
+    assert k == (0 if end == "lo" else last)
+    x3 = xs[[max(k - 1, 0), k, min(k + 1, last)]]
+    _, d1, d2 = map(np.array, zip(*(optimize.objective_f(float(x), inst) for x in x3)))
+    right = bool(d1[1] < 0.0)
+    assert right == (end == "lo")
+    (a, b), (ga, gb), (ha, hb) = (optimize._cell(v, right) for v in (x3, d1, d2))
+    start = float(optimize._newton_start(x3, d1, d2, right, None))
+    assert a < start < b and start != 0.5 * (a + b)
+    assert abs(_cubic_hermite(a, b, ga, gb, ha, hb)(start)) <= 1e-12 * max(-ga, gb)
+    slope = lambda x: optimize.objective_f(x, inst)[1:]
+    want, _ = optimize._newton_bracketed(slope, float(a), float(b), 1e-9 * P.h_alt)
+    res = optimize.solve_p1_sca(inst)
+    assert res.iterations >= 1 and abs(res.x_breve_opt - want) <= 1e-12
+
+
 # ------------------------------------------------------------ SP1 geometry
 
 def test_xi_and_brackets_frozen():

@@ -405,8 +405,8 @@ def test_monte_carlo_rejects_bad_trial_counts(n_trials):
 
 
 def test_batched_slot_solve_evaluation_budget(monkeypatch):
-    # one (n, 3) bracket evaluation plus the Newton rounds of the slowest
-    # trial; the sign checks and the window-end test cost nothing extra
+    # one (n, 3) bracket evaluation plus one Newton round from the quintic
+    # start; the sign checks and the window-end test cost nothing extra
     counts = {"dual": 0, "solves": 0}
     objective, solve = simulate.optimize._objective, simulate.optimize.solve_p1_each
 
@@ -421,13 +421,33 @@ def test_batched_slot_solve_evaluation_budget(monkeypatch):
     monkeypatch.setattr(simulate.optimize, "solve_p1_each", counting_solve)
     run_monte_carlo(ScenarioConfig(), P, 10)
     assert counts["solves"] == 100
-    assert counts["dual"] <= 3.5 * counts["solves"]
+    assert counts["dual"] <= 2 * counts["solves"]
+
+
+def test_ac09_slot_solves_take_one_newton_round(monkeypatch):
+    # the quintic start lands within the step tolerance of every trial's
+    # root, so no batched solve waits on a straggler
+    rounds = []
+    newton = simulate.optimize._newton_bracketed_each
+
+    def counting(deriv_fn, *args):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return deriv_fn(x)
+        out = newton(counted, *args)
+        rounds.append(len(calls))
+        return out
+    monkeypatch.setattr(simulate.optimize, "_newton_bracketed_each", counting)
+    run_monte_carlo(ScenarioConfig(), P, 50)
+    assert len(rounds) > 90 and set(rounds) == {1}
 
 
 def _lockstep_columns(cfg, params, scheme, n_trials):
     draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
                       for i in range(n_trials)])
-    return simulate._run_lockstep(cfg, params, scheme, draws)
+    return simulate._run_lockstep(cfg, params, (scheme,), draws)
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "right_above"])
@@ -451,6 +471,73 @@ def test_lockstep_matches_run_scenario(cfg, params, scheme):
         assert any(r.flagged for r in run_scenario(cfg, params))
 
 
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(),
+    ScenarioConfig(init_obj_pos=200.0),                  # flagged fallback
+    ScenarioConfig(n_slots=5, v_a_max=0.0),              # degenerate window
+], ids=["default", "flagged", "degenerate"])
+def test_monte_carlo_batch_equals_single_scheme_runs(cfg):
+    """Both schemes advance as one batch, and each scheme's rows are its
+    single-scheme lockstep run bit for bit."""
+    n_trials = 20
+    draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
+                      for i in range(n_trials)])
+    weighted, rate = simulate._run_lockstep(cfg, P, ("proposed", "right_above"), draws)
+    mc = run_monte_carlo(cfg, P, n_trials)
+    for j, (scheme, stats) in enumerate((("proposed", mc.proposed),
+                                         ("right_above", mc.right_above))):
+        rows = slice(j * n_trials, (j + 1) * n_trials)
+        w, r = simulate._run_lockstep(cfg, P, (scheme,), draws)
+        assert np.array_equal(weighted[rows], w) and np.array_equal(rate[rows], r)
+        assert np.array_equal(stats.weighted_actual_mean, w.mean(axis=0))
+        assert np.array_equal(stats.weighted_actual_std, w.std(axis=0))
+        assert np.array_equal(stats.rate_mean, r.mean(axis=0))
+        assert np.array_equal(stats.rate_std, r.std(axis=0))
+
+
+def _failing_at(rule, slot, trial):
+    """rule with trial asking for more than one slot's reach when it
+    plans at slot (the call that plans slot + 1)."""
+    calls = []
+
+    def failing(eta, x_hat, prior_info, params):
+        x_breve = rule(eta, x_hat, prior_info, params)
+        if len(calls) == slot:
+            x_breve[trial] += 100.0
+        calls.append(slot)
+        return x_breve
+    return failing
+
+
+@pytest.mark.parametrize("proposed, right_above, want", [
+    ((3, 1), (1, 2), ("right_above", 1, 2)),   # the earliest slot first
+    ((1, 3), (3, 0), ("proposed", 1, 3)),
+    ((2, 3), (2, 0), ("proposed", 2, 3)),      # one slot: the lowest row first
+])
+def test_monte_carlo_error_order_across_schemes(monkeypatch, proposed, right_above, want):
+    cfg = ScenarioConfig(n_slots=6, seed=10)
+    failures = {"proposed": proposed, "right_above": right_above}
+    rules = dict(simulate._TARGET_RULES_EACH)
+
+    def patch_rules():
+        for scheme, (slot, trial) in failures.items():
+            monkeypatch.setitem(simulate._TARGET_RULES_EACH, scheme,
+                                _failing_at(rules[scheme], slot, trial))
+    patch_rules()
+    scheme, slot, trial = want
+    with pytest.raises(VelocityBoundError, match=rf"^trial {trial} \(seed {10 + trial}\), "
+                       rf"slot {slot}: \|x_breve - eta\|") as exc_info:
+        run_monte_carlo(cfg, P, n_trials=4)
+    assert exc_info.value.batch_index == trial
+    # the error is the one the scheme's own lockstep run raises
+    patch_rules()
+    draws = np.stack([np.random.default_rng(10 + i).standard_normal(2 + 5 * cfg.n_slots)
+                      for i in range(4)])
+    with pytest.raises(VelocityBoundError) as single:
+        simulate._run_lockstep(cfg, P, (scheme,), draws)
+    assert str(single.value) == str(exc_info.value)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_predrawn_stream_equals_sequential_draws(seed):
     """The lockstep loop's pre-drawn row is run_scenario's draw sequence:
@@ -465,8 +552,8 @@ def test_predrawn_stream_equals_sequential_draws(seed):
 
 
 def test_monte_carlo_error_names_trial_seed_and_slot():
-    # the proposed scheme runs first and refuses the zero prediction MSE
-    # when it plans slot 1
+    # the proposed scheme refuses the zero prediction MSE when it plans
+    # slot 1, a slot before the right-above scheme's update would
     cfg = ScenarioConfig(init_mse=(0.0, 0.0), seed=4)
     with pytest.raises(NotPositiveDefiniteError,
                        match=r"^trial 0 \(seed 4\), slot 0: mse_pred is not positive definite"):
