@@ -129,7 +129,9 @@ def _fisher_terms(x, v, params: SystemParams, w=None, h_alt=None):
     angle+delay position information; the Doppler channel adds the
     rank-one block w3*[[zeta^2, zeta*nu], [zeta*nu, nu^2]] =
     [[zz, zv], [zv, vv]].  Written without square roots, using
-    zeta = nu*y/x with y = v*H^2/(x^2+H^2).
+    zeta = nu*y/x with y = v*H^2/(x^2+H^2).  v None stands for v = 0,
+    where zeta = 0: zz and zv are then 0.0 and their products are not
+    formed.
     """
     h = params.h_alt if h_alt is None else h_alt
     h2 = h * h
@@ -139,6 +141,8 @@ def _fisher_terms(x, v, params: SystemParams, w=None, h_alt=None):
     w1, w2, w3 = noise_weights(x, params, u, h) if w is None else w
     i_pos = (w1 * h2 * u + w2 * k * x2) * u
     t = w3 * (k * params.f_c * params.f_c) * u  # w3*nu^2/x^2
+    if v is None:
+        return i_pos, 0.0, 0.0, t * x2
     y = v * h2 * u
     ty = t * y
     return i_pos, ty * y, ty * x, t * x2

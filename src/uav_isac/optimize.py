@@ -15,9 +15,11 @@ usually meets the tolerance.  solve_p1_each takes the same steps for a
 batch of slot problems, one per Monte Carlo trial, as numpy arrays.
 The geometry problem drops the prior term and minimizes the
 measurement-only bound g(x, 0); it has closed-form branches at the
-weight endpoints and the same safeguarded Newton solve on a
-certified-convex bracket in between, run for one weight over an array
-of altitudes at once.
+weight endpoints and, in between, the batched slot solve's grid pass
+and polish on a certified-convex bracket, run for one weight over an
+array of altitudes at once: one dual-number evaluation at the grid
+minimum, its two neighbours and both bracket ends gives the bracket
+check, the cell and the quintic start.
 
 All derivatives are propagated as second-order dual numbers through
 the exact same rational expressions used for plain evaluation, so the
@@ -42,7 +44,8 @@ from .errors import (
 )
 from .linalg2 import Sym2, require_positive_definite
 from .params import SystemParams
-from .sensing import achievable_rate
+# achievable_rate is re-exported: code outside the package refers to optimize.achievable_rate
+from .sensing import achievable_rate, comm_snr  # noqa: F401
 
 
 def qos_radius(params: SystemParams) -> float:
@@ -269,6 +272,39 @@ def solve_p1_sca(inst: P1Instance, x0: float | None = None) -> ScaResult:
                      ((x_grid, f_grid), (x, f)))
 
 
+def _grid_basin_each(fn, lo, hi, ends=False):
+    """The basin step of the batched solves.  fn, generic over numpy
+    arrays and dual numbers, is evaluated in plain floats on
+    P1_GRID_POINTS evenly spaced points of every window [lo[i], hi[i]]
+    as one (n, P1_GRID_POINTS) array; per row the grid minimum's index
+    k, point and value, and x3, the grid minimum and its two neighbours
+    (indices clamped to the grid, so at a window end the end repeats).
+    Then one dual-number evaluation of fn at x3, shape (n, 3), or at x3
+    followed by lo and hi, shape (n, 5), when ends is set.  Returns
+    (k, x_grid, f_grid, those points, fn's dual values there)."""
+    xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=1)
+    fs = fn(xs)
+    k = fs.argmin(axis=1)
+    rows = np.arange(len(k))
+    x3 = xs[rows[:, None], np.clip(k[:, None] + (-1, 0, 1), 0, P1_GRID_POINTS - 1)]
+    points = np.column_stack((x3, lo, hi)) if ends else x3
+    return k, xs[rows, k], fs[rows, k], points, fn(Dual2.variable(points))
+
+
+def _polish_each(slope, x3, d1, d2, tol: float, x0, active):
+    """The polish of the batched solves: f' = d1 and f'' = d2 at the
+    points x3 (arrays (n, 3), as _grid_basin_each gives them), the sign
+    of f' at the middle point picks the grid cell that holds the root,
+    and _newton_bracketed_each solves f' = 0 there from _newton_start's
+    quintic Hermite root (x0 where given and inside the cell) on the
+    rows where active is set.  slope maps an (n,) array of iterates to
+    (f', f'') arrays."""
+    right = d1[:, 1] < 0.0
+    a, b = _cell(x3.T, right)
+    return _newton_bracketed_each(slope, a, b, tol,
+                                  _newton_start(x3.T, d1.T, d2.T, right, x0), active)
+
+
 def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams, solve):
     """solve_p1_sca's optimum for a batch of slot problems, in lockstep.
 
@@ -277,24 +313,18 @@ def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams
     (n,), and x0 is such an array of starts or None.  Only entries where
     the boolean array solve is set are solved, and they must have
     windows of positive length; the others return their grid point.
-    Every step is solve_p1_sca's.  The grid pass is one
-    (n, P1_GRID_POINTS) array evaluation and f', f'' at the grid minima
-    and their neighbours one (n, 3) dual-number evaluation.  The
-    window-end test, the sign check (raising the BracketError of the
-    lowest failing entry) and the Newton start read its values, and the
-    Newton polish runs on the whole batch, each entry taking its own
-    result by np.where masks; from the quintic start it usually takes
-    one round.
+    Every step is solve_p1_sca's.  The grid pass and the (n, 3)
+    dual-number evaluation at the grid minima and their neighbours are
+    _grid_basin_each's.  The window-end test, the sign check (raising
+    the BracketError of the lowest failing entry) and the Newton start
+    read its values, and the Newton polish (_polish_each) runs on the
+    whole batch, each entry taking its own result by np.where masks;
+    from the quintic start it usually takes one round.
     """
     last = P1_GRID_POINTS - 1
     rows_prior = Sym2(prior_info.m11[:, None], prior_info.m12[:, None], prior_info.m22[:, None])
-    xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=1)
-    fs = _objective(xs, x_hat_prev[:, None], rows_prior, params)
-    k = fs.argmin(axis=1)
-    rows = np.arange(len(k))
-    x_grid, f_grid = xs[rows, k], fs[rows, k]
-    x3 = xs[rows[:, None], np.clip(k[:, None] + (-1, 0, 1), 0, last)]
-    f3 = _objective(Dual2.variable(x3), x_hat_prev[:, None], rows_prior, params)
+    k, x_grid, f_grid, x3, f3 = _grid_basin_each(
+        lambda x: _objective(x, x_hat_prev[:, None], rows_prior, params), lo, hi)
     d1 = f3.d1
     at_end = ((k == 0) & (d1[:, 1] >= 0.0)) | ((k == last) & (d1[:, 1] <= 0.0))
     bracketed = solve & ~at_end
@@ -303,15 +333,12 @@ def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams
     interior = bracketed & (d1[:, 1] != 0.0)
     if not interior.any():
         return x_grid
-    right = d1[:, 1] < 0.0
-    a, b = _cell(x3.T, right)
 
     def slope(x):
         f = _objective(Dual2.variable(x), x_hat_prev, prior_info, params)
         return f.d1, f.d2
 
-    x = _newton_bracketed_each(slope, a, b, 1e-9 * params.h_alt,
-                               _newton_start(x3.T, d1.T, f3.d2.T, right, x0), interior)
+    x = _polish_each(slope, x3, d1, f3.d2, 1e-9 * params.h_alt, x0, interior)
     f = _objective(x, x_hat_prev, prior_info, params)
     return np.where(interior & ~(f > f_grid), x, x_grid)
 
@@ -354,7 +381,7 @@ def _g0(x, params: SystemParams, h_alt=None):
     """g(x, 0) at altitude h_alt (default params.h_alt), generic over
     floats, arrays and dual numbers.  At v = 0 the Doppler block is
     diagonal, so crb_x = 1/i_pos and crb_v = 1/fi_vv (inf overhead)."""
-    i_pos, _, _, vv = ekf._fisher_terms(x, 0.0, params, h_alt=h_alt)
+    i_pos, _, _, vv = ekf._fisher_terms(x, None, params, h_alt=h_alt)
     return ekf._weighted(1.0 / i_pos, 1.0 / vv, params.alpha)
 
 
@@ -445,8 +472,11 @@ def _solve_sp1_each(params: SystemParams, h):
     float array h (finite, positive; params.h_alt is not read).  Returns
     arrays x_star, x_l, x_u, the branch names and, per altitude, the
     package error its solve raises or None (x_star NaN, branch
-    'error:<Name>').  An interior weight checks g' at both ends of every
-    bracket in one (n, 2) evaluation and solves the signed ones together."""
+    'error:<Name>').  An interior weight takes _grid_basin_each's grid
+    pass over every bracket and one (n, 5) evaluation of g', g'' at the
+    grid minima, their neighbours and both bracket ends, checks the
+    signs at the ends, and polishes the signed brackets together with
+    _polish_each."""
     n = len(h)
     xi = xi_of_h(params, h)
     x_l = convexity_lower_bound(params, h)
@@ -463,18 +493,24 @@ def _solve_sp1_each(params: SystemParams, h):
         branch = ["alpha1_xi_nonpos" if v <= 0.0 else "alpha1_xi_pos" for v in xi]
     else:
         lo = np.maximum(x_l, 1e-9 * h)
-        ends = _g0(Dual2.variable(np.stack((lo, x_u), axis=1)), params, h[:, None]).d1
-        signed = (ends[:, 0] < 0.0) & (0.0 < ends[:, 1])
+        _, _, _, points, g5 = _grid_basin_each(lambda x: _g0(x, params, h[:, None]), lo, x_u,
+                                               ends=True)
+        d1, d2 = g5.d1, g5.d2
+        signed = (d1[:, 3] < 0.0) & (0.0 < d1[:, 4])
         for i in np.flatnonzero(~signed):
-            error[i] = _bracket_error(lo[i], x_u[i], float(ends[i, 0]), float(ends[i, 1]))
-        h, lo, hi = h[signed], lo[signed], x_u[signed]
+            error[i] = _bracket_error(lo[i], x_u[i], float(d1[i, 3]), float(d1[i, 4]))
+        # where g' does not change sign over the grid cell that the middle
+        # point picks, that cell is the whole bracket, the points (lo, lo, x_u)
+        ga, gb = _cell(d1.T, d1[:, 1] < 0.0)
+        cols = np.where(((ga < 0.0) & (0.0 < gb))[:, None], (0, 1, 2), (3, 3, 4))[signed]
+        h = h[signed]
+        x3, d1, d2 = (np.take_along_axis(v[signed], cols, axis=1) for v in (points, d1, d2))
 
         def slope(x):
             g = _g0(Dual2.variable(x), params, h)
             return g.d1, g.d2
         x_star = np.full(n, math.nan)
-        x_star[signed] = _newton_bracketed_each(  # from the midpoint, as the scalar solve
-            slope, lo, hi, 1e-9 * h, 0.5 * (lo + hi), np.ones(len(h), bool))
+        x_star[signed] = _polish_each(slope, x3, d1, d2, 1e-9 * h, None, np.ones(len(h), bool))
         branch = ["interior_newton" if e is None else f"error:{type(e).__name__}" for e in error]
     return x_star, x_l, x_u, branch, error
 
@@ -485,11 +521,16 @@ def solve_sp1(params: SystemParams) -> Sp1Result:
     Weight endpoints have closed forms: alpha=0 gives x_u = H/sqrt(2)
     exactly, alpha=1 gives x = 0 when xi <= 0 and otherwise H/sqrt(chi1)
     with chi1 the largest root of the stationarity cubic (trigonometric
-    form).  Interior weights run a safeguarded Newton solve of
-    g'(x, 0) = 0 on [x_l, x_u] with |dx| < 1e-9*H tolerance, from the
-    midpoint; the lower end is floored at 1e-9*H because g' diverges at
-    x = 0 when the velocity term carries weight.  The one-altitude case
-    of sweep_angle's batched solve.
+    form).  Interior weights solve g'(x, 0) = 0 on the bracket
+    [x_l, x_u], its lower end floored at 1e-9*H because g' diverges at
+    x = 0 when the velocity term carries weight: g' must go from
+    negative to positive over it (BracketError if not), g on
+    P1_GRID_POINTS evenly spaced points picks the grid cell that holds
+    the root by the sign of g' at the grid minimum (the whole bracket
+    when g' does not change sign over that cell), and a safeguarded
+    Newton solve to |dx| < 1e-9*H runs there from the root of the
+    quintic Hermite interpolant of g' through the grid minimum and its
+    neighbours.  The one-altitude case of sweep_angle's batched solve.
     """
     x_star, x_l, x_u, branch, error = _solve_sp1_each(params, np.array([params.h_alt], float))
     if error[0] is not None:
@@ -595,5 +636,7 @@ def tradeoff_frontier(params: SystemParams, n_grid: int = 2001):
     with np.errstate(divide="ignore"):
         perf = 1.0 / _g0(xs, params)
     keep = np.concatenate(([True], perf[1:] > np.maximum.accumulate(perf)[:-1]))
-    return [(params.alpha, x, achievable_rate(x, params), pf)
-            for x, pf in zip(xs[keep].tolist(), perf[keep].tolist())]
+    # achievable_rate with the SNR as one array; math.log2 per row keeps its digits
+    snr = comm_snr(xs[keep], params).tolist()
+    return [(params.alpha, x, math.log2(1.0 + s), pf)
+            for x, s, pf in zip(xs[keep].tolist(), snr, perf[keep].tolist())]

@@ -70,15 +70,19 @@ def comm_gain(x: float, params: SystemParams) -> float:
     return params.wavelength ** 2 / (16.0 * math.pi ** 2 * d2)
 
 
+def comm_snr(x, params: SystemParams):
+    """Downlink SNR P_A*N_t*G_c/sigma_C^2, generic over floats and arrays."""
+    return params.p_a_w * params.n_t * comm_gain(x, params) / params.sigma_c2_w
+
+
 def achievable_rate(x: float, params: SystemParams) -> float:
-    """Downlink spectral efficiency log2(1 + P_A*N_t*G_c/sigma_C^2) in bps/Hz."""
-    snr = params.p_a_w * params.n_t * comm_gain(x, params) / params.sigma_c2_w
-    return math.log2(1.0 + snr)
+    """Downlink spectral efficiency log2(1 + SNR) in bps/Hz."""
+    return math.log2(1.0 + comm_snr(x, params))
 
 
 def achievable_rate_each(x, params: SystemParams):
     """achievable_rate over an array of offsets."""
-    return np.log2(1.0 + params.p_a_w * params.n_t * comm_gain(x, params) / params.sigma_c2_w)
+    return np.log2(1.0 + comm_snr(x, params))
 
 
 def measure_mean(s: RelativeState, params: SystemParams) -> tuple[float, float, float]:

@@ -186,14 +186,16 @@ def _object_step(pos, vel, z0, z1, dt: float, factor):
 
 
 def _target_proposed(eta: float, x_hat: float, mse_pred: Sym2,
-                     params: SystemParams) -> tuple[float, bool]:
+                     params: SystemParams) -> tuple[float, bool, Sym2 | None]:
     """Pick the next predicted relative position by minimizing the
-    anticipated weighted bound over the reachable window.
+    anticipated weighted bound over the reachable window.  Returns it,
+    the flag, and the prior information M_p^{-1} that the solve used.
 
     If the velocity envelope cannot reach the rate disc at all, the
     target falls back to the reachable point closest to the disc and
     the slot is flagged; a window that degenerates to a single touching
-    point is used as-is, unflagged.
+    point is used as-is, unflagged.  Neither fallback returns the prior
+    information.
     """
     try:
         inst = optimize.P1Instance(eta, x_hat, mse_pred, params)
@@ -202,20 +204,20 @@ def _target_proposed(eta: float, x_hat: float, mse_pred: Sym2,
         x_c = optimize.qos_radius(params)
         lo = max(-x_c, eta - reach)
         if min(x_c, eta + reach) == lo:
-            return lo, False
-        return (eta - reach if eta > 0.0 else eta + reach), True
-    return optimize.solve_p1_sca(inst).x_breve_opt, False
+            return lo, False, None
+        return (eta - reach if eta > 0.0 else eta + reach), True, None
+    return optimize.solve_p1_sca(inst).x_breve_opt, False, inst._prior_info
 
 
 def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2,
-                        params: SystemParams) -> tuple[float, bool]:
+                        params: SystemParams) -> tuple[float, bool, None]:
     """Benchmark target: chase the predicted object position, saturating
     at the speed limit; the rate constraint is ignored by design, and
-    the slot is never flagged."""
+    the slot is never flagged.  The MSE is not read."""
     reach = params.v_a_max * params.dt
     if abs(eta) <= reach:
-        return 0.0, False
-    return eta - math.copysign(reach, eta), False
+        return 0.0, False, None
+    return eta - math.copysign(reach, eta), False, None
 
 
 def _targets_proposed_each(eta, x_hat, prior_info, params: SystemParams):
@@ -252,11 +254,13 @@ _TARGET_RULES_EACH = {
 
 
 def _plan(fstate: ekf.FilterState, uav_pos: float, uav_vel: float, params: SystemParams,
-          target_rule) -> tuple[float, float, bool, ekf.Prediction]:
+          target_rule) -> tuple[float, float, bool, ekf.Prediction, Sym2 | None]:
     """Decide the next slot: the platform waypoint x_a and slot velocity
     v_a, whether the slot is flagged (the rate disc was unreachable and
-    the fallback applied), and the filter's prediction for the slot.
-    The command and the prediction are one decision.
+    the fallback applied), the filter's prediction for the slot, and the
+    prediction's information M_p^{-1} when the target rule computed it
+    (else None, and the slot computes it).  The command and the
+    prediction are one decision.
 
     The posterior is predicted once; eta = x_pred + v_A*dt is where the
     object would sit relative to a platform that stopped, the center of
@@ -268,10 +272,10 @@ def _plan(fstate: ekf.FilterState, uav_pos: float, uav_vel: float, params: Syste
     pred = ekf.predict(fstate, params)
     eta = pred.pred.x + uav_vel * params.dt
     x_hat = fstate.est.x
-    x_breve, flagged = target_rule(eta, x_hat, pred.mse_pred, params)
+    x_breve, flagged, prior = target_rule(eta, x_hat, pred.mse_pred, params)
     x_a, v_a = optimize.design_trajectory(x_breve, eta, (uav_pos, uav_vel), params)
     state = RelativeState(x_breve, (x_breve - x_hat) / params.dt)
-    return x_a, v_a, flagged, ekf.Prediction(state, pred.mse_pred)
+    return x_a, v_a, flagged, ekf.Prediction(state, pred.mse_pred), prior
 
 
 def _prior_information_each(mse_pred: Sym2, blocks) -> Callable[..., Sym2]:
@@ -390,7 +394,7 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
     records: list[SlotRecord] = []
     n = 0
     try:
-        x_a, v_a, flagged, pred = _plan(fstate, uav_pos, uav_vel, p, target_rule)
+        x_a, v_a, flagged, pred, prior = _plan(fstate, uav_pos, uav_vel, p, target_rule)
         for n in range(1, cfg.n_slots + 1):
             # step_ground_truth, the planned command and sample_measurement
             z0, z1, e1, e2, e3 = z[5 * n - 3:5 * n + 2]
@@ -399,10 +403,12 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
             x, v = obj_pos - uav_pos, obj_vel - uav_vel
             s = sensing._variances(x, p)
             y = sensing._noisy_mean(RelativeState(x, v), s, (e1, e2, e3), k, p)
-            # ekf.update, then both bounds from the one prior information;
-            # one Fisher pass at the prediction serves its bound and tr_mm
+            # ekf.update, then both bounds from the one prior information,
+            # the plan's where it has one; one Fisher pass at the prediction
+            # serves its bound and tr_mm
             w = ekf._measured_weights(s)
-            prior = ekf._prior_information(pred.mse_pred)
+            if prior is None:
+                prior = ekf._prior_information(pred.mse_pred)
             fstate = ekf._posterior(pred.pred, prior, w, y, p)
             x_breve, v_breve = pred.pred.x, pred.pred.v
             terms = ekf._fisher_terms(x_breve, v_breve, p)
@@ -414,7 +420,7 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
                 bx_pred, bv_pred, bx_act, bv_act, weighted_act,
                 sensing.achievable_rate(x_breve, p), pred.mse_pred.trace, crb_x + crb_v, flagged))
             if n < cfg.n_slots:
-                x_a, v_a, flagged, pred = _plan(fstate, uav_pos, uav_vel, p, target_rule)
+                x_a, v_a, flagged, pred, prior = _plan(fstate, uav_pos, uav_vel, p, target_rule)
     except Exception as exc:
         _add_context(exc, f"slot {n}")
         raise

@@ -1,16 +1,19 @@
 """Independent reference values and reference implementations.
 
-Everything here except the *_by_scalar_steps and *_by_public_steps
-functions is derived from the model equations directly with numpy — no
-imports from the package under test — so agreement between the two is
-evidence, not tautology.  FROZEN holds point values computed once at
-40-digit precision and pasted in verbatim.  The others are the other
-kind of reference: scenario_by_public_steps is the tracking loop
-composed from the package's public one-step functions, which define
-the loop's arithmetic, and sp1_by_scalar_steps, sweep_by_scalar_steps
-and frontier_by_scalar_steps are the geometry solve, the angle sweep
-and the trade-off frontier one cell and one grid point at a time, on
-plain floats, which the batched forms must reproduce bit for bit.
+Everything here except the *_by_scalar_steps, *_by_public_steps and
+*_by_midpoint_newton functions is derived from the model equations
+directly with numpy — no imports from the package under test — so
+agreement between the two is evidence, not tautology.  FROZEN holds
+point values computed once at 40-digit precision and pasted in
+verbatim.  The others are the other kind of reference:
+scenario_by_public_steps is the tracking loop composed from the
+package's public one-step functions, which define the loop's
+arithmetic, and sp1_by_scalar_steps, sweep_by_scalar_steps and
+frontier_by_scalar_steps are the geometry solve, the angle sweep and
+the trade-off frontier one cell and one grid point at a time, on plain
+floats, which the batched forms must reproduce bit for bit.
+sp1_by_midpoint_newton is the geometry solve the grid-cell polish
+replaced, which the sweep must stay within a few ulp of.
 """
 
 from __future__ import annotations
@@ -239,7 +242,7 @@ def scenario_by_public_steps(cfg, params):
                                  rel0.v + cfg.init_est_std[1] * z[1])
     fstate = ekf.FilterState(est0, Sym2.diag(*cfg.init_mse))
     records = []
-    x_a, v_a, flagged, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel, p, rule)
+    x_a, v_a, flagged, pred, _ = simulate._plan(fstate, world.uav_pos, world.uav_vel, p, rule)
     for n in range(1, cfg.n_slots + 1):
         world = replace(simulate.step_ground_truth(world, p, rng), uav_pos=x_a, uav_vel=v_a)
         true_rel = world.relative()
@@ -258,26 +261,30 @@ def scenario_by_public_steps(cfg, params):
             weighted_actual=pcrb_act.weighted, rate_bpshz=sensing.achievable_rate(x_breve, p),
             tr_mp=pred.mse_pred.trace, tr_mm=crb_x + crb_v, flagged=flagged))
         if n < cfg.n_slots:
-            x_a, v_a, flagged, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel,
-                                                     p, rule)
+            x_a, v_a, flagged, pred, _ = simulate._plan(fstate, world.uav_pos, world.uav_vel,
+                                                        p, rule)
     return records
 
 
-def sp1_by_scalar_steps(params):
-    """optimize.solve_sp1 for one altitude on plain floats: the closed
-    forms at the weight endpoints, and for an interior weight the scalar
-    safeguarded Newton solve optimize._newton_bracketed of g' = 0 from
-    the midpoint of [max(x_l, 1e-9 H), x_u], with g' and g'' from
-    optimize.g0_derivatives.  Returns (Sp1Result, Newton steps taken);
-    raises the BracketError of the bracket check."""
-    from uav_isac import ekf, optimize
-
-    p = params
+def _sp1_endpoints(p):
+    """(x_l, x_u, chi_bar, xi) of the geometry problem, the long way."""
     h = p.h_alt
     xi = 4.0 * p.a1 * p.a1 * h * h - 5.0 * p.c * p.c * p.a2 * p.a2
     chi_bar = 4.0 * p.a1 * h / math.sqrt(xi) if xi > 0.0 else math.nan
     x_l = h / math.sqrt(chi_bar) if xi > 0.0 else 0.0
-    x_u = h / math.sqrt(2.0)
+    return x_l, h / math.sqrt(2.0), chi_bar, xi
+
+
+def _sp1_result(params, interior_solve):
+    """optimize.solve_sp1 for one altitude on plain floats: the closed
+    forms at the weight endpoints, and for an interior weight
+    interior_solve(params, lo, x_u) -> (x_star, Newton steps) on the
+    bracket [max(x_l, 1e-9 H), x_u].  Returns (Sp1Result, steps)."""
+    from uav_isac import ekf, optimize
+
+    p = params
+    h = p.h_alt
+    x_l, x_u, chi_bar, xi = _sp1_endpoints(p)
     steps = 0
     if p.alpha == 0.0:
         branch, x_star = "alpha0", x_u
@@ -291,17 +298,66 @@ def sp1_by_scalar_steps(params):
             x_star = h / math.sqrt(chi1)
     else:
         branch = "interior_newton"
-        x_star, steps = optimize._newton_bracketed(
-            lambda x: optimize.g0_derivatives(x, p)[1:], max(x_l, 1e-9 * h), x_u,
-            tol=1e-9 * h)
+        x_star, steps = interior_solve(p, max(x_l, 1e-9 * h), x_u)
     res = optimize.Sp1Result(x_star, 0.0, math.atan2(h, x_star),
                              ekf.weighted_g(x_star, 0.0, p), x_l, x_u, branch)
     return res, steps
 
 
-def sweep_by_scalar_steps(params, alphas, h_values):
-    """optimize.sweep_angle one cell at a time through sp1_by_scalar_steps,
-    each cell validated as its own SystemParams."""
+def _grid_cell_newton(p, lo, hi):
+    from uav_isac import ekf, optimize
+
+    tol = 1e-9 * p.h_alt
+    slope = lambda x: optimize.g0_derivatives(x, p)[1:]
+    xs = np.linspace(lo, hi, optimize.P1_GRID_POINTS).tolist()
+    gs = [ekf.weighted_g(x, 0.0, p) for x in xs]
+    k = gs.index(min(gs))
+    x3 = [xs[max(k - 1, 0)], xs[k], xs[min(k + 1, len(xs) - 1)]]
+    d1, d2 = zip(*(slope(x) for x in x3 + [lo, hi]))
+    optimize._require_sign_change(lo, hi, d1[3], d1[4])
+    i = 1 if d1[1] < 0.0 else 0
+    if not d1[i] < 0.0 < d1[i + 1]:   # the cell is the whole bracket
+        x3, d1, d2, i = [lo, lo, hi], (d1[3], d1[3], d1[4]), (d2[3], d2[3], d2[4]), 1
+    # numpy points, as _newton_start needs: a repeated point divides by zero
+    start = optimize._newton_start(tuple(np.array(x3)), d1[:3], d2[:3], i == 1, None)
+    return optimize._newton_bracketed(slope, x3[i], x3[i + 1], tol=tol, x0=float(start))
+
+
+def _midpoint_newton(p, lo, hi):
+    from uav_isac import optimize
+
+    return optimize._newton_bracketed(lambda x: optimize.g0_derivatives(x, p)[1:], lo, hi,
+                                      tol=1e-9 * p.h_alt)
+
+
+def sp1_by_scalar_steps(params):
+    """optimize.solve_sp1 for one altitude on plain floats, for an
+    interior weight in its steps one point at a time: g from
+    ekf.weighted_g on optimize.P1_GRID_POINTS evenly spaced points of
+    [max(x_l, 1e-9 H), x_u]; g' and g'' from optimize.g0_derivatives at
+    the grid minimum, its two neighbours (indices clamped) and both
+    bracket ends; the bracket check at the ends; the grid cell that the
+    sign of g' at the grid minimum picks (the whole bracket when g' does
+    not change sign over it); optimize._newton_start on the three
+    points and the scalar safeguarded Newton solve
+    optimize._newton_bracketed on the cell from there.  Returns
+    (Sp1Result, Newton steps taken); raises the BracketError of the
+    bracket check."""
+    return _sp1_result(params, _grid_cell_newton)
+
+
+def sp1_by_midpoint_newton(params):
+    """The geometry solve that the grid-cell polish replaced: for an
+    interior weight the scalar safeguarded Newton solve
+    optimize._newton_bracketed of g' = 0 from the midpoint of
+    [max(x_l, 1e-9 H), x_u].  Returns (Sp1Result, Newton steps taken);
+    raises the BracketError of the bracket check."""
+    return _sp1_result(params, _midpoint_newton)
+
+
+def sweep_by_scalar_steps(params, alphas, h_values, solve=sp1_by_scalar_steps):
+    """optimize.sweep_angle one cell at a time through solve (by default
+    sp1_by_scalar_steps), each cell validated as its own SystemParams."""
     from dataclasses import replace
 
     from uav_isac.errors import UavIsacError
@@ -310,7 +366,7 @@ def sweep_by_scalar_steps(params, alphas, h_values):
     for a in alphas:
         for h in h_values:
             try:
-                res, _ = sp1_by_scalar_steps(replace(params, alpha=float(a), h_alt=float(h)))
+                res, _ = solve(replace(params, alpha=float(a), h_alt=float(h)))
             except UavIsacError as exc:
                 rows.append((float(a), float(h), math.nan, math.nan,
                              f"error:{type(exc).__name__}"))

@@ -540,16 +540,22 @@ def test_sweep_angle_survives_per_cell_failure():
     assert all(math.isfinite(r[2]) for r in rows[::2])
 
 
+BENCHMARK_ALPHAS = [i / 20 for i in range(21)]
+BENCHMARK_HEIGHTS = [10.0 + i for i in range(91)]
+AC02_HEIGHTS = [10.0 + 0.25 * i for i in range(361)]
 ODD_ALPHAS = (0.0, 0.01, 0.1, 0.3, 0.5, 0.85, 0.99, 1.0)
 ODD_HEIGHTS = (0.5, 3.0, 17.0, oracles.FROZEN["h_knee"], 500.0, 1e4)
 
 
 @pytest.mark.parametrize("params, alphas, heights", [
-    (P, [i / 20 for i in range(21)], [10.0 + i for i in range(91)]),   # the benchmark's grid
-    (P, [1.0], [10.0 + 0.25 * i for i in range(361)]),                 # AC02's grid
+    (P, BENCHMARK_ALPHAS, BENCHMARK_HEIGHTS),   # the benchmark's grid
+    (P, [1.0], AC02_HEIGHTS),                   # AC02's grid
     (P, ODD_ALPHAS, ODD_HEIGHTS),
     (replace(P, a2=1.2e-9), [0.01, 0.5], [50.0, 1e5, 70.0]),          # a BracketError cell
-], ids=["benchmark", "ac02", "odd", "bracket_error"])
+    # g ties to roundoff over these grids, so g' does not change sign over the
+    # cell the grid minimum picks, and the cell is the whole bracket
+    (P, [0.5, 0.85], [7e4, 2e5, 1e6]),
+], ids=["benchmark", "ac02", "odd", "bracket_error", "far"])
 def test_sweep_angle_equals_scalar_oracle(params, alphas, heights):
     # repr tells every float bit, NaN and the sign of zero apart
     assert repr(optimize.sweep_angle(params, alphas, heights)) == \
@@ -583,8 +589,40 @@ def test_sweep_angle_validates_once_and_batches_the_newton_solve(monkeypatch):
     assert len(rows) == 91 and len(built) <= 1
     monkeypatch.undo()
     steps = max(oracles.sp1_by_scalar_steps(replace(P, h_alt=h))[1] for h in heights)
-    # one evaluation of both bracket ends, then one per Newton round
+    # one evaluation at the grid minima, their neighbours and the bracket
+    # ends, then one per Newton round
     assert len(evaluations) <= 1 + steps
+
+
+def _ulps(a: float, b: float) -> int:
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+@pytest.mark.parametrize("alphas, heights, max_ulps", [
+    (BENCHMARK_ALPHAS, BENCHMARK_HEIGHTS, 32),     # measured maximum 19
+    # AC02's heights at every interior alpha; near the knee (H = 40.5 m at
+    # alpha = 0.9) g' at both roots is about 1e-21, roundoff: measured maximum 33
+    (BENCHMARK_ALPHAS[1:-1], AC02_HEIGHTS, 64),
+], ids=["benchmark", "ac02_heights"])
+def test_sweep_angle_stays_at_the_midpoint_solve(alphas, heights, max_ulps):
+    # the grid-cell polish converges to the root the midpoint solve found,
+    # within a few ulp; every branch and error is the same
+    got = optimize.sweep_angle(P, alphas, heights)
+    want = oracles.sweep_by_scalar_steps(P, alphas, heights, oracles.sp1_by_midpoint_newton)
+    assert [r[:2] + r[4:] for r in got] == [r[:2] + r[4:] for r in want]
+    assert max(_ulps(g[2], w[2]) for g, w in zip(got, want)) <= max_ulps
+
+
+def test_sweep_angle_round_budget(monkeypatch):
+    # per interior alpha of the benchmark grid: the grid-cell evaluation and
+    # at most two Newton rounds over all 91 heights, including alpha = 0.85,
+    # where H = 35 m took 24 steps from the bracket midpoint
+    assert oracles.sp1_by_midpoint_newton(replace(P, alpha=0.85, h_alt=35.0))[1] == 24
+    evaluations = _count_derivative_evaluations(monkeypatch)
+    for alpha in BENCHMARK_ALPHAS[1:-1]:
+        evaluations.clear()
+        optimize.sweep_angle(P, [alpha], BENCHMARK_HEIGHTS)
+        assert 2 <= len(evaluations) <= 3, alpha
 
 
 @pytest.mark.parametrize("n_grid", [2, 3, 2001])

@@ -247,6 +247,18 @@ def test_slot_loop_operation_counts(monkeypatch):
     assert counts == {"inverse": 20, "_fisher_terms": 30, "standard_normal": 1}
 
 
+def test_proposed_slot_reuses_the_plans_prior_information(monkeypatch):
+    """The proposed scheme's plan inverts the prediction MSE for its
+    solve, and the slot reuses that information: per slot one inversion
+    of the prediction MSE and one of the posterior information."""
+    inverses = []
+    inverse = Sym2.inverse
+    monkeypatch.setattr(Sym2, "inverse", lambda self: inverses.append(self) or inverse(self))
+    recs = run_scenario(ScenarioConfig(n_slots=10, scheme="proposed"), P)
+    assert not any(r.flagged for r in recs)
+    assert len(inverses) == 20
+
+
 def _same_records(a, b):
     """Records equal field by field, NaN cells matching NaN cells."""
     assert len(a) == len(b)
