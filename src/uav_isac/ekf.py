@@ -10,11 +10,12 @@ update reads the weights off the measurement, the anticipated bound
 models them at the predicted position, and the measurement-only bound
 is the zero-prior case.
 
-The bound expressions are written over generic scalars so that the
-exact same code path serves plain floats, numpy arrays and
-second-order dual numbers; each bound is a rational function of
-position and velocity, which is what makes derivative propagation
-exact.
+The bound expressions are written over generic scalars, so one code
+path serves plain floats, numpy arrays and second-order dual numbers;
+each bound is a rational function of position and velocity, which is
+what makes derivative propagation exact.  The update's posterior also
+reads the measurement map, so it takes sensing's namespace xp: math,
+or numpy for the Monte-Carlo batch (which inverts with inverse_each).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularMatrixError
-from .linalg2 import Sym2, require_positive_definite
+from .linalg2 import Sym2, inverse_each, require_positive_definite
 from .params import SystemParams
 from .sensing import Measurement, RelativeState, jacobian, measure_mean, noise_weights
 
@@ -96,13 +97,16 @@ def _prior_information(mse_pred: Sym2) -> Sym2:
     return mse_pred.inverse()
 
 
-def _posterior(pred: RelativeState, prior_info: Sym2, w, y, params: SystemParams) -> FilterState:
+def _posterior(pred: RelativeState, prior_info: Sym2, w, y, params: SystemParams,
+               xp=math) -> FilterState:
     """The update's posterior at the predicted state for the prediction's
-    information, weights w = (1/s1, 1/s2, 1/s3) and y = (phi, tau, mu)."""
-    phi, tau, mu = measure_mean(pred, params)
+    information, weights w = (1/s1, 1/s2, 1/s3) and y = (phi, tau, mu);
+    with xp numpy, of a batch whose fields are arrays."""
+    phi, tau, mu = measure_mean(pred, params, xp)
     info, gx, gv = _information_and_score(
-        pred, prior_info, w, jacobian(pred, params), (y[0] - phi, y[1] - tau, y[2] - mu), params)
-    mse = info.inverse()
+        pred, prior_info, w, jacobian(pred, params, xp), (y[0] - phi, y[1] - tau, y[2] - mu),
+        params)
+    mse = info.inverse() if xp is math else inverse_each(info)
     x, v = pred.x, pred.v
     return FilterState(RelativeState(x + mse.m11 * gx + mse.m12 * gv,
                                      v + mse.m12 * gx + mse.m22 * gv), mse)

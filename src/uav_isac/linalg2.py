@@ -4,9 +4,9 @@ Everything the filter and the bounds need fits in 2x2 symmetric
 matrices, 3-entry diagonal covariances and one 3x2 Jacobian layout, so
 these are plain frozen dataclasses with explicit entry arithmetic.
 The same dataclasses hold a batch of matrices when their fields are
-numpy arrays (one entry per trial); the *_each functions are the
-checked operations for such a batch.  Otherwise numpy arrays appear
-only in the as_array conversions that the dense reference checks use.
+numpy arrays (one entry per trial); the *_each functions check such a
+batch at once and raise the scalar check's error for its lowest failing
+entry.  Otherwise numpy arrays appear only in the as_array conversions.
 """
 
 from __future__ import annotations

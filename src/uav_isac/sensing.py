@@ -12,18 +12,16 @@ reciprocal variances 1/s_i at offset x.  The sampled measurement noise
 (noise_cov_actual), the filter update and both estimation bounds all
 read it.
 
-The *_each functions are the array forms of the measurement map, its
-Jacobian and the rate, for a batch of trials whose RelativeState
-fields are numpy arrays; they differ from the scalar forms only by
-using numpy's transcendental functions.
+measure_mean, jacobian, achievable_rate and _noisy_mean take the module
+of their transcendentals as xp: math by default, numpy for a batch of
+trials whose RelativeState fields are arrays.  numpy >= 2.0 spells
+hypot, atan2, sqrt and log2 as math does, so no adapter is needed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .linalg2 import DiagMat3, Jacobian32
 from .params import SystemParams
@@ -75,17 +73,12 @@ def comm_snr(x, params: SystemParams):
     return params.p_a_w * params.n_t * comm_gain(x, params) / params.sigma_c2_w
 
 
-def achievable_rate(x: float, params: SystemParams) -> float:
+def achievable_rate(x: float, params: SystemParams, xp=math) -> float:
     """Downlink spectral efficiency log2(1 + SNR) in bps/Hz."""
-    return math.log2(1.0 + comm_snr(x, params))
+    return xp.log2(1.0 + comm_snr(x, params))
 
 
-def achievable_rate_each(x, params: SystemParams):
-    """achievable_rate over an array of offsets."""
-    return np.log2(1.0 + comm_snr(x, params))
-
-
-def measure_mean(s: RelativeState, params: SystemParams) -> tuple[float, float, float]:
+def measure_mean(s: RelativeState, params: SystemParams, xp=math) -> tuple[float, float, float]:
     """Noiseless measurement map (phi, tau, mu) at relative state s.
 
     phi is the elevation angle measured from the positive x axis, kept
@@ -94,18 +87,11 @@ def measure_mean(s: RelativeState, params: SystemParams) -> tuple[float, float, 
     delay and mu the Doppler shift of the echo.
     """
     h = params.h_alt
-    d = math.hypot(s.x, h)
-    phi = math.atan2(h, s.x)
+    d = xp.hypot(s.x, h)
+    phi = xp.atan2(h, s.x)
     tau = 2.0 * d / params.c
     mu = -2.0 * params.f_c * s.v * s.x / (params.c * d)
     return phi, tau, mu
-
-
-def measure_mean_each(s: RelativeState, params: SystemParams):
-    """measure_mean over a batch of relative states (array fields)."""
-    h = params.h_alt
-    d = np.hypot(s.x, h)
-    return np.arctan2(h, s.x), 2.0 * d / params.c, -2.0 * params.f_c * s.v * s.x / (params.c * d)
 
 
 def noise_weights(x, params: SystemParams, u=None, h_alt=None):
@@ -144,7 +130,7 @@ def _variances(x: float, params: SystemParams) -> tuple[float, float, float]:
             1.0 / w3 if w3 else math.inf)
 
 
-def jacobian(s: RelativeState, params: SystemParams) -> Jacobian32:
+def jacobian(s: RelativeState, params: SystemParams, xp=math) -> Jacobian32:
     """Measurement Jacobian at s, as the analytic derivative of
     measure_mean (verified against central finite differences).
 
@@ -153,22 +139,12 @@ def jacobian(s: RelativeState, params: SystemParams) -> Jacobian32:
     """
     h = params.h_alt
     d2 = s.x * s.x + h * h
-    d = math.sqrt(d2)
+    d = xp.sqrt(d2)
     iota = -h / d2
     kappa = 2.0 * s.x / (params.c * d)
     zeta = -2.0 * params.f_c * s.v * h * h / (params.c * d2 * d)
     nu = -2.0 * params.f_c * s.x / (params.c * d)
     return Jacobian32(iota, kappa, zeta, nu)
-
-
-def jacobian_each(s: RelativeState, params: SystemParams) -> Jacobian32:
-    """jacobian over a batch of relative states (array fields)."""
-    h = params.h_alt
-    d2 = s.x * s.x + h * h
-    d = np.sqrt(d2)
-    return Jacobian32(-h / d2, 2.0 * s.x / (params.c * d),
-                      -2.0 * params.f_c * s.v * h * h / (params.c * d2 * d),
-                      -2.0 * params.f_c * s.x / (params.c * d))
 
 
 def sample_measurement(s_true: RelativeState, params: SystemParams, rng,
@@ -194,9 +170,9 @@ def sample_measurement(s_true: RelativeState, params: SystemParams, rng,
 
 
 def _noisy_mean(s_true: RelativeState, s, z, k: float,
-                params: SystemParams) -> tuple[float, float, float]:
+                params: SystemParams, xp=math) -> tuple[float, float, float]:
     """measure_mean at s_true plus k*sqrt(s_i)*z_i on channel i, for
     variances s = (s1, s2, s3) and standard-normal draws z."""
-    phi, tau, mu = measure_mean(s_true, params)
-    return (phi + k * math.sqrt(s[0]) * z[0], tau + k * math.sqrt(s[1]) * z[1],
-            mu + k * math.sqrt(s[2]) * z[2])
+    phi, tau, mu = measure_mean(s_true, params, xp)
+    return (phi + k * xp.sqrt(s[0]) * z[0], tau + k * xp.sqrt(s[1]) * z[1],
+            mu + k * xp.sqrt(s[2]) * z[2])

@@ -19,12 +19,13 @@ sample_measurement, ekf.update, predicted_pcrb, crb_measurement), written
 flat over the helpers they share: a slot inverts its prediction MSE once
 and takes one Fisher pass at the prediction.
 run_monte_carlo runs every trial of both schemes in lockstep as one
-batch: every state is a numpy array with one row per scheme and trial,
-every step is the array form of the scalar step (the same arithmetic;
-numpy transcendentals may differ from math's by an ulp) and runs on all
-rows at once except the target rule, which each scheme applies to its
-own rows, and only the two reduced columns, weighted_actual and
-rate_bpshz, are kept.  A row's columns do not depend on the other rows,
+batch, every state a numpy array with one row per scheme and trial.
+The measurement and update are run_scenario's calls with xp=numpy
+(numpy transcendentals may differ from math's by an ulp); batch-only
+code remains for the checks (raise_at_first wrappers), the target rules
+(each scheme's on its block of rows) and the slot solve, which is
+slower row by row.  Only the reduced columns weighted_actual and
+rate_bpshz are kept.  A row's columns do not depend on the other rows,
 and a lockstep trial matches run_scenario at the same seed to about
 1e-9 relative or better.  An error names the earliest slot at which a
 row fails and, among the rows failing at one step of it, the lowest.
@@ -337,27 +338,6 @@ def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
         RelativeState(x_breve, (x_breve - x_hat) / dt), pred.mse_pred), prior_info
 
 
-def _update_each(pred: ekf.Prediction, prior_info, y, s,
-                 params: SystemParams) -> ekf.FilterState:
-    """ekf.update for a batch of rows: y = (phi, tau, mu) and the
-    channel variances s = (s1, s2, s3) are arrays, and prior_info() is
-    the prediction's information (see _plan_each); the checks raise for
-    the lowest failing row, in ekf.update's order."""
-    with np.errstate(divide="ignore"):
-        w = tuple(1.0 / si for si in s)
-    raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
-                   lambda i: ekf._measured_weights(tuple(float(si[i]) for si in s)))
-    prior = prior_info()  # after the weights check, as in ekf.update
-    mean = sensing.measure_mean_each(pred.pred, params)
-    info, gx, gv = ekf._information_and_score(
-        pred.pred, prior, w, sensing.jacobian_each(pred.pred, params),
-        tuple(yi - mi for yi, mi in zip(y, mean)), params)
-    mse = inverse_each(info)
-    x, v = pred.pred.x, pred.pred.v
-    return ekf.FilterState(
-        RelativeState(x + mse.m11 * gx + mse.m12 * gv, v + mse.m12 * gx + mse.m22 * gv), mse)
-
-
 def _add_context(exc: Exception, where: str) -> None:
     """Prefix a component error's message with where it was raised; its
     type and attributes are kept."""
@@ -485,11 +465,14 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
             true_rel = RelativeState(obj_pos - uav_pos, obj_vel - uav_vel)
             with np.errstate(divide="ignore"):
                 s = tuple(1.0 / wi for wi in sensing.noise_weights(true_rel.x, p))
-            y = tuple(m + k * np.sqrt(si) * e
-                      for m, si, e in zip(sensing.measure_mean_each(true_rel, p), s, (e1, e2, e3)))
-            fstate = _update_each(pred, prior_info, y, s, p)
+                w = tuple(1.0 / si for si in s)
+            y = sensing._noisy_mean(true_rel, s, (e1, e2, e3), k, p, np)
+            # the weights are checked before prior_info() can raise, as in run_scenario
+            raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
+                           lambda i: ekf._measured_weights(tuple(float(si[i]) for si in s)))
+            fstate = ekf._posterior(pred.pred, prior_info(), w, y, p, np)
             weighted[n - 1] = ekf._anticipated_bounds(true_rel.x, true_rel.v, prior_info(), p)[2]
-            rate[n - 1] = sensing.achievable_rate_each(pred.pred.x, p)
+            rate[n - 1] = sensing.achievable_rate(pred.pred.x, p, np)
             if n < cfg.n_slots:
                 x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
     except Exception as exc:

@@ -1,16 +1,19 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uav_isac import ekf
+from uav_isac import ekf, optimize, sensing
 from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError
 from uav_isac.linalg2 import DiagMat3, Sym2, min_eigenvalue_symmetric, process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.sensing import (
     Measurement,
     RelativeState,
+    achievable_rate,
+    jacobian,
     measure_mean,
     noise_cov_actual,
     noise_weights,
@@ -234,3 +237,69 @@ def test_weighted_g_edges():
     assert ekf.weighted_g(33.0, 4.0, P) == pytest.approx(0.5 * cx + 0.5 * cv, rel=1e-14)
     # alpha=1 overhead: the infinite speed bound must not poison the mix
     assert math.isfinite(ekf.weighted_g(0.0, 4.0, replace(P, alpha=1.0)))
+
+
+# -------------------------------------------- the math and numpy namespaces
+
+def _namespace_states(n=5000, seed=8):
+    """n seeded relative states as arrays, the first four at x = 0, -0.0
+    and both ends of the QoS disc, and the same states as float rows."""
+    rng = np.random.default_rng(seed)
+    x_c = optimize.qos_radius(P)
+    x = np.concatenate([[0.0, -0.0, x_c, -x_c], rng.uniform(-200.0, 200.0, n - 4)])
+    v = rng.uniform(-20.0, 20.0, n)
+    return RelativeState(x, v), [RelativeState(a, b) for a, b in zip(x.tolist(), v.tolist())]
+
+
+def _assert_rows_match(batch, rows, rel=1e-15):
+    """Each array of batch equals its column of the float rows within rel,
+    and the float form returns plain floats."""
+    for got, col in zip(batch, zip(*rows), strict=True):
+        assert all(type(c) is float for c in col)
+        want = np.array(col)
+        assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+def test_sensing_numpy_namespace_matches_float_form_row_by_row():
+    batch, states = _namespace_states()
+    z = np.random.default_rng(9).standard_normal((3, len(states)))
+    s = tuple(1.0 / wi for wi in noise_weights(batch.x, P))
+    _assert_rows_match(measure_mean(batch, P, np), [measure_mean(st, P) for st in states])
+    _assert_rows_match(astuple(jacobian(batch, P, np)), [astuple(jacobian(st, P)) for st in states])
+    _assert_rows_match([achievable_rate(batch.x, P, np)],
+                       [(achievable_rate(st.x, P),) for st in states])
+    _assert_rows_match(
+        sensing._noisy_mean(batch, s, z, 1.0, P, np),
+        [sensing._noisy_mean(st, sensing._variances(st.x, P), z[:, i].tolist(), 1.0, P)
+         for i, st in enumerate(states)])
+
+
+def test_posterior_numpy_namespace_matches_float_form_row_by_row():
+    pred, states = _namespace_states()
+    n = len(states)
+    rng = np.random.default_rng(10)
+    true = RelativeState(pred.x + rng.normal(0.0, 0.5, n), pred.v + rng.normal(0.0, 0.5, n))
+    w = noise_weights(true.x, P)
+    y = sensing._noisy_mean(true, tuple(1.0 / wi for wi in w), rng.standard_normal((3, n)),
+                            1.0, P, np)
+    m11, m22 = np.exp(rng.uniform(-3.0, 3.0, (2, n)))
+    prior = Sym2(m11, rng.uniform(-0.9, 0.9, n) * np.sqrt(m11 * m22), m22)
+    got = ekf._posterior(pred, prior, w, y, P, np)
+    rows = [ekf._posterior(st, prior.at(i), tuple(float(wi[i]) for wi in w),
+                           tuple(float(yi[i]) for yi in y), P) for i, st in enumerate(states)]
+    # the MSE is the same arithmetic on both forms
+    _assert_rows_match(astuple(got.mse), [astuple(r.mse) for r in rows], rel=0.0)
+    # the estimate adds M J^T R^-1 (y - h(x_pred)); an ulp by which numpy's
+    # transcendentals differ from math's in h is carried through that gain,
+    # which the innovation's cancellation can make larger than 1e-15 of it
+    m, jac = got.mse, jacobian(pred, P, np)
+    ulp = [wi * np.spacing(np.abs(hi)) for wi, hi in zip(w, measure_mean(pred, P, np))]
+    slack = (
+        np.abs(m.m11 * jac.iota) * ulp[0] + np.abs(m.m11 * jac.kappa) * ulp[1]
+        + np.abs(m.m11 * jac.zeta + m.m12 * jac.nu) * ulp[2],
+        np.abs(m.m12 * jac.iota) * ulp[0] + np.abs(m.m12 * jac.kappa) * ulp[1]
+        + np.abs(m.m12 * jac.zeta + m.m22 * jac.nu) * ulp[2])
+    for got_f, col, slack_f in zip(astuple(got.est), zip(*(astuple(r.est) for r in rows)), slack):
+        assert all(type(c) is float for c in col)
+        want = np.array(col)
+        assert np.all(np.abs(got_f - want) <= 1e-15 * np.abs(want) + slack_f)

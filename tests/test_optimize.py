@@ -444,8 +444,9 @@ def _count_derivative_evaluations(monkeypatch):
 
 
 def test_newton_returns_converged_step_on_bracket_end(monkeypatch):
-    # at this cell a converged Newton step rounds onto the shrunken
-    # bracket's end; it must be taken, not bisected away from
+    # the solve at this cell must stay within its evaluation budget and
+    # end at a stationary point of g (the step rule's accepting branch,
+    # a step rounding onto the bracket's end, is reached by the next test)
     calls = _count_derivative_evaluations(monkeypatch)
     cell = replace(P, alpha=0.1, h_alt=17.0)
     res = optimize.solve_sp1(cell)
@@ -453,6 +454,24 @@ def test_newton_returns_converged_step_on_bracket_end(monkeypatch):
     assert len(calls) <= 10
     _, d1, d2 = optimize.g0_derivatives(res.x_star, cell)
     assert abs(d1) < 1e-6 * res.g_star and d2 > 0.0
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+def test_newton_takes_converged_step_that_rounds_onto_bracket_end(batched):
+    # F(1) = -1e-300 moves lo to 1, and the Newton step 1 + 1e-300 rounds
+    # back onto 1, the shrunken bracket's end; taken, it ends the solve
+    # there, while bisecting away from it would take 30 steps
+    iterates = []
+
+    def deriv_fn(x):
+        iterates.append(x)
+        return (x - 1.0) - 1e-300, 1.0
+    if batched:
+        x = optimize._newton_bracketed_each(deriv_fn, np.array([0.0]), np.array([2.0]), 1e-9,
+                                            np.array([1.0]), np.array([True]))
+        assert x.tolist() == [1.0] and len(iterates) == 1
+    else:
+        assert optimize._newton_bracketed(deriv_fn, 0.0, 2.0, 1e-9, x0=1.0) == (1.0, 1)
 
 
 def test_newton_bracket_guard():
