@@ -11,11 +11,13 @@ models them at the predicted position, and the measurement-only bound
 is the zero-prior case.
 
 The bound expressions are written over generic scalars, so one code
-path serves plain floats, numpy arrays and second-order dual numbers;
-each bound is a rational function of position and velocity, which is
-what makes derivative propagation exact.  The update's posterior also
-reads the measurement map, so it takes sensing's namespace xp: math,
-or numpy for the Monte-Carlo batch (which inverts with inverse_each).
+path serves plain floats and numpy arrays.  Each bound is a rational
+function of position and velocity, so the value, d/dx and d^2/dx^2
+that the solvers read (v tied linearly to x) are written out in closed
+form next to the expressions: _fisher_jets and _weighted_jet.  The
+update's posterior also reads the measurement map, so it takes
+sensing's namespace xp: math, or numpy for the Monte-Carlo batch
+(which inverts with inverse_each).
 """
 
 from __future__ import annotations
@@ -79,14 +81,14 @@ def update(pred: Prediction, y: Measurement, params: SystemParams) -> FilterStat
     """Measurement update in information form.
 
     With the Jacobian J taken at the predicted state and the diagonal
-    noise covariance R read off the measurement,
-    M+ = (M_p^{-1} + J^T R^{-1} J)^{-1} and
+    noise covariance R read off the measurement (R^{-1} from the weights
+    it carries, if any), M+ = (M_p^{-1} + J^T R^{-1} J)^{-1} and
     x+ = x_pred + M+ J^T R^{-1} (y - h(x_pred)), all in 2x2 closed form.
     Raises NotPositiveDefiniteError when M_p is not positive definite
     and SingularMatrixError when a channel variance is zero, not finite
     or too small for its reciprocal to be finite.
     """
-    w = _measured_weights(y.noise_cov.diagonal())
+    w = _measured_weights(y.noise_cov.diagonal(), y.weights)
     return _posterior(pred.pred, _prior_information(pred.mse_pred), w, (y.phi, y.tau, y.mu), params)
 
 
@@ -112,16 +114,16 @@ def _posterior(pred: RelativeState, prior_info: Sym2, w, y, params: SystemParams
                                      v + mse.m12 * gx + mse.m22 * gv), mse)
 
 
-def _measured_weights(s) -> tuple[float, float, float]:
-    """The weights 1/s_i of the channel variances s = (s1, s2, s3);
-    raises SingularMatrixError unless each is finite and positive."""
-    w1, w2, w3 = (1.0 / si if si > 0.0 else math.inf for si in s)
+def _measured_weights(s, w=None) -> tuple[float, float, float]:
+    """The weights w = (1/s1, 1/s2, 1/s3) of the variances s, unless given;
+    raises SingularMatrixError, naming s, unless each is finite and positive."""
+    w1, w2, w3 = (1.0 / si if si > 0.0 else math.inf for si in s) if w is None else w
     if not (0.0 < w1 < math.inf and 0.0 < w2 < math.inf and 0.0 < w3 < math.inf):
         raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
     return w1, w2, w3
 
 
-# -- the information-form core, generic over float / ndarray / Dual2 --
+# -- the information-form core, generic over float / ndarray --
 
 def _fisher_terms(x, v, params: SystemParams, w=None, h_alt=None):
     """Measurement Fisher information J^T diag(w1, w2, w3) J at (x, v)
@@ -150,6 +152,36 @@ def _fisher_terms(x, v, params: SystemParams, w=None, h_alt=None):
     y = v * h2 * u
     ty = t * y
     return i_pos, ty * y, ty * x, t * x2
+
+
+def _fisher_jets(x, v, params: SystemParams, dv=0.0, h_alt=None):
+    """Jets (value, d/dx, d^2/dx^2) of _fisher_terms' (i_pos, zz, zv, vv),
+    weights modelled at x, as v moves with x at rate dv (v None: v = 0,
+    zz and zv zero jets).  Each term is c x^m u^n v^j, u = 1/(x^2 + H^2),
+    and (x^m u^n)' = x^(m-1) u^n (m - 2n q), q = x^2 u."""
+    h = params.h_alt if h_alt is None else h_alt
+    h2 = h * h
+    k, x2 = 4.0 / (params.c * params.c), x * x
+    u = 1.0 / (x2 + h2)
+    w1, w2, w3 = noise_weights(x, params, u, h)
+    t = w3 * (k * params.f_c * params.f_c) * u  # c*u^3, vv = t*x^2
+    q = x2 * u
+    ang = w1 * h2 * u * u        # c*u^5, the angle part of i_pos
+    dly = w2 * k * u             # c*u^3, the delay part is dly*x^2
+    b = 10.0 * x * u             # -(u^5)'/u^5
+    c5 = 10.0 * u * (12.0 * q - 1.0)  # (u^5)''/u^5
+    r3, p3 = 2.0 * x * (1.0 - 3.0 * q), 2.0 + q * (48.0 * q - 30.0)  # (x^2 u^3)', '' over u^3
+    i_pos = ((w1 * h2 * u + w2 * k * x2) * u, dly * r3 - b * ang, c5 * ang + dly * p3)
+    vv = (t * x2, t * r3, t * p3)
+    if v is None:
+        return i_pos, (0.0,) * 3, (0.0,) * 3, vv
+    y = v * h2 * u
+    s = t * h2 * u               # c*u^4, zv = s*x*v
+    m = s * h2 * u               # c*u^5, zz = m*v^2
+    g1, g2 = s * (1.0 - 8.0 * q), 8.0 * s * x * u * (10.0 * q - 3.0)  # (s*x)', ''
+    zz = (t * y * y, m * v * (2.0 * dv - b * v), m * (2.0 * dv * (dv - 2.0 * b * v) + c5 * v * v))
+    zv = (t * y * x, dv * s * x + v * g1, 2.0 * dv * g1 + v * g2)
+    return i_pos, zz, zv, vv
 
 
 def _information_and_score(pred: RelativeState, prior_info: Sym2, w, jac, innov,
@@ -191,6 +223,27 @@ def _bounds(prior_info: Sym2, terms, alpha: float):
     bound_x = a.m22 * inv_det
     bound_v = a.m11 * inv_det
     return bound_x, bound_v, _weighted(bound_x, bound_v, alpha)
+
+
+def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
+    """Jet of _bounds(prior_info, terms, alpha)[2] from the terms' jets:
+    N/D with N = alpha*a22 + (1-alpha)*a11 and D = det(a), so
+    f' = (N' - f D')/D and f'' = (N'' - 2 f' D' - f D'')/D, alpha edges
+    as in _weighted.  prior_info None: alpha/i_pos + (1-alpha)/vv."""
+    i_pos, zz, zv, vv = jets
+    if prior_info is None:  # the reciprocals' jets, weighted
+        rx, rv = ((w, -p[1] * (w * w), (2.0 * p[1] * p[1] * w - p[2]) * (w * w))
+                  for p, w in ((i_pos, 1.0 / i_pos[0]), (vv, 1.0 / vv[0])))
+        return tuple(_weighted(bx, bv, alpha) for bx, bv in zip(rx, rv))
+    a11, d11, e11 = prior_info.m11 + i_pos[0] + zz[0], i_pos[1] + zz[1], i_pos[2] + zz[2]
+    a12, d12, e12 = prior_info.m12 + zv[0], zv[1], zv[2]
+    a22, d22, e22 = prior_info.m22 + vv[0], vv[1], vv[2]
+    inv = 1.0 / (a11 * a22 - a12 * a12)
+    f = _weighted(a22 * inv, a11 * inv, alpha)
+    dd = d11 * a22 + a11 * d22 - 2.0 * a12 * d12
+    ed = e11 * a22 + 2.0 * d11 * d22 + a11 * e22 - 2.0 * (d12 * d12 + a12 * e12)
+    f1 = (_weighted(d22, d11, alpha) - f * dd) * inv
+    return f, f1, (_weighted(e22, e11, alpha) - 2.0 * f1 * dd - f * ed) * inv
 
 
 def _anticipated_bounds(x, v, prior_info: Sym2, params: SystemParams):

@@ -4,7 +4,7 @@ Two solvers live here.  The slot problem picks the next predicted
 relative position inside the reachable window (platform velocity limit
 intersected with the rate-QoS disc) to minimize the anticipated
 weighted estimation bound.  A plain-float pass over a fixed grid picks
-the basin, and one dual-number evaluation at the grid minimum and its
+the basin, and one derivative evaluation at the grid minimum and its
 two neighbours supplies everything the polish needs: the sign of f' at
 a window end (window-end optima are returned exactly), the sign check
 over the two grid cells around the minimum, the one cell that holds
@@ -17,13 +17,13 @@ The geometry problem drops the prior term and minimizes the
 measurement-only bound g(x, 0); it has closed-form branches at the
 weight endpoints and, in between, the batched slot solve's grid pass
 and polish on a certified-convex bracket, run for one weight over an
-array of altitudes at once: one dual-number evaluation at the grid
+array of altitudes at once: one derivative evaluation at the grid
 minimum, its two neighbours and both bracket ends gives the bracket
 check, the cell and the quintic start.
 
-All derivatives are propagated as second-order dual numbers through
-the exact same rational expressions used for plain evaluation, so the
-solvers see machine-accurate f', f'' rather than finite differences.
+Values are the bound core's float expressions (_objective, _g0); every
+f' and f'' a solver reads is their closed-form jet (_objective_jet,
+_g0_jet), exact to rounding rather than a finite difference.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ekf
-from .dual import Dual2
 from .errors import (
     BracketError,
     InfeasibleIntervalError,
@@ -139,20 +138,26 @@ P1_GRID_POINTS = 65
 
 
 def _objective(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
-    """Weighted anticipated bound at x_breve, generic over floats, numpy
-    arrays and dual numbers.  The candidate velocity is tied to the
-    candidate position, v_breve = (x_breve - x_hat_prev)/dt, so f is a
-    function of one variable."""
+    """Weighted anticipated bound at x_breve, generic over floats and
+    numpy arrays.  The candidate velocity is tied to the candidate
+    position, v_breve = (x_breve - x_hat_prev)/dt, so f is a function of
+    one variable."""
     v_breve = (x_breve - x_hat_prev) * (1.0 / params.dt)
     return ekf._anticipated_bounds(x_breve, v_breve, prior_info, params)[2]
 
 
+def _objective_jet(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
+    """(f, f', f'') of _objective at x_breve, in closed form; floats or
+    numpy arrays.  dv_breve/dx_breve = 1/dt."""
+    r = 1.0 / params.dt
+    jets = ekf._fisher_jets(x_breve, (x_breve - x_hat_prev) * r, params, r)
+    return ekf._weighted_jet(prior_info, jets, params.alpha)
+
+
 def objective_f(x_breve: float, inst: P1Instance) -> tuple[float, float, float]:
     """Weighted anticipated bound f(x_breve) and its first two
-    derivatives in x_breve, by dual-number propagation through the same
-    rational path as the float evaluation."""
-    f = _objective(Dual2.variable(x_breve), inst.x_hat_prev, inst._prior_info, inst.params)
-    return f.val, f.d1, f.d2
+    derivatives in x_breve (_objective_jet)."""
+    return _objective_jet(x_breve, inst.x_hat_prev, inst._prior_info, inst.params)
 
 
 def _cell(v, right):
@@ -272,23 +277,22 @@ def solve_p1_sca(inst: P1Instance, x0: float | None = None) -> ScaResult:
                      ((x_grid, f_grid), (x, f)))
 
 
-def _grid_basin_each(fn, lo, hi, ends=False):
-    """The basin step of the batched solves.  fn, generic over numpy
-    arrays and dual numbers, is evaluated in plain floats on
+def _grid_basin_each(fn, jet, lo, hi, ends=False):
+    """The basin step of the batched solves.  fn is evaluated on
     P1_GRID_POINTS evenly spaced points of every window [lo[i], hi[i]]
     as one (n, P1_GRID_POINTS) array; per row the grid minimum's index
     k, point and value, and x3, the grid minimum and its two neighbours
     (indices clamped to the grid, so at a window end the end repeats).
-    Then one dual-number evaluation of fn at x3, shape (n, 3), or at x3
-    followed by lo and hi, shape (n, 5), when ends is set.  Returns
-    (k, x_grid, f_grid, those points, fn's dual values there)."""
+    Then one evaluation of fn's jet, (fn, fn', fn''), at x3, shape
+    (n, 3), or at x3 followed by lo and hi, shape (n, 5), when ends is
+    set.  Returns (k, x_grid, f_grid, those points, the jet there)."""
     xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=1)
     fs = fn(xs)
     k = fs.argmin(axis=1)
     rows = np.arange(len(k))
     x3 = xs[rows[:, None], np.clip(k[:, None] + (-1, 0, 1), 0, P1_GRID_POINTS - 1)]
     points = np.column_stack((x3, lo, hi)) if ends else x3
-    return k, xs[rows, k], fs[rows, k], points, fn(Dual2.variable(points))
+    return k, xs[rows, k], fs[rows, k], points, jet(points)
 
 
 def _polish_each(slope, x3, d1, d2, tol: float, x0, active):
@@ -314,7 +318,7 @@ def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams
     the boolean array solve is set are solved, and they must have
     windows of positive length; the others return their grid point.
     Every step is solve_p1_sca's.  The grid pass and the (n, 3)
-    dual-number evaluation at the grid minima and their neighbours are
+    derivative evaluation at the grid minima and their neighbours are
     _grid_basin_each's.  The window-end test, the sign check (raising
     the BracketError of the lowest failing entry) and the Newton start
     read its values, and the Newton polish (_polish_each) runs on the
@@ -323,9 +327,9 @@ def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams
     """
     last = P1_GRID_POINTS - 1
     rows_prior = Sym2(prior_info.m11[:, None], prior_info.m12[:, None], prior_info.m22[:, None])
-    k, x_grid, f_grid, x3, f3 = _grid_basin_each(
-        lambda x: _objective(x, x_hat_prev[:, None], rows_prior, params), lo, hi)
-    d1 = f3.d1
+    k, x_grid, f_grid, x3, (_, d1, d2) = _grid_basin_each(
+        lambda x: _objective(x, x_hat_prev[:, None], rows_prior, params),
+        lambda x: _objective_jet(x, x_hat_prev[:, None], rows_prior, params), lo, hi)
     at_end = ((k == 0) & (d1[:, 1] >= 0.0)) | ((k == last) & (d1[:, 1] <= 0.0))
     bracketed = solve & ~at_end
     raise_at_first(bracketed & ~((d1[:, 0] < 0.0) & (0.0 < d1[:, 2])),
@@ -335,10 +339,9 @@ def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams
         return x_grid
 
     def slope(x):
-        f = _objective(Dual2.variable(x), x_hat_prev, prior_info, params)
-        return f.d1, f.d2
+        return _objective_jet(x, x_hat_prev, prior_info, params)[1:]
 
-    x = _polish_each(slope, x3, d1, f3.d2, 1e-9 * params.h_alt, x0, interior)
+    x = _polish_each(slope, x3, d1, d2, 1e-9 * params.h_alt, x0, interior)
     f = _objective(x, x_hat_prev, prior_info, params)
     return np.where(interior & ~(f > f_grid), x, x_grid)
 
@@ -379,18 +382,21 @@ def upper_anchor(params: SystemParams, h_alt=None):
 
 def _g0(x, params: SystemParams, h_alt=None):
     """g(x, 0) at altitude h_alt (default params.h_alt), generic over
-    floats, arrays and dual numbers.  At v = 0 the Doppler block is
-    diagonal, so crb_x = 1/i_pos and crb_v = 1/fi_vv (inf overhead)."""
+    floats and arrays.  At v = 0 the Doppler block is diagonal, so
+    crb_x = 1/i_pos and crb_v = 1/fi_vv (inf overhead)."""
     i_pos, _, _, vv = ekf._fisher_terms(x, None, params, h_alt=h_alt)
     return ekf._weighted(1.0 / i_pos, 1.0 / vv, params.alpha)
 
 
+def _g0_jet(x, params: SystemParams, h_alt=None):
+    """(g, g', g'') of _g0 at x, in closed form; floats or arrays."""
+    return ekf._weighted_jet(None, ekf._fisher_jets(x, None, params, h_alt=h_alt), params.alpha)
+
+
 def g0_derivatives(x: float, params: SystemParams) -> tuple[float, float, float]:
     """(g, g', g'') of the zero-velocity measurement-only objective
-    g(x, 0) at x > 0, via dual-number propagation through the Fisher
-    terms of the bound core."""
-    g = _g0(Dual2.variable(x), params)
-    return g.val, g.d1, g.d2
+    g(x, 0) at x > 0 (_g0_jet)."""
+    return _g0_jet(x, params)
 
 
 def _bracket_error(lo: float, hi: float, f_lo: float, f_hi: float) -> BracketError:
@@ -493,9 +499,9 @@ def _solve_sp1_each(params: SystemParams, h):
         branch = ["alpha1_xi_nonpos" if v <= 0.0 else "alpha1_xi_pos" for v in xi]
     else:
         lo = np.maximum(x_l, 1e-9 * h)
-        _, _, _, points, g5 = _grid_basin_each(lambda x: _g0(x, params, h[:, None]), lo, x_u,
-                                               ends=True)
-        d1, d2 = g5.d1, g5.d2
+        _, _, _, points, (_, d1, d2) = _grid_basin_each(
+            lambda x: _g0(x, params, h[:, None]), lambda x: _g0_jet(x, params, h[:, None]),
+            lo, x_u, ends=True)
         signed = (d1[:, 3] < 0.0) & (0.0 < d1[:, 4])
         for i in np.flatnonzero(~signed):
             error[i] = _bracket_error(lo[i], x_u[i], float(d1[i, 3]), float(d1[i, 4]))
@@ -507,8 +513,7 @@ def _solve_sp1_each(params: SystemParams, h):
         x3, d1, d2 = (np.take_along_axis(v[signed], cols, axis=1) for v in (points, d1, d2))
 
         def slope(x):
-            g = _g0(Dual2.variable(x), params, h)
-            return g.d1, g.d2
+            return _g0_jet(x, params, h)[1:]
         x_star = np.full(n, math.nan)
         x_star[signed] = _polish_each(slope, x3, d1, d2, 1e-9 * h, None, np.ones(len(h), bool))
         branch = ["interior_newton" if e is None else f"error:{type(e).__name__}" for e in error]

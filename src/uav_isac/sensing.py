@@ -10,7 +10,7 @@ and the achievable downlink rate.
 The noise model is one formula, noise_weights: the per-channel
 reciprocal variances 1/s_i at offset x.  The sampled measurement noise
 (noise_cov_actual), the filter update and both estimation bounds all
-read it.
+read it; a sampled measurement carries the weights to the update.
 
 measure_mean, jacobian, achievable_rate and _noisy_mean take the module
 of their transcendentals as xp: math by default, numpy for a batch of
@@ -42,7 +42,8 @@ class RelativeState:
 @dataclass(frozen=True)
 class Measurement:
     """One slot's measured angle (rad), delay (s) and Doppler (Hz),
-    together with the diagonal noise covariance used to generate it.
+    together with the diagonal noise covariance used to generate it
+    and the sampler's channel weights 1/s_i (None: 1/noise_cov).
 
     For the noiseless measurement map the angle lies in (0, pi) and the
     delay is at least 2H/c; noisy samples may exceed those ranges by a
@@ -54,6 +55,7 @@ class Measurement:
     tau: float
     mu: float
     noise_cov: DiagMat3
+    weights: tuple[float, float, float] | None = None
 
 
 def radar_gain(x: float, params: SystemParams) -> float:
@@ -97,7 +99,7 @@ def measure_mean(s: RelativeState, params: SystemParams, xp=math) -> tuple[float
 def noise_weights(x, params: SystemParams, u=None, h_alt=None):
     """Channel weights (1/s1, 1/s2, 1/s3) of the measurement noise at
     horizontal offset x and altitude h_alt (default params.h_alt): the
-    one noise model, generic over floats, numpy arrays and dual numbers.
+    one noise model, generic over floats and numpy arrays.
 
     s1 = a1^2 sigma^2 / (P_A N_sym N_t N_r G_r sin^2 phi) for the angle
     with G_r = beta_r/d^4 and sin phi = H/d; the delay and Doppler
@@ -118,16 +120,15 @@ def noise_weights(x, params: SystemParams, u=None, h_alt=None):
 def noise_cov_actual(s: RelativeState, params: SystemParams) -> DiagMat3:
     """Measurement noise variances at the state where the echo actually
     arrives from: the reciprocals of noise_weights at s.x."""
-    return DiagMat3(*_variances(s.x, params))
+    return DiagMat3(*_variances(noise_weights(s.x, params)))
 
 
-def _variances(x: float, params: SystemParams) -> tuple[float, float, float]:
-    """The reciprocals of noise_weights at x, formed as numpy forms them:
-    a weight that underflows to 0 gives an infinite variance and NaN
-    stays NaN."""
-    w1, w2, w3 = noise_weights(x, params)
-    return (1.0 / w1 if w1 else math.inf, 1.0 / w2 if w2 else math.inf,
-            1.0 / w3 if w3 else math.inf)
+def _variances(w) -> tuple[float, float, float]:
+    """The variances 1/w_i of channel weights w, formed as numpy forms
+    them: a weight that underflows to 0 gives an infinite variance and
+    NaN stays NaN."""
+    w1, w2, w3 = w
+    return 1.0 / w1 if w1 else math.inf, 1.0 / w2 if w2 else math.inf, 1.0 / w3 if w3 else math.inf
 
 
 def jacobian(s: RelativeState, params: SystemParams, xp=math) -> Jacobian32:
@@ -164,9 +165,10 @@ def sample_measurement(s_true: RelativeState, params: SystemParams, rng,
     """
     if noise_scale < 0:
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale!r}")
-    cov = noise_cov_actual(s_true, params)
+    w = noise_weights(s_true.x, params)
+    s = _variances(w)
     z = rng.standard_normal(3).tolist()
-    return Measurement(*_noisy_mean(s_true, cov.diagonal(), z, noise_scale, params), cov)
+    return Measurement(*_noisy_mean(s_true, s, z, noise_scale, params), DiagMat3(*s), w)
 
 
 def _noisy_mean(s_true: RelativeState, s, z, k: float,

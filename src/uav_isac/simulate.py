@@ -381,12 +381,13 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
             obj_pos, obj_vel = _object_step(obj_pos, obj_vel, z0, z1, dt, factor)
             uav_pos, uav_vel = x_a, v_a
             x, v = obj_pos - uav_pos, obj_vel - uav_vel
-            s = sensing._variances(x, p)
+            w = sensing.noise_weights(x, p)
+            s = sensing._variances(w)
             y = sensing._noisy_mean(RelativeState(x, v), s, (e1, e2, e3), k, p)
             # ekf.update, then both bounds from the one prior information,
             # the plan's where it has one; one Fisher pass at the prediction
             # serves its bound and tr_mm
-            w = ekf._measured_weights(s)
+            ekf._measured_weights(s, w)
             if prior is None:
                 prior = ekf._prior_information(pred.mse_pred)
             fstate = ekf._posterior(pred.pred, prior, w, y, p)
@@ -463,9 +464,9 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
             obj_pos, obj_vel = _object_step(obj_pos, obj_vel, z0, z1, dt, factor)
             uav_pos, uav_vel = x_a, v_a
             true_rel = RelativeState(obj_pos - uav_pos, obj_vel - uav_vel)
+            w = sensing.noise_weights(true_rel.x, p)
             with np.errstate(divide="ignore"):
-                s = tuple(1.0 / wi for wi in sensing.noise_weights(true_rel.x, p))
-                w = tuple(1.0 / si for si in s)
+                s = tuple(1.0 / wi for wi in w)
             y = sensing._noisy_mean(true_rel, s, (e1, e2, e3), k, p, np)
             # the weights are checked before prior_info() can raise, as in run_scenario
             raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),

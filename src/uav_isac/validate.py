@@ -128,24 +128,36 @@ def _check_pcrb_vs_generic(p: SystemParams, rng) -> tuple[bool, str]:
     return worst < 1e-9, f"max rel err {worst:.3g}"
 
 
-def _check_objective_derivatives(p: SystemParams, rng) -> tuple[bool, str]:
-    """Dual-number f', f'' vs central finite differences."""
-    inst = optimize.P1Instance(40.0, 38.0, Sym2.diag(1.0, 0.25), p)
-    lo, hi = inst.feasible_interval()
-    span = hi - lo
+def _derivatives_vs_fd(jet, value, lo: float, hi: float) -> tuple[bool, str]:
+    """The jet's f', f'' at 21 points of [lo, hi] vs central finite
+    differences of value, the solvers' float formula."""
     worst1 = worst2 = 0.0
     for i in range(21):
-        x = lo + span * (0.05 + 0.9 * i / 20.0)
-        f, f1, f2 = optimize.objective_f(x, inst)
+        x = lo + (hi - lo) * (0.05 + 0.9 * i / 20.0)
+        _, f1, f2 = jet(x)
         h = 1e-4 * max(1.0, abs(x))
-        fp = optimize.objective_f(x + h, inst)[0]
-        fm = optimize.objective_f(x - h, inst)[0]
+        f, fp, fm = value(x), value(x + h), value(x - h)
         fd1 = (fp - fm) / (2.0 * h)
         fd2 = (fp - 2.0 * f + fm) / (h * h)
         worst1 = max(worst1, abs(f1 - fd1) / max(abs(f1), abs(fd1), 1e-12))
         worst2 = max(worst2, abs(f2 - fd2) / max(abs(f2), abs(fd2), 1e-12))
     return (worst1 < 1e-5 and worst2 < 1e-3,
             f"f' rel {worst1:.3g}, f'' rel {worst2:.3g}")
+
+
+def _check_objective_derivatives(p: SystemParams, rng) -> tuple[bool, str]:
+    """Slot-objective f', f'' vs finite differences of the float objective."""
+    inst = optimize.P1Instance(40.0, 38.0, Sym2.diag(1.0, 0.25), p)
+    return _derivatives_vs_fd(
+        lambda x: optimize.objective_f(x, inst),
+        lambda x: optimize._objective(x, inst.x_hat_prev, inst._prior_info, p), inst.lo, inst.hi)
+
+
+def _check_g0_derivatives(p: SystemParams, rng) -> tuple[bool, str]:
+    """g(x, 0)'s g', g'' vs finite differences of the float g on [H/2, H]."""
+    q = p if 0.0 < p.alpha < 1.0 else replace(p, alpha=0.5)  # an interior weight
+    return _derivatives_vs_fd(lambda x: optimize.g0_derivatives(x, q),
+                              lambda x: optimize._g0(x, q), 0.5 * p.h_alt, p.h_alt)
 
 
 def _check_sp1_stationarity(p: SystemParams, rng) -> tuple[bool, str]:
@@ -358,6 +370,7 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("crb_closed_form_vs_generic", _check_crb_identity),
     ("pcrb_closed_form_vs_generic", _check_pcrb_vs_generic),
     ("objective_derivatives_vs_fd", _check_objective_derivatives),
+    ("g0_derivatives_vs_fd", _check_g0_derivatives),
     ("sp1_stationarity", _check_sp1_stationarity),
     ("sp1_alpha0_exact", _check_sp1_alpha0),
     ("sp1_alpha_continuity", _check_sp1_alpha_continuity),

@@ -14,6 +14,12 @@ the trade-off frontier one cell and one grid point at a time, on plain
 floats, which the batched forms must reproduce bit for bit.
 sp1_by_midpoint_newton is the geometry solve the grid-cell polish
 replaced, which the sweep must stay within a few ulp of.
+
+Dual2, the second-order forward-mode scalar, is the derivative oracle:
+pushed through the package's plain-float bound formulas it gives the
+f' and f'' that the closed-form jets must reproduce, and TermSize
+pushed through the same formulas gives the size of the terms each of
+those derivatives sums, the scale of their rounding error.
 """
 
 from __future__ import annotations
@@ -217,6 +223,108 @@ def central_fd1(fn, x, h):
 
 def central_fd2(fn, x, h):
     return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
+
+
+class Dual2:
+    """A value with its first and second derivatives with respect to one
+    seed variable.  Pushing it through ordinary arithmetic yields exact
+    derivatives of any rational expression.  Only the operations the
+    bound expressions use are implemented: +, - and * (mixed float/Dual2
+    in both orders for + and *), reciprocal, and float / Dual2.  The
+    three parts may be numpy arrays, one derivative per entry, as long
+    as no numpy array stands on the left of an operator."""
+
+    __slots__ = ("val", "d1", "d2")
+
+    def __init__(self, val, d1=0.0, d2=0.0):
+        self.val = val
+        self.d1 = d1
+        self.d2 = d2
+
+    @classmethod
+    def variable(cls, x):
+        """Seed the differentiation variable: value x, dx/dx = 1."""
+        return cls(x, 1.0, 0.0)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.val!r}, d1={self.d1!r}, d2={self.d2!r})"
+
+    def __add__(self, other):
+        if isinstance(other, Dual2):
+            return Dual2(self.val + other.val, self.d1 + other.d1, self.d2 + other.d2)
+        return Dual2(self.val + other, self.d1, self.d2)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Dual2):
+            return Dual2(self.val - other.val, self.d1 - other.d1, self.d2 - other.d2)
+        return Dual2(self.val - other, self.d1, self.d2)
+
+    def __mul__(self, other):
+        if isinstance(other, Dual2):
+            return Dual2(
+                self.val * other.val,
+                self.val * other.d1 + self.d1 * other.val,
+                self.val * other.d2 + 2.0 * self.d1 * other.d1 + self.d2 * other.val,
+            )
+        return Dual2(self.val * other, self.d1 * other, self.d2 * other)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self):
+        w = 1.0 / self.val
+        w2 = w * w
+        return Dual2(w, -self.d1 * w2, (2.0 * self.d1 * self.d1 * w - self.d2) * w2)
+
+    def __rtruediv__(self, other):
+        # 1.0 / d, the only division the bound expressions make, needs no product
+        r = self.reciprocal()
+        return r if isinstance(other, float) and other == 1.0 else r * other
+
+
+class TermSize:
+    """Dual2's arithmetic with every derivative part summing the absolute
+    values of its terms: val is the value, d1 and d2 the sizes of the
+    terms that Dual2's d1 and d2 add up, the scale of their rounding
+    error.  Scalars only, float or TermSize."""
+
+    __slots__ = ("val", "d1", "d2")
+
+    def __init__(self, val, d1=0.0, d2=0.0):
+        self.val = val
+        self.d1 = d1
+        self.d2 = d2
+
+    @classmethod
+    def variable(cls, x):
+        return cls(x, 1.0, 0.0)
+
+    def __add__(self, other):
+        if isinstance(other, TermSize):
+            return TermSize(self.val + other.val, self.d1 + other.d1, self.d2 + other.d2)
+        return TermSize(self.val + other, self.d1, self.d2)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, TermSize):
+            return TermSize(self.val - other.val, self.d1 + other.d1, self.d2 + other.d2)
+        return TermSize(self.val - other, self.d1, self.d2)
+
+    def __mul__(self, other):
+        if isinstance(other, TermSize):
+            a, b = abs(self.val), abs(other.val)
+            return TermSize(self.val * other.val, a * other.d1 + self.d1 * b,
+                            a * other.d2 + 2.0 * self.d1 * other.d1 + self.d2 * b)
+        return TermSize(self.val * other, self.d1 * abs(other), self.d2 * abs(other))
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        w = 1.0 / self.val
+        w2 = w * w
+        return TermSize(w, self.d1 * w2, (2.0 * self.d1 * self.d1 * abs(w) + self.d2) * w2) * other
 
 
 def scenario_by_public_steps(cfg, params):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -127,6 +128,33 @@ def test_update_rejects_degenerate_variance(bad):
         s[k] = bad
         with pytest.raises(SingularMatrixError):
             ekf.update(pred, Measurement(phi, tau, mu, DiagMat3(*s)), P)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf])
+def test_update_rejects_degenerate_carried_weight(bad):
+    # the message lists the variances, as when the update forms the weights
+    # (a NaN weight cannot arrive here: DiagMat3 refuses a NaN variance)
+    pred = ekf.predict(
+        ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
+    phi, tau, mu = measure_mean(pred.pred, P)
+    for k in range(3):
+        w = [1e6, 1e20, 5.0]
+        w[k] = bad
+        s = sensing._variances(w)
+        with pytest.raises(SingularMatrixError, match=re.escape(f"noise variances {s} need")):
+            ekf.update(pred, Measurement(phi, tau, mu, DiagMat3(*s), tuple(w)), P)
+
+
+def test_update_reads_the_carried_weights():
+    # a sampled measurement carries noise_weights as they are, and the
+    # update uses them instead of the reciprocals of its variances
+    pred = ekf.predict(
+        ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
+    y = sample_measurement(RelativeState(30.4, 4.7), P, np.random.default_rng(12))
+    assert y.weights == noise_weights(30.4, P)
+    assert y.noise_cov.diagonal() == sensing._variances(y.weights)
+    want = ekf._posterior(pred.pred, pred.mse_pred.inverse(), y.weights, (y.phi, y.tau, y.mu), P)
+    assert ekf.update(pred, y, P) == want
 
 
 def test_update_rejects_singular_prior():
@@ -270,8 +298,8 @@ def test_sensing_numpy_namespace_matches_float_form_row_by_row():
                        [(achievable_rate(st.x, P),) for st in states])
     _assert_rows_match(
         sensing._noisy_mean(batch, s, z, 1.0, P, np),
-        [sensing._noisy_mean(st, sensing._variances(st.x, P), z[:, i].tolist(), 1.0, P)
-         for i, st in enumerate(states)])
+        [sensing._noisy_mean(st, sensing._variances(noise_weights(st.x, P)), z[:, i].tolist(),
+                             1.0, P) for i, st in enumerate(states)])
 
 
 def test_posterior_numpy_namespace_matches_float_form_row_by_row():

@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from uav_isac import simulate
-from uav_isac.dual import Dual2
 from uav_isac.errors import (
     BracketError,
     ConfigError,
@@ -419,21 +418,21 @@ def test_monte_carlo_rejects_bad_trial_counts(n_trials):
 def test_batched_slot_solve_evaluation_budget(monkeypatch):
     # one (n, 3) bracket evaluation plus one Newton round from the quintic
     # start; the sign checks and the window-end test cost nothing extra
-    counts = {"dual": 0, "solves": 0}
-    objective, solve = simulate.optimize._objective, simulate.optimize.solve_p1_each
+    counts = {"jet": 0, "solves": 0}
+    jet, solve = simulate.optimize._objective_jet, simulate.optimize.solve_p1_each
 
-    def counting_objective(x, *args):
-        counts["dual"] += isinstance(x, Dual2)
-        return objective(x, *args)
+    def counting_jet(*args):
+        counts["jet"] += 1
+        return jet(*args)
 
     def counting_solve(*args):
         counts["solves"] += 1
         return solve(*args)
-    monkeypatch.setattr(simulate.optimize, "_objective", counting_objective)
+    monkeypatch.setattr(simulate.optimize, "_objective_jet", counting_jet)
     monkeypatch.setattr(simulate.optimize, "solve_p1_each", counting_solve)
     run_monte_carlo(ScenarioConfig(), P, 10)
     assert counts["solves"] == 100
-    assert counts["dual"] <= 2 * counts["solves"]
+    assert counts["solves"] <= counts["jet"] <= 2 * counts["solves"]
 
 
 def test_ac09_slot_solves_take_one_newton_round(monkeypatch):
