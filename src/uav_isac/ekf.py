@@ -25,23 +25,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SingularMatrixError
 from .linalg2 import Sym2, inverse_each, require_positive_definite
 from .params import SystemParams
-from .sensing import Measurement, RelativeState, jacobian, measure_mean, noise_weights
+from .sensing import (Measurement, RelativeState, _measured_weights, jacobian, measure_mean,
+                      noise_weights)
 
 
-@dataclass(frozen=True)
+@dataclass
 class FilterState:
-    """Posterior estimate and its MSE matrix after a slot's update."""
+    """Posterior estimate and its MSE matrix after a slot's update.
+    Not frozen: the update builds one per slot, and a frozen __init__
+    takes 0.7 us against 0.2 us (CPython 3.11)."""
 
     est: RelativeState
     mse: Sym2
 
 
-@dataclass(frozen=True)
+@dataclass
 class Prediction:
-    """One-slot-ahead predicted state and prediction MSE matrix."""
+    """One-slot-ahead predicted state and prediction MSE matrix.
+    Not frozen: planning a slot builds two, and a frozen __init__ takes
+    0.7 us against 0.2 us (CPython 3.11)."""
 
     pred: RelativeState
     mse_pred: Sym2
@@ -112,15 +116,6 @@ def _posterior(pred: RelativeState, prior_info: Sym2, w, y, params: SystemParams
     x, v = pred.x, pred.v
     return FilterState(RelativeState(x + mse.m11 * gx + mse.m12 * gv,
                                      v + mse.m12 * gx + mse.m22 * gv), mse)
-
-
-def _measured_weights(s, w=None) -> tuple[float, float, float]:
-    """The weights w = (1/s1, 1/s2, 1/s3) of the variances s, unless given;
-    raises SingularMatrixError, naming s, unless each is finite and positive."""
-    w1, w2, w3 = (1.0 / si if si > 0.0 else math.inf for si in s) if w is None else w
-    if not (0.0 < w1 < math.inf and 0.0 < w2 < math.inf and 0.0 < w3 < math.inf):
-        raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
-    return w1, w2, w3
 
 
 # -- the information-form core, generic over float / ndarray --

@@ -11,6 +11,9 @@ The noise model is one formula, noise_weights: the per-channel
 reciprocal variances 1/s_i at offset x.  The sampled measurement noise
 (noise_cov_actual), the filter update and both estimation bounds all
 read it; a sampled measurement carries the weights to the update.
+_measured_weights is the one check that weights are usable (finite and
+positive): sample_measurement, ekf.update and both tracking loops call
+it, so a geometry too far or not finite is refused the same way by each.
 
 measure_mean, jacobian, achievable_rate and _noisy_mean take the module
 of their transcendentals as xp: math by default, numpy for a batch of
@@ -23,16 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import SingularMatrixError
 from .linalg2 import DiagMat3, Jacobian32
 from .params import SystemParams
 
 
-@dataclass(frozen=True)
+@dataclass
 class RelativeState:
     """Horizontal relative position x (m) and relative velocity v (m/s).
 
     Signed quantities; x < 0 simply means the object is behind the
-    platform.
+    platform.  Not frozen: the scalar tracking loop builds four per slot,
+    and a frozen __init__ takes 0.7 us against 0.2 us (CPython 3.11).
     """
 
     x: float
@@ -131,6 +136,15 @@ def _variances(w) -> tuple[float, float, float]:
     return 1.0 / w1 if w1 else math.inf, 1.0 / w2 if w2 else math.inf, 1.0 / w3 if w3 else math.inf
 
 
+def _measured_weights(s, w=None) -> tuple[float, float, float]:
+    """The weights w = (1/s1, 1/s2, 1/s3) of the variances s, unless given;
+    raises SingularMatrixError, naming s, unless each is finite and positive."""
+    w1, w2, w3 = (1.0 / si if si > 0.0 else math.inf for si in s) if w is None else w
+    if not (0.0 < w1 < math.inf and 0.0 < w2 < math.inf and 0.0 < w3 < math.inf):
+        raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
+    return w1, w2, w3
+
+
 def jacobian(s: RelativeState, params: SystemParams, xp=math) -> Jacobian32:
     """Measurement Jacobian at s, as the analytic derivative of
     measure_mean (verified against central finite differences).
@@ -161,12 +175,14 @@ def sample_measurement(s_true: RelativeState, params: SystemParams, rng,
     0 reproduces the mean exactly.  The attached covariance stays the
     nominal one (what the receiver believes), so the filter numerics
     are unchanged; the knob exists for near-noiseless closed-loop
-    checks, not for modeling.
+    checks, not for modeling.  Raises SingularMatrixError, before any
+    draw, when a channel weight at s_true is zero or not finite.
     """
     if noise_scale < 0:
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale!r}")
     w = noise_weights(s_true.x, params)
     s = _variances(w)
+    _measured_weights(s, w)
     z = rng.standard_normal(3).tolist()
     return Measurement(*_noisy_mean(s_true, s, z, noise_scale, params), DiagMat3(*s), w)
 

@@ -77,12 +77,14 @@ class WorldState:
                              self.obj_vel - self.uav_vel)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SlotRecord:
     """Everything recorded about one slot: true relative state, filter
     predicted and posterior states, executed platform state, predicted
     and actual bound pairs, the rate at the predicted position, and the
-    two MSE traces (prior prediction vs measurement-only)."""
+    two MSE traces (prior prediction vs measurement-only).  Not frozen:
+    run_scenario builds one per slot, and a frozen __init__ of these 19
+    fields takes 4.4 us against 0.5 us (CPython 3.11)."""
 
     slot: int
     t_s: float
@@ -387,7 +389,7 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
             # ekf.update, then both bounds from the one prior information,
             # the plan's where it has one; one Fisher pass at the prediction
             # serves its bound and tr_mm
-            ekf._measured_weights(s, w)
+            sensing._measured_weights(s, w)
             if prior is None:
                 prior = ekf._prior_information(pred.mse_pred)
             fstate = ekf._posterior(pred.pred, prior, w, y, p)
@@ -470,7 +472,7 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
             y = sensing._noisy_mean(true_rel, s, (e1, e2, e3), k, p, np)
             # the weights are checked before prior_info() can raise, as in run_scenario
             raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
-                           lambda i: ekf._measured_weights(tuple(float(si[i]) for si in s)))
+                           lambda i: sensing._measured_weights(tuple(float(si[i]) for si in s)))
             fstate = ekf._posterior(pred.pred, prior_info(), w, y, p, np)
             weighted[n - 1] = ekf._anticipated_bounds(true_rel.x, true_rel.v, prior_info(), p)[2]
             rate[n - 1] = sensing.achievable_rate(pred.pred.x, p, np)

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from uav_isac.errors import SingularMatrixError
 from uav_isac.params import SystemParams
 from uav_isac.sensing import (
     Measurement,
@@ -126,6 +128,18 @@ def test_sample_measurement_advances_rng_three_draws():
     sample_measurement(S50, P, rng_a)
     rng_b.standard_normal(3)
     assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
+@pytest.mark.parametrize("x, variances", [
+    (1e200, "(inf, inf, inf)"),      # the weights underflow to 0
+    (math.nan, "(nan, nan, nan)"),
+])
+def test_sample_measurement_refuses_unusable_weights_before_drawing(x, variances):
+    rng = np.random.default_rng(16)
+    with pytest.raises(SingularMatrixError, match=re.escape(
+            f"noise variances {variances} need finite positive reciprocals")):
+        sample_measurement(RelativeState(x, 0.0), P, rng)
+    assert rng.standard_normal() == np.random.default_rng(16).standard_normal()
 
 
 def test_sample_measurement_rejects_negative_scale():

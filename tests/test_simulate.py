@@ -281,6 +281,23 @@ def test_run_scenario_matches_public_step_oracle(cfg, params, scheme):
     _same_records(run_scenario(cfg, params), oracles.scenario_by_public_steps(cfg, params))
 
 
+@pytest.mark.parametrize("cfg, params", [
+    (ScenarioConfig(init_obj_pos=1e200), P),           # the weights underflow to 0
+    (ScenarioConfig(init_obj_pos=-1e160, scheme="right_above"), P),
+    (ScenarioConfig(init_est_std=(1e200, 0.0), scheme="right_above"), P),  # NaN geometry
+    (ScenarioConfig(init_est_std=(1e200, 0.0)), P),    # NaN prediction MSE
+    (ScenarioConfig(init_mse=(0.0, 0.0), scheme="right_above"), SystemParams(q_tilde=0.0)),
+], ids=["far", "far_behind", "nan_geometry", "nan_mse", "zero_mse"])
+def test_run_scenario_refuses_as_public_step_oracle(cfg, params):
+    with pytest.raises(UavIsacError) as loop:
+        run_scenario(cfg, params)
+    with pytest.raises(type(loop.value)) as steps:
+        oracles.scenario_by_public_steps(cfg, params)
+    assert type(steps.value) is type(loop.value)
+    assert re.fullmatch(rf"slot \d+: {re.escape(str(steps.value))}", str(loop.value)), \
+        (loop.value, steps.value)
+
+
 def test_one_solve_per_slot(monkeypatch):
     calls = []
     solve = simulate.optimize.solve_p1_sca

@@ -1,0 +1,65 @@
+"""The value types that the tracking loops build every slot are plain
+dataclasses, not frozen ones, because a frozen __init__ costs several
+times a plain one.  These tests keep what frozen=True guaranteed: no
+package code assigns to their fields, so an instance that is shared
+(params.process_noise, a prediction read by the plan and the update)
+keeps its value.  Configs, parameter sets and results stay frozen."""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+import uav_isac
+from uav_isac import ekf, linalg2, optimize, params, sensing, simulate, validate
+
+PER_SLOT = (linalg2.Sym2, linalg2.Jacobian32, sensing.RelativeState, ekf.FilterState,
+            ekf.Prediction, simulate.SlotRecord)
+FROZEN = (params.SystemParams, simulate.ScenarioConfig, optimize.ScaResult, optimize.Sp1Result,
+          simulate.SchemeStats, simulate.MonteCarloStats, validate.CheckResult)
+FIELD_NAMES = {f.name for cls in PER_SLOT for f in dataclasses.fields(cls)}
+MODULES = sorted(Path(uav_isac.__file__).parent.glob("*.py"))
+
+
+def _field_stores(source: str) -> list[tuple[int, str]]:
+    """(line, field) of every attribute store or delete that names a field
+    of the per-slot types, and of every setattr/__setattr__ call that
+    names one as a string literal."""
+    stores = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            name = node.attr
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and (isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                   or isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__")):
+            name = node.args[1].value
+        else:
+            continue
+        if name in FIELD_NAMES:
+            stores.append((node.lineno, name))
+    return sorted(stores)
+
+
+def test_per_slot_types_are_plain_dataclasses_with_distinct_fields():
+    assert not any(cls.__dataclass_params__.frozen for cls in PER_SLOT)
+    assert sum(len(dataclasses.fields(cls)) for cls in PER_SLOT) == len(FIELD_NAMES) == 32
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_configs_and_results_stay_frozen(cls):
+    assert cls.__dataclass_params__.frozen
+
+
+def test_field_store_finder_sees_every_store_form():
+    source = ("s.m11 = 1.0\nr.x += 2.0\nj.nu: float = 0.0\na.x_hat, b.v = 1, 2\n"
+              "del f.mse\nsetattr(p, 'mse_pred', q)\nobject.__setattr__(r, 'v', 0.0)\n"
+              "s.other = 1.0\nsetattr(p, name, q)\n")
+    assert _field_stores(source) == [(1, "m11"), (2, "x"), (3, "nu"), (4, "v"),
+                                     (4, "x_hat"), (5, "mse"), (6, "mse_pred"), (7, "v")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_package_never_assigns_a_per_slot_field(path):
+    assert _field_stores(path.read_text()) == []
