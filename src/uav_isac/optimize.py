@@ -42,7 +42,7 @@ from .errors import (
     raise_at_first,
 )
 from .linalg2 import Sym2, require_positive_definite
-from .params import SystemParams
+from .params import SystemParams, _is_integer
 # achievable_rate is re-exported: code outside the package refers to optimize.achievable_rate
 from .sensing import achievable_rate, comm_snr  # noqa: F401
 
@@ -135,6 +135,8 @@ class Sp1Result:
 
 # Points of the plain-float grid that picks the slot problem's basin.
 P1_GRID_POINTS = 65
+_GRID_INDEX = np.arange(P1_GRID_POINTS, dtype=float)
+_NEIGHBOURS = np.array([-1, 0, 1])
 
 
 def _objective(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
@@ -160,11 +162,16 @@ def objective_f(x_breve: float, inst: P1Instance) -> tuple[float, float, float]:
     return _objective_jet(x_breve, inst.x_hat_prev, inst._prior_info, inst.params)
 
 
+def _pick(cond, a, b):
+    """np.where(cond, a, b); a Python conditional (0.1 us, not 2) for a scalar cond."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
+
+
 def _cell(v, right):
     """The ends of the grid cell that holds the root of f', taken from v,
     a value at the grid minimum's left neighbour, itself and its right
     neighbour: v[1] and v[2] where right is set, else v[0] and v[1]."""
-    return np.where(right, v[1], v[0])[()], np.where(right, v[2], v[1])[()]
+    return _pick(right, v[1], v[0]), _pick(right, v[2], v[1])
 
 
 def _newton_start(x3, g3, h3, right, x0):
@@ -180,9 +187,9 @@ def _newton_start(x3, g3, h3, right, x0):
     grid minimum two of the points coincide and the quintic is
     undefined), the root of the cubic Hermite interpolant of f' on the
     cell alone, found by two Newton steps on the cubic from the secant
-    root; else the midpoint.  No objective is evaluated.  Works entry by
-    entry on arrays; the points x3 are numpy values, so a zero
-    denominator gives a non-finite root, which fails the inside test.
+    root; else the midpoint.  No objective is evaluated.  Works on arrays
+    or scalars; x3 holds numpy values, so a zero denominator (all but
+    ga - gb < 0 involve x3) gives a non-finite root, failing the inside test.
     """
     (a, b), (ga, gb), (ha, hb) = (_cell(v, right) for v in (x3, g3, h3))
     w = b - a
@@ -214,10 +221,9 @@ def _newton_start(x3, g3, h3, right, x0):
         r2, dr2 = q2 + v * r3, r3 + v * dr3
         r1, dr1 = h0 + u * r2, r2 + u * dr2
         x = cubic - (g0 + u * r1) / (r1 + u * dr1)
-    x = np.where((a < x) & (x < b), x,
-                 np.where((a < cubic) & (cubic < b), cubic, 0.5 * (a + b)))
+    x = _pick((a < x) & (x < b), x, _pick((a < cubic) & (cubic < b), cubic, 0.5 * (a + b)))
     if x0 is not None:
-        x = np.where((a < x0) & (x0 < b), x0, x)
+        x = _pick((a < x0) & (x0 < b), x0, x)
     return x
 
 
@@ -285,14 +291,20 @@ def _grid_basin_each(fn, jet, lo, hi, ends=False):
     (indices clamped to the grid, so at a window end the end repeats).
     Then one evaluation of fn's jet, (fn, fn', fn''), at x3, shape
     (n, 3), or at x3 followed by lo and hi, shape (n, 5), when ends is
-    set.  Returns (k, x_grid, f_grid, those points, the jet there)."""
-    xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=1)
+    set.  Returns (k, x_grid, f_grid, those points, the jet there).  The
+    grid is np.linspace's, and one flat index takes x3, x_grid and f_grid."""
+    step = (hi - lo) / (P1_GRID_POINTS - 1)
+    xs = _GRID_INDEX * step[:, None] + lo[:, None]  # np.linspace's own arithmetic
+    xs[:, -1] = hi
+    if np.count_nonzero(step == 0.0):  # numpy's branch for subnormal widths
+        xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=1)
     fs = fn(xs)
     k = fs.argmin(axis=1)
-    rows = np.arange(len(k))
-    x3 = xs[rows[:, None], np.clip(k[:, None] + (-1, 0, 1), 0, P1_GRID_POINTS - 1)]
+    i = (np.minimum(np.maximum(k[:, None] + _NEIGHBOURS, 0), P1_GRID_POINTS - 1)
+         + np.arange(0, k.size * P1_GRID_POINTS, P1_GRID_POINTS)[:, None])
+    x3 = xs.ravel()[i]
     points = np.column_stack((x3, lo, hi)) if ends else x3
-    return k, xs[rows, k], fs[rows, k], points, jet(points)
+    return k, x3[:, 1], fs.ravel()[i[:, 1]], points, jet(points)
 
 
 def _polish_each(slope, x3, d1, d2, tol: float, x0, active):
@@ -335,7 +347,7 @@ def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams
     raise_at_first(bracketed & ~((d1[:, 0] < 0.0) & (0.0 < d1[:, 2])),
                    lambda i: _require_bracket(x3[i], d1[i]))
     interior = bracketed & (d1[:, 1] != 0.0)
-    if not interior.any():
+    if not np.count_nonzero(interior):
         return x_grid
 
     def slope(x):
@@ -453,7 +465,6 @@ def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: i
     checked here: solve_p1_each checks it on values it already has.
     """
     x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
-    active = active.copy()
     for _ in range(max_iter):
         f, df = deriv_fn(x)
         below = f < 0.0
@@ -465,8 +476,8 @@ def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: i
         cand = np.where(converged | ((lo < cand) & (cand < hi)), cand, 0.5 * (lo + hi))
         done = (f == 0.0) | converged | (np.abs(cand - x) < tol)
         x = np.where(active & (f != 0.0), cand, x)
-        active &= ~done
-        if not active.any():
+        active = active & ~done
+        if not np.count_nonzero(active):
             break
     return x
 
@@ -482,7 +493,8 @@ def _solve_sp1_each(params: SystemParams, h):
     pass over every bracket and one (n, 5) evaluation of g', g'' at the
     grid minima, their neighbours and both bracket ends, checks the
     signs at the ends, and polishes the signed brackets together with
-    _polish_each."""
+    _polish_each, gathering each signed row's three points unless every
+    row is signed and polishes its grid cell (19 of 19 interior alphas)."""
     n = len(h)
     xi = xi_of_h(params, h)
     x_l = convexity_lower_bound(params, h)
@@ -508,9 +520,12 @@ def _solve_sp1_each(params: SystemParams, h):
         # where g' does not change sign over the grid cell that the middle
         # point picks, that cell is the whole bracket, the points (lo, lo, x_u)
         ga, gb = _cell(d1.T, d1[:, 1] < 0.0)
-        cols = np.where(((ga < 0.0) & (0.0 < gb))[:, None], (0, 1, 2), (3, 3, 4))[signed]
-        h = h[signed]
-        x3, d1, d2 = (np.take_along_axis(v[signed], cols, axis=1) for v in (points, d1, d2))
+        inside = (ga < 0.0) & (0.0 < gb)
+        if np.count_nonzero(signed & inside) < n:
+            cols = np.where(inside[:, None], (0, 1, 2), (3, 3, 4))[signed]
+            h = h[signed]
+            points, d1, d2 = (np.take_along_axis(v[signed], cols, 1) for v in (points, d1, d2))
+        x3, d1, d2 = points[:, :3], d1[:, :3], d2[:, :3]
 
         def slope(x):
             return _g0_jet(x, params, h)[1:]
@@ -635,8 +650,8 @@ def tradeoff_frontier(params: SystemParams, n_grid: int = 2001):
     from x = 0.  Returns rows (alpha, x, rate, sensing_perf), rate-max
     endpoint first.
     """
-    if n_grid < 2:
-        raise ValueError("n_grid must be at least 2")
+    if not (_is_integer(n_grid) and n_grid >= 2):
+        raise ValueError(f"n_grid must be an integer >= 2, got {n_grid!r}")
     xs = qos_radius(params) * np.arange(n_grid) / (n_grid - 1)
     with np.errstate(divide="ignore"):
         perf = 1.0 / _g0(xs, params)

@@ -9,6 +9,7 @@ linear SI units.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -16,6 +17,11 @@ from functools import cached_property
 from .linalg2 import Sym2, process_noise_cov
 
 SPEED_OF_LIGHT = 2.9979e8  # m/s
+
+
+def _is_integer(v) -> bool:
+    """v is an integer, numpy's included, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def dbm_to_watts(p: float) -> float:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -54,7 +53,7 @@ import numpy as np
 from . import ekf, optimize, sensing
 from .errors import ConfigError, InfeasibleIntervalError, raise_at_first
 from .linalg2 import Sym2, inverse_each, require_positive_definite_each
-from .params import SystemParams
+from .params import SystemParams, _is_integer
 from .sensing import RelativeState
 
 
@@ -130,9 +129,9 @@ class ScenarioConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.n_slots, numbers.Integral) and self.n_slots >= 2):
+        if not (_is_integer(self.n_slots) and self.n_slots >= 2):
             raise ConfigError(f"n_slots must be an integer >= 2, got {self.n_slots!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (_is_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.scheme not in ("proposed", "right_above"):
             raise ConfigError(
@@ -416,12 +415,13 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     """The trials of every scheme in schemes in lockstep, as one batch of
     len(schemes) * n_trials rows: row j*n_trials + i is trial i of
     schemes[j], which takes its draws from row i of draws, shape
-    (n_trials, 2 + 5*n_slots), and matches run_scenario at the seed those
-    draws came from.  The rows of schemes[j] are block j, a pair of the
-    scheme's target rule (read from _TARGET_RULES_EACH) and its row
-    slice; the target rule runs on its block's rows, every other step on
-    all rows at once, entry by entry, so a row's columns do not depend
-    on the other rows.  Returns the weighted_actual and rate_bpshz
+    (n_trials, 2 + 5*n_slots), tiled to every row once, and matches
+    run_scenario at the seed those draws came from.  The rows of
+    schemes[j] are block j, a pair of the scheme's target rule (read from
+    _TARGET_RULES_EACH) and its row slice; the target rule runs on its
+    block's rows, every other step on all rows at once, entry by entry,
+    so a row's columns do not depend on the other rows.  Returns the
+    weighted_actual (on the measurement's weights) and rate_bpshz
     columns, each (rows, n_slots).
 
     An error is raised at the earliest slot at which a row fails, which
@@ -441,10 +441,10 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     dt, k = p.dt, cfg.noise_scale
     # the lockstep forms of step_ground_truth and sample_measurement read
     # the same draws in the same order; slot_draws[n - 1] holds slot n's
-    # five draws of every trial, repeated for each scheme as it is read
+    # five draws of every row
     factor = _process_noise_factor(p)
-    slot_draws = draws[:, 2:].reshape(n_trials, cfg.n_slots, 5).transpose(1, 2, 0)
-    init_draws = np.tile(draws[:, :2].T, len(schemes))
+    init_draws = np.tile(draws.T, len(schemes))
+    slot_draws = init_draws[2:].reshape(cfg.n_slots, 5, n_rows)
 
     def full(value):
         return np.full(n_rows, float(value))
@@ -462,7 +462,7 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     try:
         x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
         for n in range(1, cfg.n_slots + 1):
-            z0, z1, e1, e2, e3 = np.tile(slot_draws[n - 1], len(schemes))
+            z0, z1, e1, e2, e3 = slot_draws[n - 1]
             obj_pos, obj_vel = _object_step(obj_pos, obj_vel, z0, z1, dt, factor)
             uav_pos, uav_vel = x_a, v_a
             true_rel = RelativeState(obj_pos - uav_pos, obj_vel - uav_vel)
@@ -474,7 +474,8 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
             raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
                            lambda i: sensing._measured_weights(tuple(float(si[i]) for si in s)))
             fstate = ekf._posterior(pred.pred, prior_info(), w, y, p, np)
-            weighted[n - 1] = ekf._anticipated_bounds(true_rel.x, true_rel.v, prior_info(), p)[2]
+            weighted[n - 1] = ekf._bounds(prior_info(), ekf._fisher_terms(
+                true_rel.x, true_rel.v, p, w), p.alpha)[2]
             rate[n - 1] = sensing.achievable_rate(pred.pred.x, p, np)
             if n < cfg.n_slots:
                 x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
@@ -523,7 +524,7 @@ def run_monte_carlo(cfg: ScenarioConfig, params: SystemParams,
     proposed trial before a right-above one), with its trial index
     within its scheme (batch_index) and its seed.
     """
-    if not (isinstance(n_trials, numbers.Integral) and n_trials >= 1):
+    if not (_is_integer(n_trials) and n_trials >= 1):
         raise ConfigError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
                       for i in range(n_trials)])

@@ -346,6 +346,35 @@ def test_window_end_cell_starts_at_the_cubic_root(end, seed):
     assert res.iterations >= 1 and abs(res.x_breve_opt - want) <= 1e-12
 
 
+@pytest.mark.parametrize("extra", [
+    [],
+    [(3.0, 3.0)],                     # zero width: numpy's step-0 branch
+    [(0.0, 2.0 ** -1070)],            # subnormal width whose step rounds to 0
+    [(0.0, 2.0 ** -1060)],            # subnormal width, subnormal step
+    [(-2.0, -0.0), (-86.0, 86.0)],
+], ids=["random", "zero_width", "subnormal_zero_step", "subnormal_step", "signed_zero"])
+def test_basin_grid_equals_linspace_bit_for_bit(extra):
+    # _grid_basin_each builds its grid in linspace's own arithmetic
+    rng = np.random.default_rng(14)
+    lo = rng.uniform(-90.0, 60.0, 40)
+    hi = lo + rng.uniform(0.0, 12.0, 40) * 10.0 ** rng.integers(-12, 1, 40)
+    lo, hi = (np.concatenate((v, [w[j] for w in extra])) for j, v in enumerate((lo, hi)))
+    grids = []
+    optimize._grid_basin_each(lambda x: grids.append(x) or x, lambda x: (x, x, x), lo, hi)
+    want = np.linspace(lo, hi, optimize.P1_GRID_POINTS, axis=1)
+    assert grids[0].shape == want.shape and grids[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_grid", [2.5, 2.0, True, "3"])
+def test_tradeoff_frontier_refuses_non_integer_grid(n_grid):
+    with pytest.raises(ValueError, match="n_grid must be an integer"):
+        optimize.tradeoff_frontier(P, n_grid)
+
+
+def test_tradeoff_frontier_takes_numpy_integer_grid():
+    assert optimize.tradeoff_frontier(P, np.int64(7)) == optimize.tradeoff_frontier(P, 7)
+
+
 # ------------------------------------------------------------ SP1 geometry
 
 def test_xi_and_brackets_frozen():

@@ -432,6 +432,22 @@ def test_monte_carlo_rejects_bad_trial_counts(n_trials):
         run_monte_carlo(ScenarioConfig(), P, n_trials=n_trials)
 
 
+@pytest.mark.parametrize("kwargs", [dict(seed=True), dict(seed=False), dict(n_slots=True)])
+def test_config_refuses_bool_counts(kwargs):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        ScenarioConfig(**kwargs)
+
+
+def test_config_and_monte_carlo_take_numpy_integers():
+    cfg = ScenarioConfig(n_slots=np.int64(5), seed=np.uint8(4))
+    assert run_monte_carlo(cfg, P, np.int32(2)).n_trials == 2
+
+
+def test_monte_carlo_refuses_bool_trial_count():
+    with pytest.raises(ConfigError, match="n_trials must be an integer >= 1, got True"):
+        run_monte_carlo(ScenarioConfig(n_slots=5), P, True)
+
+
 def test_batched_slot_solve_evaluation_budget(monkeypatch):
     # one (n, 3) bracket evaluation plus one Newton round from the quintic
     # start; the sign checks and the window-end test cost nothing extra
