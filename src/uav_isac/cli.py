@@ -156,8 +156,8 @@ def cmd_sweep_angle(args) -> int:
     alphas = _parse_float_list(args.alphas)
     for a in alphas:
         _build_params({"alpha": a})  # refuses an alpha outside [0, 1]
-    if args.h_step <= 0 or args.h_min <= 0 or args.h_max < args.h_min:
-        raise ConfigError("need h_min > 0, h_step > 0 and h_max >= h_min")
+    if not (0 < args.h_min <= args.h_max < math.inf and 0 < args.h_step < math.inf):
+        raise ConfigError("need finite h_min > 0, h_step > 0 and h_max >= h_min")
     count = int(math.floor((args.h_max - args.h_min) / args.h_step + 1e-9)) + 1
     h_values = [args.h_min + i * args.h_step for i in range(count)]
     lines = ["alpha,H_m,x_star_m,phi_star_deg,branch"]

@@ -16,8 +16,8 @@ function of position and velocity, so the value, d/dx and d^2/dx^2
 that the solvers read (v tied linearly to x) are written out in closed
 form next to the expressions: _fisher_jets and _weighted_jet.  The
 update's posterior also reads the measurement map, so it takes
-sensing's namespace xp: math, or numpy for the Monte-Carlo batch
-(which inverts with inverse_each).
+sensing's namespace xp: math, or numpy for the Monte-Carlo batch, whose
+prior information is _prior_information_each's.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg2 import Sym2, inverse_each, require_positive_definite
+from .linalg2 import Sym2, inverse_each, require_positive_definite, require_positive_definite_each
 from .params import SystemParams
 from .sensing import (Measurement, RelativeState, _measured_weights, jacobian, measure_mean,
                       noise_weights)
@@ -101,6 +101,12 @@ def _prior_information(mse_pred: Sym2) -> Sym2:
     positive definite."""
     require_positive_definite(mse_pred, "mse_pred")
     return mse_pred.inverse()
+
+
+def _prior_information_each(mse_pred: Sym2) -> Sym2:
+    """_prior_information over a batch; raises for the lowest failing row."""
+    require_positive_definite_each(mse_pred, "mse_pred")
+    return inverse_each(mse_pred)
 
 
 def _posterior(pred: RelativeState, prior_info: Sym2, w, y, params: SystemParams,

@@ -41,7 +41,7 @@ from .errors import (
     VelocityBoundError,
     raise_at_first,
 )
-from .linalg2 import Sym2, require_positive_definite
+from .linalg2 import Sym2
 from .params import SystemParams, _is_integer
 # achievable_rate is re-exported: code outside the package refers to optimize.achievable_rate
 from .sensing import achievable_rate, comm_snr  # noqa: F401
@@ -88,8 +88,7 @@ class P1Instance:
     _prior_info: Sym2 = field(init=False, repr=False)
 
     def __post_init__(self):
-        require_positive_definite(self.mse_pred, "mse_pred")
-        self._prior_info = self.mse_pred.inverse()
+        self._prior_info = ekf._prior_information(self.mse_pred)
         self.x_c = qos_radius(self.params)
         reach = self.params.v_a_max * self.params.dt
         self.lo = max(-self.x_c, self.eta_prev - reach)
@@ -137,6 +136,17 @@ class Sp1Result:
 P1_GRID_POINTS = 65
 _GRID_INDEX = np.arange(P1_GRID_POINTS, dtype=float)
 _NEIGHBOURS = np.array([-1, 0, 1])
+
+
+def _grid(lo, hi):
+    """np.linspace(lo, hi, P1_GRID_POINTS) in numpy's own arithmetic, for
+    floats or column arrays (lo[:, None], hi[:, None]: a row per entry)."""
+    step = (hi - lo) / (P1_GRID_POINTS - 1)
+    xs = _GRID_INDEX * step + lo
+    xs[..., -1:] = hi
+    if np.count_nonzero(step == 0.0):  # numpy's branch for subnormal widths
+        xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=-1).reshape(xs.shape)
+    return xs
 
 
 def _objective(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
@@ -256,7 +266,7 @@ def solve_p1_sca(inst: P1Instance, x0: float | None = None) -> ScaResult:
     the best grid point.
     """
     last = P1_GRID_POINTS - 1
-    xs = np.linspace(inst.lo, inst.hi, P1_GRID_POINTS)
+    xs = _grid(inst.lo, inst.hi)
     fs = _objective(xs, inst.x_hat_prev, inst._prior_info, inst.params)
     k = int(np.argmin(fs))
     x_grid, f_grid = float(xs[k]), float(fs[k])
@@ -292,12 +302,8 @@ def _grid_basin_each(fn, jet, lo, hi, ends=False):
     Then one evaluation of fn's jet, (fn, fn', fn''), at x3, shape
     (n, 3), or at x3 followed by lo and hi, shape (n, 5), when ends is
     set.  Returns (k, x_grid, f_grid, those points, the jet there).  The
-    grid is np.linspace's, and one flat index takes x3, x_grid and f_grid."""
-    step = (hi - lo) / (P1_GRID_POINTS - 1)
-    xs = _GRID_INDEX * step[:, None] + lo[:, None]  # np.linspace's own arithmetic
-    xs[:, -1] = hi
-    if np.count_nonzero(step == 0.0):  # numpy's branch for subnormal widths
-        xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=1)
+    grid is _grid's, and one flat index takes x3, x_grid and f_grid."""
+    xs = _grid(lo[:, None], hi[:, None])
     fs = fn(xs)
     k = fs.argmin(axis=1)
     i = (np.minimum(np.maximum(k[:, None] + _NEIGHBOURS, 0), P1_GRID_POINTS - 1)

@@ -77,8 +77,9 @@ class SystemParams:
             raise ValueError(f"q_tilde must be >= 0, got {self.q_tilde!r}")
         for name in ("n_t", "n_r"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v > 0):
+            if not (_is_integer(v) and v > 0):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         for name, w in zip(("a1", "a2", "a3"), self.channel_weights):
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(f"{name} = {getattr(self, name)!r} gives a channel weight "

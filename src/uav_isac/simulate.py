@@ -21,14 +21,15 @@ and takes one Fisher pass at the prediction.
 run_monte_carlo runs every trial of both schemes in lockstep as one
 batch, every state a numpy array with one row per scheme and trial.
 The measurement and update are run_scenario's calls with xp=numpy
-(numpy transcendentals may differ from math's by an ulp); batch-only
-code remains for the checks (raise_at_first wrappers), the target rules
-(each scheme's on its block of rows) and the slot solve, which is
-slower row by row.  Only the reduced columns weighted_actual and
-rate_bpshz are kept.  A row's columns do not depend on the other rows,
-and a lockstep trial matches run_scenario at the same seed to about
-1e-9 relative or better.  An error names the earliest slot at which a
-row fails and, among the rows failing at one step of it, the lowest.
+(numpy transcendentals may differ from math's by an ulp), with every
+row's prediction MSE inverted once a slot; batch-only code remains for
+the checks (raise_at_first wrappers), the target rules (each scheme's
+on its block of rows) and the slot solve, which is slower row by row.
+Only the reduced columns weighted_actual and rate_bpshz are kept.  A
+row's columns do not depend on the other rows, and a lockstep trial
+matches run_scenario at the same seed to about 1e-9 relative or better.
+An error names the earliest slot at which a row fails and, among the
+rows failing at one step of it, the lowest.
 
 Determinism contract: one generator per trial, seeded with the trial's
 seed, consumed in a fixed order (2 draws for the initial estimate
@@ -43,16 +44,14 @@ every recorded quantity is a plain float.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ekf, optimize, sensing
 from .errors import ConfigError, InfeasibleIntervalError, raise_at_first
-from .linalg2 import Sym2, inverse_each, require_positive_definite_each
+from .linalg2 import Sym2
 from .params import SystemParams, _is_integer
 from .sensing import RelativeState
 
@@ -222,25 +221,25 @@ def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2,
     return eta - math.copysign(reach, eta), False, None
 
 
-def _targets_proposed_each(eta, x_hat, prior_info, params: SystemParams):
+def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     """_target_proposed for a batch of trials (arrays, one entry per
-    trial): the P1 window, its solve for the windows of positive length,
-    the touching point of a degenerate window and the flagged fallback
-    otherwise.  prior_info() is the prior information of these trials'
-    slot (see _plan_each).  Returns the x_breve array; flags are not
-    kept."""
+    trial): the prior information (checked first, as in P1Instance),
+    the P1 window, its solve for the windows of positive length, the
+    touching point of a degenerate window and the flagged fallback
+    otherwise.  Returns the x_breve array; flags are not kept."""
+    prior_info = ekf._prior_information_each(mse_pred)
     x_c = optimize.qos_radius(params)
     reach = params.v_a_max * params.dt
     lo = np.maximum(-x_c, eta - reach)
     hi = np.minimum(x_c, eta + reach)
     has_length = hi - lo > 0.0
-    x_opt = optimize.solve_p1_each(lo, hi, None, x_hat, prior_info(), params, has_length)
+    x_opt = optimize.solve_p1_each(lo, hi, None, x_hat, prior_info, params, has_length)
     fallback = np.where(hi == lo, lo, np.where(eta > 0.0, eta - reach, eta + reach))
     return np.where(has_length, x_opt, fallback)
 
 
-def _targets_right_above_each(eta, x_hat, prior_info, params: SystemParams):
-    """_target_right_above for a batch of trials."""
+def _targets_right_above_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
+    """_target_right_above for a batch of trials; the MSEs are not read."""
     reach = params.v_a_max * params.dt
     return np.where(np.abs(eta) <= reach, 0.0, eta - np.copysign(reach, eta))
 
@@ -280,63 +279,30 @@ def _plan(fstate: ekf.FilterState, uav_pos: float, uav_vel: float, params: Syste
     return x_a, v_a, flagged, ekf.Prediction(state, pred.mse_pred), prior
 
 
-def _prior_information_each(mse_pred: Sym2, blocks) -> Callable[..., Sym2]:
-    """prior_info(j) returns the prior information M_p^{-1} of the rows
-    of block j (see _run_lockstep), prior_info() that of every row.  Each
-    block's prediction MSEs are checked and inverted once, at the first
-    call that reads them, which raises for the block's lowest failing
-    row."""
-    parts = {}
-
-    def block(j):
-        if j not in parts:
-            rows = blocks[j][1]
-            m = Sym2(mse_pred.m11[rows], mse_pred.m12[rows], mse_pred.m22[rows])
-            require_positive_definite_each(m, "mse_pred")
-            parts[j] = inverse_each(m)
-        return parts[j]
-
-    # prior_info calls block, never itself: a closure that refers to itself
-    # is a reference cycle, which keeps each slot's arrays alive until the
-    # cyclic collector runs
-    def prior_info(j=None):
-        if j is not None:
-            return block(j)
-        if None not in parts:
-            ps = [block(b) for b in range(len(blocks))]
-            parts[None] = Sym2(*(np.concatenate([getattr(q, f) for q in ps])
-                                 for f in ("m11", "m12", "m22")))
-        return parts[None]
-    return prior_info
-
-
 def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
-               blocks) -> tuple[np.ndarray, np.ndarray, ekf.Prediction, Callable[..., Sym2]]:
+               blocks) -> tuple[np.ndarray, np.ndarray, ekf.Prediction]:
     """_plan for a batch of rows (every field an array, one entry per
     row; blocks as in _run_lockstep): the waypoints x_a, slot velocities
-    v_a, the predictions and prior_info, the slot's prior information
-    (see _prior_information_each).  Each block's target rule picks x_breve
-    for its own rows; the update and the weighted_actual column share
-    prior_info.  The proposed rule reads its block's prior information
-    while planning and the right-above rule leaves it to the update, so
-    a refusal names the slot where run_scenario raises it.  The
-    velocity-reach check of design_trajectory raises for the lowest row
-    that fails it."""
+    v_a and the predictions.  Each block's target rule picks x_breve for
+    its own rows from their prediction MSEs; only the proposed rule
+    inverts them, so a refusal names the slot where run_scenario raises
+    it.  The velocity-reach check of design_trajectory raises for the
+    lowest row that fails it."""
     dt = params.dt
     pred = ekf.predict(fstate, params)
-    prior_info = _prior_information_each(pred.mse_pred, blocks)
+    m = pred.mse_pred
     eta = pred.pred.x + uav_vel * dt
     x_hat = fstate.est.x
     x_breve = np.concatenate([
-        targets(eta[rows], x_hat[rows], functools.partial(prior_info, j), params)
-        for j, (targets, rows) in enumerate(blocks)])
+        targets(eta[rows], x_hat[rows], Sym2(m.m11[rows], m.m12[rows], m.m22[rows]), params)
+        for targets, rows in blocks])
     raise_at_first(np.abs(x_breve - eta) > params.v_a_max * dt + 1e-9,
                    lambda i: optimize.design_trajectory(
                        float(x_breve[i]), float(eta[i]),
                        (float(uav_pos[i]), float(uav_vel[i])), params))
     x_a = eta + uav_pos - x_breve
     return x_a, (x_a - uav_pos) / dt, ekf.Prediction(
-        RelativeState(x_breve, (x_breve - x_hat) / dt), pred.mse_pred), prior_info
+        RelativeState(x_breve, (x_breve - x_hat) / dt), m)
 
 
 def _add_context(exc: Exception, where: str) -> None:
@@ -421,8 +387,8 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     _TARGET_RULES_EACH) and its row slice; the target rule runs on its
     block's rows, every other step on all rows at once, entry by entry,
     so a row's columns do not depend on the other rows.  Returns the
-    weighted_actual (on the measurement's weights) and rate_bpshz
-    columns, each (rows, n_slots).
+    weighted_actual (on the measurement's weights and the slot's one
+    prior information) and rate_bpshz columns, each (rows, n_slots).
 
     An error is raised at the earliest slot at which a row fails, which
     is the slot at which run_scenario raises it; among the rows failing
@@ -460,7 +426,7 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     rate = np.empty((cfg.n_slots, n_rows))
     n = 0
     try:
-        x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
+        x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
         for n in range(1, cfg.n_slots + 1):
             z0, z1, e1, e2, e3 = slot_draws[n - 1]
             obj_pos, obj_vel = _object_step(obj_pos, obj_vel, z0, z1, dt, factor)
@@ -470,15 +436,16 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
             with np.errstate(divide="ignore"):
                 s = tuple(1.0 / wi for wi in w)
             y = sensing._noisy_mean(true_rel, s, (e1, e2, e3), k, p, np)
-            # the weights are checked before prior_info() can raise, as in run_scenario
+            # the weights are checked before the prediction MSEs, as in run_scenario
             raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
                            lambda i: sensing._measured_weights(tuple(float(si[i]) for si in s)))
-            fstate = ekf._posterior(pred.pred, prior_info(), w, y, p, np)
-            weighted[n - 1] = ekf._bounds(prior_info(), ekf._fisher_terms(
+            prior = ekf._prior_information_each(pred.mse_pred)
+            fstate = ekf._posterior(pred.pred, prior, w, y, p, np)
+            weighted[n - 1] = ekf._bounds(prior, ekf._fisher_terms(
                 true_rel.x, true_rel.v, p, w), p.alpha)[2]
             rate[n - 1] = sensing.achievable_rate(pred.pred.x, p, np)
             if n < cfg.n_slots:
-                x_a, v_a, pred, prior_info = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
+                x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
     except Exception as exc:
         i = getattr(exc, "batch_index", 0) % n_trials
         if hasattr(exc, "batch_index"):

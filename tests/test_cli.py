@@ -169,6 +169,14 @@ def test_sweep_angle_bad_grid_exits_2(tmp_path):
     assert _run(["sweep-angle", "--alphas", ",", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--h-step", "nan"), ("--h-min", "nan"), ("--h-max", "nan"), ("--h-max", "inf")])
+def test_sweep_angle_non_finite_heights_exit_2(tmp_path, flag, value):
+    out = tmp_path / "s.csv"
+    assert _run(["sweep-angle", flag, value, "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_angle_out_of_range_alpha_exits_2(tmp_path):
     out = tmp_path / "s.csv"
     assert _run(["sweep-angle", "--alphas", "0.5,1.5", "--out", str(out)]) == 2

@@ -353,8 +353,8 @@ def test_window_end_cell_starts_at_the_cubic_root(end, seed):
     [(0.0, 2.0 ** -1060)],            # subnormal width, subnormal step
     [(-2.0, -0.0), (-86.0, 86.0)],
 ], ids=["random", "zero_width", "subnormal_zero_step", "subnormal_step", "signed_zero"])
-def test_basin_grid_equals_linspace_bit_for_bit(extra):
-    # _grid_basin_each builds its grid in linspace's own arithmetic
+def test_basin_grid_equals_linspace_bit_for_bit(extra, monkeypatch):
+    # _grid_basin_each and solve_p1_sca build their grids in linspace's own arithmetic
     rng = np.random.default_rng(14)
     lo = rng.uniform(-90.0, 60.0, 40)
     hi = lo + rng.uniform(0.0, 12.0, 40) * 10.0 ** rng.integers(-12, 1, 40)
@@ -363,6 +363,20 @@ def test_basin_grid_equals_linspace_bit_for_bit(extra):
     optimize._grid_basin_each(lambda x: grids.append(x) or x, lambda x: (x, x, x), lo, hi)
     want = np.linspace(lo, hi, optimize.P1_GRID_POINTS, axis=1)
     assert grids[0].shape == want.shape and grids[0].tobytes() == want.tobytes()
+
+    class Captured(Exception):
+        pass
+
+    def capture(x, *args):
+        grids.append(x)
+        raise Captured
+    monkeypatch.setattr(optimize, "_objective", capture)
+    inst = _instance(0.0, 0.0)
+    for inst.lo, inst.hi in zip(lo.tolist(), hi.tolist()):
+        with pytest.raises(Captured):
+            optimize.solve_p1_sca(inst)
+    scalar = np.stack(grids[1:])
+    assert scalar.shape == want.shape and scalar.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_grid", [2.5, 2.0, True, "3"])

@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from uav_isac.params import PARAM_FIELD_NAMES, SPEED_OF_LIGHT, SystemParams, dbm_to_watts
@@ -70,10 +71,17 @@ def test_rejects_channel_weight_out_of_range(field, value):
         SystemParams(**{field: value})
 
 
-@pytest.mark.parametrize("field,value", [("n_t", 0), ("n_r", -4), ("n_t", 3.5)])
+@pytest.mark.parametrize("field,value", [("n_t", 0), ("n_r", -4), ("n_t", 3.5), ("n_t", True)])
 def test_rejects_bad_antenna_counts(field, value):
     with pytest.raises(ValueError):
         SystemParams(**{field: value})
+
+
+def test_numpy_integer_antenna_counts_are_stored_as_int():
+    p = SystemParams(n_t=np.int64(32), n_r=np.int32(32))
+    assert p == SystemParams()
+    assert type(p.n_t) is int and type(p.n_r) is int
+    assert type(p.sens_gain) is float
 
 
 def test_zero_process_noise_allowed():

@@ -364,19 +364,24 @@ def test_unmeasurable_geometry_is_refused_as_in_lockstep(cfg, slot):
     assert str(batched.value).endswith(str(scalar.value)), (scalar.value, batched.value)
 
 
-@pytest.mark.parametrize("cfg, scheme", [
-    (ScenarioConfig(init_obj_pos=1e200), "proposed"),
-    (ScenarioConfig(init_obj_pos=-1e160), "right_above"),
-    (ScenarioConfig(init_est_std=(1e200, 0.0)), "right_above"),
-    (ScenarioConfig(init_est_std=(1e200, 0.0)), "proposed"),   # NaN prediction MSE
-])
-def test_lockstep_refuses_far_geometry_as_run_scenario(cfg, scheme):
+@pytest.mark.parametrize("cfg, scheme, params", [
+    (ScenarioConfig(init_obj_pos=1e200), "proposed", P),
+    (ScenarioConfig(init_obj_pos=-1e160), "right_above", P),
+    (ScenarioConfig(init_est_std=(1e200, 0.0)), "right_above", P),
+    (ScenarioConfig(init_est_std=(1e200, 0.0)), "proposed", P),   # NaN prediction MSE
+    # a zero prediction MSE and an unreachable rate target: the MSE is refused first
+    (ScenarioConfig(init_mse=(0.0, 0.0)), "proposed", SystemParams(q_tilde=0.0, gamma_c=30.0)),
+    # right-above refuses a zero prediction MSE at the update of slot 1
+    (ScenarioConfig(init_mse=(0.0, 0.0)), "right_above", SystemParams(q_tilde=0.0)),
+], ids=["cfg0-proposed", "cfg1-right_above", "cfg2-right_above", "cfg3-proposed",
+        "zero_mse_and_qos-proposed", "zero_mse-right_above"])
+def test_lockstep_refuses_far_geometry_as_run_scenario(cfg, scheme, params):
     # the arrays overflow on the way, which must not surface as a
     # RuntimeWarning (an error under this suite's warning filter)
     with pytest.raises(UavIsacError) as scalar:
-        run_scenario(replace(cfg, scheme=scheme), P)
+        run_scenario(replace(cfg, scheme=scheme), params)
     with pytest.raises(type(scalar.value)) as batched:
-        _lockstep_columns(cfg, P, scheme, 1)
+        _lockstep_columns(cfg, params, scheme, 1)
     assert str(batched.value) == f"trial 0 (seed 0), {scalar.value}"
 
 
