@@ -21,9 +21,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InfeasibleQosError
@@ -33,6 +36,9 @@ from .simulate import ScenarioConfig, run_scenario
 from .validate import run_all
 
 _INT_FIELDS = frozenset(("n_t", "n_r"))
+# sweep-angle and tradeoff hold their rows in memory (about 5 kB per height
+# while sweep-angle solves an alpha), so more rows are refused before any is built
+MAX_GRID_ROWS = 100_000
 
 TRACK_COLUMNS = (
     "n", "t_s", "x_true_m", "v_true_mps", "x_hat_m", "v_hat_mps",
@@ -117,6 +123,8 @@ def _write_manifest(out_path: str, subcommand: str, argv: list[str],
         "seed": seed,
         "output": {"path": str(out_path), "sha256": sha256},
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
     Path(str(out_path) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -131,15 +139,8 @@ def cmd_track(args) -> int:
                          scheme=args.scheme.replace("-", "_"))
     records = run_scenario(cfg, params)
     lines = [",".join(TRACK_COLUMNS)]
-    for r in records:
-        lines.append(",".join((
-            str(r.slot), _fmt(r.t_s), _fmt(r.x_true), _fmt(r.v_true),
-            _fmt(r.x_hat), _fmt(r.v_hat), _fmt(r.x_breve), _fmt(r.v_breve),
-            _fmt(r.x_uav), _fmt(r.v_uav), _fmt(r.pcrb_x_pred),
-            _fmt(r.pcrb_v_pred), _fmt(r.pcrb_x_actual), _fmt(r.pcrb_v_actual),
-            _fmt(r.weighted_actual), _fmt(r.rate_bpshz), _fmt(r.tr_mp),
-            _fmt(r.tr_mm),
-        )))
+    # TRACK_COLUMNS are the SlotRecord fields before flagged, in order
+    lines += [",".join(_fmt(value) for value in astuple(r)[:-1]) for r in records]
     sha = _write_output(args.out, lines)
     _write_manifest(args.out, "track", args.argv, params, seed, sha)
     if args.every is not None:
@@ -158,7 +159,11 @@ def cmd_sweep_angle(args) -> int:
         _build_params({"alpha": a})  # refuses an alpha outside [0, 1]
     if not (0 < args.h_min <= args.h_max < math.inf and 0 < args.h_step < math.inf):
         raise ConfigError("need finite h_min > 0, h_step > 0 and h_max >= h_min")
-    count = int(math.floor((args.h_max - args.h_min) / args.h_step + 1e-9)) + 1
+    span = (args.h_max - args.h_min) / args.h_step
+    if not len(alphas) * (span + 1.0) <= MAX_GRID_ROWS:
+        raise ConfigError(f"{len(alphas)} alphas x {span + 1.0:.6g} heights is more than "
+                          f"{MAX_GRID_ROWS} rows")
+    count = int(math.floor(span + 1e-9)) + 1
     h_values = [args.h_min + i * args.h_step for i in range(count)]
     lines = ["alpha,H_m,x_star_m,phi_star_deg,branch"]
     for a, h, x_star, phi_deg, branch in sweep_angle(params, alphas, h_values):
@@ -172,6 +177,9 @@ def cmd_tradeoff(args) -> int:
     alphas = _parse_float_list(args.alphas)
     if args.x_grid < 2:
         raise ConfigError(f"--x-grid must be >= 2, got {args.x_grid}")
+    if len(alphas) * args.x_grid > MAX_GRID_ROWS:
+        raise ConfigError(f"{len(alphas)} alphas x --x-grid {args.x_grid} is more than "
+                          f"{MAX_GRID_ROWS} rows")
     base = _build_params({"a1": args.a1})
     lines = ["alpha,x_m,rate_bpshz,sensing_perf"]
     for a in alphas:

@@ -215,11 +215,10 @@ def _weighted(bound_x, bound_v, alpha: float):
     return alpha * bound_x + (1.0 - alpha) * bound_v
 
 
-def _bounds(prior_info: Sym2, terms, alpha: float):
-    """(bound_x, bound_v, weighted): the diagonal of (prior_info +
-    the measurement information terms of _fisher_terms)^{-1} and its
+def _bounds(a: Sym2, alpha: float):
+    """(bound_x, bound_v, weighted): the diagonal of a^{-1} for the
+    information a = _add_information(prior, *terms) and its
     alpha-weighted combination."""
-    a = _add_information(prior_info, *terms)
     inv_det = 1.0 / a.det
     bound_x = a.m22 * inv_det
     bound_v = a.m11 * inv_det
@@ -227,7 +226,7 @@ def _bounds(prior_info: Sym2, terms, alpha: float):
 
 
 def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
-    """Jet of _bounds(prior_info, terms, alpha)[2] from the terms' jets:
+    """Jet of _bounds(prior_info + terms, alpha)[2] from the terms' jets:
     N/D with N = alpha*a22 + (1-alpha)*a11 and D = det(a), so
     f' = (N' - f D')/D and f'' = (N'' - 2 f' D' - f D'')/D, alpha edges
     as in _weighted.  prior_info None: alpha/i_pos + (1-alpha)/vv."""
@@ -250,7 +249,7 @@ def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
 def _anticipated_bounds(x, v, prior_info: Sym2, params: SystemParams):
     """_bounds with the measurement information at (x, v) for the
     weights modelled at x."""
-    return _bounds(prior_info, _fisher_terms(x, v, params), params.alpha)
+    return _bounds(_add_information(prior_info, *_fisher_terms(x, v, params)), params.alpha)
 
 
 def predicted_pcrb(x_breve: float, v_breve: float, mse_pred: Sym2,
@@ -275,12 +274,7 @@ def crb_measurement(x: float, v: float, params: SystemParams) -> tuple[float, fl
     carries no velocity information, so crb_v is reported as +inf;
     solvers treat it as a barrier.
     """
-    return _crb(_fisher_terms(x, v, params))
-
-
-def _crb(terms) -> tuple[float, float]:
-    """(crb_x, crb_v) from the Fisher terms (i_pos, zz, zv, vv)."""
-    i_pos, zz, _, vv = terms
+    i_pos, zz, _, vv = _fisher_terms(x, v, params)
     crb_x = 1.0 / i_pos
     if vv == 0.0:
         return crb_x, math.inf

@@ -9,27 +9,29 @@ with v_breve = (x_breve - x_hat)/dt, is the filter's prediction for the
 slot.  The slot then runs in this order: the object follows a
 constant-velocity model with process noise, the platform executes the
 planned waypoint, a measurement is sampled at the true relative state,
-the filter updates the planned prediction, the slot is recorded, and,
-unless it was the last slot, the next slot is planned.
+the filter updates the planned prediction, the slot's values are kept,
+and, unless it was the last slot, the next slot is planned.
 
-There are two loops over the same slot.  run_scenario runs one trial
-on plain Python floats and records every quantity; it is the reference.
-Its arithmetic is that of the public one-step functions (step_ground_truth,
-sample_measurement, ekf.update, predicted_pcrb, crb_measurement), written
-flat over the helpers they share: a slot inverts its prediction MSE once
-and takes one Fisher pass at the prediction.
+Only the plan and the filter feed the next slot; the record columns
+that evaluate a run (bound pairs, weighted_actual, rate, tr_mm) come
+after the slot loop, from one _record_columns pass over the values the
+loop kept.  There are two loops over the same slot.  run_scenario runs
+one trial on plain Python floats and records every field; it is the
+reference.  Its arithmetic is that of the public one-step functions
+(step_ground_truth, sample_measurement, ekf.update, and per entry
+predicted_pcrb and crb_measurement), written flat over the helpers they
+share: a slot inverts its prediction MSE once and takes one Fisher pass.
 run_monte_carlo runs every trial of both schemes in lockstep as one
 batch, every state a numpy array with one row per scheme and trial.
 The measurement and update are run_scenario's calls with xp=numpy
-(numpy transcendentals may differ from math's by an ulp), with every
-row's prediction MSE inverted once a slot; batch-only code remains for
-the checks (raise_at_first wrappers), the target rules (each scheme's
-on its block of rows) and the slot solve, which is slower row by row.
-Only the reduced columns weighted_actual and rate_bpshz are kept.  A
-row's columns do not depend on the other rows, and a lockstep trial
-matches run_scenario at the same seed to about 1e-9 relative or better.
-An error names the earliest slot at which a row fails and, among the
-rows failing at one step of it, the lowest.
+(numpy transcendentals may differ from math's by an ulp); batch-only
+code remains for the checks (raise_at_first wrappers), the target rules
+(each scheme's on its block of rows) and the slot solve, which is slower
+row by row.  Its column pass computes only weighted_actual and
+rate_bpshz.  A row's columns do not depend on the other rows, and a
+lockstep trial matches run_scenario at the same seed to about 1e-9
+relative or better.  An error names the earliest slot at which a row
+fails and, among the rows failing at one step of it, the lowest.
 
 Determinism contract: one generator per trial, seeded with the trial's
 seed, consumed in a fixed order (2 draws for the initial estimate
@@ -46,11 +48,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from . import ekf, optimize, sensing
-from .errors import ConfigError, InfeasibleIntervalError, raise_at_first
+from .errors import ConfigError, InfeasibleIntervalError, SingularMatrixError, raise_at_first
 from .linalg2 import Sym2
 from .params import SystemParams, _is_integer
 from .sensing import RelativeState
@@ -312,6 +315,39 @@ def _add_context(exc: Exception, where: str) -> None:
         exc.args = (f"{where}: {exc.args[0]}",) + exc.args[1:]
 
 
+def _refuse_zero_divisor(x: float, x_breve: float):
+    raise SingularMatrixError(f"a record bound at x = {x!r}, x_breve = {x_breve!r} divides by zero")
+
+
+RECORD_COLUMNS = ("pcrb_x_pred", "pcrb_v_pred", "pcrb_x_actual", "pcrb_v_actual",
+                  "weighted_actual", "rate_bpshz", "tr_mm")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _record_columns(x, v, w, prior: Sym2, x_breve, v_breve, params: SystemParams) -> dict:
+    """The RECORD_COLUMNS by name (v_breve None: pcrb_*_actual,
+    weighted_actual and rate_bpshz only) from arrays of one shape,
+    (n_slots,) or (n_slots, rows): the true state (x, v), the measured
+    weights w (the weights modelled at x), the update's prior information
+    and the plan (x_breve, v_breve).  tr_mm is +inf where vv = 0
+    (x_breve = 0), as in crb_measurement.  Overflow and NaN pass silently;
+    a zero divisor raises SingularMatrixError for the earliest slot, then
+    row (batch_index: the flat index)."""
+    act = ekf._add_information(prior, *ekf._fisher_terms(x, v, params, w))
+    cols = dict(zip(RECORD_COLUMNS[2:5], ekf._bounds(act, params.alpha)))
+    zero = act.det == 0.0
+    if v_breve is not None:
+        i_pos, zz, _, vv = terms = ekf._fisher_terms(x_breve, v_breve, params)
+        pred = ekf._add_information(prior, *terms)
+        cols["pcrb_x_pred"], cols["pcrb_v_pred"], _ = ekf._bounds(pred, params.alpha)
+        crb_x = 1.0 / i_pos
+        cols["tr_mm"] = crb_x + np.where(vv == 0.0, np.inf, (1.0 + zz * crb_x) / vv)
+        zero |= (pred.det == 0.0) | (i_pos == 0.0)
+    raise_at_first(zero, lambda i: _refuse_zero_divisor(float(x.flat[i]), float(x_breve.flat[i])))
+    cols["rate_bpshz"] = sensing.achievable_rate(x_breve, params, np)
+    return cols
+
+
 def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
     """Run one tracking scenario and return its n_slots records.
 
@@ -319,17 +355,17 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
     is the true relative state plus a Gaussian perturbation of
     init_est_std, and the first slot is planned.  Each subsequent slot
     advances the object, executes the planned command, measures at the
-    true relative state, updates the planned prediction, records, and
-    plans the next slot unless it was the last.  The "actual" bound pair
-    is the anticipated bound re-evaluated at the true relative state
-    with the same prediction MSE.  The trial's draws are taken in one
-    call before the first slot.  Component errors propagate with the
-    slot index attached.
+    true relative state, updates the planned prediction, and plans the
+    next slot unless it was the last; one _record_columns pass then
+    gives the evaluation columns.  The "actual" bound pair is the
+    anticipated bound re-evaluated at the true relative state with the
+    same prediction MSE.  The trial's draws are taken in one call before
+    the first slot.  Component errors propagate with the slot attached.
     """
     p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
     target_rule = _TARGET_RULES[cfg.scheme]
     z = np.random.default_rng(cfg.seed).standard_normal(2 + 5 * cfg.n_slots).tolist()
-    dt, k, alpha = p.dt, cfg.noise_scale, p.alpha
+    dt, k = p.dt, cfg.noise_scale
     factor = _process_noise_factor(p)
 
     obj_pos, obj_vel = cfg.init_obj_pos, cfg.init_obj_vel
@@ -338,7 +374,8 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
                          (obj_vel - uav_vel) + cfg.init_est_std[1] * z[1])
     fstate = ekf.FilterState(est0, Sym2.diag(cfg.init_mse[0], cfg.init_mse[1]))
 
-    records: list[SlotRecord] = []
+    # per slot: the record's first 8 fields, tr_mp, flagged, weights, prior information
+    slots = []
     n = 0
     try:
         x_a, v_a, flagged, pred, prior = _plan(fstate, uav_pos, uav_vel, p, target_rule)
@@ -351,28 +388,26 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
             w = sensing.noise_weights(x, p)
             s = sensing._variances(w)
             y = sensing._noisy_mean(RelativeState(x, v), s, (e1, e2, e3), k, p)
-            # ekf.update, then both bounds from the one prior information,
-            # the plan's where it has one; one Fisher pass at the prediction
-            # serves its bound and tr_mm
+            # ekf.update on the plan's prior information where it has one
             sensing._measured_weights(s, w)
             if prior is None:
                 prior = ekf._prior_information(pred.mse_pred)
             fstate = ekf._posterior(pred.pred, prior, w, y, p)
-            x_breve, v_breve = pred.pred.x, pred.pred.v
-            terms = ekf._fisher_terms(x_breve, v_breve, p)
-            bx_pred, bv_pred, _ = ekf._bounds(prior, terms, alpha)
-            bx_act, bv_act, weighted_act = ekf._anticipated_bounds(x, v, prior, p)
-            crb_x, crb_v = ekf._crb(terms)
-            records.append(SlotRecord(
-                n, n * dt, x, v, fstate.est.x, fstate.est.v, x_breve, v_breve, uav_pos, uav_vel,
-                bx_pred, bv_pred, bx_act, bv_act, weighted_act,
-                sensing.achievable_rate(x_breve, p), pred.mse_pred.trace, crb_x + crb_v, flagged))
+            slots.append((x, v, fstate.est.x, fstate.est.v, pred.pred.x, pred.pred.v, uav_pos,
+                          uav_vel, pred.mse_pred.trace, flagged, *w, prior.m11, prior.m12,
+                          prior.m22))
             if n < cfg.n_slots:
                 x_a, v_a, flagged, pred, prior = _plan(fstate, uav_pos, uav_vel, p, target_rule)
+        n = None
+        a = np.fromiter(chain.from_iterable(slots), float).reshape(cfg.n_slots, -1).T
+        cols = _record_columns(a[0], a[1], a[10:13], Sym2(*a[13:]), a[4], a[5], p)
     except Exception as exc:
+        if n is None:  # the column pass's batch_index counts slots from 0
+            n = exc.__dict__.pop("batch_index", 0) + 1
         _add_context(exc, f"slot {n}")
         raise
-    return records
+    return [SlotRecord(n, n * dt, *r[:8], *c[:6], r[8], c[6], r[9]) for n, r, c in zip(
+        range(1, cfg.n_slots + 1), slots, zip(*(cols[name].tolist() for name in RECORD_COLUMNS)))]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -387,8 +422,8 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     _TARGET_RULES_EACH) and its row slice; the target rule runs on its
     block's rows, every other step on all rows at once, entry by entry,
     so a row's columns do not depend on the other rows.  Returns the
-    weighted_actual (on the measurement's weights and the slot's one
-    prior information) and rate_bpshz columns, each (rows, n_slots).
+    weighted_actual and rate_bpshz columns of one _record_columns pass
+    after the loop, each (rows, n_slots).
 
     An error is raised at the earliest slot at which a row fails, which
     is the slot at which run_scenario raises it; among the rows failing
@@ -422,8 +457,8 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
         (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * init_draws[1])
     fstate = ekf.FilterState(est0, Sym2(full(cfg.init_mse[0]), full(0.0), full(cfg.init_mse[1])))
 
-    weighted = np.empty((cfg.n_slots, n_rows))
-    rate = np.empty((cfg.n_slots, n_rows))
+    # the column pass's inputs: x, v, the three weights, the prior information, x_breve
+    kept = np.empty((9, cfg.n_slots, n_rows))
     n = 0
     try:
         x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
@@ -441,18 +476,22 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
                            lambda i: sensing._measured_weights(tuple(float(si[i]) for si in s)))
             prior = ekf._prior_information_each(pred.mse_pred)
             fstate = ekf._posterior(pred.pred, prior, w, y, p, np)
-            weighted[n - 1] = ekf._bounds(prior, ekf._fisher_terms(
-                true_rel.x, true_rel.v, p, w), p.alpha)[2]
-            rate[n - 1] = sensing.achievable_rate(pred.pred.x, p, np)
+            kept[:, n - 1] = (true_rel.x, true_rel.v, *w, prior.m11, prior.m12, prior.m22,
+                              pred.pred.x)
             if n < cfg.n_slots:
                 x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
+        n = None
+        cols = _record_columns(kept[0], kept[1], kept[2:5], Sym2(*kept[5:8]), kept[8], None, p)
     except Exception as exc:
-        i = getattr(exc, "batch_index", 0) % n_trials
+        i = getattr(exc, "batch_index", 0)
+        if n is None:  # the column pass's batch_index runs over slots, then rows
+            n = i // n_rows + 1
+        i %= n_trials
         if hasattr(exc, "batch_index"):
             exc.batch_index = i
         _add_context(exc, f"trial {i} (seed {cfg.seed + i}), slot {n}")
         raise
-    return weighted.T, rate.T
+    return cols["weighted_actual"].T, cols["rate_bpshz"].T
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,11 @@
 import json
 import hashlib
 import math
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from uav_isac import cli
@@ -37,6 +39,8 @@ def test_track_writes_csv_and_manifest(tmp_path):
     assert manifest["seed"] == 0
     assert manifest["params"]["h_alt"] == 50.0
     assert manifest["output"]["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
 
 
 def test_track_is_bit_reproducible(tmp_path):
@@ -183,6 +187,27 @@ def test_sweep_angle_out_of_range_alpha_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--h-step", "1e-300"],                              # about 9e301 heights
+    ["--h-step", "5e-324"],                              # a span over step that overflows
+    ["--alphas", "0,0.5,1", "--h-step", "0.0025"],       # 36001 heights, 108003 rows
+])
+def test_sweep_angle_refuses_a_grid_over_the_row_cap(tmp_path, monkeypatch, capsys, args):
+    # the count is checked before any height or row is built
+    monkeypatch.setattr(cli, "sweep_angle", lambda *a: pytest.fail("sweep_angle was called"))
+    assert _run(["sweep-angle", *args, "--out", str(tmp_path / "s.csv")]) == 2
+    assert f"more than {cli.MAX_GRID_ROWS} rows" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_angle_accepts_a_grid_at_the_row_cap(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "sweep_angle", lambda p, alphas, hs: seen.append(len(hs)) or [])
+    assert _run(["sweep-angle", "--alphas", "0.5", "--h-min", "1", "--h-max",
+                 str(cli.MAX_GRID_ROWS), "--h-step", "1", "--out", str(tmp_path / "s.csv")]) == 0
+    assert seen == [cli.MAX_GRID_ROWS]
+
+
 # ----------------------------------------------------------------- tradeoff
 
 def test_tradeoff_csv(tmp_path):
@@ -198,6 +223,19 @@ def test_tradeoff_csv(tmp_path):
     assert perfs == sorted(perfs)
     manifest = json.loads((tmp_path / "trade.csv.manifest.json").read_text())
     assert manifest["params"]["a1"] == 0.15  # documented default override
+
+
+def test_tradeoff_row_cap(tmp_path, monkeypatch, capsys):
+    grids = []
+    monkeypatch.setattr(cli, "tradeoff_frontier", lambda p, n: grids.append(n) or [])
+    out = str(tmp_path / "t.csv")
+    assert _run(["tradeoff", "--alphas", "0,1", "--x-grid", str(10 ** 12), "--out", out]) == 2
+    assert _run(["tradeoff", "--alphas", "0,1", "--x-grid", str(cli.MAX_GRID_ROWS // 2 + 1),
+                 "--out", out]) == 2
+    assert f"more than {cli.MAX_GRID_ROWS} rows" in capsys.readouterr().err and grids == []
+    assert _run(["tradeoff", "--alphas", "0,1", "--x-grid", str(cli.MAX_GRID_ROWS // 2),
+                 "--out", out]) == 0
+    assert grids == [cli.MAX_GRID_ROWS // 2] * 2
 
 
 def test_tradeoff_bad_grid_exits_2(tmp_path):

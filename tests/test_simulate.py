@@ -5,6 +5,7 @@ from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
 from uav_isac import simulate
@@ -219,13 +220,14 @@ def test_one_prediction_per_slot(scheme, monkeypatch):
 
 def test_slot_loop_operation_counts(monkeypatch):
     """One draw call per run; per slot, one inversion of the prediction
-    MSE and one of the posterior information, and three Fisher passes
-    (the update, the prediction's bound with tr_mm, the true state's)."""
+    MSE, one of the posterior information and one Fisher pass (the
+    update's); then one column pass per run, whose two Fisher passes (at
+    the true states and at the plans) each take every slot at once."""
     counts = Counter()
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
-            counts[name] += 1
+            counts[name + (" batched" if isinstance(args[0], np.ndarray) else "")] += 1
             return fn(*args, **kwargs)
         return wrapped
 
@@ -242,8 +244,69 @@ def test_slot_loop_operation_counts(monkeypatch):
     monkeypatch.setattr(Sym2, "inverse", counting("inverse", Sym2.inverse))
     monkeypatch.setattr(simulate.ekf, "_fisher_terms",
                         counting("_fisher_terms", simulate.ekf._fisher_terms))
+    monkeypatch.setattr(simulate, "_record_columns",
+                        counting("_record_columns", simulate._record_columns))
     run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), P)
-    assert counts == {"inverse": 20, "_fisher_terms": 30, "standard_normal": 1}
+    assert counts == {"inverse": 20, "_fisher_terms": 10, "_fisher_terms batched": 2,
+                      "_record_columns batched": 1, "standard_normal": 1}
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "right_above"])
+def test_each_loop_makes_one_column_pass_per_run(scheme, monkeypatch):
+    shapes = []
+    columns = simulate._record_columns
+
+    def counting(*args):
+        shapes.append(args[0].shape)
+        return columns(*args)
+    monkeypatch.setattr(simulate, "_record_columns", counting)
+    run_scenario(ScenarioConfig(n_slots=10, scheme=scheme), P)
+    _lockstep_columns(ScenarioConfig(n_slots=10), P, scheme, 3)
+    run_monte_carlo(ScenarioConfig(n_slots=10), P, 3)
+    assert shapes == [(10,), (10, 3), (10, 6)]
+
+
+def _with_zero_information_at(entries):
+    """simulate._record_columns with the weights and the prior
+    information zeroed at the given (slot index, row) entries, so that
+    the actual bound's information there is singular."""
+    columns = simulate._record_columns
+
+    def zeroed(x, v, w, prior, x_breve, v_breve, params):
+        mask = np.zeros(np.shape(x), dtype=bool)
+        for entry in entries:
+            mask[entry[:mask.ndim]] = True
+        w, prior = [np.where(mask, 0.0, wi) for wi in w], Sym2(
+            *(np.where(mask, 0.0, m) for m in (prior.m11, prior.m12, prior.m22)))
+        return columns(x, v, w, prior, x_breve, v_breve, params)
+    return zeroed
+
+
+def test_column_pass_refuses_a_zero_divisor_at_the_earliest_slot(monkeypatch):
+    monkeypatch.setattr(simulate, "_record_columns", _with_zero_information_at([(6,), (3,)]))
+    with pytest.raises(SingularMatrixError, match=r"^slot 4: a record bound at x = ") as exc_info:
+        run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), P)
+    assert not hasattr(exc_info.value, "batch_index")
+
+
+def test_lockstep_column_pass_names_the_trial_of_a_zero_divisor(monkeypatch):
+    # slot 4 fails on right-above trials 2 and 1 (rows 5 and 4 of the
+    # 3 + 3); slot 7 fails on a lower row, but later
+    monkeypatch.setattr(simulate, "_record_columns",
+                        _with_zero_information_at([(6, 0), (3, 5), (3, 4)]))
+    with pytest.raises(SingularMatrixError, match=r"^trial 1 \(seed 6\), slot 4: a record bound"
+                       ) as exc_info:
+        run_monte_carlo(ScenarioConfig(n_slots=10, seed=5), P, n_trials=3)
+    assert exc_info.value.batch_index == 1
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "right_above"])
+def test_plan_without_position_information_is_refused(scheme):
+    # an estimate 1e100 m off plans x_breve where the modelled weights
+    # underflow, so the measurement-only position bound divides by zero
+    cfg = ScenarioConfig(n_slots=5, scheme=scheme, init_est_std=(1e100, 0.0))
+    with pytest.raises(SingularMatrixError, match=r"^slot 1: a record bound at .* divides by zero"):
+        run_scenario(cfg, P)
 
 
 def test_proposed_slot_reuses_the_plans_prior_information(monkeypatch):
@@ -631,3 +694,61 @@ def test_monte_carlo_bracket_error_keeps_attributes(monkeypatch):
             as exc_info:
         run_monte_carlo(ScenarioConfig(n_slots=20), P, n_trials=2)
     assert (exc_info.value.dg_lo, exc_info.value.dg_hi) == (-1.0, -2.0)
+
+
+# ------------------------------------------------- accepted inputs, property
+
+@st.composite
+def _accepted_inputs(draw):
+    """An accepted (SystemParams, ScenarioConfig) pair: power, altitude,
+    q_tilde (0 included), dt, alpha (both ends included), v_a_max (0
+    included), gamma_c, a1-a3 and the initial state varied."""
+    try:
+        params = SystemParams(
+            p_a_dbm=draw(st.floats(20.0, 60.0)), h_alt=draw(st.floats(5.0, 200.0)),
+            q_tilde=draw(st.one_of(st.just(0.0), st.floats(1e-3, 50.0))),
+            dt=draw(st.floats(0.02, 1.0)),
+            alpha=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+            v_a_max=draw(st.one_of(st.just(0.0), st.floats(0.0, 60.0))),
+            gamma_c=draw(st.floats(1.0, 16.0)), a1=draw(st.floats(0.01, 10.0)),
+            a2=draw(st.floats(1e-8, 1e-6)), a3=draw(st.floats(10.0, 1e4)))
+    except ValueError:
+        assume(False)
+    cfg = ScenarioConfig(
+        n_slots=draw(st.integers(2, 30)), seed=draw(st.integers(0, 1000)),
+        init_obj_pos=draw(st.floats(-300.0, 300.0)), init_obj_vel=draw(st.floats(-20.0, 20.0)),
+        init_uav_pos=draw(st.floats(-50.0, 50.0)), init_uav_vel=draw(st.floats(-20.0, 20.0)),
+        init_est_std=(draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 5.0))),
+        init_mse=(draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 5.0))))
+    return params, cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_accepted_inputs())
+def test_accepted_inputs_give_finite_records_or_name_the_slot(inputs):
+    """Through both loops, both schemes and 3 Monte Carlo trials, an
+    accepted input either gives finite records or raises a UavIsacError
+    naming the slot.  The one non-finite value is documented: tr_mm is
+    +inf where the plan sits right above the object (x_breve == 0), whose
+    Doppler return carries no velocity information."""
+    params, cfg = inputs
+    for scheme in ("proposed", "right_above"):
+        try:
+            recs = run_scenario(replace(cfg, scheme=scheme), params)
+        except UavIsacError as exc:
+            assert re.match(r"slot \d+: ", str(exc)), exc
+            continue
+        for r in recs:
+            for name, value in zip((f.name for f in fields(r)), astuple(r)):
+                if name == "tr_mm" and r.x_breve == 0.0:
+                    assert value == math.inf
+                else:
+                    assert math.isfinite(value), (r.slot, name, value)
+    try:
+        mc = run_monte_carlo(cfg, params, 3)
+    except UavIsacError as exc:
+        assert re.match(r"trial \d \(seed \d+\), slot \d+: ", str(exc)), exc
+        return
+    for stats in (mc.proposed, mc.right_above):
+        assert all(np.isfinite(getattr(stats, f.name)).all() for f in fields(stats))
