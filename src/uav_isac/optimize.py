@@ -184,22 +184,22 @@ def _cell(v, right):
     return _pick(right, v[1], v[0]), _pick(right, v[2], v[1])
 
 
-def _newton_start(x3, g3, h3, right, x0):
+def _newton_start(x3, g3, h3, right):
     """Newton's first iterate on the grid cell [a, b] = _cell(x3, right),
     over which f' rises from negative to positive; x3 holds the grid
     minimum's left neighbour, itself and its right neighbour, and g3, h3
     hold f' and f'' there.
 
-    It is x0 when given and strictly inside the cell; else the root of
-    the quintic Hermite interpolant of f' through the three points,
-    found by one Newton step on the quintic from the cubic root below;
-    else, when that root is not strictly inside the cell (at a window-end
-    grid minimum two of the points coincide and the quintic is
-    undefined), the root of the cubic Hermite interpolant of f' on the
-    cell alone, found by two Newton steps on the cubic from the secant
-    root; else the midpoint.  No objective is evaluated.  Works on arrays
-    or scalars; x3 holds numpy values, so a zero denominator (all but
-    ga - gb < 0 involve x3) gives a non-finite root, failing the inside test.
+    It is the root of the quintic Hermite interpolant of f' through the
+    three points, found by one Newton step on the quintic from the cubic
+    root below; else, when that root is not strictly inside the cell (at
+    a window-end grid minimum two of the points coincide and the quintic
+    is undefined), the root of the cubic Hermite interpolant of f' on
+    the cell alone, found by two Newton steps on the cubic from the
+    secant root; else the midpoint.  No objective is evaluated.  Works on
+    arrays or scalars; x3 holds numpy values, so a zero denominator (all
+    but ga - gb < 0 involve x3) gives a non-finite root, failing the
+    inside test.
     """
     (a, b), (ga, gb), (ha, hb) = (_cell(v, right) for v in (x3, g3, h3))
     w = b - a
@@ -231,10 +231,7 @@ def _newton_start(x3, g3, h3, right, x0):
         r2, dr2 = q2 + v * r3, r3 + v * dr3
         r1, dr1 = h0 + u * r2, r2 + u * dr2
         x = cubic - (g0 + u * r1) / (r1 + u * dr1)
-    x = _pick((a < x) & (x < b), x, _pick((a < cubic) & (cubic < b), cubic, 0.5 * (a + b)))
-    if x0 is not None:
-        x = _pick((a < x0) & (x0 < b), x0, x)
-    return x
+    return _pick((a < x) & (x < b), x, _pick((a < cubic) & (cubic < b), cubic, 0.5 * (a + b)))
 
 
 def _require_bracket(x3, d1) -> None:
@@ -280,7 +277,7 @@ def solve_p1_sca(inst: P1Instance, x0: float | None = None) -> ScaResult:
     else:
         i = 1 if d1[1] < 0.0 else 0
         a, b = float(x3[i]), float(x3[i + 1])
-        start = _newton_start(tuple(x3), d1, d2, i == 1, x0)
+        start = x0 if x0 is not None and a < x0 < b else _newton_start(tuple(x3), d1, d2, i == 1)
         # the routine's sign check at a and b reads the values at hand
         known = {a: (d1[i], d2[i]), b: (d1[i + 1], d2[i + 1])}
         x, iterations = _newton_bracketed(
@@ -313,35 +310,34 @@ def _grid_basin_each(fn, jet, lo, hi, ends=False):
     return k, x3[:, 1], fs.ravel()[i[:, 1]], points, jet(points)
 
 
-def _polish_each(slope, x3, d1, d2, tol: float, x0, active):
+def _polish_each(slope, x3, d1, d2, tol: float, active):
     """The polish of the batched solves: f' = d1 and f'' = d2 at the
     points x3 (arrays (n, 3), as _grid_basin_each gives them), the sign
     of f' at the middle point picks the grid cell that holds the root,
     and _newton_bracketed_each solves f' = 0 there from _newton_start's
-    quintic Hermite root (x0 where given and inside the cell) on the
-    rows where active is set.  slope maps an (n,) array of iterates to
-    (f', f'') arrays."""
+    quintic Hermite root on the rows where active is set.  slope maps an
+    (n,) array of iterates to (f', f'') arrays."""
     right = d1[:, 1] < 0.0
     a, b = _cell(x3.T, right)
     return _newton_bracketed_each(slope, a, b, tol,
-                                  _newton_start(x3.T, d1.T, d2.T, right, x0), active)
+                                  _newton_start(x3.T, d1.T, d2.T, right), active)
 
 
-def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams, solve):
-    """solve_p1_sca's optimum for a batch of slot problems, in lockstep.
+def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, solve):
+    """solve_p1_sca's optimum (without x0) for a batch of slot problems,
+    in lockstep.
 
     Entry i is the window [lo[i], hi[i]] with x_hat_prev[i] and prior
     information prior_info.at(i); the arguments are arrays of one shape
-    (n,), and x0 is such an array of starts or None.  Only entries where
-    the boolean array solve is set are solved, and they must have
-    windows of positive length; the others return their grid point.
-    Every step is solve_p1_sca's.  The grid pass and the (n, 3)
-    derivative evaluation at the grid minima and their neighbours are
-    _grid_basin_each's.  The window-end test, the sign check (raising
-    the BracketError of the lowest failing entry) and the Newton start
-    read its values, and the Newton polish (_polish_each) runs on the
-    whole batch, each entry taking its own result by np.where masks;
-    from the quintic start it usually takes one round.
+    (n,).  Only entries where the boolean array solve is set are solved,
+    and they must have windows of positive length; the others return
+    their grid point.  Every step is solve_p1_sca's.  The grid pass and
+    the (n, 3) derivative evaluation at the grid minima and their
+    neighbours are _grid_basin_each's.  The window-end test, the sign
+    check (raising the BracketError of the lowest failing entry) and the
+    Newton start read its values, and the Newton polish (_polish_each)
+    runs on the whole batch, each entry taking its own result by
+    np.where masks; from the quintic start it usually takes one round.
     """
     last = P1_GRID_POINTS - 1
     rows_prior = Sym2(prior_info.m11[:, None], prior_info.m12[:, None], prior_info.m22[:, None])
@@ -359,7 +355,7 @@ def solve_p1_each(lo, hi, x0, x_hat_prev, prior_info: Sym2, params: SystemParams
     def slope(x):
         return _objective_jet(x, x_hat_prev, prior_info, params)[1:]
 
-    x = _polish_each(slope, x3, d1, d2, 1e-9 * params.h_alt, x0, interior)
+    x = _polish_each(slope, x3, d1, d2, 1e-9 * params.h_alt, interior)
     f = _objective(x, x_hat_prev, prior_info, params)
     return np.where(interior & ~(f > f_grid), x, x_grid)
 
@@ -536,7 +532,7 @@ def _solve_sp1_each(params: SystemParams, h):
         def slope(x):
             return _g0_jet(x, params, h)[1:]
         x_star = np.full(n, math.nan)
-        x_star[signed] = _polish_each(slope, x3, d1, d2, 1e-9 * h, None, np.ones(len(h), bool))
+        x_star[signed] = _polish_each(slope, x3, d1, d2, 1e-9 * h, np.ones(len(h), bool))
         branch = ["interior_newton" if e is None else f"error:{type(e).__name__}" for e in error]
     return x_star, x_l, x_u, branch, error
 

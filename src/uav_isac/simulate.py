@@ -12,11 +12,12 @@ planned waypoint, a measurement is sampled at the true relative state,
 the filter updates the planned prediction, the slot's values are kept,
 and, unless it was the last slot, the next slot is planned.
 
-Only the plan and the filter feed the next slot; the record columns
-that evaluate a run (bound pairs, weighted_actual, rate, tr_mm) come
-after the slot loop, from one _record_columns pass over the values the
-loop kept.  There are two loops over the same slot.  run_scenario runs
-one trial on plain Python floats and records every field; it is the
+Only the plan and the filter feed the next slot.  Both loops keep the
+same values of every slot, named by KEPT, and one _record_columns pass
+over them after the slot loop gives every record column by name,
+computing those that evaluate a run (bound pairs, weighted_actual,
+rate, tr_mm).  There are two loops over the same slot.  run_scenario
+runs one trial on plain Python floats and records every field; it is the
 reference.  Its arithmetic is that of the public one-step functions
 (step_ground_truth, sample_measurement, ekf.update, and per entry
 predicted_pcrb and crb_measurement), written flat over the helpers they
@@ -27,8 +28,7 @@ The measurement and update are run_scenario's calls with xp=numpy
 (numpy transcendentals may differ from math's by an ulp); batch-only
 code remains for the checks (raise_at_first wrappers), the target rules
 (each scheme's on its block of rows) and the slot solve, which is slower
-row by row.  Its column pass computes only weighted_actual and
-rate_bpshz.  A row's columns do not depend on the other rows, and a
+row by row.  A row's columns do not depend on the other rows, and a
 lockstep trial matches run_scenario at the same seed to about 1e-9
 relative or better.  An error names the earliest slot at which a row
 fails and, among the rows failing at one step of it, the lowest.
@@ -47,7 +47,7 @@ every recorded quantity is a plain float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -236,7 +236,7 @@ def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     lo = np.maximum(-x_c, eta - reach)
     hi = np.minimum(x_c, eta + reach)
     has_length = hi - lo > 0.0
-    x_opt = optimize.solve_p1_each(lo, hi, None, x_hat, prior_info, params, has_length)
+    x_opt = optimize.solve_p1_each(lo, hi, x_hat, prior_info, params, has_length)
     fallback = np.where(hi == lo, lo, np.where(eta > 0.0, eta - reach, eta + reach))
     return np.where(has_length, x_opt, fallback)
 
@@ -315,36 +315,40 @@ def _add_context(exc: Exception, where: str) -> None:
         exc.args = (f"{where}: {exc.args[0]}",) + exc.args[1:]
 
 
-def _refuse_zero_divisor(x: float, x_breve: float):
-    raise SingularMatrixError(f"a record bound at x = {x!r}, x_breve = {x_breve!r} divides by zero")
+def _refuse_record(x: float, x_breve: float):
+    raise SingularMatrixError(
+        f"a record bound at x = {x!r}, x_breve = {x_breve!r} divides by zero or overflows")
 
 
-RECORD_COLUMNS = ("pcrb_x_pred", "pcrb_v_pred", "pcrb_x_actual", "pcrb_v_actual",
-                  "weighted_actual", "rate_bpshz", "tr_mm")
+# what both loops keep of a slot, in order: record fields, weights, prior information
+KEPT = ("x_true", "v_true", "x_hat", "v_hat", "x_breve", "v_breve", "x_uav", "v_uav", "tr_mp",
+        "w1", "w2", "w3", "prior_m11", "prior_m12", "prior_m22")
+RECORD_COLUMNS = tuple(f.name for f in fields(SlotRecord))[2:-1]  # not slot, t_s, flagged
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _record_columns(x, v, w, prior: Sym2, x_breve, v_breve, params: SystemParams) -> dict:
-    """The RECORD_COLUMNS by name (v_breve None: pcrb_*_actual,
-    weighted_actual and rate_bpshz only) from arrays of one shape,
-    (n_slots,) or (n_slots, rows): the true state (x, v), the measured
-    weights w (the weights modelled at x), the update's prior information
-    and the plan (x_breve, v_breve).  tr_mm is +inf where vv = 0
-    (x_breve = 0), as in crb_measurement.  Overflow and NaN pass silently;
-    a zero divisor raises SingularMatrixError for the earliest slot, then
-    row (batch_index: the flat index)."""
-    act = ekf._add_information(prior, *ekf._fisher_terms(x, v, params, w))
-    cols = dict(zip(RECORD_COLUMNS[2:5], ekf._bounds(act, params.alpha)))
-    zero = act.det == 0.0
-    if v_breve is not None:
-        i_pos, zz, _, vv = terms = ekf._fisher_terms(x_breve, v_breve, params)
-        pred = ekf._add_information(prior, *terms)
-        cols["pcrb_x_pred"], cols["pcrb_v_pred"], _ = ekf._bounds(pred, params.alpha)
-        crb_x = 1.0 / i_pos
-        cols["tr_mm"] = crb_x + np.where(vv == 0.0, np.inf, (1.0 + zz * crb_x) / vv)
-        zero |= (pred.det == 0.0) | (i_pos == 0.0)
-    raise_at_first(zero, lambda i: _refuse_zero_divisor(float(x.flat[i]), float(x_breve.flat[i])))
-    cols["rate_bpshz"] = sensing.achievable_rate(x_breve, params, np)
+def _record_columns(kept: dict, params: SystemParams) -> dict:
+    """The KEPT values and every RECORD_COLUMNS column by name, from the
+    KEPT values by name, arrays of one shape, (n_slots,) or (n_slots,
+    rows).  A column value that is not finite raises SingularMatrixError
+    for the earliest slot, then row (batch_index: the flat index), except
+    tr_mm = +inf where x_breve = 0 and 1/i_pos is finite, as in
+    crb_measurement."""
+    x, v, x_breve = kept["x_true"], kept["v_true"], kept["x_breve"]
+    prior = Sym2(kept["prior_m11"], kept["prior_m12"], kept["prior_m22"])
+    cols = dict(kept, rate_bpshz=sensing.achievable_rate(x_breve, params, np))
+    w = kept["w1"], kept["w2"], kept["w3"]
+    cols["pcrb_x_actual"], cols["pcrb_v_actual"], cols["weighted_actual"] = ekf._bounds(
+        ekf._add_information(prior, *ekf._fisher_terms(x, v, params, w)), params.alpha)
+    i_pos, zz, zv, vv = ekf._fisher_terms(x_breve, kept["v_breve"], params)
+    cols["pcrb_x_pred"], cols["pcrb_v_pred"], _ = ekf._bounds(
+        ekf._add_information(prior, i_pos, zz, zv, vv), params.alpha)
+    crb_x = 1.0 / i_pos
+    cols["tr_mm"] = tr_mm = crb_x + (1.0 + zz * crb_x) / vv
+    finite = np.isfinite(np.where((x_breve == 0.0) & (tr_mm == math.inf), crb_x, tr_mm))
+    for name in RECORD_COLUMNS[:-1]:  # all but tr_mm
+        finite &= np.isfinite(cols[name])
+    raise_at_first(~finite, lambda i: _refuse_record(float(x.flat[i]), float(x_breve.flat[i])))
     return cols
 
 
@@ -374,8 +378,8 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
                          (obj_vel - uav_vel) + cfg.init_est_std[1] * z[1])
     fstate = ekf.FilterState(est0, Sym2.diag(cfg.init_mse[0], cfg.init_mse[1]))
 
-    # per slot: the record's first 8 fields, tr_mp, flagged, weights, prior information
-    slots = []
+    # per slot: the KEPT values, and the flag
+    slots, flags = [], []
     n = 0
     try:
         x_a, v_a, flagged, pred, prior = _plan(fstate, uav_pos, uav_vel, p, target_rule)
@@ -394,25 +398,25 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
                 prior = ekf._prior_information(pred.mse_pred)
             fstate = ekf._posterior(pred.pred, prior, w, y, p)
             slots.append((x, v, fstate.est.x, fstate.est.v, pred.pred.x, pred.pred.v, uav_pos,
-                          uav_vel, pred.mse_pred.trace, flagged, *w, prior.m11, prior.m12,
-                          prior.m22))
+                          uav_vel, pred.mse_pred.trace, *w, prior.m11, prior.m12, prior.m22))
+            flags.append(flagged)
             if n < cfg.n_slots:
                 x_a, v_a, flagged, pred, prior = _plan(fstate, uav_pos, uav_vel, p, target_rule)
         n = None
         a = np.fromiter(chain.from_iterable(slots), float).reshape(cfg.n_slots, -1).T
-        cols = _record_columns(a[0], a[1], a[10:13], Sym2(*a[13:]), a[4], a[5], p)
+        cols = _record_columns(dict(zip(KEPT, a)), p)
     except Exception as exc:
         if n is None:  # the column pass's batch_index counts slots from 0
             n = exc.__dict__.pop("batch_index", 0) + 1
         _add_context(exc, f"slot {n}")
         raise
-    return [SlotRecord(n, n * dt, *r[:8], *c[:6], r[8], c[6], r[9]) for n, r, c in zip(
-        range(1, cfg.n_slots + 1), slots, zip(*(cols[name].tolist() for name in RECORD_COLUMNS)))]
+    return [SlotRecord(n, n * dt, *c, f) for n, c, f in zip(
+        range(1, cfg.n_slots + 1), zip(*(cols[name].tolist() for name in RECORD_COLUMNS)), flags)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str, ...],
-                  draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  draws: np.ndarray) -> dict:
     """The trials of every scheme in schemes in lockstep, as one batch of
     len(schemes) * n_trials rows: row j*n_trials + i is trial i of
     schemes[j], which takes its draws from row i of draws, shape
@@ -421,9 +425,9 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     schemes[j] are block j, a pair of the scheme's target rule (read from
     _TARGET_RULES_EACH) and its row slice; the target rule runs on its
     block's rows, every other step on all rows at once, entry by entry,
-    so a row's columns do not depend on the other rows.  Returns the
-    weighted_actual and rate_bpshz columns of one _record_columns pass
-    after the loop, each (rows, n_slots).
+    so a row's columns do not depend on the other rows.  Returns every
+    RECORD_COLUMNS column by name, each (rows, n_slots), from one
+    _record_columns pass after the loop over the KEPT values.
 
     An error is raised at the earliest slot at which a row fails, which
     is the slot at which run_scenario raises it; among the rows failing
@@ -431,8 +435,8 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     attributes, its batch_index becomes the trial index within its
     scheme, and its message is prefixed with the trial, its seed and the
     slot; an error of a computation shared by all trials names trial 0.
-    Overflow and NaN pass silently, as they do in run_scenario's Python
-    floats.
+    Overflow and NaN pass silently through the loop, as in run_scenario's
+    Python floats; the column pass refuses a record value they spoil.
     """
     p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
     n_trials = draws.shape[0]
@@ -457,8 +461,7 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
         (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * init_draws[1])
     fstate = ekf.FilterState(est0, Sym2(full(cfg.init_mse[0]), full(0.0), full(cfg.init_mse[1])))
 
-    # the column pass's inputs: x, v, the three weights, the prior information, x_breve
-    kept = np.empty((9, cfg.n_slots, n_rows))
+    kept = np.empty((len(KEPT), cfg.n_slots, n_rows))
     n = 0
     try:
         x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
@@ -476,12 +479,13 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
                            lambda i: sensing._measured_weights(tuple(float(si[i]) for si in s)))
             prior = ekf._prior_information_each(pred.mse_pred)
             fstate = ekf._posterior(pred.pred, prior, w, y, p, np)
-            kept[:, n - 1] = (true_rel.x, true_rel.v, *w, prior.m11, prior.m12, prior.m22,
-                              pred.pred.x)
+            kept[:, n - 1] = (true_rel.x, true_rel.v, fstate.est.x, fstate.est.v, pred.pred.x,
+                              pred.pred.v, uav_pos, uav_vel, pred.mse_pred.trace, *w, prior.m11,
+                              prior.m12, prior.m22)
             if n < cfg.n_slots:
                 x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
         n = None
-        cols = _record_columns(kept[0], kept[1], kept[2:5], Sym2(*kept[5:8]), kept[8], None, p)
+        cols = _record_columns(dict(zip(KEPT, kept)), p)
     except Exception as exc:
         i = getattr(exc, "batch_index", 0)
         if n is None:  # the column pass's batch_index runs over slots, then rows
@@ -491,7 +495,7 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
             exc.batch_index = i
         _add_context(exc, f"trial {i} (seed {cfg.seed + i}), slot {n}")
         raise
-    return cols["weighted_actual"].T, cols["rate_bpshz"].T
+    return {name: cols[name].T for name in RECORD_COLUMNS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,19 +527,19 @@ def run_monte_carlo(cfg: ScenarioConfig, params: SystemParams,
     Both schemes' trials advance in lockstep as one batch of 2*n_trials
     rows, the proposed scheme's first, and each scheme's columns are
     those of its own lockstep run bit for bit; the slot solve runs on the
-    proposed rows only.  Trials are reduced in fixed trial-index order,
-    so the aggregate is independent of execution order.  An error names
-    the earliest slot at which a trial fails, as run_scenario names it,
-    and among the rows failing at one step of that slot the lowest (a
-    proposed trial before a right-above one), with its trial index
-    within its scheme (batch_index) and its seed.
+    proposed rows only.  The weighted_actual and rate_bpshz columns are
+    reduced in fixed trial-index order, independent of execution order.
+    An error names the earliest slot at which a trial fails, as
+    run_scenario names it, and among the rows failing at one step of
+    that slot the lowest (a proposed trial before a right-above one),
+    with its trial index within its scheme (batch_index) and its seed.
     """
     if not (_is_integer(n_trials) and n_trials >= 1):
         raise ConfigError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
                       for i in range(n_trials)])
-    weighted, rate = _run_lockstep(cfg, params, ("proposed", "right_above"), draws)
+    cols = _run_lockstep(cfg, params, ("proposed", "right_above"), draws)
     proposed, right_above = (
         SchemeStats(w.mean(axis=0), w.std(axis=0), r.mean(axis=0), r.std(axis=0))
-        for w, r in zip(np.split(weighted, 2), np.split(rate, 2)))
+        for w, r in zip(np.split(cols["weighted_actual"], 2), np.split(cols["rate_bpshz"], 2)))
     return MonteCarloStats(proposed, right_above, n_trials, cfg.n_slots)

@@ -230,23 +230,6 @@ def _batch_of(insts):
     return col("lo"), col("hi"), col("eta_prev"), col("x_hat_prev"), prior
 
 
-def test_batched_slot_solve_equals_scalar_solve():
-    # random windows, window-end optima and two-basin windows in one batch
-    rng = np.random.default_rng(35)
-    insts = [_instance(80.0, 79.5), _instance(-80.0, -79.5),
-             _instance(1.0, -1.0), _instance(-2.0, 1.0)]
-    for _ in range(60):
-        eta = float(rng.uniform(-78, 78))
-        m11, m22 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 0.5))
-        m12 = float(rng.uniform(-0.8, 0.8)) * math.sqrt(m11 * m22)
-        insts.append(_instance(eta, eta + float(rng.uniform(-2, 2)), m11=m11, m22=m22, m12=m12))
-    lo, hi, eta, x_hat, prior = _batch_of(insts)
-    x0 = np.minimum(np.maximum(eta, lo), hi)
-    got = optimize.solve_p1_each(lo, hi, x0, x_hat, prior, P, np.ones(len(insts), bool))
-    want = [optimize.solve_p1_sca(inst, float(s)).x_breve_opt for inst, s in zip(insts, x0)]
-    assert got.tolist() == want  # the same arithmetic entry by entry
-
-
 def test_batched_slot_solve_bracket_error_names_entry(monkeypatch):
     # grid minimum at x_hat_prev, but f' = -1 everywhere
     monkeypatch.setattr(optimize, "_objective", lambda x, x_hat_prev, *_: (x - x_hat_prev) ** 2)
@@ -255,9 +238,9 @@ def test_batched_slot_solve_bracket_error_names_entry(monkeypatch):
     # entry 0 has its minimum at the right window end, where f' <= 0 is an
     # optimum; entries 1 and 2 have interior minima that cannot be bracketed
     insts = [_instance(80.0, 95.0), _instance(10.0, 9.0), _instance(20.0, 19.0)]
-    lo, hi, eta, x_hat, prior = _batch_of(insts)
+    lo, hi, _, x_hat, prior = _batch_of(insts)
     with pytest.raises(BracketError, match="does not change sign over") as exc_info:
-        optimize.solve_p1_each(lo, hi, eta, x_hat, prior, P, np.ones(3, bool))
+        optimize.solve_p1_each(lo, hi, x_hat, prior, P, np.ones(3, bool))
     assert exc_info.value.batch_index == 1
     assert exc_info.value.dg_lo == exc_info.value.dg_hi == -1.0
 
@@ -278,7 +261,7 @@ def _mixed_windows(seed):
 def test_batched_slot_solve_without_start_equals_scalar_solve():
     insts = _mixed_windows(35)
     lo, hi, _, x_hat, prior = _batch_of(insts)
-    got = optimize.solve_p1_each(lo, hi, None, x_hat, prior, P, np.ones(len(insts), bool))
+    got = optimize.solve_p1_each(lo, hi, x_hat, prior, P, np.ones(len(insts), bool))
     assert got.tolist() == [optimize.solve_p1_sca(inst).x_breve_opt for inst in insts]
 
 
@@ -337,7 +320,7 @@ def test_window_end_cell_starts_at_the_cubic_root(end, seed):
     right = bool(d1[1] < 0.0)
     assert right == (end == "lo")
     (a, b), (ga, gb), (ha, hb) = (optimize._cell(v, right) for v in (x3, d1, d2))
-    start = float(optimize._newton_start(x3, d1, d2, right, None))
+    start = float(optimize._newton_start(x3, d1, d2, right))
     assert a < start < b and start != 0.5 * (a + b)
     assert abs(_cubic_hermite(a, b, ga, gb, ha, hb)(start)) <= 1e-12 * max(-ga, gb)
     slope = lambda x: optimize.objective_f(x, inst)[1:]

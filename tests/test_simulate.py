@@ -227,7 +227,8 @@ def test_slot_loop_operation_counts(monkeypatch):
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
-            counts[name + (" batched" if isinstance(args[0], np.ndarray) else "")] += 1
+            first = args[0]["x_true"] if isinstance(args[0], dict) else args[0]
+            counts[name + (" batched" if isinstance(first, np.ndarray) else "")] += 1
             return fn(*args, **kwargs)
         return wrapped
 
@@ -257,7 +258,7 @@ def test_each_loop_makes_one_column_pass_per_run(scheme, monkeypatch):
     columns = simulate._record_columns
 
     def counting(*args):
-        shapes.append(args[0].shape)
+        shapes.append(args[0]["x_true"].shape)
         return columns(*args)
     monkeypatch.setattr(simulate, "_record_columns", counting)
     run_scenario(ScenarioConfig(n_slots=10, scheme=scheme), P)
@@ -272,13 +273,13 @@ def _with_zero_information_at(entries):
     the actual bound's information there is singular."""
     columns = simulate._record_columns
 
-    def zeroed(x, v, w, prior, x_breve, v_breve, params):
-        mask = np.zeros(np.shape(x), dtype=bool)
+    def zeroed(kept, params):
+        mask = np.zeros(np.shape(kept["x_true"]), dtype=bool)
         for entry in entries:
             mask[entry[:mask.ndim]] = True
-        w, prior = [np.where(mask, 0.0, wi) for wi in w], Sym2(
-            *(np.where(mask, 0.0, m) for m in (prior.m11, prior.m12, prior.m22)))
-        return columns(x, v, w, prior, x_breve, v_breve, params)
+        zeroed = ("w1", "w2", "w3", "prior_m11", "prior_m12", "prior_m22")
+        return columns({name: np.where(mask, 0.0, value) if name in zeroed else value
+                        for name, value in kept.items()}, params)
     return zeroed
 
 
@@ -436,8 +437,15 @@ def test_unmeasurable_geometry_is_refused_as_in_lockstep(cfg, slot):
     (ScenarioConfig(init_mse=(0.0, 0.0)), "proposed", SystemParams(q_tilde=0.0, gamma_c=30.0)),
     # right-above refuses a zero prediction MSE at the update of slot 1
     (ScenarioConfig(init_mse=(0.0, 0.0)), "right_above", SystemParams(q_tilde=0.0)),
+    # a plan 1e79 m out overflows tr_mm; 1e99 m out has no position information
+    (ScenarioConfig(init_est_std=(1e80, 0.0)), "proposed", P),
+    (ScenarioConfig(init_est_std=(1e80, 0.0)), "right_above", P),
+    (ScenarioConfig(n_slots=5, init_est_std=(1e100, 0.0)), "proposed", P),
+    (ScenarioConfig(n_slots=5, init_est_std=(1e100, 0.0)), "right_above", P),
 ], ids=["cfg0-proposed", "cfg1-right_above", "cfg2-right_above", "cfg3-proposed",
-        "zero_mse_and_qos-proposed", "zero_mse-right_above"])
+        "zero_mse_and_qos-proposed", "zero_mse-right_above", "overflow-proposed",
+        "overflow-right_above", "no_position_information-proposed",
+        "no_position_information-right_above"])
 def test_lockstep_refuses_far_geometry_as_run_scenario(cfg, scheme, params):
     # the arrays overflow on the way, which must not surface as a
     # RuntimeWarning (an error under this suite's warning filter)
@@ -453,6 +461,13 @@ def test_monte_carlo_refuses_far_geometry_as_run_scenario():
             "trial 0 (seed 0), slot 1: noise variances (inf, inf, inf) need finite positive "
             "reciprocals")):
         run_monte_carlo(ScenarioConfig(init_obj_pos=1e200), P, 1)
+
+
+def test_monte_carlo_refuses_a_plan_without_position_information():
+    # the lockstep computes the planned bound too, whose divisor is zero here
+    with pytest.raises(SingularMatrixError,
+                       match=r"^trial 0 \(seed 0\), slot 1: a record bound at .* divides by zero"):
+        run_monte_carlo(ScenarioConfig(n_slots=5, init_est_std=(1e100, 0.0)), P, 2)
 
 
 def test_slot_solver_bracket_error_propagates_with_slot(monkeypatch):
@@ -573,12 +588,14 @@ def _lockstep_columns(cfg, params, scheme, n_trials):
 ], ids=["default", "flagged", "degenerate", "noiseless", "alpha0", "alpha1"])
 def test_lockstep_matches_run_scenario(cfg, params, scheme):
     n_trials = 20
-    weighted, rate = _lockstep_columns(cfg, params, scheme, n_trials)
-    assert weighted.shape == rate.shape == (n_trials, cfg.n_slots)
+    cols = _lockstep_columns(cfg, params, scheme, n_trials)
+    assert tuple(cols) == simulate.RECORD_COLUMNS
+    assert all(col.shape == (n_trials, cfg.n_slots) for col in cols.values())
     for i in range(n_trials):
         recs = run_scenario(replace(cfg, seed=cfg.seed + i, scheme=scheme), params)
-        np.testing.assert_allclose(weighted[i], [r.weighted_actual for r in recs], rtol=1e-9)
-        np.testing.assert_allclose(rate[i], [r.rate_bpshz for r in recs], rtol=1e-9)
+        for name, col in cols.items():
+            np.testing.assert_allclose(col[i], [getattr(r, name) for r in recs], rtol=1e-9,
+                                       err_msg=name)
     if cfg.init_obj_pos == 200.0 and scheme == "proposed":
         assert any(r.flagged for r in run_scenario(cfg, params))
 
@@ -594,13 +611,14 @@ def test_monte_carlo_batch_equals_single_scheme_runs(cfg):
     n_trials = 20
     draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
                       for i in range(n_trials)])
-    weighted, rate = simulate._run_lockstep(cfg, P, ("proposed", "right_above"), draws)
+    both = simulate._run_lockstep(cfg, P, ("proposed", "right_above"), draws)
     mc = run_monte_carlo(cfg, P, n_trials)
     for j, (scheme, stats) in enumerate((("proposed", mc.proposed),
                                          ("right_above", mc.right_above))):
         rows = slice(j * n_trials, (j + 1) * n_trials)
-        w, r = simulate._run_lockstep(cfg, P, (scheme,), draws)
-        assert np.array_equal(weighted[rows], w) and np.array_equal(rate[rows], r)
+        cols = simulate._run_lockstep(cfg, P, (scheme,), draws)
+        assert all(np.array_equal(both[name][rows], col) for name, col in cols.items())
+        w, r = cols["weighted_actual"], cols["rate_bpshz"]
         assert np.array_equal(stats.weighted_actual_mean, w.mean(axis=0))
         assert np.array_equal(stats.weighted_actual_std, w.std(axis=0))
         assert np.array_equal(stats.rate_mean, r.mean(axis=0))
@@ -702,7 +720,8 @@ def test_monte_carlo_bracket_error_keeps_attributes(monkeypatch):
 def _accepted_inputs(draw):
     """An accepted (SystemParams, ScenarioConfig) pair: power, altitude,
     q_tilde (0 included), dt, alpha (both ends included), v_a_max (0
-    included), gamma_c, a1-a3 and the initial state varied."""
+    included), gamma_c, a1-a3 and the initial state varied, the initial
+    position spread also far out (1e20, 1e60 or 1e80 m)."""
     try:
         params = SystemParams(
             p_a_dbm=draw(st.floats(20.0, 60.0)), h_alt=draw(st.floats(5.0, 200.0)),
@@ -718,7 +737,8 @@ def _accepted_inputs(draw):
         n_slots=draw(st.integers(2, 30)), seed=draw(st.integers(0, 1000)),
         init_obj_pos=draw(st.floats(-300.0, 300.0)), init_obj_vel=draw(st.floats(-20.0, 20.0)),
         init_uav_pos=draw(st.floats(-50.0, 50.0)), init_uav_vel=draw(st.floats(-20.0, 20.0)),
-        init_est_std=(draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 5.0))),
+        init_est_std=(draw(st.one_of(st.floats(0.0, 10.0), st.sampled_from([1e20, 1e60, 1e80]))),
+                      draw(st.floats(0.0, 5.0))),
         init_mse=(draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 5.0))))
     return params, cfg
 
@@ -728,10 +748,11 @@ def _accepted_inputs(draw):
 @given(_accepted_inputs())
 def test_accepted_inputs_give_finite_records_or_name_the_slot(inputs):
     """Through both loops, both schemes and 3 Monte Carlo trials, an
-    accepted input either gives finite records or raises a UavIsacError
-    naming the slot.  The one non-finite value is documented: tr_mm is
-    +inf where the plan sits right above the object (x_breve == 0), whose
-    Doppler return carries no velocity information."""
+    accepted input either gives finite records (every lockstep column
+    too) or raises a UavIsacError naming the slot.  The one non-finite
+    value is documented: tr_mm is +inf where the plan sits right above
+    the object (x_breve == 0), whose Doppler return carries no velocity
+    information."""
     params, cfg = inputs
     for scheme in ("proposed", "right_above"):
         try:
@@ -745,10 +766,18 @@ def test_accepted_inputs_give_finite_records_or_name_the_slot(inputs):
                     assert value == math.inf
                 else:
                     assert math.isfinite(value), (r.slot, name, value)
+    draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
+                      for i in range(3)])
     try:
+        cols = simulate._run_lockstep(cfg, params, ("proposed", "right_above"), draws)
         mc = run_monte_carlo(cfg, params, 3)
     except UavIsacError as exc:
         assert re.match(r"trial \d \(seed \d+\), slot \d+: ", str(exc)), exc
         return
+    for name, col in cols.items():
+        finite = np.isfinite(col)
+        if name == "tr_mm":
+            finite = np.where(cols["x_breve"] == 0.0, col == math.inf, finite)
+        assert finite.all(), (name, np.argwhere(~finite)[0])
     for stats in (mc.proposed, mc.right_above):
         assert all(np.isfinite(getattr(stats, f.name)).all() for f in fields(stats))
