@@ -61,6 +61,16 @@ def _build_params(overrides: dict) -> SystemParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _param_value(key: str, value: str) -> int | float:
+    """The value of SystemParams field key, read from text, or ConfigError."""
+    if key not in PARAM_FIELD_NAMES:
+        raise ConfigError(f"unknown parameter {key!r}")
+    try:
+        return int(value) if key in _INT_FIELDS else float(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+
+
 def _load_params(path: str | None) -> SystemParams:
     """Read a flat 'key = value' file whose keys are SystemParams field
     names.  Blank lines and #-comments are ignored."""
@@ -77,14 +87,11 @@ def _load_params(path: str | None) -> SystemParams:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-            key, value = key.strip(), value.strip()
-            if key not in PARAM_FIELD_NAMES:
-                raise ConfigError(f"{path}:{ln}: unknown parameter {key!r}")
+            key = key.strip()
             try:
-                overrides[key] = int(value) if key in _INT_FIELDS else float(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{ln}: bad value for {key}: {value!r}") from exc
+                overrides[key] = _param_value(key, value.strip())
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{ln}: {exc}") from exc
     return _build_params(overrides)
 
 
@@ -202,13 +209,10 @@ def cmd_solve_sp1(args) -> int:
         overrides["h_alt"] = args.h
     for item in args.set or ():
         key, sep, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or key not in PARAM_FIELD_NAMES:
-            raise ConfigError(f"--set expects FIELD=VALUE with a known field, got {item!r}")
-        try:
-            overrides[key] = int(value) if key in _INT_FIELDS else float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {value!r}") from exc
+        if not sep:
+            raise ConfigError(f"--set expects FIELD=VALUE, got {item!r}")
+        key = key.strip()
+        overrides[key] = _param_value(key, value.strip())
     params = _build_params(overrides)
     res = solve_sp1(params)
     print(f"x_star_m = {_fmt(res.x_star)}")

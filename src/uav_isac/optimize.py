@@ -605,9 +605,10 @@ def design_trajectory(x_breve_opt: float, eta_prev: float,
     """Absolute platform waypoint realizing a chosen predicted relative
     position: x_A,n = eta + x_A,n-1 - x_breve, with the implied constant
     slot velocity v_A,n = (x_A,n - x_A,n-1)/dt.  Targets outside the
-    per-slot velocity envelope (1e-9 m slack) are rejected.
+    per-slot velocity envelope are rejected.  The slack, 1e-9 m plus two
+    ulp of eta, covers eta -/+ reach rounding away from eta at any |eta|.
     """
-    if abs(x_breve_opt - eta_prev) > params.v_a_max * params.dt + 1e-9:
+    if abs(x_breve_opt - eta_prev) > params.v_a_max * params.dt + 1e-9 + 2.0 * math.ulp(eta_prev):
         raise VelocityBoundError(
             f"|x_breve - eta| = {abs(x_breve_opt - eta_prev):.6g} m exceeds the "
             f"per-slot reach v_a_max*dt = {params.v_a_max * params.dt:.6g} m")

@@ -12,32 +12,32 @@ planned waypoint, a measurement is sampled at the true relative state,
 the filter updates the planned prediction, the slot's values are kept,
 and, unless it was the last slot, the next slot is planned.
 
-Only the plan and the filter feed the next slot.  Both loops keep the
-same values of every slot, named by KEPT, and one _record_columns pass
-over them after the slot loop gives every record column by name,
-computing those that evaluate a run (bound pairs, weighted_actual,
-rate, tr_mm).  There are two loops over the same slot.  run_scenario
-runs one trial on plain Python floats and records every field; it is the
-reference.  Its arithmetic is that of the public one-step functions
-(step_ground_truth, sample_measurement, ekf.update, and per entry
-predicted_pcrb and crb_measurement), written flat over the helpers they
-share: a slot inverts its prediction MSE once and takes one Fisher pass.
-run_monte_carlo runs every trial of both schemes in lockstep as one
-batch, every state a numpy array with one row per scheme and trial.
-The measurement and update are run_scenario's calls with xp=numpy
-(numpy transcendentals may differ from math's by an ulp); batch-only
-code remains for the checks (raise_at_first wrappers), the target rules
-(each scheme's on its block of rows) and the slot solve, which is slower
-row by row.  A row's columns do not depend on the other rows, and a
-lockstep trial matches run_scenario at the same seed to about 1e-9
-relative or better.  An error names the earliest slot at which a row
-fails and, among the rows failing at one step of it, the lowest.
+Only the plan and the filter feed the next slot.  One loop, _track,
+runs the slots, on Python floats for one trial or on numpy arrays with
+one row per scheme and trial, each step the same call with xp=math or
+xp=numpy (numpy transcendentals may differ from math's by an ulp).  It
+keeps the values of every slot named by KEPT, and one _record_columns
+pass over them after the slot loop gives every record column by name,
+computing those that evaluate a run (bound pairs, weighted_actual, rate,
+tr_mm).  run_scenario runs one trial on floats and records every field;
+it is the reference.  Its arithmetic is that of the public one-step
+functions (step_ground_truth, sample_measurement, ekf.update, and per
+entry predicted_pcrb and crb_measurement), written flat over the helpers
+they share: a slot inverts its prediction MSE once and takes one Fisher
+pass.  run_monte_carlo runs every trial of both schemes in lockstep as
+rows, which differ from floats in three places: the checks and prior
+information (raise_at_first), the plan (_plan_each) and the target
+rules (each scheme's on its block of rows, the slot solve batched).  A
+row's columns do not depend on the other rows, and a lockstep trial
+matches run_scenario at the same seed to about 1e-9 relative or better.
+An error names the earliest slot at which a row fails and, among the
+rows failing at one step of it, the lowest.
 
 Determinism contract: one generator per trial, seeded with the trial's
 seed, consumed in a fixed order (2 draws for the initial estimate
 perturbation, then per slot 2 process-noise draws followed by 3
 measurement-noise draws), so a seed pins the entire record sequence
-bit-for-bit.  Both loops pre-draw that stream at once,
+bit-for-bit.  Each trial's stream is drawn at once,
 standard_normal(2 + 5*n_slots) from default_rng(seed), which numpy's
 generator yields identically to the draws taken one step at a time (a
 test pins this).  run_scenario converts its draws to Python floats, so
@@ -283,14 +283,15 @@ def _plan(fstate: ekf.FilterState, uav_pos: float, uav_vel: float, params: Syste
 
 
 def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
-               blocks) -> tuple[np.ndarray, np.ndarray, ekf.Prediction]:
+               blocks) -> tuple[np.ndarray, np.ndarray, None, ekf.Prediction, None]:
     """_plan for a batch of rows (every field an array, one entry per
-    row; blocks as in _run_lockstep): the waypoints x_a, slot velocities
-    v_a and the predictions.  Each block's target rule picks x_breve for
-    its own rows from their prediction MSEs; only the proposed rule
-    inverts them, so a refusal names the slot where run_scenario raises
-    it.  The velocity-reach check of design_trajectory raises for the
-    lowest row that fails it."""
+    row; blocks as in _run_lockstep), in _plan's form: the waypoints x_a,
+    slot velocities v_a and the predictions, with no flag and no prior
+    information.  Each block's target rule picks x_breve for its own rows
+    from their prediction MSEs; only the proposed rule inverts them, so a
+    refusal names the slot where run_scenario raises it.  The
+    velocity-reach check of design_trajectory raises for the lowest row
+    that fails it."""
     dt = params.dt
     pred = ekf.predict(fstate, params)
     m = pred.mse_pred
@@ -299,20 +300,21 @@ def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
     x_breve = np.concatenate([
         targets(eta[rows], x_hat[rows], Sym2(m.m11[rows], m.m12[rows], m.m22[rows]), params)
         for targets, rows in blocks])
-    raise_at_first(np.abs(x_breve - eta) > params.v_a_max * dt + 1e-9,
+    slack = 1e-9 + 2.0 * np.spacing(np.abs(eta))  # design_trajectory's: math.ulp(eta)
+    raise_at_first(np.abs(x_breve - eta) > params.v_a_max * dt + slack,
                    lambda i: optimize.design_trajectory(
                        float(x_breve[i]), float(eta[i]),
                        (float(uav_pos[i]), float(uav_vel[i])), params))
     x_a = eta + uav_pos - x_breve
-    return x_a, (x_a - uav_pos) / dt, ekf.Prediction(
-        RelativeState(x_breve, (x_breve - x_hat) / dt), m)
+    return x_a, (x_a - uav_pos) / dt, None, ekf.Prediction(
+        RelativeState(x_breve, (x_breve - x_hat) / dt), m), None
 
 
-def _add_context(exc: Exception, where: str) -> None:
+def _add_context(exc: Exception, prefix: str) -> None:
     """Prefix a component error's message with where it was raised; its
     type and attributes are kept."""
     if exc.args and isinstance(exc.args[0], str):
-        exc.args = (f"{where}: {exc.args[0]}",) + exc.args[1:]
+        exc.args = (prefix + exc.args[0],) + exc.args[1:]
 
 
 def _refuse_record(x: float, x_breve: float):
@@ -320,7 +322,7 @@ def _refuse_record(x: float, x_breve: float):
         f"a record bound at x = {x!r}, x_breve = {x_breve!r} divides by zero or overflows")
 
 
-# what both loops keep of a slot, in order: record fields, weights, prior information
+# what the slot loop keeps of a slot, in order: record fields, weights, prior information
 KEPT = ("x_true", "v_true", "x_hat", "v_hat", "x_breve", "v_breve", "x_uav", "v_uav", "tr_mp",
         "w1", "w2", "w3", "prior_m11", "prior_m12", "prior_m22")
 RECORD_COLUMNS = tuple(f.name for f in fields(SlotRecord))[2:-1]  # not slot, t_s, flagged
@@ -352,37 +354,35 @@ def _record_columns(kept: dict, params: SystemParams) -> dict:
     return cols
 
 
-def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
-    """Run one tracking scenario and return its n_slots records.
-
-    Slot 0 only initializes: the world is placed, the initial estimate
-    is the true relative state plus a Gaussian perturbation of
-    init_est_std, and the first slot is planned.  Each subsequent slot
-    advances the object, executes the planned command, measures at the
-    true relative state, updates the planned prediction, and plans the
-    next slot unless it was the last; one _record_columns pass then
-    gives the evaluation columns.  The "actual" bound pair is the
-    anticipated bound re-evaluated at the true relative state with the
-    same prediction MSE.  The trial's draws are taken in one call before
-    the first slot.  Component errors propagate with the slot attached.
+def _track(cfg: ScenarioConfig, p: SystemParams, z, plan, rule, rows=None):
+    """The slot loop: one trial on Python floats (rows None; z the
+    trial's draws as a list) or rows trials in lockstep (every state an
+    array of rows entries; z the draws as a (2 + 5*n_slots, rows) array).
+    plan is _plan or _plan_each, rule its target rule or blocks.  Slot 0
+    places the world, perturbs the initial estimate by init_est_std and
+    plans slot 1; each slot then runs as the module docstring says.
+    Returns every KEPT and RECORD_COLUMNS column by name, each (n_slots,)
+    or (n_slots, rows), from one _record_columns pass, and the flag of
+    every slot.  An error's message is prefixed with its slot; a batch
+    error's batch_index is its row.
     """
-    p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
-    target_rule = _TARGET_RULES[cfg.scheme]
-    z = np.random.default_rng(cfg.seed).standard_normal(2 + 5 * cfg.n_slots).tolist()
+    xp = math if rows is None else np
     dt, k = p.dt, cfg.noise_scale
     factor = _process_noise_factor(p)
+    zero = 0.0 if rows is None else np.zeros(rows)
+    obj_pos, obj_vel = cfg.init_obj_pos + zero, cfg.init_obj_vel + zero
+    uav_pos, uav_vel = cfg.init_uav_pos + zero, cfg.init_uav_vel + zero
+    est0 = RelativeState((cfg.init_obj_pos - cfg.init_uav_pos) + cfg.init_est_std[0] * z[0],
+                         (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * z[1])
+    fstate = ekf.FilterState(est0, Sym2(cfg.init_mse[0] + zero, zero, cfg.init_mse[1] + zero))
 
-    obj_pos, obj_vel = cfg.init_obj_pos, cfg.init_obj_vel
-    uav_pos, uav_vel = cfg.init_uav_pos, cfg.init_uav_vel
-    est0 = RelativeState((obj_pos - uav_pos) + cfg.init_est_std[0] * z[0],
-                         (obj_vel - uav_vel) + cfg.init_est_std[1] * z[1])
-    fstate = ekf.FilterState(est0, Sym2.diag(cfg.init_mse[0], cfg.init_mse[1]))
-
-    # per slot: the KEPT values, and the flag
-    slots, flags = [], []
+    # per slot: the KEPT values, a tuple of floats (a list and one np.fromiter beat a
+    # per-slot array store) or rows preallocated (a list of row tuples doubles the memory)
+    kept = [None] * cfg.n_slots if rows is None else np.empty((cfg.n_slots, len(KEPT), rows))
+    flags = []
     n = 0
     try:
-        x_a, v_a, flagged, pred, prior = _plan(fstate, uav_pos, uav_vel, p, target_rule)
+        x_a, v_a, flagged, pred, prior = plan(fstate, uav_pos, uav_vel, p, rule)
         for n in range(1, cfg.n_slots + 1):
             # step_ground_truth, the planned command and sample_measurement
             z0, z1, e1, e2, e3 = z[5 * n - 3:5 * n + 2]
@@ -390,110 +390,84 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
             uav_pos, uav_vel = x_a, v_a
             x, v = obj_pos - uav_pos, obj_vel - uav_vel
             w = sensing.noise_weights(x, p)
-            s = sensing._variances(w)
-            y = sensing._noisy_mean(RelativeState(x, v), s, (e1, e2, e3), k, p)
-            # ekf.update on the plan's prior information where it has one
-            sensing._measured_weights(s, w)
-            if prior is None:
-                prior = ekf._prior_information(pred.mse_pred)
-            fstate = ekf._posterior(pred.pred, prior, w, y, p)
-            slots.append((x, v, fstate.est.x, fstate.est.v, pred.pred.x, pred.pred.v, uav_pos,
-                          uav_vel, pred.mse_pred.trace, *w, prior.m11, prior.m12, prior.m22))
+            # the weights are checked before the prediction MSE; ekf.update
+            # takes the plan's prior information where it has one
+            if rows is None:
+                s = sensing._variances(w)
+                sensing._measured_weights(s, w)
+                if prior is None:
+                    prior = ekf._prior_information(pred.mse_pred)
+            else:
+                raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
+                               lambda i: sensing._measured_weights(
+                                   sensing._variances(float(wi[i]) for wi in w)))
+                s = tuple(1.0 / wi for wi in w)
+                prior = ekf._prior_information_each(pred.mse_pred)
+            y = sensing._noisy_mean(RelativeState(x, v), s, (e1, e2, e3), k, p, xp)
+            fstate = ekf._posterior(pred.pred, prior, w, y, p, xp)
+            kept[n - 1] = (x, v, fstate.est.x, fstate.est.v, pred.pred.x, pred.pred.v, uav_pos,
+                           uav_vel, pred.mse_pred.trace, *w, prior.m11, prior.m12, prior.m22)
             flags.append(flagged)
             if n < cfg.n_slots:
-                x_a, v_a, flagged, pred, prior = _plan(fstate, uav_pos, uav_vel, p, target_rule)
+                x_a, v_a, flagged, pred, prior = plan(fstate, uav_pos, uav_vel, p, rule)
         n = None
-        a = np.fromiter(chain.from_iterable(slots), float).reshape(cfg.n_slots, -1).T
-        cols = _record_columns(dict(zip(KEPT, a)), p)
+        if rows is None:
+            kept = np.fromiter(chain.from_iterable(kept), float).reshape(cfg.n_slots, -1)
+        return _record_columns(dict(zip(KEPT, kept.swapaxes(0, 1))), p), flags
     except Exception as exc:
-        if n is None:  # the column pass's batch_index counts slots from 0
-            n = exc.__dict__.pop("batch_index", 0) + 1
-        _add_context(exc, f"slot {n}")
+        if n is None:  # the column pass's batch_index runs over slots, then rows
+            n, row = divmod(exc.__dict__.pop("batch_index", 0), rows or 1)
+            n += 1
+            if rows is not None:
+                exc.batch_index = row
+        _add_context(exc, f"slot {n}: ")
         raise
-    return [SlotRecord(n, n * dt, *c, f) for n, c, f in zip(
+
+
+def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
+    """Run one tracking scenario and return its n_slots records: _track on
+    Python floats, with the trial's draws taken in one call.  The
+    "actual" bound pair is the anticipated bound re-evaluated at the
+    true relative state with the same prediction MSE."""
+    p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
+    z = np.random.default_rng(cfg.seed).standard_normal(2 + 5 * cfg.n_slots).tolist()
+    cols, flags = _track(cfg, p, z, _plan, _TARGET_RULES[cfg.scheme])
+    return [SlotRecord(n, n * p.dt, *c, f) for n, c, f in zip(
         range(1, cfg.n_slots + 1), zip(*(cols[name].tolist() for name in RECORD_COLUMNS)), flags)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str, ...],
                   draws: np.ndarray) -> dict:
-    """The trials of every scheme in schemes in lockstep, as one batch of
-    len(schemes) * n_trials rows: row j*n_trials + i is trial i of
-    schemes[j], which takes its draws from row i of draws, shape
-    (n_trials, 2 + 5*n_slots), tiled to every row once, and matches
-    run_scenario at the seed those draws came from.  The rows of
+    """The trials of every scheme in schemes in lockstep: _track on
+    len(schemes) * n_trials rows.  Row j*n_trials + i is trial i of
+    schemes[j]; it takes its draws from row i of draws, shape (n_trials,
+    2 + 5*n_slots), and matches run_scenario at their seed.  The rows of
     schemes[j] are block j, a pair of the scheme's target rule (read from
-    _TARGET_RULES_EACH) and its row slice; the target rule runs on its
-    block's rows, every other step on all rows at once, entry by entry,
-    so a row's columns do not depend on the other rows.  Returns every
-    RECORD_COLUMNS column by name, each (rows, n_slots), from one
-    _record_columns pass after the loop over the KEPT values.
+    _TARGET_RULES_EACH) and its row slice; only the target rule runs per
+    block, so a row's columns do not depend on the other rows.  Returns
+    every RECORD_COLUMNS column by name, each (rows, n_slots).
 
-    An error is raised at the earliest slot at which a row fails, which
-    is the slot at which run_scenario raises it; among the rows failing
-    at one step of that slot, the lowest row's.  It keeps its type and
-    attributes, its batch_index becomes the trial index within its
-    scheme, and its message is prefixed with the trial, its seed and the
-    slot; an error of a computation shared by all trials names trial 0.
-    Overflow and NaN pass silently through the loop, as in run_scenario's
-    Python floats; the column pass refuses a record value they spoil.
+    An error is raised at the earliest slot at which a row fails, as
+    run_scenario raises it, and among the rows failing at one step of
+    that slot for the lowest.  Its batch_index becomes the trial index
+    within its scheme, and its message is prefixed with the trial, its
+    seed and the slot; an error shared by all trials names trial 0.
+    Overflow and NaN pass silently through the loop, as on Python
+    floats; the column pass refuses a record value they spoil.
     """
     p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
     n_trials = draws.shape[0]
     blocks = [(_TARGET_RULES_EACH[scheme], slice(j * n_trials, (j + 1) * n_trials))
               for j, scheme in enumerate(schemes)]
-    n_rows = len(schemes) * n_trials
-    dt, k = p.dt, cfg.noise_scale
-    # the lockstep forms of step_ground_truth and sample_measurement read
-    # the same draws in the same order; slot_draws[n - 1] holds slot n's
-    # five draws of every row
-    factor = _process_noise_factor(p)
-    init_draws = np.tile(draws.T, len(schemes))
-    slot_draws = init_draws[2:].reshape(cfg.n_slots, 5, n_rows)
-
-    def full(value):
-        return np.full(n_rows, float(value))
-
-    obj_pos, obj_vel = full(cfg.init_obj_pos), full(cfg.init_obj_vel)
-    uav_pos, uav_vel = full(cfg.init_uav_pos), full(cfg.init_uav_vel)
-    est0 = RelativeState(
-        (cfg.init_obj_pos - cfg.init_uav_pos) + cfg.init_est_std[0] * init_draws[0],
-        (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * init_draws[1])
-    fstate = ekf.FilterState(est0, Sym2(full(cfg.init_mse[0]), full(0.0), full(cfg.init_mse[1])))
-
-    kept = np.empty((len(KEPT), cfg.n_slots, n_rows))
-    n = 0
     try:
-        x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
-        for n in range(1, cfg.n_slots + 1):
-            z0, z1, e1, e2, e3 = slot_draws[n - 1]
-            obj_pos, obj_vel = _object_step(obj_pos, obj_vel, z0, z1, dt, factor)
-            uav_pos, uav_vel = x_a, v_a
-            true_rel = RelativeState(obj_pos - uav_pos, obj_vel - uav_vel)
-            w = sensing.noise_weights(true_rel.x, p)
-            with np.errstate(divide="ignore"):
-                s = tuple(1.0 / wi for wi in w)
-            y = sensing._noisy_mean(true_rel, s, (e1, e2, e3), k, p, np)
-            # the weights are checked before the prediction MSEs, as in run_scenario
-            raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
-                           lambda i: sensing._measured_weights(tuple(float(si[i]) for si in s)))
-            prior = ekf._prior_information_each(pred.mse_pred)
-            fstate = ekf._posterior(pred.pred, prior, w, y, p, np)
-            kept[:, n - 1] = (true_rel.x, true_rel.v, fstate.est.x, fstate.est.v, pred.pred.x,
-                              pred.pred.v, uav_pos, uav_vel, pred.mse_pred.trace, *w, prior.m11,
-                              prior.m12, prior.m22)
-            if n < cfg.n_slots:
-                x_a, v_a, pred = _plan_each(fstate, uav_pos, uav_vel, p, blocks)
-        n = None
-        cols = _record_columns(dict(zip(KEPT, kept)), p)
+        cols, _ = _track(cfg, p, np.tile(draws.T, len(schemes)), _plan_each, blocks,
+                         len(schemes) * n_trials)
     except Exception as exc:
-        i = getattr(exc, "batch_index", 0)
-        if n is None:  # the column pass's batch_index runs over slots, then rows
-            n = i // n_rows + 1
-        i %= n_trials
+        i = getattr(exc, "batch_index", 0) % n_trials
         if hasattr(exc, "batch_index"):
             exc.batch_index = i
-        _add_context(exc, f"trial {i} (seed {cfg.seed + i}), slot {n}")
+        _add_context(exc, f"trial {i} (seed {cfg.seed + i}), ")
         raise
     return {name: cols[name].T for name in RECORD_COLUMNS}
 

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from uav_isac import cli
+from uav_isac.params import SystemParams
+from uav_isac.simulate import ScenarioConfig, run_monte_carlo
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-9
@@ -19,6 +21,10 @@ ABS_FLOOR = {
     "pcrb_v_actual": 1e-15, "weighted_actual": 1e-15,
     "rate_bpshz": 1e-12, "tr_mp": 1e-15, "tr_mm": 1e-15,
 }
+MC_STATS = ("weighted_actual_mean", "weighted_actual_std", "rate_mean", "rate_std")
+# absolute floor per statistic of the Monte Carlo golden, by the same rule
+MC_ABS_FLOOR = {"weighted_actual_mean": 1e-15, "weighted_actual_std": 1e-15,
+                "rate_mean": 1e-12, "rate_std": 1e-12}
 
 
 def _read(path):
@@ -44,6 +50,21 @@ def test_track_matches_golden(tmp_path, scheme, seed):
             else:
                 tol = max(RTOL * abs(w), ABS_FLOOR[col])
                 assert abs(g - w) <= tol, f"slot {want_row[0]:g} {col}: {g!r} vs {w!r}"
+
+
+def test_monte_carlo_matches_golden():
+    """The 50-trial scheme comparison at the defaults (seed 0)."""
+    mc = run_monte_carlo(ScenarioConfig(), SystemParams(), 50)
+    cols, want = _read(GOLDEN / "monte_carlo_seed0.csv")
+    stats = [(scheme, name) for scheme in ("proposed", "right_above") for name in MC_STATS]
+    assert cols == ["n"] + [f"{scheme}_{name}" for scheme, name in stats]
+    assert len(want) == mc.n_slots == 100
+    for j, (scheme, name) in enumerate(stats, 1):
+        got = getattr(getattr(mc, scheme), name).tolist()
+        for want_row, g in zip(want, got):
+            w = want_row[j]
+            tol = max(RTOL * abs(w), MC_ABS_FLOOR[name])
+            assert abs(g - w) <= tol, f"slot {want_row[0]:g} {cols[j]}: {g!r} vs {w!r}"
 
 
 @pytest.mark.parametrize("command, name", [

@@ -617,6 +617,17 @@ def test_design_trajectory_rejects_unreachable_target():
         optimize.design_trajectory(20.0, 30.0, (100.0, 12.0), P)
 
 
+def test_design_trajectory_accepts_a_full_reach_that_rounds():
+    # at |eta| = 5e16 m the spacing of floats is 8 m, so eta - reach
+    # (6 m) rounds to 8 m from eta; a move two ulp beyond that is refused
+    eta, reach = 5e16, P.v_a_max * P.dt
+    assert reach == 6.0 and abs((eta - reach) - eta) == 8.0
+    optimize.design_trajectory(eta - reach, eta, (0.0, 0.0), P)
+    optimize.design_trajectory(-eta + reach, -eta, (0.0, 0.0), P)
+    with pytest.raises(VelocityBoundError):
+        optimize.design_trajectory(eta - 32.0, eta, (0.0, 0.0), P)
+
+
 # ------------------------------------------------------------------- sweeps
 
 def test_sweep_angle_rows_and_branches():

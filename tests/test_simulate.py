@@ -442,10 +442,15 @@ def test_unmeasurable_geometry_is_refused_as_in_lockstep(cfg, slot):
     (ScenarioConfig(init_est_std=(1e80, 0.0)), "right_above", P),
     (ScenarioConfig(n_slots=5, init_est_std=(1e100, 0.0)), "proposed", P),
     (ScenarioConfig(n_slots=5, init_est_std=(1e100, 0.0)), "right_above", P),
+    # a plan 1e59 m out overflows tr_mm at slot 1; later chases a full
+    # reach from eta ~ 1e17 m, which rounds to more than one reach
+    (ScenarioConfig(init_est_std=(1e60, 0.0)), "proposed", P),
+    (ScenarioConfig(init_est_std=(1e60, 0.0)), "right_above", P),
 ], ids=["cfg0-proposed", "cfg1-right_above", "cfg2-right_above", "cfg3-proposed",
         "zero_mse_and_qos-proposed", "zero_mse-right_above", "overflow-proposed",
         "overflow-right_above", "no_position_information-proposed",
-        "no_position_information-right_above"])
+        "no_position_information-right_above", "reach_rounding-proposed",
+        "reach_rounding-right_above"])
 def test_lockstep_refuses_far_geometry_as_run_scenario(cfg, scheme, params):
     # the arrays overflow on the way, which must not surface as a
     # RuntimeWarning (an error under this suite's warning filter)
@@ -461,6 +466,25 @@ def test_monte_carlo_refuses_far_geometry_as_run_scenario():
             "trial 0 (seed 0), slot 1: noise variances (inf, inf, inf) need finite positive "
             "reciprocals")):
         run_monte_carlo(ScenarioConfig(init_obj_pos=1e200), P, 1)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "right_above"])
+def test_reach_rounding_does_not_hide_the_first_refusal(scheme):
+    # the estimate 1e60 m off overflows slot 1's tr_mm; at slot 79 the
+    # chase asks for a full reach from |eta| ~ 7e16 m, where floats are
+    # 8 m apart, which the reach check must accept, so slot 1 is named
+    # (the lockstep agrees: test_lockstep_refuses_far_geometry_as_run_scenario)
+    cfg = ScenarioConfig(scheme=scheme, init_est_std=(1e60, 0.0))
+    with pytest.raises(SingularMatrixError, match=r"^slot 1: a record bound at .* overflows"):
+        run_scenario(cfg, P)
+
+
+def test_monte_carlo_reach_rounding_does_not_hide_the_first_refusal():
+    # trial 1 asks for a full reach that rounds at slot 45; slot 1 comes first
+    with pytest.raises(SingularMatrixError, match=r"^trial 0 \(seed 0\), slot 1: a record bound"
+                       ) as exc_info:
+        run_monte_carlo(ScenarioConfig(init_est_std=(1e60, 0.0)), P, 3)
+    assert exc_info.value.batch_index == 0
 
 
 def test_monte_carlo_refuses_a_plan_without_position_information():
