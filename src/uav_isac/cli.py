@@ -11,7 +11,10 @@ sufficient to reproduce the output byte for byte.  Numeric CSV cells
 use 17 significant digits so round-tripping through text is lossless.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 infeasible model (rate target unreachable at any offset).
+3 infeasible model (rate target unreachable at any offset), 4 any other
+refusal by the package (a UavIsacError such as a singular matrix or a
+failed bracket), printed as one line on stderr.  A refused command
+writes no output file and no manifest.
 """
 
 from __future__ import annotations
@@ -20,19 +23,20 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import platform
 import sys
-from dataclasses import astuple, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, InfeasibleQosError
+from .errors import ConfigError, InfeasibleQosError, UavIsacError
 from .optimize import solve_sp1, sweep_angle, tradeoff_frontier
 from .params import PARAM_FIELD_NAMES, SystemParams
-from .simulate import ScenarioConfig, run_scenario
+from .simulate import ScenarioConfig, SlotRecord, run_scenario
 from .validate import run_all
 
 _INT_FIELDS = frozenset(("n_t", "n_r"))
@@ -46,6 +50,8 @@ TRACK_COLUMNS = (
     "pcrb_x_pred", "pcrb_v_pred", "pcrb_x_actual", "pcrb_v_actual",
     "weighted_actual", "rate_bpshz", "tr_mp", "tr_mm",
 )
+# the values of TRACK_COLUMNS: the SlotRecord fields before flagged, in order
+_track_row = operator.attrgetter(*(f.name for f in fields(SlotRecord)[:-1]))
 
 
 def _fmt(value) -> str:
@@ -146,8 +152,7 @@ def cmd_track(args) -> int:
                          scheme=args.scheme.replace("-", "_"))
     records = run_scenario(cfg, params)
     lines = [",".join(TRACK_COLUMNS)]
-    # TRACK_COLUMNS are the SlotRecord fields before flagged, in order
-    lines += [",".join(_fmt(value) for value in astuple(r)[:-1]) for r in records]
+    lines += [",".join(_fmt(value) for value in _track_row(r)) for r in records]
     sha = _write_output(args.out, lines)
     _write_manifest(args.out, "track", args.argv, params, seed, sha)
     if args.every is not None:
@@ -300,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleQosError as exc:
         print(f"infeasible model: {exc}", file=sys.stderr)
         return 3
+    except UavIsacError as exc:
+        print(f"refused: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -31,21 +31,24 @@ from .sensing import (Measurement, RelativeState, _measured_weights, jacobian, m
                       noise_weights)
 
 
-@dataclass
+@dataclass(slots=True)
 class FilterState:
     """Posterior estimate and its MSE matrix after a slot's update.
-    Not frozen: the update builds one per slot, and a frozen __init__
-    takes 0.7 us against 0.2 us (CPython 3.11)."""
+    Slotted, not frozen: the update builds one per slot, and __init__
+    takes 0.17 us slotted against 0.20 us plain and 0.50 us frozen
+    (CPython 3.11); an instance carries no __dict__."""
 
     est: RelativeState
     mse: Sym2
 
 
-@dataclass
+@dataclass(slots=True)
 class Prediction:
     """One-slot-ahead predicted state and prediction MSE matrix.
-    Not frozen: planning a slot builds two, and a frozen __init__ takes
-    0.7 us against 0.2 us (CPython 3.11)."""
+    Slotted, not frozen: planning a slot builds one (the planned state
+    with _predicted_mse's MSE), and __init__ takes 0.18 us slotted
+    against 0.20 us plain and 0.51 us frozen (CPython 3.11); an instance
+    carries no __dict__."""
 
     pred: RelativeState
     mse_pred: Sym2
@@ -64,21 +67,27 @@ class PcrbPair:
 def predict(prev: FilterState, params: SystemParams) -> Prediction:
     """Propagate the posterior one slot ahead under constant relative
     velocity: x_pred = x + v*dt, v_pred = v, and the MSE as
-    G M G^T + Q_s.
+    _predicted_mse gives it.
 
     The platform's own motion for the slot is not applied here: the
     tracking loop centers the reachable window on x_pred, plans the
-    predicted relative state itself and keeps this MSE (see simulate).
+    predicted relative state itself and keeps only the predicted MSE
+    (see simulate).
     """
-    dt = params.dt
     est = prev.est
-    m = prev.mse
+    return Prediction(RelativeState(est.x + est.v * params.dt, est.v),
+                      _predicted_mse(prev.mse, params))
+
+
+def _predicted_mse(m: Sym2, params: SystemParams) -> Sym2:
+    """The prediction MSE G M G^T + Q_s of the posterior MSE m, generic
+    over floats and arrays; it does not depend on the platform's command."""
+    dt = params.dt
     # G M G^T written out for G = [[1, dt], [0, 1]]
     g11 = m.m11 + 2.0 * dt * m.m12 + dt * dt * m.m22
     g12 = m.m12 + dt * m.m22
     q = params.process_noise
-    mse_pred = Sym2(g11 + q.m11, g12 + q.m12, m.m22 + q.m22)
-    return Prediction(RelativeState(est.x + est.v * dt, est.v), mse_pred)
+    return Sym2(g11 + q.m11, g12 + q.m12, m.m22 + q.m22)
 
 
 def update(pred: Prediction, y: Measurement, params: SystemParams) -> FilterState:
@@ -142,12 +151,12 @@ def _fisher_terms(x, v, params: SystemParams, w=None, h_alt=None):
     """
     h = params.h_alt if h_alt is None else h_alt
     h2 = h * h
-    k = 4.0 / (params.c * params.c)
+    k, kd = params.jacobian_scales
     x2 = x * x
     u = 1.0 / (x2 + h2)
     w1, w2, w3 = noise_weights(x, params, u, h) if w is None else w
     i_pos = (w1 * h2 * u + w2 * k * x2) * u
-    t = w3 * (k * params.f_c * params.f_c) * u  # w3*nu^2/x^2
+    t = w3 * kd * u  # w3*nu^2/x^2
     if v is None:
         return i_pos, 0.0, 0.0, t * x2
     y = v * h2 * u
@@ -162,10 +171,11 @@ def _fisher_jets(x, v, params: SystemParams, dv=0.0, h_alt=None):
     and (x^m u^n)' = x^(m-1) u^n (m - 2n q), q = x^2 u."""
     h = params.h_alt if h_alt is None else h_alt
     h2 = h * h
-    k, x2 = 4.0 / (params.c * params.c), x * x
+    k, kd = params.jacobian_scales
+    x2 = x * x
     u = 1.0 / (x2 + h2)
     w1, w2, w3 = noise_weights(x, params, u, h)
-    t = w3 * (k * params.f_c * params.f_c) * u  # c*u^3, vv = t*x^2
+    t = w3 * kd * u              # c*u^3, vv = t*x^2
     q = x2 * u
     ang = w1 * h2 * u * u        # c*u^5, the angle part of i_pos
     dly = w2 * k * u             # c*u^3, the delay part is dly*x^2

@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, a physically infeasible model (QoS unreachable at any offset)
-exits with 3, and validation failures exit with 1.
+exits with 3, any other package error exits with 4, and validation
+failures exit with 1.
 
 A check over a batch of trials (numpy arrays, one entry per trial)
 raises through raise_at_first: the scalar form of the same check runs

@@ -3,10 +3,10 @@
 Everything the filter and the bounds need fits in 2x2 symmetric
 matrices, 3-entry diagonal covariances and one 3x2 Jacobian layout, so
 these are plain dataclasses with explicit entry arithmetic.  Sym2 and
-Jacobian32 are built every slot and are not frozen; no code assigns to
-their fields (tests/test_value_types.py checks this), so a shared
-instance such as params.process_noise keeps its value.  DiagMat3 is
-frozen and checks its entries.
+Jacobian32 are built every slot and are slotted, not frozen; no code
+assigns to their fields (tests/test_value_types.py checks this), so a
+shared instance such as params.process_noise keeps its value.  DiagMat3
+is frozen and checks its entries.
 The same dataclasses hold a batch of matrices when their fields are
 numpy arrays (one entry per trial); the *_each functions check such a
 batch at once and raise the scalar check's error for its lowest failing
@@ -23,14 +23,16 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, SingularMatrixError, raise_at_first
 
 
-@dataclass
+@dataclass(slots=True)
 class Sym2:
     """Symmetric 2x2 real matrix [[m11, m12], [m12, m22]].
 
     Used for the process noise, estimation MSE and information matrices
     over the (position, velocity) state; symmetry holds by construction.
-    Not frozen: the scalar tracking loop builds six per slot, and a
-    frozen __init__ takes 0.8 us against 0.3 us (CPython 3.11).
+    Slotted, not frozen: the scalar tracking loop builds four per slot
+    (six with the slot solve), and __init__ takes 0.20 us slotted
+    against 0.22 us plain and 0.63 us frozen (CPython 3.11); an instance
+    carries no __dict__.
     """
 
     m11: float
@@ -121,15 +123,16 @@ class DiagMat3:
         return (self.s1, self.s2, self.s3)
 
 
-@dataclass
+@dataclass(slots=True)
 class Jacobian32:
     """3x2 measurement Jacobian.
 
     Rows follow the measured channels (angle, delay, Doppler), columns
     the state (position, velocity).  Only the Doppler row depends on
     velocity, so entries (1,2) and (2,2) are structurally zero; the four
-    free entries are stored.  Not frozen: the update builds one per slot,
-    and a frozen __init__ takes 0.9 us against 0.2 us (CPython 3.11).
+    free entries are stored.  Slotted, not frozen: the update builds one
+    per slot, and __init__ takes 0.21 us slotted against 0.24 us plain
+    and 0.76 us frozen (CPython 3.11); an instance carries no __dict__.
     """
 
     iota: float   # d(angle)/dx

@@ -90,7 +90,7 @@ class P1Instance:
     def __post_init__(self):
         self._prior_info = ekf._prior_information(self.mse_pred)
         self.x_c = qos_radius(self.params)
-        reach = self.params.v_a_max * self.params.dt
+        reach = self.params.reach
         self.lo = max(-self.x_c, self.eta_prev - reach)
         self.hi = min(self.x_c, self.eta_prev + reach)
         if not self.hi - self.lo > 0.0:
@@ -608,10 +608,10 @@ def design_trajectory(x_breve_opt: float, eta_prev: float,
     per-slot velocity envelope are rejected.  The slack, 1e-9 m plus two
     ulp of eta, covers eta -/+ reach rounding away from eta at any |eta|.
     """
-    if abs(x_breve_opt - eta_prev) > params.v_a_max * params.dt + 1e-9 + 2.0 * math.ulp(eta_prev):
+    if abs(x_breve_opt - eta_prev) > params.reach + 1e-9 + 2.0 * math.ulp(eta_prev):
         raise VelocityBoundError(
             f"|x_breve - eta| = {abs(x_breve_opt - eta_prev):.6g} m exceeds the "
-            f"per-slot reach v_a_max*dt = {params.v_a_max * params.dt:.6g} m")
+            f"per-slot reach v_a_max*dt = {params.reach:.6g} m")
     x_a_prev, _ = uav_prev
     x_a_n = eta_prev + x_a_prev - x_breve_opt
     v_a_n = (x_a_n - x_a_prev) / params.dt

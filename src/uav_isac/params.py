@@ -137,6 +137,19 @@ class SystemParams:
         return (g / self.a1 / self.a1, g / self.a2 / self.a2, g / self.a3 / self.a3)
 
     @cached_property
+    def reach(self) -> float:
+        """Per-slot platform reach v_a_max*dt (m)."""
+        return self.v_a_max * self.dt
+
+    @cached_property
+    def jacobian_scales(self) -> tuple[float, float]:
+        """(4/c^2, 4/c^2 * f_c * f_c): the squared delay and Doppler
+        Jacobian rows over their geometry factors, kappa^2 = (4/c^2) x^2 u
+        and nu^2 = (4 f_c^2/c^2) x^2 u with u = 1/(x^2 + H^2)."""
+        k = 4.0 / (self.c * self.c)
+        return k, k * self.f_c * self.f_c
+
+    @cached_property
     def process_noise(self) -> Sym2:
         """Process-noise covariance Q_s = process_noise_cov(dt, q_tilde)."""
         return process_noise_cov(self.dt, self.q_tilde)

@@ -78,14 +78,15 @@ class WorldState:
                              self.obj_vel - self.uav_vel)
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotRecord:
     """Everything recorded about one slot: true relative state, filter
     predicted and posterior states, executed platform state, predicted
     and actual bound pairs, the rate at the predicted position, and the
-    two MSE traces (prior prediction vs measurement-only).  Not frozen:
-    run_scenario builds one per slot, and a frozen __init__ of these 19
-    fields takes 4.4 us against 0.5 us (CPython 3.11)."""
+    two MSE traces (prior prediction vs measurement-only).  Slotted, not
+    frozen: run_scenario builds one per slot, and __init__ of these 19
+    fields takes 0.36 us slotted against 0.39 us plain and 3.3 us frozen
+    (CPython 3.11); an instance carries no __dict__."""
 
     slot: int
     t_s: float
@@ -204,7 +205,7 @@ def _target_proposed(eta: float, x_hat: float, mse_pred: Sym2,
     try:
         inst = optimize.P1Instance(eta, x_hat, mse_pred, params)
     except InfeasibleIntervalError:
-        reach = params.v_a_max * params.dt
+        reach = params.reach
         x_c = optimize.qos_radius(params)
         lo = max(-x_c, eta - reach)
         if min(x_c, eta + reach) == lo:
@@ -218,7 +219,7 @@ def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2,
     """Benchmark target: chase the predicted object position, saturating
     at the speed limit; the rate constraint is ignored by design, and
     the slot is never flagged.  The MSE is not read."""
-    reach = params.v_a_max * params.dt
+    reach = params.reach
     if abs(eta) <= reach:
         return 0.0, False, None
     return eta - math.copysign(reach, eta), False, None
@@ -232,7 +233,7 @@ def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     otherwise.  Returns the x_breve array; flags are not kept."""
     prior_info = ekf._prior_information_each(mse_pred)
     x_c = optimize.qos_radius(params)
-    reach = params.v_a_max * params.dt
+    reach = params.reach
     lo = np.maximum(-x_c, eta - reach)
     hi = np.minimum(x_c, eta + reach)
     has_length = hi - lo > 0.0
@@ -243,7 +244,7 @@ def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
 
 def _targets_right_above_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     """_target_right_above for a batch of trials; the MSEs are not read."""
-    reach = params.v_a_max * params.dt
+    reach = params.reach
     return np.where(np.abs(eta) <= reach, 0.0, eta - np.copysign(reach, eta))
 
 
@@ -266,20 +267,23 @@ def _plan(fstate: ekf.FilterState, uav_pos: float, uav_vel: float, params: Syste
     (else None, and the slot computes it).  The command and the
     prediction are one decision.
 
-    The posterior is predicted once; eta = x_pred + v_A*dt is where the
-    object would sit relative to a platform that stopped, the center of
-    the reachable window.  The target rule picks x_breve in that window,
-    the waypoint realizes it, and the predicted relative velocity is
-    v_breve = (x_breve - x_hat)/dt.  The prediction MSE does not depend
-    on the command.
+    The posterior is predicted once, as ekf.predict does it, without
+    building the predicted state that the plan replaces: eta = x_hat +
+    v_hat*dt + v_A*dt is where the object would sit relative to a
+    platform that stopped, the center of the reachable window.  The
+    target rule picks x_breve in that window, the waypoint realizes it,
+    and the predicted relative velocity is v_breve = (x_breve - x_hat)/dt.
+    The prediction MSE (ekf._predicted_mse) does not depend on the
+    command.
     """
-    pred = ekf.predict(fstate, params)
-    eta = pred.pred.x + uav_vel * params.dt
-    x_hat = fstate.est.x
-    x_breve, flagged, prior = target_rule(eta, x_hat, pred.mse_pred, params)
+    dt = params.dt
+    est = fstate.est
+    mse_pred = ekf._predicted_mse(fstate.mse, params)
+    eta = est.x + est.v * dt + uav_vel * dt
+    x_breve, flagged, prior = target_rule(eta, est.x, mse_pred, params)
     x_a, v_a = optimize.design_trajectory(x_breve, eta, (uav_pos, uav_vel), params)
-    state = RelativeState(x_breve, (x_breve - x_hat) / params.dt)
-    return x_a, v_a, flagged, ekf.Prediction(state, pred.mse_pred), prior
+    return x_a, v_a, flagged, ekf.Prediction(
+        RelativeState(x_breve, (x_breve - est.x) / dt), mse_pred), prior
 
 
 def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
@@ -293,15 +297,14 @@ def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
     velocity-reach check of design_trajectory raises for the lowest row
     that fails it."""
     dt = params.dt
-    pred = ekf.predict(fstate, params)
-    m = pred.mse_pred
-    eta = pred.pred.x + uav_vel * dt
+    m = ekf._predicted_mse(fstate.mse, params)
     x_hat = fstate.est.x
+    eta = x_hat + fstate.est.v * dt + uav_vel * dt
     x_breve = np.concatenate([
         targets(eta[rows], x_hat[rows], Sym2(m.m11[rows], m.m12[rows], m.m22[rows]), params)
         for targets, rows in blocks])
     slack = 1e-9 + 2.0 * np.spacing(np.abs(eta))  # design_trajectory's: math.ulp(eta)
-    raise_at_first(np.abs(x_breve - eta) > params.v_a_max * dt + slack,
+    raise_at_first(np.abs(x_breve - eta) > params.reach + slack,
                    lambda i: optimize.design_trajectory(
                        float(x_breve[i]), float(eta[i]),
                        (float(uav_pos[i]), float(uav_vel[i])), params))

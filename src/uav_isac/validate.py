@@ -240,7 +240,7 @@ def _check_sca_properties(p: SystemParams, rng) -> tuple[bool, str]:
     """Random slot problems: nonincreasing trace, feasibility, and
     first-order stationarity (interior or boundary-outward)."""
     # keep the reachable window inside the rate disc for any altitude
-    span = optimize.qos_radius(p) - p.v_a_max * p.dt - 1.0
+    span = optimize.qos_radius(p) - p.reach - 1.0
     for _ in range(10):
         eta = float(rng.uniform(-span, span))
         x_hat = eta + float(rng.uniform(-1.0, 1.0))
@@ -267,7 +267,7 @@ def _check_sca_properties(p: SystemParams, rng) -> tuple[bool, str]:
 def _check_trajectory(p: SystemParams, rng) -> tuple[bool, str]:
     """Waypoint algebra: velocity bound respected and the relative
     prediction recomputed from absolute positions matches the target."""
-    reach = p.v_a_max * p.dt
+    reach = p.reach
     worst = 0.0
     for _ in range(50):
         eta = float(rng.uniform(-100.0, 100.0))

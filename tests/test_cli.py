@@ -142,6 +142,17 @@ def test_track_infeasible_rate_target_exits_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_track_refused_by_the_package_exits_4(tmp_path, capsys):
+    cfgfile = tmp_path / "params.cfg"
+    cfgfile.write_text("h_alt = 1e150\n")
+    out = tmp_path / "x.csv"
+    assert _run(["track", str(cfgfile), "--scheme", "right-above", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("refused: SingularMatrixError: slot 1: noise variances")
+    assert list(tmp_path.iterdir()) == [cfgfile]  # no CSV, no manifest
+
+
 def test_track_right_above_scheme(tmp_path):
     out = tmp_path / "ra.csv"
     assert _run(["track", "--scheme", "right-above", "--slots", "30",
@@ -269,6 +280,14 @@ def test_solve_sp1_bad_set_exits_2(capsys):
     assert _run(["solve-sp1", "--set", "nope=1"]) == 2
     assert _run(["solve-sp1", "--set", "h_alt"]) == 2
     assert _run(["solve-sp1", "--alpha", "1.5"]) == 2
+
+
+def test_solve_sp1_refused_by_the_package_exits_4(capsys):
+    assert _run(["solve-sp1", "--H", "1e200"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert captured.err.startswith("refused: BracketError: objective derivative")
 
 
 # ----------------------------------------------------------------- validate

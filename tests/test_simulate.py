@@ -205,12 +205,12 @@ def test_records_hold_plain_floats(cfg):
 @pytest.mark.parametrize("scheme", ["proposed", "right_above"])
 def test_one_prediction_per_slot(scheme, monkeypatch):
     calls = []
-    predict = simulate.ekf.predict
+    predicted_mse = simulate.ekf._predicted_mse
 
     def counting(*args):
         calls.append(args)
-        return predict(*args)
-    monkeypatch.setattr(simulate.ekf, "predict", counting)
+        return predicted_mse(*args)
+    monkeypatch.setattr(simulate.ekf, "_predicted_mse", counting)
     recs = run_scenario(ScenarioConfig(n_slots=10, scheme=scheme), P)
     assert len(calls) == 10  # slot 0 plans slot 1; slots 1..9 each plan the next
     # the recorded predicted pair is the state the filter updated

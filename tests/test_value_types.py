@@ -1,9 +1,10 @@
-"""The value types that the tracking loops build every slot are plain
+"""The value types that the tracking loops build every slot are slotted
 dataclasses, not frozen ones, because a frozen __init__ costs several
-times a plain one.  These tests keep what frozen=True guaranteed: no
-package code assigns to their fields, so an instance that is shared
-(params.process_noise, a prediction read by the plan and the update)
-keeps its value.  Configs, parameter sets and results stay frozen."""
+times a plain one and a slotted one is cheaper still.  These tests keep
+the slots, and what frozen=True guaranteed: no package code assigns to
+their fields, so an instance that is shared (params.process_noise, a
+prediction read by the plan and the update) keeps its value.  Configs,
+parameter sets and results stay frozen."""
 
 import ast
 import dataclasses
@@ -45,6 +46,14 @@ def _field_stores(source: str) -> list[tuple[int, str]]:
 def test_per_slot_types_are_plain_dataclasses_with_distinct_fields():
     assert not any(cls.__dataclass_params__.frozen for cls in PER_SLOT)
     assert sum(len(dataclasses.fields(cls)) for cls in PER_SLOT) == len(FIELD_NAMES) == 32
+
+
+@pytest.mark.parametrize("cls", PER_SLOT, ids=lambda cls: cls.__name__)
+def test_per_slot_types_are_slotted(cls):
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    instance = cls(*(0.0 for _ in names))
+    assert cls.__slots__ == names
+    assert not hasattr(instance, "__dict__")
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
