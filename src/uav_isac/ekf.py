@@ -113,9 +113,8 @@ def _prior_information(mse_pred: Sym2) -> Sym2:
 
 
 def _prior_information_each(mse_pred: Sym2) -> Sym2:
-    """_prior_information over a batch; raises for the lowest failing row."""
-    require_positive_definite_each(mse_pred, "mse_pred")
-    return inverse_each(mse_pred)
+    """_prior_information over a batch, on one determinant; raises for the lowest failing row."""
+    return inverse_each(mse_pred, require_positive_definite_each(mse_pred, "mse_pred"))
 
 
 def _posterior(pred: RelativeState, prior_info: Sym2, w, y, params: SystemParams,
@@ -177,12 +176,13 @@ def _fisher_jets(x, v, params: SystemParams, dv=0.0, h_alt=None):
     w1, w2, w3 = noise_weights(x, params, u, h)
     t = w3 * kd * u              # c*u^3, vv = t*x^2
     q = x2 * u
-    ang = w1 * h2 * u * u        # c*u^5, the angle part of i_pos
-    dly = w2 * k * u             # c*u^3, the delay part is dly*x^2
+    w1h2u, w2k = w1 * h2 * u, w2 * k
+    ang = w1h2u * u              # c*u^5, the angle part of i_pos
+    dly = w2k * u                # c*u^3, the delay part is dly*x^2
     b = 10.0 * x * u             # -(u^5)'/u^5
     c5 = 10.0 * u * (12.0 * q - 1.0)  # (u^5)''/u^5
     r3, p3 = 2.0 * x * (1.0 - 3.0 * q), 2.0 + q * (48.0 * q - 30.0)  # (x^2 u^3)', '' over u^3
-    i_pos = ((w1 * h2 * u + w2 * k * x2) * u, dly * r3 - b * ang, c5 * ang + dly * p3)
+    i_pos = ((w1h2u + w2k * x2) * u, dly * r3 - b * ang, c5 * ang + dly * p3)
     vv = (t * x2, t * r3, t * p3)
     if v is None:
         return i_pos, (0.0,) * 3, (0.0,) * 3, vv
@@ -190,8 +190,9 @@ def _fisher_jets(x, v, params: SystemParams, dv=0.0, h_alt=None):
     s = t * h2 * u               # c*u^4, zv = s*x*v
     m = s * h2 * u               # c*u^5, zz = m*v^2
     g1, g2 = s * (1.0 - 8.0 * q), 8.0 * s * x * u * (10.0 * q - 3.0)  # (s*x)', ''
-    zz = (t * y * y, m * v * (2.0 * dv - b * v), m * (2.0 * dv * (dv - 2.0 * b * v) + c5 * v * v))
-    zv = (t * y * x, dv * s * x + v * g1, 2.0 * dv * g1 + v * g2)
+    ty = t * y
+    zz = (ty * y, m * v * (2.0 * dv - b * v), m * (2.0 * dv * (dv - 2.0 * b * v) + c5 * v * v))
+    zv = (ty * x, dv * s * x + v * g1, 2.0 * dv * g1 + v * g2)
     return i_pos, zz, zv, vv
 
 
@@ -242,7 +243,7 @@ def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
     as in _weighted.  prior_info None: alpha/i_pos + (1-alpha)/vv."""
     i_pos, zz, zv, vv = jets
     if prior_info is None:  # the reciprocals' jets, weighted
-        rx, rv = ((w, -p[1] * (w * w), (2.0 * p[1] * p[1] * w - p[2]) * (w * w))
+        rx, rv = ((w, -p[1] * (w2 := w * w), (2.0 * p[1] * p[1] * w - p[2]) * w2)
                   for p, w in ((i_pos, 1.0 / i_pos[0]), (vv, 1.0 / vv[0])))
         return tuple(_weighted(bx, bv, alpha) for bx, bv in zip(rx, rv))
     a11, d11, e11 = prior_info.m11 + i_pos[0] + zz[0], i_pos[1] + zz[1], i_pos[2] + zz[2]

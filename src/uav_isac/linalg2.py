@@ -87,18 +87,20 @@ def require_positive_definite(m: Sym2, name: str = "matrix") -> None:
         raise NotPositiveDefiniteError(f"{name} is not positive definite: {m}")
 
 
-def require_positive_definite_each(m: Sym2, name: str = "matrix") -> None:
+def require_positive_definite_each(m: Sym2, name: str = "matrix"):
     """require_positive_definite over a batch: raises for the lowest
-    matrix that is not positive definite."""
-    raise_at_first(~((m.m11 > 0) & (m.det > 0)),
+    matrix that is not positive definite.  Returns the determinants."""
+    det = m.det
+    raise_at_first(~((m.m11 > 0) & (det > 0)),
                    lambda i: require_positive_definite(m.at(i), name))
+    return det
 
 
-def inverse_each(m: Sym2) -> Sym2:
+def inverse_each(m: Sym2, det=None) -> Sym2:
     """Sym2.inverse over a batch: raises SingularMatrixError for the
     lowest singular matrix, otherwise inverts every matrix with the
-    same adjugate arithmetic."""
-    det = m.det
+    same adjugate arithmetic.  A caller that holds m.det passes it."""
+    det = m.det if det is None else det
     raise_at_first(np.abs(det) <= 1e-300, lambda i: m.at(i).inverse())
     s = 1.0 / det
     return Sym2(m.m22 * s, -m.m12 * s, m.m11 * s)

@@ -42,7 +42,7 @@ from .errors import (
     raise_at_first,
 )
 from .linalg2 import Sym2
-from .params import SystemParams, _is_integer
+from .params import SystemParams, _check_alpha, _is_integer
 # achievable_rate is re-exported: code outside the package refers to optimize.achievable_rate
 from .sensing import achievable_rate, comm_snr  # noqa: F401
 
@@ -135,7 +135,7 @@ class Sp1Result:
 # Points of the plain-float grid that picks the slot problem's basin.
 P1_GRID_POINTS = 65
 _GRID_INDEX = np.arange(P1_GRID_POINTS, dtype=float)
-_NEIGHBOURS = np.array([-1, 0, 1])
+_NEIGHBOURS = np.array([[-1], [0], [1]])
 
 
 def _grid(lo, hi):
@@ -185,10 +185,10 @@ def _cell(v, right):
 
 
 def _newton_start(x3, g3, h3, right):
-    """Newton's first iterate on the grid cell [a, b] = _cell(x3, right),
-    over which f' rises from negative to positive; x3 holds the grid
-    minimum's left neighbour, itself and its right neighbour, and g3, h3
-    hold f' and f'' there.
+    """(a, b, x0): the grid cell [a, b] = _cell(x3, right), over which f'
+    rises from negative to positive, and Newton's first iterate x0 on it;
+    x3 holds the grid minimum's left neighbour, itself and its right
+    neighbour, and g3, h3 hold f' and f'' there.
 
     It is the root of the quintic Hermite interpolant of f' through the
     three points, found by one Newton step on the quintic from the cubic
@@ -211,9 +211,10 @@ def _newton_start(x3, g3, h3, right):
     g0, g1, g2 = g3
     h0, h1, h2 = h3
     with np.errstate(all="ignore"):
+        c2x2, c3x3 = 2.0 * c2, 3.0 * c3  # the cubic's derivative, over t
         t = ga / (ga - gb)
         for _ in range(2):
-            t = t - (((c3 * t + c2) * t + c1) * t + ga) / ((3.0 * c3 * t + 2.0 * c2) * t + c1)
+            t = t - (((c3 * t + c2) * t + c1) * t + ga) / ((c3x3 * t + c2x2) * t + c1)
         cubic = a + t * w
         # the quintic in Newton form over the nodes p0, p0, p1, p1, p2, p2,
         # g0 + u*(h0 + u*(q2 + v*(q3 + v*(q4 + (x - p2)*q5)))) with u = x - p0,
@@ -231,7 +232,7 @@ def _newton_start(x3, g3, h3, right):
         r2, dr2 = q2 + v * r3, r3 + v * dr3
         r1, dr1 = h0 + u * r2, r2 + u * dr2
         x = cubic - (g0 + u * r1) / (r1 + u * dr1)
-    return _pick((a < x) & (x < b), x, _pick((a < cubic) & (cubic < b), cubic, 0.5 * (a + b)))
+    return a, b, _pick((a < x) & (x < b), x, _pick((a < cubic) & (cubic < b), cubic, 0.5 * (a + b)))
 
 
 def _require_bracket(x3, d1) -> None:
@@ -277,7 +278,7 @@ def solve_p1_sca(inst: P1Instance, x0: float | None = None) -> ScaResult:
     else:
         i = 1 if d1[1] < 0.0 else 0
         a, b = float(x3[i]), float(x3[i + 1])
-        start = x0 if x0 is not None and a < x0 < b else _newton_start(tuple(x3), d1, d2, i == 1)
+        start = x0 if x0 is not None and a < x0 < b else _newton_start(tuple(x3), d1, d2, i == 1)[2]
         # the routine's sign check at a and b reads the values at hand
         known = {a: (d1[i], d2[i]), b: (d1[i + 1], d2[i + 1])}
         x, iterations = _newton_bracketed(
@@ -291,36 +292,35 @@ def solve_p1_sca(inst: P1Instance, x0: float | None = None) -> ScaResult:
 
 
 def _grid_basin_each(fn, jet, lo, hi, ends=False):
-    """The basin step of the batched solves.  fn is evaluated on
-    P1_GRID_POINTS evenly spaced points of every window [lo[i], hi[i]]
-    as one (n, P1_GRID_POINTS) array; per row the grid minimum's index
-    k, point and value, and x3, the grid minimum and its two neighbours
-    (indices clamped to the grid, so at a window end the end repeats).
-    Then one evaluation of fn's jet, (fn, fn', fn''), at x3, shape
-    (n, 3), or at x3 followed by lo and hi, shape (n, 5), when ends is
-    set.  Returns (k, x_grid, f_grid, those points, the jet there).  The
-    grid is _grid's, and one flat index takes x3, x_grid and f_grid."""
+    """The basin step of the batched solves over n windows.  fn is
+    evaluated on P1_GRID_POINTS evenly spaced points of every window
+    [lo[i], hi[i]] as one (n, P1_GRID_POINTS) array; per row the grid
+    minimum's index k, point and value, each (n,), and x3, shape (3, n):
+    the grid minimum and its two neighbours (indices clamped to the
+    grid, so at a window end the end repeats).  Then one evaluation of
+    fn's jet, (fn, fn', fn''), at x3, or at x3 followed by lo and hi,
+    shape (5, n), when ends is set; points come first, so (n,) operands
+    broadcast.  Returns (k, x_grid, f_grid, those points, the jet there).
+    The grid is _grid's; one flat index takes x3, x_grid and f_grid."""
     xs = _grid(lo[:, None], hi[:, None])
     fs = fn(xs)
     k = fs.argmin(axis=1)
-    i = (np.minimum(np.maximum(k[:, None] + _NEIGHBOURS, 0), P1_GRID_POINTS - 1)
-         + np.arange(0, k.size * P1_GRID_POINTS, P1_GRID_POINTS)[:, None])
+    i = (np.minimum(np.maximum(k + _NEIGHBOURS, 0), P1_GRID_POINTS - 1)
+         + np.arange(0, k.size * P1_GRID_POINTS, P1_GRID_POINTS))
     x3 = xs.ravel()[i]
-    points = np.column_stack((x3, lo, hi)) if ends else x3
-    return k, x3[:, 1], fs.ravel()[i[:, 1]], points, jet(points)
+    points = np.vstack((x3, lo, hi)) if ends else x3
+    return k, x3[1], fs.ravel()[i[1]], points, jet(points)
 
 
 def _polish_each(slope, x3, d1, d2, tol: float, active):
     """The polish of the batched solves: f' = d1 and f'' = d2 at the
-    points x3 (arrays (n, 3), as _grid_basin_each gives them), the sign
-    of f' at the middle point picks the grid cell that holds the root,
-    and _newton_bracketed_each solves f' = 0 there from _newton_start's
-    quintic Hermite root on the rows where active is set.  slope maps an
-    (n,) array of iterates to (f', f'') arrays."""
-    right = d1[:, 1] < 0.0
-    a, b = _cell(x3.T, right)
-    return _newton_bracketed_each(slope, a, b, tol,
-                                  _newton_start(x3.T, d1.T, d2.T, right), active)
+    points x3, arrays (3, n) as _grid_basin_each gives them; the sign of
+    f' at the middle point picks the grid cell that holds the root, and
+    _newton_bracketed_each solves f' = 0 there from _newton_start's
+    quintic Hermite root on the rows where the (n,) mask active is set.
+    slope maps (n,) iterates to (f', f'') arrays."""
+    a, b, x0 = _newton_start(x3, d1, d2, d1[1] < 0.0)
+    return _newton_bracketed_each(slope, a, b, tol, x0, active)
 
 
 def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, solve):
@@ -341,21 +341,19 @@ def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, so
     """
     last = P1_GRID_POINTS - 1
     rows_prior = Sym2(prior_info.m11[:, None], prior_info.m12[:, None], prior_info.m22[:, None])
+
+    def jet(x):
+        return _objective_jet(x, x_hat_prev, prior_info, params)
     k, x_grid, f_grid, x3, (_, d1, d2) = _grid_basin_each(
-        lambda x: _objective(x, x_hat_prev[:, None], rows_prior, params),
-        lambda x: _objective_jet(x, x_hat_prev[:, None], rows_prior, params), lo, hi)
-    at_end = ((k == 0) & (d1[:, 1] >= 0.0)) | ((k == last) & (d1[:, 1] <= 0.0))
+        lambda x: _objective(x, x_hat_prev[:, None], rows_prior, params), jet, lo, hi)
+    at_end = ((k == 0) & (d1[1] >= 0.0)) | ((k == last) & (d1[1] <= 0.0))
     bracketed = solve & ~at_end
-    raise_at_first(bracketed & ~((d1[:, 0] < 0.0) & (0.0 < d1[:, 2])),
-                   lambda i: _require_bracket(x3[i], d1[i]))
-    interior = bracketed & (d1[:, 1] != 0.0)
+    raise_at_first(bracketed & ~((d1[0] < 0.0) & (0.0 < d1[2])),
+                   lambda i: _require_bracket(x3[:, i], d1[:, i]))
+    interior = bracketed & (d1[1] != 0.0)
     if not np.count_nonzero(interior):
         return x_grid
-
-    def slope(x):
-        return _objective_jet(x, x_hat_prev, prior_info, params)[1:]
-
-    x = _polish_each(slope, x3, d1, d2, 1e-9 * params.h_alt, interior)
+    x = _polish_each(lambda x: jet(x)[1:], x3, d1, d2, 1e-9 * params.h_alt, interior)
     f = _objective(x, x_hat_prev, prior_info, params)
     return np.where(interior & ~(f > f_grid), x, x_grid)
 
@@ -373,19 +371,20 @@ def xi_of_h(params: SystemParams, h_alt=None):
     return 4.0 * p.a1 * p.a1 * h * h - 5.0 * p.c * p.c * p.a2 * p.a2
 
 
-def _chi_bar(params: SystemParams, h_alt=None):
+def _chi_bar(params: SystemParams, h, xi):
     # Viete amplitude of xi*chi^3 - 12 a1^2 H^2 chi - 8 a1^2 H^2 = 0;
     # equals 2*sqrt(1 + 5 c^2 a2^2 / xi) = 4 a1 H / sqrt(xi).  xi > 0 required.
-    h = params.h_alt if h_alt is None else h_alt
-    return 4.0 * params.a1 * h / np.sqrt(xi_of_h(params, h))
+    return 4.0 * params.a1 * h / np.sqrt(xi)
 
 
-def convexity_lower_bound(params: SystemParams, h_alt=None):
+def convexity_lower_bound(params: SystemParams, h_alt=None, xi=None):
     """Left end x_l of the interval on which the position bound is
-    certified convex: 0 when xi <= 0, else H/sqrt(chi_bar)."""
+    certified convex: 0 when xi <= 0, else H/sqrt(chi_bar).  A caller
+    that already holds xi_of_h at H passes it."""
     h = params.h_alt if h_alt is None else h_alt
+    xi = xi_of_h(params, h) if xi is None else xi
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(xi_of_h(params, h) > 0.0, h / np.sqrt(_chi_bar(params, h)), 0.0)[()]
+        return np.where(xi > 0.0, h / np.sqrt(_chi_bar(params, h, xi)), 0.0)[()]
 
 
 def upper_anchor(params: SystemParams, h_alt=None):
@@ -394,17 +393,18 @@ def upper_anchor(params: SystemParams, h_alt=None):
     return (params.h_alt if h_alt is None else h_alt) / math.sqrt(2.0)
 
 
-def _g0(x, params: SystemParams, h_alt=None):
-    """g(x, 0) at altitude h_alt (default params.h_alt), generic over
-    floats and arrays.  At v = 0 the Doppler block is diagonal, so
-    crb_x = 1/i_pos and crb_v = 1/fi_vv (inf overhead)."""
+def _g0(x, params: SystemParams, h_alt=None, alpha=None):
+    """g(x, 0) at altitude h_alt and weight alpha (defaults: params'),
+    generic over floats and arrays.  At v = 0 the Doppler block is
+    diagonal, so crb_x = 1/i_pos and crb_v = 1/fi_vv (inf overhead)."""
     i_pos, _, _, vv = ekf._fisher_terms(x, None, params, h_alt=h_alt)
-    return ekf._weighted(1.0 / i_pos, 1.0 / vv, params.alpha)
+    return ekf._weighted(1.0 / i_pos, 1.0 / vv, params.alpha if alpha is None else alpha)
 
 
-def _g0_jet(x, params: SystemParams, h_alt=None):
+def _g0_jet(x, params: SystemParams, h_alt=None, alpha=None):
     """(g, g', g'') of _g0 at x, in closed form; floats or arrays."""
-    return ekf._weighted_jet(None, ekf._fisher_jets(x, None, params, h_alt=h_alt), params.alpha)
+    return ekf._weighted_jet(None, ekf._fisher_jets(x, None, params, h_alt=h_alt),
+                             params.alpha if alpha is None else alpha)
 
 
 def g0_derivatives(x: float, params: SystemParams) -> tuple[float, float, float]:
@@ -413,9 +413,11 @@ def g0_derivatives(x: float, params: SystemParams) -> tuple[float, float, float]
     return _g0_jet(x, params)
 
 
-def _bracket_error(lo: float, hi: float, f_lo: float, f_hi: float) -> BracketError:
-    return BracketError(
-        f"objective derivative does not change sign over [{lo:.6g}, {hi:.6g}] m", f_lo, f_hi)
+def _bracket_error(lo: float, hi: float, f_lo: float, f_hi: float, h=None) -> BracketError:
+    return BracketError(  # lo is not finite where x_l overflows, as H*H does past 6.7e153
+        f"objective derivative does not change sign over [{lo:.6g}, {hi:.6g}] m" if lo < math.inf
+        else f"objective derivative cannot be bracketed: H = {h:.6g} m is beyond float range",
+        f_lo, f_hi)
 
 
 def _require_sign_change(lo: float, hi: float, f_lo: float, f_hi: float) -> None:
@@ -460,13 +462,14 @@ def _newton_bracketed(deriv_fn, lo: float, hi: float, tol: float,
 def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: int = 200):
     """_newton_bracketed's iteration on every entry of a batch where the
     boolean array active is set, in lockstep: deriv_fn maps an array of
-    iterates to (F, F') arrays, each entry starts from x0 when it lies
-    strictly inside [lo, hi] (else the midpoint), follows the scalar
-    step rule and stops where the scalar routine would return; inactive
-    entries carry no result.  The sign change F(lo) < 0 < F(hi) is not
-    checked here: solve_p1_each checks it on values it already has.
+    iterates to (F, F') arrays, each entry starts from x0, which lies
+    strictly inside [lo, hi] or is its midpoint (as _newton_start's
+    starts do), follows the scalar step rule and stops where the scalar
+    routine would return, all at once when every moving entry converges;
+    inactive entries carry no result.  The sign change F(lo) < 0 < F(hi)
+    is not checked here: the callers check it on values they have.
     """
-    x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
+    x = x0
     for _ in range(max_iter):
         f, df = deriv_fn(x)
         below = f < 0.0
@@ -475,9 +478,12 @@ def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: i
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = np.where(df > 0.0, x - f / df, np.nan)
         converged = (np.abs(cand - x) < tol) & (lo <= cand) & (cand <= hi)
+        moving = active & (f != 0.0)
+        if not np.count_nonzero(moving & ~converged):
+            return np.where(moving, cand, x)
         cand = np.where(converged | ((lo < cand) & (cand < hi)), cand, 0.5 * (lo + hi))
         done = (f == 0.0) | converged | (np.abs(cand - x) < tol)
-        x = np.where(active & (f != 0.0), cand, x)
+        x = np.where(moving, cand, x)
         active = active & ~done
         if not np.count_nonzero(active):
             break
@@ -486,53 +492,51 @@ def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: i
 
 # Python float semantics: overflow and NaN pass, a division by zero raises
 @np.errstate(over="ignore", invalid="ignore", divide="raise")
-def _solve_sp1_each(params: SystemParams, h):
-    """solve_sp1 for the weight params.alpha at every altitude of the
-    float array h (finite, positive; params.h_alt is not read).  Returns
-    arrays x_star, x_l, x_u, the branch names and, per altitude, the
-    package error its solve raises or None (x_star NaN, branch
-    'error:<Name>').  An interior weight takes _grid_basin_each's grid
-    pass over every bracket and one (n, 5) evaluation of g', g'' at the
-    grid minima, their neighbours and both bracket ends, checks the
-    signs at the ends, and polishes the signed brackets together with
-    _polish_each, gathering each signed row's three points unless every
-    row is signed and polishes its grid cell (19 of 19 interior alphas)."""
+def _solve_sp1_each(params: SystemParams, h, alpha: float):
+    """solve_sp1 for the weight alpha in [0, 1] at every altitude of the
+    float array h, shape (n,) (finite, positive; params.alpha and
+    params.h_alt are not read).  Returns (n,) arrays x_star, x_l, x_u,
+    the branch names and, per altitude, the package error its solve
+    raises or None (x_star NaN, branch 'error:<Name>').  An interior
+    weight takes _grid_basin_each's (n, 65) grid pass and one (5, n)
+    evaluation of g', g'' at the grid minima, their neighbours and both
+    bracket ends, checks the signs at the ends, and polishes the m
+    signed brackets together with _polish_each on (3, m) points, taking
+    each signed row's three unless every row is signed and polishes its
+    grid cell (19 of 19 interior alphas)."""
     n = len(h)
     xi = xi_of_h(params, h)
-    x_l = convexity_lower_bound(params, h)
+    x_l = convexity_lower_bound(params, h, xi)
     x_u = upper_anchor(params, h)
     error = [None] * n
-    if params.alpha == 0.0:
+    if alpha == 0.0:
         x_star, branch = x_u, ["alpha0"] * n
-    elif params.alpha == 1.0:
+    elif alpha == 1.0:
         x_star = np.zeros(n)
         for i in np.flatnonzero(~(xi <= 0.0)):
-            chi1 = _chi_bar(params, h[i]) * math.cos(
+            chi1 = _chi_bar(params, h[i], xi[i]) * math.cos(
                 math.atan(math.sqrt(5.0) * params.c * params.a2 / math.sqrt(xi[i])) / 3.0)
             x_star[i] = h[i] / math.sqrt(chi1)
         branch = ["alpha1_xi_nonpos" if v <= 0.0 else "alpha1_xi_pos" for v in xi]
     else:
         lo = np.maximum(x_l, 1e-9 * h)
         _, _, _, points, (_, d1, d2) = _grid_basin_each(
-            lambda x: _g0(x, params, h[:, None]), lambda x: _g0_jet(x, params, h[:, None]),
-            lo, x_u, ends=True)
-        signed = (d1[:, 3] < 0.0) & (0.0 < d1[:, 4])
+            lambda x: _g0(x, params, h[:, None], alpha),
+            lambda x: _g0_jet(x, params, h, alpha), lo, x_u, ends=True)
+        signed = (d1[3] < 0.0) & (0.0 < d1[4])
         for i in np.flatnonzero(~signed):
-            error[i] = _bracket_error(lo[i], x_u[i], float(d1[i, 3]), float(d1[i, 4]))
+            error[i] = _bracket_error(lo[i], x_u[i], float(d1[3, i]), float(d1[4, i]), h[i])
         # where g' does not change sign over the grid cell that the middle
         # point picks, that cell is the whole bracket, the points (lo, lo, x_u)
-        ga, gb = _cell(d1.T, d1[:, 1] < 0.0)
+        ga, gb = _cell(d1, d1[1] < 0.0)
         inside = (ga < 0.0) & (0.0 < gb)
         if np.count_nonzero(signed & inside) < n:
-            cols = np.where(inside[:, None], (0, 1, 2), (3, 3, 4))[signed]
+            rows = np.where(inside, [[0], [1], [2]], [[3], [3], [4]])[:, signed]
             h = h[signed]
-            points, d1, d2 = (np.take_along_axis(v[signed], cols, 1) for v in (points, d1, d2))
-        x3, d1, d2 = points[:, :3], d1[:, :3], d2[:, :3]
-
-        def slope(x):
-            return _g0_jet(x, params, h)[1:]
+            points, d1, d2 = (np.take_along_axis(v[:, signed], rows, 0) for v in (points, d1, d2))
         x_star = np.full(n, math.nan)
-        x_star[signed] = _polish_each(slope, x3, d1, d2, 1e-9 * h, np.ones(len(h), bool))
+        x_star[signed] = _polish_each(lambda x: _g0_jet(x, params, h, alpha)[1:], points[:3],
+                                      d1[:3], d2[:3], 1e-9 * h, np.ones(len(h), bool))
         branch = ["interior_newton" if e is None else f"error:{type(e).__name__}" for e in error]
     return x_star, x_l, x_u, branch, error
 
@@ -554,7 +558,8 @@ def solve_sp1(params: SystemParams) -> Sp1Result:
     quintic Hermite interpolant of g' through the grid minimum and its
     neighbours.  The one-altitude case of sweep_angle's batched solve.
     """
-    x_star, x_l, x_u, branch, error = _solve_sp1_each(params, np.array([params.h_alt], float))
+    x_star, x_l, x_u, branch, error = _solve_sp1_each(
+        params, np.array([params.h_alt], float), params.alpha)
     if error[0] is not None:
         raise error[0]
     x = float(x_star[0])
@@ -622,8 +627,9 @@ def sweep_angle(params: SystemParams, alphas, h_values):
     """Solve the geometry problem across an (alpha, H) grid.
 
     Returns one row per cell: (alpha, h, x_star, phi_star_deg, branch),
-    with the heights of one alpha solved as one batch of solve_sp1.  A
-    cell whose solve raises a package error records NaNs and
+    with the heights of one alpha solved as one batch of solve_sp1, the
+    weight its argument (no parameter set is built per alpha).  A cell
+    whose solve raises a package error records NaNs and
     'error:<ExceptionName>' in the branch column and the sweep
     continues.  The ValueError SystemParams gives the first height that
     is not finite and positive, or an alpha outside [0, 1], propagates.
@@ -635,8 +641,9 @@ def sweep_angle(params: SystemParams, alphas, h_values):
         replace(params, h_alt=hs[int(bad.argmax())])
     rows = []
     for a in alphas:
-        x_star, _, _, branch, _ = _solve_sp1_each(replace(params, alpha=float(a)), h)
-        rows += [(float(a), hi, x, math.degrees(math.atan2(hi, x)), b)
+        a = _check_alpha(float(a))
+        x_star, _, _, branch, _ = _solve_sp1_each(params, h, a)
+        rows += [(a, hi, x, math.degrees(math.atan2(hi, x)), b)
                  for hi, x, b in zip(hs, x_star.tolist(), branch)]
     return rows
 

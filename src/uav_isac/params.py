@@ -34,6 +34,13 @@ def dbm_to_watts(p: float) -> float:
         raise ValueError(f"power {p!r} dBm overflows in watts") from None
 
 
+def _check_alpha(alpha):
+    """SystemParams' check of the position/velocity weight; returns it."""
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical and system constants for the tracking platform.
@@ -84,8 +91,7 @@ class SystemParams:
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(f"{name} = {getattr(self, name)!r} gives a channel weight "
                                  f"sens_gain/{name}^2 of {w!r}, not finite and positive")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not (math.isfinite(self.v_a_max) and self.v_a_max >= 0):
             raise ValueError(f"v_a_max must be >= 0, got {self.v_a_max!r}")
         # wavelength and carrier frequency should describe the same carrier

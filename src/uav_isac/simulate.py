@@ -238,6 +238,8 @@ def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     hi = np.minimum(x_c, eta + reach)
     has_length = hi - lo > 0.0
     x_opt = optimize.solve_p1_each(lo, hi, x_hat, prior_info, params, has_length)
+    if np.count_nonzero(has_length) == has_length.size:
+        return x_opt
     fallback = np.where(hi == lo, lo, np.where(eta > 0.0, eta - reach, eta + reach))
     return np.where(has_length, x_opt, fallback)
 
@@ -401,7 +403,9 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, plan, rule, rows=None):
                 if prior is None:
                     prior = ekf._prior_information(pred.mse_pred)
             else:
-                raise_at_first(~np.logical_and.reduce([(0.0 < wi) & (wi < math.inf) for wi in w]),
+                w1, w2, w3 = w
+                raise_at_first(~((0.0 < w1) & (w1 < math.inf) & (0.0 < w2) & (w2 < math.inf)
+                                 & (0.0 < w3) & (w3 < math.inf)),
                                lambda i: sensing._measured_weights(
                                    sensing._variances(float(wi[i]) for wi in w)))
                 s = tuple(1.0 / wi for wi in w)

@@ -427,7 +427,7 @@ def _grid_cell_newton(p, lo, hi):
     if not d1[i] < 0.0 < d1[i + 1]:   # the cell is the whole bracket
         x3, d1, d2, i = [lo, lo, hi], (d1[3], d1[3], d1[4]), (d2[3], d2[3], d2[4]), 1
     # numpy points, as _newton_start needs: a repeated point divides by zero
-    start = optimize._newton_start(tuple(np.array(x3)), d1[:3], d2[:3], i == 1)
+    _, _, start = optimize._newton_start(tuple(np.array(x3)), d1[:3], d2[:3], i == 1)
     return optimize._newton_bracketed(slope, x3[i], x3[i + 1], tol=tol, x0=float(start))
 
 

@@ -290,6 +290,14 @@ def test_solve_sp1_refused_by_the_package_exits_4(capsys):
     assert captured.err.startswith("refused: BracketError: objective derivative")
 
 
+@pytest.mark.parametrize("h", ["1e200", "1.7e308"])
+def test_solve_sp1_names_an_altitude_beyond_float_range(h, capsys):
+    # H*H overflows past 6.7e153, and with it the bracket's lower end x_l
+    assert _run(["solve-sp1", "--H", h]) == 4
+    assert capsys.readouterr().err == (f"refused: BracketError: objective derivative cannot be "
+                                       f"bracketed: H = {float(h):.6g} m is beyond float range\n")
+
+
 # ----------------------------------------------------------------- validate
 
 def test_validate_subcommand_passes(capsys):

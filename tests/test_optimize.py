@@ -16,6 +16,7 @@ from uav_isac.linalg2 import Sym2
 from uav_isac.params import SystemParams
 from uav_isac.sensing import achievable_rate
 
+import numpy_calls
 import oracles
 
 P = SystemParams()
@@ -320,7 +321,9 @@ def test_window_end_cell_starts_at_the_cubic_root(end, seed):
     right = bool(d1[1] < 0.0)
     assert right == (end == "lo")
     (a, b), (ga, gb), (ha, hb) = (optimize._cell(v, right) for v in (x3, d1, d2))
-    start = float(optimize._newton_start(x3, d1, d2, right))
+    *cell, start = optimize._newton_start(x3, d1, d2, right)
+    assert cell == [a, b]
+    start = float(start)
     assert a < start < b and start != 0.5 * (a + b)
     assert abs(_cubic_hermite(a, b, ga, gb, ha, hb)(start)) <= 1e-12 * max(-ga, gb)
     slope = lambda x: optimize.objective_f(x, inst)[1:]
@@ -668,7 +671,10 @@ ODD_HEIGHTS = (0.5, 3.0, 17.0, oracles.FROZEN["h_knee"], 500.0, 1e4)
     # g ties to roundoff over these grids, so g' does not change sign over the
     # cell the grid minimum picks, and the cell is the whole bracket
     (P, [0.5, 0.85], [7e4, 2e5, 1e6]),
-], ids=["benchmark", "ac02", "odd", "bracket_error", "far"])
+    # 26 of these 31 cells take a second Newton step: the polish runs one full
+    # round, then returns early from the second
+    (P, [0.95], [10.0 + i for i in range(31)]),
+], ids=["benchmark", "ac02", "odd", "bracket_error", "far", "second_round"])
 def test_sweep_angle_equals_scalar_oracle(params, alphas, heights):
     # repr tells every float bit, NaN and the sign of zero apart
     assert repr(optimize.sweep_angle(params, alphas, heights)) == \
@@ -692,19 +698,42 @@ def test_solve_sp1_equals_scalar_oracle(base):
 
 
 def test_sweep_angle_validates_once_and_batches_the_newton_solve(monkeypatch):
-    heights = [10.0 + i for i in range(91)]
+    alphas = [0.3, 0.5, 0.95]
     built = []
     post_init = SystemParams.__post_init__
     monkeypatch.setattr(SystemParams, "__post_init__",
                         lambda self: built.append(self) or post_init(self))
     evaluations = _count_derivative_evaluations(monkeypatch)
-    rows = optimize.sweep_angle(P, [0.5], heights)
-    assert len(rows) == 91 and len(built) <= 1
+    rows = optimize.sweep_angle(P, alphas, BENCHMARK_HEIGHTS)
+    # the weight is an argument of the batched solve, not a rebuilt parameter set
+    assert len(rows) == 3 * 91 and built == []
     monkeypatch.undo()
-    steps = max(oracles.sp1_by_scalar_steps(replace(P, h_alt=h))[1] for h in heights)
-    # one evaluation at the grid minima, their neighbours and the bracket
-    # ends, then one per Newton round
-    assert len(evaluations) <= 1 + steps
+    # per alpha, one evaluation at the grid minima, their neighbours and the
+    # bracket ends, then one per Newton round
+    assert len(evaluations) <= sum(
+        1 + max(oracles.sp1_by_scalar_steps(replace(P, alpha=a, h_alt=h))[1]
+                for h in BENCHMARK_HEIGHTS) for a in alphas)
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.25, math.nan])
+def test_sweep_angle_refuses_an_alpha_as_system_params_does(alpha):
+    with pytest.raises(ValueError) as want:
+        replace(P, alpha=alpha)
+    with pytest.raises(ValueError) as got:
+        optimize.sweep_angle(P, [alpha], [50.0])
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("alpha, budget", [(0.3, 337), (0.7, 445)])
+def test_sweep_numpy_call_budget(alpha, budget):
+    # one interior weight over the benchmark's heights: the grid pass, the
+    # (5, n) jet, the quintic start and the Newton rounds (one at alpha 0.3,
+    # two at 0.7)
+    h = np.array(BENCHMARK_HEIGHTS).view(numpy_calls.Counted)
+    (x_star, *_), calls = numpy_calls.count_calls(optimize._solve_sp1_each, P, h, alpha)
+    assert calls <= budget
+    assert x_star.view(np.ndarray).tolist() == \
+        [r[2] for r in optimize.sweep_angle(P, [alpha], BENCHMARK_HEIGHTS)]
 
 
 def _ulps(a: float, b: float) -> int:

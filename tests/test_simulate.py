@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import numpy_calls
 import oracles
 from uav_isac import simulate
 from uav_isac.errors import (
@@ -593,6 +594,20 @@ def test_ac09_slot_solves_take_one_newton_round(monkeypatch):
     monkeypatch.setattr(simulate.optimize, "_newton_bracketed_each", counting)
     run_monte_carlo(ScenarioConfig(), P, 50)
     assert len(rounds) > 90 and set(rounds) == {1}
+
+
+def test_lockstep_numpy_call_budget():
+    # a short two-scheme lockstep: per slot the weight check, the prior
+    # information, the slot solve, the update and the plan
+    cfg = ScenarioConfig(n_slots=10)
+    draws = np.stack([np.random.default_rng(i).standard_normal(2 + 5 * cfg.n_slots)
+                      for i in range(2)])
+    cols, calls = numpy_calls.count_calls(simulate._run_lockstep, cfg, P,
+                                          ("proposed", "right_above"),
+                                          draws.view(numpy_calls.Counted))
+    assert calls <= 5425
+    want = simulate._run_lockstep(cfg, P, ("proposed", "right_above"), draws)
+    assert all(cols[name].view(np.ndarray).tolist() == want[name].tolist() for name in want)
 
 
 def _lockstep_columns(cfg, params, scheme, n_trials):
