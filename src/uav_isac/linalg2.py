@@ -30,9 +30,9 @@ class Sym2:
     Used for the process noise, estimation MSE and information matrices
     over the (position, velocity) state; symmetry holds by construction.
     Slotted, not frozen: the scalar tracking loop builds four per slot
-    (six with the slot solve), and __init__ takes 0.20 us slotted
-    against 0.22 us plain and 0.63 us frozen (CPython 3.11); an instance
-    carries no __dict__.
+    (and the proposed rule's one-row slot solve five of arrays), and
+    __init__ takes 0.20 us slotted against 0.22 us plain and 0.63 us
+    frozen (CPython 3.11); an instance carries no __dict__.
     """
 
     m11: float

@@ -11,8 +11,10 @@ over the two grid cells around the minimum, the one cell that holds
 the root of f', and a start for a safeguarded Newton solve of f' = 0
 on that cell at the root of the quintic Hermite interpolant of f'
 through the three points, close enough that the first Newton step
-usually meets the tolerance.  solve_p1_each takes the same steps for a
-batch of slot problems, one per Monte Carlo trial, as numpy arrays.
+usually meets the tolerance.  solve_p1_each is the one slot solve: it
+takes these steps for a batch of slot problems as numpy arrays, a row
+per Monte Carlo trial, and solve_p1_sca and the tracking loop's
+proposed rule call it on one row.
 The geometry problem drops the prior term and minimizes the
 measurement-only bound g(x, 0); it has closed-form branches at the
 weight endpoints and, in between, the batched slot solve's grid pass
@@ -106,7 +108,8 @@ class P1Instance:
 class ScaResult:
     """Slot-problem solution.  trace holds two (x, f) pairs: the best
     point of the plain-float grid, then the returned point; iterations
-    counts the Newton steps taken (0 for a window-end optimum).
+    counts the Newton rounds taken (0 when none runs: a window-end
+    optimum, or f' exactly 0 at the grid minimum).
     objective is the plain-float f at x_breve_opt, and v_breve_opt is
     exactly (x_breve_opt - x_hat_prev)/dt."""
 
@@ -140,7 +143,7 @@ _NEIGHBOURS = np.array([[-1], [0], [1]])
 
 def _grid(lo, hi):
     """np.linspace(lo, hi, P1_GRID_POINTS) in numpy's own arithmetic, for
-    floats or column arrays (lo[:, None], hi[:, None]: a row per entry)."""
+    column arrays (lo[:, None], hi[:, None]: a row per entry)."""
     step = (hi - lo) / (P1_GRID_POINTS - 1)
     xs = _GRID_INDEX * step + lo
     xs[..., -1:] = hi
@@ -172,16 +175,11 @@ def objective_f(x_breve: float, inst: P1Instance) -> tuple[float, float, float]:
     return _objective_jet(x_breve, inst.x_hat_prev, inst._prior_info, inst.params)
 
 
-def _pick(cond, a, b):
-    """np.where(cond, a, b); a Python conditional (0.1 us, not 2) for a scalar cond."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
-
-
 def _cell(v, right):
     """The ends of the grid cell that holds the root of f', taken from v,
     a value at the grid minimum's left neighbour, itself and its right
     neighbour: v[1] and v[2] where right is set, else v[0] and v[1]."""
-    return _pick(right, v[1], v[0]), _pick(right, v[2], v[1])
+    return np.where(right, v[1], v[0]), np.where(right, v[2], v[1])
 
 
 def _newton_start(x3, g3, h3, right):
@@ -196,10 +194,9 @@ def _newton_start(x3, g3, h3, right):
     a window-end grid minimum two of the points coincide and the quintic
     is undefined), the root of the cubic Hermite interpolant of f' on
     the cell alone, found by two Newton steps on the cubic from the
-    secant root; else the midpoint.  No objective is evaluated.  Works on
-    arrays or scalars; x3 holds numpy values, so a zero denominator (all
-    but ga - gb < 0 involve x3) gives a non-finite root, failing the
-    inside test.
+    secant root; else the midpoint.  No objective is evaluated.  x3 holds
+    numpy values, so a zero denominator (all but ga - gb < 0 involve x3)
+    gives a non-finite root, failing the inside test.
     """
     (a, b), (ga, gb), (ha, hb) = (_cell(v, right) for v in (x3, g3, h3))
     w = b - a
@@ -232,63 +229,17 @@ def _newton_start(x3, g3, h3, right):
         r2, dr2 = q2 + v * r3, r3 + v * dr3
         r1, dr1 = h0 + u * r2, r2 + u * dr2
         x = cubic - (g0 + u * r1) / (r1 + u * dr1)
-    return a, b, _pick((a < x) & (x < b), x, _pick((a < cubic) & (cubic < b), cubic, 0.5 * (a + b)))
+    return a, b, np.where((a < x) & (x < b), x,
+                          np.where((a < cubic) & (cubic < b), cubic, 0.5 * (a + b)))
 
 
 def _require_bracket(x3, d1) -> None:
     """The sign check of the polish: over the two grid cells
     [x3[0], x3[2]] around the grid minimum, f' = d1 must go from
     negative to positive."""
-    _require_sign_change(float(x3[0]), float(x3[2]), float(d1[0]), float(d1[2]))
-
-
-def solve_p1_sca(inst: P1Instance, x0: float | None = None) -> ScaResult:
-    """Minimize the slot objective over the feasible window.
-
-    The window may straddle x = 0, where the objective typically has a
-    local maximum separating two basins, so the basin is chosen by the
-    plain-float objective on P1_GRID_POINTS evenly spaced points.  f'
-    and f'' are then evaluated once at the grid minimum x_k and its two
-    neighbours (indices clamped to the grid, so at a window end x_k is
-    lo or hi itself).  A grid minimum at a window end whose f' points
-    out of the window, or an interior one where f' is exactly 0, is
-    returned exactly.  Otherwise f' must go from negative to positive
-    over the two grid cells around x_k (BracketError if not), the sign
-    of f'(x_k) picks the one cell that holds the root, and f' = 0 is
-    solved there by safeguarded Newton to |dx| < 1e-9*H, starting from
-    x0 when it lies strictly inside the cell, else from _newton_start's
-    root of the quintic Hermite interpolant of f' through the three
-    points (the cubic on the cell alone when a window-end grid minimum
-    repeats a point).  The cell's end values are reused for the Newton
-    routine's own sign check.  The returned point is never worse than
-    the best grid point.
-    """
-    last = P1_GRID_POINTS - 1
-    xs = _grid(inst.lo, inst.hi)
-    fs = _objective(xs, inst.x_hat_prev, inst._prior_info, inst.params)
-    k = int(np.argmin(fs))
-    x_grid, f_grid = float(xs[k]), float(fs[k])
-    x3 = xs[[max(k - 1, 0), k, min(k + 1, last)]]
-    _, d1, d2 = zip(*(objective_f(float(x), inst) for x in x3))
-    at_end = (k == 0 and d1[1] >= 0.0) or (k == last and d1[1] <= 0.0)
-    if not at_end:
-        _require_bracket(x3, d1)
-    if at_end or d1[1] == 0.0:
-        x, f, iterations = x_grid, f_grid, 0
-    else:
-        i = 1 if d1[1] < 0.0 else 0
-        a, b = float(x3[i]), float(x3[i + 1])
-        start = x0 if x0 is not None and a < x0 < b else _newton_start(tuple(x3), d1, d2, i == 1)[2]
-        # the routine's sign check at a and b reads the values at hand
-        known = {a: (d1[i], d2[i]), b: (d1[i + 1], d2[i + 1])}
-        x, iterations = _newton_bracketed(
-            lambda t: known.get(t) or objective_f(t, inst)[1:], a, b,
-            tol=1e-9 * inst.params.h_alt, x0=float(start))
-        f = _objective(x, inst.x_hat_prev, inst._prior_info, inst.params)
-        if f > f_grid:
-            x, f = x_grid, f_grid
-    return ScaResult(x, (x - inst.x_hat_prev) / inst.params.dt, f, iterations,
-                     ((x_grid, f_grid), (x, f)))
+    lo, hi, f_lo, f_hi = (float(v) for v in (x3[0], x3[2], d1[0], d1[2]))
+    if not f_lo < 0.0 < f_hi:
+        raise _bracket_error(lo, hi, f_lo, f_hi)
 
 
 def _grid_basin_each(fn, jet, lo, hi, ends=False):
@@ -318,26 +269,32 @@ def _polish_each(slope, x3, d1, d2, tol: float, active):
     f' at the middle point picks the grid cell that holds the root, and
     _newton_bracketed_each solves f' = 0 there from _newton_start's
     quintic Hermite root on the rows where the (n,) mask active is set.
-    slope maps (n,) iterates to (f', f'') arrays."""
+    slope maps (n,) iterates to (f', f'') arrays.  Returns the roots and
+    the Newton rounds taken."""
     a, b, x0 = _newton_start(x3, d1, d2, d1[1] < 0.0)
     return _newton_bracketed_each(slope, a, b, tol, x0, active)
 
 
 def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, solve):
-    """solve_p1_sca's optimum (without x0) for a batch of slot problems,
-    in lockstep.
+    """Minimize the slot objective over the feasible windows of a batch
+    of slot problems, in lockstep, in the steps the module docstring
+    names.
 
     Entry i is the window [lo[i], hi[i]] with x_hat_prev[i] and prior
     information prior_info.at(i); the arguments are arrays of one shape
     (n,).  Only entries where the boolean array solve is set are solved,
     and they must have windows of positive length; the others return
-    their grid point.  Every step is solve_p1_sca's.  The grid pass and
-    the (n, 3) derivative evaluation at the grid minima and their
-    neighbours are _grid_basin_each's.  The window-end test, the sign
-    check (raising the BracketError of the lowest failing entry) and the
-    Newton start read its values, and the Newton polish (_polish_each)
-    runs on the whole batch, each entry taking its own result by
-    np.where masks; from the quintic start it usually takes one round.
+    their grid point.  The grid pass and the (3, n) jet evaluation at the
+    grid minima and their neighbours (indices clamped to the grid) are
+    _grid_basin_each's.  A grid minimum at a window end whose f' points
+    out of the window, or one where f' is exactly 0, is returned
+    exactly; otherwise the sign check raises the BracketError of the
+    lowest failing entry, and _polish_each solves f' = 0 to
+    |dx| < 1e-9*H on the whole batch, each entry taking its own result
+    by np.where masks and never a point worse than its grid point.
+
+    Returns the optima, the Newton rounds taken (a Python int, 0 when no
+    entry is polished), and each entry's grid point and its objective.
     """
     last = P1_GRID_POINTS - 1
     rows_prior = Sym2(prior_info.m11[:, None], prior_info.m12[:, None], prior_info.m22[:, None])
@@ -352,10 +309,24 @@ def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, so
                    lambda i: _require_bracket(x3[:, i], d1[:, i]))
     interior = bracketed & (d1[1] != 0.0)
     if not np.count_nonzero(interior):
-        return x_grid
-    x = _polish_each(lambda x: jet(x)[1:], x3, d1, d2, 1e-9 * params.h_alt, interior)
+        return x_grid, 0, x_grid, f_grid
+    x, rounds = _polish_each(lambda x: jet(x)[1:], x3, d1, d2, 1e-9 * params.h_alt, interior)
     f = _objective(x, x_hat_prev, prior_info, params)
-    return np.where(interior & ~(f > f_grid), x, x_grid)
+    return np.where(interior & ~(f > f_grid), x, x_grid), rounds, x_grid, f_grid
+
+
+def solve_p1_sca(inst: P1Instance) -> ScaResult:
+    """Minimize the slot objective over the feasible window: solve_p1_each
+    on one row."""
+    lo, hi, x_hat_prev = np.array([[inst.lo], [inst.hi], [inst.x_hat_prev]])
+    prior = inst._prior_info
+    x, rounds, x_grid, f_grid = solve_p1_each(
+        lo, hi, x_hat_prev, Sym2(*np.array([[prior.m11], [prior.m12], [prior.m22]])),
+        inst.params, np.ones(1, bool))
+    x, x_grid, f_grid = (float(v[0]) for v in (x, x_grid, f_grid))
+    f = _objective(x, inst.x_hat_prev, prior, inst.params)
+    return ScaResult(x, (x - inst.x_hat_prev) / inst.params.dt, f, rounds,
+                     ((x_grid, f_grid), (x, f)))
 
 
 def xi_of_h(params: SystemParams, h_alt=None):
@@ -420,57 +391,20 @@ def _bracket_error(lo: float, hi: float, f_lo: float, f_hi: float, h=None) -> Br
         f_lo, f_hi)
 
 
-def _require_sign_change(lo: float, hi: float, f_lo: float, f_hi: float) -> None:
-    if not (f_lo < 0.0 < f_hi):
-        raise _bracket_error(lo, hi, f_lo, f_hi)
-
-
-def _newton_bracketed(deriv_fn, lo: float, hi: float, tol: float,
-                      x0: float | None = None, max_iter: int = 200) -> tuple[float, int]:
-    """Root of F on [lo, hi] where deriv_fn(x) -> (F(x), F'(x)), and the
-    number of Newton/bisection steps taken.
-
-    Newton steps are kept inside a shrinking sign-change bracket, with
-    bisection whenever the step leaves it or the slope is unusable; the
-    first iterate is x0 when it lies strictly inside [lo, hi], else the
-    midpoint.  Stops when a step is shorter than tol.  Requires
-    F(lo) < 0 < F(hi); raises BracketError carrying both endpoint
-    values otherwise.
-    """
-    _require_sign_change(lo, hi, deriv_fn(lo)[0], deriv_fn(hi)[0])
-    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
-    for step in range(1, max_iter + 1):
-        f, df = deriv_fn(x)
-        if f == 0.0:
-            return x, step
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
-        cand = x - f / df if df > 0.0 else math.nan
-        # a converged step may round onto the end of the shrunken bracket
-        if abs(cand - x) < tol and lo <= cand <= hi:
-            return cand, step
-        if not lo < cand < hi:
-            cand = 0.5 * (lo + hi)
-        if abs(cand - x) < tol:
-            return cand, step
-        x = cand
-    return x, max_iter
-
-
 def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: int = 200):
-    """_newton_bracketed's iteration on every entry of a batch where the
-    boolean array active is set, in lockstep: deriv_fn maps an array of
-    iterates to (F, F') arrays, each entry starts from x0, which lies
-    strictly inside [lo, hi] or is its midpoint (as _newton_start's
-    starts do), follows the scalar step rule and stops where the scalar
-    routine would return, all at once when every moving entry converges;
-    inactive entries carry no result.  The sign change F(lo) < 0 < F(hi)
-    is not checked here: the callers check it on values they have.
-    """
+    """Safeguarded Newton roots of F on the brackets [lo, hi] of a batch,
+    in lockstep, where the boolean array active is set, and the rounds
+    taken (a Python int, one deriv_fn call each; deriv_fn maps iterates
+    to (F, F') arrays).  Each entry starts from x0, strictly inside
+    [lo, hi] or its midpoint (as _newton_start's starts are); a round
+    shrinks its sign-change bracket to the iterate and takes the Newton
+    step, bisecting where the step leaves the bracket or F' <= 0.  An
+    entry stops where F is exactly 0 or a step is shorter than tol (a
+    converged step may round onto the shrunken bracket's end); all return
+    when every moving entry converges.  The callers check the sign change
+    F(lo) < 0 < F(hi) on values they have."""
     x = x0
-    for _ in range(max_iter):
+    for rounds in range(1, max_iter + 1):
         f, df = deriv_fn(x)
         below = f < 0.0
         lo = np.where(below, x, lo)
@@ -480,14 +414,14 @@ def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: i
         converged = (np.abs(cand - x) < tol) & (lo <= cand) & (cand <= hi)
         moving = active & (f != 0.0)
         if not np.count_nonzero(moving & ~converged):
-            return np.where(moving, cand, x)
+            return np.where(moving, cand, x), rounds
         cand = np.where(converged | ((lo < cand) & (cand < hi)), cand, 0.5 * (lo + hi))
         done = (f == 0.0) | converged | (np.abs(cand - x) < tol)
         x = np.where(moving, cand, x)
         active = active & ~done
         if not np.count_nonzero(active):
             break
-    return x
+    return x, rounds
 
 
 # Python float semantics: overflow and NaN pass, a division by zero raises
@@ -535,8 +469,8 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
             h = h[signed]
             points, d1, d2 = (np.take_along_axis(v[:, signed], rows, 0) for v in (points, d1, d2))
         x_star = np.full(n, math.nan)
-        x_star[signed] = _polish_each(lambda x: _g0_jet(x, params, h, alpha)[1:], points[:3],
-                                      d1[:3], d2[:3], 1e-9 * h, np.ones(len(h), bool))
+        x_star[signed], _ = _polish_each(lambda x: _g0_jet(x, params, h, alpha)[1:], points[:3],
+                                         d1[:3], d2[:3], 1e-9 * h, np.ones(len(h), bool))
         branch = ["interior_newton" if e is None else f"error:{type(e).__name__}" for e in error]
     return x_star, x_l, x_u, branch, error
 

@@ -24,12 +24,14 @@ it is the reference.  Its arithmetic is that of the public one-step
 functions (step_ground_truth, sample_measurement, ekf.update, and per
 entry predicted_pcrb and crb_measurement), written flat over the helpers
 they share: a slot inverts its prediction MSE once and takes one Fisher
-pass.  run_monte_carlo runs every trial of both schemes in lockstep as
-rows, which differ from floats in three places: the checks and prior
-information (raise_at_first), the plan (_plan_each) and the target
-rules (each scheme's on its block of rows, the slot solve batched).  A
-row's columns do not depend on the other rows, and a lockstep trial
-matches run_scenario at the same seed to about 1e-9 relative or better.
+pass.  There is one slot solve, optimize.solve_p1_each: the proposed
+target rule runs it on one row for a float trial.  run_monte_carlo runs
+every trial of both schemes in lockstep as rows, which differ from
+floats in two places: the checks and prior information (raise_at_first)
+and the plan (_plan_each, each scheme's target rule on its block of
+rows).  A row's columns do not depend on the other rows, and a lockstep
+trial matches run_scenario at the same seed to about 1e-9 relative or
+better.
 An error names the earliest slot at which a row fails and, among the
 rows failing at one step of it, the lowest.
 
@@ -53,7 +55,7 @@ from itertools import chain
 import numpy as np
 
 from . import ekf, optimize, sensing
-from .errors import ConfigError, InfeasibleIntervalError, SingularMatrixError, raise_at_first
+from .errors import ConfigError, SingularMatrixError, raise_at_first
 from .linalg2 import Sym2
 from .params import SystemParams, _is_integer
 from .sensing import RelativeState
@@ -190,54 +192,42 @@ def _object_step(pos, vel, z0, z1, dt: float, factor):
     return pos + vel * dt + l11 * z0, vel + (l21 * z0 + l22 * z1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _target_proposed(eta: float, x_hat: float, mse_pred: Sym2,
-                     params: SystemParams) -> tuple[float, bool, Sym2 | None]:
-    """Pick the next predicted relative position by minimizing the
-    anticipated weighted bound over the reachable window.  Returns it,
-    the flag, and the prior information M_p^{-1} that the solve used.
-
-    If the velocity envelope cannot reach the rate disc at all, the
-    target falls back to the reachable point closest to the disc and
-    the slot is flagged; a window that degenerates to a single touching
-    point is used as-is, unflagged.  Neither fallback returns the prior
-    information.
-    """
-    try:
-        inst = optimize.P1Instance(eta, x_hat, mse_pred, params)
-    except InfeasibleIntervalError:
-        reach = params.reach
-        x_c = optimize.qos_radius(params)
-        lo = max(-x_c, eta - reach)
-        if min(x_c, eta + reach) == lo:
-            return lo, False, None
-        return (eta - reach if eta > 0.0 else eta + reach), True, None
-    return optimize.solve_p1_sca(inst).x_breve_opt, False, inst._prior_info
+                     params: SystemParams) -> tuple[float, bool]:
+    """_targets_proposed_each on one row, and the slot's flag: only the
+    flagged fallback targets a point outside the rate disc.  Overflow
+    and NaN pass silently, as in the lockstep."""
+    rows = np.array([[eta], [x_hat], [mse_pred.m11], [mse_pred.m12], [mse_pred.m22]])
+    (x_breve,) = _targets_proposed_each(rows[0], rows[1], Sym2(*rows[2:]), params).tolist()
+    return x_breve, abs(x_breve) > optimize.qos_radius(params)
 
 
 def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2,
-                        params: SystemParams) -> tuple[float, bool, None]:
+                        params: SystemParams) -> tuple[float, bool]:
     """Benchmark target: chase the predicted object position, saturating
     at the speed limit; the rate constraint is ignored by design, and
     the slot is never flagged.  The MSE is not read."""
     reach = params.reach
     if abs(eta) <= reach:
-        return 0.0, False, None
-    return eta - math.copysign(reach, eta), False, None
+        return 0.0, False
+    return eta - math.copysign(reach, eta), False
 
 
 def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
-    """_target_proposed for a batch of trials (arrays, one entry per
-    trial): the prior information (checked first, as in P1Instance),
-    the P1 window, its solve for the windows of positive length, the
-    touching point of a degenerate window and the flagged fallback
-    otherwise.  Returns the x_breve array; flags are not kept."""
+    """The proposed targets x_breve of a batch of trials (arrays, one
+    entry per trial): the prior information (checked first, as in
+    P1Instance), the P1 window and its solve where it has length, the
+    touching point of a degenerate window, and otherwise, where the
+    velocity envelope cannot reach the rate disc, the reachable point
+    closest to the disc (the flagged fallback)."""
     prior_info = ekf._prior_information_each(mse_pred)
     x_c = optimize.qos_radius(params)
     reach = params.reach
     lo = np.maximum(-x_c, eta - reach)
     hi = np.minimum(x_c, eta + reach)
     has_length = hi - lo > 0.0
-    x_opt = optimize.solve_p1_each(lo, hi, x_hat, prior_info, params, has_length)
+    x_opt = optimize.solve_p1_each(lo, hi, x_hat, prior_info, params, has_length)[0]
     if np.count_nonzero(has_length) == has_length.size:
         return x_opt
     fallback = np.where(hi == lo, lo, np.where(eta > 0.0, eta - reach, eta + reach))
@@ -261,13 +251,11 @@ _TARGET_RULES_EACH = {
 
 
 def _plan(fstate: ekf.FilterState, uav_pos: float, uav_vel: float, params: SystemParams,
-          target_rule) -> tuple[float, float, bool, ekf.Prediction, Sym2 | None]:
+          target_rule) -> tuple[float, float, bool, ekf.Prediction]:
     """Decide the next slot: the platform waypoint x_a and slot velocity
     v_a, whether the slot is flagged (the rate disc was unreachable and
-    the fallback applied), the filter's prediction for the slot, and the
-    prediction's information M_p^{-1} when the target rule computed it
-    (else None, and the slot computes it).  The command and the
-    prediction are one decision.
+    the fallback applied) and the filter's prediction for the slot.  The
+    command and the prediction are one decision.
 
     The posterior is predicted once, as ekf.predict does it, without
     building the predicted state that the plan replaces: eta = x_hat +
@@ -282,22 +270,21 @@ def _plan(fstate: ekf.FilterState, uav_pos: float, uav_vel: float, params: Syste
     est = fstate.est
     mse_pred = ekf._predicted_mse(fstate.mse, params)
     eta = est.x + est.v * dt + uav_vel * dt
-    x_breve, flagged, prior = target_rule(eta, est.x, mse_pred, params)
+    x_breve, flagged = target_rule(eta, est.x, mse_pred, params)
     x_a, v_a = optimize.design_trajectory(x_breve, eta, (uav_pos, uav_vel), params)
     return x_a, v_a, flagged, ekf.Prediction(
-        RelativeState(x_breve, (x_breve - est.x) / dt), mse_pred), prior
+        RelativeState(x_breve, (x_breve - est.x) / dt), mse_pred)
 
 
 def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
-               blocks) -> tuple[np.ndarray, np.ndarray, None, ekf.Prediction, None]:
+               blocks) -> tuple[np.ndarray, np.ndarray, None, ekf.Prediction]:
     """_plan for a batch of rows (every field an array, one entry per
     row; blocks as in _run_lockstep), in _plan's form: the waypoints x_a,
-    slot velocities v_a and the predictions, with no flag and no prior
-    information.  Each block's target rule picks x_breve for its own rows
-    from their prediction MSEs; only the proposed rule inverts them, so a
-    refusal names the slot where run_scenario raises it.  The
-    velocity-reach check of design_trajectory raises for the lowest row
-    that fails it."""
+    slot velocities v_a and the predictions, with no flag.  Each block's
+    target rule picks x_breve for its own rows from their prediction
+    MSEs; only the proposed rule inverts them, so a refusal names the
+    slot where run_scenario raises it.  The velocity-reach check of
+    design_trajectory raises for the lowest row that fails it."""
     dt = params.dt
     m = ekf._predicted_mse(fstate.mse, params)
     x_hat = fstate.est.x
@@ -312,7 +299,7 @@ def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
                        (float(uav_pos[i]), float(uav_vel[i])), params))
     x_a = eta + uav_pos - x_breve
     return x_a, (x_a - uav_pos) / dt, None, ekf.Prediction(
-        RelativeState(x_breve, (x_breve - x_hat) / dt), m), None
+        RelativeState(x_breve, (x_breve - x_hat) / dt), m)
 
 
 def _add_context(exc: Exception, prefix: str) -> None:
@@ -369,7 +356,7 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, plan, rule, rows=None):
     Returns every KEPT and RECORD_COLUMNS column by name, each (n_slots,)
     or (n_slots, rows), from one _record_columns pass, and the flag of
     every slot.  An error's message is prefixed with its slot; a batch
-    error's batch_index is its row.
+    error's batch_index is its row, and one trial's error has none.
     """
     xp = math if rows is None else np
     dt, k = p.dt, cfg.noise_scale
@@ -387,7 +374,7 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, plan, rule, rows=None):
     flags = []
     n = 0
     try:
-        x_a, v_a, flagged, pred, prior = plan(fstate, uav_pos, uav_vel, p, rule)
+        x_a, v_a, flagged, pred = plan(fstate, uav_pos, uav_vel, p, rule)
         for n in range(1, cfg.n_slots + 1):
             # step_ground_truth, the planned command and sample_measurement
             z0, z1, e1, e2, e3 = z[5 * n - 3:5 * n + 2]
@@ -395,13 +382,11 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, plan, rule, rows=None):
             uav_pos, uav_vel = x_a, v_a
             x, v = obj_pos - uav_pos, obj_vel - uav_vel
             w = sensing.noise_weights(x, p)
-            # the weights are checked before the prediction MSE; ekf.update
-            # takes the plan's prior information where it has one
+            # the weights are checked before the prediction MSE, as in ekf.update
             if rows is None:
                 s = sensing._variances(w)
                 sensing._measured_weights(s, w)
-                if prior is None:
-                    prior = ekf._prior_information(pred.mse_pred)
+                prior = ekf._prior_information(pred.mse_pred)
             else:
                 w1, w2, w3 = w
                 raise_at_first(~((0.0 < w1) & (w1 < math.inf) & (0.0 < w2) & (w2 < math.inf)
@@ -416,17 +401,19 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, plan, rule, rows=None):
                            uav_vel, pred.mse_pred.trace, *w, prior.m11, prior.m12, prior.m22)
             flags.append(flagged)
             if n < cfg.n_slots:
-                x_a, v_a, flagged, pred, prior = plan(fstate, uav_pos, uav_vel, p, rule)
+                x_a, v_a, flagged, pred = plan(fstate, uav_pos, uav_vel, p, rule)
         n = None
         if rows is None:
             kept = np.fromiter(chain.from_iterable(kept), float).reshape(cfg.n_slots, -1)
         return _record_columns(dict(zip(KEPT, kept.swapaxes(0, 1))), p), flags
     except Exception as exc:
+        index = exc.__dict__.pop("batch_index", None)
         if n is None:  # the column pass's batch_index runs over slots, then rows
-            n, row = divmod(exc.__dict__.pop("batch_index", 0), rows or 1)
+            n, index = divmod(index or 0, rows or 1)
             n += 1
-            if rows is not None:
-                exc.batch_index = row
+        # one trial's error has no row, though its slot solve runs on one
+        if rows is not None and index is not None:
+            exc.batch_index = index
         _add_context(exc, f"slot {n}: ")
         raise
 

@@ -247,7 +247,7 @@ def _check_sca_properties(p: SystemParams, rng) -> tuple[bool, str]:
         d1, d2 = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.1, 1.0))
         inst = optimize.P1Instance(eta, x_hat, Sym2.diag(d1, d2), p)
         lo, hi = inst.feasible_interval()
-        res = optimize.solve_p1_sca(inst, min(max(eta, lo), hi))
+        res = optimize.solve_p1_sca(inst)
         fs = [f for _, f in res.trace]
         if any(b > a for a, b in zip(fs, fs[1:])):
             return False, f"increasing trace at eta={eta:.3g}"

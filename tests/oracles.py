@@ -8,12 +8,14 @@ point values computed once at 40-digit precision and pasted in
 verbatim.  The others are the other kind of reference:
 scenario_by_public_steps is the tracking loop composed from the
 package's public one-step functions, which define the loop's
-arithmetic, and sp1_by_scalar_steps, sweep_by_scalar_steps and
-frontier_by_scalar_steps are the geometry solve, the angle sweep and
-the trade-off frontier one cell and one grid point at a time, on plain
-floats, which the batched forms must reproduce bit for bit.
-sp1_by_midpoint_newton is the geometry solve the grid-cell polish
-replaced, which the sweep must stay within a few ulp of.
+arithmetic, and p1_by_scalar_steps, sp1_by_scalar_steps,
+sweep_by_scalar_steps and frontier_by_scalar_steps are the slot solve,
+the geometry solve, the angle sweep and the trade-off frontier one cell
+and one grid point at a time, on plain floats, with the scalar
+safeguarded Newton routine _newton_bracketed, which the batched forms
+must reproduce bit for bit.  sp1_by_midpoint_newton is the geometry
+solve the grid-cell polish replaced, which the sweep must stay within a
+few ulp of.
 
 Dual2, the second-order forward-mode scalar, is the derivative oracle:
 pushed through the package's plain-float bound formulas it gives the
@@ -350,7 +352,7 @@ def scenario_by_public_steps(cfg, params):
                                  rel0.v + cfg.init_est_std[1] * z[1])
     fstate = ekf.FilterState(est0, Sym2.diag(*cfg.init_mse))
     records = []
-    x_a, v_a, flagged, pred, _ = simulate._plan(fstate, world.uav_pos, world.uav_vel, p, rule)
+    x_a, v_a, flagged, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel, p, rule)
     for n in range(1, cfg.n_slots + 1):
         world = replace(simulate.step_ground_truth(world, p, rng), uav_pos=x_a, uav_vel=v_a)
         true_rel = world.relative()
@@ -369,9 +371,83 @@ def scenario_by_public_steps(cfg, params):
             weighted_actual=pcrb_act.weighted, rate_bpshz=sensing.achievable_rate(x_breve, p),
             tr_mp=pred.mse_pred.trace, tr_mm=crb_x + crb_v, flagged=flagged))
         if n < cfg.n_slots:
-            x_a, v_a, flagged, pred, _ = simulate._plan(fstate, world.uav_pos, world.uav_vel,
-                                                        p, rule)
+            x_a, v_a, flagged, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel,
+                                                     p, rule)
     return records
+
+
+def _require_sign_change(lo, hi, f_lo, f_hi):
+    from uav_isac import optimize
+
+    if not (f_lo < 0.0 < f_hi):
+        raise optimize._bracket_error(lo, hi, f_lo, f_hi)
+
+
+def _newton_bracketed(deriv_fn, lo, hi, tol, x0=None, max_iter=200):
+    """optimize._newton_bracketed_each's step rule on one float root of
+    F on [lo, hi], deriv_fn(x) -> (F(x), F'(x)), from x0 when it lies
+    strictly inside, else the midpoint.  Returns (root, steps taken);
+    raises the BracketError of F(lo) < 0 < F(hi) first."""
+    _require_sign_change(lo, hi, deriv_fn(lo)[0], deriv_fn(hi)[0])
+    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
+    for step in range(1, max_iter + 1):
+        f, df = deriv_fn(x)
+        if f == 0.0:
+            return x, step
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        cand = x - f / df if df > 0.0 else math.nan
+        # a converged step may round onto the end of the shrunken bracket
+        if abs(cand - x) < tol and lo <= cand <= hi:
+            return cand, step
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
+        if abs(cand - x) < tol:
+            return cand, step
+        x = cand
+    return x, max_iter
+
+
+def _cell_newton(slope, x3, d1, d2, tol):
+    """_newton_bracketed on the grid cell of the points x3 that the sign
+    of f' = d1 at the middle one picks, from optimize._newton_start."""
+    from uav_isac import optimize
+
+    i = 1 if d1[1] < 0.0 else 0
+    # numpy points, as _newton_start needs: a repeated point divides by zero
+    _, _, start = optimize._newton_start(tuple(np.array(x3)), d1, d2, i == 1)
+    return _newton_bracketed(slope, float(x3[i]), float(x3[i + 1]), tol=tol, x0=float(start))
+
+
+def p1_by_scalar_steps(inst):
+    """optimize.solve_p1_sca's steps on plain floats, one point at a
+    time: the objective on np.linspace over the window, optimize.objective_f
+    at the grid minimum and its neighbours, and _cell_newton, whose point
+    is kept unless the grid point is better.  Returns the ScaResult;
+    raises the BracketError of the sign check."""
+    from uav_isac import optimize
+
+    last = optimize.P1_GRID_POINTS - 1
+    xs = np.linspace(inst.lo, inst.hi, optimize.P1_GRID_POINTS)
+    fs = optimize._objective(xs, inst.x_hat_prev, inst._prior_info, inst.params)
+    k = int(np.argmin(fs))
+    x_grid, f_grid = float(xs[k]), float(fs[k])
+    x3 = xs[[max(k - 1, 0), k, min(k + 1, last)]]
+    _, d1, d2 = zip(*(optimize.objective_f(float(x), inst) for x in x3))
+    at_end = (k == 0 and d1[1] >= 0.0) or (k == last and d1[1] <= 0.0)
+    if not at_end:
+        _require_sign_change(float(x3[0]), float(x3[2]), d1[0], d1[2])
+    x, f, steps = x_grid, f_grid, 0
+    if not (at_end or d1[1] == 0.0):
+        x, steps = _cell_newton(lambda t: optimize.objective_f(t, inst)[1:], x3, d1, d2,
+                                1e-9 * inst.params.h_alt)
+        f = optimize._objective(x, inst.x_hat_prev, inst._prior_info, inst.params)
+        if f > f_grid:
+            x, f = x_grid, f_grid
+    return optimize.ScaResult(x, (x - inst.x_hat_prev) / inst.params.dt, f, steps,
+                              ((x_grid, f_grid), (x, f)))
 
 
 def _sp1_endpoints(p):
@@ -415,27 +491,24 @@ def _sp1_result(params, interior_solve):
 def _grid_cell_newton(p, lo, hi):
     from uav_isac import ekf, optimize
 
-    tol = 1e-9 * p.h_alt
     slope = lambda x: optimize.g0_derivatives(x, p)[1:]
     xs = np.linspace(lo, hi, optimize.P1_GRID_POINTS).tolist()
     gs = [ekf.weighted_g(x, 0.0, p) for x in xs]
     k = gs.index(min(gs))
     x3 = [xs[max(k - 1, 0)], xs[k], xs[min(k + 1, len(xs) - 1)]]
     d1, d2 = zip(*(slope(x) for x in x3 + [lo, hi]))
-    optimize._require_sign_change(lo, hi, d1[3], d1[4])
+    _require_sign_change(lo, hi, d1[3], d1[4])
     i = 1 if d1[1] < 0.0 else 0
     if not d1[i] < 0.0 < d1[i + 1]:   # the cell is the whole bracket
-        x3, d1, d2, i = [lo, lo, hi], (d1[3], d1[3], d1[4]), (d2[3], d2[3], d2[4]), 1
-    # numpy points, as _newton_start needs: a repeated point divides by zero
-    _, _, start = optimize._newton_start(tuple(np.array(x3)), d1[:3], d2[:3], i == 1)
-    return optimize._newton_bracketed(slope, x3[i], x3[i + 1], tol=tol, x0=float(start))
+        x3, d1, d2 = [lo, lo, hi], (d1[3], d1[3], d1[4]), (d2[3], d2[3], d2[4])
+    return _cell_newton(slope, x3, d1[:3], d2[:3], 1e-9 * p.h_alt)
 
 
 def _midpoint_newton(p, lo, hi):
     from uav_isac import optimize
 
-    return optimize._newton_bracketed(lambda x: optimize.g0_derivatives(x, p)[1:], lo, hi,
-                                      tol=1e-9 * p.h_alt)
+    return _newton_bracketed(lambda x: optimize.g0_derivatives(x, p)[1:], lo, hi,
+                             tol=1e-9 * p.h_alt)
 
 
 def sp1_by_scalar_steps(params):
@@ -447,8 +520,8 @@ def sp1_by_scalar_steps(params):
     bracket ends; the bracket check at the ends; the grid cell that the
     sign of g' at the grid minimum picks (the whole bracket when g' does
     not change sign over it); optimize._newton_start on the three
-    points and the scalar safeguarded Newton solve
-    optimize._newton_bracketed on the cell from there.  Returns
+    points and the scalar safeguarded Newton solve _newton_bracketed on
+    the cell from there.  Returns
     (Sp1Result, Newton steps taken); raises the BracketError of the
     bracket check."""
     return _sp1_result(params, _grid_cell_newton)
@@ -457,7 +530,7 @@ def sp1_by_scalar_steps(params):
 def sp1_by_midpoint_newton(params):
     """The geometry solve that the grid-cell polish replaced: for an
     interior weight the scalar safeguarded Newton solve
-    optimize._newton_bracketed of g' = 0 from the midpoint of
+    _newton_bracketed of g' = 0 from the midpoint of
     [max(x_l, 1e-9 H), x_u].  Returns (Sp1Result, Newton steps taken);
     raises the BracketError of the bracket check."""
     return _sp1_result(params, _midpoint_newton)

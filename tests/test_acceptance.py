@@ -117,6 +117,19 @@ def test_ac04_closed_form_bound_matches_generic_inverse():
           f"generic inverse on 1000 instances ({elapsed:.2f}s)")
 
 
+def _ac05_slot_problems():
+    """AC05's 100 random slot problems at default parameters."""
+    rng = np.random.default_rng(505)
+    for _ in range(100):
+        eta = float(rng.uniform(-78.0, 78.0))
+        x_hat = eta + float(rng.uniform(-2.0, 2.0))
+        m11 = float(rng.uniform(0.2, 2.0))
+        m22 = float(rng.uniform(0.05, 0.5))
+        rho = float(rng.uniform(-0.8, 0.8))
+        m12 = rho * math.sqrt(m11 * m22)
+        yield optimize.P1Instance(eta, x_hat, Sym2(m11, m12, m22), DEFS)
+
+
 def test_ac05_solvers_match_brute_force():
     """Geometry and slot solvers agree with dense-grid oracles."""
     t0 = time.perf_counter()
@@ -135,19 +148,11 @@ def test_ac05_solvers_match_brute_force():
         assert err <= 1e-4, f"alpha={alpha}: |x*-grid| = {err:.2e} m"
 
     # slot problem against per-instance grid oracles
-    rng = np.random.default_rng(505)
     worst_sca = 0.0
-    for _ in range(100):
-        eta = float(rng.uniform(-78.0, 78.0))
-        x_hat = eta + float(rng.uniform(-2.0, 2.0))
-        m11 = float(rng.uniform(0.2, 2.0))
-        m22 = float(rng.uniform(0.05, 0.5))
-        rho = float(rng.uniform(-0.8, 0.8))
-        m12 = rho * math.sqrt(m11 * m22)
-        inst = optimize.P1Instance(eta, x_hat, Sym2(m11, m12, m22), DEFS)
-        x0 = min(max(eta, inst.lo), inst.hi)
-        res = optimize.solve_p1_sca(inst, x0)
-        m_np = [[m11, m12], [m12, m22]]
+    for inst in _ac05_slot_problems():
+        eta, x_hat, m = inst.eta_prev, inst.x_hat_prev, inst.mse_pred
+        res = optimize.solve_p1_sca(inst)
+        m_np = [[m.m11, m.m12], [m.m12, m.m22]]
         x_ref = oracles.grid_refine_min(
             lambda xs: oracles.p1_objective(xs, eta, x_hat, m_np,
                                             DEFS.alpha, d),
@@ -161,6 +166,13 @@ def test_ac05_solvers_match_brute_force():
     print(f"ACCEPTANCE 05 PASS: geometry solver within {worst_sp1:.1e} m, "
           f"slot solver within {worst_sca:.1e} m of grid oracles "
           f"({elapsed:.1f}s)")
+
+
+def test_slot_solve_equals_scalar_steps_on_ac05_problems():
+    # the one-row batched solve gives every ScaResult field of the scalar
+    # reference solve: optimum, velocity, objective, Newton steps, trace
+    for inst in _ac05_slot_problems():
+        assert repr(optimize.solve_p1_sca(inst)) == repr(oracles.p1_by_scalar_steps(inst))
 
 
 def test_ac06_derivatives_match_finite_differences():

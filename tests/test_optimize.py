@@ -92,16 +92,6 @@ def test_objective_derivatives_match_finite_differences():
 
 # ---------------------------------------------------------------------- SCA
 
-def test_sca_stationary_start_returns_immediately():
-    # measurement-dominant prior makes the unconstrained optimum interior
-    inst = _instance(28.0, 28.2, m11=1e12, m22=1e12)
-    lo, hi = inst.feasible_interval()
-    probe = optimize.solve_p1_sca(inst, 0.5 * (lo + hi))
-    again = optimize.solve_p1_sca(inst, probe.x_breve_opt)
-    assert again.x_breve_opt == probe.x_breve_opt
-    assert again.iterations == 1
-
-
 def test_sca_trace_is_monotone_and_feasible():
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -110,7 +100,7 @@ def test_sca_trace_is_monotone_and_feasible():
                          m11=float(rng.uniform(0.3, 2.0)),
                          m22=float(rng.uniform(0.1, 0.5)))
         lo, hi = inst.feasible_interval()
-        res = optimize.solve_p1_sca(inst, eta)
+        res = optimize.solve_p1_sca(inst)
         assert lo <= res.x_breve_opt <= hi
         vals = [f for _, f in res.trace]
         assert all(a >= b - 1e-18 for a, b in zip(vals, vals[1:]))
@@ -131,7 +121,7 @@ def test_sca_matches_grid_oracle_on_random_instances():
         m12 = rho * math.sqrt(m11 * m22)
         inst = _instance(eta, x_hat, m11=m11, m22=m22, m12=m12)
         lo, hi = inst.feasible_interval()
-        res = optimize.solve_p1_sca(inst, eta)
+        res = optimize.solve_p1_sca(inst)
         want = oracles.grid_refine_min(
             lambda t: oracles.p1_objective(t, eta, x_hat,
                                            [[m11, m12], [m12, m22]], P.alpha, d),
@@ -143,11 +133,21 @@ def test_sca_respects_boundary_optimum():
     # window far from the sweet spot: optimum pinned at the near edge,
     # returned exactly, on either side of the platform
     inst = _instance(80.0, 79.5)
-    res = optimize.solve_p1_sca(inst, 80.0)
+    res = optimize.solve_p1_sca(inst)
     assert res.x_breve_opt == inst.lo
     assert res.iterations == 0
     mirror = _instance(-80.0, -79.5)
-    assert optimize.solve_p1_sca(mirror, -80.0).x_breve_opt == mirror.hi
+    assert optimize.solve_p1_sca(mirror).x_breve_opt == mirror.hi
+
+
+def _root_cell(inst):
+    """The grid cell next to the grid minimum where f' changes sign, and
+    f' and f'' as a function of x."""
+    xs = np.linspace(inst.lo, inst.hi, optimize.P1_GRID_POINTS)
+    k = int(np.argmin(optimize._objective(xs, inst.x_hat_prev, inst._prior_info, P)))
+    slope = lambda x: optimize.objective_f(x, inst)[1:]
+    cell = (xs[k], xs[k + 1]) if slope(float(xs[k]))[0] < 0.0 else (xs[k - 1], xs[k])
+    return float(cell[0]), float(cell[1]), slope
 
 
 def test_sca_optimum_independent_of_start():
@@ -157,13 +157,14 @@ def test_sca_optimum_independent_of_start():
         inst = _instance(eta, eta + float(rng.uniform(-2, 2)),
                          m11=float(rng.uniform(0.2, 2.0)),
                          m22=float(rng.uniform(0.05, 0.5)))
-        lo, hi = inst.feasible_interval()
-        results = [optimize.solve_p1_sca(inst, x0)
-                   for x0 in (lo, 0.5 * (lo + hi), hi, min(max(eta, lo), hi))]
-        # Newton paths from different starts agree to roundoff
-        for res in results[1:]:
-            assert res.x_breve_opt == pytest.approx(results[0].x_breve_opt, abs=1e-12)
-            assert res.objective == pytest.approx(results[0].objective, rel=1e-14)
+        res = optimize.solve_p1_sca(inst)
+        if res.iterations == 0:
+            continue  # a window-end optimum has no Newton start
+        # Newton paths from other starts in the cell agree to roundoff
+        a, b, slope = _root_cell(inst)
+        for t in (0.1, 0.5, 0.9):
+            want, _ = oracles._newton_bracketed(slope, a, b, 1e-9 * P.h_alt, x0=a + t * (b - a))
+            assert res.x_breve_opt == pytest.approx(want, abs=1e-12)
 
 
 def test_sca_never_worse_than_grid():
@@ -175,7 +176,7 @@ def test_sca_never_worse_than_grid():
         m11, m22 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 0.5))
         inst = _instance(eta, x_hat, m11=m11, m22=m22)
         lo, hi = inst.feasible_interval()
-        res = optimize.solve_p1_sca(inst, eta)
+        res = optimize.solve_p1_sca(inst)
         grid = np.linspace(lo, hi, optimize.P1_GRID_POINTS)
         # the solver's own float path: exact; the numpy oracle: roundoff
         assert res.objective <= res.trace[0][1]
@@ -184,11 +185,11 @@ def test_sca_never_worse_than_grid():
         assert res.objective <= float(np.min(want)) * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("eta,x_hat,x0s", [
-    (1.0, -1.0, (7.0, 3.0, 1.0)),      # global basin left of 0, start right
-    (-2.0, 1.0, (-8.0, -3.0, -2.0)),   # global basin right of 0, start left
+@pytest.mark.parametrize("eta,x_hat", [
+    (1.0, -1.0),      # global basin left of 0
+    (-2.0, 1.0),      # global basin right of 0
 ])
-def test_sca_two_basin_window_picks_global_basin(eta, x_hat, x0s):
+def test_sca_two_basin_window_picks_global_basin(eta, x_hat):
     inst = _instance(eta, x_hat)
     lo, hi = inst.feasible_interval()
     assert lo < 0.0 < hi
@@ -198,9 +199,7 @@ def test_sca_two_basin_window_picks_global_basin(eta, x_hat, x0s):
     # the other side of 0 holds a worse local optimum or a worse window end
     other = (lo, -1e-6) if want > 0.0 else (1e-6, hi)
     assert fn(oracles.grid_refine_min(fn, *other, 20_001)) > fn(want)
-    for x0 in x0s:
-        res = optimize.solve_p1_sca(inst, x0)
-        assert abs(res.x_breve_opt - want) < 1e-3
+    assert abs(optimize.solve_p1_sca(inst).x_breve_opt - want) < 1e-3
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -214,7 +213,7 @@ def test_sca_matches_grid_oracle_property(eta, dx_hat, log_m11, log_m22, rho):
     x_hat = eta + dx_hat
     inst = _instance(eta, x_hat, m11=m11, m22=m22, m12=m12)
     lo, hi = inst.feasible_interval()
-    res = optimize.solve_p1_sca(inst, min(max(eta, lo), hi))
+    res = optimize.solve_p1_sca(inst)
     d = oracles.params_dict(P)
     want = oracles.grid_refine_min(
         lambda xs: oracles.p1_objective(xs, eta, x_hat, [[m11, m12], [m12, m22]], P.alpha, d),
@@ -262,8 +261,8 @@ def _mixed_windows(seed):
 def test_batched_slot_solve_without_start_equals_scalar_solve():
     insts = _mixed_windows(35)
     lo, hi, _, x_hat, prior = _batch_of(insts)
-    got = optimize.solve_p1_each(lo, hi, x_hat, prior, P, np.ones(len(insts), bool))
-    assert got.tolist() == [optimize.solve_p1_sca(inst).x_breve_opt for inst in insts]
+    got, *_ = optimize.solve_p1_each(lo, hi, x_hat, prior, P, np.ones(len(insts), bool))
+    assert got.tolist() == [oracles.p1_by_scalar_steps(inst).x_breve_opt for inst in insts]
 
 
 def test_hermite_start_reaches_the_midpoint_start_optimum():
@@ -278,13 +277,9 @@ def test_hermite_start_reaches_the_midpoint_start_optimum():
         if res.iterations == 0:
             continue  # a window-end optimum has no Newton start
         solved += 1
-        # the grid cell next to the grid minimum where f' changes sign,
-        # solved from its midpoint
-        xs = np.linspace(inst.lo, inst.hi, optimize.P1_GRID_POINTS)
-        k = int(np.argmin(optimize._objective(xs, inst.x_hat_prev, inst._prior_info, P)))
-        slope = lambda x: optimize.objective_f(x, inst)[1:]
-        cell = (xs[k], xs[k + 1]) if slope(float(xs[k]))[0] < 0.0 else (xs[k - 1], xs[k])
-        want, _ = optimize._newton_bracketed(slope, float(cell[0]), float(cell[1]), 1e-9 * P.h_alt)
+        # the root's grid cell solved from its midpoint
+        a, b, slope = _root_cell(inst)
+        want, _ = oracles._newton_bracketed(slope, a, b, 1e-9 * P.h_alt)
         assert abs(res.x_breve_opt - want) <= 1e-12
 
 
@@ -327,7 +322,7 @@ def test_window_end_cell_starts_at_the_cubic_root(end, seed):
     assert a < start < b and start != 0.5 * (a + b)
     assert abs(_cubic_hermite(a, b, ga, gb, ha, hb)(start)) <= 1e-12 * max(-ga, gb)
     slope = lambda x: optimize.objective_f(x, inst)[1:]
-    want, _ = optimize._newton_bracketed(slope, float(a), float(b), 1e-9 * P.h_alt)
+    want, _ = oracles._newton_bracketed(slope, float(a), float(b), 1e-9 * P.h_alt)
     res = optimize.solve_p1_sca(inst)
     assert res.iterations >= 1 and abs(res.x_breve_opt - want) <= 1e-12
 
@@ -339,8 +334,9 @@ def test_window_end_cell_starts_at_the_cubic_root(end, seed):
     [(0.0, 2.0 ** -1060)],            # subnormal width, subnormal step
     [(-2.0, -0.0), (-86.0, 86.0)],
 ], ids=["random", "zero_width", "subnormal_zero_step", "subnormal_step", "signed_zero"])
-def test_basin_grid_equals_linspace_bit_for_bit(extra, monkeypatch):
-    # _grid_basin_each and solve_p1_sca build their grids in linspace's own arithmetic
+def test_basin_grid_equals_linspace_bit_for_bit(extra):
+    # _grid_basin_each builds its grids in linspace's own arithmetic, for a
+    # batch of windows and for each window as one row, as run_scenario solves
     rng = np.random.default_rng(14)
     lo = rng.uniform(-90.0, 60.0, 40)
     hi = lo + rng.uniform(0.0, 12.0, 40) * 10.0 ** rng.integers(-12, 1, 40)
@@ -349,20 +345,11 @@ def test_basin_grid_equals_linspace_bit_for_bit(extra, monkeypatch):
     optimize._grid_basin_each(lambda x: grids.append(x) or x, lambda x: (x, x, x), lo, hi)
     want = np.linspace(lo, hi, optimize.P1_GRID_POINTS, axis=1)
     assert grids[0].shape == want.shape and grids[0].tobytes() == want.tobytes()
-
-    class Captured(Exception):
-        pass
-
-    def capture(x, *args):
-        grids.append(x)
-        raise Captured
-    monkeypatch.setattr(optimize, "_objective", capture)
-    inst = _instance(0.0, 0.0)
-    for inst.lo, inst.hi in zip(lo.tolist(), hi.tolist()):
-        with pytest.raises(Captured):
-            optimize.solve_p1_sca(inst)
-    scalar = np.stack(grids[1:])
-    assert scalar.shape == want.shape and scalar.tobytes() == want.tobytes()
+    for i in range(len(lo)):
+        optimize._grid_basin_each(lambda x: grids.append(x) or x, lambda x: (x, x, x),
+                                  lo[i:i + 1], hi[i:i + 1])
+    rows = np.concatenate(grids[1:])
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_grid", [2.5, 2.0, True, "3"])
@@ -553,17 +540,18 @@ def test_newton_takes_converged_step_that_rounds_onto_bracket_end(batched):
         iterates.append(x)
         return (x - 1.0) - 1e-300, 1.0
     if batched:
-        x = optimize._newton_bracketed_each(deriv_fn, np.array([0.0]), np.array([2.0]), 1e-9,
-                                            np.array([1.0]), np.array([True]))
-        assert x.tolist() == [1.0] and len(iterates) == 1
+        x, rounds = optimize._newton_bracketed_each(deriv_fn, np.array([0.0]), np.array([2.0]),
+                                                    1e-9, np.array([1.0]), np.array([True]))
+        assert x.tolist() == [1.0] and rounds == len(iterates) == 1
     else:
-        assert optimize._newton_bracketed(deriv_fn, 0.0, 2.0, 1e-9, x0=1.0) == (1.0, 1)
+        assert oracles._newton_bracketed(deriv_fn, 0.0, 2.0, 1e-9, x0=1.0) == (1.0, 1)
 
 
 def test_newton_bracket_guard():
-    # derivative positive at both ends: no interior root to find
+    # the scalar reference's guard: derivative positive at both ends, no
+    # interior root to find (the batched solves check it on values they have)
     with pytest.raises(BracketError) as exc_info:
-        optimize._newton_bracketed(lambda t: (1.0, 1.0), 1.0, 2.0, 1e-9)
+        oracles._newton_bracketed(lambda t: (1.0, 1.0), 1.0, 2.0, 1e-9)
     assert exc_info.value.dg_lo == 1.0 and exc_info.value.dg_hi == 1.0
 
 

@@ -361,19 +361,21 @@ def test_run_scenario_refuses_as_public_step_oracle(cfg, params):
     assert type(steps.value) is type(loop.value)
     assert re.fullmatch(rf"slot \d+: {re.escape(str(steps.value))}", str(loop.value)), \
         (loop.value, steps.value)
+    assert not hasattr(loop.value, "batch_index")  # one trial has no rows
 
 
 def test_one_solve_per_slot(monkeypatch):
+    # run_scenario's slot solve is the batched one, on one row
     calls = []
-    solve = simulate.optimize.solve_p1_sca
+    solve = simulate.optimize.solve_p1_each
 
-    def counting(*args):
-        calls.append(args)
-        return solve(*args)
-    monkeypatch.setattr(simulate.optimize, "solve_p1_sca", counting)
+    def counting(lo, *args):
+        calls.append(lo.shape)
+        return solve(lo, *args)
+    monkeypatch.setattr(simulate.optimize, "solve_p1_each", counting)
     recs = run_scenario(ScenarioConfig(n_slots=12), P)
     assert not any(r.flagged for r in recs)
-    assert len(calls) == 12  # no plan after the last slot
+    assert calls == [(1,)] * 12  # no plan after the last slot
 
 
 def test_unflagged_slots_meet_rate_target():
@@ -496,9 +498,9 @@ def test_monte_carlo_refuses_a_plan_without_position_information():
 
 
 def test_slot_solver_bracket_error_propagates_with_slot(monkeypatch):
-    def no_bracket(deriv_fn, lo, hi, tol, x0=None):
+    def no_bracket(slope, x3, d1, d2, tol, active):
         raise BracketError("no sign change", -1.0, -1.0)
-    monkeypatch.setattr(simulate.optimize, "_newton_bracketed", no_bracket)
+    monkeypatch.setattr(simulate.optimize, "_polish_each", no_bracket)
     # early slots are window-end optima; the first interior one raises
     with pytest.raises(BracketError, match=r"^slot \d+: no sign change") as exc_info:
         run_scenario(ScenarioConfig(), P)
@@ -582,15 +584,10 @@ def test_ac09_slot_solves_take_one_newton_round(monkeypatch):
     rounds = []
     newton = simulate.optimize._newton_bracketed_each
 
-    def counting(deriv_fn, *args):
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return deriv_fn(x)
-        out = newton(counted, *args)
-        rounds.append(len(calls))
-        return out
+    def counting(*args):
+        x, n = newton(*args)
+        rounds.append(n)
+        return x, n
     monkeypatch.setattr(simulate.optimize, "_newton_bracketed_each", counting)
     run_monte_carlo(ScenarioConfig(), P, 50)
     assert len(rounds) > 90 and set(rounds) == {1}
