@@ -6,9 +6,9 @@ intersected with the rate-QoS disc) to minimize the anticipated
 weighted estimation bound.  A plain-float pass over a fixed grid picks
 the basin, and one derivative evaluation at the grid minimum and its
 two neighbours supplies everything the polish needs: the sign of f' at
-a window end (window-end optima are returned exactly), the sign check
-over the two grid cells around the minimum, the one cell that holds
-the root of f', and a start for a safeguarded Newton solve of f' = 0
+a window end (window-end optima are returned exactly), the one grid
+cell around the minimum that holds the root of f', the sign check over
+that cell, and a start for a safeguarded Newton solve of f' = 0
 on that cell at the root of the quintic Hermite interpolant of f'
 through the three points, close enough that the first Newton step
 usually meets the tolerance.  solve_p1_each is the one slot solve: it
@@ -234,10 +234,9 @@ def _newton_start(x3, g3, h3, right):
 
 
 def _require_bracket(x3, d1) -> None:
-    """The sign check of the polish: over the two grid cells
-    [x3[0], x3[2]] around the grid minimum, f' = d1 must go from
-    negative to positive."""
-    lo, hi, f_lo, f_hi = (float(v) for v in (x3[0], x3[2], d1[0], d1[2]))
+    """The sign check of the polish: over the grid cell that it solves
+    on, _cell(x3, d1[1] < 0), f' = d1 must go from negative to positive."""
+    (lo, hi), (f_lo, f_hi) = (map(float, _cell(v, d1[1] < 0.0)) for v in (x3, d1))
     if not f_lo < 0.0 < f_hi:
         raise _bracket_error(lo, hi, f_lo, f_hi)
 
@@ -288,10 +287,11 @@ def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, so
     grid minima and their neighbours (indices clamped to the grid) are
     _grid_basin_each's.  A grid minimum at a window end whose f' points
     out of the window, or one where f' is exactly 0, is returned
-    exactly; otherwise the sign check raises the BracketError of the
-    lowest failing entry, and _polish_each solves f' = 0 to
-    |dx| < 1e-9*H on the whole batch, each entry taking its own result
-    by np.where masks and never a point worse than its grid point.
+    exactly; otherwise the sign check on the cell that _polish_each
+    solves on raises the BracketError of the lowest failing entry, and
+    _polish_each solves f' = 0 to |dx| < 1e-9*H on the whole batch,
+    each entry taking its own result by np.where masks and never a
+    point worse than its grid point.
 
     Returns the optima, the Newton rounds taken (a Python int, 0 when no
     entry is polished), and each entry's grid point and its objective.
@@ -303,11 +303,13 @@ def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, so
         return _objective_jet(x, x_hat_prev, prior_info, params)
     k, x_grid, f_grid, x3, (_, d1, d2) = _grid_basin_each(
         lambda x: _objective(x, x_hat_prev[:, None], rows_prior, params), jet, lo, hi)
-    at_end = ((k == 0) & (d1[1] >= 0.0)) | ((k == last) & (d1[1] <= 0.0))
-    bracketed = solve & ~at_end
-    raise_at_first(bracketed & ~((d1[0] < 0.0) & (0.0 < d1[2])),
+    right = d1[1] < 0.0
+    # the index of the window end that f' at the grid minimum points out of; -1 at f' 0 or NaN
+    end = np.where(right, last, np.where(d1[1] > 0.0, 0, -1))
+    interior = solve & (k != end) & (d1[1] != 0.0)
+    f_a, f_b = _cell(d1, right)
+    raise_at_first(interior & ~((f_a < 0.0) & (0.0 < f_b)),
                    lambda i: _require_bracket(x3[:, i], d1[:, i]))
-    interior = bracketed & (d1[1] != 0.0)
     if not np.count_nonzero(interior):
         return x_grid, 0, x_grid, f_grid
     x, rounds = _polish_each(lambda x: jet(x)[1:], x3, d1, d2, 1e-9 * params.h_alt, interior)
@@ -538,23 +540,28 @@ def crbx_second_derivative_certificate(chi: float, params: SystemParams) -> floa
     return scale * (chi + 1.0) ** 3 * poly / (chi ** 4 * denom_core ** 3)
 
 
-def design_trajectory(x_breve_opt: float, eta_prev: float,
-                      uav_prev: tuple[float, float],
-                      params: SystemParams) -> tuple[float, float]:
+def design_trajectory(x_breve_opt, eta_prev, uav_prev, params: SystemParams):
     """Absolute platform waypoint realizing a chosen predicted relative
     position: x_A,n = eta + x_A,n-1 - x_breve, with the implied constant
-    slot velocity v_A,n = (x_A,n - x_A,n-1)/dt.  Targets outside the
-    per-slot velocity envelope are rejected.  The slack, 1e-9 m plus two
-    ulp of eta, covers eta -/+ reach rounding away from eta at any |eta|.
+    slot velocity v_A,n = (x_A,n - x_A,n-1)/dt, on floats or 1-D arrays
+    (rows).  Targets outside the per-slot velocity envelope are
+    rejected, on rows by the float form at the lowest such row.  The
+    slack, 1e-9 m plus two ulp of eta (np.spacing(|eta|) = math.ulp(eta)),
+    covers eta -/+ reach rounding away from eta at any |eta|.
     """
-    if abs(x_breve_opt - eta_prev) > params.reach + 1e-9 + 2.0 * math.ulp(eta_prev):
+    x_a_prev, _ = uav_prev
+    rows = isinstance(eta_prev, np.ndarray)
+    ulp = np.spacing(abs(eta_prev)) if rows else math.ulp(eta_prev)
+    beyond = abs(x_breve_opt - eta_prev) > params.reach + 1e-9 + 2.0 * ulp
+    if rows:
+        raise_at_first(beyond, lambda i: design_trajectory(
+            float(x_breve_opt[i]), float(eta_prev[i]), (float(x_a_prev[i]), 0.0), params))
+    elif beyond:
         raise VelocityBoundError(
             f"|x_breve - eta| = {abs(x_breve_opt - eta_prev):.6g} m exceeds the "
             f"per-slot reach v_a_max*dt = {params.reach:.6g} m")
-    x_a_prev, _ = uav_prev
     x_a_n = eta_prev + x_a_prev - x_breve_opt
-    v_a_n = (x_a_n - x_a_prev) / params.dt
-    return x_a_n, v_a_n
+    return x_a_n, (x_a_n - x_a_prev) / params.dt
 
 
 def sweep_angle(params: SystemParams, alphas, h_values):

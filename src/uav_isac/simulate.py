@@ -24,14 +24,14 @@ it is the reference.  Its arithmetic is that of the public one-step
 functions (step_ground_truth, sample_measurement, ekf.update, and per
 entry predicted_pcrb and crb_measurement), written flat over the helpers
 they share: a slot inverts its prediction MSE once and takes one Fisher
-pass.  There is one slot solve, optimize.solve_p1_each: the proposed
-target rule runs it on one row for a float trial.  run_monte_carlo runs
-every trial of both schemes in lockstep as rows, which differ from
-floats in two places: the checks and prior information (raise_at_first)
-and the plan (_plan_each, each scheme's target rule on its block of
-rows).  A row's columns do not depend on the other rows, and a lockstep
-trial matches run_scenario at the same seed to about 1e-9 relative or
-better.
+pass.  There is one plan, _plan, and one slot solve,
+optimize.solve_p1_each: the proposed target rule runs it on one row for
+a float trial.  run_monte_carlo runs every trial of both schemes in
+lockstep as rows, which differ from floats in one place, the weights
+check and the prior information (raise_at_first), apart from the rule
+tables (on rows, each scheme's _TARGET_RULES_EACH rule on its block).
+A row's columns do not depend on the other rows, and a lockstep trial
+matches run_scenario at the same seed to about 1e-9 relative or better.
 An error names the earliest slot at which a row fails and, among the
 rows failing at one step of it, the lowest.
 
@@ -49,7 +49,7 @@ every recorded quantity is a plain float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -113,10 +113,8 @@ class SlotRecord:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One tracking run's knobs.
-
-    v_a_max of None inherits the speed limit from SystemParams; a number
-    overrides it for this run.  noise_scale multiplies the measurement
+    """One tracking run's knobs; the platform's speed limit is
+    SystemParams.v_a_max.  noise_scale multiplies the measurement
     noise standard deviations of the draws (1 = nominal, 0 = noiseless);
     the filter keeps the nominal covariance model either way.
     """
@@ -130,7 +128,6 @@ class ScenarioConfig:
     init_uav_vel: float = 0.0
     init_est_std: tuple[float, float] = (1.0, 0.5)
     init_mse: tuple[float, float] = (1.0, 0.25)
-    v_a_max: float | None = None
     noise_scale: float = 1.0
 
     def __post_init__(self):
@@ -151,8 +148,6 @@ class ScenarioConfig:
             if not all(math.isfinite(e) and e >= 0.0 for e in entries):
                 raise ConfigError(f"{name} entries must be finite and >= 0, got {entries}")
             object.__setattr__(self, name, entries)
-        if self.v_a_max is not None and not (math.isfinite(self.v_a_max) and self.v_a_max >= 0.0):
-            raise ConfigError(f"v_a_max override must be finite and >= 0, got {self.v_a_max}")
         if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
             raise ConfigError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
@@ -192,26 +187,21 @@ def _object_step(pos, vel, z0, z1, dt: float, factor):
     return pos + vel * dt + l11 * z0, vel + (l21 * z0 + l22 * z1)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _target_proposed(eta: float, x_hat: float, mse_pred: Sym2,
-                     params: SystemParams) -> tuple[float, bool]:
-    """_targets_proposed_each on one row, and the slot's flag: only the
-    flagged fallback targets a point outside the rate disc.  Overflow
-    and NaN pass silently, as in the lockstep."""
+def _target_proposed(eta: float, x_hat: float, mse_pred: Sym2, params: SystemParams) -> float:
+    """_targets_proposed_each on one row."""
     rows = np.array([[eta], [x_hat], [mse_pred.m11], [mse_pred.m12], [mse_pred.m22]])
     (x_breve,) = _targets_proposed_each(rows[0], rows[1], Sym2(*rows[2:]), params).tolist()
-    return x_breve, abs(x_breve) > optimize.qos_radius(params)
+    return x_breve
 
 
-def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2,
-                        params: SystemParams) -> tuple[float, bool]:
+def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2, params: SystemParams) -> float:
     """Benchmark target: chase the predicted object position, saturating
-    at the speed limit; the rate constraint is ignored by design, and
-    the slot is never flagged.  The MSE is not read."""
+    at the speed limit; the rate constraint is ignored by design.  The
+    MSE is not read."""
     reach = params.reach
     if abs(eta) <= reach:
-        return 0.0, False
-    return eta - math.copysign(reach, eta), False
+        return 0.0
+    return eta - math.copysign(reach, eta)
 
 
 def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
@@ -219,8 +209,8 @@ def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     entry per trial): the prior information (checked first, as in
     P1Instance), the P1 window and its solve where it has length, the
     touching point of a degenerate window, and otherwise, where the
-    velocity envelope cannot reach the rate disc, the reachable point
-    closest to the disc (the flagged fallback)."""
+    velocity envelope cannot reach the rate disc, the right-above
+    target, the reachable point nearest overhead (a flagged slot)."""
     prior_info = ekf._prior_information_each(mse_pred)
     x_c = optimize.qos_radius(params)
     reach = params.reach
@@ -230,7 +220,7 @@ def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     x_opt = optimize.solve_p1_each(lo, hi, x_hat, prior_info, params, has_length)[0]
     if np.count_nonzero(has_length) == has_length.size:
         return x_opt
-    fallback = np.where(hi == lo, lo, np.where(eta > 0.0, eta - reach, eta + reach))
+    fallback = np.where(hi == lo, lo, _targets_right_above_each(eta, x_hat, mse_pred, params))
     return np.where(has_length, x_opt, fallback)
 
 
@@ -250,56 +240,27 @@ _TARGET_RULES_EACH = {
 }
 
 
-def _plan(fstate: ekf.FilterState, uav_pos: float, uav_vel: float, params: SystemParams,
-          target_rule) -> tuple[float, float, bool, ekf.Prediction]:
-    """Decide the next slot: the platform waypoint x_a and slot velocity
-    v_a, whether the slot is flagged (the rate disc was unreachable and
-    the fallback applied) and the filter's prediction for the slot.  The
-    command and the prediction are one decision.
+def _plan(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams, targets):
+    """Decide the next slot, on floats or on rows (every field an array,
+    one entry per row): the platform waypoint x_a, the slot velocity v_a
+    and the filter's prediction for the slot, one decision.
 
     The posterior is predicted once, as ekf.predict does it, without
     building the predicted state that the plan replaces: eta = x_hat +
     v_hat*dt + v_A*dt is where the object would sit relative to a
-    platform that stopped, the center of the reachable window.  The
-    target rule picks x_breve in that window, the waypoint realizes it,
-    and the predicted relative velocity is v_breve = (x_breve - x_hat)/dt.
-    The prediction MSE (ekf._predicted_mse) does not depend on the
-    command.
+    platform that stopped, the center of the reachable window.
+    targets(eta, x_hat, mse_pred, params), a target rule (on rows, each
+    block's rule on its rows), picks x_breve there; the one reach check,
+    optimize.design_trajectory, realizes it, and v_breve = (x_breve -
+    x_hat)/dt.  The prediction MSE does not depend on the command.
     """
     dt = params.dt
     est = fstate.est
     mse_pred = ekf._predicted_mse(fstate.mse, params)
     eta = est.x + est.v * dt + uav_vel * dt
-    x_breve, flagged = target_rule(eta, est.x, mse_pred, params)
+    x_breve = targets(eta, est.x, mse_pred, params)
     x_a, v_a = optimize.design_trajectory(x_breve, eta, (uav_pos, uav_vel), params)
-    return x_a, v_a, flagged, ekf.Prediction(
-        RelativeState(x_breve, (x_breve - est.x) / dt), mse_pred)
-
-
-def _plan_each(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams,
-               blocks) -> tuple[np.ndarray, np.ndarray, None, ekf.Prediction]:
-    """_plan for a batch of rows (every field an array, one entry per
-    row; blocks as in _run_lockstep), in _plan's form: the waypoints x_a,
-    slot velocities v_a and the predictions, with no flag.  Each block's
-    target rule picks x_breve for its own rows from their prediction
-    MSEs; only the proposed rule inverts them, so a refusal names the
-    slot where run_scenario raises it.  The velocity-reach check of
-    design_trajectory raises for the lowest row that fails it."""
-    dt = params.dt
-    m = ekf._predicted_mse(fstate.mse, params)
-    x_hat = fstate.est.x
-    eta = x_hat + fstate.est.v * dt + uav_vel * dt
-    x_breve = np.concatenate([
-        targets(eta[rows], x_hat[rows], Sym2(m.m11[rows], m.m12[rows], m.m22[rows]), params)
-        for targets, rows in blocks])
-    slack = 1e-9 + 2.0 * np.spacing(np.abs(eta))  # design_trajectory's: math.ulp(eta)
-    raise_at_first(np.abs(x_breve - eta) > params.reach + slack,
-                   lambda i: optimize.design_trajectory(
-                       float(x_breve[i]), float(eta[i]),
-                       (float(uav_pos[i]), float(uav_vel[i])), params))
-    x_a = eta + uav_pos - x_breve
-    return x_a, (x_a - uav_pos) / dt, None, ekf.Prediction(
-        RelativeState(x_breve, (x_breve - x_hat) / dt), m)
+    return x_a, v_a, ekf.Prediction(RelativeState(x_breve, (x_breve - est.x) / dt), mse_pred)
 
 
 def _add_context(exc: Exception, prefix: str) -> None:
@@ -346,17 +307,20 @@ def _record_columns(kept: dict, params: SystemParams) -> dict:
     return cols
 
 
-def _track(cfg: ScenarioConfig, p: SystemParams, z, plan, rule, rows=None):
+@np.errstate(over="ignore", invalid="ignore")
+def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
     """The slot loop: one trial on Python floats (rows None; z the
     trial's draws as a list) or rows trials in lockstep (every state an
     array of rows entries; z the draws as a (2 + 5*n_slots, rows) array).
-    plan is _plan or _plan_each, rule its target rule or blocks.  Slot 0
-    places the world, perturbs the initial estimate by init_est_std and
-    plans slot 1; each slot then runs as the module docstring says.
-    Returns every KEPT and RECORD_COLUMNS column by name, each (n_slots,)
-    or (n_slots, rows), from one _record_columns pass, and the flag of
-    every slot.  An error's message is prefixed with its slot; a batch
-    error's batch_index is its row, and one trial's error has none.
+    targets goes to _plan.  Slot 0 places the world, perturbs the initial
+    estimate by init_est_std and plans slot 1; each slot then runs as the
+    module docstring says.  Floats and rows differ in one place: the
+    weights check and the prior information.  Returns every KEPT and
+    RECORD_COLUMNS column by name, each (n_slots,) or (n_slots, rows),
+    from one _record_columns pass.  An error's message is prefixed with
+    its slot; a batch error's batch_index is its row, and one trial's
+    error has none.  Overflow and NaN pass silently through the loop, as
+    on Python floats; the column pass refuses a record value they spoil.
     """
     xp = math if rows is None else np
     dt, k = p.dt, cfg.noise_scale
@@ -371,10 +335,9 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, plan, rule, rows=None):
     # per slot: the KEPT values, a tuple of floats (a list and one np.fromiter beat a
     # per-slot array store) or rows preallocated (a list of row tuples doubles the memory)
     kept = [None] * cfg.n_slots if rows is None else np.empty((cfg.n_slots, len(KEPT), rows))
-    flags = []
     n = 0
     try:
-        x_a, v_a, flagged, pred = plan(fstate, uav_pos, uav_vel, p, rule)
+        x_a, v_a, pred = _plan(fstate, uav_pos, uav_vel, p, targets)
         for n in range(1, cfg.n_slots + 1):
             # step_ground_truth, the planned command and sample_measurement
             z0, z1, e1, e2, e3 = z[5 * n - 3:5 * n + 2]
@@ -399,13 +362,12 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, plan, rule, rows=None):
             fstate = ekf._posterior(pred.pred, prior, w, y, p, xp)
             kept[n - 1] = (x, v, fstate.est.x, fstate.est.v, pred.pred.x, pred.pred.v, uav_pos,
                            uav_vel, pred.mse_pred.trace, *w, prior.m11, prior.m12, prior.m22)
-            flags.append(flagged)
             if n < cfg.n_slots:
-                x_a, v_a, flagged, pred = plan(fstate, uav_pos, uav_vel, p, rule)
+                x_a, v_a, pred = _plan(fstate, uav_pos, uav_vel, p, targets)
         n = None
         if rows is None:
             kept = np.fromiter(chain.from_iterable(kept), float).reshape(cfg.n_slots, -1)
-        return _record_columns(dict(zip(KEPT, kept.swapaxes(0, 1))), p), flags
+        return _record_columns(dict(zip(KEPT, kept.swapaxes(0, 1))), p)
     except Exception as exc:
         index = exc.__dict__.pop("batch_index", None)
         if n is None:  # the column pass's batch_index runs over slots, then rows
@@ -422,41 +384,44 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
     """Run one tracking scenario and return its n_slots records: _track on
     Python floats, with the trial's draws taken in one call.  The
     "actual" bound pair is the anticipated bound re-evaluated at the
-    true relative state with the same prediction MSE."""
-    p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
+    true relative state with the same prediction MSE.  A slot is flagged
+    where the proposed rule's fallback targets a point outside the rate
+    disc."""
     z = np.random.default_rng(cfg.seed).standard_normal(2 + 5 * cfg.n_slots).tolist()
-    cols, flags = _track(cfg, p, z, _plan, _TARGET_RULES[cfg.scheme])
-    return [SlotRecord(n, n * p.dt, *c, f) for n, c, f in zip(
+    cols = _track(cfg, params, z, _TARGET_RULES[cfg.scheme])
+    x_c = optimize.qos_radius(params) if cfg.scheme == "proposed" else math.inf
+    flags = (np.abs(cols["x_breve"]) > x_c).tolist()
+    return [SlotRecord(n, n * params.dt, *c, f) for n, c, f in zip(
         range(1, cfg.n_slots + 1), zip(*(cols[name].tolist() for name in RECORD_COLUMNS)), flags)]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str, ...],
                   draws: np.ndarray) -> dict:
     """The trials of every scheme in schemes in lockstep: _track on
     len(schemes) * n_trials rows.  Row j*n_trials + i is trial i of
     schemes[j]; it takes its draws from row i of draws, shape (n_trials,
     2 + 5*n_slots), and matches run_scenario at their seed.  The rows of
-    schemes[j] are block j, a pair of the scheme's target rule (read from
-    _TARGET_RULES_EACH) and its row slice; only the target rule runs per
-    block, so a row's columns do not depend on the other rows.  Returns
-    every RECORD_COLUMNS column by name, each (rows, n_slots).
+    schemes[j] are block j, whose target rule (read from
+    _TARGET_RULES_EACH) runs on its rows only, so a row's columns do not
+    depend on the other rows.  Returns every RECORD_COLUMNS column by
+    name, each (rows, n_slots).
 
     An error is raised at the earliest slot at which a row fails, as
     run_scenario raises it, and among the rows failing at one step of
     that slot for the lowest.  Its batch_index becomes the trial index
     within its scheme, and its message is prefixed with the trial, its
     seed and the slot; an error shared by all trials names trial 0.
-    Overflow and NaN pass silently through the loop, as on Python
-    floats; the column pass refuses a record value they spoil.
     """
-    p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
     n_trials = draws.shape[0]
     blocks = [(_TARGET_RULES_EACH[scheme], slice(j * n_trials, (j + 1) * n_trials))
               for j, scheme in enumerate(schemes)]
+
+    def targets(eta, x_hat, m: Sym2, params):
+        return np.concatenate([rule(eta[r], x_hat[r], Sym2(m.m11[r], m.m12[r], m.m22[r]), params)
+                               for rule, r in blocks])
     try:
-        cols, _ = _track(cfg, p, np.tile(draws.T, len(schemes)), _plan_each, blocks,
-                         len(schemes) * n_trials)
+        cols = _track(cfg, params, np.tile(draws.T, len(schemes)), targets,
+                      len(schemes) * n_trials)
     except Exception as exc:
         i = getattr(exc, "batch_index", 0) % n_trials
         if hasattr(exc, "batch_index"):

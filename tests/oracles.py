@@ -329,19 +329,21 @@ class TermSize:
         return TermSize(w, self.d1 * w2, (2.0 * self.d1 * self.d1 * abs(w) + self.d2) * w2) * other
 
 
-def scenario_by_public_steps(cfg, params):
+@np.errstate(over="ignore", invalid="ignore")
+def scenario_by_public_steps(cfg, p):
     """The slot loop of simulate.run_scenario written with the public
     one-step functions, drawing from one generator as it goes: per slot
     step_ground_truth, the planned command, sample_measurement,
     ekf.update, ekf.predicted_pcrb at the prediction and at the true
     state, and ekf.crb_measurement at the prediction.  Planning is
-    simulate._plan, as in the loop.  Returns the SlotRecord list."""
+    simulate._plan, as in the loop, and a proposed slot is flagged where
+    its target lies outside the rate disc.  Overflow and NaN pass
+    silently, as in the loop.  Returns the SlotRecord list."""
     from dataclasses import replace
 
-    from uav_isac import ekf, sensing, simulate
+    from uav_isac import ekf, optimize, sensing, simulate
     from uav_isac.linalg2 import Sym2
 
-    p = params if cfg.v_a_max is None else replace(params, v_a_max=cfg.v_a_max)
     rule = simulate._TARGET_RULES[cfg.scheme]
     rng = np.random.default_rng(cfg.seed)
     world = simulate.WorldState(cfg.init_obj_pos, cfg.init_obj_vel,
@@ -352,7 +354,7 @@ def scenario_by_public_steps(cfg, params):
                                  rel0.v + cfg.init_est_std[1] * z[1])
     fstate = ekf.FilterState(est0, Sym2.diag(*cfg.init_mse))
     records = []
-    x_a, v_a, flagged, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel, p, rule)
+    x_a, v_a, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel, p, rule)
     for n in range(1, cfg.n_slots + 1):
         world = replace(simulate.step_ground_truth(world, p, rng), uav_pos=x_a, uav_vel=v_a)
         true_rel = world.relative()
@@ -369,10 +371,10 @@ def scenario_by_public_steps(cfg, params):
             pcrb_x_pred=pcrb_pred.pcrb_x, pcrb_v_pred=pcrb_pred.pcrb_v,
             pcrb_x_actual=pcrb_act.pcrb_x, pcrb_v_actual=pcrb_act.pcrb_v,
             weighted_actual=pcrb_act.weighted, rate_bpshz=sensing.achievable_rate(x_breve, p),
-            tr_mp=pred.mse_pred.trace, tr_mm=crb_x + crb_v, flagged=flagged))
+            tr_mp=pred.mse_pred.trace, tr_mm=crb_x + crb_v,
+            flagged=cfg.scheme == "proposed" and abs(x_breve) > optimize.qos_radius(p)))
         if n < cfg.n_slots:
-            x_a, v_a, flagged, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel,
-                                                     p, rule)
+            x_a, v_a, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel, p, rule)
     return records
 
 
@@ -426,7 +428,7 @@ def p1_by_scalar_steps(inst):
     time: the objective on np.linspace over the window, optimize.objective_f
     at the grid minimum and its neighbours, and _cell_newton, whose point
     is kept unless the grid point is better.  Returns the ScaResult;
-    raises the BracketError of the sign check."""
+    raises the BracketError of _cell_newton's sign check on its cell."""
     from uav_isac import optimize
 
     last = optimize.P1_GRID_POINTS - 1
@@ -437,8 +439,6 @@ def p1_by_scalar_steps(inst):
     x3 = xs[[max(k - 1, 0), k, min(k + 1, last)]]
     _, d1, d2 = zip(*(optimize.objective_f(float(x), inst) for x in x3))
     at_end = (k == 0 and d1[1] >= 0.0) or (k == last and d1[1] <= 0.0)
-    if not at_end:
-        _require_sign_change(float(x3[0]), float(x3[2]), d1[0], d1[2])
     x, f, steps = x_grid, f_grid, 0
     if not (at_end or d1[1] == 0.0):
         x, steps = _cell_newton(lambda t: optimize.objective_f(t, inst)[1:], x3, d1, d2,

@@ -596,27 +596,50 @@ def test_certificate_rejects_nonpositive_chi():
 
 # ----------------------------------------------------------- trajectory map
 
+def _design_on_rows(x_breve, eta, uav_prev, params):
+    """design_trajectory on rows: float arguments as one-row arrays,
+    the waypoint back as floats."""
+    x_a, v_a = optimize.design_trajectory(
+        np.array([x_breve]), np.array([eta]), tuple(np.array([v]) for v in uav_prev), params)
+    return float(x_a[0]), float(v_a[0])
+
+
 def test_design_trajectory_algebra():
     x_a, v_a = optimize.design_trajectory(28.0, 30.0, (100.0, 12.0), P)
     assert x_a == pytest.approx(30.0 + 100.0 - 28.0)
     assert v_a == pytest.approx((x_a - 100.0) / P.dt)
     assert abs(v_a) <= P.v_a_max + 1e-9
+    # on rows, every row's waypoint is its float one bit for bit
+    plans = [(28.0, 30.0, 100.0, 12.0), (-3.7, -1.1, 7.3, -4.0), (0.0, -0.0, -20.1, 0.0),
+             (85.9, 80.3, 1e3 / 3.0, 29.0)]
+    x_breve, eta, x_prev, v_prev = np.array(plans).T
+    rows = optimize.design_trajectory(x_breve, eta, (x_prev, v_prev), P)
+    floats = [optimize.design_trajectory(x, e, (xp, vp), P) for x, e, xp, vp in plans]
+    assert list(zip(*(v.tolist() for v in rows))) == floats
 
 
 def test_design_trajectory_rejects_unreachable_target():
-    with pytest.raises(VelocityBoundError):
+    with pytest.raises(VelocityBoundError) as on_floats:
         optimize.design_trajectory(20.0, 30.0, (100.0, 12.0), P)
+    # on rows the lowest refused row is refused as on floats
+    with pytest.raises(VelocityBoundError) as on_rows:
+        optimize.design_trajectory(np.array([28.0, 20.0, 40.0]), np.full(3, 30.0),
+                                   (np.full(3, 100.0), np.full(3, 12.0)), P)
+    assert on_rows.value.batch_index == 1
+    assert str(on_rows.value) == str(on_floats.value)
 
 
 def test_design_trajectory_accepts_a_full_reach_that_rounds():
     # at |eta| = 5e16 m the spacing of floats is 8 m, so eta - reach
-    # (6 m) rounds to 8 m from eta; a move two ulp beyond that is refused
+    # (6 m) rounds to 8 m from eta; a move two ulp beyond that is
+    # refused, on floats and on rows
     eta, reach = 5e16, P.v_a_max * P.dt
     assert reach == 6.0 and abs((eta - reach) - eta) == 8.0
-    optimize.design_trajectory(eta - reach, eta, (0.0, 0.0), P)
-    optimize.design_trajectory(-eta + reach, -eta, (0.0, 0.0), P)
-    with pytest.raises(VelocityBoundError):
-        optimize.design_trajectory(eta - 32.0, eta, (0.0, 0.0), P)
+    for design in (optimize.design_trajectory, _design_on_rows):
+        design(eta - reach, eta, (0.0, 0.0), P)
+        design(-eta + reach, -eta, (0.0, 0.0), P)
+        with pytest.raises(VelocityBoundError):
+            design(eta - 32.0, eta, (0.0, 0.0), P)
 
 
 # ------------------------------------------------------------------- sweeps

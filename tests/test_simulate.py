@@ -80,7 +80,6 @@ def test_relative_state_view():
     dict(scheme="hover"),
     dict(init_est_std=(1.0,)),
     dict(init_mse=(1.0, -0.25)),
-    dict(v_a_max=-3.0),
     dict(noise_scale=-0.1),
     dict(seed=-1),
     dict(seed=1.5),
@@ -91,7 +90,6 @@ def test_relative_state_view():
     dict(init_est_std=(math.inf, 0.5)),
     dict(init_mse=(1.0, math.nan)),
     dict(noise_scale=math.inf),
-    dict(v_a_max=math.inf),
     dict(n_slots=5.5),
 ])
 def test_config_rejects_bad_values(kwargs):
@@ -163,18 +161,21 @@ def test_platform_respects_speed_limit():
 
 def test_speed_limit_override_slows_catchup():
     fast = run_scenario(ScenarioConfig(n_slots=10), P)
-    slow = run_scenario(ScenarioConfig(n_slots=10, v_a_max=5.0), P)
+    slow = run_scenario(ScenarioConfig(n_slots=10), replace(P, v_a_max=5.0))
     assert all(abs(r.v_uav) <= 5.0 + 1e-9 for r in slow)
     assert slow[-1].x_true > fast[-1].x_true  # caught up less
 
 
 def test_flagged_fallback_moves_by_full_reach():
     # far outside the rate disc (x_c about 86 m, reach 6 m per slot)
-    recs = run_scenario(ScenarioConfig(init_obj_pos=200.0), P)
+    cfg = ScenarioConfig(init_obj_pos=200.0)
+    recs = run_scenario(cfg, P)
     flagged = [r for r in recs if r.flagged]
     assert len(flagged) == 25
+    x_c = simulate.optimize.qos_radius(P)
+    assert all(r.flagged == (abs(r.x_breve) > x_c) for r in recs)
     reach = P.v_a_max * P.dt
-    prev_pos = ScenarioConfig().init_uav_pos
+    prev_pos = cfg.init_uav_pos
     for r in recs:
         if r.flagged:
             assert abs(r.x_uav - prev_pos) == pytest.approx(reach, abs=1e-9)
@@ -182,10 +183,14 @@ def test_flagged_fallback_moves_by_full_reach():
         else:
             assert r.rate_bpshz >= P.gamma_c - 1e-9
         prev_pos = r.x_uav
+    # the benchmark targets outside the disc too, but is never flagged
+    chase = run_scenario(replace(cfg, scheme="right_above"), P)
+    assert any(abs(r.x_breve) > x_c for r in chase)
+    assert not any(r.flagged for r in chase)
 
 
 def test_degenerate_window_holds_still_unflagged():
-    recs = run_scenario(ScenarioConfig(n_slots=5, v_a_max=0.0), P)
+    recs = run_scenario(ScenarioConfig(n_slots=5), replace(P, v_a_max=0.0))
     assert all(not r.flagged and r.x_uav == 0.0 for r in recs)
 
 
@@ -335,7 +340,7 @@ def _same_records(a, b):
 @pytest.mark.parametrize("cfg, params", [
     *((ScenarioConfig(seed=seed), P) for seed in range(10)),
     (ScenarioConfig(init_obj_pos=200.0), P),             # flagged fallback
-    (ScenarioConfig(n_slots=5, v_a_max=0.0), P),         # degenerate window
+    (ScenarioConfig(n_slots=5), replace(P, v_a_max=0.0)),  # degenerate window
     (ScenarioConfig(noise_scale=0.0), P),
     (ScenarioConfig(), replace(P, alpha=0.0)),
     (ScenarioConfig(), replace(P, alpha=1.0)),
@@ -507,6 +512,35 @@ def test_slot_solver_bracket_error_propagates_with_slot(monkeypatch):
     assert exc_info.value.dg_lo == -1.0
 
 
+def test_slot_solve_needs_a_sign_change_on_its_cell_only(monkeypatch):
+    # at alpha = 1 with the object starting beneath the platform, the plan
+    # made at slot 2 has its minimizer (about -0.131 m) in the grid cell
+    # left of the grid minimum, while a local maximum (about 0.071 m)
+    # makes f' negative at the grid minimum's right neighbour too
+    params = SystemParams(alpha=1.0)
+    solves = []
+    solve = simulate.optimize.solve_p1_each
+
+    def recording(*args):
+        result = solve(*args)
+        solves.append((args, float(result[0][0])))
+        return result
+    monkeypatch.setattr(simulate.optimize, "solve_p1_each", recording)
+    run_scenario(ScenarioConfig(seed=1, init_obj_pos=0.0, init_obj_vel=0.0), params)
+    (lo, hi, x_hat_prev, prior, _, _), x = solves[2]
+
+    def slope(t):
+        return simulate.optimize._objective_jet(t, float(x_hat_prev[0]), prior.at(0), params)[1]
+    xs = np.linspace(lo[0], hi[0], simulate.optimize.P1_GRID_POINTS)
+    i = int(np.searchsorted(xs, x))
+    a, b = float(xs[i - 1]), float(xs[i])
+    assert slope(a) < 0.0 < slope(b)
+    for _ in range(100):  # bisection of f' on the cell that holds x
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if slope(mid) < 0.0 else (a, mid)
+    assert abs(x - a) < 1e-6 and -0.14 < x < -0.12
+
+
 # ------------------------------------------------------------- Monte Carlo
 
 def test_monte_carlo_shapes_and_reduction():
@@ -617,7 +651,7 @@ def _lockstep_columns(cfg, params, scheme, n_trials):
 @pytest.mark.parametrize("cfg, params", [
     (ScenarioConfig(), P),
     (ScenarioConfig(init_obj_pos=200.0), P),             # flagged fallback
-    (ScenarioConfig(n_slots=5, v_a_max=0.0), P),         # degenerate window
+    (ScenarioConfig(n_slots=5), replace(P, v_a_max=0.0)),  # degenerate window
     (ScenarioConfig(noise_scale=0.0), P),
     (ScenarioConfig(), replace(P, alpha=0.0)),
     (ScenarioConfig(), replace(P, alpha=1.0)),
@@ -636,23 +670,23 @@ def test_lockstep_matches_run_scenario(cfg, params, scheme):
         assert any(r.flagged for r in run_scenario(cfg, params))
 
 
-@pytest.mark.parametrize("cfg", [
-    ScenarioConfig(),
-    ScenarioConfig(init_obj_pos=200.0),                  # flagged fallback
-    ScenarioConfig(n_slots=5, v_a_max=0.0),              # degenerate window
+@pytest.mark.parametrize("cfg, params", [
+    (ScenarioConfig(), P),
+    (ScenarioConfig(init_obj_pos=200.0), P),             # flagged fallback
+    (ScenarioConfig(n_slots=5), replace(P, v_a_max=0.0)),  # degenerate window
 ], ids=["default", "flagged", "degenerate"])
-def test_monte_carlo_batch_equals_single_scheme_runs(cfg):
+def test_monte_carlo_batch_equals_single_scheme_runs(cfg, params):
     """Both schemes advance as one batch, and each scheme's rows are its
     single-scheme lockstep run bit for bit."""
     n_trials = 20
     draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
                       for i in range(n_trials)])
-    both = simulate._run_lockstep(cfg, P, ("proposed", "right_above"), draws)
-    mc = run_monte_carlo(cfg, P, n_trials)
+    both = simulate._run_lockstep(cfg, params, ("proposed", "right_above"), draws)
+    mc = run_monte_carlo(cfg, params, n_trials)
     for j, (scheme, stats) in enumerate((("proposed", mc.proposed),
                                          ("right_above", mc.right_above))):
         rows = slice(j * n_trials, (j + 1) * n_trials)
-        cols = simulate._run_lockstep(cfg, P, (scheme,), draws)
+        cols = simulate._run_lockstep(cfg, params, (scheme,), draws)
         assert all(np.array_equal(both[name][rows], col) for name, col in cols.items())
         w, r = cols["weighted_actual"], cols["rate_bpshz"]
         assert np.array_equal(stats.weighted_actual_mean, w.mean(axis=0))
