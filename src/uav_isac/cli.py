@@ -27,7 +27,7 @@ import operator
 import os
 import platform
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -195,11 +195,7 @@ def cmd_tradeoff(args) -> int:
     base = _build_params({"a1": args.a1})
     lines = ["alpha,x_m,rate_bpshz,sensing_perf"]
     for a in alphas:
-        try:
-            p_a = replace(base, alpha=a)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        for row in tradeoff_frontier(p_a, args.x_grid):
+        for row in tradeoff_frontier(_build_params({"a1": args.a1, "alpha": a}), args.x_grid):
             lines.append(",".join(_fmt(v) for v in row))
     sha = _write_output(args.out, lines)
     _write_manifest(args.out, "tradeoff", args.argv, base, None, sha)

@@ -16,8 +16,8 @@ function of position and velocity, so the value, d/dx and d^2/dx^2
 that the solvers read (v tied linearly to x) are written out in closed
 form next to the expressions: _fisher_jets and _weighted_jet.  The
 update's posterior also reads the measurement map, so it takes
-sensing's namespace xp: math, or numpy for the Monte-Carlo batch, whose
-prior information is _prior_information_each's.
+sensing's namespace xp: math, or numpy for the Monte-Carlo batch; its
+checks and inversions are the same calls for both.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg2 import Sym2, inverse_each, require_positive_definite, require_positive_definite_each
+from .linalg2 import Sym2, require_positive_definite
 from .params import SystemParams
-from .sensing import (Measurement, RelativeState, _measured_weights, jacobian, measure_mean,
-                      noise_weights)
+from .sensing import (Measurement, RelativeState, _measured_variances, _variances, jacobian,
+                      measure_mean, noise_weights)
 
 
 @dataclass(slots=True)
@@ -101,20 +101,15 @@ def update(pred: Prediction, y: Measurement, params: SystemParams) -> FilterStat
     and SingularMatrixError when a channel variance is zero, not finite
     or too small for its reciprocal to be finite.
     """
-    w = _measured_weights(y.noise_cov.diagonal(), y.weights)
+    w = y.weights or _variances(y.noise_cov.diagonal())
+    _measured_variances(w)
     return _posterior(pred.pred, _prior_information(pred.mse_pred), w, (y.phi, y.tau, y.mu), params)
 
 
 def _prior_information(mse_pred: Sym2) -> Sym2:
-    """M_p^{-1}; raises NotPositiveDefiniteError unless mse_pred is
-    positive definite."""
-    require_positive_definite(mse_pred, "mse_pred")
-    return mse_pred.inverse()
-
-
-def _prior_information_each(mse_pred: Sym2) -> Sym2:
-    """_prior_information over a batch, on one determinant; raises for the lowest failing row."""
-    return inverse_each(mse_pred, require_positive_definite_each(mse_pred, "mse_pred"))
+    """M_p^{-1}, on one determinant; raises NotPositiveDefiniteError
+    unless mse_pred is positive definite."""
+    return mse_pred.inverse(require_positive_definite(mse_pred, "mse_pred"))
 
 
 def _posterior(pred: RelativeState, prior_info: Sym2, w, y, params: SystemParams,
@@ -126,7 +121,7 @@ def _posterior(pred: RelativeState, prior_info: Sym2, w, y, params: SystemParams
     info, gx, gv = _information_and_score(
         pred, prior_info, w, jacobian(pred, params, xp), (y[0] - phi, y[1] - tau, y[2] - mu),
         params)
-    mse = info.inverse() if xp is math else inverse_each(info)
+    mse = info.inverse()
     x, v = pred.x, pred.v
     return FilterState(RelativeState(x + mse.m11 * gx + mse.m12 * gv,
                                      v + mse.m12 * gx + mse.m22 * gv), mse)

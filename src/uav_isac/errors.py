@@ -5,11 +5,11 @@ with 2, a physically infeasible model (QoS unreachable at any offset)
 exits with 3, any other package error exits with 4, and validation
 failures exit with 1.
 
-A check over a batch of trials (numpy arrays, one entry per trial)
-raises through raise_at_first: the scalar form of the same check runs
-on the lowest failing entry, so the error has the scalar path's type,
-message and attributes, and carries that entry's position as
-batch_index.
+A check is written once for one value (Python floats) and for a batch
+of trials (numpy arrays, one entry per trial), and raises through
+raise_at_first: the error of the lowest failing entry has the one-value
+error's type, message and attributes, and on a batch carries that
+entry's position as batch_index.
 """
 
 from __future__ import annotations
@@ -56,18 +56,20 @@ class BracketError(UavIsacError):
         self.dg_hi = dg_hi
 
 
-def raise_at_first(bad, check) -> None:
-    """If any entry of the boolean array bad is set (np.count_nonzero: a
-    quarter of bad.any()'s time), call check(i) for the lowest such entry
-    i.  check, the scalar form of the batched test, raises the package
-    error for entry i, tagged with batch_index = i.  A scalar check that
-    passes where the batched one failed is a bug, reported as RuntimeError."""
-    if not np.count_nonzero(bad):
+def raise_at_first(bad, check, *args) -> None:
+    """Raise check's error where bad is set, a Python bool for one value or
+    a boolean array (x ^ True negates both).  False returns before any
+    numpy call, and np.count_nonzero takes a quarter of bad.any()'s time.
+    check(i, *args) raises the one-value error of the lowest set entry i
+    (0 for True); where bad is an array, a package error is tagged with
+    batch_index = i.  A check that returns is a bug, reported as RuntimeError."""
+    if bad is False or (bad is not True and not np.count_nonzero(bad)):
         return
-    i = int(bad.argmax())
+    i = 0 if bad is True else int(bad.argmax())
     try:
-        check(i)
+        check(i, *args)
     except UavIsacError as exc:
-        exc.batch_index = i
+        if bad is not True:
+            exc.batch_index = i
         raise
-    raise RuntimeError(f"batch entry {i} fails the batched check but passes the scalar one")
+    raise RuntimeError(f"batch entry {i} fails the check, but check raises no error")

@@ -8,9 +8,10 @@ assigns to their fields (tests/test_value_types.py checks this), so a
 shared instance such as params.process_noise keeps its value.  DiagMat3
 is frozen and checks its entries.
 The same dataclasses hold a batch of matrices when their fields are
-numpy arrays (one entry per trial); the *_each functions check such a
-batch at once and raise the scalar check's error for its lowest failing
-entry.  Otherwise numpy arrays appear only in the as_array conversions.
+numpy arrays (one entry per trial); Sym2.inverse and
+require_positive_definite check such a batch at once, raising for its
+lowest failing matrix.  Otherwise numpy arrays appear only in the
+as_array conversions.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ class Sym2:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
     def at(self, i: int) -> "Sym2":
-        """Matrix i of a batch (fields are arrays), with plain float fields."""
+        """Matrix i of a batch (array fields) with float fields, else self."""
+        if not isinstance(self.m11, np.ndarray):
+            return self
         return Sym2(float(self.m11[i]), float(self.m12[i]), float(self.m22[i]))
 
     @property
@@ -63,15 +66,12 @@ class Sym2:
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m12
 
-    def inverse(self) -> "Sym2":
-        """Exact inverse by the adjugate formula.
-
-        Raises SingularMatrixError when the determinant magnitude
-        underflows below 1e-300.
-        """
-        det = self.det
-        if abs(det) <= 1e-300:
-            raise SingularMatrixError(f"matrix is numerically singular: {self}")
+    def inverse(self, det=None) -> "Sym2":
+        """Exact inverse by the adjugate formula; a caller that holds
+        self.det passes it.  Raises SingularMatrixError when the
+        determinant magnitude underflows below 1e-300."""
+        det = self.det if det is None else det
+        raise_at_first(abs(det) <= 1e-300, _singular, self)
         s = 1.0 / det
         return Sym2(self.m22 * s, -self.m12 * s, self.m11 * s)
 
@@ -82,28 +82,20 @@ def min_eigenvalue_symmetric(m: Sym2) -> float:
     return 0.5 * (m.m11 + m.m22) - half_gap
 
 
-def require_positive_definite(m: Sym2, name: str = "matrix") -> None:
-    if not (m.m11 > 0 and m.det > 0):
-        raise NotPositiveDefiniteError(f"{name} is not positive definite: {m}")
-
-
-def require_positive_definite_each(m: Sym2, name: str = "matrix"):
-    """require_positive_definite over a batch: raises for the lowest
-    matrix that is not positive definite.  Returns the determinants."""
+def require_positive_definite(m: Sym2, name: str = "matrix"):
+    """Raises NotPositiveDefiniteError unless m is positive definite, on
+    a batch for the lowest matrix that is not.  Returns m.det."""
     det = m.det
-    raise_at_first(~((m.m11 > 0) & (det > 0)),
-                   lambda i: require_positive_definite(m.at(i), name))
+    raise_at_first(((m.m11 > 0) & (det > 0)) ^ True, _not_positive_definite, m, name)
     return det
 
 
-def inverse_each(m: Sym2, det=None) -> Sym2:
-    """Sym2.inverse over a batch: raises SingularMatrixError for the
-    lowest singular matrix, otherwise inverts every matrix with the
-    same adjugate arithmetic.  A caller that holds m.det passes it."""
-    det = m.det if det is None else det
-    raise_at_first(np.abs(det) <= 1e-300, lambda i: m.at(i).inverse())
-    s = 1.0 / det
-    return Sym2(m.m22 * s, -m.m12 * s, m.m11 * s)
+def _singular(i: int, m: Sym2):
+    raise SingularMatrixError(f"matrix is numerically singular: {m.at(i)}")
+
+
+def _not_positive_definite(i: int, m: Sym2, name: str):
+    raise NotPositiveDefiniteError(f"{name} is not positive definite: {m.at(i)}")
 
 
 @dataclass(frozen=True)

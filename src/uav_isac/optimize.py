@@ -40,6 +40,7 @@ from .errors import (
     BracketError,
     InfeasibleIntervalError,
     InfeasibleQosError,
+    SingularMatrixError,
     VelocityBoundError,
     raise_at_first,
 )
@@ -233,10 +234,10 @@ def _newton_start(x3, g3, h3, right):
                           np.where((a < cubic) & (cubic < b), cubic, 0.5 * (a + b)))
 
 
-def _require_bracket(x3, d1) -> None:
-    """The sign check of the polish: over the grid cell that it solves
-    on, _cell(x3, d1[1] < 0), f' = d1 must go from negative to positive."""
-    (lo, hi), (f_lo, f_hi) = (map(float, _cell(v, d1[1] < 0.0)) for v in (x3, d1))
+def _require_bracket(i: int, x3, d1) -> None:
+    """The sign check of the polish on entry i: over the grid cell that it
+    solves on, _cell(x3, d1[1] < 0), f' = d1 must go from negative to positive."""
+    (lo, hi), (f_lo, f_hi) = (map(float, _cell(v[:, i], d1[1, i] < 0.0)) for v in (x3, d1))
     if not f_lo < 0.0 < f_hi:
         raise _bracket_error(lo, hi, f_lo, f_hi)
 
@@ -308,8 +309,7 @@ def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, so
     end = np.where(right, last, np.where(d1[1] > 0.0, 0, -1))
     interior = solve & (k != end) & (d1[1] != 0.0)
     f_a, f_b = _cell(d1, right)
-    raise_at_first(interior & ~((f_a < 0.0) & (0.0 < f_b)),
-                   lambda i: _require_bracket(x3[:, i], d1[:, i]))
+    raise_at_first(interior & ~((f_a < 0.0) & (0.0 < f_b)), _require_bracket, x3, d1)
     if not np.count_nonzero(interior):
         return x_grid, 0, x_grid, f_grid
     x, rounds = _polish_each(lambda x: jet(x)[1:], x3, d1, d2, 1e-9 * params.h_alt, interior)
@@ -426,14 +426,15 @@ def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: i
     return x, rounds
 
 
-# Python float semantics: overflow and NaN pass, a division by zero raises
-@np.errstate(over="ignore", invalid="ignore", divide="raise")
+# overflow, NaN and division by zero pass; a row they spoil is refused
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve_sp1_each(params: SystemParams, h, alpha: float):
     """solve_sp1 for the weight alpha in [0, 1] at every altitude of the
     float array h, shape (n,) (finite, positive; params.alpha and
     params.h_alt are not read).  Returns (n,) arrays x_star, x_l, x_u,
     the branch names and, per altitude, the package error its solve
-    raises or None (x_star NaN, branch 'error:<Name>').  An interior
+    raises or None (x_star NaN, branch 'error:<Name>'; at alpha = 1, an
+    optimum that is not finite).  An interior
     weight takes _grid_basin_each's (n, 65) grid pass and one (5, n)
     evaluation of g', g'' at the grid minima, their neighbours and both
     bracket ends, checks the signs at the ends, and polishes the m
@@ -453,6 +454,9 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
             chi1 = _chi_bar(params, h[i], xi[i]) * math.cos(
                 math.atan(math.sqrt(5.0) * params.c * params.a2 / math.sqrt(xi[i])) / 3.0)
             x_star[i] = h[i] / math.sqrt(chi1)
+            if not math.isfinite(x_star[i]):
+                error[i] = _not_finite(h[i], x_star=float(x_star[i]))
+                x_star[i] = math.nan
         branch = ["alpha1_xi_nonpos" if v <= 0.0 else "alpha1_xi_pos" for v in xi]
     else:
         lo = np.maximum(x_l, 1e-9 * h)
@@ -473,8 +477,15 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
         x_star = np.full(n, math.nan)
         x_star[signed], _ = _polish_each(lambda x: _g0_jet(x, params, h, alpha)[1:], points[:3],
                                          d1[:3], d2[:3], 1e-9 * h, np.ones(len(h), bool))
-        branch = ["interior_newton" if e is None else f"error:{type(e).__name__}" for e in error]
+        branch = ["interior_newton"] * n
+    branch = [b if e is None else f"error:{type(e).__name__}" for b, e in zip(branch, error)]
     return x_star, x_l, x_u, branch, error
+
+
+def _not_finite(h: float, **values) -> SingularMatrixError:
+    """The refusal of a geometry solution at altitude h with values not all finite."""
+    named = ", ".join(f"{name} = {v!r}" for name, v in values.items())
+    return SingularMatrixError(f"the geometry solution at H = {h:.6g} m is not finite: {named}")
 
 
 def solve_sp1(params: SystemParams) -> Sp1Result:
@@ -492,15 +503,21 @@ def solve_sp1(params: SystemParams) -> Sp1Result:
     when g' does not change sign over that cell), and a safeguarded
     Newton solve to |dx| < 1e-9*H runs there from the root of the
     quintic Hermite interpolant of g' through the grid minimum and its
-    neighbours.  The one-altitude case of sweep_angle's batched solve.
+    neighbours.  The one-altitude case of sweep_angle's batched solve;
+    it refuses a non-finite x_star, g_star or bracket end.
     """
     x_star, x_l, x_u, branch, error = _solve_sp1_each(
         params, np.array([params.h_alt], float), params.alpha)
     if error[0] is not None:
         raise error[0]
-    x = float(x_star[0])
-    return Sp1Result(x, 0.0, math.atan2(params.h_alt, x), ekf.weighted_g(x, 0.0, params),
-                     float(x_l[0]), float(x_u[0]), branch[0])
+    x, x_l, x_u = float(x_star[0]), float(x_l[0]), float(x_u[0])
+    try:
+        g = ekf.weighted_g(x, 0.0, params)
+    except ZeroDivisionError:  # the information underflows to 0
+        g = math.inf
+    if not all(map(math.isfinite, (x, g, x_l, x_u))):
+        raise _not_finite(params.h_alt, x_star=x, g_star=g, x_l=x_l, x_u=x_u)
+    return Sp1Result(x, 0.0, math.atan2(params.h_alt, x), g, x_l, x_u, branch[0])
 
 
 def crbx_second_derivative_certificate(chi: float, params: SystemParams) -> float:
@@ -545,23 +562,21 @@ def design_trajectory(x_breve_opt, eta_prev, uav_prev, params: SystemParams):
     position: x_A,n = eta + x_A,n-1 - x_breve, with the implied constant
     slot velocity v_A,n = (x_A,n - x_A,n-1)/dt, on floats or 1-D arrays
     (rows).  Targets outside the per-slot velocity envelope are
-    rejected, on rows by the float form at the lowest such row.  The
-    slack, 1e-9 m plus two ulp of eta (np.spacing(|eta|) = math.ulp(eta)),
-    covers eta -/+ reach rounding away from eta at any |eta|.
+    rejected, on rows for the lowest such row.  The slack, 1e-9 m plus
+    two ulp of eta (np.spacing(|eta|) = math.ulp(eta)), covers
+    eta -/+ reach rounding away from eta at any |eta|.
     """
     x_a_prev, _ = uav_prev
-    rows = isinstance(eta_prev, np.ndarray)
-    ulp = np.spacing(abs(eta_prev)) if rows else math.ulp(eta_prev)
-    beyond = abs(x_breve_opt - eta_prev) > params.reach + 1e-9 + 2.0 * ulp
-    if rows:
-        raise_at_first(beyond, lambda i: design_trajectory(
-            float(x_breve_opt[i]), float(eta_prev[i]), (float(x_a_prev[i]), 0.0), params))
-    elif beyond:
-        raise VelocityBoundError(
-            f"|x_breve - eta| = {abs(x_breve_opt - eta_prev):.6g} m exceeds the "
-            f"per-slot reach v_a_max*dt = {params.reach:.6g} m")
+    ulp = np.spacing(abs(eta_prev)) if isinstance(eta_prev, np.ndarray) else math.ulp(eta_prev)
+    dx = abs(x_breve_opt - eta_prev)
+    raise_at_first(dx > params.reach + 1e-9 + 2.0 * ulp, _beyond_reach, dx, params)
     x_a_n = eta_prev + x_a_prev - x_breve_opt
     return x_a_n, (x_a_n - x_a_prev) / params.dt
+
+
+def _beyond_reach(i: int, dx, params: SystemParams):
+    raise VelocityBoundError(f"|x_breve - eta| = {np.ravel(dx)[i]:.6g} m exceeds the "
+                             f"per-slot reach v_a_max*dt = {params.reach:.6g} m")
 
 
 def sweep_angle(params: SystemParams, alphas, h_values):
@@ -577,9 +592,7 @@ def sweep_angle(params: SystemParams, alphas, h_values):
     """
     hs = [float(v) for v in h_values]
     h = np.array(hs, float)
-    bad = ~(np.isfinite(h) & (h > 0.0))
-    if bad.any():
-        replace(params, h_alt=hs[int(bad.argmax())])
+    raise_at_first(~(np.isfinite(h) & (h > 0.0)), lambda i: replace(params, h_alt=hs[i]))
     rows = []
     for a in alphas:
         a = _check_alpha(float(a))

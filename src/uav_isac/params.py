@@ -91,6 +91,9 @@ class SystemParams:
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(f"{name} = {getattr(self, name)!r} gives a channel weight "
                                  f"sens_gain/{name}^2 of {w!r}, not finite and positive")
+        if self.gamma_c >= 1024.0 or 2.0 ** self.gamma_c == 1.0:  # qos_radius divides by it
+            raise ValueError(f"gamma_c must make 2**gamma_c - 1 finite and nonzero, got "
+                             f"{self.gamma_c!r}")
         _check_alpha(self.alpha)
         if not (math.isfinite(self.v_a_max) and self.v_a_max >= 0):
             raise ValueError(f"v_a_max must be >= 0, got {self.v_a_max!r}")

@@ -11,8 +11,8 @@ The noise model is one formula, noise_weights: the per-channel
 reciprocal variances 1/s_i at offset x.  The sampled measurement noise
 (noise_cov_actual), the filter update and both estimation bounds all
 read it; a sampled measurement carries the weights to the update.
-_measured_weights is the one check that weights are usable (finite and
-positive): sample_measurement, ekf.update and both tracking loops call
+_measured_variances is the one check that weights are usable (finite
+and positive): sample_measurement, ekf.update and the slot loop call
 it, so a geometry too far or not finite is refused the same way by each.
 
 measure_mean, jacobian, achievable_rate and _noisy_mean take the module
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, raise_at_first
 from .linalg2 import DiagMat3, Jacobian32
 from .params import SystemParams
 
@@ -130,20 +130,27 @@ def noise_cov_actual(s: RelativeState, params: SystemParams) -> DiagMat3:
 
 
 def _variances(w) -> tuple[float, float, float]:
-    """The variances 1/w_i of channel weights w, formed as numpy forms
-    them: a weight that underflows to 0 gives an infinite variance and
-    NaN stays NaN."""
+    """The reciprocals 1/w_i of channel weights w (or weights of
+    variances w), formed as numpy forms them: 0 gives inf and NaN stays
+    NaN."""
     w1, w2, w3 = w
     return 1.0 / w1 if w1 else math.inf, 1.0 / w2 if w2 else math.inf, 1.0 / w3 if w3 else math.inf
 
 
-def _measured_weights(s, w=None) -> tuple[float, float, float]:
-    """The weights w = (1/s1, 1/s2, 1/s3) of the variances s, unless given;
-    raises SingularMatrixError, naming s, unless each is finite and positive."""
-    w1, w2, w3 = (1.0 / si if si > 0.0 else math.inf for si in s) if w is None else w
-    if not (0.0 < w1 < math.inf and 0.0 < w2 < math.inf and 0.0 < w3 < math.inf):
-        raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
-    return w1, w2, w3
+def _measured_variances(w) -> tuple[float, float, float]:
+    """The variances 1/w_i of channel weights w, floats or arrays with an
+    entry per row.  The one check that weights are usable: raises
+    SingularMatrixError, naming the variances of the lowest failing entry
+    as _variances forms them, unless each weight is finite and positive."""
+    w1, w2, w3 = w
+    raise_at_first(((0.0 < w1) & (w1 < math.inf) & (0.0 < w2) & (w2 < math.inf)
+                    & (0.0 < w3) & (w3 < math.inf)) ^ True, _refuse_weights, w)
+    return 1.0 / w1, 1.0 / w2, 1.0 / w3
+
+
+def _refuse_weights(i: int, w):
+    s = _variances(wi if isinstance(wi, float) else float(wi[i]) for wi in w)
+    raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
 
 
 def jacobian(s: RelativeState, params: SystemParams, xp=math) -> Jacobian32:
@@ -182,8 +189,7 @@ def sample_measurement(s_true: RelativeState, params: SystemParams, rng,
     if noise_scale < 0:
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale!r}")
     w = noise_weights(s_true.x, params)
-    s = _variances(w)
-    _measured_weights(s, w)
+    s = _measured_variances(w)
     z = rng.standard_normal(3).tolist()
     return Measurement(*_noisy_mean(s_true, s, z, noise_scale, params), DiagMat3(*s), w)
 

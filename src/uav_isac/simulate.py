@@ -23,17 +23,17 @@ tr_mm).  run_scenario runs one trial on floats and records every field;
 it is the reference.  Its arithmetic is that of the public one-step
 functions (step_ground_truth, sample_measurement, ekf.update, and per
 entry predicted_pcrb and crb_measurement), written flat over the helpers
-they share: a slot inverts its prediction MSE once and takes one Fisher
-pass.  There is one plan, _plan, and one slot solve,
+they share: the loop inverts a slot's prediction MSE once and takes one
+Fisher pass.  There is one plan, _plan, and one slot solve,
 optimize.solve_p1_each: the proposed target rule runs it on one row for
 a float trial.  run_monte_carlo runs every trial of both schemes in
-lockstep as rows, which differ from floats in one place, the weights
-check and the prior information (raise_at_first), apart from the rule
-tables (on rows, each scheme's _TARGET_RULES_EACH rule on its block).
-A row's columns do not depend on the other rows, and a lockstep trial
-matches run_scenario at the same seed to about 1e-9 relative or better.
-An error names the earliest slot at which a row fails and, among the
-rows failing at one step of it, the lowest.
+lockstep as rows.  Floats and rows differ only in the rule tables (on
+rows, each scheme's _TARGET_RULES_EACH rule on its block); every check
+is one call that raises, on rows, for the lowest failing row.  A row's
+columns do not depend on the other rows, and a lockstep trial matches
+run_scenario at the same seed to about 1e-9 relative or better.  An
+error names the earliest slot at which a row fails and, among the rows
+failing at one step of it, the lowest.
 
 Determinism contract: one generator per trial, seeded with the trial's
 seed, consumed in a fixed order (2 draws for the initial estimate
@@ -211,7 +211,7 @@ def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     touching point of a degenerate window, and otherwise, where the
     velocity envelope cannot reach the rate disc, the right-above
     target, the reachable point nearest overhead (a flagged slot)."""
-    prior_info = ekf._prior_information_each(mse_pred)
+    prior_info = ekf._prior_information(mse_pred)
     x_c = optimize.qos_radius(params)
     reach = params.reach
     lo = np.maximum(-x_c, eta - reach)
@@ -270,9 +270,9 @@ def _add_context(exc: Exception, prefix: str) -> None:
         exc.args = (prefix + exc.args[0],) + exc.args[1:]
 
 
-def _refuse_record(x: float, x_breve: float):
-    raise SingularMatrixError(
-        f"a record bound at x = {x!r}, x_breve = {x_breve!r} divides by zero or overflows")
+def _refuse_record(i: int, x, x_breve):
+    raise SingularMatrixError(f"a record bound at x = {float(x.flat[i])!r}, "
+                              f"x_breve = {float(x_breve.flat[i])!r} divides by zero or overflows")
 
 
 # what the slot loop keeps of a slot, in order: record fields, weights, prior information
@@ -303,7 +303,7 @@ def _record_columns(kept: dict, params: SystemParams) -> dict:
     finite = np.isfinite(np.where((x_breve == 0.0) & (tr_mm == math.inf), crb_x, tr_mm))
     for name in RECORD_COLUMNS[:-1]:  # all but tr_mm
         finite &= np.isfinite(cols[name])
-    raise_at_first(~finite, lambda i: _refuse_record(float(x.flat[i]), float(x_breve.flat[i])))
+    raise_at_first(~finite, _refuse_record, x, x_breve)
     return cols
 
 
@@ -314,13 +314,13 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
     array of rows entries; z the draws as a (2 + 5*n_slots, rows) array).
     targets goes to _plan.  Slot 0 places the world, perturbs the initial
     estimate by init_est_std and plans slot 1; each slot then runs as the
-    module docstring says.  Floats and rows differ in one place: the
-    weights check and the prior information.  Returns every KEPT and
-    RECORD_COLUMNS column by name, each (n_slots,) or (n_slots, rows),
-    from one _record_columns pass.  An error's message is prefixed with
-    its slot; a batch error's batch_index is its row, and one trial's
-    error has none.  Overflow and NaN pass silently through the loop, as
-    on Python floats; the column pass refuses a record value they spoil.
+    module docstring says, the same calls on floats and on rows.  Returns
+    every KEPT and RECORD_COLUMNS column by name, each (n_slots,) or
+    (n_slots, rows), from one _record_columns pass.  An error's message
+    is prefixed with its slot; a batch error's batch_index is its row,
+    and one trial's error has none.  Overflow and NaN pass silently
+    through the loop, as on Python floats; the column pass refuses a
+    record value they spoil.
     """
     xp = math if rows is None else np
     dt, k = p.dt, cfg.noise_scale
@@ -346,18 +346,8 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
             x, v = obj_pos - uav_pos, obj_vel - uav_vel
             w = sensing.noise_weights(x, p)
             # the weights are checked before the prediction MSE, as in ekf.update
-            if rows is None:
-                s = sensing._variances(w)
-                sensing._measured_weights(s, w)
-                prior = ekf._prior_information(pred.mse_pred)
-            else:
-                w1, w2, w3 = w
-                raise_at_first(~((0.0 < w1) & (w1 < math.inf) & (0.0 < w2) & (w2 < math.inf)
-                                 & (0.0 < w3) & (w3 < math.inf)),
-                               lambda i: sensing._measured_weights(
-                                   sensing._variances(float(wi[i]) for wi in w)))
-                s = tuple(1.0 / wi for wi in w)
-                prior = ekf._prior_information_each(pred.mse_pred)
+            s = sensing._measured_variances(w)
+            prior = ekf._prior_information(pred.mse_pred)
             y = sensing._noisy_mean(RelativeState(x, v), s, (e1, e2, e3), k, p, xp)
             fstate = ekf._posterior(pred.pred, prior, w, y, p, xp)
             kept[n - 1] = (x, v, fstate.est.x, fstate.est.v, pred.pred.x, pred.pred.v, uav_pos,

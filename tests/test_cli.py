@@ -122,6 +122,8 @@ def test_track_config_file_applies(tmp_path):
     "h_alt 50",
     "h_alt = -5",
     "n_t = 3.5",
+    "gamma_c = 2000",   # qos_radius's 2**gamma_c - 1 overflows
+    "gamma_c = 1e-20",  # and rounds to 0
 ])
 def test_track_bad_config_exits_2(tmp_path, content, capsys):
     cfgfile = tmp_path / "params.cfg"
@@ -296,6 +298,30 @@ def test_solve_sp1_names_an_altitude_beyond_float_range(h, capsys):
     assert _run(["solve-sp1", "--H", h]) == 4
     assert capsys.readouterr().err == (f"refused: BracketError: objective derivative cannot be "
                                        f"bracketed: H = {float(h):.6g} m is beyond float range\n")
+
+
+@pytest.mark.parametrize("args, refusal", [
+    (["--H", "1e60"], "BracketError: objective derivative does not change sign"),
+    (["--H", "1e308", "--set", "alpha=1"],
+     "SingularMatrixError: the geometry solution at H = 1e+308 m is not finite"),
+], ids=["interior", "alpha1"])
+def test_solve_sp1_refuses_a_non_finite_solution(args, refusal, capsys):
+    # a bare FloatingPointError and a printed g_star = nan before
+    assert _run(["solve-sp1", *args]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert captured.err.startswith(f"refused: {refusal}")
+
+
+def test_sweep_angle_records_an_error_cell_beyond_the_model(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert _run(["sweep-angle", "--alphas", "0.5,1", "--h-min", "1e60", "--h-max", "1e60",
+                 "--h-step", "1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[0], r[2], r[4]) for r in rows] == [("0.5", "nan", "error:BracketError"),
+                                                  ("1", rows[1][2], "alpha1_xi_pos")]
+    assert math.isfinite(float(rows[1][2]))
 
 
 # ----------------------------------------------------------------- validate

@@ -8,11 +8,9 @@ from uav_isac.linalg2 import (
     DiagMat3,
     Jacobian32,
     Sym2,
-    inverse_each,
     min_eigenvalue_symmetric,
     process_noise_cov,
     require_positive_definite,
-    require_positive_definite_each,
 )
 
 
@@ -96,20 +94,47 @@ def test_batch_checks_raise_for_lowest_failing_entry():
     m = Sym2(np.array([1.0, -1.0, 0.0]), np.zeros(3), np.ones(3))
     with pytest.raises(NotPositiveDefiniteError,
                        match=r"^m is not positive definite: Sym2\(m11=-1.0, m12=0.0") as exc_info:
-        require_positive_definite_each(m, "m")
+        require_positive_definite(m, "m")
     assert exc_info.value.batch_index == 1
     singular = Sym2(np.array([2.0, 1.0, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
     with pytest.raises(SingularMatrixError) as exc_info:
-        inverse_each(singular)
+        singular.inverse()
     assert exc_info.value.batch_index == 1
     # a scalar check that passes where the batched one failed is a bug
     with pytest.raises(RuntimeError, match="batch entry 1"):
         raise_at_first(np.array([False, True]), lambda i: None)
 
 
+def test_float_checks_raise_the_batch_error_without_batch_index():
+    """The same calls on float fields: the type and message of the batch
+    entry's error, and no batch_index."""
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^m is not positive definite: Sym2\(m11=-1.0, m12=0.0, m22=1.0\)$"
+                       ) as exc_info:
+        require_positive_definite(Sym2(-1.0, 0.0, 1.0), "m")
+    assert not hasattr(exc_info.value, "batch_index")
+    with pytest.raises(SingularMatrixError,
+                       match=r"^matrix is numerically singular: Sym2\(m11=1.0, m12=1.0, m22=1.0\)$"
+                       ) as exc_info:
+        Sym2(1.0, 1.0, 1.0).inverse()
+    assert not hasattr(exc_info.value, "batch_index")
+    with pytest.raises(RuntimeError):
+        raise_at_first(True, lambda i: None)
+    # a passing float check makes no call at all
+    raise_at_first(False, None)
+
+
 def test_batch_inverse_equals_scalar_inverse():
     m = Sym2(np.array([2.0, 4.0, 0.3]), np.array([1.0, 0.0, -0.1]), np.array([3.0, 0.5, 0.2]))
-    inv = inverse_each(m)
-    require_positive_definite_each(m)
+    inv = m.inverse()
+    det = require_positive_definite(m)
+    again = m.inverse(det)
+    assert all(np.array_equal(a, b) for a, b in zip((inv.m11, inv.m12, inv.m22),
+                                                    (again.m11, again.m12, again.m22)))
     for i in range(3):
         assert inv.at(i) == m.at(i).inverse()
+        assert m.at(i).inverse(det[i]) == m.at(i).inverse()
+        assert require_positive_definite(m.at(i)) == det[i]
+    # float fields: at is the matrix itself
+    f = m.at(0)
+    assert f.at(2) is f

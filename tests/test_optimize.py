@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from uav_isac.errors import (
     BracketError,
     InfeasibleIntervalError,
     InfeasibleQosError,
+    SingularMatrixError,
+    UavIsacError,
     VelocityBoundError,
 )
 from uav_isac.linalg2 import Sym2
@@ -785,6 +788,45 @@ def test_tradeoff_frontier_equals_scalar_oracle(n_grid, a1):
         p = replace(P, a1=a1, alpha=alpha)
         assert repr(optimize.tradeoff_frontier(p, n_grid)) == \
             repr(oracles.frontier_by_scalar_steps(p, n_grid))
+
+
+# every half decade of altitude that SystemParams accepts, 1 m to 1e308 m
+FLOAT_RANGE_HEIGHTS = [10.0 ** (k / 2) for k in range(617)]
+TENTH_ALPHAS = [k / 10 for k in range(11)]
+
+
+def test_geometry_refuses_or_returns_finite_values_across_float_range():
+    # interior weights used to end in a bare FloatingPointError from about
+    # H = 1e56, alpha = 0 and 1 in a bare ZeroDivisionError at 1e82, and
+    # alpha = 1 in g_star = nan or a NaN bracket end further out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for alpha in TENTH_ALPHAS:
+            for h in FLOAT_RANGE_HEIGHTS:
+                try:
+                    res = optimize.solve_sp1(replace(P, alpha=alpha, h_alt=h))
+                except UavIsacError:
+                    continue
+                assert all(map(math.isfinite, (res.x_star, res.phi_star, res.g_star, res.x_l,
+                                               res.x_u))), res
+        rows = optimize.sweep_angle(P, TENTH_ALPHAS, FLOAT_RANGE_HEIGHTS)
+    assert [r[:2] for r in rows] == [(a, h) for a in TENTH_ALPHAS for h in FLOAT_RANGE_HEIGHTS]
+    for row in rows:
+        assert row[4].startswith("error:") or all(map(math.isfinite, row[:4])), row
+
+
+def test_geometry_refusals_at_altitudes_beyond_the_model():
+    cells = {(a, h): (x, b) for a, h, x, _, b in optimize.sweep_angle(P, [0.5, 1.0], [1e60, 1e308])}
+    assert cells[(0.5, 1e60)][1] == "error:BracketError"
+    x, branch = cells[(1.0, 1e308)]
+    assert branch == "error:SingularMatrixError" and math.isnan(x)
+    with pytest.raises(SingularMatrixError, match=r"^the geometry solution at H = 1e\+82 m is "
+                       r"not finite: x_star = .*, g_star = inf"):
+        optimize.solve_sp1(replace(P, alpha=0.0, h_alt=1e82))
+    with pytest.raises(SingularMatrixError, match=r"x_star = nan$"):
+        optimize.solve_sp1(replace(P, alpha=1.0, h_alt=1e308))
+    with pytest.raises(BracketError):
+        optimize.solve_sp1(replace(P, h_alt=1e60))
 
 
 def test_sweep_angle_propagates_non_package_errors():

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uav_isac.errors import InfeasibleQosError
+from uav_isac.optimize import qos_radius
 from uav_isac.params import PARAM_FIELD_NAMES, SPEED_OF_LIGHT, SystemParams, dbm_to_watts
 
 import oracles
@@ -57,10 +59,19 @@ def test_linear_power_properties():
     ("alpha", -0.1), ("alpha", 1.1),
     ("v_a_max", -1.0),
     ("p_a_dbm", math.nan), ("sigma2_dbm", math.inf), ("p_a_dbm", 4000.0),
+    # qos_radius's 2**gamma_c - 1 overflows from 1024 (a bare OverflowError)
+    # and rounds to 0 below about 1.6e-16 (a bare ZeroDivisionError)
+    ("gamma_c", 1024.0), ("gamma_c", 2000.0), ("gamma_c", 1.6e-16), ("gamma_c", 1e-20),
 ])
 def test_rejects_bad_values(field, value):
     with pytest.raises(ValueError):
         SystemParams(**{field: value})
+
+
+def test_rate_targets_next_to_the_refused_ones_reach_a_package_result():
+    with pytest.raises(InfeasibleQosError):
+        qos_radius(SystemParams(gamma_c=math.nextafter(1024.0, 0.0)))
+    assert math.isfinite(qos_radius(SystemParams(gamma_c=2e-16)))
 
 
 @pytest.mark.parametrize("field,value", [("a1", 1e-170), ("a2", 1e-170), ("a3", 1e-160),

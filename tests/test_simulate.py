@@ -316,16 +316,28 @@ def test_plan_without_position_information_is_refused(scheme):
         run_scenario(cfg, P)
 
 
-def test_proposed_slot_reuses_the_plans_prior_information(monkeypatch):
-    """The proposed scheme's plan inverts the prediction MSE for its
-    solve, and the slot reuses that information: per slot one inversion
-    of the prediction MSE and one of the posterior information."""
+def test_proposed_slot_inverts_the_prediction_mse_twice(monkeypatch):
+    """Every inversion, counted by path: the proposed rule inverts the
+    one-row prediction MSE of each slot it plans (10 plans for 10 slots),
+    and the slot loop inverts that prediction MSE again, on floats, then
+    the posterior information: 2 float inversions per slot.  The rule's
+    prior information is not reused."""
     inverses = []
     inverse = Sym2.inverse
-    monkeypatch.setattr(Sym2, "inverse", lambda self: inverses.append(self) or inverse(self))
+    monkeypatch.setattr(Sym2, "inverse",
+                        lambda self, det=None: inverses.append(self) or inverse(self, det))
     recs = run_scenario(ScenarioConfig(n_slots=10, scheme="proposed"), P)
     assert not any(r.flagged for r in recs)
-    assert len(inverses) == 20
+    rows = [m for m in inverses if isinstance(m.m11, np.ndarray)]
+    floats = [m for m in inverses if not isinstance(m.m11, np.ndarray)]
+    assert len(rows) == 10 and all(m.m11.shape == (1,) for m in rows)
+    assert len(floats) == 20
+    # per slot: the plan's one-row inversion, then the loop's two
+    assert [isinstance(m.m11, np.ndarray) for m in inverses] == [True, False, False] * 10
+    for row, prior, rec in zip(rows, floats[::2], recs):
+        assert (row.m11.tolist(), row.m12.tolist(), row.m22.tolist()) == (
+            [prior.m11], [prior.m12], [prior.m22])
+        assert prior.trace == rec.tr_mp
 
 
 def _same_records(a, b):
