@@ -15,9 +15,10 @@ path serves plain floats and numpy arrays.  Each bound is a rational
 function of position and velocity, so the value, d/dx and d^2/dx^2
 that the solvers read (v tied linearly to x) are written out in closed
 form next to the expressions: _fisher_jets and _weighted_jet.  The
-update's posterior also reads the measurement map, so it takes
-sensing's namespace xp: math, or numpy for the Monte-Carlo batch; its
-checks and inversions are the same calls for both.
+update's posterior, _posterior, maps plain values (x, v) to (x_hat,
+v_hat, mse) and reads the measurement map at them, so it takes sensing's
+namespace xp: math, or numpy for the Monte-Carlo batch; its checks and
+inversions are the same calls for both.  update wraps it for one slot.
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ from dataclasses import dataclass
 
 from .linalg2 import Sym2, require_positive_definite
 from .params import SystemParams
-from .sensing import (Measurement, RelativeState, _measured_variances, _variances, jacobian,
-                      measure_mean, noise_weights)
+from .sensing import (Measurement, RelativeState, _jacobian_entries, _mean, _measured_variances,
+                      _variances, noise_weights)
 
 
 @dataclass(slots=True)
 class FilterState:
-    """Posterior estimate and its MSE matrix after a slot's update.
-    Slotted, not frozen: the update builds one per slot, and __init__
-    takes 0.17 us slotted against 0.20 us plain and 0.50 us frozen
-    (CPython 3.11); an instance carries no __dict__."""
+    """Posterior estimate and its MSE matrix, as update returns them.
+    Slotted, not frozen, like Sym2; the slot loop carries the values
+    _posterior returns and builds none."""
 
     est: RelativeState
     mse: Sym2
@@ -44,11 +44,9 @@ class FilterState:
 
 @dataclass(slots=True)
 class Prediction:
-    """One-slot-ahead predicted state and prediction MSE matrix.
-    Slotted, not frozen: planning a slot builds one (the planned state
-    with _predicted_mse's MSE), and __init__ takes 0.18 us slotted
-    against 0.20 us plain and 0.51 us frozen (CPython 3.11); an instance
-    carries no __dict__."""
+    """One-slot-ahead predicted state and prediction MSE matrix, as
+    predict returns them.  Slotted, not frozen, like Sym2; planning a
+    slot returns its values and builds none."""
 
     pred: RelativeState
     mse_pred: Sym2
@@ -103,7 +101,9 @@ def update(pred: Prediction, y: Measurement, params: SystemParams) -> FilterStat
     """
     w = y.weights or _variances(y.noise_cov.diagonal())
     _measured_variances(w)
-    return _posterior(pred.pred, _prior_information(pred.mse_pred), w, (y.phi, y.tau, y.mu), params)
+    x, v, mse = _posterior(pred.pred.x, pred.pred.v, _prior_information(pred.mse_pred), w,
+                           (y.phi, y.tau, y.mu), params)
+    return FilterState(RelativeState(x, v), mse)
 
 
 def _prior_information(mse_pred: Sym2) -> Sym2:
@@ -112,19 +112,21 @@ def _prior_information(mse_pred: Sym2) -> Sym2:
     return mse_pred.inverse(require_positive_definite(mse_pred, "mse_pred"))
 
 
-def _posterior(pred: RelativeState, prior_info: Sym2, w, y, params: SystemParams,
-               xp=math) -> FilterState:
-    """The update's posterior at the predicted state for the prediction's
-    information, weights w = (1/s1, 1/s2, 1/s3) and y = (phi, tau, mu);
-    with xp numpy, of a batch whose fields are arrays."""
-    phi, tau, mu = measure_mean(pred, params, xp)
-    info, gx, gv = _information_and_score(
-        pred, prior_info, w, jacobian(pred, params, xp), (y[0] - phi, y[1] - tau, y[2] - mu),
-        params)
+def _posterior(x, v, prior_info: Sym2, w, y, params: SystemParams, xp=math):
+    """The update's posterior (x_hat, v_hat, mse) at the predicted state
+    (x, v) for the prediction's information, weights w = (1/s1, 1/s2,
+    1/s3) and y = (phi, tau, mu), with information M_p^{-1} + J^T R^{-1} J
+    and score J^T R^{-1} (y - h(x, v)) = (gx, gv); with xp numpy, of a
+    batch whose values are arrays."""
+    phi, tau, mu = _mean(x, v, params, xp)
+    iota, kappa, zeta, nu = _jacobian_entries(x, v, params, xp)
+    w1, w2, w3 = w
+    info = _add_information(prior_info, *_fisher_terms(x, v, params, w))
+    r3 = w3 * (y[2] - mu)
+    # the angle and delay rows carry no velocity
+    gx, gv = iota * (w1 * (y[0] - phi)) + kappa * (w2 * (y[1] - tau)) + zeta * r3, nu * r3
     mse = info.inverse()
-    x, v = pred.x, pred.v
-    return FilterState(RelativeState(x + mse.m11 * gx + mse.m12 * gv,
-                                     v + mse.m12 * gx + mse.m22 * gv), mse)
+    return x + mse.m11 * gx + mse.m12 * gv, v + mse.m12 * gx + mse.m22 * gv, mse
 
 
 # -- the information-form core, generic over float / ndarray --
@@ -189,20 +191,6 @@ def _fisher_jets(x, v, params: SystemParams, dv=0.0, h_alt=None):
     zz = (ty * y, m * v * (2.0 * dv - b * v), m * (2.0 * dv * (dv - 2.0 * b * v) + c5 * v * v))
     zv = (ty * x, dv * s * x + v * g1, 2.0 * dv * g1 + v * g2)
     return i_pos, zz, zv, vv
-
-
-def _information_and_score(pred: RelativeState, prior_info: Sym2, w, jac, innov,
-                           params: SystemParams):
-    """The update's posterior information M_p^{-1} + J^T R^{-1} J and
-    score J^T R^{-1} innov = (gx, gv) at the predicted state, for
-    weights w = (1/s1, 1/s2, 1/s3) and innovations y - h(x_pred)."""
-    w1, w2, w3 = w
-    info = _add_information(prior_info, *_fisher_terms(pred.x, pred.v, params, w))
-    r1 = w1 * innov[0]
-    r2 = w2 * innov[1]
-    r3 = w3 * innov[2]
-    # the angle and delay rows carry no velocity
-    return info, jac.iota * r1 + jac.kappa * r2 + jac.zeta * r3, jac.nu * r3
 
 
 def _add_information(prior_info: Sym2, i_pos, zz, zv, vv) -> Sym2:

@@ -434,7 +434,8 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
     params.h_alt are not read).  Returns (n,) arrays x_star, x_l, x_u,
     the branch names and, per altitude, the package error its solve
     raises or None (x_star NaN, branch 'error:<Name>'; at alpha = 1, an
-    optimum that is not finite).  An interior
+    optimum that is not finite, and at alpha = 0 and 1 an objective
+    g(x_star, 0) that is not finite).  An interior
     weight takes _grid_basin_each's (n, 65) grid pass and one (5, n)
     evaluation of g', g'' at the grid minima, their neighbours and both
     bracket ends, checks the signs at the ends, and polishes the m
@@ -455,9 +456,14 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
                 math.atan(math.sqrt(5.0) * params.c * params.a2 / math.sqrt(xi[i])) / 3.0)
             x_star[i] = h[i] / math.sqrt(chi1)
             if not math.isfinite(x_star[i]):
-                error[i] = _not_finite(h[i], x_star=float(x_star[i]))
+                error[i] = _not_finite(h[i], x_star=x_star[i])
                 x_star[i] = math.nan
         branch = ["alpha1_xi_nonpos" if v <= 0.0 else "alpha1_xi_pos" for v in xi]
+    if alpha in (0.0, 1.0):  # an endpoint optimum of an objective that is not finite
+        g = _g0(x_star, params, h, alpha)
+        for i in np.flatnonzero(~np.isfinite(g) & np.isfinite(x_star)):
+            error[i] = _not_finite(h[i], x_star=x_star[i], g_star=g[i], x_l=x_l[i], x_u=x_u[i])
+        x_star = np.where(np.isfinite(g), x_star, math.nan)
     else:
         lo = np.maximum(x_l, 1e-9 * h)
         _, _, _, points, (_, d1, d2) = _grid_basin_each(
@@ -483,8 +489,9 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
 
 
 def _not_finite(h: float, **values) -> SingularMatrixError:
-    """The refusal of a geometry solution at altitude h with values not all finite."""
-    named = ", ".join(f"{name} = {v!r}" for name, v in values.items())
+    """The refusal of a geometry solution at altitude h with values (floats
+    or numpy scalars) not all finite."""
+    named = ", ".join(f"{name} = {float(v)!r}" for name, v in values.items())
     return SingularMatrixError(f"the geometry solution at H = {h:.6g} m is not finite: {named}")
 
 

@@ -12,25 +12,26 @@ planned waypoint, a measurement is sampled at the true relative state,
 the filter updates the planned prediction, the slot's values are kept,
 and, unless it was the last slot, the next slot is planned.
 
-Only the plan and the filter feed the next slot.  One loop, _track,
-runs the slots, on Python floats for one trial or on numpy arrays with
-one row per scheme and trial, each step the same call with xp=math or
-xp=numpy (numpy transcendentals may differ from math's by an ulp).  It
-keeps the values of every slot named by KEPT, and one _record_columns
-pass over them after the slot loop gives every record column by name,
-computing those that evaluate a run (bound pairs, weighted_actual, rate,
-tr_mm).  run_scenario runs one trial on floats and records every field;
-it is the reference.  Its arithmetic is that of the public one-step
-functions (step_ground_truth, sample_measurement, ekf.update, and per
-entry predicted_pcrb and crb_measurement), written flat over the helpers
-they share: the loop inverts a slot's prediction MSE once and takes one
-Fisher pass.  There is one plan, _plan, and one slot solve,
-optimize.solve_p1_each: the proposed target rule runs it on one row for
-a float trial.  run_monte_carlo runs every trial of both schemes in
-lockstep as rows.  Floats and rows differ only in the rule tables (on
-rows, each scheme's _TARGET_RULES_EACH rule on its block); every check
-is one call that raises, on rows, for the lowest failing row.  A row's
-columns do not depend on the other rows, and a lockstep trial matches
+Only the plan and the filter feed the next slot, as plain values: _plan
+returns (x_a, v_a, x_breve, v_breve, mse_pred) and ekf._posterior
+(x_hat, v_hat, mse), so a slot builds no filter state, prediction,
+Jacobian or relative state.  One loop, _track, runs the slots, on
+Python floats for one trial or on numpy arrays with one row per scheme
+and trial, each step the same call with xp=math or xp=numpy (numpy
+transcendentals may differ from math's by an ulp).  It keeps the values
+of every slot named by KEPT; one _record_columns pass after the slot
+loop gives every record column by name, computing those that evaluate
+a run (bound pairs, weighted_actual, rate, tr_mm).  run_scenario, the
+reference, runs one trial on floats.  Its arithmetic is that of the
+public one-step functions (step_ground_truth, sample_measurement,
+ekf.update, and per entry predicted_pcrb and crb_measurement), written
+flat over the helpers they share: the loop inverts a slot's prediction
+MSE once and takes one Fisher pass.  The proposed rule runs the one slot
+solve, optimize.solve_p1_each, on one row for a float trial.
+run_monte_carlo runs every trial of both schemes in lockstep as rows,
+which differ from floats only in the rule tables (each scheme's
+_TARGET_RULES_EACH rule on its block); every check is one call that
+raises, on rows, for the lowest failing row.  A lockstep trial matches
 run_scenario at the same seed to about 1e-9 relative or better.  An
 error names the earliest slot at which a row fails and, among the rows
 failing at one step of it, the lowest.
@@ -240,27 +241,26 @@ _TARGET_RULES_EACH = {
 }
 
 
-def _plan(fstate: ekf.FilterState, uav_pos, uav_vel, params: SystemParams, targets):
-    """Decide the next slot, on floats or on rows (every field an array,
-    one entry per row): the platform waypoint x_a, the slot velocity v_a
-    and the filter's prediction for the slot, one decision.
+def _plan(x_hat, v_hat, mse, uav_pos, uav_vel, params: SystemParams, targets):
+    """Decide the next slot from the posterior (x_hat, v_hat) and its MSE,
+    on floats or on rows (every value an array, one entry per row), and
+    return (x_a, v_a, x_breve, v_breve, mse_pred): the platform waypoint,
+    the slot velocity and the filter's prediction for the slot.
 
-    The posterior is predicted once, as ekf.predict does it, without
-    building the predicted state that the plan replaces: eta = x_hat +
-    v_hat*dt + v_A*dt is where the object would sit relative to a
-    platform that stopped, the center of the reachable window.
-    targets(eta, x_hat, mse_pred, params), a target rule (on rows, each
-    block's rule on its rows), picks x_breve there; the one reach check,
-    optimize.design_trajectory, realizes it, and v_breve = (x_breve -
-    x_hat)/dt.  The prediction MSE does not depend on the command.
+    The posterior is predicted once, as ekf.predict does it, without the
+    predicted state that the plan replaces: eta = x_hat + v_hat*dt +
+    v_A*dt, where the object would sit relative to a platform that
+    stopped, centers the reachable window.  targets(eta, x_hat, mse_pred,
+    params), a target rule (on rows, each block's rule on its rows),
+    picks x_breve there; optimize.design_trajectory, the one reach check,
+    realizes it, and v_breve = (x_breve - x_hat)/dt.
     """
     dt = params.dt
-    est = fstate.est
-    mse_pred = ekf._predicted_mse(fstate.mse, params)
-    eta = est.x + est.v * dt + uav_vel * dt
-    x_breve = targets(eta, est.x, mse_pred, params)
+    mse_pred = ekf._predicted_mse(mse, params)
+    eta = x_hat + v_hat * dt + uav_vel * dt
+    x_breve = targets(eta, x_hat, mse_pred, params)
     x_a, v_a = optimize.design_trajectory(x_breve, eta, (uav_pos, uav_vel), params)
-    return x_a, v_a, ekf.Prediction(RelativeState(x_breve, (x_breve - est.x) / dt), mse_pred)
+    return x_a, v_a, x_breve, (x_breve - x_hat) / dt, mse_pred
 
 
 def _add_context(exc: Exception, prefix: str) -> None:
@@ -328,16 +328,17 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
     zero = 0.0 if rows is None else np.zeros(rows)
     obj_pos, obj_vel = cfg.init_obj_pos + zero, cfg.init_obj_vel + zero
     uav_pos, uav_vel = cfg.init_uav_pos + zero, cfg.init_uav_vel + zero
-    est0 = RelativeState((cfg.init_obj_pos - cfg.init_uav_pos) + cfg.init_est_std[0] * z[0],
-                         (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * z[1])
-    fstate = ekf.FilterState(est0, Sym2(cfg.init_mse[0] + zero, zero, cfg.init_mse[1] + zero))
+    x_hat = (cfg.init_obj_pos - cfg.init_uav_pos) + cfg.init_est_std[0] * z[0]
+    v_hat = (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * z[1]
+    mse = Sym2(cfg.init_mse[0] + zero, zero, cfg.init_mse[1] + zero)
 
     # per slot: the KEPT values, a tuple of floats (a list and one np.fromiter beat a
     # per-slot array store) or rows preallocated (a list of row tuples doubles the memory)
     kept = [None] * cfg.n_slots if rows is None else np.empty((cfg.n_slots, len(KEPT), rows))
     n = 0
     try:
-        x_a, v_a, pred = _plan(fstate, uav_pos, uav_vel, p, targets)
+        x_a, v_a, x_breve, v_breve, mse_pred = _plan(x_hat, v_hat, mse, uav_pos, uav_vel, p,
+                                                     targets)
         for n in range(1, cfg.n_slots + 1):
             # step_ground_truth, the planned command and sample_measurement
             z0, z1, e1, e2, e3 = z[5 * n - 3:5 * n + 2]
@@ -347,13 +348,14 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
             w = sensing.noise_weights(x, p)
             # the weights are checked before the prediction MSE, as in ekf.update
             s = sensing._measured_variances(w)
-            prior = ekf._prior_information(pred.mse_pred)
-            y = sensing._noisy_mean(RelativeState(x, v), s, (e1, e2, e3), k, p, xp)
-            fstate = ekf._posterior(pred.pred, prior, w, y, p, xp)
-            kept[n - 1] = (x, v, fstate.est.x, fstate.est.v, pred.pred.x, pred.pred.v, uav_pos,
-                           uav_vel, pred.mse_pred.trace, *w, prior.m11, prior.m12, prior.m22)
+            prior = ekf._prior_information(mse_pred)
+            y = sensing._noisy_mean(x, v, s, (e1, e2, e3), k, p, xp)
+            x_hat, v_hat, mse = ekf._posterior(x_breve, v_breve, prior, w, y, p, xp)
+            kept[n - 1] = (x, v, x_hat, v_hat, x_breve, v_breve, uav_pos, uav_vel,
+                           mse_pred.trace, *w, prior.m11, prior.m12, prior.m22)
             if n < cfg.n_slots:
-                x_a, v_a, pred = _plan(fstate, uav_pos, uav_vel, p, targets)
+                x_a, v_a, x_breve, v_breve, mse_pred = _plan(x_hat, v_hat, mse, uav_pos,
+                                                             uav_vel, p, targets)
         n = None
         if rows is None:
             kept = np.fromiter(chain.from_iterable(kept), float).reshape(cfg.n_slots, -1)

@@ -354,7 +354,12 @@ def scenario_by_public_steps(cfg, p):
                                  rel0.v + cfg.init_est_std[1] * z[1])
     fstate = ekf.FilterState(est0, Sym2.diag(*cfg.init_mse))
     records = []
-    x_a, v_a, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel, p, rule)
+
+    def plan():
+        x_a, v_a, x_breve, v_breve, mse_pred = simulate._plan(
+            fstate.est.x, fstate.est.v, fstate.mse, world.uav_pos, world.uav_vel, p, rule)
+        return x_a, v_a, ekf.Prediction(sensing.RelativeState(x_breve, v_breve), mse_pred)
+    x_a, v_a, pred = plan()
     for n in range(1, cfg.n_slots + 1):
         world = replace(simulate.step_ground_truth(world, p, rng), uav_pos=x_a, uav_vel=v_a)
         true_rel = world.relative()
@@ -374,7 +379,7 @@ def scenario_by_public_steps(cfg, p):
             tr_mp=pred.mse_pred.trace, tr_mm=crb_x + crb_v,
             flagged=cfg.scheme == "proposed" and abs(x_breve) > optimize.qos_radius(p)))
         if n < cfg.n_slots:
-            x_a, v_a, pred = simulate._plan(fstate, world.uav_pos, world.uav_vel, p, rule)
+            x_a, v_a, pred = plan()
     return records
 
 

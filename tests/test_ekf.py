@@ -153,8 +153,9 @@ def test_update_reads_the_carried_weights():
     y = sample_measurement(RelativeState(30.4, 4.7), P, np.random.default_rng(12))
     assert y.weights == noise_weights(30.4, P)
     assert y.noise_cov.diagonal() == sensing._variances(y.weights)
-    want = ekf._posterior(pred.pred, pred.mse_pred.inverse(), y.weights, (y.phi, y.tau, y.mu), P)
-    assert ekf.update(pred, y, P) == want
+    x, v, mse = ekf._posterior(pred.pred.x, pred.pred.v, pred.mse_pred.inverse(), y.weights,
+                               (y.phi, y.tau, y.mu), P)
+    assert ekf.update(pred, y, P) == ekf.FilterState(RelativeState(x, v), mse)
 
 
 def test_update_rejects_singular_prior():
@@ -297,9 +298,9 @@ def test_sensing_numpy_namespace_matches_float_form_row_by_row():
     _assert_rows_match([achievable_rate(batch.x, P, np)],
                        [(achievable_rate(st.x, P),) for st in states])
     _assert_rows_match(
-        sensing._noisy_mean(batch, s, z, 1.0, P, np),
-        [sensing._noisy_mean(st, sensing._variances(noise_weights(st.x, P)), z[:, i].tolist(),
-                             1.0, P) for i, st in enumerate(states)])
+        sensing._noisy_mean(batch.x, batch.v, s, z, 1.0, P, np),
+        [sensing._noisy_mean(st.x, st.v, sensing._variances(noise_weights(st.x, P)),
+                             z[:, i].tolist(), 1.0, P) for i, st in enumerate(states)])
 
 
 def test_posterior_numpy_namespace_matches_float_form_row_by_row():
@@ -308,26 +309,26 @@ def test_posterior_numpy_namespace_matches_float_form_row_by_row():
     rng = np.random.default_rng(10)
     true = RelativeState(pred.x + rng.normal(0.0, 0.5, n), pred.v + rng.normal(0.0, 0.5, n))
     w = noise_weights(true.x, P)
-    y = sensing._noisy_mean(true, tuple(1.0 / wi for wi in w), rng.standard_normal((3, n)),
-                            1.0, P, np)
+    y = sensing._noisy_mean(true.x, true.v, tuple(1.0 / wi for wi in w),
+                            rng.standard_normal((3, n)), 1.0, P, np)
     m11, m22 = np.exp(rng.uniform(-3.0, 3.0, (2, n)))
     prior = Sym2(m11, rng.uniform(-0.9, 0.9, n) * np.sqrt(m11 * m22), m22)
-    got = ekf._posterior(pred, prior, w, y, P, np)
-    rows = [ekf._posterior(st, prior.at(i), tuple(float(wi[i]) for wi in w),
+    *est, m = ekf._posterior(pred.x, pred.v, prior, w, y, P, np)
+    rows = [ekf._posterior(st.x, st.v, prior.at(i), tuple(float(wi[i]) for wi in w),
                            tuple(float(yi[i]) for yi in y), P) for i, st in enumerate(states)]
     # the MSE is the same arithmetic on both forms
-    _assert_rows_match(astuple(got.mse), [astuple(r.mse) for r in rows], rel=0.0)
+    _assert_rows_match(astuple(m), [astuple(r[2]) for r in rows], rel=0.0)
     # the estimate adds M J^T R^-1 (y - h(x_pred)); an ulp by which numpy's
     # transcendentals differ from math's in h is carried through that gain,
     # which the innovation's cancellation can make larger than 1e-15 of it
-    m, jac = got.mse, jacobian(pred, P, np)
+    jac = jacobian(pred, P, np)
     ulp = [wi * np.spacing(np.abs(hi)) for wi, hi in zip(w, measure_mean(pred, P, np))]
     slack = (
         np.abs(m.m11 * jac.iota) * ulp[0] + np.abs(m.m11 * jac.kappa) * ulp[1]
         + np.abs(m.m11 * jac.zeta + m.m12 * jac.nu) * ulp[2],
         np.abs(m.m12 * jac.iota) * ulp[0] + np.abs(m.m12 * jac.kappa) * ulp[1]
         + np.abs(m.m12 * jac.zeta + m.m22 * jac.nu) * ulp[2])
-    for got_f, col, slack_f in zip(astuple(got.est), zip(*(astuple(r.est) for r in rows)), slack):
+    for got_f, col, slack_f in zip(est, zip(*(r[:2] for r in rows)), slack):
         assert all(type(c) is float for c in col)
         want = np.array(col)
         assert np.all(np.abs(got_f - want) <= 1e-15 * np.abs(want) + slack_f)

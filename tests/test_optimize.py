@@ -799,13 +799,15 @@ def test_geometry_refuses_or_returns_finite_values_across_float_range():
     # interior weights used to end in a bare FloatingPointError from about
     # H = 1e56, alpha = 0 and 1 in a bare ZeroDivisionError at 1e82, and
     # alpha = 1 in g_star = nan or a NaN bracket end further out
+    refused = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for alpha in TENTH_ALPHAS:
             for h in FLOAT_RANGE_HEIGHTS:
                 try:
                     res = optimize.solve_sp1(replace(P, alpha=alpha, h_alt=h))
-                except UavIsacError:
+                except UavIsacError as exc:
+                    refused[(alpha, h)] = f"error:{type(exc).__name__}"
                     continue
                 assert all(map(math.isfinite, (res.x_star, res.phi_star, res.g_star, res.x_l,
                                                res.x_u))), res
@@ -813,6 +815,8 @@ def test_geometry_refuses_or_returns_finite_values_across_float_range():
     assert [r[:2] for r in rows] == [(a, h) for a in TENTH_ALPHAS for h in FLOAT_RANGE_HEIGHTS]
     for row in rows:
         assert row[4].startswith("error:") or all(map(math.isfinite, row[:4])), row
+    # the sweep refuses a cell exactly where solve_sp1 refuses it, with its error
+    assert {r[:2]: r[4] for r in rows if r[4].startswith("error:")} == refused
 
 
 def test_geometry_refusals_at_altitudes_beyond_the_model():

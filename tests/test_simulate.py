@@ -258,6 +258,35 @@ def test_slot_loop_operation_counts(monkeypatch):
                       "_record_columns batched": 1, "standard_normal": 1}
 
 
+def test_slot_loop_value_object_budget(monkeypatch):
+    """The loop carries plain values from step to step: a right-above slot
+    builds its four Sym2 (the prediction MSE, its inverse, the posterior
+    information and its inverse) and its SlotRecord, and no filter state,
+    prediction, Jacobian or relative state."""
+    from uav_isac import ekf, sensing
+    from uav_isac.linalg2 import Jacobian32
+
+    counts = Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def wrapped(self, *args):
+            counts[cls.__name__] += 1
+            init(self, *args)
+        return wrapped
+
+    P.process_noise  # cached before counting
+    for cls in (Sym2, Jacobian32, sensing.RelativeState, ekf.FilterState, ekf.Prediction,
+                simulate.SlotRecord):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), P)
+    # Sym2: the initial MSE, 4 per slot (slot 1's plan is made at slot 0,
+    # and none follows slot 10), and the column pass's prior and its two
+    # information matrices
+    assert counts == {"Sym2": 1 + 4 * 10 + 3, "SlotRecord": 10}
+
+
 @pytest.mark.parametrize("scheme", ["proposed", "right_above"])
 def test_each_loop_makes_one_column_pass_per_run(scheme, monkeypatch):
     shapes = []
@@ -369,7 +398,11 @@ def test_run_scenario_matches_public_step_oracle(cfg, params, scheme):
     (ScenarioConfig(init_est_std=(1e200, 0.0), scheme="right_above"), P),  # NaN geometry
     (ScenarioConfig(init_est_std=(1e200, 0.0)), P),    # NaN prediction MSE
     (ScenarioConfig(init_mse=(0.0, 0.0), scheme="right_above"), SystemParams(q_tilde=0.0)),
-], ids=["far", "far_behind", "nan_geometry", "nan_mse", "zero_mse"])
+    # the angle weight is NaN (inf * 0) and the delay and Doppler weights 0
+    (ScenarioConfig(), SystemParams(h_alt=1e150)),
+    (ScenarioConfig(scheme="right_above"), SystemParams(h_alt=1e150)),
+], ids=["far", "far_behind", "nan_geometry", "nan_mse", "zero_mse", "h_alt_1e150-proposed",
+        "h_alt_1e150-right_above"])
 def test_run_scenario_refuses_as_public_step_oracle(cfg, params):
     with pytest.raises(UavIsacError) as loop:
         run_scenario(cfg, params)

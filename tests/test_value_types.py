@@ -1,9 +1,10 @@
-"""The value types that the tracking loops build every slot are slotted
-dataclasses, not frozen ones, because a frozen __init__ costs several
-times a plain one and a slotted one is cheaper still.  These tests keep
-the slots, and what frozen=True guaranteed: no package code assigns to
-their fields, so an instance that is shared (params.process_noise, a
-prediction read by the plan and the update) keeps its value.  Configs,
+"""The small value types (those the tracking loops build every slot, and
+the one-step functions' states) are slotted dataclasses, not frozen
+ones, because a frozen __init__ costs several times a plain one and a
+slotted one is cheaper still.  These tests keep the slots, and what
+frozen=True guaranteed: no package code assigns to their fields, so an
+instance that is shared (params.process_noise, a prediction MSE read by
+the plan and the update) keeps its value.  Configs,
 parameter sets and results stay frozen."""
 
 import ast
