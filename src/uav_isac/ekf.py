@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .linalg2 import Sym2, require_positive_definite
 from .params import SystemParams
-from .sensing import (Measurement, RelativeState, _jacobian_entries, _mean, _measured_variances,
-                      _variances, noise_weights)
+from .sensing import (Measurement, RelativeState, _measured_variances, _variances, jacobian,
+                      measure_mean, noise_weights)
 
 
 @dataclass(slots=True)
@@ -118,8 +118,8 @@ def _posterior(x, v, prior_info: Sym2, w, y, params: SystemParams, xp=math):
     1/s3) and y = (phi, tau, mu), with information M_p^{-1} + J^T R^{-1} J
     and score J^T R^{-1} (y - h(x, v)) = (gx, gv); with xp numpy, of a
     batch whose values are arrays."""
-    phi, tau, mu = _mean(x, v, params, xp)
-    iota, kappa, zeta, nu = _jacobian_entries(x, v, params, xp)
+    phi, tau, mu = measure_mean(x, v, params, xp)
+    iota, kappa, zeta, nu = jacobian(x, v, params, xp)
     w1, w2, w3 = w
     info = _add_information(prior_info, *_fisher_terms(x, v, params, w))
     r3 = w3 * (y[2] - mu)

@@ -1,17 +1,18 @@
 """Minimal fixed-size linear algebra.
 
 Everything the filter and the bounds need fits in 2x2 symmetric
-matrices, 3-entry diagonal covariances and one 3x2 Jacobian layout, so
-these are plain dataclasses with explicit entry arithmetic.  Sym2 is
-built every slot; it and Jacobian32 are slotted, not frozen; no code
-assigns to their fields (tests/test_value_types.py checks this), so a
-shared instance such as params.process_noise keeps its value.  DiagMat3
-is frozen and checks its entries.
+matrices and 3-entry diagonal covariances, so these are plain
+dataclasses with explicit entry arithmetic; the measurement Jacobian
+is four values (sensing.jacobian).  Sym2 is built every slot; it is
+slotted, not frozen; no code assigns to its fields
+(tests/test_value_types.py checks this), so a shared instance such as
+params.process_noise keeps its value.  DiagMat3 is frozen and checks
+its entries.
 The same dataclasses hold a batch of matrices when their fields are
 numpy arrays (one entry per trial); Sym2.inverse and
 require_positive_definite check such a batch at once, raising for its
 lowest failing matrix.  Otherwise numpy arrays appear only in the
-as_array conversions.
+as_array conversion.
 """
 
 from __future__ import annotations
@@ -76,12 +77,6 @@ class Sym2:
         return Sym2(self.m22 * s, -self.m12 * s, self.m11 * s)
 
 
-def min_eigenvalue_symmetric(m: Sym2) -> float:
-    """Smallest eigenvalue."""
-    half_gap = math.hypot(0.5 * (m.m11 - m.m22), m.m12)
-    return 0.5 * (m.m11 + m.m22) - half_gap
-
-
 def require_positive_definite(m: Sym2, name: str = "matrix"):
     """Raises NotPositiveDefiniteError unless m is positive definite, on
     a batch for the lowest matrix that is not.  Returns m.det."""
@@ -115,30 +110,6 @@ class DiagMat3:
 
     def diagonal(self) -> tuple[float, float, float]:
         return (self.s1, self.s2, self.s3)
-
-
-@dataclass(slots=True)
-class Jacobian32:
-    """3x2 measurement Jacobian.
-
-    Rows follow the measured channels (angle, delay, Doppler), columns
-    the state (position, velocity).  Only the Doppler row depends on
-    velocity, so entries (1,2) and (2,2) are structurally zero; the four
-    free entries are stored.  Slotted, not frozen, like Sym2; the update
-    reads the entries as values (sensing._jacobian_entries).
-    """
-
-    iota: float   # d(angle)/dx
-    kappa: float  # d(delay)/dx
-    zeta: float   # d(Doppler)/dx
-    nu: float     # d(Doppler)/dv
-
-    def as_array(self) -> np.ndarray:
-        return np.array([
-            [self.iota, 0.0],
-            [self.kappa, 0.0],
-            [self.zeta, self.nu],
-        ])
 
 
 def process_noise_cov(dt: float, q_tilde: float) -> Sym2:

@@ -517,11 +517,9 @@ def solve_sp1(params: SystemParams) -> Sp1Result:
         params, np.array([params.h_alt], float), params.alpha)
     if error[0] is not None:
         raise error[0]
-    x, x_l, x_u = float(x_star[0]), float(x_l[0]), float(x_u[0])
-    try:
-        g = ekf.weighted_g(x, 0.0, params)
-    except ZeroDivisionError:  # the information underflows to 0
-        g = math.inf
+    with np.errstate(all="ignore"):  # the information may underflow to 0
+        g = _g0(x_star, params)
+    x, g, x_l, x_u = float(x_star[0]), float(g[0]), float(x_l[0]), float(x_u[0])
     if not all(map(math.isfinite, (x, g, x_l, x_u))):
         raise _not_finite(params.h_alt, x_star=x, g_star=g, x_l=x_l, x_u=x_u)
     return Sp1Result(x, 0.0, math.atan2(params.h_alt, x), g, x_l, x_u, branch[0])

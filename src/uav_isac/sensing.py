@@ -15,11 +15,12 @@ _measured_variances is the one check that weights are usable (finite
 and positive): sample_measurement, ekf.update and the slot loop call
 it, so a geometry too far or not finite is refused the same way by each.
 
-The measurement map and its Jacobian are written once over values, as
-_mean and _jacobian_entries at (x, v), which measure_mean and jacobian
-wrap; these, achievable_rate and _noisy_mean take the module of their
-transcendentals as xp: math by default, numpy for a batch whose values
-are arrays (numpy >= 2.0 spells hypot, atan2, sqrt and log2 as math does).
+The measurement map and its Jacobian are value functions of (x, v),
+measure_mean and jacobian: the filter update runs both, the sampler
+the map, and the validation suite checks both.  They, achievable_rate and
+_noisy_mean take the module of their transcendentals as xp: math by
+default, numpy for a batch whose values are arrays (numpy >= 2.0 spells
+hypot, atan2, sqrt and log2 as math does).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularMatrixError, raise_at_first
-from .linalg2 import DiagMat3, Jacobian32
+from .linalg2 import DiagMat3
 from .params import SystemParams
 
 
@@ -64,12 +65,6 @@ class Measurement:
     weights: tuple[float, float, float] | None = None
 
 
-def radar_gain(x: float, params: SystemParams) -> float:
-    """Two-way echo channel gain beta_r / d^4 with d^2 = x^2 + H^2."""
-    d2 = x * x + params.h_alt * params.h_alt
-    return params.beta_r / (d2 * d2)
-
-
 def comm_gain(x: float, params: SystemParams) -> float:
     """One-way downlink channel gain wavelength^2 / (16 pi^2 d^2)."""
     d2 = x * x + params.h_alt * params.h_alt
@@ -86,16 +81,11 @@ def achievable_rate(x: float, params: SystemParams, xp=math) -> float:
     return xp.log2(1.0 + comm_snr(x, params))
 
 
-def measure_mean(s: RelativeState, params: SystemParams, xp=math) -> tuple[float, float, float]:
-    """Noiseless measurement map (phi, tau, mu) at relative state s: the
-    elevation angle from the positive x axis on the (0, pi) branch, so it
-    stays continuous through overhead passes (x = 0 gives exactly pi/2),
-    the two-way propagation delay and the echo's Doppler shift."""
-    return _mean(s.x, s.v, params, xp)
-
-
-def _mean(x, v, params: SystemParams, xp=math):
-    """measure_mean at (x, v)."""
+def measure_mean(x, v, params: SystemParams, xp=math):
+    """Noiseless measurement map (phi, tau, mu) at relative state (x, v):
+    the elevation angle from the positive x axis on the (0, pi) branch, so
+    it stays continuous through overhead passes (x = 0 gives exactly
+    pi/2), the two-way propagation delay and the echo's Doppler shift."""
     h = params.h_alt
     d = xp.hypot(x, h)
     phi = xp.atan2(h, x)
@@ -155,15 +145,12 @@ def _refuse_weights(i: int, w):
     raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
 
 
-def jacobian(s: RelativeState, params: SystemParams, xp=math) -> Jacobian32:
-    """Measurement Jacobian at s, the analytic derivative of measure_mean
-    (verified against central finite differences): iota = -H/(H^2+x^2),
-    kappa = 2x/(c d), zeta = -2 f_c v H^2/(c d^3), nu = -2 f_c x/(c d)."""
-    return Jacobian32(*_jacobian_entries(s.x, s.v, params, xp))
-
-
-def _jacobian_entries(x, v, params: SystemParams, xp=math):
-    """jacobian's entries (iota, kappa, zeta, nu) at (x, v)."""
+def jacobian(x, v, params: SystemParams, xp=math):
+    """Measurement Jacobian [[iota, 0], [kappa, 0], [zeta, nu]] at (x, v),
+    the analytic derivative of measure_mean (rows angle, delay, Doppler;
+    columns position, velocity), as its free entries (iota, kappa, zeta,
+    nu): iota = -H/(H^2+x^2), kappa = 2x/(c d), zeta = -2 f_c v H^2/(c d^3)
+    and nu = -2 f_c x/(c d)."""
     h = params.h_alt
     d2 = x * x + h * h
     d = xp.sqrt(d2)
@@ -202,6 +189,6 @@ def sample_measurement(s_true: RelativeState, params: SystemParams, rng,
 def _noisy_mean(x, v, s, z, k: float, params: SystemParams, xp=math):
     """measure_mean at (x, v) plus k*sqrt(s_i)*z_i on channel i, for
     variances s = (s1, s2, s3) and standard-normal draws z."""
-    phi, tau, mu = _mean(x, v, params, xp)
+    phi, tau, mu = measure_mean(x, v, params, xp)
     return (phi + k * xp.sqrt(s[0]) * z[0], tau + k * xp.sqrt(s[1]) * z[1],
             mu + k * xp.sqrt(s[2]) * z[2])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from uav_isac import ekf, optimize, sensing
 from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError
-from uav_isac.linalg2 import DiagMat3, Sym2, min_eigenvalue_symmetric, process_noise_cov
+from uav_isac.linalg2 import DiagMat3, Sym2, process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.sensing import (
     Measurement,
@@ -83,7 +83,7 @@ def test_update_against_numpy_reference():
         r = np.diag(y.noise_cov.diagonal())
         s = r + j @ m @ j.T
         k = m @ j.T @ np.linalg.inv(s)
-        phi, tau, mu = measure_mean(RelativeState(x, v), P)
+        phi, tau, mu = measure_mean(x, v, P)
         innov = np.array([y.phi - phi, y.tau - tau, y.mu - mu])
         want_state = np.array([x, v]) + k @ innov
         want_mse = (np.eye(2) - k @ j) @ m
@@ -93,13 +93,13 @@ def test_update_against_numpy_reference():
         assert post.est.x == pytest.approx(want_state[0], rel=1e-9, abs=1e-9)
         assert post.est.v == pytest.approx(want_state[1], rel=1e-9, abs=1e-9)
         assert np.allclose(post.mse.as_array(), want_mse, rtol=1e-7, atol=1e-12)
-        assert min_eigenvalue_symmetric(post.mse) > 0.0
+        assert np.linalg.eigvalsh(post.mse.as_array())[0] > 0.0
 
 
 def test_update_ignores_uninformative_channels():
     pred = ekf.predict(
         ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
-    phi, tau, mu = measure_mean(pred.pred, P)
+    phi, tau, mu = measure_mean(pred.pred.x, pred.pred.v, P)
     y = Measurement(phi + 0.2, tau * 1.1, mu - 40.0, DiagMat3(1e30, 1e30, 1e30))
     post = ekf.update(pred, y, P)
     assert post.est.x == pytest.approx(pred.pred.x, abs=1e-9)
@@ -122,7 +122,7 @@ def test_update_shrinks_uncertainty():
 def test_update_rejects_degenerate_variance(bad):
     pred = ekf.predict(
         ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
-    phi, tau, mu = measure_mean(pred.pred, P)
+    phi, tau, mu = measure_mean(pred.pred.x, pred.pred.v, P)
     for k in range(3):
         s = [1e-6, 1e-20, 0.2]
         s[k] = bad
@@ -136,7 +136,7 @@ def test_update_rejects_degenerate_carried_weight(bad):
     # (a NaN weight cannot arrive here: DiagMat3 refuses a NaN variance)
     pred = ekf.predict(
         ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
-    phi, tau, mu = measure_mean(pred.pred, P)
+    phi, tau, mu = measure_mean(pred.pred.x, pred.pred.v, P)
     for k in range(3):
         w = [1e6, 1e20, 5.0]
         w[k] = bad
@@ -181,7 +181,7 @@ def test_information_core_property(x, sign, v, log_m11, log_m22, rho, seed):
     # the posterior is positive definite and no larger than the prior
     assert post.m11 > 0.0 and post.det > 0.0
     gap = Sym2(m_p.m11 - post.m11, m_p.m12 - post.m12, m_p.m22 - post.m22)
-    assert min_eigenvalue_symmetric(gap) >= -1e-12 * m_p.trace
+    assert np.linalg.eigvalsh(gap.as_array())[0] >= -1e-12 * m_p.trace
     # the measurement-only bound is the zero-prior limit of the anticipated one
     faint = Sym2(m_p.m11 * 1e12, m_p.m12 * 1e12, m_p.m22 * 1e12)
     pair = ekf.predicted_pcrb(x, v, faint, P)
@@ -293,8 +293,10 @@ def test_sensing_numpy_namespace_matches_float_form_row_by_row():
     batch, states = _namespace_states()
     z = np.random.default_rng(9).standard_normal((3, len(states)))
     s = tuple(1.0 / wi for wi in noise_weights(batch.x, P))
-    _assert_rows_match(measure_mean(batch, P, np), [measure_mean(st, P) for st in states])
-    _assert_rows_match(astuple(jacobian(batch, P, np)), [astuple(jacobian(st, P)) for st in states])
+    _assert_rows_match(measure_mean(batch.x, batch.v, P, np),
+                       [measure_mean(st.x, st.v, P) for st in states])
+    _assert_rows_match(jacobian(batch.x, batch.v, P, np),
+                       [jacobian(st.x, st.v, P) for st in states])
     _assert_rows_match([achievable_rate(batch.x, P, np)],
                        [(achievable_rate(st.x, P),) for st in states])
     _assert_rows_match(
@@ -321,13 +323,13 @@ def test_posterior_numpy_namespace_matches_float_form_row_by_row():
     # the estimate adds M J^T R^-1 (y - h(x_pred)); an ulp by which numpy's
     # transcendentals differ from math's in h is carried through that gain,
     # which the innovation's cancellation can make larger than 1e-15 of it
-    jac = jacobian(pred, P, np)
-    ulp = [wi * np.spacing(np.abs(hi)) for wi, hi in zip(w, measure_mean(pred, P, np))]
+    iota, kappa, zeta, nu = jacobian(pred.x, pred.v, P, np)
+    ulp = [wi * np.spacing(np.abs(hi)) for wi, hi in zip(w, measure_mean(pred.x, pred.v, P, np))]
     slack = (
-        np.abs(m.m11 * jac.iota) * ulp[0] + np.abs(m.m11 * jac.kappa) * ulp[1]
-        + np.abs(m.m11 * jac.zeta + m.m12 * jac.nu) * ulp[2],
-        np.abs(m.m12 * jac.iota) * ulp[0] + np.abs(m.m12 * jac.kappa) * ulp[1]
-        + np.abs(m.m12 * jac.zeta + m.m22 * jac.nu) * ulp[2])
+        np.abs(m.m11 * iota) * ulp[0] + np.abs(m.m11 * kappa) * ulp[1]
+        + np.abs(m.m11 * zeta + m.m12 * nu) * ulp[2],
+        np.abs(m.m12 * iota) * ulp[0] + np.abs(m.m12 * kappa) * ulp[1]
+        + np.abs(m.m12 * zeta + m.m22 * nu) * ulp[2])
     for got_f, col, slack_f in zip(est, zip(*(r[:2] for r in rows)), slack):
         assert all(type(c) is float for c in col)
         want = np.array(col)

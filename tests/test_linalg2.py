@@ -6,9 +6,7 @@ import pytest
 from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError, raise_at_first
 from uav_isac.linalg2 import (
     DiagMat3,
-    Jacobian32,
     Sym2,
-    min_eigenvalue_symmetric,
     process_noise_cov,
     require_positive_definite,
 )
@@ -42,17 +40,7 @@ def test_process_noise_zero_intensity_is_zero_matrix():
 @pytest.mark.parametrize("qt", [0.0, 1e-6, 1.0, 5.0, 400.0])
 def test_process_noise_symmetric_psd(dt, qt):
     q = process_noise_cov(dt, qt)
-    assert min_eigenvalue_symmetric(q) >= -1e-18 * max(1.0, q.trace)
-
-
-def test_min_eigenvalue_matches_numpy():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a = rng.normal(size=(2, 2))
-        s = a + a.T
-        m = Sym2.from_array(s)
-        lo = min_eigenvalue_symmetric(m)
-        assert lo == pytest.approx(float(np.linalg.eigvalsh(s)[0]), rel=1e-12, abs=1e-12)
+    assert np.linalg.eigvalsh(q.as_array())[0] >= -1e-18 * max(1.0, q.trace)
 
 
 def test_sym2_inverse_matches_numpy_and_detects_singular():
@@ -79,15 +67,6 @@ def test_require_positive_definite_rejects_singular():
 def test_diag3():
     d = DiagMat3(1.0, 2.0, 3.0)
     assert d.diagonal() == (1.0, 2.0, 3.0)
-
-
-def test_jacobian32_layout():
-    j = Jacobian32(0.1, 0.2, 0.3, 0.4)
-    a = j.as_array()
-    assert a.shape == (3, 2)
-    # elevation and delay do not depend on relative speed
-    assert a[0, 1] == 0.0 and a[1, 1] == 0.0
-    assert (a[0, 0], a[1, 0], a[2, 0], a[2, 1]) == (0.1, 0.2, 0.3, 0.4)
 
 
 def test_batch_checks_raise_for_lowest_failing_entry():

@@ -798,25 +798,32 @@ TENTH_ALPHAS = [k / 10 for k in range(11)]
 def test_geometry_refuses_or_returns_finite_values_across_float_range():
     # interior weights used to end in a bare FloatingPointError from about
     # H = 1e56, alpha = 0 and 1 in a bare ZeroDivisionError at 1e82, and
-    # alpha = 1 in g_star = nan or a NaN bracket end further out
-    refused = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for alpha in TENTH_ALPHAS:
-            for h in FLOAT_RANGE_HEIGHTS:
-                try:
-                    res = optimize.solve_sp1(replace(P, alpha=alpha, h_alt=h))
-                except UavIsacError as exc:
-                    refused[(alpha, h)] = f"error:{type(exc).__name__}"
-                    continue
-                assert all(map(math.isfinite, (res.x_star, res.phi_star, res.g_star, res.x_l,
-                                               res.x_u))), res
-        rows = optimize.sweep_angle(P, TENTH_ALPHAS, FLOAT_RANGE_HEIGHTS)
-    assert [r[:2] for r in rows] == [(a, h) for a in TENTH_ALPHAS for h in FLOAT_RANGE_HEIGHTS]
-    for row in rows:
-        assert row[4].startswith("error:") or all(map(math.isfinite, row[:4])), row
-    # the sweep refuses a cell exactly where solve_sp1 refuses it, with its error
-    assert {r[:2]: r[4] for r in rows if r[4].startswith("error:")} == refused
+    # alpha = 1 in g_star = nan or a NaN bracket end further out; at
+    # a1 = a2 = 1e160, solve_sp1 formed g_star as (1 + 0*inf)/vv = nan and
+    # refused the alpha0 cell that the sweep solves
+    for base, alphas, heights in ((P, TENTH_ALPHAS, FLOAT_RANGE_HEIGHTS),
+                                  (SystemParams(a1=1e160, a2=1e160), [0.0], [50.0])):
+        refused, solved = {}, {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for alpha in alphas:
+                for h in heights:
+                    try:
+                        res = optimize.solve_sp1(replace(base, alpha=alpha, h_alt=h))
+                    except UavIsacError as exc:
+                        refused[(alpha, h)] = f"error:{type(exc).__name__}"
+                        continue
+                    assert all(map(math.isfinite, (res.x_star, res.phi_star, res.g_star,
+                                                   res.x_l, res.x_u))), res
+                    solved[(alpha, h)] = res.x_star
+            rows = optimize.sweep_angle(base, alphas, heights)
+        assert [r[:2] for r in rows] == [(a, h) for a in alphas for h in heights]
+        for row in rows:
+            assert row[4].startswith("error:") or all(map(math.isfinite, row[:4])), row
+        # the sweep refuses a cell exactly where solve_sp1 refuses it, with
+        # its error, and solves every other cell to solve_sp1's x_star
+        assert {r[:2]: r[4] for r in rows if r[4].startswith("error:")} == refused
+        assert {r[:2]: r[2] for r in rows if not r[4].startswith("error:")} == solved
 
 
 def test_geometry_refusals_at_altitudes_beyond_the_model():

@@ -14,7 +14,6 @@ from uav_isac.sensing import (
     jacobian,
     measure_mean,
     noise_cov_actual,
-    radar_gain,
     sample_measurement,
 )
 
@@ -24,8 +23,10 @@ P = SystemParams()
 S50 = RelativeState(50.0, 10.0)
 
 
-def test_radar_gain_frozen_point():
-    assert radar_gain(50.0, P) == pytest.approx(oracles.FROZEN["g_r_50"], rel=1e-13)
+def test_echo_gain_frozen_point():
+    # the echo gain beta_r/d^4 that the noise model folds into its weights
+    d2 = 50.0 ** 2 + P.h_alt ** 2
+    assert P.beta_r / (d2 * d2) == pytest.approx(oracles.FROZEN["g_r_50"], rel=1e-13)
 
 
 def test_comm_gain_frozen_point():
@@ -42,7 +43,7 @@ def test_rate_frozen_point_and_symmetry():
 
 
 def test_measure_mean_frozen_point():
-    phi, tau, mu = measure_mean(S50, P)
+    phi, tau, mu = measure_mean(50.0, 10.0, P)
     assert phi == pytest.approx(oracles.FROZEN["phi_50"], rel=1e-15)
     assert tau == pytest.approx(oracles.FROZEN["tau_50"], rel=1e-13)
     assert mu == pytest.approx(oracles.FROZEN["mu_50_10"], rel=1e-13)
@@ -51,16 +52,16 @@ def test_measure_mean_frozen_point():
 def test_measure_mean_domains():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        s = RelativeState(float(rng.uniform(-200, 200)), float(rng.uniform(-40, 40)))
-        phi, tau, mu = measure_mean(s, P)
+        x, v = float(rng.uniform(-200, 200)), float(rng.uniform(-40, 40))
+        phi, tau, mu = measure_mean(x, v, P)
         assert 0.0 < phi < math.pi
         assert tau >= 2.0 * P.h_alt / P.c * (1.0 - 1e-12)
-        if s.x * s.v != 0.0:
-            assert math.copysign(1.0, mu) == -math.copysign(1.0, s.x * s.v)
+        if x * v != 0.0:
+            assert math.copysign(1.0, mu) == -math.copysign(1.0, x * v)
 
 
 def test_directly_overhead_geometry():
-    phi, tau, mu = measure_mean(RelativeState(0.0, 12.0), P)
+    phi, tau, mu = measure_mean(0.0, 12.0, P)
     assert phi == pytest.approx(math.pi / 2.0, abs=1e-15)
     assert tau == pytest.approx(2.0 * P.h_alt / P.c, rel=1e-15)
     assert mu == 0.0
@@ -90,11 +91,11 @@ def test_noise_cov_far_out_is_infinite_as_in_numpy():
 
 
 def test_jacobian_frozen_point():
-    j = jacobian(S50, P)
-    assert j.iota == pytest.approx(oracles.FROZEN["iota_50"], rel=1e-13)
-    assert j.kappa == pytest.approx(oracles.FROZEN["kappa_50"], rel=1e-13)
-    assert j.zeta == pytest.approx(oracles.FROZEN["zeta_50_10"], rel=1e-13)
-    assert j.nu == pytest.approx(oracles.FROZEN["nu_50"], rel=1e-13)
+    iota, kappa, zeta, nu = jacobian(50.0, 10.0, P)
+    assert iota == pytest.approx(oracles.FROZEN["iota_50"], rel=1e-13)
+    assert kappa == pytest.approx(oracles.FROZEN["kappa_50"], rel=1e-13)
+    assert zeta == pytest.approx(oracles.FROZEN["zeta_50_10"], rel=1e-13)
+    assert nu == pytest.approx(oracles.FROZEN["nu_50"], rel=1e-13)
 
 
 def test_jacobian_matches_finite_differences():
@@ -102,14 +103,14 @@ def test_jacobian_matches_finite_differences():
     for _ in range(25):
         x = float(rng.uniform(-150, 150))
         v = float(rng.uniform(-30, 30))
-        j = jacobian(RelativeState(x, v), P)
+        iota, kappa, zeta, nu = jacobian(x, v, P)
         hx = 1e-5 * max(1.0, abs(x))
         hv = 1e-5 * max(1.0, abs(v))
         for idx, (entry, fd) in enumerate([
-            (j.iota, oracles.central_fd1(lambda t: measure_mean(RelativeState(t, v), P)[0], x, hx)),
-            (j.kappa, oracles.central_fd1(lambda t: measure_mean(RelativeState(t, v), P)[1], x, hx)),
-            (j.zeta, oracles.central_fd1(lambda t: measure_mean(RelativeState(t, v), P)[2], x, hx)),
-            (j.nu, oracles.central_fd1(lambda t: measure_mean(RelativeState(x, t), P)[2], v, hv)),
+            (iota, oracles.central_fd1(lambda t: measure_mean(t, v, P)[0], x, hx)),
+            (kappa, oracles.central_fd1(lambda t: measure_mean(t, v, P)[1], x, hx)),
+            (zeta, oracles.central_fd1(lambda t: measure_mean(t, v, P)[2], x, hx)),
+            (nu, oracles.central_fd1(lambda t: measure_mean(x, t, P)[2], v, hv)),
         ]):
             assert entry == pytest.approx(fd, rel=1e-5, abs=1e-10), f"entry {idx} at x={x}, v={v}"
 
@@ -117,7 +118,7 @@ def test_jacobian_matches_finite_differences():
 def test_sample_measurement_zero_scale_hits_mean_and_keeps_nominal_cov():
     rng = np.random.default_rng(13)
     m = sample_measurement(S50, P, rng, noise_scale=0.0)
-    phi, tau, mu = measure_mean(S50, P)
+    phi, tau, mu = measure_mean(50.0, 10.0, P)
     assert (m.phi, m.tau, m.mu) == (phi, tau, mu)
     assert m.noise_cov.diagonal() == noise_cov_actual(S50, P).diagonal()
 
@@ -152,7 +153,7 @@ def test_sample_measurement_statistics():
     rng = np.random.default_rng(16)
     n = 20000
     cov = noise_cov_actual(S50, P)
-    phi0, tau0, mu0 = measure_mean(S50, P)
+    phi0, tau0, mu0 = measure_mean(50.0, 10.0, P)
     draws = np.array([
         (m.phi, m.tau, m.mu)
         for m in (sample_measurement(S50, P, rng) for _ in range(n))

@@ -262,9 +262,8 @@ def test_slot_loop_value_object_budget(monkeypatch):
     """The loop carries plain values from step to step: a right-above slot
     builds its four Sym2 (the prediction MSE, its inverse, the posterior
     information and its inverse) and its SlotRecord, and no filter state,
-    prediction, Jacobian or relative state."""
+    prediction or relative state."""
     from uav_isac import ekf, sensing
-    from uav_isac.linalg2 import Jacobian32
 
     counts = Counter()
 
@@ -277,8 +276,7 @@ def test_slot_loop_value_object_budget(monkeypatch):
         return wrapped
 
     P.process_noise  # cached before counting
-    for cls in (Sym2, Jacobian32, sensing.RelativeState, ekf.FilterState, ekf.Prediction,
-                simulate.SlotRecord):
+    for cls in (Sym2, sensing.RelativeState, ekf.FilterState, ekf.Prediction, simulate.SlotRecord):
         monkeypatch.setattr(cls, "__init__", counting(cls))
     run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), P)
     # Sym2: the initial MSE, 4 per slot (slot 1's plan is made at slot 0,

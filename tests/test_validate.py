@@ -1,8 +1,7 @@
-import numpy as np
-import pytest
+import math
 
 from uav_isac import linalg2, sensing, validate
-from uav_isac.linalg2 import Jacobian32, Sym2
+from uav_isac.linalg2 import Sym2
 from uav_isac.params import SystemParams
 
 
@@ -33,13 +32,27 @@ def test_flipped_doppler_slope_is_caught(monkeypatch):
     """Mutation: break the speed column of the measurement Jacobian."""
     real = sensing.jacobian
 
-    def flipped(s, params):
-        j = real(s, params)
-        return Jacobian32(j.iota, j.kappa, j.zeta, -j.nu)
+    def flipped(x, v, params, xp=math):
+        iota, kappa, zeta, nu = real(x, v, params, xp)
+        return iota, kappa, zeta, -nu
 
     monkeypatch.setattr(sensing, "jacobian", flipped)
     res = _by_name(validate.run_all())
     assert not res["jacobian_vs_finite_difference"].passed
+
+
+def test_scaled_angle_weight_is_caught(monkeypatch):
+    """Mutation: scale the angle channel's weight 1/s1 in the one noise
+    model by 1.01."""
+    real = sensing.noise_weights
+
+    def scaled(x, params, u=None, h_alt=None):
+        w1, w2, w3 = real(x, params, u, h_alt)
+        return 1.01 * w1, w2, w3
+
+    monkeypatch.setattr(sensing, "noise_weights", scaled)
+    res = _by_name(validate.run_all())
+    assert not res["noise_model_longhand"].passed
 
 
 def test_asymmetric_process_noise_is_caught(monkeypatch):
@@ -57,10 +70,10 @@ def test_asymmetric_process_noise_is_caught(monkeypatch):
 
 
 def test_crashing_check_reports_failure_not_crash(monkeypatch):
-    def boom(x, params):
+    def boom(s, params):
         raise RuntimeError("synthetic fault")
 
-    monkeypatch.setattr(sensing, "radar_gain", boom)
+    monkeypatch.setattr(sensing, "noise_cov_actual", boom)
     results = validate.run_all()
     assert any(not r.passed for r in results)
     assert all(isinstance(r.detail, str) for r in results)
