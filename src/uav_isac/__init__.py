@@ -17,8 +17,8 @@ from .errors import (
     VelocityBoundError,
 )
 from .params import SystemParams
-from .sensing import Measurement, RelativeState, achievable_rate, sample_measurement
-from .ekf import FilterState, PcrbPair, Prediction, crb_measurement, predict, predicted_pcrb, update
+from .sensing import achievable_rate, sample_measurement
+from .ekf import PcrbPair, crb_measurement, predict, predicted_pcrb, update
 from .optimize import (
     P1Instance,
     ScaResult,
@@ -30,7 +30,8 @@ from .optimize import (
     sweep_angle,
     tradeoff_frontier,
 )
-from .simulate import MonteCarloStats, ScenarioConfig, SlotRecord, WorldState, run_monte_carlo, run_scenario
+from .simulate import (MonteCarloStats, ScenarioConfig, SlotRecord, run_monte_carlo, run_scenario,
+                       step_ground_truth)
 from .validate import CheckResult, run_all
 
 __version__ = "0.1.0"
@@ -39,16 +40,12 @@ __all__ = [
     "BracketError",
     "CheckResult",
     "ConfigError",
-    "FilterState",
     "InfeasibleIntervalError",
     "InfeasibleQosError",
-    "Measurement",
     "MonteCarloStats",
     "NotPositiveDefiniteError",
     "P1Instance",
     "PcrbPair",
-    "Prediction",
-    "RelativeState",
     "ScaResult",
     "ScenarioConfig",
     "SingularMatrixError",
@@ -57,7 +54,6 @@ __all__ = [
     "SystemParams",
     "UavIsacError",
     "VelocityBoundError",
-    "WorldState",
     "achievable_rate",
     "crb_measurement",
     "design_trajectory",
@@ -70,6 +66,7 @@ __all__ = [
     "sample_measurement",
     "solve_p1_sca",
     "solve_sp1",
+    "step_ground_truth",
     "sweep_angle",
     "tradeoff_frontier",
     "update",

@@ -6,19 +6,21 @@ anticipated bound used as the per-slot design objective and the
 measurement-only bound share one core: the measurement Fisher
 information at (x, v) for per-channel weights 1/s_i, added to the
 prior information and inverted in symmetric 2x2 closed form.  The
-update reads the weights off the measurement, the anticipated bound
-models them at the predicted position, and the measurement-only bound
-is the zero-prior case.
+update takes the weights the measurement was sampled with, the
+anticipated bound models them at the predicted position, and the
+measurement-only bound is the zero-prior case.
 
 The bound expressions are written over generic scalars, so one code
 path serves plain floats and numpy arrays.  Each bound is a rational
 function of position and velocity, so the value, d/dx and d^2/dx^2
 that the solvers read (v tied linearly to x) are written out in closed
 form next to the expressions: _fisher_jets and _weighted_jet.  The
-update's posterior, _posterior, maps plain values (x, v) to (x_hat,
-v_hat, mse) and reads the measurement map at them, so it takes sensing's
-namespace xp: math, or numpy for the Monte-Carlo batch; its checks and
-inversions are the same calls for both.  update wraps it for one slot.
+filter's steps are value functions, the ones the slot loop calls:
+predict maps the posterior MSE to the prediction MSE, and update maps
+the planned (x, v), the prior information, the weights and the
+measurement to (x_hat, v_hat, mse).  update reads the measurement map at
+(x, v), so it takes sensing's namespace xp: math, or numpy for the
+Monte-Carlo batch; its inversions are the same calls for both.
 """
 
 from __future__ import annotations
@@ -28,28 +30,7 @@ from dataclasses import dataclass
 
 from .linalg2 import Sym2, require_positive_definite
 from .params import SystemParams
-from .sensing import (Measurement, RelativeState, _measured_variances, _variances, jacobian,
-                      measure_mean, noise_weights)
-
-
-@dataclass(slots=True)
-class FilterState:
-    """Posterior estimate and its MSE matrix, as update returns them.
-    Slotted, not frozen, like Sym2; the slot loop carries the values
-    _posterior returns and builds none."""
-
-    est: RelativeState
-    mse: Sym2
-
-
-@dataclass(slots=True)
-class Prediction:
-    """One-slot-ahead predicted state and prediction MSE matrix, as
-    predict returns them.  Slotted, not frozen, like Sym2; planning a
-    slot returns its values and builds none."""
-
-    pred: RelativeState
-    mse_pred: Sym2
+from .sensing import jacobian, measure_mean, noise_weights
 
 
 @dataclass(frozen=True)
@@ -62,48 +43,21 @@ class PcrbPair:
     weighted: float
 
 
-def predict(prev: FilterState, params: SystemParams) -> Prediction:
-    """Propagate the posterior one slot ahead under constant relative
-    velocity: x_pred = x + v*dt, v_pred = v, and the MSE as
-    _predicted_mse gives it.
+def predict(m: Sym2, params: SystemParams) -> Sym2:
+    """The prediction MSE G M G^T + Q_s of the posterior MSE m, one slot
+    ahead under constant relative velocity, G = [[1, dt], [0, 1]];
+    generic over floats and arrays.
 
-    The platform's own motion for the slot is not applied here: the
-    tracking loop centers the reachable window on x_pred, plans the
-    predicted relative state itself and keeps only the predicted MSE
-    (see simulate).
+    The predicted state is not formed here: the tracking loop centers
+    the reachable window on x_hat + v_hat*dt and plans the predicted
+    relative state itself (see simulate).
     """
-    est = prev.est
-    return Prediction(RelativeState(est.x + est.v * params.dt, est.v),
-                      _predicted_mse(prev.mse, params))
-
-
-def _predicted_mse(m: Sym2, params: SystemParams) -> Sym2:
-    """The prediction MSE G M G^T + Q_s of the posterior MSE m, generic
-    over floats and arrays; it does not depend on the platform's command."""
     dt = params.dt
-    # G M G^T written out for G = [[1, dt], [0, 1]]
+    # G M G^T written out
     g11 = m.m11 + 2.0 * dt * m.m12 + dt * dt * m.m22
     g12 = m.m12 + dt * m.m22
     q = params.process_noise
     return Sym2(g11 + q.m11, g12 + q.m12, m.m22 + q.m22)
-
-
-def update(pred: Prediction, y: Measurement, params: SystemParams) -> FilterState:
-    """Measurement update in information form.
-
-    With the Jacobian J taken at the predicted state and the diagonal
-    noise covariance R read off the measurement (R^{-1} from the weights
-    it carries, if any), M+ = (M_p^{-1} + J^T R^{-1} J)^{-1} and
-    x+ = x_pred + M+ J^T R^{-1} (y - h(x_pred)), all in 2x2 closed form.
-    Raises NotPositiveDefiniteError when M_p is not positive definite
-    and SingularMatrixError when a channel variance is zero, not finite
-    or too small for its reciprocal to be finite.
-    """
-    w = y.weights or _variances(y.noise_cov.diagonal())
-    _measured_variances(w)
-    x, v, mse = _posterior(pred.pred.x, pred.pred.v, _prior_information(pred.mse_pred), w,
-                           (y.phi, y.tau, y.mu), params)
-    return FilterState(RelativeState(x, v), mse)
 
 
 def _prior_information(mse_pred: Sym2) -> Sym2:
@@ -112,12 +66,19 @@ def _prior_information(mse_pred: Sym2) -> Sym2:
     return mse_pred.inverse(require_positive_definite(mse_pred, "mse_pred"))
 
 
-def _posterior(x, v, prior_info: Sym2, w, y, params: SystemParams, xp=math):
-    """The update's posterior (x_hat, v_hat, mse) at the predicted state
-    (x, v) for the prediction's information, weights w = (1/s1, 1/s2,
-    1/s3) and y = (phi, tau, mu), with information M_p^{-1} + J^T R^{-1} J
-    and score J^T R^{-1} (y - h(x, v)) = (gx, gv); with xp numpy, of a
-    batch whose values are arrays."""
+def update(x, v, prior_info: Sym2, w, y, params: SystemParams, xp=math):
+    """Measurement update in information form: the posterior (x_hat,
+    v_hat, mse) at the predicted state (x, v) for the prediction's
+    information prior_info = M_p^{-1} (_prior_information), channel
+    weights w = (1/s1, 1/s2, 1/s3) and the measurement y = (phi, tau, mu).
+
+    With the Jacobian J at (x, v) and R^{-1} = diag(w), the information is
+    M_p^{-1} + J^T R^{-1} J, its inverse the posterior MSE M+, and the
+    estimate x+ = (x, v) + M+ J^T R^{-1} (y - h(x, v)), all in 2x2 closed
+    form.  The caller checks the weights (sensing._measured_variances);
+    raises SingularMatrixError when the information is numerically
+    singular.  With xp numpy, of a batch whose values are arrays.
+    """
     phi, tau, mu = measure_mean(x, v, params, xp)
     iota, kappa, zeta, nu = jacobian(x, v, params, xp)
     w1, w2, w3 = w
@@ -272,7 +233,8 @@ def crb_measurement(x: float, v: float, params: SystemParams) -> tuple[float, fl
     crb_x = 1.0 / i_pos
     if vv == 0.0:
         return crb_x, math.inf
-    return crb_x, (1.0 + zz * crb_x) / vv
+    # zz = 0 (v = 0): 1/vv, where 0*crb_x would be NaN for an infinite crb_x
+    return crb_x, (1.0 + zz * crb_x) / vv if zz else 1.0 / vv
 
 
 def weighted_g(x: float, v: float, params: SystemParams) -> float:

@@ -1,14 +1,13 @@
 """Minimal fixed-size linear algebra.
 
 Everything the filter and the bounds need fits in 2x2 symmetric
-matrices and 3-entry diagonal covariances, so these are plain
-dataclasses with explicit entry arithmetic; the measurement Jacobian
-is four values (sensing.jacobian).  Sym2 is built every slot; it is
-slotted, not frozen; no code assigns to its fields
-(tests/test_value_types.py checks this), so a shared instance such as
-params.process_noise keeps its value.  DiagMat3 is frozen and checks
-its entries.
-The same dataclasses hold a batch of matrices when their fields are
+matrices: the measurement noise is diagonal, three channel weights
+(sensing.noise_weights), and the measurement Jacobian is four values
+(sensing.jacobian).  Sym2 is a plain dataclass with explicit entry
+arithmetic, built every slot; it is slotted, not frozen; no code
+assigns to its fields (tests/test_value_types.py checks this), so a
+shared instance such as params.process_noise keeps its value.
+The same dataclass holds a batch of matrices when its fields are
 numpy arrays (one entry per trial); Sym2.inverse and
 require_positive_definite check such a batch at once, raising for its
 lowest failing matrix.  Otherwise numpy arrays appear only in the
@@ -17,7 +16,6 @@ as_array conversion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,25 +89,6 @@ def _singular(i: int, m: Sym2):
 
 def _not_positive_definite(i: int, m: Sym2, name: str):
     raise NotPositiveDefiniteError(f"{name} is not positive definite: {m.at(i)}")
-
-
-@dataclass(frozen=True)
-class DiagMat3:
-    """Diagonal 3x3 covariance diag(s1, s2, s3) of the three measured
-    channels (angle, delay, Doppler).  Entries are variances, >= 0."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    def __post_init__(self):
-        for name in ("s1", "s2", "s3"):
-            v = getattr(self, name)
-            if math.isnan(v) or v < 0:
-                raise ValueError(f"variance {name} must be >= 0, got {v!r}")
-
-    def diagonal(self) -> tuple[float, float, float]:
-        return (self.s1, self.s2, self.s3)
 
 
 def process_noise_cov(dt: float, q_tilde: float) -> Sym2:

@@ -4,76 +4,39 @@ The platform flies at fixed altitude H; the tracked object moves on the
 ground line below, so the geometry is fully described by the horizontal
 relative position x and relative velocity v.  This module maps (x, v)
 to the three measured channels (elevation angle, round-trip delay,
-Doppler shift), their noise model, the echo and downlink channel gains,
-and the achievable downlink rate.
+Doppler shift), their noise model, the downlink SNR and the achievable
+downlink rate.
 
 The noise model is one formula, noise_weights: the per-channel
-reciprocal variances 1/s_i at offset x.  The sampled measurement noise
-(noise_cov_actual), the filter update and both estimation bounds all
-read it; a sampled measurement carries the weights to the update.
+reciprocal variances 1/s_i at offset x.  The sampled measurement noise,
+the filter update and both estimation bounds all read it.
 _measured_variances is the one check that weights are usable (finite
-and positive): sample_measurement, ekf.update and the slot loop call
-it, so a geometry too far or not finite is refused the same way by each.
+and positive); the slot loop calls it on floats or on rows before it
+samples, so a geometry too far or not finite is refused the same way by
+each.
 
-The measurement map and its Jacobian are value functions of (x, v),
-measure_mean and jacobian: the filter update runs both, the sampler
-the map, and the validation suite checks both.  They, achievable_rate and
-_noisy_mean take the module of their transcendentals as xp: math by
-default, numpy for a batch whose values are arrays (numpy >= 2.0 spells
-hypot, atan2, sqrt and log2 as math does).
+The measurement map, its Jacobian and the sampler are value functions
+of (x, v): measure_mean, jacobian and sample_measurement.  The filter
+update runs the first two, and the validation suite checks them.  They
+and achievable_rate take the module of their transcendentals as xp:
+math by default, numpy for a batch whose values are arrays (numpy >= 2.0
+spells hypot, atan2, sqrt and log2 as math does).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import SingularMatrixError, raise_at_first
-from .linalg2 import DiagMat3
 from .params import SystemParams
 
 
-@dataclass(slots=True)
-class RelativeState:
-    """Horizontal relative position x (m) and relative velocity v (m/s).
-
-    Signed quantities; x < 0 simply means the object is behind the
-    platform.  Slotted, not frozen, like Sym2; the slot loop carries x
-    and v as plain values and builds none.
-    """
-
-    x: float
-    v: float
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """One slot's measured angle (rad), delay (s) and Doppler (Hz),
-    together with the diagonal noise covariance used to generate it
-    and the sampler's channel weights 1/s_i (None: 1/noise_cov).
-
-    For the noiseless measurement map the angle lies in (0, pi) and the
-    delay is at least 2H/c; noisy samples may exceed those ranges by a
-    few standard deviations, so they are not enforced per-sample (the
-    validation suite checks them at the mean level instead).
-    """
-
-    phi: float
-    tau: float
-    mu: float
-    noise_cov: DiagMat3
-    weights: tuple[float, float, float] | None = None
-
-
-def comm_gain(x: float, params: SystemParams) -> float:
-    """One-way downlink channel gain wavelength^2 / (16 pi^2 d^2)."""
-    d2 = x * x + params.h_alt * params.h_alt
-    return params.wavelength ** 2 / (16.0 * math.pi ** 2 * d2)
-
-
 def comm_snr(x, params: SystemParams):
-    """Downlink SNR P_A*N_t*G_c/sigma_C^2, generic over floats and arrays."""
-    return params.p_a_w * params.n_t * comm_gain(x, params) / params.sigma_c2_w
+    """Downlink SNR P_A*N_t*G_c/sigma_C^2 with the one-way channel gain
+    G_c = wavelength^2 / (16 pi^2 d^2), generic over floats and arrays."""
+    d2 = x * x + params.h_alt * params.h_alt
+    return (params.p_a_w * params.n_t * (params.wavelength ** 2 / (16.0 * math.pi ** 2 * d2))
+            / params.sigma_c2_w)
 
 
 def achievable_rate(x: float, params: SystemParams, xp=math) -> float:
@@ -113,12 +76,6 @@ def noise_weights(x, params: SystemParams, u=None, h_alt=None):
         u = 1.0 / (x * x + h2)
     u2 = u * u
     return g1 * h2 * u2 * u, g2 * u2, g3 * u2
-
-
-def noise_cov_actual(s: RelativeState, params: SystemParams) -> DiagMat3:
-    """Measurement noise variances at the state where the echo actually
-    arrives from: the reciprocals of noise_weights at s.x."""
-    return DiagMat3(*_variances(noise_weights(s.x, params)))
 
 
 def _variances(w) -> tuple[float, float, float]:
@@ -161,34 +118,12 @@ def jacobian(x, v, params: SystemParams, xp=math):
     return iota, kappa, zeta, nu
 
 
-def sample_measurement(s_true: RelativeState, params: SystemParams, rng,
-                       noise_scale: float = 1.0) -> Measurement:
-    """Draw one noisy measurement at the true relative state.
-
-    The mean comes from measure_mean and the three channels get
-    independent zero-mean Gaussian noise with variances from
-    noise_cov_actual, both evaluated at s_true.  The generator is owned
-    by the caller; this function only advances it (three draws).
-
-    noise_scale multiplies the noise standard deviations of the draws;
-    0 reproduces the mean exactly.  The attached covariance stays the
-    nominal one (what the receiver believes), so the filter numerics
-    are unchanged; the knob exists for near-noiseless closed-loop
-    checks, not for modeling.  Raises SingularMatrixError, before any
-    draw, when a channel weight at s_true is zero or not finite.
-    """
-    if noise_scale < 0:
-        raise ValueError(f"noise_scale must be >= 0, got {noise_scale!r}")
-    w = noise_weights(s_true.x, params)
-    s = _measured_variances(w)
-    z = rng.standard_normal(3).tolist()
-    return Measurement(*_noisy_mean(s_true.x, s_true.v, s, z, noise_scale, params),
-                       DiagMat3(*s), w)
-
-
-def _noisy_mean(x, v, s, z, k: float, params: SystemParams, xp=math):
-    """measure_mean at (x, v) plus k*sqrt(s_i)*z_i on channel i, for
-    variances s = (s1, s2, s3) and standard-normal draws z."""
+def sample_measurement(x, v, s, z, k: float, params: SystemParams, xp=math):
+    """One noisy measurement (phi, tau, mu) at the true relative state
+    (x, v): measure_mean plus k*sqrt(s_i)*z_i on channel i, for the
+    variances s = (s1, s2, s3) that _measured_variances returns and
+    standard-normal draws z = (z1, z2, z3), which the caller owns.  k
+    scales the noise standard deviations (0 gives the mean exactly)."""
     phi, tau, mu = measure_mean(x, v, params, xp)
     return (phi + k * xp.sqrt(s[0]) * z[0], tau + k * xp.sqrt(s[1]) * z[1],
             mu + k * xp.sqrt(s[2]) * z[2])

@@ -13,21 +13,21 @@ the filter updates the planned prediction, the slot's values are kept,
 and, unless it was the last slot, the next slot is planned.
 
 Only the plan and the filter feed the next slot, as plain values: _plan
-returns (x_a, v_a, x_breve, v_breve, mse_pred) and ekf._posterior
-(x_hat, v_hat, mse), so a slot builds no filter state, prediction,
-Jacobian or relative state.  One loop, _track, runs the slots, on
-Python floats for one trial or on numpy arrays with one row per scheme
-and trial, each step the same call with xp=math or xp=numpy (numpy
-transcendentals may differ from math's by an ulp).  It keeps the values
-of every slot named by KEPT; one _record_columns pass after the slot
-loop gives every record column by name, computing those that evaluate
-a run (bound pairs, weighted_actual, rate, tr_mm).  run_scenario, the
-reference, runs one trial on floats.  Its arithmetic is that of the
-public one-step functions (step_ground_truth, sample_measurement,
-ekf.update, and per entry predicted_pcrb and crb_measurement), written
-flat over the helpers they share: the loop inverts a slot's prediction
-MSE once and takes one Fisher pass.  The proposed rule runs the one slot
-solve, optimize.solve_p1_each, on one row for a float trial.
+returns (x_a, v_a, x_breve, v_breve, mse_pred) and ekf.update (x_hat,
+v_hat, mse), so a slot builds no value object but its Sym2 matrices.
+The slot's steps are the public one-step value functions,
+step_ground_truth, sensing.sample_measurement, ekf.predict (in _plan)
+and ekf.update.  One loop, _track, runs the slots, on Python floats for
+one trial or on numpy arrays with one row per scheme and trial, each
+step the same call with xp=math or xp=numpy (numpy transcendentals may
+differ from math's by an ulp).  It keeps the values of every slot named
+by KEPT; one _record_columns pass after the slot loop gives every
+record column by name, computing those that evaluate a run (bound
+pairs, weighted_actual, rate, tr_mm) as predicted_pcrb and
+crb_measurement do per entry, flat over the helpers they share.
+run_scenario, the reference, runs one trial on floats.  The proposed
+rule runs the one slot solve, optimize.solve_p1_each, on one row for a
+float trial.
 run_monte_carlo runs every trial of both schemes in lockstep as rows,
 which differ from floats only in the rule tables (each scheme's
 _TARGET_RULES_EACH rule on its block); every check is one call that
@@ -59,26 +59,6 @@ from . import ekf, optimize, sensing
 from .errors import ConfigError, SingularMatrixError, raise_at_first
 from .linalg2 import Sym2
 from .params import SystemParams, _is_integer
-from .sensing import RelativeState
-
-
-@dataclass(frozen=True)
-class WorldState:
-    """Absolute ground truth at one slot boundary.
-
-    The platform fields are whatever the plan commanded; both target
-    rules keep |uav_vel| within the configured speed limit.
-    """
-
-    obj_pos: float
-    obj_vel: float
-    uav_pos: float
-    uav_vel: float
-    slot: int
-
-    def relative(self) -> RelativeState:
-        return RelativeState(self.obj_pos - self.uav_pos,
-                             self.obj_vel - self.uav_vel)
 
 
 @dataclass(slots=True)
@@ -164,26 +144,15 @@ def _process_noise_factor(params: SystemParams) -> tuple[float, float, float]:
     return l11, l21, math.sqrt(max(q.m22 - l21 * l21, 0.0))
 
 
-def step_ground_truth(w: WorldState, params: SystemParams, rng) -> WorldState:
-    """Advance the object one slot: constant-velocity motion plus a
-    process-noise draw with covariance Q_s (linalg2.process_noise_cov),
+def step_ground_truth(pos, vel, z0, z1, dt: float, factor):
+    """Advance the object one slot from (pos, vel): constant-velocity
+    motion plus the process noise of covariance Q_s
+    (linalg2.process_noise_cov) for two standard-normal draws (z0, z1),
     applied jointly to position and velocity through its lower Cholesky
-    factor.
-
-    The platform fields pass through untouched; the tracking loop
-    overwrites them from the planned command.  Two standard-normal
-    draws are consumed even when q_tilde = 0 so that stream alignment
-    does not depend on q_tilde.
+    factor (l11, l21, l22) (_process_noise_factor); generic over floats
+    and arrays.  The tracking loop takes two draws per slot even when
+    q_tilde = 0, so that stream alignment does not depend on q_tilde.
     """
-    obj_pos, obj_vel = _object_step(w.obj_pos, w.obj_vel, *rng.standard_normal(2).tolist(),
-                                    params.dt, _process_noise_factor(params))
-    return WorldState(obj_pos, obj_vel, w.uav_pos, w.uav_vel, w.slot + 1)
-
-
-def _object_step(pos, vel, z0, z1, dt: float, factor):
-    """step_ground_truth's object motion for draws (z0, z1) and the
-    process-noise factor (l11, l21, l22); generic over floats and
-    arrays."""
     l11, l21, l22 = factor
     return pos + vel * dt + l11 * z0, vel + (l21 * z0 + l22 * z1)
 
@@ -247,8 +216,8 @@ def _plan(x_hat, v_hat, mse, uav_pos, uav_vel, params: SystemParams, targets):
     return (x_a, v_a, x_breve, v_breve, mse_pred): the platform waypoint,
     the slot velocity and the filter's prediction for the slot.
 
-    The posterior is predicted once, as ekf.predict does it, without the
-    predicted state that the plan replaces: eta = x_hat + v_hat*dt +
+    The posterior MSE is predicted once, by ekf.predict, and the
+    predicted state is the plan's: eta = x_hat + v_hat*dt +
     v_A*dt, where the object would sit relative to a platform that
     stopped, centers the reachable window.  targets(eta, x_hat, mse_pred,
     params), a target rule (on rows, each block's rule on its rows),
@@ -256,7 +225,7 @@ def _plan(x_hat, v_hat, mse, uav_pos, uav_vel, params: SystemParams, targets):
     realizes it, and v_breve = (x_breve - x_hat)/dt.
     """
     dt = params.dt
-    mse_pred = ekf._predicted_mse(mse, params)
+    mse_pred = ekf.predict(mse, params)
     eta = x_hat + v_hat * dt + uav_vel * dt
     x_breve = targets(eta, x_hat, mse_pred, params)
     x_a, v_a = optimize.design_trajectory(x_breve, eta, (uav_pos, uav_vel), params)
@@ -340,17 +309,18 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
         x_a, v_a, x_breve, v_breve, mse_pred = _plan(x_hat, v_hat, mse, uav_pos, uav_vel, p,
                                                      targets)
         for n in range(1, cfg.n_slots + 1):
-            # step_ground_truth, the planned command and sample_measurement
+            # the slot's draws: two for step_ground_truth, three for sample_measurement
             z0, z1, e1, e2, e3 = z[5 * n - 3:5 * n + 2]
-            obj_pos, obj_vel = _object_step(obj_pos, obj_vel, z0, z1, dt, factor)
+            obj_pos, obj_vel = step_ground_truth(obj_pos, obj_vel, z0, z1, dt, factor)
             uav_pos, uav_vel = x_a, v_a
             x, v = obj_pos - uav_pos, obj_vel - uav_vel
             w = sensing.noise_weights(x, p)
-            # the weights are checked before the prediction MSE, as in ekf.update
+            # the weights are checked first, then the prediction MSE: a geometry
+            # too far to measure is refused as such whatever the MSE
             s = sensing._measured_variances(w)
             prior = ekf._prior_information(mse_pred)
-            y = sensing._noisy_mean(x, v, s, (e1, e2, e3), k, p, xp)
-            x_hat, v_hat, mse = ekf._posterior(x_breve, v_breve, prior, w, y, p, xp)
+            y = sensing.sample_measurement(x, v, s, (e1, e2, e3), k, p, xp)
+            x_hat, v_hat, mse = ekf.update(x_breve, v_breve, prior, w, y, p, xp)
             kept[n - 1] = (x, v, x_hat, v_hat, x_breve, v_breve, uav_pos, uav_vel,
                            mse_pred.trace, *w, prior.m11, prior.m12, prior.m22)
             if n < cfg.n_slots:

@@ -332,54 +332,51 @@ class TermSize:
 @np.errstate(over="ignore", invalid="ignore")
 def scenario_by_public_steps(cfg, p):
     """The slot loop of simulate.run_scenario written with the public
-    one-step functions, drawing from one generator as it goes: per slot
-    step_ground_truth, the planned command, sample_measurement,
-    ekf.update, ekf.predicted_pcrb at the prediction and at the true
-    state, and ekf.crb_measurement at the prediction.  Planning is
-    simulate._plan, as in the loop, and a proposed slot is flagged where
-    its target lies outside the rate disc.  Overflow and NaN pass
-    silently, as in the loop.  Returns the SlotRecord list."""
-    from dataclasses import replace
-
+    one-step value functions on plain floats, drawing from one generator
+    as it goes: per slot step_ground_truth (two draws), the planned
+    command, the weights check, sample_measurement (three draws), the
+    prior information and ekf.update, then ekf.predicted_pcrb at the
+    prediction and at the true state, ekf.crb_measurement at the
+    prediction and the rate there.  Planning is simulate._plan, which
+    calls ekf.predict, before the slot's measurement, as in the loop, and
+    a proposed slot is flagged where its target lies outside the rate
+    disc.  Overflow and NaN pass silently, as in the loop.  Returns the
+    SlotRecord list."""
     from uav_isac import ekf, optimize, sensing, simulate
     from uav_isac.linalg2 import Sym2
 
     rule = simulate._TARGET_RULES[cfg.scheme]
+    factor = simulate._process_noise_factor(p)
     rng = np.random.default_rng(cfg.seed)
-    world = simulate.WorldState(cfg.init_obj_pos, cfg.init_obj_vel,
-                                cfg.init_uav_pos, cfg.init_uav_vel, 0)
-    rel0 = world.relative()
-    z = rng.standard_normal(2).tolist()
-    est0 = sensing.RelativeState(rel0.x + cfg.init_est_std[0] * z[0],
-                                 rel0.v + cfg.init_est_std[1] * z[1])
-    fstate = ekf.FilterState(est0, Sym2.diag(*cfg.init_mse))
+    obj_pos, obj_vel = cfg.init_obj_pos, cfg.init_obj_vel
+    uav_pos, uav_vel = cfg.init_uav_pos, cfg.init_uav_vel
+    z0, z1 = rng.standard_normal(2).tolist()
+    x_hat = (obj_pos - uav_pos) + cfg.init_est_std[0] * z0
+    v_hat = (obj_vel - uav_vel) + cfg.init_est_std[1] * z1
+    mse = Sym2.diag(*cfg.init_mse)
     records = []
-
-    def plan():
-        x_a, v_a, x_breve, v_breve, mse_pred = simulate._plan(
-            fstate.est.x, fstate.est.v, fstate.mse, world.uav_pos, world.uav_vel, p, rule)
-        return x_a, v_a, ekf.Prediction(sensing.RelativeState(x_breve, v_breve), mse_pred)
-    x_a, v_a, pred = plan()
     for n in range(1, cfg.n_slots + 1):
-        world = replace(simulate.step_ground_truth(world, p, rng), uav_pos=x_a, uav_vel=v_a)
-        true_rel = world.relative()
-        meas = sensing.sample_measurement(true_rel, p, rng, cfg.noise_scale)
-        fstate = ekf.update(pred, meas, p)
-        x_breve, v_breve = pred.pred.x, pred.pred.v
-        pcrb_pred = ekf.predicted_pcrb(x_breve, v_breve, pred.mse_pred, p)
-        pcrb_act = ekf.predicted_pcrb(true_rel.x, true_rel.v, pred.mse_pred, p)
+        x_a, v_a, x_breve, v_breve, mse_pred = simulate._plan(x_hat, v_hat, mse, uav_pos,
+                                                             uav_vel, p, rule)
+        obj_pos, obj_vel = simulate.step_ground_truth(obj_pos, obj_vel,
+                                                      *rng.standard_normal(2).tolist(), p.dt, factor)
+        uav_pos, uav_vel = x_a, v_a
+        x, v = obj_pos - uav_pos, obj_vel - uav_vel
+        w = sensing.noise_weights(x, p)
+        s = sensing._measured_variances(w)
+        y = sensing.sample_measurement(x, v, s, rng.standard_normal(3).tolist(), cfg.noise_scale, p)
+        x_hat, v_hat, mse = ekf.update(x_breve, v_breve, ekf._prior_information(mse_pred), w, y, p)
+        pcrb_pred = ekf.predicted_pcrb(x_breve, v_breve, mse_pred, p)
+        pcrb_act = ekf.predicted_pcrb(x, v, mse_pred, p)
         crb_x, crb_v = ekf.crb_measurement(x_breve, v_breve, p)
         records.append(simulate.SlotRecord(
-            slot=n, t_s=n * p.dt, x_true=true_rel.x, v_true=true_rel.v,
-            x_hat=fstate.est.x, v_hat=fstate.est.v, x_breve=x_breve, v_breve=v_breve,
-            x_uav=world.uav_pos, v_uav=world.uav_vel,
+            slot=n, t_s=n * p.dt, x_true=x, v_true=v, x_hat=x_hat, v_hat=v_hat,
+            x_breve=x_breve, v_breve=v_breve, x_uav=uav_pos, v_uav=uav_vel,
             pcrb_x_pred=pcrb_pred.pcrb_x, pcrb_v_pred=pcrb_pred.pcrb_v,
             pcrb_x_actual=pcrb_act.pcrb_x, pcrb_v_actual=pcrb_act.pcrb_v,
             weighted_actual=pcrb_act.weighted, rate_bpshz=sensing.achievable_rate(x_breve, p),
-            tr_mp=pred.mse_pred.trace, tr_mm=crb_x + crb_v,
+            tr_mp=mse_pred.trace, tr_mm=crb_x + crb_v,
             flagged=cfg.scheme == "proposed" and abs(x_breve) > optimize.qos_radius(p)))
-        if n < cfg.n_slots:
-            x_a, v_a, pred = plan()
     return records
 
 

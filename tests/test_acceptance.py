@@ -16,8 +16,7 @@ import pytest
 from uav_isac import ekf, optimize, sensing, simulate
 from uav_isac.linalg2 import Sym2, process_noise_cov
 from uav_isac.params import SystemParams
-from uav_isac.sensing import RelativeState
-from uav_isac.simulate import ScenarioConfig, WorldState
+from uav_isac.simulate import ScenarioConfig
 
 import oracles
 
@@ -39,9 +38,8 @@ def test_ac01_alpha0_angle_is_arctan_sqrt2():
     """alpha=0 geometry optimum sits at arctan(sqrt 2) for every altitude."""
     t0 = time.perf_counter()
     worst = 0.0
-    for h in range(10, 101, 10):
-        res = optimize.solve_sp1(replace(DEFS, alpha=0.0, h_alt=float(h)))
-        err = abs(math.degrees(res.phi_star) - ATAN_SQRT2_DEG)
+    for _, h, _, phi_deg, _ in optimize.sweep_angle(DEFS, [0.0], range(10, 101, 10)):
+        err = abs(phi_deg - ATAN_SQRT2_DEG)
         worst = max(worst, err)
         assert err <= 1e-3, f"H={h}: angle off by {err:.3e} deg"
     elapsed = time.perf_counter() - t0
@@ -70,10 +68,8 @@ def test_ac02_angle_sweep_locates_knee():
 def test_ac03_angle_profile_unimodal():
     """phi*(H) has exactly one local maximum for interior weights."""
     for alpha in (0.3, 0.5, 0.7):
-        phis = []
-        for h in range(10, 101):
-            res = optimize.solve_sp1(replace(DEFS, alpha=alpha, h_alt=float(h)))
-            phis.append(math.degrees(res.phi_star))
+        phis = [row[3] for row in optimize.sweep_angle(DEFS, [alpha], range(10, 101))]
+        assert all(map(math.isfinite, phis)), f"alpha={alpha}: sweep produced non-finite angles"
         # merge equal-valued runs, then count interior strict maxima
         comp = [phis[0]]
         for v in phis[1:]:
@@ -283,25 +279,22 @@ def test_ac11_rate_floor_holds():
 def test_ac12_sampled_statistics_match_models():
     """1e5 measurement draws and process steps reproduce the noise models."""
     rng = np.random.default_rng(1212)
-    s = RelativeState(50.0, 10.0)
-    cov = sensing.noise_cov_actual(s, DEFS)
+    x, v = 50.0, 10.0
+    cov = sensing._measured_variances(sensing.noise_weights(x, DEFS))
     n = 100_000
-    draws = np.empty((n, 3))
-    for i in range(n):
-        m = sensing.sample_measurement(s, DEFS, rng)
-        draws[i] = (m.phi, m.tau, m.mu)
+    # n measurements, then n process steps, each one batch of its draws in stream order
+    draws = np.array(sensing.sample_measurement(x, v, cov, rng.standard_normal((n, 3)).T, 1.0,
+                                                DEFS, np)).T
     sample_var = draws.var(axis=0)
-    for got, want, name in zip(sample_var, (cov.s1, cov.s2, cov.s3),
-                               ("bearing", "delay", "doppler")):
+    for got, want, name in zip(sample_var, cov, ("bearing", "delay", "doppler")):
         rel = abs(got - want) / want
         assert rel <= 0.05, f"{name} variance off by {rel:.3f} relative"
 
-    w0 = WorldState(80.0, 5.0, 0.0, 0.0, 0)
-    incr = np.empty((n, 2))
-    for i in range(n):
-        w1 = simulate.step_ground_truth(w0, DEFS, rng)
-        incr[i] = (w1.obj_pos - (w0.obj_pos + w0.obj_vel * DEFS.dt),
-                   w1.obj_vel - w0.obj_vel)
+    pos, vel = 80.0, 5.0
+    z = rng.standard_normal((n, 2)).T
+    pos1, vel1 = simulate.step_ground_truth(pos, vel, *z, DEFS.dt,
+                                            simulate._process_noise_factor(DEFS))
+    incr = np.stack([pos1 - (pos + vel * DEFS.dt), vel1 - vel], axis=1)
     qs = process_noise_cov(DEFS.dt, DEFS.q_tilde)
     emp = np.cov(incr.T, ddof=0)
     for got, want, name in (
@@ -311,7 +304,7 @@ def test_ac12_sampled_statistics_match_models():
         rel = abs(got - want) / abs(want)
         assert rel <= 0.05, f"process-noise {name} term off by {rel:.3f}"
     meas_worst = float(np.max(np.abs(
-        sample_var / np.array([cov.s1, cov.s2, cov.s3]) - 1.0)))
+        sample_var / np.array(cov) - 1.0)))
     proc_worst = max(abs(emp[0, 0] / qs.m11 - 1.0),
                      abs(emp[1, 1] / qs.m22 - 1.0),
                      abs(emp[0, 1] / qs.m12 - 1.0))

@@ -8,15 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from uav_isac import ekf, optimize, sensing
 from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError
-from uav_isac.linalg2 import DiagMat3, Sym2, process_noise_cov
+from uav_isac.linalg2 import Sym2, process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.sensing import (
-    Measurement,
-    RelativeState,
+    _measured_variances,
     achievable_rate,
     jacobian,
     measure_mean,
-    noise_cov_actual,
     noise_weights,
     sample_measurement,
 )
@@ -31,26 +29,34 @@ def _rand_cov(rng, scale=1.0):
     return a @ a.T * scale + np.diag([0.05, 0.01])
 
 
+def _measure(x, v, rng):
+    """The weights at the true state (x, v) and one noisy measurement
+    there, drawn from rng as the slot loop draws it."""
+    w = noise_weights(x, P)
+    return w, sample_measurement(x, v, _measured_variances(w), rng.standard_normal(3).tolist(),
+                                 1.0, P)
+
+
+def _update_step(x, v, mse_pred, w, y):
+    """The slot loop's update step: the weights check, then the prior
+    information of the prediction MSE, then ekf.update."""
+    _measured_variances(w)
+    return ekf.update(x, v, ekf._prior_information(mse_pred), w, y, P)
+
+
 def test_predict_matches_matrix_algebra():
     rng = np.random.default_rng(21)
     g = np.array([[1.0, P.dt], [0.0, 1.0]])
     qs = process_noise_cov(P.dt, P.q_tilde).as_array()
     for _ in range(30):
-        est = RelativeState(float(rng.uniform(-80, 80)), float(rng.uniform(-20, 20)))
         m = _rand_cov(rng)
-        prev = ekf.FilterState(est, Sym2.from_array(m))
-        pred = ekf.predict(prev, P)
-        want_state = g @ np.array([est.x, est.v])
-        assert pred.pred.x == pytest.approx(want_state[0], rel=1e-14, abs=1e-12)
-        assert pred.pred.v == pytest.approx(want_state[1], rel=1e-14, abs=1e-12)
         want_mse = g @ m @ g.T + qs
-        assert np.allclose(pred.mse_pred.as_array(), want_mse, rtol=1e-13, atol=1e-15)
+        assert np.allclose(ekf.predict(Sym2.from_array(m), P).as_array(), want_mse,
+                           rtol=1e-13, atol=1e-15)
 
 
 def test_predict_zero_prior_gives_process_noise():
-    prev = ekf.FilterState(RelativeState(0.0, 0.0), Sym2(0.0, 0.0, 0.0))
-    pred = ekf.predict(prev, P)
-    assert pred.mse_pred == process_noise_cov(P.dt, P.q_tilde)
+    assert ekf.predict(Sym2(0.0, 0.0, 0.0), P) == process_noise_cov(P.dt, P.q_tilde)
 
 
 def test_process_noise_is_built_once_per_params(monkeypatch):
@@ -61,8 +67,8 @@ def test_process_noise_is_built_once_per_params(monkeypatch):
     monkeypatch.setattr(params_module, "process_noise_cov",
                         lambda dt, q: built.append(dt) or process_noise_cov(dt, q))
     p = SystemParams()
-    prev = ekf.FilterState(RelativeState(3.0, 1.0), Sym2(1.0, 0.1, 0.5))
-    assert ekf.predict(prev, p) == ekf.predict(prev, P)
+    m = Sym2(1.0, 0.1, 0.5)
+    assert ekf.predict(m, p) == ekf.predict(m, P)
     run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), p)
     assert len(built) == 1 and p.process_noise == process_noise_cov(p.dt, p.q_tilde)
 
@@ -75,94 +81,75 @@ def test_update_against_numpy_reference():
         x = float(rng.uniform(5, 120)) * float(rng.choice([-1.0, 1.0]))
         v = float(rng.uniform(-25, 25))
         m = _rand_cov(rng, scale=0.5)
-        pred = ekf.Prediction(RelativeState(x, v), Sym2.from_array(m))
-        y = sample_measurement(RelativeState(x + 0.3, v - 0.2), P, rng)
+        w, y = _measure(x + 0.3, v - 0.2, rng)
 
         iota, kappa, zeta, nu = oracles.jacobian_entries(x, v, d)
         j = np.array([[iota, 0.0], [kappa, 0.0], [zeta, nu]])
-        r = np.diag(y.noise_cov.diagonal())
+        r = np.diag(_measured_variances(w))
         s = r + j @ m @ j.T
         k = m @ j.T @ np.linalg.inv(s)
-        phi, tau, mu = measure_mean(x, v, P)
-        innov = np.array([y.phi - phi, y.tau - tau, y.mu - mu])
+        innov = np.array(y) - np.array(measure_mean(x, v, P))
         want_state = np.array([x, v]) + k @ innov
         want_mse = (np.eye(2) - k @ j) @ m
         want_mse = 0.5 * (want_mse + want_mse.T)
 
-        post = ekf.update(pred, y, P)
-        assert post.est.x == pytest.approx(want_state[0], rel=1e-9, abs=1e-9)
-        assert post.est.v == pytest.approx(want_state[1], rel=1e-9, abs=1e-9)
-        assert np.allclose(post.mse.as_array(), want_mse, rtol=1e-7, atol=1e-12)
-        assert np.linalg.eigvalsh(post.mse.as_array())[0] > 0.0
+        x_hat, v_hat, mse = _update_step(x, v, Sym2.from_array(m), w, y)
+        assert x_hat == pytest.approx(want_state[0], rel=1e-9, abs=1e-9)
+        assert v_hat == pytest.approx(want_state[1], rel=1e-9, abs=1e-9)
+        assert np.allclose(mse.as_array(), want_mse, rtol=1e-7, atol=1e-12)
+        assert np.linalg.eigvalsh(mse.as_array())[0] > 0.0
 
 
 def test_update_ignores_uninformative_channels():
-    pred = ekf.predict(
-        ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
-    phi, tau, mu = measure_mean(pred.pred.x, pred.pred.v, P)
-    y = Measurement(phi + 0.2, tau * 1.1, mu - 40.0, DiagMat3(1e30, 1e30, 1e30))
-    post = ekf.update(pred, y, P)
-    assert post.est.x == pytest.approx(pred.pred.x, abs=1e-9)
-    assert post.est.v == pytest.approx(pred.pred.v, abs=1e-9)
-    assert post.mse.m11 == pytest.approx(pred.mse_pred.m11, rel=1e-9)
-    assert post.mse.m22 == pytest.approx(pred.mse_pred.m22, rel=1e-9)
+    x, v = 30.0 + 5.0 * P.dt, 5.0
+    mse_pred = ekf.predict(Sym2.diag(1.0, 0.25), P)
+    phi, tau, mu = measure_mean(x, v, P)
+    x_hat, v_hat, mse = _update_step(x, v, mse_pred, (1e-30,) * 3,
+                                     (phi + 0.2, tau * 1.1, mu - 40.0))
+    assert x_hat == pytest.approx(x, abs=1e-9)
+    assert v_hat == pytest.approx(v, abs=1e-9)
+    assert mse.m11 == pytest.approx(mse_pred.m11, rel=1e-9)
+    assert mse.m22 == pytest.approx(mse_pred.m22, rel=1e-9)
 
 
 def test_update_shrinks_uncertainty():
     rng = np.random.default_rng(23)
-    pred = ekf.predict(
-        ekf.FilterState(RelativeState(60.0, -8.0), Sym2.diag(4.0, 1.0)), P)
-    y = sample_measurement(pred.pred, P, rng)
-    post = ekf.update(pred, y, P)
-    assert post.mse.m11 < pred.mse_pred.m11
-    assert post.mse.m22 < pred.mse_pred.m22
+    x, v = 60.0 - 8.0 * P.dt, -8.0
+    mse_pred = ekf.predict(Sym2.diag(4.0, 1.0), P)
+    w, y = _measure(x, v, rng)
+    mse = _update_step(x, v, mse_pred, w, y)[2]
+    assert mse.m11 < mse_pred.m11
+    assert mse.m22 < mse_pred.m22
 
 
 @pytest.mark.parametrize("bad", [0.0, math.inf])
 def test_update_rejects_degenerate_variance(bad):
-    pred = ekf.predict(
-        ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
-    phi, tau, mu = measure_mean(pred.pred.x, pred.pred.v, P)
+    mse_pred = ekf.predict(Sym2.diag(1.0, 0.25), P)
+    y = measure_mean(31.0, 5.0, P)
     for k in range(3):
         s = [1e-6, 1e-20, 0.2]
         s[k] = bad
         with pytest.raises(SingularMatrixError):
-            ekf.update(pred, Measurement(phi, tau, mu, DiagMat3(*s)), P)
+            _update_step(31.0, 5.0, mse_pred, sensing._variances(s), y)
 
 
 @pytest.mark.parametrize("bad", [0.0, math.inf])
 def test_update_rejects_degenerate_carried_weight(bad):
-    # the message lists the variances, as when the update forms the weights
-    # (a NaN weight cannot arrive here: DiagMat3 refuses a NaN variance)
-    pred = ekf.predict(
-        ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
-    phi, tau, mu = measure_mean(pred.pred.x, pred.pred.v, P)
+    # the message lists the variances as _variances forms them from the weights
+    mse_pred = ekf.predict(Sym2.diag(1.0, 0.25), P)
+    y = measure_mean(31.0, 5.0, P)
     for k in range(3):
         w = [1e6, 1e20, 5.0]
         w[k] = bad
         s = sensing._variances(w)
         with pytest.raises(SingularMatrixError, match=re.escape(f"noise variances {s} need")):
-            ekf.update(pred, Measurement(phi, tau, mu, DiagMat3(*s), tuple(w)), P)
-
-
-def test_update_reads_the_carried_weights():
-    # a sampled measurement carries noise_weights as they are, and the
-    # update uses them instead of the reciprocals of its variances
-    pred = ekf.predict(
-        ekf.FilterState(RelativeState(30.0, 5.0), Sym2.diag(1.0, 0.25)), P)
-    y = sample_measurement(RelativeState(30.4, 4.7), P, np.random.default_rng(12))
-    assert y.weights == noise_weights(30.4, P)
-    assert y.noise_cov.diagonal() == sensing._variances(y.weights)
-    x, v, mse = ekf._posterior(pred.pred.x, pred.pred.v, pred.mse_pred.inverse(), y.weights,
-                               (y.phi, y.tau, y.mu), P)
-    assert ekf.update(pred, y, P) == ekf.FilterState(RelativeState(x, v), mse)
+            _update_step(31.0, 5.0, mse_pred, tuple(w), y)
 
 
 def test_update_rejects_singular_prior():
-    pred = ekf.Prediction(RelativeState(30.0, 5.0), Sym2(0.0, 0.0, 0.0))
-    y = sample_measurement(pred.pred, P, np.random.default_rng(0))
+    w, y = _measure(30.0, 5.0, np.random.default_rng(0))
     with pytest.raises(NotPositiveDefiniteError, match="mse_pred"):
-        ekf.update(pred, y, P)
+        _update_step(30.0, 5.0, Sym2(0.0, 0.0, 0.0), w, y)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -175,9 +162,7 @@ def test_information_core_property(x, sign, v, log_m11, log_m22, rho, seed):
     x *= sign
     m11, m22 = math.exp(log_m11), math.exp(log_m22)
     m_p = Sym2(m11, rho * math.sqrt(m11 * m22), m22)
-    pred = ekf.Prediction(RelativeState(x, v), m_p)
-    y = sample_measurement(RelativeState(x + 0.3, v - 0.2), P, np.random.default_rng(seed))
-    post = ekf.update(pred, y, P).mse
+    post = _update_step(x, v, m_p, *_measure(x + 0.3, v - 0.2, np.random.default_rng(seed)))[2]
     # the posterior is positive definite and no larger than the prior
     assert post.m11 > 0.0 and post.det > 0.0
     gap = Sym2(m_p.m11 - post.m11, m_p.m12 - post.m12, m_p.m22 - post.m22)
@@ -252,6 +237,16 @@ def test_crb_overhead_velocity_barrier():
     assert cv == math.inf
 
 
+def test_crb_v_at_zero_speed_is_finite_where_crb_x_is_infinite():
+    # the position information underflows to 0, and zz = 0 at v = 0 must
+    # not multiply the infinite crb_x into a NaN
+    p = SystemParams(alpha=0.0, a1=1e160, a2=1e160)
+    vv = ekf._fisher_terms(35.355, 0.0, p)[3]
+    assert ekf.crb_measurement(35.355, 0.0, p) == (math.inf, 1.0 / vv)
+    res = optimize.solve_sp1(p)
+    assert ekf.weighted_g(res.x_star, 0.0, p) == res.g_star == pytest.approx(7.35e-6, rel=1e-3)
+
+
 def test_crb_x_independent_of_speed():
     cx1, _ = ekf.crb_measurement(42.0, 0.0, P)
     cx2, _ = ekf.crb_measurement(42.0, 25.0, P)
@@ -271,13 +266,14 @@ def test_weighted_g_edges():
 # -------------------------------------------- the math and numpy namespaces
 
 def _namespace_states(n=5000, seed=8):
-    """n seeded relative states as arrays, the first four at x = 0, -0.0
-    and both ends of the QoS disc, and the same states as float rows."""
+    """n seeded relative states (x, v) as two arrays, the first four at
+    x = 0, -0.0 and both ends of the QoS disc, and the same states as
+    float pairs."""
     rng = np.random.default_rng(seed)
     x_c = optimize.qos_radius(P)
     x = np.concatenate([[0.0, -0.0, x_c, -x_c], rng.uniform(-200.0, 200.0, n - 4)])
     v = rng.uniform(-20.0, 20.0, n)
-    return RelativeState(x, v), [RelativeState(a, b) for a, b in zip(x.tolist(), v.tolist())]
+    return (x, v), list(zip(x.tolist(), v.tolist()))
 
 
 def _assert_rows_match(batch, rows, rel=1e-15):
@@ -290,41 +286,38 @@ def _assert_rows_match(batch, rows, rel=1e-15):
 
 
 def test_sensing_numpy_namespace_matches_float_form_row_by_row():
-    batch, states = _namespace_states()
+    (x, v), states = _namespace_states()
     z = np.random.default_rng(9).standard_normal((3, len(states)))
-    s = tuple(1.0 / wi for wi in noise_weights(batch.x, P))
-    _assert_rows_match(measure_mean(batch.x, batch.v, P, np),
-                       [measure_mean(st.x, st.v, P) for st in states])
-    _assert_rows_match(jacobian(batch.x, batch.v, P, np),
-                       [jacobian(st.x, st.v, P) for st in states])
-    _assert_rows_match([achievable_rate(batch.x, P, np)],
-                       [(achievable_rate(st.x, P),) for st in states])
+    s = tuple(1.0 / wi for wi in noise_weights(x, P))
+    _assert_rows_match(measure_mean(x, v, P, np), [measure_mean(a, b, P) for a, b in states])
+    _assert_rows_match(jacobian(x, v, P, np), [jacobian(a, b, P) for a, b in states])
+    _assert_rows_match([achievable_rate(x, P, np)], [(achievable_rate(a, P),) for a, _ in states])
     _assert_rows_match(
-        sensing._noisy_mean(batch.x, batch.v, s, z, 1.0, P, np),
-        [sensing._noisy_mean(st.x, st.v, sensing._variances(noise_weights(st.x, P)),
-                             z[:, i].tolist(), 1.0, P) for i, st in enumerate(states)])
+        sample_measurement(x, v, s, z, 1.0, P, np),
+        [sample_measurement(a, b, sensing._variances(noise_weights(a, P)), z[:, i].tolist(), 1.0, P)
+         for i, (a, b) in enumerate(states)])
 
 
 def test_posterior_numpy_namespace_matches_float_form_row_by_row():
-    pred, states = _namespace_states()
+    (x, v), states = _namespace_states()
     n = len(states)
     rng = np.random.default_rng(10)
-    true = RelativeState(pred.x + rng.normal(0.0, 0.5, n), pred.v + rng.normal(0.0, 0.5, n))
-    w = noise_weights(true.x, P)
-    y = sensing._noisy_mean(true.x, true.v, tuple(1.0 / wi for wi in w),
-                            rng.standard_normal((3, n)), 1.0, P, np)
+    x_true, v_true = x + rng.normal(0.0, 0.5, n), v + rng.normal(0.0, 0.5, n)
+    w = noise_weights(x_true, P)
+    y = sample_measurement(x_true, v_true, tuple(1.0 / wi for wi in w),
+                           rng.standard_normal((3, n)), 1.0, P, np)
     m11, m22 = np.exp(rng.uniform(-3.0, 3.0, (2, n)))
     prior = Sym2(m11, rng.uniform(-0.9, 0.9, n) * np.sqrt(m11 * m22), m22)
-    *est, m = ekf._posterior(pred.x, pred.v, prior, w, y, P, np)
-    rows = [ekf._posterior(st.x, st.v, prior.at(i), tuple(float(wi[i]) for wi in w),
-                           tuple(float(yi[i]) for yi in y), P) for i, st in enumerate(states)]
+    *est, m = ekf.update(x, v, prior, w, y, P, np)
+    rows = [ekf.update(a, b, prior.at(i), tuple(float(wi[i]) for wi in w),
+                       tuple(float(yi[i]) for yi in y), P) for i, (a, b) in enumerate(states)]
     # the MSE is the same arithmetic on both forms
     _assert_rows_match(astuple(m), [astuple(r[2]) for r in rows], rel=0.0)
     # the estimate adds M J^T R^-1 (y - h(x_pred)); an ulp by which numpy's
     # transcendentals differ from math's in h is carried through that gain,
     # which the innovation's cancellation can make larger than 1e-15 of it
-    iota, kappa, zeta, nu = jacobian(pred.x, pred.v, P, np)
-    ulp = [wi * np.spacing(np.abs(hi)) for wi, hi in zip(w, measure_mean(pred.x, pred.v, P, np))]
+    iota, kappa, zeta, nu = jacobian(x, v, P, np)
+    ulp = [wi * np.spacing(np.abs(hi)) for wi, hi in zip(w, measure_mean(x, v, P, np))]
     slack = (
         np.abs(m.m11 * iota) * ulp[0] + np.abs(m.m11 * kappa) * ulp[1]
         + np.abs(m.m11 * zeta + m.m12 * nu) * ulp[2],

@@ -5,7 +5,6 @@ import pytest
 
 from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError, raise_at_first
 from uav_isac.linalg2 import (
-    DiagMat3,
     Sym2,
     process_noise_cov,
     require_positive_definite,
@@ -62,11 +61,6 @@ def test_require_positive_definite_rejects_singular():
     # negative definite: det > 0 but m11 < 0
     with pytest.raises(NotPositiveDefiniteError):
         require_positive_definite(Sym2(-1.0, 0.0, -2.0), "m")
-
-
-def test_diag3():
-    d = DiagMat3(1.0, 2.0, 3.0)
-    assert d.diagonal() == (1.0, 2.0, 3.0)
 
 
 def test_batch_checks_raise_for_lowest_failing_entry():

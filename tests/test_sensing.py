@@ -7,20 +7,25 @@ import pytest
 from uav_isac.errors import SingularMatrixError
 from uav_isac.params import SystemParams
 from uav_isac.sensing import (
-    Measurement,
-    RelativeState,
+    _measured_variances,
+    _variances,
     achievable_rate,
-    comm_gain,
+    comm_snr,
     jacobian,
     measure_mean,
-    noise_cov_actual,
+    noise_weights,
     sample_measurement,
 )
 
 import oracles
 
 P = SystemParams()
-S50 = RelativeState(50.0, 10.0)
+
+
+def _noise_cov(x):
+    """The sampled noise variances at offset x: the reciprocals of
+    noise_weights, as the slot loop forms them."""
+    return _variances(noise_weights(x, P))
 
 
 def test_echo_gain_frozen_point():
@@ -30,7 +35,9 @@ def test_echo_gain_frozen_point():
 
 
 def test_comm_gain_frozen_point():
-    assert comm_gain(50.0, P) == pytest.approx(oracles.FROZEN["g_c_50"], rel=1e-13)
+    # the one-way downlink gain wavelength^2/(16 pi^2 d^2) that comm_snr folds in
+    gain = comm_snr(50.0, P) * P.sigma_c2_w / (P.p_a_w * P.n_t)
+    assert gain == pytest.approx(oracles.FROZEN["g_c_50"], rel=1e-13)
 
 
 def test_rate_frozen_point_and_symmetry():
@@ -68,26 +75,24 @@ def test_directly_overhead_geometry():
 
 
 def test_noise_cov_frozen_point():
-    cov = noise_cov_actual(S50, P)
-    assert cov.s1 == pytest.approx(oracles.FROZEN["sigma1sq_50"], rel=1e-13)
-    assert cov.s2 == pytest.approx(oracles.FROZEN["sigma2sq_50"], rel=1e-13)
-    assert cov.s3 == pytest.approx(oracles.FROZEN["sigma3sq_50"], rel=1e-13)
+    s1, s2, s3 = _noise_cov(50.0)
+    assert s1 == pytest.approx(oracles.FROZEN["sigma1sq_50"], rel=1e-13)
+    assert s2 == pytest.approx(oracles.FROZEN["sigma2sq_50"], rel=1e-13)
+    assert s3 == pytest.approx(oracles.FROZEN["sigma3sq_50"], rel=1e-13)
 
 
 def test_noise_cov_longhand_oracle():
     d = oracles.params_dict(P)
     for x in (5.0, 20.0, 50.0, 110.0):
-        s1, s2, s3 = oracles.noise_variances(x, 0.0, d)
-        cov = noise_cov_actual(RelativeState(x, 0.0), P)
-        assert cov.s1 == pytest.approx(float(s1), rel=1e-12)
-        assert cov.s2 == pytest.approx(float(s2), rel=1e-12)
-        assert cov.s3 == pytest.approx(float(s3), rel=1e-12)
+        want = oracles.noise_variances(x, 0.0, d)
+        for got, s in zip(_noise_cov(x), want):
+            assert got == pytest.approx(float(s), rel=1e-12)
 
 
 def test_noise_cov_far_out_is_infinite_as_in_numpy():
     # x^2 overflows, so every weight underflows to 0 and 1/0 gives inf
-    assert noise_cov_actual(RelativeState(1e200, 0.0), P).diagonal() == (math.inf,) * 3
-    assert noise_cov_actual(RelativeState(-1e160, 3.0), P).diagonal() == (math.inf,) * 3
+    assert _noise_cov(1e200) == (math.inf,) * 3
+    assert _noise_cov(-1e160) == (math.inf,) * 3
 
 
 def test_jacobian_frozen_point():
@@ -116,19 +121,10 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_sample_measurement_zero_scale_hits_mean_and_keeps_nominal_cov():
-    rng = np.random.default_rng(13)
-    m = sample_measurement(S50, P, rng, noise_scale=0.0)
-    phi, tau, mu = measure_mean(50.0, 10.0, P)
-    assert (m.phi, m.tau, m.mu) == (phi, tau, mu)
-    assert m.noise_cov.diagonal() == noise_cov_actual(S50, P).diagonal()
-
-
-def test_sample_measurement_advances_rng_three_draws():
-    rng_a = np.random.default_rng(14)
-    rng_b = np.random.default_rng(14)
-    sample_measurement(S50, P, rng_a)
-    rng_b.standard_normal(3)
-    assert rng_a.standard_normal() == rng_b.standard_normal()
+    z = np.random.default_rng(13).standard_normal(3).tolist()
+    s = _measured_variances(noise_weights(50.0, P))
+    assert s == _noise_cov(50.0)
+    assert sample_measurement(50.0, 10.0, s, z, 0.0, P) == measure_mean(50.0, 10.0, P)
 
 
 @pytest.mark.parametrize("x, variances", [
@@ -136,31 +132,23 @@ def test_sample_measurement_advances_rng_three_draws():
     (math.nan, "(nan, nan, nan)"),
 ])
 def test_sample_measurement_refuses_unusable_weights_before_drawing(x, variances):
-    rng = np.random.default_rng(16)
+    # the weights check the slot loop runs before it samples
     with pytest.raises(SingularMatrixError, match=re.escape(
             f"noise variances {variances} need finite positive reciprocals")):
-        sample_measurement(RelativeState(x, 0.0), P, rng)
-    assert rng.standard_normal() == np.random.default_rng(16).standard_normal()
-
-
-def test_sample_measurement_rejects_negative_scale():
-    rng = np.random.default_rng(15)
-    with pytest.raises(ValueError):
-        sample_measurement(S50, P, rng, noise_scale=-0.5)
+        _measured_variances(noise_weights(x, P))
 
 
 def test_sample_measurement_statistics():
     rng = np.random.default_rng(16)
     n = 20000
-    cov = noise_cov_actual(S50, P)
+    cov = _noise_cov(50.0)
     phi0, tau0, mu0 = measure_mean(50.0, 10.0, P)
-    draws = np.array([
-        (m.phi, m.tau, m.mu)
-        for m in (sample_measurement(S50, P, rng) for _ in range(n))
-    ])
+    # n measurements' draws in stream order, one batch with numpy
+    draws = np.array(sample_measurement(50.0, 10.0, cov, rng.standard_normal((n, 3)).T, 1.0, P,
+                                        np)).T
     sample_var = draws.var(axis=0)
-    for got, want in zip(sample_var, cov.diagonal()):
+    for got, want in zip(sample_var, cov):
         assert got == pytest.approx(want, rel=0.05)
     mean = draws.mean(axis=0)
-    for got, want, sd in zip(mean, (phi0, tau0, mu0), np.sqrt(cov.diagonal())):
+    for got, want, sd in zip(mean, (phi0, tau0, mu0), np.sqrt(cov)):
         assert abs(got - want) < 5.0 * sd / math.sqrt(n)

@@ -23,7 +23,7 @@ from uav_isac.params import SystemParams
 from uav_isac.simulate import (
     MonteCarloStats,
     ScenarioConfig,
-    WorldState,
+    _process_noise_factor,
     run_monte_carlo,
     run_scenario,
     step_ground_truth,
@@ -35,42 +35,27 @@ P = SystemParams()
 # ------------------------------------------------------------ ground truth
 
 def test_step_ground_truth_noiseless_is_constant_velocity():
-    w = WorldState(80.0, 5.0, 10.0, 2.0, 0)
-    rng = np.random.default_rng(41)
-    nxt = step_ground_truth(w, replace(P, q_tilde=0.0), rng)
-    assert nxt.obj_pos == 80.0 + 5.0 * P.dt
-    assert nxt.obj_vel == 5.0
-    assert nxt.uav_pos == 10.0 and nxt.uav_vel == 2.0
-    assert nxt.slot == 1
+    quiet = replace(P, q_tilde=0.0)
+    z0, z1 = np.random.default_rng(41).standard_normal(2).tolist()
+    assert step_ground_truth(80.0, 5.0, z0, z1, P.dt, _process_noise_factor(quiet)) == (
+        80.0 + 5.0 * P.dt, 5.0)
 
 
 def test_step_ground_truth_draws_two_even_when_noiseless():
-    w = WorldState(80.0, 5.0, 0.0, 0.0, 0)
-    rng_a = np.random.default_rng(42)
-    rng_b = np.random.default_rng(42)
-    step_ground_truth(w, replace(P, q_tilde=0.0), rng_a)
-    rng_b.standard_normal(2)
-    assert rng_a.standard_normal() == rng_b.standard_normal()
+    # the loop takes five draws a slot at any q_tilde: the records at
+    # q_tilde = 0 are those of the public steps drawing two, then three
+    cfg, quiet = ScenarioConfig(n_slots=20, scheme="right_above"), replace(P, q_tilde=0.0)
+    _same_records(run_scenario(cfg, quiet), oracles.scenario_by_public_steps(cfg, quiet))
 
 
 def test_step_ground_truth_increment_covariance():
-    w = WorldState(0.0, 0.0, 0.0, 0.0, 0)
-    rng = np.random.default_rng(43)
     n = 20000
-    incs = np.empty((n, 2))
-    for i in range(n):
-        nxt = step_ground_truth(w, P, rng)
-        incs[i] = (nxt.obj_pos - w.obj_pos, nxt.obj_vel - w.obj_vel)
-    cov = np.cov(incs.T, ddof=0)
+    z = np.random.default_rng(43).standard_normal((n, 2)).T  # n steps' draws, in stream order
+    incs = np.array(step_ground_truth(0.0, 0.0, *z, P.dt, _process_noise_factor(P)))
+    cov = np.cov(incs, ddof=0)
     qs = process_noise_cov(P.dt, P.q_tilde).as_array()
     scale = np.sqrt(np.outer(np.diag(qs), np.diag(qs)))
     assert np.all(np.abs(cov - qs) < 0.05 * scale)
-
-
-def test_relative_state_view():
-    w = WorldState(80.0, 5.0, 30.0, 12.0, 3)
-    rel = w.relative()
-    assert rel.x == 50.0 and rel.v == -7.0
 
 
 # ------------------------------------------------------------------ config
@@ -211,12 +196,12 @@ def test_records_hold_plain_floats(cfg):
 @pytest.mark.parametrize("scheme", ["proposed", "right_above"])
 def test_one_prediction_per_slot(scheme, monkeypatch):
     calls = []
-    predicted_mse = simulate.ekf._predicted_mse
+    predict = simulate.ekf.predict
 
     def counting(*args):
         calls.append(args)
-        return predicted_mse(*args)
-    monkeypatch.setattr(simulate.ekf, "_predicted_mse", counting)
+        return predict(*args)
+    monkeypatch.setattr(simulate.ekf, "predict", counting)
     recs = run_scenario(ScenarioConfig(n_slots=10, scheme=scheme), P)
     assert len(calls) == 10  # slot 0 plans slot 1; slots 1..9 each plan the next
     # the recorded predicted pair is the state the filter updated
@@ -261,10 +246,8 @@ def test_slot_loop_operation_counts(monkeypatch):
 def test_slot_loop_value_object_budget(monkeypatch):
     """The loop carries plain values from step to step: a right-above slot
     builds its four Sym2 (the prediction MSE, its inverse, the posterior
-    information and its inverse) and its SlotRecord, and no filter state,
-    prediction or relative state."""
-    from uav_isac import ekf, sensing
-
+    information and its inverse) and its SlotRecord; the package has no
+    other per-slot value type."""
     counts = Counter()
 
     def counting(cls):
@@ -276,7 +259,7 @@ def test_slot_loop_value_object_budget(monkeypatch):
         return wrapped
 
     P.process_noise  # cached before counting
-    for cls in (Sym2, sensing.RelativeState, ekf.FilterState, ekf.Prediction, simulate.SlotRecord):
+    for cls in (Sym2, simulate.SlotRecord):
         monkeypatch.setattr(cls, "__init__", counting(cls))
     run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), P)
     # Sym2: the initial MSE, 4 per slot (slot 1's plan is made at slot 0,

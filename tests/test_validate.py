@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from uav_isac import linalg2, sensing, validate
 from uav_isac.linalg2 import Sym2
 from uav_isac.params import SystemParams
@@ -70,10 +72,10 @@ def test_asymmetric_process_noise_is_caught(monkeypatch):
 
 
 def test_crashing_check_reports_failure_not_crash(monkeypatch):
-    def boom(s, params):
+    def boom(x, params, u=None, h_alt=None):
         raise RuntimeError("synthetic fault")
 
-    monkeypatch.setattr(sensing, "noise_cov_actual", boom)
+    monkeypatch.setattr(sensing, "noise_weights", boom)
     results = validate.run_all()
     assert any(not r.passed for r in results)
     assert all(isinstance(r.detail, str) for r in results)
@@ -83,3 +85,10 @@ def test_custom_params_accepted():
     results = validate.run_all(params=SystemParams(h_alt=60.0))
     assert all(r.passed for r in results), [
         (r.name, r.detail) for r in results if not r.passed]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_checks_pass_at_the_weight_edges(alpha):
+    # sp1_alpha_continuity perturbs the weight one-sided there
+    results = validate.run_all(params=SystemParams(alpha=alpha))
+    assert [(r.name, r.detail) for r in results if not r.passed] == []
