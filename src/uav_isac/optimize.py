@@ -18,7 +18,7 @@ proposed rule call it on one row.
 The geometry problem drops the prior term and minimizes the
 measurement-only bound g(x, 0); it has closed-form branches at the
 weight endpoints and, in between, the batched slot solve's grid pass
-and polish on a certified-convex bracket, run for one weight over an
+and polish on the bracket [x_l, x_u], run for one weight over an
 array of altitudes at once: one derivative evaluation at the grid
 minimum, its two neighbours and both bracket ends gives the bracket
 check, the cell and the quintic start.
@@ -334,9 +334,9 @@ def solve_p1_sca(inst: P1Instance) -> ScaResult:
 def xi_of_h(params: SystemParams, h_alt=None):
     """Curvature discriminant xi = 4 a1^2 H^2 - 5 c^2 a2^2.
 
-    Its sign decides whether the position-bound curvature certificate
-    admits a positive lower bracket end (xi > 0) or the bracket
-    collapses to zero (xi <= 0, position bound monotone for x > 0).
+    Its sign decides whether the geometry bracket has a positive lower
+    end (xi > 0) or the bracket reaches down to zero (xi <= 0, position
+    bound monotone for x > 0).
     H is h_alt (a float or an array) when given, else params.h_alt.
     """
     p = params
@@ -351,9 +351,11 @@ def _chi_bar(params: SystemParams, h, xi):
 
 
 def convexity_lower_bound(params: SystemParams, h_alt=None, xi=None):
-    """Left end x_l of the interval on which the position bound is
-    certified convex: 0 when xi <= 0, else H/sqrt(chi_bar).  A caller
-    that already holds xi_of_h at H passes it."""
+    """Left end x_l of the geometry bracket: 0 when xi <= 0, else
+    H/sqrt(chi_bar), chi_bar = 4 a1 H/sqrt(xi) the Viete amplitude of the
+    alpha = 1 stationarity cubic (_chi_bar); validate checks the position
+    bound convex in chi = (H/x)^2 up to (H/x_l)^2.  A caller that already
+    holds xi_of_h at H passes it."""
     h = params.h_alt if h_alt is None else h_alt
     xi = xi_of_h(params, h) if xi is None else xi
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -523,43 +525,6 @@ def solve_sp1(params: SystemParams) -> Sp1Result:
     if not all(map(math.isfinite, (x, g, x_l, x_u))):
         raise _not_finite(params.h_alt, x_star=x, g_star=g, x_l=x_l, x_u=x_u)
     return Sp1Result(x, 0.0, math.atan2(params.h_alt, x), g, x_l, x_u, branch[0])
-
-
-def crbx_second_derivative_certificate(chi: float, params: SystemParams) -> float:
-    """Closed-form second derivative of the measurement-only position
-    bound with respect to chi = (H/x)^2.
-
-    Factored as B (chi+1)^3 P(chi) / (chi^4 D(chi)^3) with
-    D = a2^2 c^2 chi^3 + 4 a1^2 H^2 (chi+1)^2 and P a degree-7
-    polynomial whose leading coefficient is -a2^2 c^2 xi; for xi <= 0
-    every coefficient of P is nonnegative, so the bound is convex in
-    chi everywhere, while xi > 0 flips the sign for large chi (small x).
-    """
-    if not chi > 0.0:
-        raise ValueError(f"chi must be positive, got {chi}")
-    p = params
-    h2 = p.h_alt * p.h_alt
-    a1sq = p.a1 * p.a1
-    a2c2 = p.a2 * p.a2 * p.c * p.c
-    rho0 = a1sq * a1sq * h2 * h2
-    rho5 = 24.0 * a1sq * h2 * a2c2
-    rho7 = -a2c2 * xi_of_h(p)
-    coeffs = (
-        48.0 * rho0,
-        192.0 * rho0,
-        288.0 * rho0,
-        192.0 * rho0 + 1.5 * rho5,
-        48.0 * rho0 + (17.0 / 6.0) * rho5,
-        rho5,
-        3.0 * rho7,
-        rho7,
-    )
-    poly = 0.0
-    for c_j in reversed(coeffs):
-        poly = poly * chi + c_j
-    scale = 2.0 * a1sq * a2c2 * h2 * h2 * h2 / p.sens_gain
-    denom_core = a2c2 * chi ** 3 + 4.0 * a1sq * h2 * (chi + 1.0) ** 2
-    return scale * (chi + 1.0) ** 3 * poly / (chi ** 4 * denom_core ** 3)
 
 
 def design_trajectory(x_breve_opt, eta_prev, uav_prev, params: SystemParams):

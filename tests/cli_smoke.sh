@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Runs the geometry and tracking commands of the CLI under
-# -W error::RuntimeWarning, with their exit codes and refusal messages
-# checked, and writes their CSV files into the directory given as the
-# first argument.  Run from the repository root:
+# Runs the runtime validation suite and the geometry and tracking
+# commands of the CLI under -W error::RuntimeWarning, with their exit
+# codes and refusal messages checked, and writes their CSV files into
+# the directory given as the first argument.  Run from the repository
+# root:
 #
 #     bash tests/cli_smoke.sh OUT_DIR
 set -eo pipefail
@@ -12,6 +13,9 @@ mkdir -p "$out"
 # the geometry benchmark's weights, alpha = 0, 0.05, ..., 1
 bench_alphas="0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1"
 cli() { PYTHONPATH=src python -W error::RuntimeWarning -m uav_isac.cli "$@"; }
+
+# the runtime validation suite exits 1 on any failing check
+cli validate
 
 # geometry commands at their defaults
 cli sweep-angle --out "$out/sweep_angle.csv"

@@ -27,6 +27,7 @@ those derivatives sums, the scale of their rounding error.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -285,18 +286,30 @@ class Dual2:
         return r if isinstance(other, float) and other == 1.0 else r * other
 
 
+# the smallest positive normal float, 2^-1022
+NORMAL_MIN = sys.float_info.min
+
+
 class TermSize:
     """Dual2's arithmetic with every derivative part summing the absolute
     values of its terms: val is the value, d1 and d2 the sizes of the
     terms that Dual2's d1 and d2 add up, the scale of their rounding
-    error.  Scalars only, float or TermSize."""
+    error.  Scalars only, float or TermSize.
+
+    The error model is that of gradual underflow: a rounding errs by at
+    most u*max(|r|, NORMAL_MIN) for an exact result r, the relative error
+    u = 2^-53 in the normal range and the absolute error
+    u*NORMAL_MIN = 2^-1075 below it (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., eq. (2.8)).  So every derivative part
+    formed counts at least NORMAL_MIN in size, and the factors it is
+    multiplied by afterwards scale that floor as they scale its terms."""
 
     __slots__ = ("val", "d1", "d2")
 
     def __init__(self, val, d1=0.0, d2=0.0):
         self.val = val
-        self.d1 = d1
-        self.d2 = d2
+        self.d1 = max(d1, NORMAL_MIN)
+        self.d2 = max(d2, NORMAL_MIN)
 
     @classmethod
     def variable(cls, x):

@@ -40,6 +40,8 @@ def test_process_noise_zero_intensity_is_zero_matrix():
 def test_process_noise_symmetric_psd(dt, qt):
     q = process_noise_cov(dt, qt)
     assert np.linalg.eigvalsh(q.as_array())[0] >= -1e-18 * max(1.0, q.trace)
+    want = (qt * dt ** 3 / 3.0, qt * dt * dt / 2.0, qt * dt)
+    assert (q.m11, q.m12, q.m22) == pytest.approx(want, rel=1e-14)
 
 
 def test_sym2_inverse_matches_numpy_and_detects_singular():

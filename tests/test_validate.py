@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from uav_isac import linalg2, sensing, validate
+from uav_isac import linalg2, optimize, sensing, validate
 from uav_isac.linalg2 import Sym2
 from uav_isac.params import SystemParams
 
@@ -87,8 +87,50 @@ def test_custom_params_accepted():
         (r.name, r.detail) for r in results if not r.passed]
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0])
-def test_checks_pass_at_the_weight_edges(alpha):
-    # sp1_alpha_continuity perturbs the weight one-sided there
-    results = validate.run_all(params=SystemParams(alpha=alpha))
+# the five checks that need the rate disc, |x| <= qos_radius
+NEEDS_RATE_DISC = {"qos_radius_inverse", "sca_descent_and_stationarity", "tracking_sanity",
+                   "rate_qos_slots", "geometry_conservation"}
+
+
+# the defaults are test_all_checks_pass_on_healthy_build's
+@pytest.mark.parametrize("fields", [
+    # sp1_alpha_continuity perturbs the weight one-sided at the weight edges
+    pytest.param({"alpha": 0.0}, id="0.0"),
+    pytest.param({"alpha": 1.0}, id="1.0"),
+    pytest.param({"q_tilde": 0.05}, id="q_tilde=0.05"),
+    pytest.param({"dt": 1.0}, id="dt=1"),
+    pytest.param({"a1": 1.5}, id="a1=1.5"),
+    # xi < 0: the bracket reaches down to x = 0
+    pytest.param({"a1": 0.15}, id="a1=0.15"),
+    pytest.param({"h_alt": 10.0}, id="h_alt=10"),
+    # the rate overhead at H = 50 m is 12.98 b/s/Hz: no target 1 b/s/Hz higher is reachable
+    pytest.param({"gamma_c": 12.0}, id="gamma_c=12"),
+    # every slot window has zero length
+    pytest.param({"v_a_max": 0.0}, id="v_a_max=0"),
+])
+def test_checks_pass_at_the_weight_edges(fields):
+    results = validate.run_all(params=SystemParams(**fields))
     assert [(r.name, r.detail) for r in results if not r.passed] == []
+    assert len(results) == len(validate.CHECKS)
+
+
+@pytest.mark.parametrize("fields", [{"h_alt": 1000.0}, {"h_alt": 200.0}, {"p_a_dbm": 20.0}],
+                         ids=["h_alt=1000", "h_alt=200", "p_a_dbm=20"])
+def test_only_the_rate_disc_checks_fail_where_the_rate_target_is_unreachable(fields):
+    results = validate.run_all(params=SystemParams(**fields))
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert set(failed) <= NEEDS_RATE_DISC
+    assert all(d.startswith("raised InfeasibleQosError") for d in failed.values()), failed
+
+
+def test_halved_convexity_lower_bound_is_caught(monkeypatch):
+    """Mutation: a bracket end x_l of half its value reaches chi = (H/x_l)^2
+    four times chi_bar, where crb_x is no longer convex in chi."""
+    real = optimize.convexity_lower_bound
+
+    def halved(params, h_alt=None, xi=None):
+        return 0.5 * real(params, h_alt, xi)
+
+    monkeypatch.setattr(optimize, "convexity_lower_bound", halved)
+    res = _by_name(validate.run_all())
+    assert not res["curvature_certificate"].passed
