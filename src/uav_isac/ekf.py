@@ -180,6 +180,13 @@ def _bounds(a: Sym2, alpha: float):
     return bound_x, bound_v, _weighted(bound_x, bound_v, alpha)
 
 
+def _reciprocal_jet(p):
+    """Jet of 1/p from p's jet (p, p', p'')."""
+    w = 1.0 / p[0]
+    w2 = w * w
+    return w, -p[1] * w2, (2.0 * p[1] * p[1] * w - p[2]) * w2
+
+
 def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
     """Jet of _bounds(prior_info + terms, alpha)[2] from the terms' jets:
     N/D with N = alpha*a22 + (1-alpha)*a11 and D = det(a), so
@@ -187,9 +194,10 @@ def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
     as in _weighted.  prior_info None: alpha/i_pos + (1-alpha)/vv."""
     i_pos, zz, zv, vv = jets
     if prior_info is None:  # the reciprocals' jets, weighted
-        rx, rv = ((w, -p[1] * (w2 := w * w), (2.0 * p[1] * p[1] * w - p[2]) * w2)
-                  for p, w in ((i_pos, 1.0 / i_pos[0]), (vv, 1.0 / vv[0])))
-        return tuple(_weighted(bx, bv, alpha) for bx, bv in zip(rx, rv))
+        if alpha in (0.0, 1.0):  # only the selected one: overhead 1/vv divides by 0
+            return _reciprocal_jet(i_pos if alpha == 1.0 else vv)
+        return tuple(_weighted(bx, bv, alpha)
+                     for bx, bv in zip(_reciprocal_jet(i_pos), _reciprocal_jet(vv)))
     a11, d11, e11 = prior_info.m11 + i_pos[0] + zz[0], i_pos[1] + zz[1], i_pos[2] + zz[2]
     a12, d12, e12 = prior_info.m12 + zv[0], zv[1], zv[2]
     a22, d22, e22 = prior_info.m22 + vv[0], vv[1], vv[2]

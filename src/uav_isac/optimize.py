@@ -1,27 +1,25 @@
 """Per-slot trajectory optimization.
 
-Two solvers live here.  The slot problem picks the next predicted
-relative position inside the reachable window (platform velocity limit
-intersected with the rate-QoS disc) to minimize the anticipated
-weighted estimation bound.  A plain-float pass over a fixed grid picks
-the basin, and one derivative evaluation at the grid minimum and its
-two neighbours supplies everything the polish needs: the sign of f' at
-a window end (window-end optima are returned exactly), the one grid
-cell around the minimum that holds the root of f', the sign check over
-that cell, and a start for a safeguarded Newton solve of f' = 0
-on that cell at the root of the quintic Hermite interpolant of f'
-through the three points, close enough that the first Newton step
-usually meets the tolerance.  solve_p1_each is the one slot solve: it
-takes these steps for a batch of slot problems as numpy arrays, a row
-per Monte Carlo trial, and solve_p1_sca and the tracking loop's
-proposed rule call it on one row.
-The geometry problem drops the prior term and minimizes the
-measurement-only bound g(x, 0); it has closed-form branches at the
-weight endpoints and, in between, the batched slot solve's grid pass
-and polish on the bracket [x_l, x_u], run for one weight over an
-array of altitudes at once: one derivative evaluation at the grid
-minimum, its two neighbours and both bracket ends gives the bracket
-check, the cell and the quintic start.
+Two solvers live here, on one core.  The slot problem picks the next
+predicted relative position inside the reachable window (platform
+velocity limit intersected with the rate-QoS disc) to minimize the
+anticipated weighted estimation bound.  The geometry problem drops the
+prior term and minimizes the measurement-only bound g(x, 0): in closed
+form at the weight endpoints, on the bracket [x_l, x_u] in between.
+Both solve a batch at once, an entry per Monte Carlo trial or per
+altitude, and every array puts points first: the (65, n) grid, the
+(3, n) or (5, n) evaluation points and the (n,) Newton iterates all
+take the (n,) operands as they are.  A plain-float grid pass picks the
+basin, and one derivative evaluation at the grid minimum and its two
+neighbours supplies the rest: the sign of f' at a window end
+(window-end optima are returned exactly), the one grid cell that holds
+the root of f', the sign check over that cell, and _newton_start's
+start for _newton_bracketed_each's safeguarded Newton solve of f' = 0
+there, the root of the quintic Hermite interpolant of f' through the
+three points, close enough that the first step usually meets the
+tolerance.  solve_p1_sca and the tracking loop's proposed rule call
+solve_p1_each on one entry; the geometry pass also evaluates both
+bracket ends for its bracket check.
 
 Values are the bound core's float expressions (_objective, _g0); every
 f' and f'' a solver reads is their closed-form jet (_objective_jet,
@@ -138,19 +136,9 @@ class Sp1Result:
 
 # Points of the plain-float grid that picks the slot problem's basin.
 P1_GRID_POINTS = 65
-_GRID_INDEX = np.arange(P1_GRID_POINTS, dtype=float)
 _NEIGHBOURS = np.array([[-1], [0], [1]])
-
-
-def _grid(lo, hi):
-    """np.linspace(lo, hi, P1_GRID_POINTS) in numpy's own arithmetic, for
-    column arrays (lo[:, None], hi[:, None]: a row per entry)."""
-    step = (hi - lo) / (P1_GRID_POINTS - 1)
-    xs = _GRID_INDEX * step + lo
-    xs[..., -1:] = hi
-    if np.count_nonzero(step == 0.0):  # numpy's branch for subnormal widths
-        xs = np.linspace(lo, hi, P1_GRID_POINTS, axis=-1).reshape(xs.shape)
-    return xs
+# the rows (lo, lo, hi) of the geometry solve's (5, n) points: its whole bracket as a grid cell
+_WHOLE_BRACKET = np.array([3, 3, 4])
 
 
 def _objective(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
@@ -243,36 +231,21 @@ def _require_bracket(i: int, x3, d1) -> None:
 
 
 def _grid_basin_each(fn, jet, lo, hi, ends=False):
-    """The basin step of the batched solves over n windows.  fn is
-    evaluated on P1_GRID_POINTS evenly spaced points of every window
-    [lo[i], hi[i]] as one (n, P1_GRID_POINTS) array; per row the grid
-    minimum's index k, point and value, each (n,), and x3, shape (3, n):
-    the grid minimum and its two neighbours (indices clamped to the
-    grid, so at a window end the end repeats).  Then one evaluation of
-    fn's jet, (fn, fn', fn''), at x3, or at x3 followed by lo and hi,
-    shape (5, n), when ends is set; points come first, so (n,) operands
-    broadcast.  Returns (k, x_grid, f_grid, those points, the jet there).
-    The grid is _grid's; one flat index takes x3, x_grid and f_grid."""
-    xs = _grid(lo[:, None], hi[:, None])
+    """The basin step of the batched solves over the n windows
+    [lo[i], hi[i]]: fn on the grid np.linspace(lo, hi, P1_GRID_POINTS),
+    shape (65, n); per window the grid minimum's index k, point and
+    value, each (n,), and x3, shape (3, n): the grid minimum and its two
+    neighbours (indices clamped to the grid, so at a window end the end
+    repeats); then one evaluation of fn's jet, (fn, fn', fn''), at x3,
+    or at x3 followed by lo and hi, shape (5, n), when ends is set.
+    Returns (k, x_grid, f_grid, those points, the jet there)."""
+    xs = np.linspace(lo, hi, P1_GRID_POINTS)
     fs = fn(xs)
-    k = fs.argmin(axis=1)
-    i = (np.minimum(np.maximum(k + _NEIGHBOURS, 0), P1_GRID_POINTS - 1)
-         + np.arange(0, k.size * P1_GRID_POINTS, P1_GRID_POINTS))
-    x3 = xs.ravel()[i]
+    k = fs.argmin(axis=0)
+    window = np.arange(k.size)
+    x3 = xs[np.minimum(np.maximum(k + _NEIGHBOURS, 0), P1_GRID_POINTS - 1), window]
     points = np.vstack((x3, lo, hi)) if ends else x3
-    return k, x3[1], fs.ravel()[i[1]], points, jet(points)
-
-
-def _polish_each(slope, x3, d1, d2, tol: float, active):
-    """The polish of the batched solves: f' = d1 and f'' = d2 at the
-    points x3, arrays (3, n) as _grid_basin_each gives them; the sign of
-    f' at the middle point picks the grid cell that holds the root, and
-    _newton_bracketed_each solves f' = 0 there from _newton_start's
-    quintic Hermite root on the rows where the (n,) mask active is set.
-    slope maps (n,) iterates to (f', f'') arrays.  Returns the roots and
-    the Newton rounds taken."""
-    a, b, x0 = _newton_start(x3, d1, d2, d1[1] < 0.0)
-    return _newton_bracketed_each(slope, a, b, tol, x0, active)
+    return k, x3[1], fs[k, window], points, jet(points)
 
 
 def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, solve):
@@ -284,35 +257,32 @@ def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, so
     information prior_info.at(i); the arguments are arrays of one shape
     (n,).  Only entries where the boolean array solve is set are solved,
     and they must have windows of positive length; the others return
-    their grid point.  The grid pass and the (3, n) jet evaluation at the
-    grid minima and their neighbours (indices clamped to the grid) are
-    _grid_basin_each's.  A grid minimum at a window end whose f' points
+    their grid point.  A grid minimum at a window end whose f' points
     out of the window, or one where f' is exactly 0, is returned
-    exactly; otherwise the sign check on the cell that _polish_each
-    solves on raises the BracketError of the lowest failing entry, and
-    _polish_each solves f' = 0 to |dx| < 1e-9*H on the whole batch,
-    each entry taking its own result by np.where masks and never a
-    point worse than its grid point.
+    exactly; otherwise the sign check on the grid cell that f' at the
+    grid minimum picks raises the BracketError of the lowest failing
+    entry, and Newton solves f' = 0 there to |dx| < 1e-9*H on the whole
+    batch, each entry taking its own result by np.where masks and never
+    a point worse than its grid point.
 
     Returns the optima, the Newton rounds taken (a Python int, 0 when no
     entry is polished), and each entry's grid point and its objective.
     """
-    last = P1_GRID_POINTS - 1
-    rows_prior = Sym2(prior_info.m11[:, None], prior_info.m12[:, None], prior_info.m22[:, None])
-
     def jet(x):
         return _objective_jet(x, x_hat_prev, prior_info, params)
     k, x_grid, f_grid, x3, (_, d1, d2) = _grid_basin_each(
-        lambda x: _objective(x, x_hat_prev[:, None], rows_prior, params), jet, lo, hi)
+        lambda x: _objective(x, x_hat_prev, prior_info, params), jet, lo, hi)
     right = d1[1] < 0.0
     # the index of the window end that f' at the grid minimum points out of; -1 at f' 0 or NaN
-    end = np.where(right, last, np.where(d1[1] > 0.0, 0, -1))
+    end = np.where(right, P1_GRID_POINTS - 1, np.where(d1[1] > 0.0, 0, -1))
     interior = solve & (k != end) & (d1[1] != 0.0)
     f_a, f_b = _cell(d1, right)
     raise_at_first(interior & ~((f_a < 0.0) & (0.0 < f_b)), _require_bracket, x3, d1)
     if not np.count_nonzero(interior):
         return x_grid, 0, x_grid, f_grid
-    x, rounds = _polish_each(lambda x: jet(x)[1:], x3, d1, d2, 1e-9 * params.h_alt, interior)
+    a, b, x0 = _newton_start(x3, d1, d2, right)
+    x, rounds = _newton_bracketed_each(lambda x: jet(x)[1:], a, b, 1e-9 * params.h_alt, x0,
+                                       interior)
     f = _objective(x, x_hat_prev, prior_info, params)
     return np.where(interior & ~(f > f_grid), x, x_grid), rounds, x_grid, f_grid
 
@@ -437,13 +407,12 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
     the branch names and, per altitude, the package error its solve
     raises or None (x_star NaN, branch 'error:<Name>'; at alpha = 1, an
     optimum that is not finite, and at alpha = 0 and 1 an objective
-    g(x_star, 0) that is not finite).  An interior
-    weight takes _grid_basin_each's (n, 65) grid pass and one (5, n)
-    evaluation of g', g'' at the grid minima, their neighbours and both
-    bracket ends, checks the signs at the ends, and polishes the m
-    signed brackets together with _polish_each on (3, m) points, taking
-    each signed row's three unless every row is signed and polishes its
-    grid cell (19 of 19 interior alphas)."""
+    g(x_star, 0) that is not finite).  An interior weight takes
+    _grid_basin_each's grid pass with both bracket ends, checks the signs
+    of g' at the ends, and polishes every signed altitude in one Newton
+    solve on the grid cell that g' at the grid minimum picks, or on the
+    whole bracket, the points (lo, lo, x_u), where g' does not change
+    sign over that cell."""
     n = len(h)
     xi = xi_of_h(params, h)
     x_l = convexity_lower_bound(params, h, xi)
@@ -467,24 +436,21 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
             error[i] = _not_finite(h[i], x_star=x_star[i], g_star=g[i], x_l=x_l[i], x_u=x_u[i])
         x_star = np.where(np.isfinite(g), x_star, math.nan)
     else:
+        def jet(x):
+            return _g0_jet(x, params, h, alpha)
         lo = np.maximum(x_l, 1e-9 * h)
         _, _, _, points, (_, d1, d2) = _grid_basin_each(
-            lambda x: _g0(x, params, h[:, None], alpha),
-            lambda x: _g0_jet(x, params, h, alpha), lo, x_u, ends=True)
+            lambda x: _g0(x, params, h, alpha), jet, lo, x_u, ends=True)
         signed = (d1[3] < 0.0) & (0.0 < d1[4])
         for i in np.flatnonzero(~signed):
             error[i] = _bracket_error(lo[i], x_u[i], float(d1[3, i]), float(d1[4, i]), h[i])
-        # where g' does not change sign over the grid cell that the middle
-        # point picks, that cell is the whole bracket, the points (lo, lo, x_u)
         ga, gb = _cell(d1, d1[1] < 0.0)
         inside = (ga < 0.0) & (0.0 < gb)
-        if np.count_nonzero(signed & inside) < n:
-            rows = np.where(inside, [[0], [1], [2]], [[3], [3], [4]])[:, signed]
-            h = h[signed]
-            points, d1, d2 = (np.take_along_axis(v[:, signed], rows, 0) for v in (points, d1, d2))
-        x_star = np.full(n, math.nan)
-        x_star[signed], _ = _polish_each(lambda x: _g0_jet(x, params, h, alpha)[1:], points[:3],
-                                         d1[:3], d2[:3], 1e-9 * h, np.ones(len(h), bool))
+        # the grid cell that g' at the grid minimum picks, else the whole bracket
+        x3, d1, d2 = (np.where(inside, v[:3], v[_WHOLE_BRACKET]) for v in (points, d1, d2))
+        a, b, x0 = _newton_start(x3, d1, d2, d1[1] < 0.0)
+        x_star, _ = _newton_bracketed_each(lambda x: jet(x)[1:], a, b, 1e-9 * h, x0, signed)
+        x_star = np.where(signed, x_star, math.nan)
         branch = ["interior_newton"] * n
     branch = [b if e is None else f"error:{type(e).__name__}" for b, e in zip(branch, error)]
     return x_star, x_l, x_u, branch, error

@@ -74,6 +74,12 @@ class SystemParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
+            try:  # the cached watts: p_a_w, sigma2_w, sigma_c2_w
+                w = getattr(self, name[:-3] + "w")
+            except ValueError:  # overflow
+                w = math.inf
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"{name} = {v!r} dBm is not a finite positive power in watts")
         for name in ("n_sym", "dt", "wavelength", "f_c", "gamma_c",
                      "epsilon", "a1", "a2", "a3", "h_alt", "c"):
             v = getattr(self, name)

@@ -49,3 +49,11 @@ for cfg in gamma_c_12 v_a_max_0; do
     cli track "$out/$cfg.cfg" --scheme $scheme --out "$out/track_${cfg}_$scheme.csv"
   done
 done
+# a power whose watts overflow is a config error: exit 2, one stderr line
+printf 'sigma_c2_dbm = 4000\n' > "$out/sigma_c2_dbm_4000.cfg"
+code=0
+cli track "$out/sigma_c2_dbm_4000.cfg" --out "$out/refused.csv" 2> "$out/refusal.txt" || code=$?
+cat "$out/refusal.txt"
+test "$code" -eq 2
+test "$(wc -l < "$out/refusal.txt")" -eq 1
+if grep -q Traceback "$out/refusal.txt"; then exit 1; fi

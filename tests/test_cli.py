@@ -85,6 +85,7 @@ def test_track_bad_env_seed_is_config_error(tmp_path, monkeypatch):
 def test_track_negative_seed_exits_2(tmp_path, monkeypatch, capsys):
     out = tmp_path / "x.csv"
     assert _run(["track", "--seed", "-1", "--out", str(out)]) == 2
+    assert _run(["track", "--every", "0", "--out", str(out)]) == 2
     monkeypatch.setenv("ISAC_SEED", "-4")
     assert _run(["track", "--out", str(out)]) == 2
     assert "seed" in capsys.readouterr().err
@@ -124,6 +125,8 @@ def test_track_config_file_applies(tmp_path):
     "n_t = 3.5",
     "gamma_c = 2000",   # qos_radius's 2**gamma_c - 1 overflows
     "gamma_c = 1e-20",  # and rounds to 0
+    "sigma_c2_dbm = 4000",   # watts that overflow
+    "sigma_c2_dbm = -4000",  # and round to 0
 ])
 def test_track_bad_config_exits_2(tmp_path, content, capsys):
     cfgfile = tmp_path / "params.cfg"
@@ -184,6 +187,7 @@ def test_sweep_angle_bad_grid_exits_2(tmp_path):
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert _run(["sweep-angle", "--h-step", "0", "--out", str(tmp_path / "s.csv")]) == 2
     assert _run(["sweep-angle", "--alphas", ",", "--out", str(tmp_path / "s.csv")]) == 2
+    assert _run(["sweep-angle", "--alphas", "0,x", "--out", str(tmp_path / "s.csv")]) == 2
 
 
 @pytest.mark.parametrize("flag, value", [

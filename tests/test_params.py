@@ -59,12 +59,14 @@ def test_linear_power_properties():
     ("alpha", -0.1), ("alpha", 1.1),
     ("v_a_max", -1.0),
     ("p_a_dbm", math.nan), ("sigma2_dbm", math.inf), ("p_a_dbm", 4000.0),
+    # powers whose watts overflow or round to 0 are refused by name
+    ("sigma_c2_dbm", 4000.0), ("sigma_c2_dbm", -4000.0), ("p_a_dbm", -4000.0),
     # qos_radius's 2**gamma_c - 1 overflows from 1024 (a bare OverflowError)
     # and rounds to 0 below about 1.6e-16 (a bare ZeroDivisionError)
     ("gamma_c", 1024.0), ("gamma_c", 2000.0), ("gamma_c", 1.6e-16), ("gamma_c", 1e-20),
 ])
 def test_rejects_bad_values(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{field} "):
         SystemParams(**{field: value})
 
 

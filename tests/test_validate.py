@@ -123,6 +123,14 @@ def test_only_the_rate_disc_checks_fail_where_the_rate_target_is_unreachable(fie
     assert all(d.startswith("raised InfeasibleQosError") for d in failed.values()), failed
 
 
+def test_no_check_raises_overhead_at_h_alt_10_and_alpha_1():
+    # xi <= 0 puts the alpha = 1 optimum at x* = 0, where the velocity
+    # information is 0 but carries no weight
+    res = _by_name(validate.run_all(params=SystemParams(h_alt=10.0, alpha=1.0)))
+    assert [(r.name, r.detail) for r in res.values() if r.detail.startswith("raised")] == []
+    assert res["sp1_stationarity"].passed, res["sp1_stationarity"].detail
+
+
 def test_halved_convexity_lower_bound_is_caught(monkeypatch):
     """Mutation: a bracket end x_l of half its value reaches chi = (H/x_l)^2
     four times chi_bar, where crb_x is no longer convex in chi."""
