@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg2 import Sym2, require_positive_definite
+from .linalg2 import Sym2, inverse, require_positive_definite
 from .params import SystemParams
 from .sensing import jacobian, measure_mean, noise_weights
 
@@ -60,10 +60,10 @@ def predict(m: Sym2, params: SystemParams) -> Sym2:
     return Sym2(g11 + q.m11, g12 + q.m12, m.m22 + q.m22)
 
 
-def _prior_information(mse_pred: Sym2) -> Sym2:
-    """M_p^{-1}, on one determinant; raises NotPositiveDefiniteError
-    unless mse_pred is positive definite."""
-    return mse_pred.inverse(require_positive_definite(mse_pred, "mse_pred"))
+def _prior_information(m: Sym2) -> Sym2:
+    """M_p^{-1} of the prediction MSE m, on one determinant; raises
+    NotPositiveDefiniteError unless m is positive definite."""
+    return inverse(m.m11, m.m12, m.m22, require_positive_definite(m, "mse_pred"))
 
 
 def update(x, v, prior_info: Sym2, w, y, params: SystemParams, xp=math):
@@ -82,11 +82,10 @@ def update(x, v, prior_info: Sym2, w, y, params: SystemParams, xp=math):
     phi, tau, mu = measure_mean(x, v, params, xp)
     iota, kappa, zeta, nu = jacobian(x, v, params, xp)
     w1, w2, w3 = w
-    info = _add_information(prior_info, *_fisher_terms(x, v, params, w))
     r3 = w3 * (y[2] - mu)
     # the angle and delay rows carry no velocity
     gx, gv = iota * (w1 * (y[0] - phi)) + kappa * (w2 * (y[1] - tau)) + zeta * r3, nu * r3
-    mse = info.inverse()
+    mse = inverse(*_add_information(prior_info, *_fisher_terms(x, v, params, w)))
     return x + mse.m11 * gx + mse.m12 * gv, v + mse.m12 * gx + mse.m22 * gv, mse
 
 
@@ -154,9 +153,10 @@ def _fisher_jets(x, v, params: SystemParams, dv=0.0, h_alt=None):
     return i_pos, zz, zv, vv
 
 
-def _add_information(prior_info: Sym2, i_pos, zz, zv, vv) -> Sym2:
-    """Prior information plus measurement information."""
-    return Sym2(prior_info.m11 + i_pos + zz, prior_info.m12 + zv, prior_info.m22 + vv)
+def _add_information(prior_info: Sym2, i_pos, zz, zv, vv):
+    """Prior information plus measurement information, as its entries
+    (a11, a12, a22): the sum is inverted or bounded, never kept."""
+    return prior_info.m11 + i_pos + zz, prior_info.m12 + zv, prior_info.m22 + vv
 
 
 def _weighted(bound_x, bound_v, alpha: float):
@@ -170,13 +170,13 @@ def _weighted(bound_x, bound_v, alpha: float):
     return alpha * bound_x + (1.0 - alpha) * bound_v
 
 
-def _bounds(a: Sym2, alpha: float):
+def _bounds(a11, a12, a22, alpha: float):
     """(bound_x, bound_v, weighted): the diagonal of a^{-1} for the
-    information a = _add_information(prior, *terms) and its
-    alpha-weighted combination."""
-    inv_det = 1.0 / a.det
-    bound_x = a.m22 * inv_det
-    bound_v = a.m11 * inv_det
+    information a = [[a11, a12], [a12, a22]], the entries of
+    _add_information(prior, *terms), and its alpha-weighted combination."""
+    inv_det = 1.0 / (a11 * a22 - a12 * a12)
+    bound_x = a22 * inv_det
+    bound_v = a11 * inv_det
     return bound_x, bound_v, _weighted(bound_x, bound_v, alpha)
 
 
@@ -212,7 +212,7 @@ def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
 def _anticipated_bounds(x, v, prior_info: Sym2, params: SystemParams):
     """_bounds with the measurement information at (x, v) for the
     weights modelled at x."""
-    return _bounds(_add_information(prior_info, *_fisher_terms(x, v, params)), params.alpha)
+    return _bounds(*_add_information(prior_info, *_fisher_terms(x, v, params)), params.alpha)
 
 
 def predicted_pcrb(x_breve: float, v_breve: float, mse_pred: Sym2,

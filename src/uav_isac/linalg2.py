@@ -8,10 +8,13 @@ arithmetic, built every slot; it is slotted, not frozen; no code
 assigns to its fields (tests/test_value_types.py checks this), so a
 shared instance such as params.process_noise keeps its value.
 The same dataclass holds a batch of matrices when its fields are
-numpy arrays (one entry per trial); Sym2.inverse and
+numpy arrays (one entry per trial); inverse and
 require_positive_definite check such a batch at once, raising for its
-lowest failing matrix.  Otherwise numpy arrays appear only in the
-as_array conversion.
+lowest failing matrix.  The one adjugate inverse, inverse, takes a
+matrix's entries, so a caller that holds a sum of matrices as entries
+(the filter's information) builds no Sym2 for the sum; Sym2.inverse is
+the same call.  Otherwise numpy arrays appear only in the as_array
+conversion.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class Sym2:
 
     Used for the process noise, estimation MSE and information matrices
     over the (position, velocity) state; symmetry holds by construction.
-    Slotted, not frozen: the scalar tracking loop builds four per slot
+    Slotted, not frozen: the scalar tracking loop builds three per slot
     (and the proposed rule's one-row slot solve five of arrays), and
     __init__ takes 0.20 us slotted against 0.22 us plain and 0.63 us
     frozen (CPython 3.11); an instance carries no __dict__.
@@ -66,13 +69,19 @@ class Sym2:
         return self.m11 * self.m22 - self.m12 * self.m12
 
     def inverse(self, det=None) -> "Sym2":
-        """Exact inverse by the adjugate formula; a caller that holds
-        self.det passes it.  Raises SingularMatrixError when the
-        determinant magnitude underflows below 1e-300."""
-        det = self.det if det is None else det
-        raise_at_first(abs(det) <= 1e-300, _singular, self)
-        s = 1.0 / det
-        return Sym2(self.m22 * s, -self.m12 * s, self.m11 * s)
+        """inverse(m11, m12, m22, det) of this matrix's entries."""
+        return inverse(self.m11, self.m12, self.m22, det)
+
+
+def inverse(m11, m12, m22, det=None) -> Sym2:
+    """Exact inverse of [[m11, m12], [m12, m22]] by the adjugate formula,
+    floats or arrays; a caller that holds the determinant passes it.
+    Raises SingularMatrixError when the determinant magnitude underflows
+    below 1e-300."""
+    det = m11 * m22 - m12 * m12 if det is None else det
+    raise_at_first(abs(det) <= 1e-300, _singular, m11, m12, m22)
+    s = 1.0 / det
+    return Sym2(m22 * s, -m12 * s, m11 * s)
 
 
 def require_positive_definite(m: Sym2, name: str = "matrix"):
@@ -83,8 +92,8 @@ def require_positive_definite(m: Sym2, name: str = "matrix"):
     return det
 
 
-def _singular(i: int, m: Sym2):
-    raise SingularMatrixError(f"matrix is numerically singular: {m.at(i)}")
+def _singular(i: int, m11, m12, m22):
+    raise SingularMatrixError(f"matrix is numerically singular: {Sym2(m11, m12, m22).at(i)}")
 
 
 def _not_positive_definite(i: int, m: Sym2, name: str):

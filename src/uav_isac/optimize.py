@@ -17,7 +17,9 @@ the root of f', the sign check over that cell, and _newton_start's
 start for _newton_bracketed_each's safeguarded Newton solve of f' = 0
 there, the root of the quintic Hermite interpolant of f' through the
 three points, close enough that the first step usually meets the
-tolerance.  solve_p1_sca and the tracking loop's proposed rule call
+tolerance.  A slot problem's cell over which f' keeps its sign also
+holds a local maximum of f; there the slot solve brackets from the grid
+minimum toward lower f instead (_toward_lower_f).  solve_p1_sca and the tracking loop's proposed rule call
 solve_p1_each on one entry; the geometry pass also evaluates both
 bracket ends for its bracket check.
 
@@ -230,6 +232,26 @@ def _require_bracket(i: int, x3, d1) -> None:
         raise _bracket_error(lo, hi, f_lo, f_hi)
 
 
+def _toward_lower_f(jet, x3, d1, d2, right, rows):
+    """The rows, a boolean array, where f' = d1 keeps its sign over the
+    grid cell _cell(x3, right), which then also holds a local maximum of
+    f, bracketed from the grid minimum x3[1] toward lower f, the cell's
+    far end: jet's f' at P1_GRID_POINTS points t from the one to the
+    other, and the first pair (t[j - 1], t[j]) over which it changes
+    sign.  Returns x3, d1 and d2 with those rows replaced by the points
+    (t[j], t[j - 1], t[j]) and f', f'' there, so that _cell(x3, right) is
+    the new bracket (_newton_start's quintic is then undefined, and its
+    cubic serves); a row where f' changes sign at no point is kept."""
+    t = np.linspace(x3[1], np.where(right, x3[2], x3[0]), P1_GRID_POINTS)
+    _, g, h = jet(t)
+    crossed = np.where(right, g > 0.0, g < 0.0)
+    j = crossed.argmax(axis=0)
+    window = np.arange(j.size)
+    rows = rows & crossed[j, window]
+    return (np.where(rows, v[np.stack((j, j - 1, j)), window], v3)
+            for v, v3 in ((t, x3), (g, d1), (h, d2)))
+
+
 def _grid_basin_each(fn, jet, lo, hi, ends=False):
     """The basin step of the batched solves over the n windows
     [lo[i], hi[i]]: fn on the grid np.linspace(lo, hi, P1_GRID_POINTS),
@@ -259,11 +281,13 @@ def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, so
     and they must have windows of positive length; the others return
     their grid point.  A grid minimum at a window end whose f' points
     out of the window, or one where f' is exactly 0, is returned
-    exactly; otherwise the sign check on the grid cell that f' at the
-    grid minimum picks raises the BracketError of the lowest failing
-    entry, and Newton solves f' = 0 there to |dx| < 1e-9*H on the whole
-    batch, each entry taking its own result by np.where masks and never
-    a point worse than its grid point.
+    exactly; otherwise f' must change sign over the grid cell that f' at
+    the grid minimum picks.  Where it does not, _toward_lower_f brackets
+    from the grid minimum toward lower f instead, and where that finds
+    no sign change either, the BracketError of the lowest failing entry
+    is raised.  Newton solves f' = 0 on the bracket to |dx| < 1e-9*H on
+    the whole batch, each entry taking its own result by np.where masks
+    and never a point worse than its grid point.
 
     Returns the optima, the Newton rounds taken (a Python int, 0 when no
     entry is polished), and each entry's grid point and its objective.
@@ -277,7 +301,11 @@ def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, so
     end = np.where(right, P1_GRID_POINTS - 1, np.where(d1[1] > 0.0, 0, -1))
     interior = solve & (k != end) & (d1[1] != 0.0)
     f_a, f_b = _cell(d1, right)
-    raise_at_first(interior & ~((f_a < 0.0) & (0.0 < f_b)), _require_bracket, x3, d1)
+    unsigned = interior & ~((f_a < 0.0) & (0.0 < f_b))
+    if np.count_nonzero(unsigned):
+        x3, d1, d2 = _toward_lower_f(jet, x3, d1, d2, right, unsigned)
+        f_a, f_b = _cell(d1, right)
+        raise_at_first(interior & ~((f_a < 0.0) & (0.0 < f_b)), _require_bracket, x3, d1)
     if not np.count_nonzero(interior):
         return x_grid, 0, x_grid, f_grid
     a, b, x0 = _newton_start(x3, d1, d2, right)
@@ -341,9 +369,13 @@ def upper_anchor(params: SystemParams, h_alt=None):
 def _g0(x, params: SystemParams, h_alt=None, alpha=None):
     """g(x, 0) at altitude h_alt and weight alpha (defaults: params'),
     generic over floats and arrays.  At v = 0 the Doppler block is
-    diagonal, so crb_x = 1/i_pos and crb_v = 1/fi_vv (inf overhead)."""
+    diagonal, so crb_x = 1/i_pos and crb_v = 1/fi_vv (inf overhead).  An
+    edge weight forms only the reciprocal it selects, as _g0_jet does."""
     i_pos, _, _, vv = ekf._fisher_terms(x, None, params, h_alt=h_alt)
-    return ekf._weighted(1.0 / i_pos, 1.0 / vv, params.alpha if alpha is None else alpha)
+    alpha = params.alpha if alpha is None else alpha
+    if alpha in (0.0, 1.0):  # only the selected one: overhead 1/vv divides by 0
+        return 1.0 / (i_pos if alpha == 1.0 else vv)
+    return ekf._weighted(1.0 / i_pos, 1.0 / vv, alpha)
 
 
 def _g0_jet(x, params: SystemParams, h_alt=None, alpha=None):

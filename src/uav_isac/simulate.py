@@ -251,26 +251,28 @@ RECORD_COLUMNS = tuple(f.name for f in fields(SlotRecord))[2:-1]  # not slot, t_
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _record_columns(kept: dict, params: SystemParams) -> dict:
-    """The KEPT values and every RECORD_COLUMNS column by name, from the
-    KEPT values by name, arrays of one shape, (n_slots,) or (n_slots,
-    rows).  A column value that is not finite raises SingularMatrixError
-    for the earliest slot, then row (batch_index: the flat index), except
-    tr_mm = +inf where x_breve = 0 and 1/i_pos is finite, as in
-    crb_measurement."""
-    x, v, x_breve = kept["x_true"], kept["v_true"], kept["x_breve"]
-    prior = Sym2(kept["prior_m11"], kept["prior_m12"], kept["prior_m22"])
-    cols = dict(kept, rate_bpshz=sensing.achievable_rate(x_breve, params, np))
-    w = kept["w1"], kept["w2"], kept["w3"]
+def _record_columns(kept: np.ndarray, params: SystemParams) -> dict:
+    """The KEPT values and every RECORD_COLUMNS column by name, each
+    (n_slots,) or (n_slots, rows), from the slot loop's array of KEPT
+    values, (n_slots, len(KEPT)) or (n_slots, len(KEPT), rows).  A
+    column value that is not finite raises SingularMatrixError for the
+    earliest slot, then row (batch_index: the flat index), except tr_mm =
+    +inf where x_breve = 0 and 1/i_pos is finite, as in crb_measurement."""
+    cols = dict(zip(KEPT, kept.swapaxes(0, 1)))
+    x, v, x_breve = cols["x_true"], cols["v_true"], cols["x_breve"]
+    prior = Sym2(cols["prior_m11"], cols["prior_m12"], cols["prior_m22"])
+    cols["rate_bpshz"] = sensing.achievable_rate(x_breve, params, np)
+    w = cols["w1"], cols["w2"], cols["w3"]
     cols["pcrb_x_actual"], cols["pcrb_v_actual"], cols["weighted_actual"] = ekf._bounds(
-        ekf._add_information(prior, *ekf._fisher_terms(x, v, params, w)), params.alpha)
-    i_pos, zz, zv, vv = ekf._fisher_terms(x_breve, kept["v_breve"], params)
+        *ekf._add_information(prior, *ekf._fisher_terms(x, v, params, w)), params.alpha)
+    i_pos, zz, zv, vv = ekf._fisher_terms(x_breve, cols["v_breve"], params)
     cols["pcrb_x_pred"], cols["pcrb_v_pred"], _ = ekf._bounds(
-        ekf._add_information(prior, i_pos, zz, zv, vv), params.alpha)
+        *ekf._add_information(prior, i_pos, zz, zv, vv), params.alpha)
     crb_x = 1.0 / i_pos
     cols["tr_mm"] = tr_mm = crb_x + (1.0 + zz * crb_x) / vv
     finite = np.isfinite(np.where((x_breve == 0.0) & (tr_mm == math.inf), crb_x, tr_mm))
-    for name in RECORD_COLUMNS[:-1]:  # all but tr_mm
+    finite &= np.isfinite(kept[:, :9]).all(axis=1)  # the kept record columns, KEPT[:9]
+    for name in RECORD_COLUMNS[8:14]:  # the bound pairs, weighted_actual and the rate
         finite &= np.isfinite(cols[name])
     raise_at_first(~finite, _refuse_record, x, x_breve)
     return cols
@@ -280,7 +282,8 @@ def _record_columns(kept: dict, params: SystemParams) -> dict:
 def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
     """The slot loop: one trial on Python floats (rows None; z the
     trial's draws as a list) or rows trials in lockstep (every state an
-    array of rows entries; z the draws as a (2 + 5*n_slots, rows) array).
+    array of rows entries; z the draws as a (2 + 5*n_slots, rows) array),
+    the draws taken in stream order from one iterator.
     targets goes to _plan.  Slot 0 places the world, perturbs the initial
     estimate by init_est_std and plans slot 1; each slot then runs as the
     module docstring says, the same calls on floats and on rows.  Returns
@@ -297,8 +300,9 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
     zero = 0.0 if rows is None else np.zeros(rows)
     obj_pos, obj_vel = cfg.init_obj_pos + zero, cfg.init_obj_vel + zero
     uav_pos, uav_vel = cfg.init_uav_pos + zero, cfg.init_uav_vel + zero
-    x_hat = (cfg.init_obj_pos - cfg.init_uav_pos) + cfg.init_est_std[0] * z[0]
-    v_hat = (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * z[1]
+    draws = iter(z)
+    x_hat = (cfg.init_obj_pos - cfg.init_uav_pos) + cfg.init_est_std[0] * next(draws)
+    v_hat = (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * next(draws)
     mse = Sym2(cfg.init_mse[0] + zero, zero, cfg.init_mse[1] + zero)
 
     # per slot: the KEPT values, a tuple of floats (a list and one np.fromiter beat a
@@ -308,9 +312,8 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
     try:
         x_a, v_a, x_breve, v_breve, mse_pred = _plan(x_hat, v_hat, mse, uav_pos, uav_vel, p,
                                                      targets)
-        for n in range(1, cfg.n_slots + 1):
-            # the slot's draws: two for step_ground_truth, three for sample_measurement
-            z0, z1, e1, e2, e3 = z[5 * n - 3:5 * n + 2]
+        # each slot's five draws: two for step_ground_truth, three for sample_measurement
+        for n, (z0, z1, e1, e2, e3) in enumerate(zip(*[draws] * 5), 1):
             obj_pos, obj_vel = step_ground_truth(obj_pos, obj_vel, z0, z1, dt, factor)
             uav_pos, uav_vel = x_a, v_a
             x, v = obj_pos - uav_pos, obj_vel - uav_vel
@@ -328,8 +331,9 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
                                                              uav_vel, p, targets)
         n = None
         if rows is None:
-            kept = np.fromiter(chain.from_iterable(kept), float).reshape(cfg.n_slots, -1)
-        return _record_columns(dict(zip(KEPT, kept.swapaxes(0, 1))), p)
+            kept = np.fromiter(chain.from_iterable(kept), float,
+                               cfg.n_slots * len(KEPT)).reshape(cfg.n_slots, -1)
+        return _record_columns(kept, p)
     except Exception as exc:
         index = exc.__dict__.pop("batch_index", None)
         if n is None:  # the column pass's batch_index runs over slots, then rows
@@ -353,8 +357,9 @@ def run_scenario(cfg: ScenarioConfig, params: SystemParams) -> list[SlotRecord]:
     cols = _track(cfg, params, z, _TARGET_RULES[cfg.scheme])
     x_c = optimize.qos_radius(params) if cfg.scheme == "proposed" else math.inf
     flags = (np.abs(cols["x_breve"]) > x_c).tolist()
-    return [SlotRecord(n, n * params.dt, *c, f) for n, c, f in zip(
-        range(1, cfg.n_slots + 1), zip(*(cols[name].tolist() for name in RECORD_COLUMNS)), flags)]
+    slots = range(1, cfg.n_slots + 1)
+    return list(map(SlotRecord, slots, [n * params.dt for n in slots],
+                    *(cols[name].tolist() for name in RECORD_COLUMNS), flags))
 
 
 def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str, ...],

@@ -438,12 +438,35 @@ def _cell_newton(slope, x3, d1, d2, tol):
     return _newton_bracketed(slope, float(x3[i]), float(x3[i + 1]), tol=tol, x0=float(start))
 
 
+def _toward_lower_f(jet, x3, d1, d2):
+    """optimize._toward_lower_f on one window, one point at a time: where
+    f' keeps its sign over the grid cell that its sign at the grid
+    minimum picks, the first point of np.linspace from the grid minimum
+    to the cell's far end at which f' has the other sign, t, and the
+    point before it, s, as the points (t, s, t); else x3, d1, d2."""
+    from uav_isac import optimize
+
+    right = d1[1] < 0.0
+    i = 1 if right else 0
+    if d1[i] < 0.0 < d1[i + 1]:
+        return x3, d1, d2
+    ts = np.linspace(x3[1], x3[2] if right else x3[0], optimize.P1_GRID_POINTS).tolist()
+    s = x3[1], d1[1], d2[1]
+    for t in ts[1:]:
+        _, g, h = jet(t)
+        if (g > 0.0) if right else (g < 0.0):
+            return (t, s[0], t), (g, s[1], g), (h, s[2], h)
+        s = t, g, h
+    return x3, d1, d2
+
+
 def p1_by_scalar_steps(inst):
     """optimize.solve_p1_sca's steps on plain floats, one point at a
     time: the objective on np.linspace over the window, optimize.objective_f
-    at the grid minimum and its neighbours, and _cell_newton, whose point
-    is kept unless the grid point is better.  Returns the ScaResult;
-    raises the BracketError of _cell_newton's sign check on its cell."""
+    at the grid minimum and its neighbours, _toward_lower_f where f' keeps
+    its sign over the grid cell, and _cell_newton, whose point is kept
+    unless the grid point is better.  Returns the ScaResult; raises the
+    BracketError of _cell_newton's sign check on its cell."""
     from uav_isac import optimize
 
     last = optimize.P1_GRID_POINTS - 1
@@ -456,6 +479,7 @@ def p1_by_scalar_steps(inst):
     at_end = (k == 0 and d1[1] >= 0.0) or (k == last and d1[1] <= 0.0)
     x, f, steps = x_grid, f_grid, 0
     if not (at_end or d1[1] == 0.0):
+        x3, d1, d2 = _toward_lower_f(lambda t: optimize.objective_f(t, inst), x3, d1, d2)
         x, steps = _cell_newton(lambda t: optimize.objective_f(t, inst)[1:], x3, d1, d2,
                                 1e-9 * inst.params.h_alt)
         f = optimize._objective(x, inst.x_hat_prev, inst._prior_info, inst.params)

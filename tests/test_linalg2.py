@@ -6,6 +6,7 @@ import pytest
 from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError, raise_at_first
 from uav_isac.linalg2 import (
     Sym2,
+    inverse,
     process_noise_cov,
     require_positive_definite,
 )
@@ -113,3 +114,37 @@ def test_batch_inverse_equals_scalar_inverse():
     # float fields: at is the matrix itself
     f = m.at(0)
     assert f.at(2) is f
+
+
+def _fields(m: Sym2):
+    return tuple(np.asarray(v).tolist() for v in (m.m11, m.m12, m.m22))
+
+
+def test_entries_inverse_is_the_matrix_inverse_bit_for_bit():
+    """inverse of a matrix's entries, which the filter calls on its
+    information sums, is Sym2.inverse and the adjugate over the
+    determinant, on floats and on a batch."""
+    m = Sym2(np.array([2.0, 4.0, 0.3]), np.array([1.0, 0.0, -0.1]), np.array([3.0, 0.5, 0.2]))
+    for a in (m, m.at(0), m.at(2)):
+        det = a.m11 * a.m22 - a.m12 * a.m12
+        s = 1.0 / det
+        want = (np.asarray(a.m22 * s).tolist(), np.asarray(-a.m12 * s).tolist(),
+                np.asarray(a.m11 * s).tolist())
+        assert _fields(inverse(a.m11, a.m12, a.m22)) == _fields(a.inverse()) == want
+        assert _fields(inverse(a.m11, a.m12, a.m22, det)) == _fields(a.inverse(det)) == want
+    assert type(inverse(2.0, 1.0, 3.0).m11) is float
+
+
+@pytest.mark.parametrize("m", [
+    Sym2(1.0, 1.0, 1.0),
+    Sym2(np.array([2.0, 1.0, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0])),
+], ids=["float", "batch"])
+def test_entries_inverse_refuses_as_the_matrix_inverse(m):
+    with pytest.raises(SingularMatrixError) as by_entries:
+        inverse(m.m11, m.m12, m.m22)
+    with pytest.raises(SingularMatrixError) as by_matrix:
+        m.inverse()
+    assert str(by_entries.value) == str(by_matrix.value) == (
+        "matrix is numerically singular: Sym2(m11=1.0, m12=1.0, m22=1.0)")
+    assert getattr(by_entries.value, "batch_index", None) == \
+        getattr(by_matrix.value, "batch_index", None) == (None if type(m.m11) is float else 1)

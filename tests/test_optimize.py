@@ -237,7 +237,7 @@ def test_batched_slot_solve_bracket_error_names_entry(monkeypatch):
     # grid minimum at x_hat_prev, but f' = -1 everywhere
     monkeypatch.setattr(optimize, "_objective", lambda x, x_hat_prev, *_: (x - x_hat_prev) ** 2)
     monkeypatch.setattr(optimize, "_objective_jet",
-                        lambda x, *_: (x * 0.0, np.full(np.shape(x), -1.0), 0.0))
+                        lambda x, *_: (x * 0.0, np.full(np.shape(x), -1.0), x * 0.0))
     # entry 0 has its minimum at the right window end, where f' <= 0 is an
     # optimum; entries 1 and 2 have interior minima that cannot be bracketed
     insts = [_instance(80.0, 95.0), _instance(10.0, 9.0), _instance(20.0, 19.0)]
@@ -452,6 +452,20 @@ def test_g0_jet_overhead_at_an_edge_weight_forms_only_its_term():
     p = SystemParams(h_alt=10.0, alpha=1.0)
     assert all(map(math.isfinite, optimize._g0_jet(0.0, p)))
     assert optimize._g0_jet(0.0, p) == tuple(float(v[0]) for v in optimize._g0_jet(np.zeros(1), p))
+
+
+def test_g0_overhead_at_an_edge_weight_forms_only_its_term():
+    # the value the geometry grid evaluates, as its jet: at alpha = 1 the
+    # overhead 1/vv is not formed, so floats do not divide by zero and
+    # arrays do not warn
+    p = SystemParams(h_alt=10.0, alpha=1.0)
+    g = optimize._g0(0.0, p)
+    assert math.isfinite(g) and g == optimize._g0_jet(0.0, p)[0]
+    with np.errstate(all="raise"):
+        assert optimize._g0(np.zeros(1), p).tolist() == [g]
+    # the other edge selects 1/vv alone, which is infinite overhead
+    with np.errstate(divide="ignore"):
+        assert optimize._g0(np.zeros(1), replace(p, alpha=0.0)).tolist() == [math.inf]
 
 
 # The jets regroup the sums that the Dual2 oracle forms, so their

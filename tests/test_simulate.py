@@ -233,7 +233,7 @@ def test_slot_loop_operation_counts(monkeypatch):
 
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed)))
-    monkeypatch.setattr(Sym2, "inverse", counting("inverse", Sym2.inverse))
+    monkeypatch.setattr(simulate.ekf, "inverse", counting("inverse", simulate.ekf.inverse))
     monkeypatch.setattr(simulate.ekf, "_fisher_terms",
                         counting("_fisher_terms", simulate.ekf._fisher_terms))
     monkeypatch.setattr(simulate, "_record_columns",
@@ -245,9 +245,9 @@ def test_slot_loop_operation_counts(monkeypatch):
 
 def test_slot_loop_value_object_budget(monkeypatch):
     """The loop carries plain values from step to step: a right-above slot
-    builds its four Sym2 (the prediction MSE, its inverse, the posterior
-    information and its inverse) and its SlotRecord; the package has no
-    other per-slot value type."""
+    builds its three Sym2 (the prediction MSE, its inverse and the
+    inverse of the posterior information, which is passed as entries)
+    and its SlotRecord; the package has no other per-slot value type."""
     counts = Counter()
 
     def counting(cls):
@@ -262,10 +262,9 @@ def test_slot_loop_value_object_budget(monkeypatch):
     for cls in (Sym2, simulate.SlotRecord):
         monkeypatch.setattr(cls, "__init__", counting(cls))
     run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), P)
-    # Sym2: the initial MSE, 4 per slot (slot 1's plan is made at slot 0,
-    # and none follows slot 10), and the column pass's prior and its two
-    # information matrices
-    assert counts == {"Sym2": 1 + 4 * 10 + 3, "SlotRecord": 10}
+    # Sym2: the initial MSE, 3 per slot (slot 1's plan is made at slot 0,
+    # and none follows slot 10), and the column pass's prior
+    assert counts == {"Sym2": 1 + 3 * 10 + 1, "SlotRecord": 10}
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "right_above"])
@@ -274,13 +273,14 @@ def test_each_loop_makes_one_column_pass_per_run(scheme, monkeypatch):
     columns = simulate._record_columns
 
     def counting(*args):
-        shapes.append(args[0]["x_true"].shape)
+        shapes.append(args[0].shape)
         return columns(*args)
     monkeypatch.setattr(simulate, "_record_columns", counting)
     run_scenario(ScenarioConfig(n_slots=10, scheme=scheme), P)
     _lockstep_columns(ScenarioConfig(n_slots=10), P, scheme, 3)
     run_monte_carlo(ScenarioConfig(n_slots=10), P, 3)
-    assert shapes == [(10,), (10, 3), (10, 6)]
+    kept = len(simulate.KEPT)
+    assert shapes == [(10, kept), (10, kept, 3), (10, kept, 6)]
 
 
 def _with_zero_information_at(entries):
@@ -290,12 +290,13 @@ def _with_zero_information_at(entries):
     columns = simulate._record_columns
 
     def zeroed(kept, params):
-        mask = np.zeros(np.shape(kept["x_true"]), dtype=bool)
+        mask = np.zeros(kept.shape[:1] + kept.shape[2:], dtype=bool)
         for entry in entries:
             mask[entry[:mask.ndim]] = True
-        zeroed = ("w1", "w2", "w3", "prior_m11", "prior_m12", "prior_m22")
-        return columns({name: np.where(mask, 0.0, value) if name in zeroed else value
-                        for name, value in kept.items()}, params)
+        kept = kept.copy()
+        for name in ("w1", "w2", "w3", "prior_m11", "prior_m12", "prior_m22"):
+            kept[:, simulate.KEPT.index(name)][mask] = 0.0
+        return columns(kept, params)
     return zeroed
 
 
@@ -333,9 +334,12 @@ def test_proposed_slot_inverts_the_prediction_mse_twice(monkeypatch):
     the posterior information: 2 float inversions per slot.  The rule's
     prior information is not reused."""
     inverses = []
-    inverse = Sym2.inverse
-    monkeypatch.setattr(Sym2, "inverse",
-                        lambda self, det=None: inverses.append(self) or inverse(self, det))
+    inverse = simulate.ekf.inverse
+
+    def recording(m11, m12, m22, det=None):
+        inverses.append(Sym2(m11, m12, m22))
+        return inverse(m11, m12, m22, det)
+    monkeypatch.setattr(simulate.ekf, "inverse", recording)
     recs = run_scenario(ScenarioConfig(n_slots=10, scheme="proposed"), P)
     assert not any(r.flagged for r in recs)
     rows = [m for m in inverses if isinstance(m.m11, np.ndarray)]
@@ -567,6 +571,40 @@ def test_slot_solve_needs_a_sign_change_on_its_cell_only(monkeypatch):
     assert abs(x - a) < 1e-6 and -0.14 < x < -0.12
 
 
+def test_slot_solve_brackets_toward_lower_f_where_its_cell_holds_a_maximum(monkeypatch):
+    # at alpha = 1 from 5 m, the plan made at slot 1 has a grid cell left of
+    # the grid minimum (about 0.087 m) that holds a local maximum of f
+    # (about -0.099 m) as well as the minimizer (about 0.085 m), so f' is
+    # positive at both its ends; the solve brackets from the grid minimum
+    # toward lower f instead of refusing the cell
+    params = SystemParams(alpha=1.0)
+    plans = []
+    rule = simulate._TARGET_RULES["proposed"]
+
+    def recording(*args):
+        plans.append(args)
+        return rule(*args)
+    monkeypatch.setitem(simulate._TARGET_RULES, "proposed", recording)
+    recs = run_scenario(ScenarioConfig(seed=21, init_obj_pos=5.0), params)
+    inst = simulate.optimize.P1Instance(*plans[1])
+    res = simulate.optimize.solve_p1_sca(inst)
+    assert repr(res) == repr(oracles.p1_by_scalar_steps(inst))
+    x, (x_grid, _) = res.x_breve_opt, res.trace[0]
+    assert recs[1].x_breve == x
+
+    def slope(t):
+        return simulate.optimize.objective_f(t, inst)[1]
+    xs = np.linspace(inst.lo, inst.hi, simulate.optimize.P1_GRID_POINTS)
+    k = int(np.searchsorted(xs, x_grid))
+    assert xs[k] == x_grid and slope(float(xs[k - 1])) > 0.0 < slope(x_grid)
+    a, b = x - 1e-4, x_grid
+    assert slope(a) < 0.0 < slope(b)
+    for _ in range(100):  # bisection of f' on a bracket of x
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if slope(mid) < 0.0 else (a, mid)
+    assert abs(x - a) < 1e-6 and 0.084 < x < 0.086
+
+
 # ------------------------------------------------------------- Monte Carlo
 
 def test_monte_carlo_shapes_and_reduction():
@@ -667,6 +705,24 @@ def test_lockstep_numpy_call_budget():
     assert all(cols[name].view(np.ndarray).tolist() == want[name].tolist() for name in want)
 
 
+def test_column_pass_numpy_call_budget(monkeypatch):
+    # one trial's column pass: the two Fisher passes, the bounds and the
+    # rate, and one finiteness check of the kept record columns in the
+    # array that holds them
+    kept = []
+    columns = simulate._record_columns
+
+    def keeping(*args):
+        kept.append(args[0])
+        return columns(*args)
+    monkeypatch.setattr(simulate, "_record_columns", keeping)
+    run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), P)
+    cols, calls = numpy_calls.count_calls(columns, kept[0].view(numpy_calls.Counted), P)
+    assert calls <= 100
+    want = columns(kept[0], P)
+    assert all(cols[name].view(np.ndarray).tolist() == want[name].tolist() for name in want)
+
+
 def _lockstep_columns(cfg, params, scheme, n_trials):
     draws = np.stack([np.random.default_rng(cfg.seed + i).standard_normal(2 + 5 * cfg.n_slots)
                       for i in range(n_trials)])
@@ -681,7 +737,9 @@ def _lockstep_columns(cfg, params, scheme, n_trials):
     (ScenarioConfig(noise_scale=0.0), P),
     (ScenarioConfig(), replace(P, alpha=0.0)),
     (ScenarioConfig(), replace(P, alpha=1.0)),
-], ids=["default", "flagged", "degenerate", "noiseless", "alpha0", "alpha1"])
+    # trial 0's plan at slot 1 has a grid cell that holds a maximum of f
+    (ScenarioConfig(seed=21, init_obj_pos=5.0), replace(P, alpha=1.0)),
+], ids=["default", "flagged", "degenerate", "noiseless", "alpha0", "alpha1", "seed21_alpha1"])
 def test_lockstep_matches_run_scenario(cfg, params, scheme):
     n_trials = 20
     cols = _lockstep_columns(cfg, params, scheme, n_trials)
