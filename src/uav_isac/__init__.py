@@ -18,7 +18,7 @@ from .errors import (
 )
 from .params import SystemParams
 from .sensing import achievable_rate, sample_measurement
-from .ekf import PcrbPair, crb_measurement, predict, predicted_pcrb, update
+from .ekf import crb_measurement, predict, predicted_pcrb, update
 from .optimize import (
     P1Instance,
     ScaResult,
@@ -45,7 +45,6 @@ __all__ = [
     "MonteCarloStats",
     "NotPositiveDefiniteError",
     "P1Instance",
-    "PcrbPair",
     "ScaResult",
     "ScenarioConfig",
     "SingularMatrixError",

@@ -2,12 +2,12 @@
 
 The filter is an extended Kalman recursion over the 2-state relative
 motion model, written in information form.  The filter update, the
-anticipated bound used as the per-slot design objective and the
-measurement-only bound share one core: the measurement Fisher
-information at (x, v) for per-channel weights 1/s_i, added to the
-prior information and inverted in symmetric 2x2 closed form.  The
-update takes the weights the measurement was sampled with, the
-anticipated bound models them at the predicted position, and the
+anticipated bound used as the per-slot design objective (predicted_pcrb)
+and the measurement-only bound (crb_measurement) share one core: the
+measurement Fisher information at (x, v) for per-channel weights 1/s_i,
+added to the prior information and inverted in symmetric 2x2 closed
+form.  The update takes the weights the measurement was sampled with,
+the anticipated bound models them at the predicted position, and the
 measurement-only bound is the zero-prior case.
 
 The bound expressions are written over generic scalars, so one code
@@ -26,21 +26,10 @@ Monte-Carlo batch; its inversions are the same calls for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .linalg2 import Sym2, inverse, require_positive_definite
 from .params import SystemParams
 from .sensing import jacobian, measure_mean, noise_weights
-
-
-@dataclass(frozen=True)
-class PcrbPair:
-    """Position bound (m^2), velocity bound (m^2/s^2) and their
-    alpha-weighted combination."""
-
-    pcrb_x: float
-    pcrb_v: float
-    weighted: float
 
 
 def predict(m: Sym2, params: SystemParams) -> Sym2:
@@ -209,22 +198,13 @@ def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
     return f, f1, (_weighted(e22, e11, alpha) - 2.0 * f1 * dd - f * ed) * inv
 
 
-def _anticipated_bounds(x, v, prior_info: Sym2, params: SystemParams):
-    """_bounds with the measurement information at (x, v) for the
-    weights modelled at x."""
+def predicted_pcrb(x, v, prior_info: Sym2, params: SystemParams):
+    """Anticipated bounds (pcrb_x, pcrb_v, weighted) at a candidate
+    predicted state (x, v), floats or arrays: the diagonal of the inverse
+    of prior_info (_prior_information of the prediction MSE) plus the
+    measurement information at (x, v) for the weights modelled at x, in
+    m^2 and m^2/s^2, and their alpha-weighted combination (_bounds)."""
     return _bounds(*_add_information(prior_info, *_fisher_terms(x, v, params)), params.alpha)
-
-
-def predicted_pcrb(x_breve: float, v_breve: float, mse_pred: Sym2,
-                   params: SystemParams) -> PcrbPair:
-    """Anticipated estimation bounds at a candidate predicted state.
-
-    The information matrix is the prediction-MSE inverse plus the
-    measurement information at (x_breve, v_breve) with noise variances
-    anticipated at x_breve; the bounds are the diagonal of its inverse.
-    mse_pred must be positive definite.
-    """
-    return PcrbPair(*_anticipated_bounds(x_breve, v_breve, _prior_information(mse_pred), params))
 
 
 def crb_measurement(x: float, v: float, params: SystemParams) -> tuple[float, float]:

@@ -12,9 +12,8 @@ numpy arrays (one entry per trial); inverse and
 require_positive_definite check such a batch at once, raising for its
 lowest failing matrix.  The one adjugate inverse, inverse, takes a
 matrix's entries, so a caller that holds a sum of matrices as entries
-(the filter's information) builds no Sym2 for the sum; Sym2.inverse is
-the same call.  Otherwise numpy arrays appear only in the as_array
-conversion.
+(the filter's information) builds no Sym2 for the sum.  Otherwise numpy
+arrays appear only in the as_array conversion.
 """
 
 from __future__ import annotations
@@ -67,10 +66,6 @@ class Sym2:
     @property
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m12
-
-    def inverse(self, det=None) -> "Sym2":
-        """inverse(m11, m12, m22, det) of this matrix's entries."""
-        return inverse(self.m11, self.m12, self.m22, det)
 
 
 def inverse(m11, m12, m22, det=None) -> Sym2:

@@ -24,8 +24,9 @@ solve_p1_each on one entry; the geometry pass also evaluates both
 bracket ends for its bracket check.
 
 Values are the bound core's float expressions (_objective, _g0); every
-f' and f'' a solver reads is their closed-form jet (_objective_jet,
-_g0_jet), exact to rounding rather than a finite difference.
+f' and f'' a solver reads is their closed-form jet (objective_f,
+g0_derivatives), exact to rounding rather than a finite difference.
+The solves look these names up on the module at call time.
 """
 
 from __future__ import annotations
@@ -101,9 +102,6 @@ class P1Instance:
                 f"reachable window [{self.lo:.6g}, {self.hi:.6g}] m has no length; "
                 "the velocity envelope does not intersect the QoS disc")
 
-    def feasible_interval(self) -> tuple[float, float]:
-        return self.lo, self.hi
-
 
 @dataclass(frozen=True)
 class ScaResult:
@@ -149,21 +147,15 @@ def _objective(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
     position, v_breve = (x_breve - x_hat_prev)/dt, so f is a function of
     one variable."""
     v_breve = (x_breve - x_hat_prev) * (1.0 / params.dt)
-    return ekf._anticipated_bounds(x_breve, v_breve, prior_info, params)[2]
+    return ekf.predicted_pcrb(x_breve, v_breve, prior_info, params)[2]
 
 
-def _objective_jet(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
-    """(f, f', f'') of _objective at x_breve, in closed form; floats or
-    numpy arrays.  dv_breve/dx_breve = 1/dt."""
+def objective_f(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
+    """(f, f', f'') of the weighted anticipated bound _objective at
+    x_breve, in closed form; floats or arrays.  dv_breve/dx_breve = 1/dt."""
     r = 1.0 / params.dt
     jets = ekf._fisher_jets(x_breve, (x_breve - x_hat_prev) * r, params, r)
     return ekf._weighted_jet(prior_info, jets, params.alpha)
-
-
-def objective_f(x_breve: float, inst: P1Instance) -> tuple[float, float, float]:
-    """Weighted anticipated bound f(x_breve) and its first two
-    derivatives in x_breve (_objective_jet)."""
-    return _objective_jet(x_breve, inst.x_hat_prev, inst._prior_info, inst.params)
 
 
 def _cell(v, right):
@@ -293,7 +285,7 @@ def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, so
     entry is polished), and each entry's grid point and its objective.
     """
     def jet(x):
-        return _objective_jet(x, x_hat_prev, prior_info, params)
+        return objective_f(x, x_hat_prev, prior_info, params)
     k, x_grid, f_grid, x3, (_, d1, d2) = _grid_basin_each(
         lambda x: _objective(x, x_hat_prev, prior_info, params), jet, lo, hi)
     right = d1[1] < 0.0
@@ -370,7 +362,7 @@ def _g0(x, params: SystemParams, h_alt=None, alpha=None):
     """g(x, 0) at altitude h_alt and weight alpha (defaults: params'),
     generic over floats and arrays.  At v = 0 the Doppler block is
     diagonal, so crb_x = 1/i_pos and crb_v = 1/fi_vv (inf overhead).  An
-    edge weight forms only the reciprocal it selects, as _g0_jet does."""
+    edge weight forms only the reciprocal it selects, as g0_derivatives does."""
     i_pos, _, _, vv = ekf._fisher_terms(x, None, params, h_alt=h_alt)
     alpha = params.alpha if alpha is None else alpha
     if alpha in (0.0, 1.0):  # only the selected one: overhead 1/vv divides by 0
@@ -378,16 +370,12 @@ def _g0(x, params: SystemParams, h_alt=None, alpha=None):
     return ekf._weighted(1.0 / i_pos, 1.0 / vv, alpha)
 
 
-def _g0_jet(x, params: SystemParams, h_alt=None, alpha=None):
-    """(g, g', g'') of _g0 at x, in closed form; floats or arrays."""
+def g0_derivatives(x, params: SystemParams, h_alt=None, alpha=None):
+    """(g, g', g'') of the zero-velocity measurement-only objective
+    g(x, 0) = _g0 at x > 0, altitude h_alt and weight alpha (defaults:
+    params'), in closed form; floats or arrays."""
     return ekf._weighted_jet(None, ekf._fisher_jets(x, None, params, h_alt=h_alt),
                              params.alpha if alpha is None else alpha)
-
-
-def g0_derivatives(x: float, params: SystemParams) -> tuple[float, float, float]:
-    """(g, g', g'') of the zero-velocity measurement-only objective
-    g(x, 0) at x > 0 (_g0_jet)."""
-    return _g0_jet(x, params)
 
 
 def _bracket_error(lo: float, hi: float, f_lo: float, f_hi: float, h=None) -> BracketError:
@@ -469,7 +457,7 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
         x_star = np.where(np.isfinite(g), x_star, math.nan)
     else:
         def jet(x):
-            return _g0_jet(x, params, h, alpha)
+            return g0_derivatives(x, params, h, alpha)
         lo = np.maximum(x_l, 1e-9 * h)
         _, _, _, points, (_, d1, d2) = _grid_basin_each(
             lambda x: _g0(x, params, h, alpha), jet, lo, x_u, ends=True)

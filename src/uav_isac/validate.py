@@ -9,7 +9,7 @@ on any failure.
 The checks read the parameter set they are given and the functions
 the slot loop and the solves run (sensing.measure_mean,
 sensing.jacobian, sensing.noise_weights, ekf.update,
-optimize.solve_p1_each, optimize._objective_jet, optimize._g0_jet,
+optimize.solve_p1_each, optimize.objective_f, optimize.g0_derivatives,
 optimize.convexity_lower_bound, ...) and build what they compare
 against themselves: the dense Jacobian, the echo gain beta_r/d^4,
 central differences and numpy's eigenvalues.  They resolve these
@@ -130,9 +130,9 @@ def _check_pcrb_vs_generic(p: SystemParams, rng) -> tuple[bool, str]:
         x = float(rng.uniform(-120.0, 120.0))
         v = float(rng.uniform(-20.0, 20.0))
         cov = np.linalg.inv(np.linalg.inv(m_arr) + _dense_fisher(x, v, p))
-        pair = ekf.predicted_pcrb(x, v, Sym2.from_array(m_arr), p)
-        worst = max(worst, _rel_err(pair.pcrb_x, cov[0, 0]),
-                    _rel_err(pair.pcrb_v, cov[1, 1]))
+        pcrb_x, pcrb_v, _ = ekf.predicted_pcrb(
+            x, v, ekf._prior_information(Sym2.from_array(m_arr)), p)
+        worst = max(worst, _rel_err(pcrb_x, cov[0, 0]), _rel_err(pcrb_v, cov[1, 1]))
     return worst < 1e-9, f"max rel err {worst:.3g}"
 
 
@@ -154,21 +154,21 @@ def _check_objective_derivatives(p: SystemParams, rng) -> tuple[bool, str]:
     """Slot-objective f', f'' vs finite differences of the float objective
     on [34, 46] m, x_hat_prev = 38 m and prediction MSE diag(1, 0.25)."""
     prior = ekf._prior_information(Sym2.diag(1.0, 0.25))
-    return _derivatives_vs_fd(lambda x: optimize._objective_jet(x, 38.0, prior, p),
+    return _derivatives_vs_fd(lambda x: optimize.objective_f(x, 38.0, prior, p),
                               lambda x: optimize._objective(x, 38.0, prior, p), 34.0, 46.0)
 
 
-def _check_g0_jet(p: SystemParams, rng) -> tuple[bool, str]:
+def _check_g0_derivatives(p: SystemParams, rng) -> tuple[bool, str]:
     """g(x, 0)'s g', g'' vs finite differences of the float g on [H/2, H]."""
     q = p if 0.0 < p.alpha < 1.0 else replace(p, alpha=0.5)  # an interior weight
-    return _derivatives_vs_fd(lambda x: optimize._g0_jet(x, q),
+    return _derivatives_vs_fd(lambda x: optimize.g0_derivatives(x, q),
                               lambda x: optimize._g0(x, q), 0.5 * p.h_alt, p.h_alt)
 
 
 def _check_sp1_stationarity(p: SystemParams, rng) -> tuple[bool, str]:
     """Interior geometry solution: |g'| < 1e-6*g per meter and g'' >= 0."""
     res = optimize.solve_sp1(p)
-    g, g1, g2 = optimize._g0_jet(res.x_star, p)
+    g, g1, g2 = optimize.g0_derivatives(res.x_star, p)
     ok = abs(g1) < 1e-6 * g and g2 >= 0.0
     return ok, f"branch {res.branch}, |g'|={abs(g1):.3g}, g''={g2:.3g}"
 
@@ -241,7 +241,7 @@ def _check_sca_properties(p: SystemParams, rng) -> tuple[bool, str]:
     prior = ekf._prior_information(Sym2.diag(draws[:, 2], draws[:, 3]))
     lo, hi = np.maximum(-x_c, eta - p.reach), np.minimum(x_c, eta + p.reach)
     x, _, _, f_grid = optimize.solve_p1_each(lo, hi, x_hat, prior, p, hi > lo)
-    f, f1, _ = optimize._objective_jet(x, x_hat, prior, p)
+    f, f1, _ = optimize.objective_f(x, x_hat, prior, p)
     tol = 1e-3 * (1.0 + np.abs(f))
     stationary = ((np.abs(f1) < tol) | ((x <= lo + 1e-9) & (f1 >= -tol))
                   | ((x >= hi - 1e-9) & (f1 <= tol)))
@@ -355,7 +355,7 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("crb_closed_form_vs_generic", _check_crb_identity),
     ("pcrb_closed_form_vs_generic", _check_pcrb_vs_generic),
     ("objective_derivatives_vs_fd", _check_objective_derivatives),
-    ("g0_derivatives_vs_fd", _check_g0_jet),
+    ("g0_derivatives_vs_fd", _check_g0_derivatives),
     ("sp1_stationarity", _check_sp1_stationarity),
     ("sp1_alpha0_exact", _check_sp1_alpha0),
     ("sp1_alpha_continuity", _check_sp1_alpha_continuity),

@@ -378,16 +378,17 @@ def scenario_by_public_steps(cfg, p):
         w = sensing.noise_weights(x, p)
         s = sensing._measured_variances(w)
         y = sensing.sample_measurement(x, v, s, rng.standard_normal(3).tolist(), cfg.noise_scale, p)
-        x_hat, v_hat, mse = ekf.update(x_breve, v_breve, ekf._prior_information(mse_pred), w, y, p)
-        pcrb_pred = ekf.predicted_pcrb(x_breve, v_breve, mse_pred, p)
-        pcrb_act = ekf.predicted_pcrb(x, v, mse_pred, p)
+        prior = ekf._prior_information(mse_pred)
+        x_hat, v_hat, mse = ekf.update(x_breve, v_breve, prior, w, y, p)
+        pcrb_x_pred, pcrb_v_pred, _ = ekf.predicted_pcrb(x_breve, v_breve, prior, p)
+        pcrb_x_act, pcrb_v_act, weighted_act = ekf.predicted_pcrb(x, v, prior, p)
         crb_x, crb_v = ekf.crb_measurement(x_breve, v_breve, p)
         records.append(simulate.SlotRecord(
             slot=n, t_s=n * p.dt, x_true=x, v_true=v, x_hat=x_hat, v_hat=v_hat,
             x_breve=x_breve, v_breve=v_breve, x_uav=uav_pos, v_uav=uav_vel,
-            pcrb_x_pred=pcrb_pred.pcrb_x, pcrb_v_pred=pcrb_pred.pcrb_v,
-            pcrb_x_actual=pcrb_act.pcrb_x, pcrb_v_actual=pcrb_act.pcrb_v,
-            weighted_actual=pcrb_act.weighted, rate_bpshz=sensing.achievable_rate(x_breve, p),
+            pcrb_x_pred=pcrb_x_pred, pcrb_v_pred=pcrb_v_pred,
+            pcrb_x_actual=pcrb_x_act, pcrb_v_actual=pcrb_v_act,
+            weighted_actual=weighted_act, rate_bpshz=sensing.achievable_rate(x_breve, p),
             tr_mp=mse_pred.trace, tr_mm=crb_x + crb_v,
             flagged=cfg.scheme == "proposed" and abs(x_breve) > optimize.qos_radius(p)))
     return records
@@ -469,20 +470,21 @@ def p1_by_scalar_steps(inst):
     BracketError of _cell_newton's sign check on its cell."""
     from uav_isac import optimize
 
+    slot = inst.x_hat_prev, inst._prior_info, inst.params
+    jet = lambda t: optimize.objective_f(t, *slot)
     last = optimize.P1_GRID_POINTS - 1
     xs = np.linspace(inst.lo, inst.hi, optimize.P1_GRID_POINTS)
-    fs = optimize._objective(xs, inst.x_hat_prev, inst._prior_info, inst.params)
+    fs = optimize._objective(xs, *slot)
     k = int(np.argmin(fs))
     x_grid, f_grid = float(xs[k]), float(fs[k])
     x3 = xs[[max(k - 1, 0), k, min(k + 1, last)]]
-    _, d1, d2 = zip(*(optimize.objective_f(float(x), inst) for x in x3))
+    _, d1, d2 = zip(*(jet(float(x)) for x in x3))
     at_end = (k == 0 and d1[1] >= 0.0) or (k == last and d1[1] <= 0.0)
     x, f, steps = x_grid, f_grid, 0
     if not (at_end or d1[1] == 0.0):
-        x3, d1, d2 = _toward_lower_f(lambda t: optimize.objective_f(t, inst), x3, d1, d2)
-        x, steps = _cell_newton(lambda t: optimize.objective_f(t, inst)[1:], x3, d1, d2,
-                                1e-9 * inst.params.h_alt)
-        f = optimize._objective(x, inst.x_hat_prev, inst._prior_info, inst.params)
+        x3, d1, d2 = _toward_lower_f(jet, x3, d1, d2)
+        x, steps = _cell_newton(lambda t: jet(t)[1:], x3, d1, d2, 1e-9 * inst.params.h_alt)
+        f = optimize._objective(x, *slot)
         if f > f_grid:
             x, f = x_grid, f_grid
     return optimize.ScaResult(x, (x - inst.x_hat_prev) / inst.params.dt, f, steps,

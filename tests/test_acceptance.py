@@ -101,10 +101,11 @@ def test_ac04_closed_form_bound_matches_generic_inverse():
         m22 = float(rng.uniform(0.01, 1.0))
         rho = float(rng.uniform(-0.9, 0.9))
         m12 = rho * math.sqrt(m11 * m22)
-        pair = ekf.predicted_pcrb(x, v, Sym2(m11, m12, m22), p)
+        pcrb_x, pcrb_v, _ = ekf.predicted_pcrb(
+            x, v, ekf._prior_information(Sym2(m11, m12, m22)), p)
         ox, ov = oracles.pcrb_pair(x, v, [[m11, m12], [m12, m22]],
                                    oracles.params_dict(p))
-        rel = max(abs(pair.pcrb_x - ox) / ox, abs(pair.pcrb_v - ov) / ov)
+        rel = max(abs(pcrb_x - ox) / ox, abs(pcrb_v - ov) / ov)
         worst = max(worst, rel)
         assert rel <= 1e-10, f"bound mismatch rel={rel:.2e} at x={x}, v={v}"
     elapsed = time.perf_counter() - t0
@@ -174,18 +175,18 @@ def test_slot_solve_equals_scalar_steps_on_ac05_problems():
 def test_ac06_derivatives_match_finite_differences():
     """Propagated first/second derivatives track central differences."""
     inst = optimize.P1Instance(20.0, 19.5, Sym2(1.0, 0.1, 0.25), DEFS)
-    lo, hi = inst.feasible_interval()
-    xs = np.linspace(lo + 0.01, hi - 0.01, 500)
+    slot = inst.x_hat_prev, inst._prior_info, inst.params
+    xs = np.linspace(inst.lo + 0.01, inst.hi - 0.01, 500)
 
     def f0(x):
-        return optimize.objective_f(float(x), inst)[0]
+        return optimize.objective_f(float(x), *slot)[0]
 
     d1 = np.empty(500)
     d2 = np.empty(500)
     fd1 = np.empty(500)
     fd2 = np.empty(500)
     for i, x in enumerate(xs):
-        _, d1[i], d2[i] = optimize.objective_f(float(x), inst)
+        _, d1[i], d2[i] = optimize.objective_f(float(x), *slot)
         fd1[i] = oracles.central_fd1(f0, x, 1e-4)
         fd2[i] = oracles.central_fd2(f0, x, 3e-3)
     rel1 = np.max(np.abs(d1 - fd1)) / np.max(np.abs(fd1))

@@ -169,10 +169,10 @@ def test_information_core_property(x, sign, v, log_m11, log_m22, rho, seed):
     assert np.linalg.eigvalsh(gap.as_array())[0] >= -1e-12 * m_p.trace
     # the measurement-only bound is the zero-prior limit of the anticipated one
     faint = Sym2(m_p.m11 * 1e12, m_p.m12 * 1e12, m_p.m22 * 1e12)
-    pair = ekf.predicted_pcrb(x, v, faint, P)
+    pcrb_x, pcrb_v, _ = ekf.predicted_pcrb(x, v, ekf._prior_information(faint), P)
     crb_x, crb_v = ekf.crb_measurement(x, v, P)
-    assert pair.pcrb_x == pytest.approx(crb_x, rel=1e-9)
-    assert pair.pcrb_v == pytest.approx(crb_v, rel=1e-9)
+    assert pcrb_x == pytest.approx(crb_x, rel=1e-9)
+    assert pcrb_v == pytest.approx(crb_v, rel=1e-9)
 
 
 def test_information_terms_match_fisher_oracle():
@@ -197,18 +197,18 @@ def test_predicted_pcrb_matches_generic_inversion():
         x = float(rng.uniform(-100, 100))
         v = float(rng.uniform(-25, 25))
         m = _rand_cov(rng)
-        pair = ekf.predicted_pcrb(x, v, Sym2.from_array(m), P)
+        pcrb_x, pcrb_v, weighted = ekf.predicted_pcrb(
+            x, v, ekf._prior_information(Sym2.from_array(m)), P)
         want_x, want_v = oracles.pcrb_pair(x, v, m, d)
-        assert pair.pcrb_x == pytest.approx(want_x, rel=1e-10)
-        assert pair.pcrb_v == pytest.approx(want_v, rel=1e-10)
-        assert pair.weighted == pytest.approx(
-            P.alpha * want_x + (1 - P.alpha) * want_v, rel=1e-10)
-        assert pair.pcrb_x > 0 and pair.pcrb_v > 0
+        assert pcrb_x == pytest.approx(want_x, rel=1e-10)
+        assert pcrb_v == pytest.approx(want_v, rel=1e-10)
+        assert weighted == pytest.approx(P.alpha * want_x + (1 - P.alpha) * want_v, rel=1e-10)
+        assert pcrb_x > 0 and pcrb_v > 0
 
 
 def test_predicted_pcrb_rejects_bad_prior():
     with pytest.raises(NotPositiveDefiniteError):
-        ekf.predicted_pcrb(50.0, 0.0, Sym2(1.0, 2.0, 1.0), P)
+        ekf.predicted_pcrb(50.0, 0.0, ekf._prior_information(Sym2(1.0, 2.0, 1.0)), P)
 
 
 def test_crb_measurement_frozen_points():

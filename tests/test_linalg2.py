@@ -50,10 +50,11 @@ def test_sym2_inverse_matches_numpy_and_detects_singular():
     for _ in range(50):
         a = rng.normal(size=(2, 2))
         a = a @ a.T + 0.1 * np.eye(2)
-        inv = Sym2.from_array(a).inverse()
+        m = Sym2.from_array(a)
+        inv = inverse(m.m11, m.m12, m.m22)
         assert np.allclose(inv.as_array(), np.linalg.inv(a), rtol=1e-12, atol=1e-14)
     with pytest.raises(SingularMatrixError):
-        Sym2(1.0, 2.0, 4.0).inverse()
+        inverse(1.0, 2.0, 4.0)
 
 
 def test_require_positive_definite_rejects_singular():
@@ -74,7 +75,7 @@ def test_batch_checks_raise_for_lowest_failing_entry():
     assert exc_info.value.batch_index == 1
     singular = Sym2(np.array([2.0, 1.0, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
     with pytest.raises(SingularMatrixError) as exc_info:
-        singular.inverse()
+        inverse(singular.m11, singular.m12, singular.m22)
     assert exc_info.value.batch_index == 1
     # a scalar check that passes where the batched one failed is a bug
     with pytest.raises(RuntimeError, match="batch entry 1"):
@@ -92,7 +93,7 @@ def test_float_checks_raise_the_batch_error_without_batch_index():
     with pytest.raises(SingularMatrixError,
                        match=r"^matrix is numerically singular: Sym2\(m11=1.0, m12=1.0, m22=1.0\)$"
                        ) as exc_info:
-        Sym2(1.0, 1.0, 1.0).inverse()
+        inverse(1.0, 1.0, 1.0)
     assert not hasattr(exc_info.value, "batch_index")
     with pytest.raises(RuntimeError):
         raise_at_first(True, lambda i: None)
@@ -102,15 +103,16 @@ def test_float_checks_raise_the_batch_error_without_batch_index():
 
 def test_batch_inverse_equals_scalar_inverse():
     m = Sym2(np.array([2.0, 4.0, 0.3]), np.array([1.0, 0.0, -0.1]), np.array([3.0, 0.5, 0.2]))
-    inv = m.inverse()
+    inv = inverse(m.m11, m.m12, m.m22)
     det = require_positive_definite(m)
-    again = m.inverse(det)
+    again = inverse(m.m11, m.m12, m.m22, det)
     assert all(np.array_equal(a, b) for a, b in zip((inv.m11, inv.m12, inv.m22),
                                                     (again.m11, again.m12, again.m22)))
     for i in range(3):
-        assert inv.at(i) == m.at(i).inverse()
-        assert m.at(i).inverse(det[i]) == m.at(i).inverse()
-        assert require_positive_definite(m.at(i)) == det[i]
+        f = m.at(i)
+        assert inv.at(i) == inverse(f.m11, f.m12, f.m22)
+        assert inverse(f.m11, f.m12, f.m22, det[i]) == inverse(f.m11, f.m12, f.m22)
+        assert require_positive_definite(f) == det[i]
     # float fields: at is the matrix itself
     f = m.at(0)
     assert f.at(2) is f
@@ -122,16 +124,16 @@ def _fields(m: Sym2):
 
 def test_entries_inverse_is_the_matrix_inverse_bit_for_bit():
     """inverse of a matrix's entries, which the filter calls on its
-    information sums, is Sym2.inverse and the adjugate over the
-    determinant, on floats and on a batch."""
+    information sums, is the adjugate over the determinant, on floats
+    and on a batch."""
     m = Sym2(np.array([2.0, 4.0, 0.3]), np.array([1.0, 0.0, -0.1]), np.array([3.0, 0.5, 0.2]))
     for a in (m, m.at(0), m.at(2)):
         det = a.m11 * a.m22 - a.m12 * a.m12
         s = 1.0 / det
         want = (np.asarray(a.m22 * s).tolist(), np.asarray(-a.m12 * s).tolist(),
                 np.asarray(a.m11 * s).tolist())
-        assert _fields(inverse(a.m11, a.m12, a.m22)) == _fields(a.inverse()) == want
-        assert _fields(inverse(a.m11, a.m12, a.m22, det)) == _fields(a.inverse(det)) == want
+        assert _fields(inverse(a.m11, a.m12, a.m22)) == want
+        assert _fields(inverse(a.m11, a.m12, a.m22, det)) == want
     assert type(inverse(2.0, 1.0, 3.0).m11) is float
 
 
@@ -142,9 +144,7 @@ def test_entries_inverse_is_the_matrix_inverse_bit_for_bit():
 def test_entries_inverse_refuses_as_the_matrix_inverse(m):
     with pytest.raises(SingularMatrixError) as by_entries:
         inverse(m.m11, m.m12, m.m22)
-    with pytest.raises(SingularMatrixError) as by_matrix:
-        m.inverse()
-    assert str(by_entries.value) == str(by_matrix.value) == (
+    assert str(by_entries.value) == (
         "matrix is numerically singular: Sym2(m11=1.0, m12=1.0, m22=1.0)")
-    assert getattr(by_entries.value, "batch_index", None) == \
-        getattr(by_matrix.value, "batch_index", None) == (None if type(m.m11) is float else 1)
+    assert getattr(by_entries.value, "batch_index", None) == (
+        None if type(m.m11) is float else 1)

@@ -15,7 +15,7 @@ from uav_isac.errors import (
     UavIsacError,
     VelocityBoundError,
 )
-from uav_isac.linalg2 import Sym2
+from uav_isac.linalg2 import Sym2, inverse
 from uav_isac.params import SystemParams
 from uav_isac.sensing import achievable_rate
 
@@ -27,6 +27,11 @@ P = SystemParams()
 
 def _instance(eta, x_hat_prev, m11=1.0, m22=0.25, m12=0.0, params=P):
     return optimize.P1Instance(eta, x_hat_prev, Sym2(m11, m12, m22), params)
+
+
+def _slot(inst):
+    """objective_f's arguments after x_breve for the slot problem inst."""
+    return inst.x_hat_prev, inst._prior_info, inst.params
 
 
 # ---------------------------------------------------------------- QoS radius
@@ -52,10 +57,10 @@ def test_qos_radius_infeasible_threshold():
 def test_instance_window_clamps_to_qos_disk():
     reach = P.v_a_max * P.dt
     inst = _instance(40.0, 39.0)
-    assert inst.feasible_interval() == (40.0 - reach, 40.0 + reach)
+    assert (inst.lo, inst.hi) == (40.0 - reach, 40.0 + reach)
     xc = optimize.qos_radius(P)
     near_edge = _instance(xc - 1.0, xc - 2.0)
-    lo, hi = near_edge.feasible_interval()
+    lo, hi = near_edge.lo, near_edge.hi
     assert hi == xc and lo == pytest.approx(xc - 1.0 - reach)
 
 
@@ -75,8 +80,8 @@ def test_instance_rejects_bad_prior():
 def test_objective_matches_numpy_oracle():
     d = oracles.params_dict(P)
     inst = _instance(40.0, 38.5, m11=0.8, m22=0.3, m12=0.1)
-    for x in np.linspace(*inst.feasible_interval(), 17):
-        val, _, _ = optimize.objective_f(float(x), inst)
+    for x in np.linspace(inst.lo, inst.hi, 17):
+        val, _, _ = optimize.objective_f(float(x), *_slot(inst))
         want = oracles.p1_objective(float(x), 40.0, 38.5,
                                     [[0.8, 0.1], [0.1, 0.3]], P.alpha, d)
         assert val == pytest.approx(float(want), rel=1e-11)
@@ -84,10 +89,10 @@ def test_objective_matches_numpy_oracle():
 
 def test_objective_derivatives_match_finite_differences():
     inst = _instance(-35.0, -34.0, m11=1.2, m22=0.4, m12=-0.15)
-    lo, hi = inst.feasible_interval()
-    fn = lambda t: optimize.objective_f(t, inst)[0]
+    lo, hi = inst.lo, inst.hi
+    fn = lambda t: optimize.objective_f(t, *_slot(inst))[0]
     for x in np.linspace(lo + 0.3, hi - 0.3, 15):
-        val, d1, d2 = optimize.objective_f(float(x), inst)
+        val, d1, d2 = optimize.objective_f(float(x), *_slot(inst))
         # second differences need a larger step to stay above roundoff
         assert d1 == pytest.approx(oracles.central_fd1(fn, float(x), 1e-4), rel=2e-6, abs=1e-12)
         assert d2 == pytest.approx(oracles.central_fd2(fn, float(x), 3e-3), rel=2e-4, abs=1e-12)
@@ -102,7 +107,7 @@ def test_sca_trace_is_monotone_and_feasible():
         inst = _instance(eta, eta + float(rng.uniform(-1.5, 1.5)),
                          m11=float(rng.uniform(0.3, 2.0)),
                          m22=float(rng.uniform(0.1, 0.5)))
-        lo, hi = inst.feasible_interval()
+        lo, hi = inst.lo, inst.hi
         res = optimize.solve_p1_sca(inst)
         assert lo <= res.x_breve_opt <= hi
         vals = [f for _, f in res.trace]
@@ -123,7 +128,7 @@ def test_sca_matches_grid_oracle_on_random_instances():
         rho = float(rng.uniform(-0.8, 0.8))
         m12 = rho * math.sqrt(m11 * m22)
         inst = _instance(eta, x_hat, m11=m11, m22=m22, m12=m12)
-        lo, hi = inst.feasible_interval()
+        lo, hi = inst.lo, inst.hi
         res = optimize.solve_p1_sca(inst)
         want = oracles.grid_refine_min(
             lambda t: oracles.p1_objective(t, eta, x_hat,
@@ -148,7 +153,7 @@ def _root_cell(inst):
     f' and f'' as a function of x."""
     xs = np.linspace(inst.lo, inst.hi, optimize.P1_GRID_POINTS)
     k = int(np.argmin(optimize._objective(xs, inst.x_hat_prev, inst._prior_info, P)))
-    slope = lambda x: optimize.objective_f(x, inst)[1:]
+    slope = lambda x: optimize.objective_f(x, *_slot(inst))[1:]
     cell = (xs[k], xs[k + 1]) if slope(float(xs[k]))[0] < 0.0 else (xs[k - 1], xs[k])
     return float(cell[0]), float(cell[1]), slope
 
@@ -178,7 +183,7 @@ def test_sca_never_worse_than_grid():
         x_hat = eta + float(rng.uniform(-2, 2))
         m11, m22 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 0.5))
         inst = _instance(eta, x_hat, m11=m11, m22=m22)
-        lo, hi = inst.feasible_interval()
+        lo, hi = inst.lo, inst.hi
         res = optimize.solve_p1_sca(inst)
         grid = np.linspace(lo, hi, optimize.P1_GRID_POINTS)
         # the solver's own float path: exact; the numpy oracle: roundoff
@@ -194,7 +199,7 @@ def test_sca_never_worse_than_grid():
 ])
 def test_sca_two_basin_window_picks_global_basin(eta, x_hat):
     inst = _instance(eta, x_hat)
-    lo, hi = inst.feasible_interval()
+    lo, hi = inst.lo, inst.hi
     assert lo < 0.0 < hi
     d = oracles.params_dict(P)
     fn = lambda xs: oracles.p1_objective(xs, eta, x_hat, [[1.0, 0.0], [0.0, 0.25]], P.alpha, d)
@@ -215,7 +220,7 @@ def test_sca_matches_grid_oracle_property(eta, dx_hat, log_m11, log_m22, rho):
     m12 = rho * math.sqrt(m11 * m22)
     x_hat = eta + dx_hat
     inst = _instance(eta, x_hat, m11=m11, m22=m22, m12=m12)
-    lo, hi = inst.feasible_interval()
+    lo, hi = inst.lo, inst.hi
     res = optimize.solve_p1_sca(inst)
     d = oracles.params_dict(P)
     want = oracles.grid_refine_min(
@@ -236,7 +241,7 @@ def _batch_of(insts):
 def test_batched_slot_solve_bracket_error_names_entry(monkeypatch):
     # grid minimum at x_hat_prev, but f' = -1 everywhere
     monkeypatch.setattr(optimize, "_objective", lambda x, x_hat_prev, *_: (x - x_hat_prev) ** 2)
-    monkeypatch.setattr(optimize, "_objective_jet",
+    monkeypatch.setattr(optimize, "objective_f",
                         lambda x, *_: (x * 0.0, np.full(np.shape(x), -1.0), x * 0.0))
     # entry 0 has its minimum at the right window end, where f' <= 0 is an
     # optimum; entries 1 and 2 have interior minima that cannot be bracketed
@@ -315,7 +320,7 @@ def test_window_end_cell_starts_at_the_cubic_root(end, seed):
     k = int(np.argmin(optimize._objective(xs, x_hat, inst._prior_info, P)))
     assert k == (0 if end == "lo" else last)
     x3 = xs[[max(k - 1, 0), k, min(k + 1, last)]]
-    _, d1, d2 = map(np.array, zip(*(optimize.objective_f(float(x), inst) for x in x3)))
+    _, d1, d2 = map(np.array, zip(*(optimize.objective_f(float(x), *_slot(inst)) for x in x3)))
     right = bool(d1[1] < 0.0)
     assert right == (end == "lo")
     (a, b), (ga, gb), (ha, hb) = (optimize._cell(v, right) for v in (x3, d1, d2))
@@ -324,7 +329,7 @@ def test_window_end_cell_starts_at_the_cubic_root(end, seed):
     start = float(start)
     assert a < start < b and start != 0.5 * (a + b)
     assert abs(_cubic_hermite(a, b, ga, gb, ha, hb)(start)) <= 1e-12 * max(-ga, gb)
-    slope = lambda x: optimize.objective_f(x, inst)[1:]
+    slope = lambda x: optimize.objective_f(x, *_slot(inst))[1:]
     want, _ = oracles._newton_bracketed(slope, float(a), float(b), 1e-9 * P.h_alt)
     res = optimize.solve_p1_sca(inst)
     assert res.iterations >= 1 and abs(res.x_breve_opt - want) <= 1e-12
@@ -450,8 +455,9 @@ def test_g0_jet_overhead_at_an_edge_weight_forms_only_its_term():
     # directly overhead the velocity information vv is 0: at alpha = 1 its
     # reciprocal carries no weight and is not formed, on floats as on arrays
     p = SystemParams(h_alt=10.0, alpha=1.0)
-    assert all(map(math.isfinite, optimize._g0_jet(0.0, p)))
-    assert optimize._g0_jet(0.0, p) == tuple(float(v[0]) for v in optimize._g0_jet(np.zeros(1), p))
+    assert all(map(math.isfinite, optimize.g0_derivatives(0.0, p)))
+    assert optimize.g0_derivatives(0.0, p) == tuple(
+        float(v[0]) for v in optimize.g0_derivatives(np.zeros(1), p))
 
 
 def test_g0_overhead_at_an_edge_weight_forms_only_its_term():
@@ -460,7 +466,7 @@ def test_g0_overhead_at_an_edge_weight_forms_only_its_term():
     # arrays do not warn
     p = SystemParams(h_alt=10.0, alpha=1.0)
     g = optimize._g0(0.0, p)
-    assert math.isfinite(g) and g == optimize._g0_jet(0.0, p)[0]
+    assert math.isfinite(g) and g == optimize.g0_derivatives(0.0, p)[0]
     with np.errstate(all="raise"):
         assert optimize._g0(np.zeros(1), p).tolist() == [g]
     # the other edge selects 1/vv alone, which is infinite overhead
@@ -504,10 +510,10 @@ _ALPHAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
          h=10.0)
 def test_objective_jet_matches_dual_oracle(x, dx_hat, log_m11, log_m22, rho, alpha, h):
     m11, m22 = math.exp(log_m11), math.exp(log_m22)
-    prior = Sym2(m11, rho * math.sqrt(m11 * m22), m22).inverse()
+    prior = inverse(m11, rho * math.sqrt(m11 * m22), m22)
     p = replace(P, alpha=alpha, h_alt=h)
     x_hat = x + dx_hat
-    _assert_jet_matches_oracle(optimize._objective_jet(x, x_hat, prior, p), optimize._objective,
+    _assert_jet_matches_oracle(optimize.objective_f(x, x_hat, prior, p), optimize._objective,
                                x, x_hat, prior, p)
 
 
@@ -515,7 +521,7 @@ def test_objective_jet_matches_dual_oracle(x, dx_hat, log_m11, log_m22, rho, alp
 @given(x=st.floats(0.1, 120.0), alpha=_ALPHAS, h=st.floats(10.0, 100.0))
 def test_g0_jet_matches_dual_oracle(x, alpha, h):
     p = replace(P, alpha=alpha, h_alt=h)
-    _assert_jet_matches_oracle(optimize._g0_jet(x, p), optimize._g0, x, p)
+    _assert_jet_matches_oracle(optimize.g0_derivatives(x, p), optimize._g0, x, p)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
@@ -526,14 +532,14 @@ def test_jets_on_arrays_equal_jets_on_floats(alpha):
     x_hat = x + rng.uniform(-20.0, 20.0, x.size)
     m11, m22 = rng.uniform(0.05, 5.0, x.size), rng.uniform(0.05, 5.0, x.size)
     prior = Sym2(m11, rng.uniform(-0.9, 0.9, x.size) * np.sqrt(m11 * m22), m22)
-    got = optimize._objective_jet(x, x_hat, prior, p)
-    want = [optimize._objective_jet(float(a), float(b), prior.at(i), p)
+    got = optimize.objective_f(x, x_hat, prior, p)
+    want = [optimize.objective_f(float(a), float(b), prior.at(i), p)
             for i, (a, b) in enumerate(zip(x, x_hat))]
     assert [tuple(part.tolist()) for part in got] == list(zip(*want))
     h = rng.uniform(10.0, 100.0, x.size)
     gx = np.abs(x) + 0.1
-    got = optimize._g0_jet(gx, p, h)
-    want = [optimize._g0_jet(float(a), replace(p, h_alt=float(b))) for a, b in zip(gx, h)]
+    got = optimize.g0_derivatives(gx, p, h)
+    want = [optimize.g0_derivatives(float(a), replace(p, h_alt=float(b))) for a, b in zip(gx, h)]
     assert [tuple(part.tolist()) for part in got] == list(zip(*want))
     assert all(type(v) is float for v in want[0])
 

@@ -560,7 +560,7 @@ def test_slot_solve_needs_a_sign_change_on_its_cell_only(monkeypatch):
     (lo, hi, x_hat_prev, prior, _, _), x = solves[2]
 
     def slope(t):
-        return simulate.optimize._objective_jet(t, float(x_hat_prev[0]), prior.at(0), params)[1]
+        return simulate.optimize.objective_f(t, float(x_hat_prev[0]), prior.at(0), params)[1]
     xs = np.linspace(lo[0], hi[0], simulate.optimize.P1_GRID_POINTS)
     i = int(np.searchsorted(xs, x))
     a, b = float(xs[i - 1]), float(xs[i])
@@ -593,7 +593,7 @@ def test_slot_solve_brackets_toward_lower_f_where_its_cell_holds_a_maximum(monke
     assert recs[1].x_breve == x
 
     def slope(t):
-        return simulate.optimize.objective_f(t, inst)[1]
+        return simulate.optimize.objective_f(t, inst.x_hat_prev, inst._prior_info, inst.params)[1]
     xs = np.linspace(inst.lo, inst.hi, simulate.optimize.P1_GRID_POINTS)
     k = int(np.searchsorted(xs, x_grid))
     assert xs[k] == x_grid and slope(float(xs[k - 1])) > 0.0 < slope(x_grid)
@@ -660,7 +660,7 @@ def test_batched_slot_solve_evaluation_budget(monkeypatch):
     # one (n, 3) bracket evaluation plus one Newton round from the quintic
     # start; the sign checks and the window-end test cost nothing extra
     counts = {"jet": 0, "solves": 0}
-    jet, solve = simulate.optimize._objective_jet, simulate.optimize.solve_p1_each
+    jet, solve = simulate.optimize.objective_f, simulate.optimize.solve_p1_each
 
     def counting_jet(*args):
         counts["jet"] += 1
@@ -669,7 +669,7 @@ def test_batched_slot_solve_evaluation_budget(monkeypatch):
     def counting_solve(*args):
         counts["solves"] += 1
         return solve(*args)
-    monkeypatch.setattr(simulate.optimize, "_objective_jet", counting_jet)
+    monkeypatch.setattr(simulate.optimize, "objective_f", counting_jet)
     monkeypatch.setattr(simulate.optimize, "solve_p1_each", counting_solve)
     run_monte_carlo(ScenarioConfig(), P, 10)
     assert counts["solves"] == 100
