@@ -385,20 +385,20 @@ def _bracket_error(lo: float, hi: float, f_lo: float, f_hi: float, h=None) -> Br
         f_lo, f_hi)
 
 
-def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active, max_iter: int = 200):
+def _newton_bracketed_each(deriv_fn, lo, hi, tol: float, x0, active):
     """Safeguarded Newton roots of F on the brackets [lo, hi] of a batch,
     in lockstep, where the boolean array active is set, and the rounds
-    taken (a Python int, one deriv_fn call each; deriv_fn maps iterates
-    to (F, F') arrays).  Each entry starts from x0, strictly inside
-    [lo, hi] or its midpoint (as _newton_start's starts are); a round
-    shrinks its sign-change bracket to the iterate and takes the Newton
-    step, bisecting where the step leaves the bracket or F' <= 0.  An
-    entry stops where F is exactly 0 or a step is shorter than tol (a
-    converged step may round onto the shrunken bracket's end); all return
-    when every moving entry converges.  The callers check the sign change
-    F(lo) < 0 < F(hi) on values they have."""
+    taken (a Python int, at most 200, one deriv_fn call each; deriv_fn
+    maps iterates to (F, F') arrays).  Each entry starts from x0,
+    strictly inside [lo, hi] or its midpoint (as _newton_start's starts
+    are); a round shrinks its sign-change bracket to the iterate and
+    takes the Newton step, bisecting where the step leaves the bracket or
+    F' <= 0.  An entry stops where F is exactly 0 or a step is shorter
+    than tol (a converged step may round onto the shrunken bracket's
+    end); all return when every moving entry converges.  The callers
+    check the sign change F(lo) < 0 < F(hi) on values they have."""
     x = x0
-    for rounds in range(1, max_iter + 1):
+    for rounds in range(1, 201):
         f, df = deriv_fn(x)
         below = f < 0.0
         lo = np.where(below, x, lo)

@@ -25,16 +25,16 @@ by KEPT; one _record_columns pass after the slot loop gives every
 record column by name, computing those that evaluate a run (bound
 pairs, weighted_actual, rate, tr_mm) as predicted_pcrb and
 crb_measurement do per entry, flat over the helpers they share.
-run_scenario, the reference, runs one trial on floats.  The proposed
-rule runs the one slot solve, optimize.solve_p1_each, on one row for a
-float trial.
-run_monte_carlo runs every trial of both schemes in lockstep as rows,
-which differ from floats only in the rule tables (each scheme's
-_TARGET_RULES_EACH rule on its block); every check is one call that
-raises, on rows, for the lowest failing row.  A lockstep trial matches
-run_scenario at the same seed to about 1e-9 relative or better.  An
-error names the earliest slot at which a row fails and, among the rows
-failing at one step of it, the lowest.
+run_scenario, the reference, runs one trial on floats.
+run_monte_carlo runs every trial of both schemes in lockstep as rows.
+Both read one rule per scheme from _TARGET_RULES, which takes floats or
+rows; floats and rows differ only in that the lockstep runs each
+scheme's rule on its block of rows and that the proposed rule packs a
+float trial as one row for the slot solve, optimize.solve_p1_each.
+Every check is one call that raises, on rows, for the lowest failing
+row.  A lockstep trial matches run_scenario at the same seed to about
+1e-9 relative or better.  An error names the earliest slot at which a
+row fails and, among the rows failing at one step of it, the lowest.
 
 Determinism contract: one generator per trial, seeded with the trial's
 seed, consumed in a fixed order (2 draws for the initial estimate
@@ -157,30 +157,18 @@ def step_ground_truth(pos, vel, z0, z1, dt: float, factor):
     return pos + vel * dt + l11 * z0, vel + (l21 * z0 + l22 * z1)
 
 
-def _target_proposed(eta: float, x_hat: float, mse_pred: Sym2, params: SystemParams) -> float:
-    """_targets_proposed_each on one row."""
-    rows = np.array([[eta], [x_hat], [mse_pred.m11], [mse_pred.m12], [mse_pred.m22]])
-    (x_breve,) = _targets_proposed_each(rows[0], rows[1], Sym2(*rows[2:]), params).tolist()
-    return x_breve
-
-
-def _target_right_above(eta: float, x_hat: float, mse_pred: Sym2, params: SystemParams) -> float:
-    """Benchmark target: chase the predicted object position, saturating
-    at the speed limit; the rate constraint is ignored by design.  The
-    MSE is not read."""
-    reach = params.reach
-    if abs(eta) <= reach:
-        return 0.0
-    return eta - math.copysign(reach, eta)
-
-
-def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
-    """The proposed targets x_breve of a batch of trials (arrays, one
-    entry per trial): the prior information (checked first, as in
-    P1Instance), the P1 window and its solve where it has length, the
-    touching point of a degenerate window, and otherwise, where the
-    velocity envelope cannot reach the rate disc, the right-above
-    target, the reachable point nearest overhead (a flagged slot)."""
+def _target_proposed(eta, x_hat, mse_pred: Sym2, params: SystemParams):
+    """The proposed targets x_breve, of one trial on floats (packed as one
+    row) or of a batch of trials on rows: the prior information (checked
+    first, as in P1Instance), the P1 window and its solve where it has
+    length, the touching point of a degenerate window, and otherwise,
+    where the velocity envelope cannot reach the rate disc, the
+    right-above target, the reachable point nearest overhead (a flagged
+    slot)."""
+    if not isinstance(eta, np.ndarray):
+        rows = np.array([[eta], [x_hat], [mse_pred.m11], [mse_pred.m12], [mse_pred.m22]])
+        (x_breve,) = _target_proposed(rows[0], rows[1], Sym2(*rows[2:]), params).tolist()
+        return x_breve
     prior_info = ekf._prior_information(mse_pred)
     x_c = optimize.qos_radius(params)
     reach = params.reach
@@ -190,23 +178,25 @@ def _targets_proposed_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     x_opt = optimize.solve_p1_each(lo, hi, x_hat, prior_info, params, has_length)[0]
     if np.count_nonzero(has_length) == has_length.size:
         return x_opt
-    fallback = np.where(hi == lo, lo, _targets_right_above_each(eta, x_hat, mse_pred, params))
+    fallback = np.where(hi == lo, lo, _target_right_above(eta, x_hat, mse_pred, params))
     return np.where(has_length, x_opt, fallback)
 
 
-def _targets_right_above_each(eta, x_hat, mse_pred: Sym2, params: SystemParams):
-    """_target_right_above for a batch of trials; the MSEs are not read."""
+def _target_right_above(eta, x_hat, mse_pred: Sym2, params: SystemParams):
+    """Benchmark target, on floats or rows: chase the predicted object
+    position, saturating at the speed limit, eta minus eta clamped to
+    +/-reach; the rate constraint is ignored by design.  The MSE is not
+    read."""
     reach = params.reach
-    return np.where(np.abs(eta) <= reach, 0.0, eta - np.copysign(reach, eta))
+    if isinstance(eta, np.ndarray):
+        return eta - np.clip(eta, -reach, reach)
+    return eta - (-reach if eta < -reach else reach if eta > reach else eta)
 
 
+# each scheme's target rule, for run_scenario's floats and the lockstep's rows
 _TARGET_RULES = {
     "proposed": _target_proposed,
     "right_above": _target_right_above,
-}
-_TARGET_RULES_EACH = {
-    "proposed": _targets_proposed_each,
-    "right_above": _targets_right_above_each,
 }
 
 
@@ -368,10 +358,10 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     len(schemes) * n_trials rows.  Row j*n_trials + i is trial i of
     schemes[j]; it takes its draws from row i of draws, shape (n_trials,
     2 + 5*n_slots), and matches run_scenario at their seed.  The rows of
-    schemes[j] are block j, whose target rule (read from
-    _TARGET_RULES_EACH) runs on its rows only, so a row's columns do not
-    depend on the other rows.  Returns every RECORD_COLUMNS column by
-    name, each (rows, n_slots).
+    schemes[j] are block j, whose target rule (the one _TARGET_RULES
+    entry run_scenario reads) runs on its rows only, so a row's columns
+    do not depend on the other rows.  Returns every RECORD_COLUMNS
+    column by name, each (rows, n_slots).
 
     An error is raised at the earliest slot at which a row fails, as
     run_scenario raises it, and among the rows failing at one step of
@@ -380,7 +370,7 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     seed and the slot; an error shared by all trials names trial 0.
     """
     n_trials = draws.shape[0]
-    blocks = [(_TARGET_RULES_EACH[scheme], slice(j * n_trials, (j + 1) * n_trials))
+    blocks = [(_TARGET_RULES[scheme], slice(j * n_trials, (j + 1) * n_trials))
               for j, scheme in enumerate(schemes)]
 
     def targets(eta, x_hat, m: Sym2, params):

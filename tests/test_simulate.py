@@ -179,6 +179,31 @@ def test_degenerate_window_holds_still_unflagged():
     assert all(not r.flagged and r.x_uav == 0.0 for r in recs)
 
 
+@pytest.mark.parametrize("scheme", ["proposed", "right_above"])
+@pytest.mark.parametrize("params", [P, replace(P, v_a_max=0.0), replace(P, gamma_c=12.0)],
+                         ids=["default", "touching_point", "flagged_fallback"])
+def test_target_rule_gives_the_same_target_on_floats_as_on_a_row(scheme, params):
+    # one rule per scheme takes one trial's floats and a block of rows; the
+    # edge etas sit on and next to the reach (a subnormal where it is 0)
+    rule = simulate._TARGET_RULES[scheme]
+    r = params.reach
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for e in (r, math.nextafter(r, math.inf), math.nextafter(r, -math.inf)):
+        edges += [e, -e]
+    rng = np.random.default_rng(33)
+    for eta in edges + rng.uniform(-120.0, 120.0, 40).tolist():
+        x_hat = eta + float(rng.normal())
+        m11, m22 = rng.uniform(0.1, 5.0, 2).tolist()
+        m12 = float(rng.uniform(-0.9, 0.9)) * math.sqrt(m11 * m22)
+        row = [np.array([v]) for v in (eta, x_hat, m11, m12, m22)]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the slot loop
+            got = rule(eta, x_hat, Sym2(m11, m12, m22), params)
+            (want,) = rule(row[0], row[1], Sym2(*row[2:]), params).tolist()
+        assert type(got) is float and repr(got) == repr(want), eta
+        if scheme == "right_above":  # the chase, saturating at the reach
+            assert repr(got) == repr(0.0 if abs(eta) <= r else eta - math.copysign(r, eta))
+
+
 @pytest.mark.parametrize("cfg", [
     ScenarioConfig(n_slots=12),
     ScenarioConfig(n_slots=12, scheme="right_above"),
@@ -245,9 +270,11 @@ def test_slot_loop_operation_counts(monkeypatch):
 
 def test_slot_loop_value_object_budget(monkeypatch):
     """The loop carries plain values from step to step: a right-above slot
-    builds its three Sym2 (the prediction MSE, its inverse and the
-    inverse of the posterior information, which is passed as entries)
-    and its SlotRecord; the package has no other per-slot value type."""
+    builds 4 objects, its three Sym2 (the prediction MSE, its inverse and
+    the inverse of the posterior information, which is passed as
+    entries) and its SlotRecord, and a proposed slot 6, two more Sym2 of
+    one-row arrays for the slot solve (the packed prediction MSE and its
+    inverse); the package has no other per-slot value type."""
     counts = Counter()
 
     def counting(cls):
@@ -265,6 +292,9 @@ def test_slot_loop_value_object_budget(monkeypatch):
     # Sym2: the initial MSE, 3 per slot (slot 1's plan is made at slot 0,
     # and none follows slot 10), and the column pass's prior
     assert counts == {"Sym2": 1 + 3 * 10 + 1, "SlotRecord": 10}
+    counts.clear()
+    run_scenario(ScenarioConfig(n_slots=10), P)
+    assert counts == {"Sym2": 1 + 5 * 10 + 1, "SlotRecord": 10}
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "right_above"])
@@ -700,7 +730,7 @@ def test_lockstep_numpy_call_budget():
     cols, calls = numpy_calls.count_calls(simulate._run_lockstep, cfg, P,
                                           ("proposed", "right_above"),
                                           draws.view(numpy_calls.Counted))
-    assert calls <= 5340
+    assert calls <= 5310
     want = simulate._run_lockstep(cfg, P, ("proposed", "right_above"), draws)
     assert all(cols[name].view(np.ndarray).tolist() == want[name].tolist() for name in want)
 
@@ -801,11 +831,11 @@ def _failing_at(rule, slot, trial):
 def test_monte_carlo_error_order_across_schemes(monkeypatch, proposed, right_above, want):
     cfg = ScenarioConfig(n_slots=6, seed=10)
     failures = {"proposed": proposed, "right_above": right_above}
-    rules = dict(simulate._TARGET_RULES_EACH)
+    rules = dict(simulate._TARGET_RULES)
 
     def patch_rules():
         for scheme, (slot, trial) in failures.items():
-            monkeypatch.setitem(simulate._TARGET_RULES_EACH, scheme,
+            monkeypatch.setitem(simulate._TARGET_RULES, scheme,
                                 _failing_at(rules[scheme], slot, trial))
     patch_rules()
     scheme, slot, trial = want
@@ -845,13 +875,13 @@ def test_monte_carlo_error_names_trial_seed_and_slot():
 
 
 def test_monte_carlo_error_names_lowest_failing_trial(monkeypatch):
-    chase = simulate._TARGET_RULES_EACH["right_above"]
+    chase = simulate._TARGET_RULES["right_above"]
 
     def beyond_reach(eta, x_hat, mse_pred, params):
         x_breve = chase(eta, x_hat, mse_pred, params)
         x_breve[2:] += 100.0  # trials 2 and 3 ask for more than one slot's reach
         return x_breve
-    monkeypatch.setitem(simulate._TARGET_RULES_EACH, "right_above", beyond_reach)
+    monkeypatch.setitem(simulate._TARGET_RULES, "right_above", beyond_reach)
     with pytest.raises(VelocityBoundError,
                        match=r"^trial 2 \(seed 7\), slot 0: \|x_breve - eta\|") as exc_info:
         run_monte_carlo(ScenarioConfig(n_slots=4, seed=5), P, n_trials=4)
