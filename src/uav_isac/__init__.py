@@ -17,8 +17,8 @@ from .errors import (
     VelocityBoundError,
 )
 from .params import SystemParams
-from .sensing import achievable_rate, sample_measurement
-from .ekf import crb_measurement, predict, predicted_pcrb, update
+from .sensing import achievable_rate, measured_variances, sample_measurement
+from .ekf import crb_measurement, predict, predicted_pcrb, prior_information, update
 from .optimize import (
     P1Instance,
     ScaResult,
@@ -30,8 +30,8 @@ from .optimize import (
     sweep_angle,
     tradeoff_frontier,
 )
-from .simulate import (MonteCarloStats, ScenarioConfig, SlotRecord, run_monte_carlo, run_scenario,
-                       step_ground_truth)
+from .simulate import (MonteCarloStats, ScenarioConfig, SlotRecord, process_noise_factor,
+                       run_monte_carlo, run_scenario, step_ground_truth)
 from .validate import CheckResult, run_all
 
 __version__ = "0.1.0"
@@ -56,8 +56,11 @@ __all__ = [
     "achievable_rate",
     "crb_measurement",
     "design_trajectory",
+    "measured_variances",
     "predict",
     "predicted_pcrb",
+    "prior_information",
+    "process_noise_factor",
     "qos_radius",
     "run_all",
     "run_monte_carlo",

@@ -15,57 +15,63 @@ path serves plain floats and numpy arrays.  Each bound is a rational
 function of position and velocity, so the value, d/dx and d^2/dx^2
 that the solvers read (v tied linearly to x) are written out in closed
 form next to the expressions: _fisher_jets and _weighted_jet.  The
-filter's steps are value functions, the ones the slot loop calls:
-predict maps the posterior MSE to the prediction MSE, and update maps
-the planned (x, v), the prior information, the weights and the
-measurement to (x_hat, v_hat, mse).  update reads the measurement map at
-(x, v), so it takes sensing's namespace xp: math, or numpy for the
-Monte-Carlo batch; its inversions are the same calls for both.
+filter's steps are value functions, the ones the slot loop calls, and
+every 2x2 matrix they take or return is its entry triple (linalg2):
+predict maps the posterior MSE to the prediction MSE, prior_information
+checks and inverts the prediction MSE, and update maps the planned
+(x, v), the prior information, the weights and the measurement to
+(x_hat, v_hat, mse).  update reads the measurement map at (x, v), so it
+takes sensing's namespace xp: math, or numpy for the Monte-Carlo batch;
+its inversions are the same calls for both.
 """
 
 from __future__ import annotations
 
 import math
 
-from .linalg2 import Sym2, inverse, require_positive_definite
+from .linalg2 import inverse, require_positive_definite
 from .params import SystemParams
 from .sensing import jacobian, measure_mean, noise_weights
 
 
-def predict(m: Sym2, params: SystemParams) -> Sym2:
+def predict(m, params: SystemParams):
     """The prediction MSE G M G^T + Q_s of the posterior MSE m, one slot
-    ahead under constant relative velocity, G = [[1, dt], [0, 1]];
-    generic over floats and arrays.
+    ahead under constant relative velocity, G = [[1, dt], [0, 1]]; entry
+    triples of floats or arrays.
 
     The predicted state is not formed here: the tracking loop centers
     the reachable window on x_hat + v_hat*dt and plans the predicted
     relative state itself (see simulate).
     """
     dt = params.dt
+    m11, m12, m22 = m
+    q11, q12, q22 = params.process_noise
     # G M G^T written out
-    g11 = m.m11 + 2.0 * dt * m.m12 + dt * dt * m.m22
-    g12 = m.m12 + dt * m.m22
-    q = params.process_noise
-    return Sym2(g11 + q.m11, g12 + q.m12, m.m22 + q.m22)
+    return m11 + 2.0 * dt * m12 + dt * dt * m22 + q11, m12 + dt * m22 + q12, m22 + q22
 
 
-def _prior_information(m: Sym2) -> Sym2:
-    """M_p^{-1} of the prediction MSE m, on one determinant; raises
-    NotPositiveDefiniteError unless m is positive definite."""
-    return inverse(m.m11, m.m12, m.m22, require_positive_definite(m, "mse_pred"))
+def prior_information(m):
+    """M_p^{-1} of the prediction MSE m, on one determinant: the check
+    that a prediction MSE is usable, entry triple to entry triple.
+    Raises NotPositiveDefiniteError unless m is positive definite."""
+    m11, m12, m22 = m
+    return inverse(m11, m12, m22, require_positive_definite(m, "mse_pred"))
 
 
-def update(x, v, prior_info: Sym2, w, y, params: SystemParams, xp=math):
+def update(x, v, prior_info, w, y, params: SystemParams, xp=math):
     """Measurement update in information form: the posterior (x_hat,
     v_hat, mse) at the predicted state (x, v) for the prediction's
-    information prior_info = M_p^{-1} (_prior_information), channel
-    weights w = (1/s1, 1/s2, 1/s3) and the measurement y = (phi, tau, mu).
+    information prior_info = M_p^{-1} (an entry triple), channel weights
+    w = (1/s1, 1/s2, 1/s3) and the measurement y = (phi, tau, mu).
 
     With the Jacobian J at (x, v) and R^{-1} = diag(w), the information is
-    M_p^{-1} + J^T R^{-1} J, its inverse the posterior MSE M+, and the
-    estimate x+ = (x, v) + M+ J^T R^{-1} (y - h(x, v)), all in 2x2 closed
-    form.  The caller checks the weights (sensing._measured_variances);
-    raises SingularMatrixError when the information is numerically
+    M_p^{-1} + J^T R^{-1} J, its inverse the posterior MSE M+ (an entry
+    triple), and the estimate x+ = (x, v) + M+ J^T R^{-1} (y - h(x, v)),
+    all in 2x2 closed form.  update checks nothing: a caller runs the two
+    checks first, sensing.measured_variances(w) on the weights and
+    prior_information(mse_pred), which forms prior_info and refuses a
+    prediction MSE that is not positive definite; update then raises
+    only SingularMatrixError, when the information is numerically
     singular.  With xp numpy, of a batch whose values are arrays.
     """
     phi, tau, mu = measure_mean(x, v, params, xp)
@@ -74,8 +80,8 @@ def update(x, v, prior_info: Sym2, w, y, params: SystemParams, xp=math):
     r3 = w3 * (y[2] - mu)
     # the angle and delay rows carry no velocity
     gx, gv = iota * (w1 * (y[0] - phi)) + kappa * (w2 * (y[1] - tau)) + zeta * r3, nu * r3
-    mse = inverse(*_add_information(prior_info, *_fisher_terms(x, v, params, w)))
-    return x + mse.m11 * gx + mse.m12 * gv, v + mse.m12 * gx + mse.m22 * gv, mse
+    m11, m12, m22 = mse = inverse(*_add_information(prior_info, *_fisher_terms(x, v, params, w)))
+    return x + m11 * gx + m12 * gv, v + m12 * gx + m22 * gv, mse
 
 
 # -- the information-form core, generic over float / ndarray --
@@ -142,10 +148,11 @@ def _fisher_jets(x, v, params: SystemParams, dv=0.0, h_alt=None):
     return i_pos, zz, zv, vv
 
 
-def _add_information(prior_info: Sym2, i_pos, zz, zv, vv):
+def _add_information(prior_info, i_pos, zz, zv, vv):
     """Prior information plus measurement information, as its entries
     (a11, a12, a22): the sum is inverted or bounded, never kept."""
-    return prior_info.m11 + i_pos + zz, prior_info.m12 + zv, prior_info.m22 + vv
+    p11, p12, p22 = prior_info
+    return p11 + i_pos + zz, p12 + zv, p22 + vv
 
 
 def _weighted(bound_x, bound_v, alpha: float):
@@ -176,7 +183,7 @@ def _reciprocal_jet(p):
     return w, -p[1] * w2, (2.0 * p[1] * p[1] * w - p[2]) * w2
 
 
-def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
+def _weighted_jet(prior_info, jets, alpha: float):
     """Jet of _bounds(prior_info + terms, alpha)[2] from the terms' jets:
     N/D with N = alpha*a22 + (1-alpha)*a11 and D = det(a), so
     f' = (N' - f D')/D and f'' = (N'' - 2 f' D' - f D'')/D, alpha edges
@@ -187,9 +194,10 @@ def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
             return _reciprocal_jet(i_pos if alpha == 1.0 else vv)
         return tuple(_weighted(bx, bv, alpha)
                      for bx, bv in zip(_reciprocal_jet(i_pos), _reciprocal_jet(vv)))
-    a11, d11, e11 = prior_info.m11 + i_pos[0] + zz[0], i_pos[1] + zz[1], i_pos[2] + zz[2]
-    a12, d12, e12 = prior_info.m12 + zv[0], zv[1], zv[2]
-    a22, d22, e22 = prior_info.m22 + vv[0], vv[1], vv[2]
+    p11, p12, p22 = prior_info
+    a11, d11, e11 = p11 + i_pos[0] + zz[0], i_pos[1] + zz[1], i_pos[2] + zz[2]
+    a12, d12, e12 = p12 + zv[0], zv[1], zv[2]
+    a22, d22, e22 = p22 + vv[0], vv[1], vv[2]
     inv = 1.0 / (a11 * a22 - a12 * a12)
     f = _weighted(a22 * inv, a11 * inv, alpha)
     dd = d11 * a22 + a11 * d22 - 2.0 * a12 * d12
@@ -198,10 +206,10 @@ def _weighted_jet(prior_info: Sym2 | None, jets, alpha: float):
     return f, f1, (_weighted(e22, e11, alpha) - 2.0 * f1 * dd - f * ed) * inv
 
 
-def predicted_pcrb(x, v, prior_info: Sym2, params: SystemParams):
+def predicted_pcrb(x, v, prior_info, params: SystemParams):
     """Anticipated bounds (pcrb_x, pcrb_v, weighted) at a candidate
     predicted state (x, v), floats or arrays: the diagonal of the inverse
-    of prior_info (_prior_information of the prediction MSE) plus the
+    of prior_info (prior_information of the prediction MSE) plus the
     measurement information at (x, v) for the weights modelled at x, in
     m^2 and m^2/s^2, and their alpha-weighted combination (_bounds)."""
     return _bounds(*_add_information(prior_info, *_fisher_terms(x, v, params)), params.alpha)

@@ -45,7 +45,6 @@ from .errors import (
     VelocityBoundError,
     raise_at_first,
 )
-from .linalg2 import Sym2
 from .params import SystemParams, _check_alpha, _is_integer
 # achievable_rate is re-exported: code outside the package refers to optimize.achievable_rate
 from .sensing import achievable_rate, comm_snr  # noqa: F401
@@ -78,21 +77,21 @@ class P1Instance:
     predicted position x_breve is eta_prev +/- v_a_max*dt intersected
     with the QoS disc |x_breve| <= x_c.  x_hat_prev couples candidate
     positions to predicted velocities via
-    v_breve = (x_breve - x_hat_prev)/dt, and mse_pred supplies the
-    prior information for the anticipated bound.
+    v_breve = (x_breve - x_hat_prev)/dt, and mse_pred, an entry triple,
+    supplies the prior information for the anticipated bound.
     """
 
     eta_prev: float
     x_hat_prev: float
-    mse_pred: Sym2
+    mse_pred: tuple[float, float, float]
     params: SystemParams
     x_c: float = field(init=False, repr=False)
     lo: float = field(init=False)
     hi: float = field(init=False)
-    _prior_info: Sym2 = field(init=False, repr=False)
+    _prior_info: tuple[float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._prior_info = ekf._prior_information(self.mse_pred)
+        self._prior_info = ekf.prior_information(self.mse_pred)
         self.x_c = qos_radius(self.params)
         reach = self.params.reach
         self.lo = max(-self.x_c, self.eta_prev - reach)
@@ -141,7 +140,7 @@ _NEIGHBOURS = np.array([[-1], [0], [1]])
 _WHOLE_BRACKET = np.array([3, 3, 4])
 
 
-def _objective(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
+def _objective(x_breve, x_hat_prev, prior_info, params: SystemParams):
     """Weighted anticipated bound at x_breve, generic over floats and
     numpy arrays.  The candidate velocity is tied to the candidate
     position, v_breve = (x_breve - x_hat_prev)/dt, so f is a function of
@@ -150,7 +149,7 @@ def _objective(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
     return ekf.predicted_pcrb(x_breve, v_breve, prior_info, params)[2]
 
 
-def objective_f(x_breve, x_hat_prev, prior_info: Sym2, params: SystemParams):
+def objective_f(x_breve, x_hat_prev, prior_info, params: SystemParams):
     """(f, f', f'') of the weighted anticipated bound _objective at
     x_breve, in closed form; floats or arrays.  dv_breve/dx_breve = 1/dt."""
     r = 1.0 / params.dt
@@ -262,14 +261,14 @@ def _grid_basin_each(fn, jet, lo, hi, ends=False):
     return k, x3[1], fs[k, window], points, jet(points)
 
 
-def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, solve):
+def solve_p1_each(lo, hi, x_hat_prev, prior_info, params: SystemParams, solve):
     """Minimize the slot objective over the feasible windows of a batch
     of slot problems, in lockstep, in the steps the module docstring
     names.
 
     Entry i is the window [lo[i], hi[i]] with x_hat_prev[i] and prior
-    information prior_info.at(i); the arguments are arrays of one shape
-    (n,).  Only entries where the boolean array solve is set are solved,
+    information entry i of prior_info, a triple of arrays; the arguments
+    are arrays of one shape (n,).  Only entries where the boolean array solve is set are solved,
     and they must have windows of positive length; the others return
     their grid point.  A grid minimum at a window end whose f' points
     out of the window, or one where f' is exactly 0, is returned
@@ -310,13 +309,12 @@ def solve_p1_each(lo, hi, x_hat_prev, prior_info: Sym2, params: SystemParams, so
 def solve_p1_sca(inst: P1Instance) -> ScaResult:
     """Minimize the slot objective over the feasible window: solve_p1_each
     on one row."""
-    lo, hi, x_hat_prev = np.array([[inst.lo], [inst.hi], [inst.x_hat_prev]])
-    prior = inst._prior_info
-    x, rounds, x_grid, f_grid = solve_p1_each(
-        lo, hi, x_hat_prev, Sym2(*np.array([[prior.m11], [prior.m12], [prior.m22]])),
-        inst.params, np.ones(1, bool))
+    lo, hi, x_hat_prev, *prior_row = np.array([[inst.lo], [inst.hi], [inst.x_hat_prev],
+                                               *([m] for m in inst._prior_info)])
+    x, rounds, x_grid, f_grid = solve_p1_each(lo, hi, x_hat_prev, prior_row, inst.params,
+                                              np.ones(1, bool))
     x, x_grid, f_grid = (float(v[0]) for v in (x, x_grid, f_grid))
-    f = _objective(x, inst.x_hat_prev, prior, inst.params)
+    f = _objective(x, inst.x_hat_prev, inst._prior_info, inst.params)
     return ScaResult(x, (x - inst.x_hat_prev) / inst.params.dt, f, rounds,
                      ((x_grid, f_grid), (x, f)))
 

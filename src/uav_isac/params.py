@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .linalg2 import Sym2, process_noise_cov
+from .linalg2 import process_noise_cov
 
 SPEED_OF_LIGHT = 2.9979e8  # m/s
 
@@ -165,8 +165,9 @@ class SystemParams:
         return k, k * self.f_c * self.f_c
 
     @cached_property
-    def process_noise(self) -> Sym2:
-        """Process-noise covariance Q_s = process_noise_cov(dt, q_tilde)."""
+    def process_noise(self) -> tuple[float, float, float]:
+        """Process-noise covariance Q_s = process_noise_cov(dt, q_tilde),
+        as its entry triple."""
         return process_noise_cov(self.dt, self.q_tilde)
 
 

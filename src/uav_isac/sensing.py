@@ -10,7 +10,7 @@ downlink rate.
 The noise model is one formula, noise_weights: the per-channel
 reciprocal variances 1/s_i at offset x.  The sampled measurement noise,
 the filter update and both estimation bounds all read it.
-_measured_variances is the one check that weights are usable (finite
+measured_variances is the one check that weights are usable (finite
 and positive); the slot loop calls it on floats or on rows before it
 samples, so a geometry too far or not finite is refused the same way by
 each.
@@ -86,7 +86,7 @@ def _variances(w) -> tuple[float, float, float]:
     return 1.0 / w1 if w1 else math.inf, 1.0 / w2 if w2 else math.inf, 1.0 / w3 if w3 else math.inf
 
 
-def _measured_variances(w) -> tuple[float, float, float]:
+def measured_variances(w) -> tuple[float, float, float]:
     """The variances 1/w_i of channel weights w, floats or arrays with an
     entry per row.  The one check that weights are usable: raises
     SingularMatrixError, naming the variances of the lowest failing entry
@@ -121,7 +121,7 @@ def jacobian(x, v, params: SystemParams, xp=math):
 def sample_measurement(x, v, s, z, k: float, params: SystemParams, xp=math):
     """One noisy measurement (phi, tau, mu) at the true relative state
     (x, v): measure_mean plus k*sqrt(s_i)*z_i on channel i, for the
-    variances s = (s1, s2, s3) that _measured_variances returns and
+    variances s = (s1, s2, s3) that measured_variances returns and
     standard-normal draws z = (z1, z2, z3), which the caller owns.  k
     scales the noise standard deviations (0 gives the mean exactly)."""
     phi, tau, mu = measure_mean(x, v, params, xp)

@@ -14,11 +14,13 @@ and, unless it was the last slot, the next slot is planned.
 
 Only the plan and the filter feed the next slot, as plain values: _plan
 returns (x_a, v_a, x_breve, v_breve, mse_pred) and ekf.update (x_hat,
-v_hat, mse), so a slot builds no value object but its Sym2 matrices.
-The slot's steps are the public one-step value functions,
-step_ground_truth, sensing.sample_measurement, ekf.predict (in _plan)
-and ekf.update.  One loop, _track, runs the slots, on Python floats for
-one trial or on numpy arrays with one row per scheme and trial, each
+v_hat, mse), every 2x2 matrix an entry triple (linalg2), so a float
+slot builds no value object but its SlotRecord.  The slot's steps are
+the public one-step value functions, step_ground_truth,
+sensing.measured_variances, ekf.prior_information,
+sensing.sample_measurement, ekf.update and ekf.predict (in _plan).  One
+loop, _track, runs the slots, on Python floats for one trial or on
+numpy arrays with one row per scheme and trial, each
 step the same call with xp=math or xp=numpy (numpy transcendentals may
 differ from math's by an ulp).  It keeps the values of every slot named
 by KEPT; one _record_columns pass after the slot loop gives every
@@ -57,7 +59,6 @@ import numpy as np
 
 from . import ekf, optimize, sensing
 from .errors import ConfigError, SingularMatrixError, raise_at_first
-from .linalg2 import Sym2
 from .params import SystemParams, _is_integer
 
 
@@ -133,15 +134,15 @@ class ScenarioConfig:
             raise ConfigError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
 
-def _process_noise_factor(params: SystemParams) -> tuple[float, float, float]:
+def process_noise_factor(params: SystemParams) -> tuple[float, float, float]:
     """Lower Cholesky factor (l11, l21, l22) of the process-noise
     covariance Q_s; all zero when q_tilde = 0."""
-    q = params.process_noise
-    if not q.m11 > 0.0:
+    q11, q12, q22 = params.process_noise
+    if not q11 > 0.0:
         return 0.0, 0.0, 0.0
-    l11 = math.sqrt(q.m11)
-    l21 = q.m12 / l11
-    return l11, l21, math.sqrt(max(q.m22 - l21 * l21, 0.0))
+    l11 = math.sqrt(q11)
+    l21 = q12 / l11
+    return l11, l21, math.sqrt(max(q22 - l21 * l21, 0.0))
 
 
 def step_ground_truth(pos, vel, z0, z1, dt: float, factor):
@@ -149,7 +150,7 @@ def step_ground_truth(pos, vel, z0, z1, dt: float, factor):
     motion plus the process noise of covariance Q_s
     (linalg2.process_noise_cov) for two standard-normal draws (z0, z1),
     applied jointly to position and velocity through its lower Cholesky
-    factor (l11, l21, l22) (_process_noise_factor); generic over floats
+    factor (l11, l21, l22) (process_noise_factor); generic over floats
     and arrays.  The tracking loop takes two draws per slot even when
     q_tilde = 0, so that stream alignment does not depend on q_tilde.
     """
@@ -157,7 +158,7 @@ def step_ground_truth(pos, vel, z0, z1, dt: float, factor):
     return pos + vel * dt + l11 * z0, vel + (l21 * z0 + l22 * z1)
 
 
-def _target_proposed(eta, x_hat, mse_pred: Sym2, params: SystemParams):
+def _target_proposed(eta, x_hat, mse_pred, params: SystemParams):
     """The proposed targets x_breve, of one trial on floats (packed as one
     row) or of a batch of trials on rows: the prior information (checked
     first, as in P1Instance), the P1 window and its solve where it has
@@ -166,10 +167,10 @@ def _target_proposed(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     right-above target, the reachable point nearest overhead (a flagged
     slot)."""
     if not isinstance(eta, np.ndarray):
-        rows = np.array([[eta], [x_hat], [mse_pred.m11], [mse_pred.m12], [mse_pred.m22]])
-        (x_breve,) = _target_proposed(rows[0], rows[1], Sym2(*rows[2:]), params).tolist()
+        rows = np.array([[eta], [x_hat], *([m] for m in mse_pred)])
+        (x_breve,) = _target_proposed(rows[0], rows[1], rows[2:], params).tolist()
         return x_breve
-    prior_info = ekf._prior_information(mse_pred)
+    prior_info = ekf.prior_information(mse_pred)
     x_c = optimize.qos_radius(params)
     reach = params.reach
     lo = np.maximum(-x_c, eta - reach)
@@ -182,7 +183,7 @@ def _target_proposed(eta, x_hat, mse_pred: Sym2, params: SystemParams):
     return np.where(has_length, x_opt, fallback)
 
 
-def _target_right_above(eta, x_hat, mse_pred: Sym2, params: SystemParams):
+def _target_right_above(eta, x_hat, mse_pred, params: SystemParams):
     """Benchmark target, on floats or rows: chase the predicted object
     position, saturating at the speed limit, eta minus eta clamped to
     +/-reach; the rate constraint is ignored by design.  The MSE is not
@@ -250,7 +251,7 @@ def _record_columns(kept: np.ndarray, params: SystemParams) -> dict:
     +inf where x_breve = 0 and 1/i_pos is finite, as in crb_measurement."""
     cols = dict(zip(KEPT, kept.swapaxes(0, 1)))
     x, v, x_breve = cols["x_true"], cols["v_true"], cols["x_breve"]
-    prior = Sym2(cols["prior_m11"], cols["prior_m12"], cols["prior_m22"])
+    prior = cols["prior_m11"], cols["prior_m12"], cols["prior_m22"]
     cols["rate_bpshz"] = sensing.achievable_rate(x_breve, params, np)
     w = cols["w1"], cols["w2"], cols["w3"]
     cols["pcrb_x_actual"], cols["pcrb_v_actual"], cols["weighted_actual"] = ekf._bounds(
@@ -286,14 +287,14 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
     """
     xp = math if rows is None else np
     dt, k = p.dt, cfg.noise_scale
-    factor = _process_noise_factor(p)
+    factor = process_noise_factor(p)
     zero = 0.0 if rows is None else np.zeros(rows)
     obj_pos, obj_vel = cfg.init_obj_pos + zero, cfg.init_obj_vel + zero
     uav_pos, uav_vel = cfg.init_uav_pos + zero, cfg.init_uav_vel + zero
     draws = iter(z)
     x_hat = (cfg.init_obj_pos - cfg.init_uav_pos) + cfg.init_est_std[0] * next(draws)
     v_hat = (cfg.init_obj_vel - cfg.init_uav_vel) + cfg.init_est_std[1] * next(draws)
-    mse = Sym2(cfg.init_mse[0] + zero, zero, cfg.init_mse[1] + zero)
+    mse = cfg.init_mse[0] + zero, zero, cfg.init_mse[1] + zero
 
     # per slot: the KEPT values, a tuple of floats (a list and one np.fromiter beat a
     # per-slot array store) or rows preallocated (a list of row tuples doubles the memory)
@@ -310,12 +311,12 @@ def _track(cfg: ScenarioConfig, p: SystemParams, z, targets, rows=None):
             w = sensing.noise_weights(x, p)
             # the weights are checked first, then the prediction MSE: a geometry
             # too far to measure is refused as such whatever the MSE
-            s = sensing._measured_variances(w)
-            prior = ekf._prior_information(mse_pred)
+            s = sensing.measured_variances(w)
+            prior = ekf.prior_information(mse_pred)
             y = sensing.sample_measurement(x, v, s, (e1, e2, e3), k, p, xp)
             x_hat, v_hat, mse = ekf.update(x_breve, v_breve, prior, w, y, p, xp)
             kept[n - 1] = (x, v, x_hat, v_hat, x_breve, v_breve, uav_pos, uav_vel,
-                           mse_pred.trace, *w, prior.m11, prior.m12, prior.m22)
+                           mse_pred[0] + mse_pred[2], *w, *prior)
             if n < cfg.n_slots:
                 x_a, v_a, x_breve, v_breve, mse_pred = _plan(x_hat, v_hat, mse, uav_pos,
                                                              uav_vel, p, targets)
@@ -373,8 +374,8 @@ def _run_lockstep(cfg: ScenarioConfig, params: SystemParams, schemes: tuple[str,
     blocks = [(_TARGET_RULES[scheme], slice(j * n_trials, (j + 1) * n_trials))
               for j, scheme in enumerate(schemes)]
 
-    def targets(eta, x_hat, m: Sym2, params):
-        return np.concatenate([rule(eta[r], x_hat[r], Sym2(m.m11[r], m.m12[r], m.m22[r]), params)
+    def targets(eta, x_hat, m, params):
+        return np.concatenate([rule(eta[r], x_hat[r], [mij[r] for mij in m], params)
                                for rule, r in blocks])
     try:
         cols = _track(cfg, params, np.tile(draws.T, len(schemes)), targets,

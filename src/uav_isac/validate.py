@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ekf, linalg2, optimize, sensing, simulate
-from .linalg2 import Sym2
 from .params import SystemParams
 
 
@@ -44,6 +43,12 @@ def _central(fn, x: float, h: float):
     """Central differences of fn at x with step h: (f', f'')."""
     fp, f, fm = fn(x + h), fn(x), fn(x - h)
     return (fp - fm) / (2.0 * h), (fp - 2.0 * f + fm) / (h * h)
+
+
+def _dense(m) -> np.ndarray:
+    """The symmetric 2x2 matrix of entry triple m as an array."""
+    m11, m12, m22 = m
+    return np.array([[m11, m12], [m12, m22]])
 
 
 def _dense_jacobian(x: float, v: float, p: SystemParams) -> np.ndarray:
@@ -100,11 +105,10 @@ def _check_process_noise_psd(p: SystemParams, rng) -> tuple[bool, str]:
     """Q_s at p's dt and q_tilde: PSD and equal to the closed form."""
     dt, q = p.dt, p.q_tilde
     m = linalg2.process_noise_cov(dt, q)
-    if np.linalg.eigvalsh(m.as_array())[0] < -1e-15 * max(m.trace, 1e-30):
+    if np.linalg.eigvalsh(_dense(m))[0] < -1e-15 * max(m[0] + m[2], 1e-30):
         return False, f"negative eigenvalue at dt={dt}, q={q}"
     want = (q * dt ** 3 / 3.0, q * dt * dt / 2.0, q * dt)
-    if any(_rel_err(a, b) > 1e-14 and abs(a - b) > 1e-300
-           for a, b in zip((m.m11, m.m12, m.m22), want)):
+    if any(_rel_err(a, b) > 1e-14 and abs(a - b) > 1e-300 for a, b in zip(m, want)):
         return False, f"entries off at dt={dt}, q={q}"
     return True, "PSD, closed form matches"
 
@@ -131,7 +135,7 @@ def _check_pcrb_vs_generic(p: SystemParams, rng) -> tuple[bool, str]:
         v = float(rng.uniform(-20.0, 20.0))
         cov = np.linalg.inv(np.linalg.inv(m_arr) + _dense_fisher(x, v, p))
         pcrb_x, pcrb_v, _ = ekf.predicted_pcrb(
-            x, v, ekf._prior_information(Sym2.from_array(m_arr)), p)
+            x, v, ekf.prior_information(m_arr[[0, 0, 1], [0, 1, 1]].tolist()), p)
         worst = max(worst, _rel_err(pcrb_x, cov[0, 0]), _rel_err(pcrb_v, cov[1, 1]))
     return worst < 1e-9, f"max rel err {worst:.3g}"
 
@@ -153,7 +157,7 @@ def _derivatives_vs_fd(jet, value, lo: float, hi: float) -> tuple[bool, str]:
 def _check_objective_derivatives(p: SystemParams, rng) -> tuple[bool, str]:
     """Slot-objective f', f'' vs finite differences of the float objective
     on [34, 46] m, x_hat_prev = 38 m and prediction MSE diag(1, 0.25)."""
-    prior = ekf._prior_information(Sym2.diag(1.0, 0.25))
+    prior = ekf.prior_information((1.0, 0.0, 0.25))
     return _derivatives_vs_fd(lambda x: optimize.objective_f(x, 38.0, prior, p),
                               lambda x: optimize._objective(x, 38.0, prior, p), 34.0, 46.0)
 
@@ -238,7 +242,7 @@ def _check_sca_properties(p: SystemParams, rng) -> tuple[bool, str]:
     span = x_c - p.reach - 1.0
     draws = rng.uniform([-span, -1.0, 0.3, 0.1], [span, 1.0, 2.0, 1.0], size=(10, 4))
     eta, x_hat = draws[:, 0], draws[:, 0] + draws[:, 1]
-    prior = ekf._prior_information(Sym2.diag(draws[:, 2], draws[:, 3]))
+    prior = ekf.prior_information((draws[:, 2], 0.0, draws[:, 3]))
     lo, hi = np.maximum(-x_c, eta - p.reach), np.minimum(x_c, eta + p.reach)
     x, _, _, f_grid = optimize.solve_p1_each(lo, hi, x_hat, prior, p, hi > lo)
     f, f1, _ = optimize.objective_f(x, x_hat, prior, p)
@@ -276,14 +280,14 @@ def _check_ground_truth_noise(p: SystemParams, rng) -> tuple[bool, str]:
     """Sampled process-noise increments reproduce Q_s within 5%, and the
     noiseless model advances exactly."""
     z = rng.standard_normal((20000, 2)).T  # the draws of 20000 steps, in stream order
-    inc = simulate.step_ground_truth(0.0, 0.0, *z, p.dt, simulate._process_noise_factor(p))
+    inc = simulate.step_ground_truth(0.0, 0.0, *z, p.dt, simulate.process_noise_factor(p))
     emp = np.cov(inc, bias=True)
-    q_s = linalg2.process_noise_cov(p.dt, p.q_tilde).as_array()
+    q_s = _dense(linalg2.process_noise_cov(p.dt, p.q_tilde))
     scale = np.sqrt(np.outer(np.diag(q_s), np.diag(q_s)))
     worst = float(np.max(np.abs(emp - q_s) / scale))
     quiet = replace(p, q_tilde=0.0)
     pos, vel = simulate.step_ground_truth(3.0, 2.0, *rng.standard_normal(2).tolist(), quiet.dt,
-                                          simulate._process_noise_factor(quiet))
+                                          simulate.process_noise_factor(quiet))
     exact = (pos == 3.0 + 2.0 * quiet.dt) and (vel == 2.0)
     return worst < 0.05 and exact, f"max cov dev {worst:.3g} of scale"
 
@@ -321,12 +325,12 @@ def _check_geometry_conservation(p: SystemParams, rng) -> tuple[bool, str]:
 def _check_gain_limits(p: SystemParams, rng) -> tuple[bool, str]:
     """Uninformative measurements leave the prediction untouched."""
     x, v = 30.0 + 5.0 * p.dt, 5.0
-    mse_pred = ekf.predict(Sym2.diag(1.0, 0.25), p)
+    mse_pred = ekf.predict((1.0, 0.0, 0.25), p)
     phi, tau, mu = sensing.measure_mean(x, v, p)
-    x_hat, v_hat, mse = ekf.update(x, v, ekf._prior_information(mse_pred), (1e-30,) * 3,
+    x_hat, v_hat, mse = ekf.update(x, v, ekf.prior_information(mse_pred), (1e-30,) * 3,
                                    (phi + 0.1, tau, mu - 5.0), p)
     shift = max(abs(x_hat - x), abs(v_hat - v))
-    mse_gap = max(_rel_err(mse.m11, mse_pred.m11), _rel_err(mse.m22, mse_pred.m22))
+    mse_gap = max(_rel_err(mse[0], mse_pred[0]), _rel_err(mse[2], mse_pred[2]))
     return shift < 1e-9 and mse_gap < 1e-9, (
         f"state shift {shift:.3g}, mse rel gap {mse_gap:.3g}")
 

@@ -150,6 +150,19 @@ def weighted_crb(x, v, alpha, d):
     return alpha * cx + (1.0 - alpha) * cv
 
 
+def sym_matrix(m):
+    """The symmetric 2x2 array [[m11, m12], [m12, m22]] of the package's
+    entry triple m = (m11, m12, m22)."""
+    m11, m12, m22 = m
+    return np.array([[m11, m12], [m12, m22]])
+
+
+def sym_entries(a):
+    """The entry triple (a11, a12, a22) of a symmetric 2x2 array, as
+    floats; the upper triangle is read."""
+    return float(a[0][0]), float(a[0][1]), float(a[1][1])
+
+
 def pcrb_pair(x, v, mse_pred, d):
     """Posterior bound: invert prior-inverse plus measurement Fisher."""
     f11, f12, f22 = fisher_2x2(x, v, d)
@@ -344,53 +357,72 @@ class TermSize:
 
 @np.errstate(over="ignore", invalid="ignore")
 def scenario_by_public_steps(cfg, p):
-    """The slot loop of simulate.run_scenario written with the public
-    one-step value functions on plain floats, drawing from one generator
-    as it goes: per slot step_ground_truth (two draws), the planned
-    command, the weights check, sample_measurement (three draws), the
-    prior information and ekf.update, then ekf.predicted_pcrb at the
-    prediction and at the true state, ekf.crb_measurement at the
-    prediction and the rate there.  Planning is simulate._plan, which
-    calls ekf.predict, before the slot's measurement, as in the loop, and
-    a proposed slot is flagged where its target lies outside the rate
-    disc.  Overflow and NaN pass silently, as in the loop.  Returns the
-    SlotRecord list."""
-    from uav_isac import ekf, optimize, sensing, simulate
-    from uav_isac.linalg2 import Sym2
+    """The slot loop of simulate.run_scenario written with the package's
+    public names only, on plain floats, every 2x2 matrix an entry triple,
+    drawing from one generator as it goes.  Each slot is planned from the
+    posterior before its measurement, as in the loop: predict, then the
+    target at eta = x_hat + v_hat*dt + v_A*dt (right-above: the predicted
+    object, saturating at the reach; proposed: solve_p1_sca on the slot's
+    P1Instance, and where its window has no length the touching point of
+    a degenerate window or else the right-above target), then
+    design_trajectory.  Then, per slot: step_ground_truth (two draws)
+    with process_noise_factor, the weights and measured_variances,
+    prior_information, sample_measurement (three draws) and update, then
+    predicted_pcrb at the plan and at the true state, crb_measurement at
+    the plan and the rate there.  A proposed slot is flagged where its
+    target lies outside the rate disc.  Overflow and NaN pass silently,
+    as in the loop.  Returns the SlotRecord list."""
+    import uav_isac as u
+    from uav_isac import sensing
 
-    rule = simulate._TARGET_RULES[cfg.scheme]
-    factor = simulate._process_noise_factor(p)
+    def chase(eta):
+        return 0.0 if abs(eta) <= p.reach else eta - math.copysign(p.reach, eta)
+
+    def target(eta, x_hat, mse_pred):
+        if cfg.scheme == "right_above":
+            return chase(eta)
+        try:
+            return u.solve_p1_sca(u.P1Instance(eta, x_hat, mse_pred, p)).x_breve_opt
+        except u.InfeasibleIntervalError:
+            x_c = u.qos_radius(p)
+            lo, hi = max(-x_c, eta - p.reach), min(x_c, eta + p.reach)
+            return lo if hi == lo else chase(eta)
+
+    factor = u.process_noise_factor(p)
     rng = np.random.default_rng(cfg.seed)
     obj_pos, obj_vel = cfg.init_obj_pos, cfg.init_obj_vel
     uav_pos, uav_vel = cfg.init_uav_pos, cfg.init_uav_vel
     z0, z1 = rng.standard_normal(2).tolist()
     x_hat = (obj_pos - uav_pos) + cfg.init_est_std[0] * z0
     v_hat = (obj_vel - uav_vel) + cfg.init_est_std[1] * z1
-    mse = Sym2.diag(*cfg.init_mse)
+    mse = (cfg.init_mse[0], 0.0, cfg.init_mse[1])
     records = []
     for n in range(1, cfg.n_slots + 1):
-        x_a, v_a, x_breve, v_breve, mse_pred = simulate._plan(x_hat, v_hat, mse, uav_pos,
-                                                             uav_vel, p, rule)
-        obj_pos, obj_vel = simulate.step_ground_truth(obj_pos, obj_vel,
-                                                      *rng.standard_normal(2).tolist(), p.dt, factor)
+        mse_pred = u.predict(mse, p)
+        eta = x_hat + v_hat * p.dt + uav_vel * p.dt
+        x_breve = target(eta, x_hat, mse_pred)
+        x_a, v_a = u.design_trajectory(x_breve, eta, (uav_pos, uav_vel), p)
+        v_breve = (x_breve - x_hat) / p.dt
+        obj_pos, obj_vel = u.step_ground_truth(obj_pos, obj_vel,
+                                               *rng.standard_normal(2).tolist(), p.dt, factor)
         uav_pos, uav_vel = x_a, v_a
         x, v = obj_pos - uav_pos, obj_vel - uav_vel
         w = sensing.noise_weights(x, p)
-        s = sensing._measured_variances(w)
-        y = sensing.sample_measurement(x, v, s, rng.standard_normal(3).tolist(), cfg.noise_scale, p)
-        prior = ekf._prior_information(mse_pred)
-        x_hat, v_hat, mse = ekf.update(x_breve, v_breve, prior, w, y, p)
-        pcrb_x_pred, pcrb_v_pred, _ = ekf.predicted_pcrb(x_breve, v_breve, prior, p)
-        pcrb_x_act, pcrb_v_act, weighted_act = ekf.predicted_pcrb(x, v, prior, p)
-        crb_x, crb_v = ekf.crb_measurement(x_breve, v_breve, p)
-        records.append(simulate.SlotRecord(
+        s = u.measured_variances(w)
+        prior = u.prior_information(mse_pred)
+        y = u.sample_measurement(x, v, s, rng.standard_normal(3).tolist(), cfg.noise_scale, p)
+        x_hat, v_hat, mse = u.update(x_breve, v_breve, prior, w, y, p)
+        pcrb_x_pred, pcrb_v_pred, _ = u.predicted_pcrb(x_breve, v_breve, prior, p)
+        pcrb_x_act, pcrb_v_act, weighted_act = u.predicted_pcrb(x, v, prior, p)
+        crb_x, crb_v = u.crb_measurement(x_breve, v_breve, p)
+        records.append(u.SlotRecord(
             slot=n, t_s=n * p.dt, x_true=x, v_true=v, x_hat=x_hat, v_hat=v_hat,
             x_breve=x_breve, v_breve=v_breve, x_uav=uav_pos, v_uav=uav_vel,
             pcrb_x_pred=pcrb_x_pred, pcrb_v_pred=pcrb_v_pred,
             pcrb_x_actual=pcrb_x_act, pcrb_v_actual=pcrb_v_act,
-            weighted_actual=weighted_act, rate_bpshz=sensing.achievable_rate(x_breve, p),
-            tr_mp=mse_pred.trace, tr_mm=crb_x + crb_v,
-            flagged=cfg.scheme == "proposed" and abs(x_breve) > optimize.qos_radius(p)))
+            weighted_actual=weighted_act, rate_bpshz=u.achievable_rate(x_breve, p),
+            tr_mp=mse_pred[0] + mse_pred[2], tr_mm=crb_x + crb_v,
+            flagged=cfg.scheme == "proposed" and abs(x_breve) > u.qos_radius(p)))
     return records
 
 

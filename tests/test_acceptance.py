@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from uav_isac import ekf, optimize, sensing, simulate
-from uav_isac.linalg2 import Sym2, process_noise_cov
+from uav_isac.linalg2 import process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.simulate import ScenarioConfig
 
@@ -102,7 +102,7 @@ def test_ac04_closed_form_bound_matches_generic_inverse():
         rho = float(rng.uniform(-0.9, 0.9))
         m12 = rho * math.sqrt(m11 * m22)
         pcrb_x, pcrb_v, _ = ekf.predicted_pcrb(
-            x, v, ekf._prior_information(Sym2(m11, m12, m22)), p)
+            x, v, ekf.prior_information((m11, m12, m22)), p)
         ox, ov = oracles.pcrb_pair(x, v, [[m11, m12], [m12, m22]],
                                    oracles.params_dict(p))
         rel = max(abs(pcrb_x - ox) / ox, abs(pcrb_v - ov) / ov)
@@ -124,7 +124,7 @@ def _ac05_slot_problems():
         m22 = float(rng.uniform(0.05, 0.5))
         rho = float(rng.uniform(-0.8, 0.8))
         m12 = rho * math.sqrt(m11 * m22)
-        yield optimize.P1Instance(eta, x_hat, Sym2(m11, m12, m22), DEFS)
+        yield optimize.P1Instance(eta, x_hat, (m11, m12, m22), DEFS)
 
 
 def test_ac05_solvers_match_brute_force():
@@ -147,9 +147,9 @@ def test_ac05_solvers_match_brute_force():
     # slot problem against per-instance grid oracles
     worst_sca = 0.0
     for inst in _ac05_slot_problems():
-        eta, x_hat, m = inst.eta_prev, inst.x_hat_prev, inst.mse_pred
+        eta, x_hat, (m11, m12, m22) = inst.eta_prev, inst.x_hat_prev, inst.mse_pred
         res = optimize.solve_p1_sca(inst)
-        m_np = [[m.m11, m.m12], [m.m12, m.m22]]
+        m_np = [[m11, m12], [m12, m22]]
         x_ref = oracles.grid_refine_min(
             lambda xs: oracles.p1_objective(xs, eta, x_hat, m_np,
                                             DEFS.alpha, d),
@@ -174,7 +174,7 @@ def test_slot_solve_equals_scalar_steps_on_ac05_problems():
 
 def test_ac06_derivatives_match_finite_differences():
     """Propagated first/second derivatives track central differences."""
-    inst = optimize.P1Instance(20.0, 19.5, Sym2(1.0, 0.1, 0.25), DEFS)
+    inst = optimize.P1Instance(20.0, 19.5, (1.0, 0.1, 0.25), DEFS)
     slot = inst.x_hat_prev, inst._prior_info, inst.params
     xs = np.linspace(inst.lo + 0.01, inst.hi - 0.01, 500)
 
@@ -281,7 +281,7 @@ def test_ac12_sampled_statistics_match_models():
     """1e5 measurement draws and process steps reproduce the noise models."""
     rng = np.random.default_rng(1212)
     x, v = 50.0, 10.0
-    cov = sensing._measured_variances(sensing.noise_weights(x, DEFS))
+    cov = sensing.measured_variances(sensing.noise_weights(x, DEFS))
     n = 100_000
     # n measurements, then n process steps, each one batch of its draws in stream order
     draws = np.array(sensing.sample_measurement(x, v, cov, rng.standard_normal((n, 3)).T, 1.0,
@@ -294,21 +294,21 @@ def test_ac12_sampled_statistics_match_models():
     pos, vel = 80.0, 5.0
     z = rng.standard_normal((n, 2)).T
     pos1, vel1 = simulate.step_ground_truth(pos, vel, *z, DEFS.dt,
-                                            simulate._process_noise_factor(DEFS))
+                                            simulate.process_noise_factor(DEFS))
     incr = np.stack([pos1 - (pos + vel * DEFS.dt), vel1 - vel], axis=1)
-    qs = process_noise_cov(DEFS.dt, DEFS.q_tilde)
+    q11, q12, q22 = process_noise_cov(DEFS.dt, DEFS.q_tilde)
     emp = np.cov(incr.T, ddof=0)
     for got, want, name in (
-            (emp[0, 0], qs.m11, "position"),
-            (emp[1, 1], qs.m22, "velocity"),
-            (emp[0, 1], qs.m12, "cross")):
+            (emp[0, 0], q11, "position"),
+            (emp[1, 1], q22, "velocity"),
+            (emp[0, 1], q12, "cross")):
         rel = abs(got - want) / abs(want)
         assert rel <= 0.05, f"process-noise {name} term off by {rel:.3f}"
     meas_worst = float(np.max(np.abs(
         sample_var / np.array(cov) - 1.0)))
-    proc_worst = max(abs(emp[0, 0] / qs.m11 - 1.0),
-                     abs(emp[1, 1] / qs.m22 - 1.0),
-                     abs(emp[0, 1] / qs.m12 - 1.0))
+    proc_worst = max(abs(emp[0, 0] / q11 - 1.0),
+                     abs(emp[1, 1] / q22 - 1.0),
+                     abs(emp[0, 1] / q12 - 1.0))
     print(f"ACCEPTANCE 12 PASS: 1e5-sample measurement variances within "
           f"{meas_worst:.1%}, process-noise covariance within "
           f"{proc_worst:.1%} of the models (5% allowed)")

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from uav_isac import ekf, optimize, sensing
 from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError
-from uav_isac.linalg2 import Sym2, process_noise_cov
+from uav_isac.linalg2 import process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.sensing import (
-    _measured_variances,
     achievable_rate,
     jacobian,
     measure_mean,
+    measured_variances,
     noise_weights,
     sample_measurement,
 )
@@ -33,30 +32,30 @@ def _measure(x, v, rng):
     """The weights at the true state (x, v) and one noisy measurement
     there, drawn from rng as the slot loop draws it."""
     w = noise_weights(x, P)
-    return w, sample_measurement(x, v, _measured_variances(w), rng.standard_normal(3).tolist(),
+    return w, sample_measurement(x, v, measured_variances(w), rng.standard_normal(3).tolist(),
                                  1.0, P)
 
 
 def _update_step(x, v, mse_pred, w, y):
     """The slot loop's update step: the weights check, then the prior
     information of the prediction MSE, then ekf.update."""
-    _measured_variances(w)
-    return ekf.update(x, v, ekf._prior_information(mse_pred), w, y, P)
+    measured_variances(w)
+    return ekf.update(x, v, ekf.prior_information(mse_pred), w, y, P)
 
 
 def test_predict_matches_matrix_algebra():
     rng = np.random.default_rng(21)
     g = np.array([[1.0, P.dt], [0.0, 1.0]])
-    qs = process_noise_cov(P.dt, P.q_tilde).as_array()
+    qs = oracles.sym_matrix(process_noise_cov(P.dt, P.q_tilde))
     for _ in range(30):
         m = _rand_cov(rng)
         want_mse = g @ m @ g.T + qs
-        assert np.allclose(ekf.predict(Sym2.from_array(m), P).as_array(), want_mse,
+        assert np.allclose(oracles.sym_matrix(ekf.predict(oracles.sym_entries(m), P)), want_mse,
                            rtol=1e-13, atol=1e-15)
 
 
 def test_predict_zero_prior_gives_process_noise():
-    assert ekf.predict(Sym2(0.0, 0.0, 0.0), P) == process_noise_cov(P.dt, P.q_tilde)
+    assert ekf.predict((0.0, 0.0, 0.0), P) == process_noise_cov(P.dt, P.q_tilde)
 
 
 def test_process_noise_is_built_once_per_params(monkeypatch):
@@ -67,7 +66,7 @@ def test_process_noise_is_built_once_per_params(monkeypatch):
     monkeypatch.setattr(params_module, "process_noise_cov",
                         lambda dt, q: built.append(dt) or process_noise_cov(dt, q))
     p = SystemParams()
-    m = Sym2(1.0, 0.1, 0.5)
+    m = (1.0, 0.1, 0.5)
     assert ekf.predict(m, p) == ekf.predict(m, P)
     run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), p)
     assert len(built) == 1 and p.process_noise == process_noise_cov(p.dt, p.q_tilde)
@@ -85,7 +84,7 @@ def test_update_against_numpy_reference():
 
         iota, kappa, zeta, nu = oracles.jacobian_entries(x, v, d)
         j = np.array([[iota, 0.0], [kappa, 0.0], [zeta, nu]])
-        r = np.diag(_measured_variances(w))
+        r = np.diag(measured_variances(w))
         s = r + j @ m @ j.T
         k = m @ j.T @ np.linalg.inv(s)
         innov = np.array(y) - np.array(measure_mean(x, v, P))
@@ -93,38 +92,38 @@ def test_update_against_numpy_reference():
         want_mse = (np.eye(2) - k @ j) @ m
         want_mse = 0.5 * (want_mse + want_mse.T)
 
-        x_hat, v_hat, mse = _update_step(x, v, Sym2.from_array(m), w, y)
+        x_hat, v_hat, mse = _update_step(x, v, oracles.sym_entries(m), w, y)
         assert x_hat == pytest.approx(want_state[0], rel=1e-9, abs=1e-9)
         assert v_hat == pytest.approx(want_state[1], rel=1e-9, abs=1e-9)
-        assert np.allclose(mse.as_array(), want_mse, rtol=1e-7, atol=1e-12)
-        assert np.linalg.eigvalsh(mse.as_array())[0] > 0.0
+        assert np.allclose(oracles.sym_matrix(mse), want_mse, rtol=1e-7, atol=1e-12)
+        assert np.linalg.eigvalsh(oracles.sym_matrix(mse))[0] > 0.0
 
 
 def test_update_ignores_uninformative_channels():
     x, v = 30.0 + 5.0 * P.dt, 5.0
-    mse_pred = ekf.predict(Sym2.diag(1.0, 0.25), P)
+    mse_pred = ekf.predict((1.0, 0.0, 0.25), P)
     phi, tau, mu = measure_mean(x, v, P)
     x_hat, v_hat, mse = _update_step(x, v, mse_pred, (1e-30,) * 3,
                                      (phi + 0.2, tau * 1.1, mu - 40.0))
     assert x_hat == pytest.approx(x, abs=1e-9)
     assert v_hat == pytest.approx(v, abs=1e-9)
-    assert mse.m11 == pytest.approx(mse_pred.m11, rel=1e-9)
-    assert mse.m22 == pytest.approx(mse_pred.m22, rel=1e-9)
+    assert mse[0] == pytest.approx(mse_pred[0], rel=1e-9)
+    assert mse[2] == pytest.approx(mse_pred[2], rel=1e-9)
 
 
 def test_update_shrinks_uncertainty():
     rng = np.random.default_rng(23)
     x, v = 60.0 - 8.0 * P.dt, -8.0
-    mse_pred = ekf.predict(Sym2.diag(4.0, 1.0), P)
+    mse_pred = ekf.predict((4.0, 0.0, 1.0), P)
     w, y = _measure(x, v, rng)
     mse = _update_step(x, v, mse_pred, w, y)[2]
-    assert mse.m11 < mse_pred.m11
-    assert mse.m22 < mse_pred.m22
+    assert mse[0] < mse_pred[0]
+    assert mse[2] < mse_pred[2]
 
 
 @pytest.mark.parametrize("bad", [0.0, math.inf])
 def test_update_rejects_degenerate_variance(bad):
-    mse_pred = ekf.predict(Sym2.diag(1.0, 0.25), P)
+    mse_pred = ekf.predict((1.0, 0.0, 0.25), P)
     y = measure_mean(31.0, 5.0, P)
     for k in range(3):
         s = [1e-6, 1e-20, 0.2]
@@ -136,7 +135,7 @@ def test_update_rejects_degenerate_variance(bad):
 @pytest.mark.parametrize("bad", [0.0, math.inf])
 def test_update_rejects_degenerate_carried_weight(bad):
     # the message lists the variances as _variances forms them from the weights
-    mse_pred = ekf.predict(Sym2.diag(1.0, 0.25), P)
+    mse_pred = ekf.predict((1.0, 0.0, 0.25), P)
     y = measure_mean(31.0, 5.0, P)
     for k in range(3):
         w = [1e6, 1e20, 5.0]
@@ -149,7 +148,7 @@ def test_update_rejects_degenerate_carried_weight(bad):
 def test_update_rejects_singular_prior():
     w, y = _measure(30.0, 5.0, np.random.default_rng(0))
     with pytest.raises(NotPositiveDefiniteError, match="mse_pred"):
-        _update_step(30.0, 5.0, Sym2(0.0, 0.0, 0.0), w, y)
+        _update_step(30.0, 5.0, (0.0, 0.0, 0.0), w, y)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -161,15 +160,15 @@ def test_update_rejects_singular_prior():
 def test_information_core_property(x, sign, v, log_m11, log_m22, rho, seed):
     x *= sign
     m11, m22 = math.exp(log_m11), math.exp(log_m22)
-    m_p = Sym2(m11, rho * math.sqrt(m11 * m22), m22)
+    m_p = (m11, rho * math.sqrt(m11 * m22), m22)
     post = _update_step(x, v, m_p, *_measure(x + 0.3, v - 0.2, np.random.default_rng(seed)))[2]
     # the posterior is positive definite and no larger than the prior
-    assert post.m11 > 0.0 and post.det > 0.0
-    gap = Sym2(m_p.m11 - post.m11, m_p.m12 - post.m12, m_p.m22 - post.m22)
-    assert np.linalg.eigvalsh(gap.as_array())[0] >= -1e-12 * m_p.trace
+    assert post[0] > 0.0 and post[0] * post[2] - post[1] * post[1] > 0.0
+    gap = oracles.sym_matrix(m_p) - oracles.sym_matrix(post)
+    assert np.linalg.eigvalsh(gap)[0] >= -1e-12 * (m_p[0] + m_p[2])
     # the measurement-only bound is the zero-prior limit of the anticipated one
-    faint = Sym2(m_p.m11 * 1e12, m_p.m12 * 1e12, m_p.m22 * 1e12)
-    pcrb_x, pcrb_v, _ = ekf.predicted_pcrb(x, v, ekf._prior_information(faint), P)
+    faint = tuple(mij * 1e12 for mij in m_p)
+    pcrb_x, pcrb_v, _ = ekf.predicted_pcrb(x, v, ekf.prior_information(faint), P)
     crb_x, crb_v = ekf.crb_measurement(x, v, P)
     assert pcrb_x == pytest.approx(crb_x, rel=1e-9)
     assert pcrb_v == pytest.approx(crb_v, rel=1e-9)
@@ -198,7 +197,7 @@ def test_predicted_pcrb_matches_generic_inversion():
         v = float(rng.uniform(-25, 25))
         m = _rand_cov(rng)
         pcrb_x, pcrb_v, weighted = ekf.predicted_pcrb(
-            x, v, ekf._prior_information(Sym2.from_array(m)), P)
+            x, v, ekf.prior_information(oracles.sym_entries(m)), P)
         want_x, want_v = oracles.pcrb_pair(x, v, m, d)
         assert pcrb_x == pytest.approx(want_x, rel=1e-10)
         assert pcrb_v == pytest.approx(want_v, rel=1e-10)
@@ -208,7 +207,7 @@ def test_predicted_pcrb_matches_generic_inversion():
 
 def test_predicted_pcrb_rejects_bad_prior():
     with pytest.raises(NotPositiveDefiniteError):
-        ekf.predicted_pcrb(50.0, 0.0, ekf._prior_information(Sym2(1.0, 2.0, 1.0)), P)
+        ekf.predicted_pcrb(50.0, 0.0, ekf.prior_information((1.0, 2.0, 1.0)), P)
 
 
 def test_crb_measurement_frozen_points():
@@ -307,22 +306,23 @@ def test_posterior_numpy_namespace_matches_float_form_row_by_row():
     y = sample_measurement(x_true, v_true, tuple(1.0 / wi for wi in w),
                            rng.standard_normal((3, n)), 1.0, P, np)
     m11, m22 = np.exp(rng.uniform(-3.0, 3.0, (2, n)))
-    prior = Sym2(m11, rng.uniform(-0.9, 0.9, n) * np.sqrt(m11 * m22), m22)
+    prior = (m11, rng.uniform(-0.9, 0.9, n) * np.sqrt(m11 * m22), m22)
     *est, m = ekf.update(x, v, prior, w, y, P, np)
-    rows = [ekf.update(a, b, prior.at(i), tuple(float(wi[i]) for wi in w),
-                       tuple(float(yi[i]) for yi in y), P) for i, (a, b) in enumerate(states)]
+    rows = [ekf.update(a, b, *(tuple(float(c[i]) for c in col) for col in (prior, w, y)), P)
+            for i, (a, b) in enumerate(states)]
     # the MSE is the same arithmetic on both forms
-    _assert_rows_match(astuple(m), [astuple(r[2]) for r in rows], rel=0.0)
+    _assert_rows_match(m, [r[2] for r in rows], rel=0.0)
     # the estimate adds M J^T R^-1 (y - h(x_pred)); an ulp by which numpy's
     # transcendentals differ from math's in h is carried through that gain,
     # which the innovation's cancellation can make larger than 1e-15 of it
     iota, kappa, zeta, nu = jacobian(x, v, P, np)
     ulp = [wi * np.spacing(np.abs(hi)) for wi, hi in zip(w, measure_mean(x, v, P, np))]
+    m11, m12, m22 = m
     slack = (
-        np.abs(m.m11 * iota) * ulp[0] + np.abs(m.m11 * kappa) * ulp[1]
-        + np.abs(m.m11 * zeta + m.m12 * nu) * ulp[2],
-        np.abs(m.m12 * iota) * ulp[0] + np.abs(m.m12 * kappa) * ulp[1]
-        + np.abs(m.m12 * zeta + m.m22 * nu) * ulp[2])
+        np.abs(m11 * iota) * ulp[0] + np.abs(m11 * kappa) * ulp[1]
+        + np.abs(m11 * zeta + m12 * nu) * ulp[2],
+        np.abs(m12 * iota) * ulp[0] + np.abs(m12 * kappa) * ulp[1]
+        + np.abs(m12 * zeta + m22 * nu) * ulp[2])
     for got_f, col, slack_f in zip(est, zip(*(r[:2] for r in rows)), slack):
         assert all(type(c) is float for c in col)
         want = np.array(col)

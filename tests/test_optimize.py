@@ -15,7 +15,7 @@ from uav_isac.errors import (
     UavIsacError,
     VelocityBoundError,
 )
-from uav_isac.linalg2 import Sym2, inverse
+from uav_isac.linalg2 import inverse
 from uav_isac.params import SystemParams
 from uav_isac.sensing import achievable_rate
 
@@ -26,7 +26,7 @@ P = SystemParams()
 
 
 def _instance(eta, x_hat_prev, m11=1.0, m22=0.25, m12=0.0, params=P):
-    return optimize.P1Instance(eta, x_hat_prev, Sym2(m11, m12, m22), params)
+    return optimize.P1Instance(eta, x_hat_prev, (m11, m12, m22), params)
 
 
 def _slot(inst):
@@ -233,8 +233,7 @@ def test_sca_matches_grid_oracle_property(eta, dx_hat, log_m11, log_m22, rho):
 def _batch_of(insts):
     def col(name):
         return np.array([getattr(i, name) for i in insts])
-    prior = Sym2(*(np.array([getattr(i._prior_info, f) for i in insts])
-                   for f in ("m11", "m12", "m22")))
+    prior = tuple(np.array([i._prior_info for i in insts]).T)
     return col("lo"), col("hi"), col("eta_prev"), col("x_hat_prev"), prior
 
 
@@ -531,9 +530,9 @@ def test_jets_on_arrays_equal_jets_on_floats(alpha):
     x = np.concatenate(([0.0, -0.0, 120.0], rng.uniform(-120.0, 120.0, 61)))
     x_hat = x + rng.uniform(-20.0, 20.0, x.size)
     m11, m22 = rng.uniform(0.05, 5.0, x.size), rng.uniform(0.05, 5.0, x.size)
-    prior = Sym2(m11, rng.uniform(-0.9, 0.9, x.size) * np.sqrt(m11 * m22), m22)
+    prior = (m11, rng.uniform(-0.9, 0.9, x.size) * np.sqrt(m11 * m22), m22)
     got = optimize.objective_f(x, x_hat, prior, p)
-    want = [optimize.objective_f(float(a), float(b), prior.at(i), p)
+    want = [optimize.objective_f(float(a), float(b), tuple(float(c[i]) for c in prior), p)
             for i, (a, b) in enumerate(zip(x, x_hat))]
     assert [tuple(part.tolist()) for part in got] == list(zip(*want))
     h = rng.uniform(10.0, 100.0, x.size)

@@ -7,12 +7,12 @@ import pytest
 from uav_isac.errors import SingularMatrixError
 from uav_isac.params import SystemParams
 from uav_isac.sensing import (
-    _measured_variances,
     _variances,
     achievable_rate,
     comm_snr,
     jacobian,
     measure_mean,
+    measured_variances,
     noise_weights,
     sample_measurement,
 )
@@ -122,7 +122,7 @@ def test_jacobian_matches_finite_differences():
 
 def test_sample_measurement_zero_scale_hits_mean_and_keeps_nominal_cov():
     z = np.random.default_rng(13).standard_normal(3).tolist()
-    s = _measured_variances(noise_weights(50.0, P))
+    s = measured_variances(noise_weights(50.0, P))
     assert s == _noise_cov(50.0)
     assert sample_measurement(50.0, 10.0, s, z, 0.0, P) == measure_mean(50.0, 10.0, P)
 
@@ -135,7 +135,7 @@ def test_sample_measurement_refuses_unusable_weights_before_drawing(x, variances
     # the weights check the slot loop runs before it samples
     with pytest.raises(SingularMatrixError, match=re.escape(
             f"noise variances {variances} need finite positive reciprocals")):
-        _measured_variances(noise_weights(x, P))
+        measured_variances(noise_weights(x, P))
 
 
 def test_sample_measurement_statistics():

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import re
 from collections import Counter
 from dataclasses import astuple, fields, replace
@@ -9,7 +11,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import numpy_calls
 import oracles
-from uav_isac import simulate
+import uav_isac
+from uav_isac import ekf, sensing, simulate
 from uav_isac.errors import (
     BracketError,
     ConfigError,
@@ -18,12 +21,12 @@ from uav_isac.errors import (
     UavIsacError,
     VelocityBoundError,
 )
-from uav_isac.linalg2 import Sym2, process_noise_cov
+from uav_isac.linalg2 import process_noise_cov
 from uav_isac.params import SystemParams
 from uav_isac.simulate import (
     MonteCarloStats,
     ScenarioConfig,
-    _process_noise_factor,
+    process_noise_factor,
     run_monte_carlo,
     run_scenario,
     step_ground_truth,
@@ -37,7 +40,7 @@ P = SystemParams()
 def test_step_ground_truth_noiseless_is_constant_velocity():
     quiet = replace(P, q_tilde=0.0)
     z0, z1 = np.random.default_rng(41).standard_normal(2).tolist()
-    assert step_ground_truth(80.0, 5.0, z0, z1, P.dt, _process_noise_factor(quiet)) == (
+    assert step_ground_truth(80.0, 5.0, z0, z1, P.dt, process_noise_factor(quiet)) == (
         80.0 + 5.0 * P.dt, 5.0)
 
 
@@ -51,9 +54,9 @@ def test_step_ground_truth_draws_two_even_when_noiseless():
 def test_step_ground_truth_increment_covariance():
     n = 20000
     z = np.random.default_rng(43).standard_normal((n, 2)).T  # n steps' draws, in stream order
-    incs = np.array(step_ground_truth(0.0, 0.0, *z, P.dt, _process_noise_factor(P)))
+    incs = np.array(step_ground_truth(0.0, 0.0, *z, P.dt, process_noise_factor(P)))
     cov = np.cov(incs, ddof=0)
-    qs = process_noise_cov(P.dt, P.q_tilde).as_array()
+    qs = oracles.sym_matrix(process_noise_cov(P.dt, P.q_tilde))
     scale = np.sqrt(np.outer(np.diag(qs), np.diag(qs)))
     assert np.all(np.abs(cov - qs) < 0.05 * scale)
 
@@ -197,8 +200,8 @@ def test_target_rule_gives_the_same_target_on_floats_as_on_a_row(scheme, params)
         m12 = float(rng.uniform(-0.9, 0.9)) * math.sqrt(m11 * m22)
         row = [np.array([v]) for v in (eta, x_hat, m11, m12, m22)]
         with np.errstate(over="ignore", invalid="ignore"):  # as in the slot loop
-            got = rule(eta, x_hat, Sym2(m11, m12, m22), params)
-            (want,) = rule(row[0], row[1], Sym2(*row[2:]), params).tolist()
+            got = rule(eta, x_hat, (m11, m12, m22), params)
+            (want,) = rule(row[0], row[1], row[2:], params).tolist()
         assert type(got) is float and repr(got) == repr(want), eta
         if scheme == "right_above":  # the chase, saturating at the reach
             assert repr(got) == repr(0.0 if abs(eta) <= r else eta - math.copysign(r, eta))
@@ -269,32 +272,32 @@ def test_slot_loop_operation_counts(monkeypatch):
 
 
 def test_slot_loop_value_object_budget(monkeypatch):
-    """The loop carries plain values from step to step: a right-above slot
-    builds 4 objects, its three Sym2 (the prediction MSE, its inverse and
-    the inverse of the posterior information, which is passed as
-    entries) and its SlotRecord, and a proposed slot 6, two more Sym2 of
-    one-row arrays for the slot solve (the packed prediction MSE and its
-    inverse); the package has no other per-slot value type."""
+    """The loop carries plain values from step to step, every 2x2 matrix
+    an entry triple: a right-above or proposed float slot builds no
+    instance of any package class but its SlotRecord."""
     counts = Counter()
 
     def counting(cls):
         init = cls.__init__
 
-        def wrapped(self, *args):
+        def wrapped(self, *args, **kwargs):
             counts[cls.__name__] += 1
-            init(self, *args)
+            init(self, *args, **kwargs)
         return wrapped
 
     P.process_noise  # cached before counting
-    for cls in (Sym2, simulate.SlotRecord):
+    cfgs = [ScenarioConfig(n_slots=10, scheme=scheme) for scheme in ("right_above", "proposed")]
+    modules = [importlib.import_module(f"uav_isac.{m.name}")
+               for m in pkgutil.iter_modules(uav_isac.__path__)]
+    classes = {cls for mod in modules for cls in vars(mod).values()
+               if isinstance(cls, type) and cls.__module__.startswith("uav_isac.")}
+    assert {"P1Instance", "SlotRecord", "SystemParams"} <= {cls.__name__ for cls in classes}
+    for cls in classes:
         monkeypatch.setattr(cls, "__init__", counting(cls))
-    run_scenario(ScenarioConfig(n_slots=10, scheme="right_above"), P)
-    # Sym2: the initial MSE, 3 per slot (slot 1's plan is made at slot 0,
-    # and none follows slot 10), and the column pass's prior
-    assert counts == {"Sym2": 1 + 3 * 10 + 1, "SlotRecord": 10}
-    counts.clear()
-    run_scenario(ScenarioConfig(n_slots=10), P)
-    assert counts == {"Sym2": 1 + 5 * 10 + 1, "SlotRecord": 10}
+    for cfg in cfgs:
+        run_scenario(cfg, P)
+        assert counts == {"SlotRecord": 10}, cfg.scheme
+        counts.clear()
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "right_above"])
@@ -367,21 +370,42 @@ def test_proposed_slot_inverts_the_prediction_mse_twice(monkeypatch):
     inverse = simulate.ekf.inverse
 
     def recording(m11, m12, m22, det=None):
-        inverses.append(Sym2(m11, m12, m22))
+        inverses.append((m11, m12, m22))
         return inverse(m11, m12, m22, det)
     monkeypatch.setattr(simulate.ekf, "inverse", recording)
     recs = run_scenario(ScenarioConfig(n_slots=10, scheme="proposed"), P)
     assert not any(r.flagged for r in recs)
-    rows = [m for m in inverses if isinstance(m.m11, np.ndarray)]
-    floats = [m for m in inverses if not isinstance(m.m11, np.ndarray)]
-    assert len(rows) == 10 and all(m.m11.shape == (1,) for m in rows)
+    rows = [m for m in inverses if isinstance(m[0], np.ndarray)]
+    floats = [m for m in inverses if not isinstance(m[0], np.ndarray)]
+    assert len(rows) == 10 and all(m[0].shape == (1,) for m in rows)
     assert len(floats) == 20
     # per slot: the plan's one-row inversion, then the loop's two
-    assert [isinstance(m.m11, np.ndarray) for m in inverses] == [True, False, False] * 10
+    assert [isinstance(m[0], np.ndarray) for m in inverses] == [True, False, False] * 10
     for row, prior, rec in zip(rows, floats[::2], recs):
-        assert (row.m11.tolist(), row.m12.tolist(), row.m22.tolist()) == (
-            [prior.m11], [prior.m12], [prior.m22])
-        assert prior.trace == rec.tr_mp
+        assert [mij.tolist() for mij in row] == [[mij] for mij in prior]
+        assert prior[0] + prior[2] == rec.tr_mp
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "right_above"])
+@pytest.mark.parametrize("mse_pred, w, error", [
+    ((-1.0, 0.0, -1.0), (1.0, 1.0, 1.0), NotPositiveDefiniteError),
+    ((1.0, 0.0, 0.25), (math.inf, 1e20, 5.0), SingularMatrixError),
+], ids=["negative_prior", "infinite_weight"])
+def test_public_steps_refuse_what_the_loop_refuses(mse_pred, w, error, scheme, monkeypatch):
+    # ekf.update checks nothing; the public checks before it refuse each
+    # input with the type and message the slot loop gives it
+    y = sensing.measure_mean(31.0, 5.0, P)
+    ekf.update(31.0, 5.0, mse_pred, w, y, P)
+    with pytest.raises(error) as steps:
+        sensing.measured_variances(w)
+        ekf.update(31.0, 5.0, ekf.prior_information(mse_pred), w, y, P)
+    monkeypatch.setattr(simulate.ekf, "predict", lambda m, params: mse_pred)
+    monkeypatch.setattr(simulate.sensing, "noise_weights", lambda x, params: w)
+    with pytest.raises(error) as loop:
+        run_scenario(ScenarioConfig(n_slots=5, scheme=scheme), P)
+    assert type(loop.value) is type(steps.value)
+    assert re.fullmatch(rf"slot \d+: {re.escape(str(steps.value))}", str(loop.value)), \
+        (loop.value, steps.value)
 
 
 def _same_records(a, b):
@@ -590,7 +614,8 @@ def test_slot_solve_needs_a_sign_change_on_its_cell_only(monkeypatch):
     (lo, hi, x_hat_prev, prior, _, _), x = solves[2]
 
     def slope(t):
-        return simulate.optimize.objective_f(t, float(x_hat_prev[0]), prior.at(0), params)[1]
+        return simulate.optimize.objective_f(t, float(x_hat_prev[0]),
+                                             tuple(float(mij[0]) for mij in prior), params)[1]
     xs = np.linspace(lo[0], hi[0], simulate.optimize.P1_GRID_POINTS)
     i = int(np.searchsorted(xs, x))
     a, b = float(xs[i - 1]), float(xs[i])

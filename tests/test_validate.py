@@ -3,7 +3,6 @@ import math
 import pytest
 
 from uav_isac import linalg2, optimize, sensing, validate
-from uav_isac.linalg2 import Sym2
 from uav_isac.params import SystemParams
 
 
@@ -63,8 +62,8 @@ def test_asymmetric_process_noise_is_caught(monkeypatch):
     real = linalg2.process_noise_cov
 
     def skewed(dt, q_tilde):
-        q = real(dt, q_tilde)
-        return Sym2(q.m11, q.m12 * 1.01, q.m22)
+        q11, q12, q22 = real(dt, q_tilde)
+        return q11, q12 * 1.01, q22
 
     monkeypatch.setattr(linalg2, "process_noise_cov", skewed)
     res = _by_name(validate.run_all())

@@ -1,10 +1,10 @@
-"""The small value types that the tracking loops build every slot, Sym2
-and SlotRecord, are slotted dataclasses, not frozen ones, because a frozen __init__ costs several times a plain one and a
-slotted one is cheaper still.  These tests keep the slots, and what
-frozen=True guaranteed: no package code assigns to their fields, so an
-instance that is shared (params.process_noise, a prediction MSE read by
-the plan and the update) keeps its value.  Configs,
-parameter sets and results stay frozen."""
+"""The one value type that the tracking loop builds every slot,
+SlotRecord, is a slotted dataclass, not a frozen one, because a frozen
+__init__ costs several times a plain one and a slotted one is cheaper
+still; every 2x2 matrix the loop passes is an entry triple, a tuple.
+These tests keep the slots, and what frozen=True guaranteed: no package
+code assigns to its fields.  Configs, parameter sets and results stay
+frozen."""
 
 import ast
 import dataclasses
@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import uav_isac
-from uav_isac import linalg2, optimize, params, simulate, validate
+from uav_isac import optimize, params, simulate, validate
 
-PER_SLOT = (linalg2.Sym2, simulate.SlotRecord)
+PER_SLOT = (simulate.SlotRecord,)
 FROZEN = (params.SystemParams, simulate.ScenarioConfig, optimize.ScaResult, optimize.Sp1Result,
           simulate.SchemeStats, simulate.MonteCarloStats, validate.CheckResult)
 FIELD_NAMES = {f.name for cls in PER_SLOT for f in dataclasses.fields(cls)}
@@ -44,7 +44,7 @@ def _field_stores(source: str) -> list[tuple[int, str]]:
 
 def test_per_slot_types_are_plain_dataclasses_with_distinct_fields():
     assert not any(cls.__dataclass_params__.frozen for cls in PER_SLOT)
-    assert sum(len(dataclasses.fields(cls)) for cls in PER_SLOT) == len(FIELD_NAMES) == 22
+    assert sum(len(dataclasses.fields(cls)) for cls in PER_SLOT) == len(FIELD_NAMES) == 19
 
 
 @pytest.mark.parametrize("cls", PER_SLOT, ids=lambda cls: cls.__name__)
@@ -61,10 +61,10 @@ def test_configs_and_results_stay_frozen(cls):
 
 
 def test_field_store_finder_sees_every_store_form():
-    source = ("s.m11 = 1.0\nr.x_true += 2.0\nm.m22: float = 0.0\na.x_hat, b.v_hat = 1, 2\n"
+    source = ("s.x_breve = 1.0\nr.x_true += 2.0\nm.v_breve: float = 0.0\na.x_hat, b.v_hat = 1, 2\n"
               "del f.tr_mm\nsetattr(p, 'tr_mp', q)\nobject.__setattr__(r, 'v_true', 0.0)\n"
               "s.other = 1.0\nsetattr(p, name, q)\n")
-    assert _field_stores(source) == [(1, "m11"), (2, "x_true"), (3, "m22"), (4, "v_hat"),
+    assert _field_stores(source) == [(1, "x_breve"), (2, "x_true"), (3, "v_breve"), (4, "v_hat"),
                                      (4, "x_hat"), (5, "tr_mm"), (6, "tr_mp"), (7, "v_true")]
 
 
