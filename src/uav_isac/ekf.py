@@ -16,20 +16,23 @@ function of position and velocity, so the value, d/dx and d^2/dx^2
 that the solvers read (v tied linearly to x) are written out in closed
 form next to the expressions: _fisher_jets and _weighted_jet.  The
 filter's steps are value functions, the ones the slot loop calls, and
-every 2x2 matrix they take or return is its entry triple (linalg2):
+every 2x2 matrix [[m11, m12], [m12, m22]] they take or return is its
+entry triple (m11, m12, m22) of floats, or of arrays for a batch:
 predict maps the posterior MSE to the prediction MSE, prior_information
 checks and inverts the prediction MSE, and update maps the planned
 (x, v), the prior information, the weights and the measurement to
 (x_hat, v_hat, mse).  update reads the measurement map at (x, v), so it
 takes sensing's namespace xp: math, or numpy for the Monte-Carlo batch;
-its inversions are the same calls for both.
+its inversions are the same calls for both.  The one inverse and the
+check in prior_information raise on a batch for its lowest failing
+matrix, described by one formatter, _describe.
 """
 
 from __future__ import annotations
 
 import math
 
-from .linalg2 import inverse, require_positive_definite
+from .errors import NotPositiveDefiniteError, SingularMatrixError, entry, raise_at_first
 from .params import SystemParams
 from .sensing import jacobian, measure_mean, noise_weights
 
@@ -53,9 +56,12 @@ def predict(m, params: SystemParams):
 def prior_information(m):
     """M_p^{-1} of the prediction MSE m, on one determinant: the check
     that a prediction MSE is usable, entry triple to entry triple.
-    Raises NotPositiveDefiniteError unless m is positive definite."""
+    Raises NotPositiveDefiniteError unless m is positive definite, on a
+    batch for the lowest matrix that is not."""
     m11, m12, m22 = m
-    return inverse(m11, m12, m22, require_positive_definite(m, "mse_pred"))
+    det = m11 * m22 - m12 * m12
+    raise_at_first(((m11 > 0) & (det > 0)) ^ True, _not_positive_definite, m11, m12, m22)
+    return inverse(m11, m12, m22, det)
 
 
 def update(x, v, prior_info, w, y, params: SystemParams, xp=math):
@@ -153,6 +159,33 @@ def _add_information(prior_info, i_pos, zz, zv, vv):
     (a11, a12, a22): the sum is inverted or bounded, never kept."""
     p11, p12, p22 = prior_info
     return p11 + i_pos + zz, p12 + zv, p22 + vv
+
+
+def inverse(m11, m12, m22, det=None):
+    """Exact inverse of [[m11, m12], [m12, m22]] by the adjugate formula,
+    as its entry triple, floats or arrays; a caller that holds the
+    determinant passes it.  Raises SingularMatrixError when the
+    determinant magnitude underflows below 1e-300."""
+    det = m11 * m22 - m12 * m12 if det is None else det
+    raise_at_first(abs(det) <= 1e-300, _singular, m11, m12, m22)
+    s = 1.0 / det
+    return m22 * s, -m12 * s, m11 * s
+
+
+def _describe(i: int, m11, m12, m22) -> str:
+    """The matrix of a refusal message as the matrix class that the entry
+    triples replaced printed it, 'Sym2' then the entries by name; of a
+    batch, matrix i (errors.entry)."""
+    return "Sym2(m11=%r, m12=%r, m22=%r)" % tuple(entry(e, i) for e in (m11, m12, m22))
+
+
+def _singular(i: int, m11, m12, m22):
+    raise SingularMatrixError(f"matrix is numerically singular: {_describe(i, m11, m12, m22)}")
+
+
+def _not_positive_definite(i: int, m11, m12, m22):
+    raise NotPositiveDefiniteError(f"mse_pred is not positive definite: "
+                                   f"{_describe(i, m11, m12, m22)}")
 
 
 def _weighted(bound_x, bound_v, alpha: float):

@@ -56,6 +56,13 @@ class BracketError(UavIsacError):
         self.dg_hi = dg_hi
 
 
+def entry(value, i: int) -> float:
+    """Entry i of a checked value as a float, for a refusal message:
+    value.flat[i] of an array (i as raise_at_first gives it), value
+    itself of a scalar, which every entry of a batch shares."""
+    return float(value.flat[i] if isinstance(value, np.ndarray) else value)
+
+
 def raise_at_first(bad, check, *args) -> None:
     """Raise check's error where bad is set, a Python bool for one value or
     a boolean array (x ^ True negates both).  False returns before any

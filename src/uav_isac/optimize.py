@@ -425,12 +425,12 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
     the branch names and, per altitude, the package error its solve
     raises or None (x_star NaN, branch 'error:<Name>'; at alpha = 1, an
     optimum that is not finite, and at alpha = 0 and 1 an objective
-    g(x_star, 0) that is not finite).  An interior weight takes
-    _grid_basin_each's grid pass with both bracket ends, checks the signs
-    of g' at the ends, and polishes every signed altitude in one Newton
-    solve on the grid cell that g' at the grid minimum picks, or on the
-    whole bracket, the points (lo, lo, x_u), where g' does not change
-    sign over that cell."""
+    g(x_star, 0) or a bracket end x_l that is not finite).  An interior
+    weight takes _grid_basin_each's grid pass with both bracket ends,
+    checks the signs of g' at the ends, and polishes every signed
+    altitude in one Newton solve on the grid cell that g' at the grid
+    minimum picks, or on the whole bracket, the points (lo, lo, x_u),
+    where g' does not change sign over that cell."""
     n = len(h)
     xi = xi_of_h(params, h)
     x_l = convexity_lower_bound(params, h, xi)
@@ -448,11 +448,12 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
                 error[i] = _not_finite(h[i], x_star=x_star[i])
                 x_star[i] = math.nan
         branch = ["alpha1_xi_nonpos" if v <= 0.0 else "alpha1_xi_pos" for v in xi]
-    if alpha in (0.0, 1.0):  # an endpoint optimum of an objective that is not finite
+    if alpha in (0.0, 1.0):  # an endpoint optimum of an objective or a bracket not finite
         g = _g0(x_star, params, h, alpha)
-        for i in np.flatnonzero(~np.isfinite(g) & np.isfinite(x_star)):
+        finite = np.isfinite(g) & np.isfinite(x_l)  # x_u = H/sqrt(2) is finite
+        for i in np.flatnonzero(~finite & np.isfinite(x_star)):
             error[i] = _not_finite(h[i], x_star=x_star[i], g_star=g[i], x_l=x_l[i], x_u=x_u[i])
-        x_star = np.where(np.isfinite(g), x_star, math.nan)
+        x_star = np.where(finite, x_star, math.nan)
     else:
         def jet(x):
             return g0_derivatives(x, params, h, alpha)

@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .linalg2 import process_noise_cov
-
 SPEED_OF_LIGHT = 2.9979e8  # m/s
 
 
@@ -39,6 +37,16 @@ def _check_alpha(alpha):
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     return alpha
+
+
+def process_noise_cov(dt: float, q_tilde: float) -> tuple[float, float, float]:
+    """Integrated white-acceleration noise covariance
+    q_tilde * [[dt^3/3, dt^2/2], [dt^2/2, dt]], as its entry triple."""
+    if not (dt > 0):
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if q_tilde < 0:
+        raise ValueError(f"q_tilde must be >= 0, got {q_tilde!r}")
+    return q_tilde * dt ** 3 / 3.0, q_tilde * dt ** 2 / 2.0, q_tilde * dt
 
 
 @dataclass(frozen=True)

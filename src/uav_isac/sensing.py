@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import SingularMatrixError, raise_at_first
+from .errors import SingularMatrixError, entry, raise_at_first
 from .params import SystemParams
 
 
@@ -98,7 +98,7 @@ def measured_variances(w) -> tuple[float, float, float]:
 
 
 def _refuse_weights(i: int, w):
-    s = _variances(wi if isinstance(wi, float) else float(wi[i]) for wi in w)
+    s = _variances(entry(wi, i) for wi in w)
     raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
 
 

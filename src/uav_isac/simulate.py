@@ -14,7 +14,7 @@ and, unless it was the last slot, the next slot is planned.
 
 Only the plan and the filter feed the next slot, as plain values: _plan
 returns (x_a, v_a, x_breve, v_breve, mse_pred) and ekf.update (x_hat,
-v_hat, mse), every 2x2 matrix an entry triple (linalg2), so a float
+v_hat, mse), every 2x2 matrix an entry triple (ekf), so a float
 slot builds no value object but its SlotRecord.  The slot's steps are
 the public one-step value functions, step_ground_truth,
 sensing.measured_variances, ekf.prior_information,
@@ -58,7 +58,7 @@ from itertools import chain
 import numpy as np
 
 from . import ekf, optimize, sensing
-from .errors import ConfigError, SingularMatrixError, raise_at_first
+from .errors import ConfigError, SingularMatrixError, entry, raise_at_first
 from .params import SystemParams, _is_integer
 
 
@@ -148,7 +148,7 @@ def process_noise_factor(params: SystemParams) -> tuple[float, float, float]:
 def step_ground_truth(pos, vel, z0, z1, dt: float, factor):
     """Advance the object one slot from (pos, vel): constant-velocity
     motion plus the process noise of covariance Q_s
-    (linalg2.process_noise_cov) for two standard-normal draws (z0, z1),
+    (params.process_noise_cov) for two standard-normal draws (z0, z1),
     applied jointly to position and velocity through its lower Cholesky
     factor (l11, l21, l22) (process_noise_factor); generic over floats
     and arrays.  The tracking loop takes two draws per slot even when
@@ -231,8 +231,8 @@ def _add_context(exc: Exception, prefix: str) -> None:
 
 
 def _refuse_record(i: int, x, x_breve):
-    raise SingularMatrixError(f"a record bound at x = {float(x.flat[i])!r}, "
-                              f"x_breve = {float(x_breve.flat[i])!r} divides by zero or overflows")
+    raise SingularMatrixError(f"a record bound at x = {entry(x, i)!r}, "
+                              f"x_breve = {entry(x_breve, i)!r} divides by zero or overflows")
 
 
 # what the slot loop keeps of a slot, in order: record fields, weights, prior information

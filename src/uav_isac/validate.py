@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ekf, linalg2, optimize, sensing, simulate
+from . import ekf, optimize, params, sensing, simulate
 from .params import SystemParams
 
 
@@ -104,7 +104,7 @@ def _check_noise_model(p: SystemParams, rng) -> tuple[bool, str]:
 def _check_process_noise_psd(p: SystemParams, rng) -> tuple[bool, str]:
     """Q_s at p's dt and q_tilde: PSD and equal to the closed form."""
     dt, q = p.dt, p.q_tilde
-    m = linalg2.process_noise_cov(dt, q)
+    m = params.process_noise_cov(dt, q)
     if np.linalg.eigvalsh(_dense(m))[0] < -1e-15 * max(m[0] + m[2], 1e-30):
         return False, f"negative eigenvalue at dt={dt}, q={q}"
     want = (q * dt ** 3 / 3.0, q * dt * dt / 2.0, q * dt)
@@ -282,7 +282,7 @@ def _check_ground_truth_noise(p: SystemParams, rng) -> tuple[bool, str]:
     z = rng.standard_normal((20000, 2)).T  # the draws of 20000 steps, in stream order
     inc = simulate.step_ground_truth(0.0, 0.0, *z, p.dt, simulate.process_noise_factor(p))
     emp = np.cov(inc, bias=True)
-    q_s = _dense(linalg2.process_noise_cov(p.dt, p.q_tilde))
+    q_s = _dense(params.process_noise_cov(p.dt, p.q_tilde))
     scale = np.sqrt(np.outer(np.diag(q_s), np.diag(q_s)))
     worst = float(np.max(np.abs(emp - q_s) / scale))
     quiet = replace(p, q_tilde=0.0)

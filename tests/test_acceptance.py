@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from uav_isac import ekf, optimize, sensing, simulate
-from uav_isac.linalg2 import process_noise_cov
-from uav_isac.params import SystemParams
+from uav_isac.params import SystemParams, process_noise_cov
 from uav_isac.simulate import ScenarioConfig
 
 import oracles

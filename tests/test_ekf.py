@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from uav_isac import ekf, optimize, sensing
 from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError
-from uav_isac.linalg2 import process_noise_cov
-from uav_isac.params import SystemParams
+from uav_isac.params import SystemParams, process_noise_cov
 from uav_isac.sensing import (
     achievable_rate,
     jacobian,

@@ -1,10 +1,13 @@
-import math
+"""The symmetric 2x2 core's inverse and positive-definite check
+(ekf.inverse, ekf.prior_information) and the process noise Q_s
+(params.process_noise_cov), on entry triples of floats and of arrays."""
 
 import numpy as np
 import pytest
 
 from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError, raise_at_first
-from uav_isac.linalg2 import inverse, process_noise_cov, require_positive_definite
+from uav_isac.ekf import inverse, prior_information
+from uav_isac.params import process_noise_cov
 
 import oracles
 
@@ -47,26 +50,28 @@ def test_sym2_inverse_matches_numpy_and_detects_singular():
         inverse(1.0, 2.0, 4.0)
 
 
-def test_require_positive_definite_rejects_singular():
-    require_positive_definite((1.0, 0.0, 2.0), "m")
+def test_prior_information_rejects_singular():
+    prior_information((1.0, 0.0, 2.0))
     # PSD with a zero eigenvalue is not PD
     with pytest.raises(NotPositiveDefiniteError):
-        require_positive_definite((1.0, 1.0, 1.0), "m")
+        prior_information((1.0, 1.0, 1.0))
     # negative definite: det > 0 but m11 < 0
     with pytest.raises(NotPositiveDefiniteError):
-        require_positive_definite((-1.0, 0.0, -2.0), "m")
+        prior_information((-1.0, 0.0, -2.0))
 
 
 def test_batch_checks_raise_for_lowest_failing_entry():
     m = (np.array([1.0, -1.0, 0.0]), np.zeros(3), np.ones(3))
     with pytest.raises(NotPositiveDefiniteError,
-                       match=r"^m is not positive definite: Sym2\(m11=-1.0, m12=0.0") as exc_info:
-        require_positive_definite(m, "m")
+                       match=r"^mse_pred is not positive definite: Sym2\(m11=-1.0, m12=0.0"
+                       ) as exc_info:
+        prior_information(m)
     assert exc_info.value.batch_index == 1
     # a float entry is shared by the batch, as in a diagonal batch
     with pytest.raises(NotPositiveDefiniteError,
-                       match=r"^m is not positive definite: Sym2\(m11=-1.0, m12=0.0, m22=1.0\)$"):
-        require_positive_definite((np.array([1.0, -1.0]), 0.0, np.ones(2)), "m")
+                       match=r"^mse_pred is not positive definite: "
+                             r"Sym2\(m11=-1.0, m12=0.0, m22=1.0\)$"):
+        prior_information((np.array([1.0, -1.0]), 0.0, np.ones(2)))
     singular = (np.array([2.0, 1.0, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
     with pytest.raises(SingularMatrixError) as exc_info:
         inverse(*singular)
@@ -80,9 +85,9 @@ def test_float_checks_raise_the_batch_error_without_batch_index():
     """The same calls on float fields: the type and message of the batch
     entry's error, and no batch_index."""
     with pytest.raises(NotPositiveDefiniteError,
-                       match=r"^m is not positive definite: Sym2\(m11=-1.0, m12=0.0, m22=1.0\)$"
-                       ) as exc_info:
-        require_positive_definite((-1.0, 0.0, 1.0), "m")
+                       match=r"^mse_pred is not positive definite: "
+                             r"Sym2\(m11=-1.0, m12=0.0, m22=1.0\)$") as exc_info:
+        prior_information((-1.0, 0.0, 1.0))
     assert not hasattr(exc_info.value, "batch_index")
     with pytest.raises(SingularMatrixError,
                        match=r"^matrix is numerically singular: Sym2\(m11=1.0, m12=1.0, m22=1.0\)$"
@@ -98,14 +103,13 @@ def test_float_checks_raise_the_batch_error_without_batch_index():
 def test_batch_inverse_equals_scalar_inverse():
     m = (np.array([2.0, 4.0, 0.3]), np.array([1.0, 0.0, -0.1]), np.array([3.0, 0.5, 0.2]))
     inv = inverse(*m)
-    det = require_positive_definite(m)
-    again = inverse(*m, det)
-    assert all(np.array_equal(a, b) for a, b in zip(inv, again))
+    det = m[0] * m[2] - m[1] * m[1]
+    for again in (inverse(*m, det), prior_information(m)):
+        assert all(np.array_equal(a, b) for a, b in zip(inv, again))
     for i in range(3):
         f = _at(m, i)
         assert _at(inv, i) == inverse(*f)
-        assert inverse(*f, det[i]) == inverse(*f)
-        assert require_positive_definite(f) == det[i]
+        assert inverse(*f, det[i]) == inverse(*f) == prior_information(f)
 
 
 def _fields(m):

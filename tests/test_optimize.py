@@ -15,7 +15,6 @@ from uav_isac.errors import (
     UavIsacError,
     VelocityBoundError,
 )
-from uav_isac.linalg2 import inverse
 from uav_isac.params import SystemParams
 from uav_isac.sensing import achievable_rate
 
@@ -509,7 +508,7 @@ _ALPHAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
          h=10.0)
 def test_objective_jet_matches_dual_oracle(x, dx_hat, log_m11, log_m22, rho, alpha, h):
     m11, m22 = math.exp(log_m11), math.exp(log_m22)
-    prior = inverse(m11, rho * math.sqrt(m11 * m22), m22)
+    prior = ekf.inverse(m11, rho * math.sqrt(m11 * m22), m22)
     p = replace(P, alpha=alpha, h_alt=h)
     x_hat = x + dx_hat
     _assert_jet_matches_oracle(optimize.objective_f(x, x_hat, prior, p), optimize._objective,
@@ -585,6 +584,38 @@ def test_newton_takes_converged_step_that_rounds_onto_bracket_end(batched):
         assert x.tolist() == [1.0] and rounds == len(iterates) == 1
     else:
         assert oracles._newton_bracketed(deriv_fn, 0.0, 2.0, 1e-9, x0=1.0) == (1.0, 1)
+
+
+def test_newton_ends_when_every_bisection_step_is_shorter_than_tol():
+    # F' = 0 everywhere, so no Newton step is taken and every round bisects:
+    # the solve ends when each active entry's step is below tol, after 9
+    # rounds from the midpoint of [0, 1] at tol 1e-3; an inactive entry
+    # keeps its start
+    roots, iterates = np.array([0.3, 0.7, 0.9]), []
+
+    def deriv_fn(x):
+        iterates.append(x)
+        return x - roots, np.zeros_like(x)
+    x, rounds = optimize._newton_bracketed_each(deriv_fn, np.zeros(3), np.ones(3), 1e-3,
+                                                np.full(3, 0.5), np.array([True, True, False]))
+    assert rounds == len(iterates) == 9
+    assert x.tolist() == [0.2998046875, 0.7001953125, 0.5]
+    assert np.all((0.0 <= x) & (x <= 1.0)) and np.all(np.abs(x - roots)[:2] < 2e-3)
+
+
+def test_newton_stops_at_the_round_cap():
+    # at tol 0 no step is short enough and x^2 - 2 is never exactly 0 on
+    # floats, so bisection runs into the 200-round cap and returns an
+    # iterate of the bracket next to sqrt(2)
+    iterates = []
+
+    def deriv_fn(x):
+        iterates.append(x)
+        return x * x - 2.0, np.zeros_like(x)
+    x, rounds = optimize._newton_bracketed_each(deriv_fn, np.ones(2), np.full(2, 2.0), 0.0,
+                                                np.full(2, 1.5), np.ones(2, bool))
+    assert rounds == len(iterates) == 200
+    assert np.all((1.0 <= x) & (x <= 2.0)) and np.all(np.abs(x - math.sqrt(2.0)) <= 4e-16)
 
 
 def test_newton_bracket_guard():
@@ -798,9 +829,12 @@ def test_geometry_refuses_or_returns_finite_values_across_float_range():
     # H = 1e56, alpha = 0 and 1 in a bare ZeroDivisionError at 1e82, and
     # alpha = 1 in g_star = nan or a NaN bracket end further out; at
     # a1 = a2 = 1e160, solve_sp1 formed g_star as (1 + 0*inf)/vv = nan and
-    # refused the alpha0 cell that the sweep solves
+    # refused the alpha0 cell that the sweep solves; at a1 = 1e150 (and
+    # H = 1e10), 4 a1^2 H^2 overflows, so x_l = inf, which solve_sp1 refused
+    # and the sweep's alpha0 cell kept
     for base, alphas, heights in ((P, TENTH_ALPHAS, FLOAT_RANGE_HEIGHTS),
-                                  (SystemParams(a1=1e160, a2=1e160), [0.0], [50.0])):
+                                  (SystemParams(a1=1e160, a2=1e160), [0.0], [50.0]),
+                                  (SystemParams(a1=1e150), [0.0, 0.5, 1.0], [1.0, 1e10])):
         refused, solved = {}, {}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -152,3 +152,16 @@ def test_sample_measurement_statistics():
     mean = draws.mean(axis=0)
     for got, want, sd in zip(mean, (phi0, tau0, mu0), np.sqrt(cov)):
         assert abs(got - want) < 5.0 * sd / math.sqrt(n)
+
+
+@pytest.mark.parametrize("w, batch_index, variances", [
+    ((1.0, 2.0, 0), None, "(1.0, 0.5, inf)"),  # an int weight
+    ((np.array([1.0, 4.0]), 2, np.array([2.0, -1.0])), 1, "(0.25, 0.5, -1.0)"),  # a shared int
+], ids=["float", "batch"])
+def test_measured_variances_refuses_int_weights(w, batch_index, variances):
+    # an int weight, or an int entry that every row of a batch shares, is
+    # read at the failing entry like a float one
+    with pytest.raises(SingularMatrixError, match=re.escape(
+            f"noise variances {variances} need finite positive reciprocals")) as exc_info:
+        measured_variances(w)
+    assert getattr(exc_info.value, "batch_index", None) == batch_index

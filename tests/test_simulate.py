@@ -21,8 +21,7 @@ from uav_isac.errors import (
     UavIsacError,
     VelocityBoundError,
 )
-from uav_isac.linalg2 import process_noise_cov
-from uav_isac.params import SystemParams
+from uav_isac.params import SystemParams, process_noise_cov
 from uav_isac.simulate import (
     MonteCarloStats,
     ScenarioConfig,

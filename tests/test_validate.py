@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from uav_isac import linalg2, optimize, sensing, validate
+from uav_isac import optimize, sensing, validate
+from uav_isac import params as params_module
 from uav_isac.params import SystemParams
 
 
@@ -59,13 +60,13 @@ def test_scaled_angle_weight_is_caught(monkeypatch):
 def test_asymmetric_process_noise_is_caught(monkeypatch):
     """Mutation: scale the off-diagonal of the process-noise matrix by
     1.01, the entry an asymmetric matrix would get wrong."""
-    real = linalg2.process_noise_cov
+    real = params_module.process_noise_cov
 
     def skewed(dt, q_tilde):
         q11, q12, q22 = real(dt, q_tilde)
         return q11, q12 * 1.01, q22
 
-    monkeypatch.setattr(linalg2, "process_noise_cov", skewed)
+    monkeypatch.setattr(params_module, "process_noise_cov", skewed)
     res = _by_name(validate.run_all())
     assert not res["process_noise_psd"].passed
 
