@@ -60,7 +60,8 @@ def prior_information(m):
     batch for the lowest matrix that is not."""
     m11, m12, m22 = m
     det = m11 * m22 - m12 * m12
-    raise_at_first(((m11 > 0) & (det > 0)) ^ True, _not_positive_definite, m11, m12, m22)
+    if (bad := ((m11 > 0) & (det > 0)) ^ True) is not False:
+        raise_at_first(bad, _not_positive_definite, m11, m12, m22)
     return inverse(m11, m12, m22, det)
 
 
@@ -167,7 +168,8 @@ def inverse(m11, m12, m22, det=None):
     determinant passes it.  Raises SingularMatrixError when the
     determinant magnitude underflows below 1e-300."""
     det = m11 * m22 - m12 * m12 if det is None else det
-    raise_at_first(abs(det) <= 1e-300, _singular, m11, m12, m22)
+    if (bad := abs(det) <= 1e-300) is not False:
+        raise_at_first(bad, _singular, m11, m12, m22)
     s = 1.0 / det
     return m22 * s, -m12 * s, m11 * s
 

@@ -9,7 +9,8 @@ A check is written once for one value (Python floats) and for a batch
 of trials (numpy arrays, one entry per trial), and raises through
 raise_at_first: the error of the lowest failing entry has the one-value
 error's type, message and attributes, and on a batch carries that
-entry's position as batch_index.
+entry's position as batch_index.  A check that passes on Python floats
+gives the flag False, and returns on that identity test with no call.
 """
 
 from __future__ import annotations
@@ -64,19 +65,21 @@ def entry(value, i: int) -> float:
 
 
 def raise_at_first(bad, check, *args) -> None:
-    """Raise check's error where bad is set, a Python bool for one value or
-    a boolean array (x ^ True negates both).  False returns before any
-    numpy call, and np.count_nonzero takes a quarter of bad.any()'s time.
+    """Raise check's error where bad is set, a bool for one value or a
+    boolean array (x ^ True negates both); np.count_nonzero takes a
+    quarter of bad.any()'s time.  A float check calls this only where its
+    bad is not the bool False, so a passing float check makes no call.
     check(i, *args) raises the one-value error of the lowest set entry i
-    (0 for True); where bad is an array, a package error is tagged with
-    batch_index = i.  A check that returns is a bug, reported as RuntimeError."""
-    if bad is False or (bad is not True and not np.count_nonzero(bad)):
+    (0 for a bool); where bad has a dimension, a package error is tagged
+    with batch_index = i.  A check that returns is a bug, reported as
+    RuntimeError."""
+    if not np.count_nonzero(bad):
         return
-    i = 0 if bad is True else int(bad.argmax())
+    i = int(np.argmax(bad))
     try:
         check(i, *args)
     except UavIsacError as exc:
-        if bad is not True:
+        if np.ndim(bad):
             exc.batch_index = i
         raise
     raise RuntimeError(f"batch entry {i} fails the check, but check raises no error")

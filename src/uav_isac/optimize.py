@@ -524,7 +524,8 @@ def design_trajectory(x_breve_opt, eta_prev, uav_prev, params: SystemParams):
     x_a_prev, _ = uav_prev
     ulp = np.spacing(abs(eta_prev)) if isinstance(eta_prev, np.ndarray) else math.ulp(eta_prev)
     dx = abs(x_breve_opt - eta_prev)
-    raise_at_first(dx > params.reach + 1e-9 + 2.0 * ulp, _beyond_reach, dx, params)
+    if (bad := dx > params.reach + 1e-9 + 2.0 * ulp) is not False:
+        raise_at_first(bad, _beyond_reach, dx, params)
     x_a_n = eta_prev + x_a_prev - x_breve_opt
     return x_a_n, (x_a_n - x_a_prev) / params.dt
 

@@ -92,8 +92,9 @@ def measured_variances(w) -> tuple[float, float, float]:
     SingularMatrixError, naming the variances of the lowest failing entry
     as _variances forms them, unless each weight is finite and positive."""
     w1, w2, w3 = w
-    raise_at_first(((0.0 < w1) & (w1 < math.inf) & (0.0 < w2) & (w2 < math.inf)
-                    & (0.0 < w3) & (w3 < math.inf)) ^ True, _refuse_weights, w)
+    if (bad := ((0.0 < w1) & (w1 < math.inf) & (0.0 < w2) & (w2 < math.inf)
+                & (0.0 < w3) & (w3 < math.inf)) ^ True) is not False:
+        raise_at_first(bad, _refuse_weights, w)
     return 1.0 / w1, 1.0 / w2, 1.0 / w3
 
 

@@ -33,10 +33,11 @@ Both read one rule per scheme from _TARGET_RULES, which takes floats or
 rows; floats and rows differ only in that the lockstep runs each
 scheme's rule on its block of rows and that the proposed rule packs a
 float trial as one row for the slot solve, optimize.solve_p1_each.
-Every check is one call that raises, on rows, for the lowest failing
-row.  A lockstep trial matches run_scenario at the same seed to about
-1e-9 relative or better.  An error names the earliest slot at which a
-row fails and, among the rows failing at one step of it, the lowest.
+Every check raises, on rows, for the lowest failing row, and makes no
+call where it passes on floats.  A lockstep trial matches run_scenario
+at the same seed to about 1e-9 relative or better.  An error names the
+earliest slot at which a row fails and, among the rows failing at one
+step of it, the lowest.
 
 Determinism contract: one generator per trial, seeded with the trial's
 seed, consumed in a fixed order (2 draws for the initial estimate

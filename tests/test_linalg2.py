@@ -5,7 +5,7 @@
 import numpy as np
 import pytest
 
-from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError, raise_at_first
+from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError
 from uav_isac.ekf import inverse, prior_information
 from uav_isac.params import process_noise_cov
 
@@ -58,46 +58,6 @@ def test_prior_information_rejects_singular():
     # negative definite: det > 0 but m11 < 0
     with pytest.raises(NotPositiveDefiniteError):
         prior_information((-1.0, 0.0, -2.0))
-
-
-def test_batch_checks_raise_for_lowest_failing_entry():
-    m = (np.array([1.0, -1.0, 0.0]), np.zeros(3), np.ones(3))
-    with pytest.raises(NotPositiveDefiniteError,
-                       match=r"^mse_pred is not positive definite: Sym2\(m11=-1.0, m12=0.0"
-                       ) as exc_info:
-        prior_information(m)
-    assert exc_info.value.batch_index == 1
-    # a float entry is shared by the batch, as in a diagonal batch
-    with pytest.raises(NotPositiveDefiniteError,
-                       match=r"^mse_pred is not positive definite: "
-                             r"Sym2\(m11=-1.0, m12=0.0, m22=1.0\)$"):
-        prior_information((np.array([1.0, -1.0]), 0.0, np.ones(2)))
-    singular = (np.array([2.0, 1.0, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(SingularMatrixError) as exc_info:
-        inverse(*singular)
-    assert exc_info.value.batch_index == 1
-    # a scalar check that passes where the batched one failed is a bug
-    with pytest.raises(RuntimeError, match="batch entry 1"):
-        raise_at_first(np.array([False, True]), lambda i: None)
-
-
-def test_float_checks_raise_the_batch_error_without_batch_index():
-    """The same calls on float fields: the type and message of the batch
-    entry's error, and no batch_index."""
-    with pytest.raises(NotPositiveDefiniteError,
-                       match=r"^mse_pred is not positive definite: "
-                             r"Sym2\(m11=-1.0, m12=0.0, m22=1.0\)$") as exc_info:
-        prior_information((-1.0, 0.0, 1.0))
-    assert not hasattr(exc_info.value, "batch_index")
-    with pytest.raises(SingularMatrixError,
-                       match=r"^matrix is numerically singular: Sym2\(m11=1.0, m12=1.0, m22=1.0\)$"
-                       ) as exc_info:
-        inverse(1.0, 1.0, 1.0)
-    assert not hasattr(exc_info.value, "batch_index")
-    with pytest.raises(RuntimeError):
-        raise_at_first(True, lambda i: None)
-    # a passing float check makes no call at all
-    raise_at_first(False, None)
 
 
 def test_batch_inverse_equals_scalar_inverse():

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import numpy_calls
 import oracles
 import uav_isac
-from uav_isac import ekf, sensing, simulate
+from uav_isac import ekf, optimize, sensing, simulate
 from uav_isac.errors import (
     BracketError,
     ConfigError,
@@ -297,6 +297,27 @@ def test_slot_loop_value_object_budget(monkeypatch):
         run_scenario(cfg, P)
         assert counts == {"SlotRecord": 10}, cfg.scheme
         counts.clear()
+
+
+@pytest.mark.parametrize("scheme, calls", [("right_above", 1), ("proposed", 21)])
+def test_passing_float_checks_make_no_call(scheme, calls, monkeypatch):
+    """A float check that passes costs an identity test and no call of
+    raise_at_first: a 10-slot right-above run calls it once, in the column
+    pass on arrays, and a proposed run 20 more times, in its one-row slot
+    solve (51 and 71 when every check made one call)."""
+    seen = []
+
+    def counting(raise_at_first):
+        def wrapped(bad, *args):
+            seen.append(bad)
+            raise_at_first(bad, *args)
+        return wrapped
+
+    for mod in (ekf, sensing, optimize, simulate):
+        monkeypatch.setattr(mod, "raise_at_first", counting(mod.raise_at_first))
+    run_scenario(ScenarioConfig(n_slots=10, scheme=scheme), P)
+    assert len(seen) == calls
+    assert all(isinstance(bad, np.ndarray) for bad in seen)
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "right_above"])
