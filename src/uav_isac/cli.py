@@ -3,7 +3,10 @@
 Subcommands: track (per-slot tracking CSV), sweep-angle (optimal
 elevation across weights and altitudes), tradeoff (rate vs sensing
 Pareto frontier), solve-sp1 (one geometry solve, printed), validate
-(runtime check suite).
+(runtime check suite).  Each takes [config] [--set FIELD=VALUE ...]:
+its parameter set is the defaults, then the config file's lines, then
+each --set in command-line order (_params).  --alpha, --H and --a1 are
+spellings of --set; sweep axes replace alpha and h_alt row by row.
 
 Every file-producing subcommand also writes <out>.manifest.json with
 the resolved parameters, seed, argv, output digest, and tool version,
@@ -11,10 +14,11 @@ sufficient to reproduce the output byte for byte.  Numeric CSV cells
 use 17 significant digits so round-tripping through text is lossless.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 infeasible model (rate target unreachable at any offset), 4 any other
-refusal by the package (a UavIsacError such as a singular matrix or a
-failed bracket), printed as one line on stderr.  A refused command
-writes no output file and no manifest.
+3 infeasible model (rate target unreachable at any offset, from any
+command that needs it), 4 any other refusal by the package (a
+UavIsacError such as a singular matrix or a failed bracket), printed as
+one line on stderr.  A refused command writes no output file and no
+manifest.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import operator
 import os
 import platform
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +39,10 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, InfeasibleQosError, UavIsacError
 from .optimize import solve_sp1, sweep_angle, tradeoff_frontier
-from .params import PARAM_FIELD_NAMES, SystemParams
+from .params import INT_FIELD_NAMES, PARAM_FIELD_NAMES, SystemParams
 from .simulate import ScenarioConfig, SlotRecord, run_scenario
 from .validate import run_all
 
-_INT_FIELDS = frozenset(("n_t", "n_r"))
 # sweep-angle and tradeoff hold their rows in memory (about 5 kB per height
 # while sweep-angle solves an alpha), so more rows are refused before any is built
 MAX_GRID_ROWS = 100_000
@@ -60,45 +63,33 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _build_params(overrides: dict) -> SystemParams:
+def _params(args, **defaults) -> SystemParams:
+    """The command's parameter set: SystemParams' defaults, then its own,
+    then the config file's lines (blank lines and #-comments ignored),
+    then each --set in command-line order; both read 'FIELD = VALUE'."""
+    items = [("--set", item) for item in args.set or ()]
+    if args.config is not None:
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        items[:0] = [(f"{args.config}:{ln}", line) for ln, raw in enumerate(text.splitlines(), 1)
+                     if (line := raw.split("#", 1)[0].strip())]
+    for where, item in items:
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ConfigError(f"{where}: expected FIELD = VALUE, got {item!r}")
+        if key not in PARAM_FIELD_NAMES:
+            raise ConfigError(f"{where}: unknown parameter {key!r}")
+        try:
+            defaults[key] = int(value) if key in INT_FIELD_NAMES else float(value)
+        except ValueError:
+            raise ConfigError(f"{where}: bad value for {key}: {value.strip()!r}") from None
     try:
-        return SystemParams(**overrides)
+        return SystemParams(**defaults)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _param_value(key: str, value: str) -> int | float:
-    """The value of SystemParams field key, read from text, or ConfigError."""
-    if key not in PARAM_FIELD_NAMES:
-        raise ConfigError(f"unknown parameter {key!r}")
-    try:
-        return int(value) if key in _INT_FIELDS else float(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
-
-
-def _load_params(path: str | None) -> SystemParams:
-    """Read a flat 'key = value' file whose keys are SystemParams field
-    names.  Blank lines and #-comments are ignored."""
-    overrides: dict = {}
-    if path is not None:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        for ln, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-            key = key.strip()
-            try:
-                overrides[key] = _param_value(key, value.strip())
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{ln}: {exc}") from exc
-    return _build_params(overrides)
 
 
 def _resolve_seed(cli_seed: int) -> int:
@@ -111,13 +102,14 @@ def _resolve_seed(cli_seed: int) -> int:
         raise ConfigError(f"ISAC_SEED must be an integer, got {env!r}") from exc
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_alphas(text: str) -> list[float]:
+    """The comma-separated weights of a sweep axis, each in [0, 1]."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad number list {text!r}") from exc
-    if not values:
-        raise ConfigError(f"empty number list {text!r}")
+    if not values or not all(0.0 <= a <= 1.0 for a in values):
+        raise ConfigError(f"need one or more alphas in [0, 1], got {text!r}")
     return values
 
 
@@ -144,7 +136,7 @@ def _write_manifest(out_path: str, subcommand: str, argv: list[str],
 
 
 def cmd_track(args) -> int:
-    params = _load_params(args.config)
+    params = _params(args)
     seed = _resolve_seed(args.seed)
     if args.every is not None and args.every < 1:
         raise ConfigError(f"--every must be >= 1, got {args.every}")
@@ -165,10 +157,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_sweep_angle(args) -> int:
-    params = SystemParams()
-    alphas = _parse_float_list(args.alphas)
-    for a in alphas:
-        _build_params({"alpha": a})  # refuses an alpha outside [0, 1]
+    params = _params(args)
+    alphas = _parse_alphas(args.alphas)
     if not (0 < args.h_min <= args.h_max < math.inf and 0 < args.h_step < math.inf):
         raise ConfigError("need finite h_min > 0, h_step > 0 and h_max >= h_min")
     span = (args.h_max - args.h_min) / args.h_step
@@ -186,36 +176,24 @@ def cmd_sweep_angle(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    alphas = _parse_float_list(args.alphas)
+    alphas = _parse_alphas(args.alphas)
     if args.x_grid < 2:
         raise ConfigError(f"--x-grid must be >= 2, got {args.x_grid}")
     if len(alphas) * args.x_grid > MAX_GRID_ROWS:
         raise ConfigError(f"{len(alphas)} alphas x --x-grid {args.x_grid} is more than "
                           f"{MAX_GRID_ROWS} rows")
-    base = _build_params({"a1": args.a1})
+    params = _params(args, a1=0.15)  # the low ranging gain, where rate and sensing conflict
     lines = ["alpha,x_m,rate_bpshz,sensing_perf"]
     for a in alphas:
-        for row in tradeoff_frontier(_build_params({"a1": args.a1, "alpha": a}), args.x_grid):
+        for row in tradeoff_frontier(replace(params, alpha=a), args.x_grid):
             lines.append(",".join(_fmt(v) for v in row))
     sha = _write_output(args.out, lines)
-    _write_manifest(args.out, "tradeoff", args.argv, base, None, sha)
+    _write_manifest(args.out, "tradeoff", args.argv, params, None, sha)
     return 0
 
 
 def cmd_solve_sp1(args) -> int:
-    overrides: dict = {}
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.h is not None:
-        overrides["h_alt"] = args.h
-    for item in args.set or ():
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--set expects FIELD=VALUE, got {item!r}")
-        key = key.strip()
-        overrides[key] = _param_value(key, value.strip())
-    params = _build_params(overrides)
-    res = solve_sp1(params)
+    res = solve_sp1(_params(args))
     print(f"x_star_m = {_fmt(res.x_star)}")
     print(f"phi_star_deg = {_fmt(math.degrees(res.phi_star))}")
     print(f"v_star_mps = {_fmt(res.v_star)}")
@@ -226,7 +204,7 @@ def cmd_solve_sp1(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = run_all()
+    results = run_all(_params(args))
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -242,10 +220,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="uav-isac",
         description="Tracking-platform simulation, optimization and validation tools.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command reads its parameter set through _params
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("config", nargs="?", default=None,
+                        help="file of FIELD = VALUE lines overriding system parameters")
+    params.add_argument("--set", action="append", metavar="FIELD=VALUE",
+                        help="override one system parameter, after the file; the last one wins")
 
-    p_track = sub.add_parser("track", help="run one tracking scenario to CSV")
-    p_track.add_argument("config", nargs="?", default=None,
-                         help="flat key = value parameter file")
+    p_track = sub.add_parser("track", parents=[params], help="run one tracking scenario to CSV")
     p_track.add_argument("--scheme", choices=("proposed", "right-above"),
                          default="proposed")
     p_track.add_argument("--seed", type=int, default=0)
@@ -255,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print every Nth slot to stdout (file is never decimated)")
     p_track.set_defaults(func=cmd_track)
 
-    p_sweep = sub.add_parser("sweep-angle",
+    p_sweep = sub.add_parser("sweep-angle", parents=[params],
                              help="optimal elevation angle across (alpha, H)")
     p_sweep.add_argument("--alphas", default="0,0.5,1",
                          help="comma-separated weights")
@@ -265,24 +247,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="sweep_angle.csv")
     p_sweep.set_defaults(func=cmd_sweep_angle)
 
-    p_trade = sub.add_parser("tradeoff",
+    p_trade = sub.add_parser("tradeoff", parents=[params],
                              help="rate vs sensing Pareto frontier per weight")
     p_trade.add_argument("--alphas", default="0,0.25,0.5,0.75,1")
-    p_trade.add_argument("--a1", type=float, default=0.15,
-                         help="angle-accuracy constant override")
+    p_trade.add_argument("--a1", dest="set", action="append", type=lambda v: f"a1={v}",
+                         metavar="A1", help="--set a1=A1 (the command's default is 0.15)")
     p_trade.add_argument("--x-grid", type=int, default=2001,
                          help="grid points across [0, x_c]")
     p_trade.add_argument("--out", default="tradeoff.csv")
     p_trade.set_defaults(func=cmd_tradeoff)
 
-    p_sp1 = sub.add_parser("solve-sp1", help="solve the geometry problem once")
-    p_sp1.add_argument("--alpha", type=float, default=None)
-    p_sp1.add_argument("--H", dest="h", type=float, default=None)
-    p_sp1.add_argument("--set", action="append", metavar="FIELD=VALUE",
-                       help="override any system parameter")
+    p_sp1 = sub.add_parser("solve-sp1", parents=[params],
+                           help="solve the geometry problem once")
+    p_sp1.add_argument("--alpha", dest="set", action="append", type=lambda v: f"alpha={v}",
+                       metavar="A", help="--set alpha=A")
+    p_sp1.add_argument("--H", dest="set", action="append", type=lambda v: f"h_alt={v}",
+                       metavar="METERS", help="--set h_alt=METERS")
     p_sp1.set_defaults(func=cmd_solve_sp1)
 
-    p_val = sub.add_parser("validate", help="run the runtime check suite")
+    p_val = sub.add_parser("validate", parents=[params], help="run the runtime check suite")
     p_val.set_defaults(func=cmd_validate)
 
     return parser

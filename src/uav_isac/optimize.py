@@ -573,10 +573,15 @@ def tradeoff_frontier(params: SystemParams, n_grid: int = 2001):
     if not (_is_integer(n_grid) and n_grid >= 2):
         raise ValueError(f"n_grid must be an integer >= 2, got {n_grid!r}")
     xs = qos_radius(params) * np.arange(n_grid) / (n_grid - 1)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked per kept row
         perf = 1.0 / _g0(xs, params)
-    keep = np.concatenate(([True], perf[1:] > np.maximum.accumulate(perf)[:-1]))
+        keep = np.concatenate(([True], perf[1:] > np.maximum.accumulate(perf)[:-1]))
+        xs, snr, perf = xs[keep], comm_snr(xs[keep], params), perf[keep]
+    bad = ~np.isfinite(snr + perf)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SingularMatrixError(f"the frontier row at x = {xs[i]:.6g} m is not finite: "
+                                  f"SNR = {snr[i]:.6g}, sensing_perf = {perf[i]:.6g}")
     # achievable_rate with the SNR as one array; math.log2 per row keeps its digits
-    snr = comm_snr(xs[keep], params).tolist()
     return [(params.alpha, x, math.log2(1.0 + s), pf)
-            for x, s, pf in zip(xs[keep].tolist(), snr, perf[keep].tolist())]
+            for x, s, pf in zip(xs.tolist(), snr.tolist(), perf.tolist())]

@@ -96,15 +96,25 @@ class SystemParams:
         # zero intensity is the noiseless constant-velocity model
         if not (math.isfinite(self.q_tilde) and self.q_tilde >= 0):
             raise ValueError(f"q_tilde must be >= 0, got {self.q_tilde!r}")
-        for name in ("n_t", "n_r"):
+        for name in INT_FIELD_NAMES:
             v = getattr(self, name)
             if not (_is_integer(v) and v > 0):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
             object.__setattr__(self, name, int(v))
-        for name, w in zip(("a1", "a2", "a3"), self.channel_weights):
+        try:
+            weights = self.channel_weights
+        except OverflowError:  # beta_r's wavelength ** 2
+            raise ValueError(f"wavelength = {self.wavelength!r} m overflows its square") from None
+        for name, w in zip(("a1", "a2", "a3"), weights):
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(f"{name} = {getattr(self, name)!r} gives a channel weight "
                                  f"sens_gain/{name}^2 of {w!r}, not finite and positive")
+        try:
+            scales = self.jacobian_scales
+        except ZeroDivisionError:  # c * c rounds to 0
+            scales = (math.inf, math.inf)
+        if not all(0.0 < k < math.inf for k in scales):
+            raise ValueError(f"c = {self.c!r} gives Jacobian scales {scales!r} beyond float range")
         if self.gamma_c >= 1024.0 or 2.0 ** self.gamma_c == 1.0:  # qos_radius divides by it
             raise ValueError(f"gamma_c must make 2**gamma_c - 1 finite and nonzero, got "
                              f"{self.gamma_c!r}")
@@ -180,3 +190,4 @@ class SystemParams:
 
 
 PARAM_FIELD_NAMES = tuple(f.name for f in fields(SystemParams))
+INT_FIELD_NAMES = ("n_t", "n_r")  # the fields that hold a count, read from text as int

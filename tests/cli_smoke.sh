@@ -13,9 +13,23 @@ mkdir -p "$out"
 # the geometry benchmark's weights, alpha = 0, 0.05, ..., 1
 bench_alphas="0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1"
 cli() { PYTHONPATH=src python -W error::RuntimeWarning -m uav_isac.cli "$@"; }
+# refused CODE ARGS...: the command exits with CODE, prints one stderr line
+# and no traceback, and writes no refused.csv
+refused() {
+  local want=$1 code=0
+  shift
+  cli "$@" 2> "$out/refusal.txt" || code=$?
+  cat "$out/refusal.txt"
+  test "$code" -eq "$want"
+  test "$(wc -l < "$out/refusal.txt")" -eq 1
+  test ! -e "$out/refused.csv"
+  if grep -q Traceback "$out/refusal.txt"; then exit 1; fi
+}
 
 # the runtime validation suite exits 1 on any failing check
 cli validate
+# and checks the parameter set it is given
+cli validate --set h_alt=80 | tail -n 1 | grep -x '21/21 checks passed'
 
 # geometry commands at their defaults
 cli sweep-angle --out "$out/sweep_angle.csv"
@@ -26,12 +40,7 @@ cli solve-sp1
 # a package refusal exits 4 with one stderr line, not a traceback; a
 # geometry solution that is not finite is refused the same way
 for args in "--H 1e200" "--H 1e60" "--H 1e308 --set alpha=1"; do
-  code=0
-  cli solve-sp1 $args 2> "$out/refusal.txt" || code=$?
-  cat "$out/refusal.txt"
-  test "$code" -eq 4
-  test "$(wc -l < "$out/refusal.txt")" -eq 1
-  if grep -q Traceback "$out/refusal.txt"; then exit 1; fi
+  refused 4 solve-sp1 $args
 done
 # the sweep records a refused cell as an error and goes on
 cli sweep-angle --alphas 0.5,1 --h-min 1e60 --h-max 1e60 --h-step 1 --out "$out/sweep_far.csv"
@@ -49,11 +58,12 @@ for cfg in gamma_c_12 v_a_max_0; do
     cli track "$out/$cfg.cfg" --scheme $scheme --out "$out/track_${cfg}_$scheme.csv"
   done
 done
+# --set reads the same FIELD = VALUE as a config file line
+cli track --set gamma_c=12 --out "$out/track_set_gamma_c_12.csv"
+cmp "$out/track_set_gamma_c_12.csv" "$out/track_gamma_c_12_proposed.csv"
+rm "$out/track_set_gamma_c_12.csv" "$out/track_set_gamma_c_12.csv.manifest.json"
 # a power whose watts overflow is a config error: exit 2, one stderr line
 printf 'sigma_c2_dbm = 4000\n' > "$out/sigma_c2_dbm_4000.cfg"
-code=0
-cli track "$out/sigma_c2_dbm_4000.cfg" --out "$out/refused.csv" 2> "$out/refusal.txt" || code=$?
-cat "$out/refusal.txt"
-test "$code" -eq 2
-test "$(wc -l < "$out/refusal.txt")" -eq 1
-if grep -q Traceback "$out/refusal.txt"; then exit 1; fi
+refused 2 track "$out/sigma_c2_dbm_4000.cfg" --out "$out/refused.csv"
+# a rate target that no offset meets at 200 m and 20 dBm: exit 3, one stderr line
+refused 3 track --set h_alt=200 --set p_a_dbm=20 --out "$out/refused.csv"

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from uav_isac import cli
-from uav_isac.params import SystemParams
+from uav_isac.params import PARAM_FIELD_NAMES, SystemParams
+from uav_isac.validate import CheckResult
 
 import oracles
 
@@ -335,6 +336,109 @@ def test_validate_subcommand_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+# --------------------------------------------------------------- parameters
+
+COMMANDS = ("track", "sweep-angle", "tradeoff", "solve-sp1", "validate")
+# the smallest run of each file-writing command
+SMALL_RUN = {"track": ["--slots", "2"],
+             "sweep-angle": ["--alphas", "0.5", "--h-min", "50", "--h-max", "50"],
+             "tradeoff": ["--alphas", "0.5", "--x-grid", "2"]}
+
+
+@pytest.fixture
+def ran_with(tmp_path, monkeypatch):
+    """ran_with(command, *args): the parameter fields command ran with: the
+    manifest's of a file-writing command, else the set that solve-sp1 or
+    validate passed on (validate's suite itself does not run)."""
+    seen = []
+    solve = cli.solve_sp1
+    monkeypatch.setattr(cli, "solve_sp1", lambda p: seen.append(p) or solve(p))
+    monkeypatch.setattr(cli, "run_all", lambda p: seen.append(p) or [CheckResult("-", True, "")])
+
+    def ran(command, *args):
+        seen.clear()
+        out = tmp_path / "o.csv"
+        if command in SMALL_RUN:
+            args = (*args, *SMALL_RUN[command], "--out", str(out))
+        assert _run([command, *args]) == 0
+        if command in SMALL_RUN:
+            return json.loads((tmp_path / "o.csv.manifest.json").read_text())["params"]
+        return {name: getattr(seen[0], name) for name in PARAM_FIELD_NAMES}
+    return ran
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parameters_resolve_defaults_then_file_then_set_in_order(command, tmp_path, ran_with):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("# overrides\nh_alt = 60\na1 = 0.5\n\ngamma_c = 10  # a floor\n")
+    a1 = 0.15 if command == "tradeoff" else 1.0  # tradeoff's own default
+    got = ran_with(command)
+    assert (got["h_alt"], got["a1"], got["gamma_c"]) == (50.0, a1, 11.0)
+    got = ran_with(command, str(cfg))
+    assert (got["h_alt"], got["a1"], got["gamma_c"]) == (60.0, 0.5, 10.0)
+    # --set comes after the file wherever the file stands on the line
+    got = ran_with(command, "--set", "h_alt=70", str(cfg))
+    assert (got["h_alt"], got["a1"], got["gamma_c"]) == (70.0, 0.5, 10.0)
+    got = ran_with(command, str(cfg), "--set", "h_alt=70", "--set", "n_t=16", "--set", "h_alt=80")
+    assert (got["h_alt"], got["a1"], got["n_t"]) == (80.0, 0.5, 16)
+    assert type(got["n_t"]) is int
+
+
+@pytest.mark.parametrize("command, flag, field", [
+    ("tradeoff", "--a1", "a1"), ("solve-sp1", "--alpha", "alpha"), ("solve-sp1", "--H", "h_alt")])
+def test_flag_spellings_of_set_apply_in_command_line_order(command, flag, field, tmp_path,
+                                                          ran_with):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"{field} = 0.25\n")
+    assert ran_with(command, str(cfg))[field] == 0.25
+    assert ran_with(command, str(cfg), flag, "0.5")[field] == 0.5
+    assert ran_with(command, flag, "0.5", "--set", f"{field}=0.75")[field] == 0.75
+    assert ran_with(command, "--set", f"{field}=0.75", flag, "0.5")[field] == 0.5
+
+
+def _exit(command, args, tmp_path, capsys):
+    """command's exit code and stderr with args, after checking that a
+    refusal printed one stderr line and wrote no file."""
+    out = tmp_path / f"{command}.csv"
+    code = _run([command, *args, *(["--out", str(out)] if command in SMALL_RUN else [])])
+    err = capsys.readouterr().err
+    if code in (2, 3, 4):
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / f"{command}.csv.manifest.json").exists()
+    else:
+        assert err == ""
+    return code, err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_refuses_a_bad_set_with_exit_2(command, tmp_path, capsys):
+    for item in ("nope=1", "h_alt", "n_t=3.5", "h_alt=-5"):
+        code, err = _exit(command, ["--set", item], tmp_path, capsys)
+        assert code == 2 and err.startswith("config error: ")
+
+
+def test_every_command_at_an_unreachable_rate_target(tmp_path, capsys):
+    # at 200 m and 20 dBm no offset meets the 11 b/s/Hz floor; the geometry
+    # commands do not read the floor, and validate's rate checks fail
+    args = ["--set", "h_alt=200", "--set", "p_a_dbm=20"]
+    codes = {command: _exit(command, args, tmp_path, capsys)[0] for command in COMMANDS}
+    assert codes == {"track": 3, "sweep-angle": 0, "tradeoff": 3, "solve-sp1": 0, "validate": 1}
+
+
+@pytest.mark.parametrize("setting, codes", [
+    ("c=1e-300", (2, 2, 2, 2, 2)),              # 4/c^2 divides by c*c = 0
+    ("wavelength=1e300", (2, 2, 2, 2, 2)),      # wavelength**2 overflows
+    ("h_alt=1e-300", (4, 0, 4, 4, 1)),          # H^2 = 0: a frontier row of inf and nan
+    ("h_alt=1e150", (3, 0, 3, 4, 1)),
+    ("a1=1e150", (0, 0, 0, 4, 1)),
+])
+def test_every_command_at_an_edge_setting_exits_with_a_documented_code(setting, codes, tmp_path,
+                                                                       capsys):
+    # sweep-angle's heights replace h_alt, so its grid runs at any h_alt
+    got = tuple(_exit(command, ["--set", setting], tmp_path, capsys)[0] for command in COMMANDS)
+    assert got == codes
 
 
 # ------------------------------------------------------------ console entry

@@ -369,6 +369,14 @@ def test_tradeoff_frontier_takes_numpy_integer_grid():
     assert optimize.tradeoff_frontier(P, np.int64(7)) == optimize.tradeoff_frontier(P, 7)
 
 
+def test_tradeoff_frontier_refuses_a_row_that_is_not_finite():
+    # H^2 rounds to 0: overhead the SNR is inf and the bound nan, a row
+    # (0.5, 0.0, inf, nan) before
+    with pytest.raises(SingularMatrixError, match=r"^the frontier row at x = 0 m is not finite: "
+                                                  r"SNR = inf, sensing_perf = nan$"):
+        optimize.tradeoff_frontier(SystemParams(h_alt=1e-300), 2001)
+
+
 # ------------------------------------------------------------ SP1 geometry
 
 def test_xi_and_brackets_frozen():

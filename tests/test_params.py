@@ -1,13 +1,14 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from uav_isac.errors import InfeasibleQosError
 from uav_isac.optimize import qos_radius
-from uav_isac.params import PARAM_FIELD_NAMES, SPEED_OF_LIGHT, SystemParams, dbm_to_watts
+from uav_isac.params import (INT_FIELD_NAMES, PARAM_FIELD_NAMES, SPEED_OF_LIGHT, SystemParams,
+                             dbm_to_watts)
 
 import oracles
 
@@ -64,6 +65,10 @@ def test_linear_power_properties():
     # qos_radius's 2**gamma_c - 1 overflows from 1024 (a bare OverflowError)
     # and rounds to 0 below about 1.6e-16 (a bare ZeroDivisionError)
     ("gamma_c", 1024.0), ("gamma_c", 2000.0), ("gamma_c", 1.6e-16), ("gamma_c", 1e-20),
+    # 4/c^2 divides by a c * c that rounds to 0 (a bare ZeroDivisionError),
+    # or overflows, or rounds to 0 itself; wavelength ** 2 overflows (a bare
+    # OverflowError)
+    ("c", 1e-300), ("c", 1e-150), ("c", 1e300), ("wavelength", 1e300),
 ])
 def test_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
@@ -129,3 +134,4 @@ def test_field_names_cover_all_fields():
         "sigma_c2_dbm", "gamma_c", "q_tilde", "epsilon", "n_t", "n_r",
         "a1", "a2", "a3", "h_alt", "v_a_max", "alpha", "c",
     }
+    assert INT_FIELD_NAMES == tuple(f.name for f in fields(SystemParams) if f.type == "int")
