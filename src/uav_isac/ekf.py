@@ -21,8 +21,9 @@ entry triple (m11, m12, m22) of floats, or of arrays for a batch:
 predict maps the posterior MSE to the prediction MSE, prior_information
 checks and inverts the prediction MSE, and update maps the planned
 (x, v), the prior information, the weights and the measurement to
-(x_hat, v_hat, mse).  update reads the measurement map at (x, v), so it
-takes sensing's namespace xp: math, or numpy for the Monte-Carlo batch;
+(x_hat, v_hat, mse).  update reads the measurement map and its
+Jacobian at (x, v) from one sensing.linearize call, so it takes
+sensing's namespace xp: math, or numpy for the Monte-Carlo batch;
 its inversions are the same calls for both.  The one inverse and the
 check in prior_information raise on a batch for its lowest failing
 matrix, described by one formatter, _describe.
@@ -34,7 +35,7 @@ import math
 
 from .errors import NotPositiveDefiniteError, SingularMatrixError, entry, raise_at_first
 from .params import SystemParams
-from .sensing import jacobian, measure_mean, noise_weights
+from .sensing import linearize, noise_weights
 
 
 def predict(m, params: SystemParams):
@@ -81,8 +82,7 @@ def update(x, v, prior_info, w, y, params: SystemParams, xp=math):
     only SingularMatrixError, when the information is numerically
     singular.  With xp numpy, of a batch whose values are arrays.
     """
-    phi, tau, mu = measure_mean(x, v, params, xp)
-    iota, kappa, zeta, nu = jacobian(x, v, params, xp)
+    phi, tau, mu, iota, kappa, zeta, nu = linearize(x, v, params, xp)
     w1, w2, w3 = w
     r3 = w3 * (y[2] - mu)
     # the angle and delay rows carry no velocity

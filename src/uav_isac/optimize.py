@@ -427,10 +427,12 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
     optimum that is not finite, and at alpha = 0 and 1 an objective
     g(x_star, 0) or a bracket end x_l that is not finite).  An interior
     weight takes _grid_basin_each's grid pass with both bracket ends,
-    checks the signs of g' at the ends, and polishes every signed
-    altitude in one Newton solve on the grid cell that g' at the grid
-    minimum picks, or on the whole bracket, the points (lo, lo, x_u),
-    where g' does not change sign over that cell."""
+    checks the signs of g' at the ends (where they do not change, a
+    bracket narrower than the Newton tolerance returns x_u if g is
+    finite there), and polishes every signed altitude in one Newton
+    solve on the grid cell that g' at the grid minimum picks, or on the
+    whole bracket, the points (lo, lo, x_u), where g' does not change
+    sign over that cell."""
     n = len(h)
     xi = xi_of_h(params, h)
     x_l = convexity_lower_bound(params, h, xi)
@@ -458,11 +460,10 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
         def jet(x):
             return g0_derivatives(x, params, h, alpha)
         lo = np.maximum(x_l, 1e-9 * h)
-        _, _, _, points, (_, d1, d2) = _grid_basin_each(
+        _, _, _, points, (g, d1, d2) = _grid_basin_each(
             lambda x: _g0(x, params, h, alpha), jet, lo, x_u, ends=True)
-        signed = (d1[3] < 0.0) & (0.0 < d1[4])
-        for i in np.flatnonzero(~signed):
-            error[i] = _bracket_error(lo[i], x_u[i], float(d1[3, i]), float(d1[4, i]), h[i])
+        g_u, g_lo, g_hi = g[4], d1[3], d1[4]
+        signed = (g_lo < 0.0) & (0.0 < g_hi)
         ga, gb = _cell(d1, d1[1] < 0.0)
         inside = (ga < 0.0) & (0.0 < gb)
         # the grid cell that g' at the grid minimum picks, else the whole bracket
@@ -471,6 +472,11 @@ def _solve_sp1_each(params: SystemParams, h, alpha: float):
         x_star, _ = _newton_bracketed_each(lambda x: jet(x)[1:], a, b, 1e-9 * h, x0, signed)
         x_star = np.where(signed, x_star, math.nan)
         branch = ["interior_newton"] * n
+        for i in np.flatnonzero(~signed):  # narrower than a Newton step, x_u is the solution
+            if abs(x_u[i] - lo[i]) < 1e-9 * h[i] and math.isfinite(g_u[i]):
+                x_star[i], branch[i] = x_u[i], "point_bracket"
+            else:
+                error[i] = _bracket_error(lo[i], x_u[i], float(g_lo[i]), float(g_hi[i]), h[i])
     branch = [b if e is None else f"error:{type(e).__name__}" for b, e in zip(branch, error)]
     return x_star, x_l, x_u, branch, error
 
@@ -491,7 +497,9 @@ def solve_sp1(params: SystemParams) -> Sp1Result:
     form).  Interior weights solve g'(x, 0) = 0 on the bracket
     [x_l, x_u], its lower end floored at 1e-9*H because g' diverges at
     x = 0 when the velocity term carries weight: g' must go from
-    negative to positive over it (BracketError if not), g on
+    negative to positive over it (BracketError if not, unless the
+    bracket is narrower than 1e-9*H, as from a1 = 3e7 at the other
+    defaults: x_u is then the solution, branch 'point_bracket'), g on
     P1_GRID_POINTS evenly spaced points picks the grid cell that holds
     the root by the sign of g' at the grid minimum (the whole bracket
     when g' does not change sign over that cell), and a safeguarded

@@ -15,11 +15,12 @@ and positive); the slot loop calls it on floats or on rows before it
 samples, so a geometry too far or not finite is refused the same way by
 each.
 
-The measurement map, its Jacobian and the sampler are value functions
-of (x, v): measure_mean, jacobian and sample_measurement.  The filter
-update runs the first two, and the validation suite checks them.  They
-and achievable_rate take the module of their transcendentals as xp:
-math by default, numpy for a batch whose values are arrays (numpy >= 2.0
+The measurement map, its linearization and the sampler are value
+functions of (x, v): measure_mean, linearize (the map and its Jacobian
+at one state) and sample_measurement.  The filter update runs
+linearize, and the validation suite checks it.  They and
+achievable_rate take the module of their transcendentals as xp: math
+by default, numpy for a batch whose values are arrays (numpy >= 2.0
 spells hypot, atan2, sqrt and log2 as math does).
 """
 
@@ -103,20 +104,22 @@ def _refuse_weights(i: int, w):
     raise SingularMatrixError(f"noise variances {s} need finite positive reciprocals")
 
 
-def jacobian(x, v, params: SystemParams, xp=math):
-    """Measurement Jacobian [[iota, 0], [kappa, 0], [zeta, nu]] at (x, v),
-    the analytic derivative of measure_mean (rows angle, delay, Doppler;
-    columns position, velocity), as its free entries (iota, kappa, zeta,
-    nu): iota = -H/(H^2+x^2), kappa = 2x/(c d), zeta = -2 f_c v H^2/(c d^3)
-    and nu = -2 f_c x/(c d)."""
-    h = params.h_alt
+def linearize(x, v, params: SystemParams, xp=math):
+    """The filter's linearization at (x, v): measure_mean's (phi, tau, mu)
+    and the Jacobian [[iota, 0], [kappa, 0], [zeta, nu]] (rows angle,
+    delay, Doppler; columns position, velocity) as its free entries,
+    iota = -H/(H^2+x^2), kappa = 2x/(c d), zeta = -2 f_c v H^2/(c d^3)
+    and nu = -2 f_c x/(c d), in one call: (phi, tau, mu, iota, kappa,
+    zeta, nu).  The mean repeats measure_mean's arithmetic, d = hypot(x, H)
+    as there, and the Jacobian takes d = sqrt(x^2 + H^2)."""
+    h, c, f_c = params.h_alt, params.c, params.f_c
+    d = xp.hypot(x, h)
     d2 = x * x + h * h
-    d = xp.sqrt(d2)
-    iota = -h / d2
-    kappa = 2.0 * x / (params.c * d)
-    zeta = -2.0 * params.f_c * v * h * h / (params.c * d2 * d)
-    nu = -2.0 * params.f_c * x / (params.c * d)
-    return iota, kappa, zeta, nu
+    dj = xp.sqrt(d2)
+    fv = -2.0 * f_c * v
+    cd = c * dj
+    return (xp.atan2(h, x), 2.0 * d / c, fv * x / (c * d),
+            -h / d2, 2.0 * x / cd, fv * h * h / (c * d2 * dj), -2.0 * f_c * x / cd)
 
 
 def sample_measurement(x, v, s, z, k: float, params: SystemParams, xp=math):

@@ -8,7 +8,7 @@ on any failure.
 
 The checks read the parameter set they are given and the functions
 the slot loop and the solves run (sensing.measure_mean,
-sensing.jacobian, sensing.noise_weights, ekf.update,
+sensing.linearize, sensing.noise_weights, ekf.update,
 optimize.solve_p1_each, optimize.objective_f, optimize.g0_derivatives,
 optimize.convexity_lower_bound, ...) and build what they compare
 against themselves: the dense Jacobian, the echo gain beta_r/d^4,
@@ -52,9 +52,9 @@ def _dense(m) -> np.ndarray:
 
 
 def _dense_jacobian(x: float, v: float, p: SystemParams) -> np.ndarray:
-    """sensing.jacobian at (x, v) as the 3x2 matrix: rows angle, delay,
-    Doppler; columns position, velocity."""
-    iota, kappa, zeta, nu = sensing.jacobian(x, v, p)
+    """The Jacobian of sensing.linearize at (x, v) as the 3x2 matrix: rows
+    angle, delay, Doppler; columns position, velocity."""
+    iota, kappa, zeta, nu = sensing.linearize(x, v, p)[3:]
     return np.array([[iota, 0.0], [kappa, 0.0], [zeta, nu]])
 
 
@@ -198,9 +198,11 @@ def _check_sp1_alpha_continuity(p: SystemParams, rng) -> tuple[bool, str]:
 
 
 def _check_g_convexity(p: SystemParams, rng) -> tuple[bool, str]:
-    """Numerical convexity of g(x,0) on the bracket [x_l, x_u]."""
+    """Numerical convexity of g(x,0) on the bracket [x_l, x_u], if not one point."""
     x_l = optimize.convexity_lower_bound(p)
     x_u = optimize.upper_anchor(p)
+    if x_l >= x_u:
+        return True, f"one-point bracket [{x_l:.6g}, {x_u:.6g}] m"
     xs = np.linspace(x_l, x_u, 1000)
     with np.errstate(divide="ignore"):  # g is inf overhead, at x_l = 0, where vv = 0
         g = optimize._g0(xs, p)

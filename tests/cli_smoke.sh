@@ -42,6 +42,10 @@ cli solve-sp1
 for args in "--H 1e200" "--H 1e60" "--H 1e308 --set alpha=1"; do
   refused 4 solve-sp1 $args
 done
+# a geometry bracket rounded to one point, where the angle channel carries
+# almost no information, is its own solution x_u = H/sqrt(2)
+cli solve-sp1 --set a1=1e20 | grep -x 'x_star_m = 35.35533905932737'
+cli validate --set a1=1e20 | tail -n 1 | grep -x '21/21 checks passed'
 # the sweep records a refused cell as an error and goes on
 cli sweep-angle --alphas 0.5,1 --h-min 1e60 --h-max 1e60 --h-step 1 --out "$out/sweep_far.csv"
 grep ',error:' "$out/sweep_far.csv"

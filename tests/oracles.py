@@ -536,7 +536,9 @@ def _sp1_result(params, interior_solve):
     """optimize.solve_sp1 for one altitude on plain floats: the closed
     forms at the weight endpoints, and for an interior weight
     interior_solve(params, lo, x_u) -> (x_star, Newton steps) on the
-    bracket [max(x_l, 1e-9 H), x_u].  Returns (Sp1Result, steps)."""
+    bracket [lo, x_u], lo = max(x_l, 1e-9 H), or x_u where g' does not
+    change sign over a bracket narrower than 1e-9 H.  Returns
+    (Sp1Result, steps)."""
     from uav_isac import ekf, optimize
 
     p = params
@@ -554,8 +556,13 @@ def _sp1_result(params, interior_solve):
                 math.atan(math.sqrt(5.0) * p.c * p.a2 / math.sqrt(xi)) / 3.0)
             x_star = h / math.sqrt(chi1)
     else:
-        branch = "interior_newton"
-        x_star, steps = interior_solve(p, max(x_l, 1e-9 * h), x_u)
+        lo = max(x_l, 1e-9 * h)
+        d_lo, d_hi = (optimize.g0_derivatives(x, p)[1] for x in (lo, x_u))
+        if not d_lo < 0.0 < d_hi and abs(x_u - lo) < 1e-9 * h:
+            branch, x_star = "point_bracket", x_u  # narrower than a Newton step
+        else:
+            branch = "interior_newton"
+            x_star, steps = interior_solve(p, lo, x_u)
     res = optimize.Sp1Result(x_star, 0.0, math.atan2(h, x_star),
                              ekf.weighted_g(x_star, 0.0, p), x_l, x_u, branch)
     return res, steps

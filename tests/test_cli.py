@@ -432,7 +432,7 @@ def test_every_command_at_an_unreachable_rate_target(tmp_path, capsys):
     ("wavelength=1e300", (2, 2, 2, 2, 2)),      # wavelength**2 overflows
     ("h_alt=1e-300", (4, 0, 4, 4, 1)),          # H^2 = 0: a frontier row of inf and nan
     ("h_alt=1e150", (3, 0, 3, 4, 1)),
-    ("a1=1e150", (0, 0, 0, 4, 1)),
+    ("a1=1e150", (0, 0, 0, 0, 0)),              # the geometry bracket is one point
 ])
 def test_every_command_at_an_edge_setting_exits_with_a_documented_code(setting, codes, tmp_path,
                                                                        capsys):

@@ -10,7 +10,7 @@ from uav_isac.errors import NotPositiveDefiniteError, SingularMatrixError
 from uav_isac.params import SystemParams, process_noise_cov
 from uav_isac.sensing import (
     achievable_rate,
-    jacobian,
+    linearize,
     measure_mean,
     measured_variances,
     noise_weights,
@@ -288,12 +288,27 @@ def test_sensing_numpy_namespace_matches_float_form_row_by_row():
     z = np.random.default_rng(9).standard_normal((3, len(states)))
     s = tuple(1.0 / wi for wi in noise_weights(x, P))
     _assert_rows_match(measure_mean(x, v, P, np), [measure_mean(a, b, P) for a, b in states])
-    _assert_rows_match(jacobian(x, v, P, np), [jacobian(a, b, P) for a, b in states])
+    _assert_rows_match(linearize(x, v, P, np), [linearize(a, b, P) for a, b in states])
     _assert_rows_match([achievable_rate(x, P, np)], [(achievable_rate(a, P),) for a, _ in states])
     _assert_rows_match(
         sample_measurement(x, v, s, z, 1.0, P, np),
         [sample_measurement(a, b, sensing._variances(noise_weights(a, P)), z[:, i].tolist(), 1.0, P)
          for i, (a, b) in enumerate(states)])
+
+
+def _bits(values):
+    """The float64 bit patterns of values, floats or equal-length arrays."""
+    return np.array(values, float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -37.5, 1e200, -1e200])
+def test_linearize_mean_is_measure_mean_bit_for_bit(x):
+    # linearize writes measure_mean's three expressions a second time, so
+    # the update's h(x, v) and the sampler's must agree to the bit
+    xs, vs = np.array([x, x, 12.0, -150.0]), np.array([5.0, -3.0, 0.0, 7.5])
+    for a, b, xp in ((x, 5.0, math), (x, -3.0, math), (x, 0.0, math), (xs, vs, np)):
+        with np.errstate(over="ignore"):  # the Jacobian's x^2 at |x| = 1e200
+            assert _bits(linearize(a, b, P, xp)[:3]) == _bits(measure_mean(a, b, P, xp))
 
 
 def test_posterior_numpy_namespace_matches_float_form_row_by_row():
@@ -314,8 +329,8 @@ def test_posterior_numpy_namespace_matches_float_form_row_by_row():
     # the estimate adds M J^T R^-1 (y - h(x_pred)); an ulp by which numpy's
     # transcendentals differ from math's in h is carried through that gain,
     # which the innovation's cancellation can make larger than 1e-15 of it
-    iota, kappa, zeta, nu = jacobian(x, v, P, np)
-    ulp = [wi * np.spacing(np.abs(hi)) for wi, hi in zip(w, measure_mean(x, v, P, np))]
+    *h, iota, kappa, zeta, nu = linearize(x, v, P, np)
+    ulp = [wi * np.spacing(np.abs(hi)) for wi, hi in zip(w, h)]
     m11, m12, m22 = m
     slack = (
         np.abs(m11 * iota) * ulp[0] + np.abs(m11 * kappa) * ulp[1]

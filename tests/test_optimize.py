@@ -695,12 +695,11 @@ def test_sweep_angle_rows_and_branches():
 
 
 def test_sweep_angle_survives_per_cell_failure():
-    # with a 100x finer delay channel, g' does not change sign over the
-    # bracket at H = 100 km
-    rows = optimize.sweep_angle(replace(P, a2=1.2e-9), [0.01], [50.0, 1e5, 70.0])
+    # at H = 1e200, H*H overflows and with it the bracket's lower end
+    rows = optimize.sweep_angle(P, [0.01], [50.0, 1e200, 70.0])
     assert len(rows) == 3
     a, h, x, phi, branch = rows[1]
-    assert (a, h, branch) == (0.01, 1e5, "error:BracketError")
+    assert (a, h, branch) == (0.01, 1e200, "error:BracketError")
     assert math.isnan(x) and math.isnan(phi)
     assert [(r[1], r[4]) for r in rows[::2]] == [(50.0, "interior_newton"),
                                                   (70.0, "interior_newton")]
@@ -718,14 +717,16 @@ ODD_HEIGHTS = (0.5, 3.0, 17.0, oracles.FROZEN["h_knee"], 500.0, 1e4)
     (P, BENCHMARK_ALPHAS, BENCHMARK_HEIGHTS),   # the benchmark's grid
     (P, [1.0], AC02_HEIGHTS),                   # AC02's grid
     (P, ODD_ALPHAS, ODD_HEIGHTS),
-    (replace(P, a2=1.2e-9), [0.01, 0.5], [50.0, 1e5, 70.0]),          # a BracketError cell
+    # with a 100x finer delay channel the bracket at H = 100 km is 3e-10 m
+    # wide, g' has its roundoff's sign at both ends, and x_u is the solution
+    (replace(P, a2=1.2e-9), [0.01, 0.5], [50.0, 1e5, 70.0]),
     # g ties to roundoff over these grids, so g' does not change sign over the
     # cell the grid minimum picks, and the cell is the whole bracket
     (P, [0.5, 0.85], [7e4, 2e5, 1e6]),
     # 26 of these 31 cells take a second Newton step: the polish runs one full
     # round, then returns early from the second
     (P, [0.95], [10.0 + i for i in range(31)]),
-], ids=["benchmark", "ac02", "odd", "bracket_error", "far", "second_round"])
+], ids=["benchmark", "ac02", "odd", "point_bracket", "far", "second_round"])
 def test_sweep_angle_equals_scalar_oracle(params, alphas, heights):
     # repr tells every float bit, NaN and the sign of zero apart
     assert repr(optimize.sweep_angle(params, alphas, heights)) == \
@@ -864,6 +865,24 @@ def test_geometry_refuses_or_returns_finite_values_across_float_range():
         # its error, and solves every other cell to solve_sp1's x_star
         assert {r[:2]: r[4] for r in rows if r[4].startswith("error:")} == refused
         assert {r[:2]: r[2] for r in rows if not r[4].startswith("error:")} == solved
+
+
+@pytest.mark.parametrize("a1", [3e7, 1e20])
+def test_a_one_point_bracket_is_its_solution(a1):
+    # the angle channel carries almost no information: x_l = x_u = H/sqrt(2)
+    # exactly, where both bounds of g take their minimum; it was a BracketError
+    p = replace(P, a1=a1)
+    x_u = optimize.upper_anchor(p)
+    assert optimize.convexity_lower_bound(p) == x_u
+    res = optimize.solve_sp1(p)
+    assert (res.x_star, res.branch, res.x_l, res.x_u) == (x_u, "point_bracket", x_u, x_u)
+    assert res.x_star == 35.35533905932737 and res.g_star == ekf.weighted_g(x_u, 0.0, p)
+    _, g1, _ = optimize.g0_derivatives(res.x_star, p)
+    assert abs(g1) < 1e-6 * res.g_star
+    alphas, heights = (0.3, 0.5, 0.9), (30.0, 50.0, 70.0, 100.0)
+    assert optimize.sweep_angle(p, alphas, heights) == [
+        (a, h, h / math.sqrt(2.0), math.degrees(math.atan2(h, h / math.sqrt(2.0))),
+         "point_bracket") for a in alphas for h in heights]
 
 
 def test_geometry_refusals_at_altitudes_beyond_the_model():

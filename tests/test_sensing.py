@@ -10,7 +10,7 @@ from uav_isac.sensing import (
     _variances,
     achievable_rate,
     comm_snr,
-    jacobian,
+    linearize,
     measure_mean,
     measured_variances,
     noise_weights,
@@ -96,7 +96,7 @@ def test_noise_cov_far_out_is_infinite_as_in_numpy():
 
 
 def test_jacobian_frozen_point():
-    iota, kappa, zeta, nu = jacobian(50.0, 10.0, P)
+    iota, kappa, zeta, nu = linearize(50.0, 10.0, P)[3:]
     assert iota == pytest.approx(oracles.FROZEN["iota_50"], rel=1e-13)
     assert kappa == pytest.approx(oracles.FROZEN["kappa_50"], rel=1e-13)
     assert zeta == pytest.approx(oracles.FROZEN["zeta_50_10"], rel=1e-13)
@@ -108,7 +108,7 @@ def test_jacobian_matches_finite_differences():
     for _ in range(25):
         x = float(rng.uniform(-150, 150))
         v = float(rng.uniform(-30, 30))
-        iota, kappa, zeta, nu = jacobian(x, v, P)
+        iota, kappa, zeta, nu = linearize(x, v, P)[3:]
         hx = 1e-5 * max(1.0, abs(x))
         hv = 1e-5 * max(1.0, abs(v))
         for idx, (entry, fd) in enumerate([

@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 import re
+import sys
 from collections import Counter
 from dataclasses import astuple, fields, replace
 
@@ -318,6 +319,35 @@ def test_passing_float_checks_make_no_call(scheme, calls, monkeypatch):
     run_scenario(ScenarioConfig(n_slots=10, scheme=scheme), P)
     assert len(seen) == calls
     assert all(isinstance(bad, np.ndarray) for bad in seen)
+
+
+def _package_calls(n_slots):
+    """The package functions a right-above run of n_slots slots calls, by
+    name, with their call counts (sys.setprofile's call events)."""
+    calls, package = Counter(), uav_isac.__path__[0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls[frame.f_code.co_name] += 1
+    sys.setprofile(profile)
+    try:
+        run_scenario(ScenarioConfig(n_slots=n_slots, scheme="right_above"), P)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_float_slot_package_calls():
+    # one float slot's calls, from the difference of a 20-slot and a
+    # 10-slot run; the update reads its mean and Jacobian from one linearize
+    few, many = _package_calls(10), _package_calls(20)
+    per_slot = {name: (many[name] - few[name]) / 10 for name in many if many[name] != few[name]}
+    assert per_slot == {
+        "_plan": 1, "predict": 1, "_target_right_above": 1, "design_trajectory": 1,
+        "step_ground_truth": 1, "noise_weights": 1, "measured_variances": 1,
+        "prior_information": 1, "inverse": 2, "sample_measurement": 1, "measure_mean": 1,
+        "update": 1, "linearize": 1, "_fisher_terms": 1, "_add_information": 1}
+    assert sum(per_slot.values()) == 16
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "right_above"])
@@ -775,7 +805,7 @@ def test_lockstep_numpy_call_budget():
     cols, calls = numpy_calls.count_calls(simulate._run_lockstep, cfg, P,
                                           ("proposed", "right_above"),
                                           draws.view(numpy_calls.Counted))
-    assert calls <= 5310
+    assert calls <= 5290
     want = simulate._run_lockstep(cfg, P, ("proposed", "right_above"), draws)
     assert all(cols[name].view(np.ndarray).tolist() == want[name].tolist() for name in want)
 
